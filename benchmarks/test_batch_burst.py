@@ -28,6 +28,10 @@ from repro.runtime.semantics import INSERT, Update
 TABLES = [f"ScionEgress.rewrite_mac_if{i}" for i in range(4)]
 WARM_PER_ACTION = 3
 BURST_PER_TABLE = 60
+#: Each side keeps its fastest round.  The ratio sits at 2-3x, close to the
+#: bar, and single-shot timings let one descheduled run on a shared box
+#: decide it (it failed one run in five that way).
+ROUNDS = 3
 
 
 def _unique_inserts(flay, fuzzer, table, count, seen, action=None):
@@ -68,26 +72,31 @@ def _workload(corpus_programs, seed=7):
 def test_batch_scheduler_burst_speedup(benchmark, corpus_programs):
     timings = {}
 
-    flay, burst = _workload(corpus_programs)
-    start = time.perf_counter()
-    for update in burst:
-        decision = flay.process_update(update)
-        assert decision.forwarded
-    timings["sequential_ms"] = (time.perf_counter() - start) * 1000
+    def keep_fastest(key, elapsed_ms):
+        timings[key] = min(elapsed_ms, timings.get(key, elapsed_ms))
+
+    for _ in range(ROUNDS):
+        flay, burst = _workload(corpus_programs)
+        start = time.perf_counter()
+        for update in burst:
+            decision = flay.process_update(update)
+            assert decision.forwarded
+        keep_fastest("sequential_ms", (time.perf_counter() - start) * 1000)
     sequential_verdicts = dict(flay.runtime.point_verdicts)
     sequential_source = flay.specialized_source()
 
     reports = {}
     for workers in (1, 2, 4):
-        flay, burst = _workload(corpus_programs)
-        report = flay.apply_batch(burst, workers=workers)
-        reports[workers] = report
-        timings[f"batch_w{workers}_ms"] = report.elapsed_ms
-        assert report.forwarded
-        assert report.group_count == len(TABLES)
-        # Batched output == sequential output, whatever the pool width.
-        assert flay.runtime.point_verdicts == sequential_verdicts
-        assert flay.specialized_source() == sequential_source
+        for _ in range(ROUNDS):
+            flay, burst = _workload(corpus_programs)
+            report = flay.apply_batch(burst, workers=workers)
+            reports[workers] = report
+            keep_fastest(f"batch_w{workers}_ms", report.elapsed_ms)
+            assert report.forwarded
+            assert report.group_count == len(TABLES)
+            # Batched output == sequential output, whatever the pool width.
+            assert flay.runtime.point_verdicts == sequential_verdicts
+            assert flay.specialized_source() == sequential_source
 
     # Register the 4-worker batch with pytest-benchmark's statistics.
     benchmark.pedantic(

@@ -26,16 +26,23 @@ touch independent tables.  This module is the burst scheduler:
      Each worker gets a private :class:`WorkerSlice` over the shared
      :class:`EngineContext`: a copy-on-write view of the
      delta-substitution memo plus layered verdict/solver caches, so
-     nothing shared is written while siblings read.  The hash-consing
-     term factory *is* shared (its interning is a single atomic dict
-     operation), which keeps term identity — and therefore every
-     downstream memo key — consistent across workers.
+     nothing shared is written while siblings read.  Building a slice
+     copies nothing: its solver is a lazy twin
+     (:meth:`~repro.smt.solver.Solver.fork_slice`) that forks the shared
+     CNF encoder and CDCL session only if one of the group's queries
+     reaches bit-blasting — a forwarding burst is decided by the gate
+     and the simplifier and never pays for a clause database it does
+     not probe.  The hash-consing term factory *is* shared (its
+     interning is a single atomic dict operation), which keeps term
+     identity — and therefore every downstream memo key — consistent
+     across workers.
    * ``"process"`` — one forked worker *process* per group, in waves
      capped at the pool width.  Fork semantics do the heavy lifting: the
      child inherits the whole engine image (terms, caches, its
-     pre-built slice) copy-on-write, runs the exact same
-     :func:`run_group`, and ships its results back over a pipe as a
-     picklable payload — terms ride in a
+     pre-built slice with the still-unmaterialised solver twin)
+     copy-on-write, runs the exact same :func:`run_group` — forking the
+     session in the child if a query needs it — and ships its results
+     back over a pipe as a picklable payload: terms ride in a
      :class:`~repro.smt.arena.TermArena`, learned CDCL clauses as plain
      literal lists, stats as dataclasses.  This is the GIL escape hatch:
      group solving runs on real cores.
@@ -147,10 +154,10 @@ def coalesce(
     Within-batch-inconsistent sequences (insert of a live key, modify or
     delete of a key the batch already deleted) raise :class:`EntryError`
     up front — exactly the sequences sequential application would reject —
-    before any state is touched, which makes a batch all-or-nothing.
-    Validity that depends on pre-batch state (e.g. the first delete of a
-    key) is still checked when the net ops apply, as in the sequential
-    path.
+    before any state is touched.  Validity that depends on pre-batch state
+    (e.g. the first delete of a key) is the caller's half of
+    all-or-nothing: :func:`schedule_batch` runs the net ops through
+    ``ControlPlaneState.validate_updates`` before it applies the first.
     """
     table_of = resolve_table if resolve_table is not None else lambda name: name
     vs_of = resolve_value_set if resolve_value_set is not None else lambda name: name
@@ -421,8 +428,9 @@ class WorkerSlice:
     The slice owns everything a conflict group's warm work writes: a
     copy-on-write substitution view, a private query engine whose
     executability/solver/simplify caches are layered over the shared
-    ones, and a private CNF encoder (Tseitin variable numbering cannot be
-    shared across threads).  The immutable inputs — the data-plane model,
+    ones, and — from its first bit-blasted query on — a private CNF
+    encoder and CDCL session (Tseitin variable numbering cannot be shared
+    across threads).  The immutable inputs — the data-plane model,
     the control-plane state of *this group's* tables, and the hash-consed
     term factory — are shared.
     """
@@ -430,9 +438,10 @@ class WorkerSlice:
     def __init__(self, ctx: EngineContext) -> None:
         shared_qe = ctx.query_engine
         self.substitution = ctx.substitution.fork_slice()
-        # Fork the shared solver: private encoder + a warm CDCL session
-        # pre-loaded with the shared clause database (problem + learned),
-        # so slice probes benefit from everything learned before the batch.
+        # A lazy twin of the shared solver: it copies the shared encoder
+        # and CDCL session (problem + learned clauses) when one of this
+        # slice's queries first reaches bit-blasting, and never if the
+        # gate and the simplifier decide them all — the common burst.
         solver = shared_qe.solver.fork_slice()
         solver._results = LayeredCache(shared_qe.solver._results)
         # The verdict gate forks too: shared FDDs (read-only during group
@@ -652,9 +661,6 @@ def _encode_outcome(outcome: GroupOutcome) -> dict:
     qe = piece.query_engine
     solver = qe.solver
     arena = TermArena()
-    learned: list = []
-    if solver.share_encodings and solver.incremental:
-        learned = solver.session.export_learned()
     gate = qe.gate
     return {
         "mapping": [
@@ -705,7 +711,7 @@ def _encode_outcome(outcome: GroupOutcome) -> dict:
         ),
         "cache_counter": (solver.cache_counter.hits, solver.cache_counter.misses),
         "cnf_counter": (solver.cnf_counter.hits, solver.cnf_counter.misses),
-        "learned": learned,
+        "learned": solver.export_learned(),
         "solver_stats": solver.stats,
         "gate_stats": gate.stats if gate is not None else None,
         "gate_records": gate.export_record_delta(arena) if gate is not None else [],
@@ -999,7 +1005,9 @@ def schedule_batch(
     # State mutation happens up front, on the calling thread, in anchor
     # order — workers then only read their own group's tables.  (The
     # process executor forks *after* this point, so children inherit the
-    # post-mutation state and diagrams.)
+    # post-mutation state and diagrams.)  Every net op is validated
+    # against the pre-batch state first, so a bad one leaves no trace.
+    ctx.state.validate_updates(op.update for op in coalesced.ops)
     for op in coalesced.ops:
         if isinstance(op.update, ValueSetUpdate):
             ctx.state.apply_value_set_update(op.update)

@@ -395,7 +395,10 @@ class ApplyUpdatesPass:
 
     Value-set updates are encoded inline (in update order); touched tables
     are re-encoded once each, in sorted name order — so a 1000-entry burst
-    into one table costs one encoding, not a thousand.
+    into one table costs one encoding, not a thousand.  A batch is
+    validated as a whole before its first update applies, so a bad update
+    in the middle leaves the state as it found it (a single update already
+    fails before it mutates).
     """
 
     name = "apply-updates"
@@ -403,6 +406,8 @@ class ApplyUpdatesPass:
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
+        if warm.mode == "batch":
+            ctx.state.validate_updates(warm.updates)
         touched: set = set()
         for update in warm.updates:
             if isinstance(update, ValueSetUpdate):

@@ -301,6 +301,48 @@ class ControlPlaneState:
         info = self.model.table(name)
         return self.tables[info.name]
 
+    def validate_updates(self, updates: Iterable) -> None:
+        """Raise what applying ``updates`` in order would raise, touching nothing.
+
+        Makes a batch all-or-nothing: the schema of every entry, the size
+        of every value set, and the liveness of every key — looked up in
+        the installed entries the first time the batch names it, tracked
+        in an overlay from then on — are checked before the first
+        mutation.  Cost is one key lookup per update, no table copy.
+        """
+        live: dict[tuple, bool] = {}
+        for update in updates:
+            if isinstance(update, ValueSetUpdate):
+                self._check_value_set_size(update)
+                continue
+            state = self.table_state(update.table)
+            name = state.info.name
+            validate_entry(state.info, update.entry)
+            key = update.entry.match_key()
+            slot = (name, key)
+            is_live = live.get(slot)
+            if is_live is None:
+                is_live = key in state._entries
+            if update.op == INSERT:
+                if is_live:
+                    raise EntryError(f"duplicate entry in {name}: {key}")
+                live[slot] = True
+            elif update.op in (MODIFY, DELETE):
+                if not is_live:
+                    raise EntryError(f"no such entry in {name}: {key}")
+                live[slot] = update.op == MODIFY
+            else:
+                raise EntryError(f"unknown update op {update.op!r}")
+
+    def _check_value_set_size(self, update: ValueSetUpdate) -> ValueSetInfo:
+        info = self.model.value_set(update.value_set)
+        if len(update.values) > info.size:
+            raise EntryError(
+                f"value set {info.name} holds {info.size} values, "
+                f"got {len(update.values)}"
+            )
+        return info
+
     def apply_update(self, update: Update) -> TableInfo:
         state = self.table_state(update.table)
         state.apply(update.op, update.entry)
@@ -308,12 +350,7 @@ class ControlPlaneState:
         return state.info
 
     def apply_value_set_update(self, update: ValueSetUpdate) -> ValueSetInfo:
-        info = self.model.value_set(update.value_set)
-        if len(update.values) > info.size:
-            raise EntryError(
-                f"value set {info.name} holds {info.size} values, "
-                f"got {len(update.values)}"
-            )
+        info = self._check_value_set_size(update)
         self.value_sets[info.name] = tuple(update.values)
         self.update_count += 1
         return info

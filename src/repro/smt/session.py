@@ -204,6 +204,11 @@ class SolverSession:
         and learned), variable map, and activation literals, against the
         worker's own encoder fork (fragment objects are shared, so
         fragment identity — and with it :attr:`_loaded` — stays valid).
+        It copies every clause and rebuilds every watch list, so a
+        :meth:`Solver.fork_slice <repro.smt.solver.Solver.fork_slice>`
+        twin calls it only once one of its queries reaches the SAT core,
+        holding the parent solver's lock (``SatSolver.fork`` backtracks
+        ``self``).
         """
         twin = SolverSession(encoder, solver=self.sat.fork())
         twin._local = dict(self._local)

@@ -25,6 +25,7 @@ search for every later update.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -151,6 +152,7 @@ class Solver:
         max_conflicts: Optional[int] = 100_000,
         share_encodings: bool = True,
         incremental: bool = True,
+        _fork_of: Optional["Solver"] = None,
     ) -> None:
         self.use_interval_precheck = use_interval_precheck
         self.max_conflicts = max_conflicts
@@ -164,12 +166,21 @@ class Solver:
         self.cnf_counter = CacheCounter("cnf-fragments")
         self.generation = 0
         self._results: dict[Term, SatResult] = {}
-        self._encoder = FragmentBitBlaster(self.cnf_counter)
-        self._session = SolverSession(self._encoder)
+        #: Set on a :meth:`fork_slice` twin until its first bit-blasted
+        #: query: the solver whose encoder and session it will fork then.
+        self._fork_parent = _fork_of
+        #: Serializes the materialisation of this solver's twins (two
+        #: thread slices may reach it at once, and ``SatSolver.fork``
+        #: backtracks the solver it copies).
+        self._fork_lock = threading.Lock()
+        self._encoder: Optional[FragmentBitBlaster] = None
+        self._session: Optional[SolverSession] = None
         #: Set by :meth:`adopt_shared`: the encoder is owned by a shared
         #: store, so the var-limit generation reset must never swap it out
         #: from under the other solvers attached to it.
         self._encoder_pinned = False
+        if _fork_of is None:
+            self._reset_encoder()
 
     # Legacy name: the budget used to be counted in decisions.  CDCL makes
     # decisions nearly free; conflicts are the honest unit of work.
@@ -182,10 +193,12 @@ class Solver:
         self.max_conflicts = value
 
     @property
-    def session(self) -> SolverSession:
+    def session(self) -> Optional[SolverSession]:
+        """The CDCL session (None on a twin that has not bit-blasted yet)."""
         return self._session
 
     def _reset_encoder(self) -> None:
+        self._fork_parent = None
         self._encoder = FragmentBitBlaster(self.cnf_counter)
         self._session = SolverSession(self._encoder)
         self._encoder_pinned = False
@@ -237,6 +250,8 @@ class Solver:
         try:
             if not self.share_encodings:
                 return self._solve_fresh(simplified)
+            if self._fork_parent is not None:
+                self._materialize_fork()
             if (
                 not self._encoder_pinned
                 and self._encoder.var_count > self.ENCODER_VAR_LIMIT
@@ -334,41 +349,63 @@ class Solver:
     # -- batch-worker forking --------------------------------------------------
 
     def fork_slice(self) -> "Solver":
-        """A private warm view for one batch worker slice.
+        """A private view for one batch worker slice; copies nothing yet.
 
-        The fork gets its own encoder (sharing the parent's immutable
-        fragments) and its own session pre-loaded with the parent's
-        clause database — including everything learned so far — so each
-        worker probes warm.  Nothing mutable is shared; the anchor-order
-        merge folds the fork's stats and exportable learned clauses back
-        via :meth:`absorb_fork`.
+        The twin keeps a reference to this solver and forks its encoder
+        and session (:meth:`_materialize_fork`) only when one of its own
+        queries falls through to bit-blasting — most slices decide every
+        point in the gate or the simplifier and never do.  Nothing
+        mutable is shared either way; the anchor-order merge folds the
+        twin's stats and exportable learned clauses back via
+        :meth:`absorb_fork`.  The batch scheduler probes only slices
+        between fork and merge, so a twin forks the same clause database
+        whenever it materialises.
         """
         twin = Solver(
             use_interval_precheck=self.use_interval_precheck,
             max_conflicts=self.max_conflicts,
             share_encodings=self.share_encodings,
             incremental=self.incremental,
+            _fork_of=self,
         )
         twin.generation = self.generation
-        if self.share_encodings:
-            twin._encoder = self._encoder.fork(twin.cnf_counter)
-            if self.incremental:
-                twin._session = self._session.fork(twin._encoder)
-            else:
-                twin._session = SolverSession(twin._encoder)
         return twin
+
+    def _materialize_fork(self) -> None:
+        """Fork the parent's encoder and session, on the first probe.
+
+        The twin gets its own encoder (sharing the parent's immutable
+        fragments) and its own session pre-loaded with the parent's
+        clause database — including everything learned so far — so the
+        probe that triggered this, and every later one, runs warm.
+        """
+        parent = self._fork_parent
+        with parent._fork_lock:
+            self._encoder = parent._encoder.fork(self.cnf_counter)
+            if self.incremental:
+                self._session = parent._session.fork(self._encoder)
+            else:
+                self._session = SolverSession(self._encoder)
+        self._fork_parent = None
+
+    def export_learned(self) -> list:
+        """Clauses this twin learned that its parent's session can import
+        (none if it never materialised)."""
+        if self._session is None:
+            return []
+        return self._session.export_learned()
 
     def absorb_fork(self, fork: "Solver") -> int:
         """Fold a fork's query/search stats and learned clauses back.
 
         Returns the number of learned clauses imported into the shared
-        session (0 when the fork's session is unrelated or incremental
-        solving is off).
+        session (0 when the fork never materialised, its session is
+        unrelated, or incremental solving is off).
         """
         self.stats.absorb(fork.stats)
-        if self.share_encodings and self.incremental:
-            return self._session.absorb(fork._session)
-        return 0
+        if fork._session is None or not self.incremental:
+            return 0
+        return self._session.absorb(fork._session)
 
     # -- higher-level queries --------------------------------------------------
 

@@ -10,7 +10,8 @@ from repro.errors import FlayError, OptionsError, SourcePos
 from repro.p4.errors import ParseError, TypeCheckError
 from repro.p4.parser import parse_program
 from repro.runtime.config import ConfigError, loads
-from repro.runtime.entries import EntryError
+from repro.runtime.entries import EntryError, TableEntry, TernaryMatch
+from repro.runtime.semantics import DELETE, INSERT, Update
 from repro.smt.terms import SortError
 from repro.targets.base import UnknownTargetError, available_targets
 from repro.targets.bmv2.interpreter import InterpreterError
@@ -128,3 +129,64 @@ class TestUserReachablePaths:
     def test_cli_specialize_validates_target_eagerly(self, capsys):
         assert main(["specialize", "corpus:fig3", "--target", "bogus"]) == 2
         assert "registered backends" in capsys.readouterr().err
+
+
+FULL_MASK = (1 << 48) - 1
+
+
+def _fig3_entry(value, port, priority=10):
+    return TableEntry((TernaryMatch(value, FULL_MASK),), "set", (port,), priority)
+
+
+def _observable(flay):
+    """Everything a failed batch must leave as it found it."""
+    state = flay.runtime.state
+    return {
+        "entries": {
+            name: table.entries() for name, table in state.tables.items()
+        },
+        "value_sets": dict(state.value_sets),
+        "update_count": state.update_count,
+        "point_verdicts": dict(flay.runtime.point_verdicts),
+        "table_verdicts": dict(flay.runtime.table_verdicts),
+        "source": flay.specialized_source(),
+        "lowered": list(flay.runtime.lowered_updates),
+    }
+
+
+class TestBatchAllOrNothing:
+    """A batch with one bad update — bad only against pre-batch state, so
+    the coalescer cannot see it — must not apply the good ones either."""
+
+    E1 = Update("eth_table", INSERT, _fig3_entry(0x2, 0x900))
+    ABSENT = Update("eth_table", DELETE, _fig3_entry(0x7, 0x100))
+    INSTALLED = Update("eth_table", INSERT, _fig3_entry(0x1, 0x800))
+    MALFORMED = Update("eth_table", INSERT, _fig3_entry(1 << 48, 0x100))
+
+    @staticmethod
+    def _pair():
+        from repro.programs.fig3 import source
+
+        pair = []
+        for _ in range(2):
+            flay = Flay.from_source(source(), FlayOptions(target="tofino"))
+            flay.process_update(TestBatchAllOrNothing.INSTALLED)
+            pair.append(flay)
+        return pair
+
+    @pytest.mark.parametrize("entry_point", ["apply_batch", "process_batch"])
+    @pytest.mark.parametrize(
+        "bad", ["ABSENT", "INSTALLED", "MALFORMED"], ids=str.lower
+    )
+    def test_failed_batch_leaves_no_trace(self, entry_point, bad):
+        flay, untouched = self._pair()
+        submit = getattr(flay, entry_point)
+        with pytest.raises(EntryError):
+            submit([self.E1, getattr(self, bad)])
+        assert _observable(flay) == _observable(untouched)
+        # The batch minus the bad op then succeeds, as on the twin that
+        # never saw the failed one.
+        getattr(untouched, entry_point)([self.E1])
+        submit([self.E1])
+        assert _observable(flay) == _observable(untouched)
+        assert flay.runtime.state.update_count == 2

@@ -103,6 +103,47 @@ class TestUpdateOps:
         assert state.update_count == 1
 
 
+_OPS = st.tuples(
+    st.sampled_from([INSERT, MODIFY, DELETE, "upsert"]),
+    st.integers(0, 3),  # few keys, so sequences revisit them
+    st.sampled_from([(1,), (1 << 8,)]),  # the second arg overflows bit<8>
+)
+
+
+class TestValidateUpdates:
+    @given(installed=st.sets(st.integers(0, 3)), ops=st.lists(_OPS, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_raises_iff_applying_in_order_would(self, installed, ops):
+        state = ControlPlaneState(_SHARED_MODEL)
+        for value in installed:
+            state.apply_update(Update("tern", INSERT, tern_entry(value, 0xFF)))
+        updates = [
+            Update("tern", op, tern_entry(value, 0xFF, args=args))
+            for op, value, args in ops
+        ]
+        before = (state.table_state("tern").entries(), state.update_count)
+        try:
+            state.validate_updates(updates)
+            valid = True
+        except EntryError:
+            valid = False
+        assert (state.table_state("tern").entries(), state.update_count) == before
+        try:
+            for update in updates:
+                state.apply_update(update)
+            applied = True
+        except EntryError:
+            applied = False
+        assert valid == applied
+
+    def test_checks_value_set_size(self):
+        state = ControlPlaneState(analyze(parse_program(TestValueSets.SOURCE)))
+        state.validate_updates([ValueSetUpdate("pvs", (1, 2))])
+        with pytest.raises(EntryError):
+            state.validate_updates([ValueSetUpdate("pvs", (1, 2, 3))])
+        assert set(state.value_sets.values()) == {()} and state.update_count == 0
+
+
 class TestOrderingAndEclipse:
     def test_ternary_priority_order(self, state):
         low = tern_entry(0, 0, priority=1)

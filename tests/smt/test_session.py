@@ -7,12 +7,16 @@ cycle used by the batch scheduler must be conservative.
 """
 
 import random
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.metrics import CacheCounter
 from repro.smt import terms as T
 from repro.smt.cnf import FragmentBitBlaster
+from repro.smt.sat import SatSolver
 from repro.smt.session import SolverSession
 from repro.smt.solver import Solver
 
@@ -158,22 +162,194 @@ class TestForkAbsorb:
         assert a.absorb(b) == 0
 
 
+def count_forks(monkeypatch) -> list:
+    """Record every ``SatSolver.fork`` / ``_rebuild_watches`` call — the
+    copy and the watch rebuild an eager slice fork paid per burst."""
+    calls: list = []
+    for name in ("fork", "_rebuild_watches"):
+        original = getattr(SatSolver, name)
+
+        def counted(self, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(SatSolver, name, counted)
+    return calls
+
+
+def scion_burst():
+    """A warmed scion engine plus a forwards-only insert burst over the
+    main route table and two tables from other conflict components."""
+    from repro.core import Flay, FlayOptions
+    from repro.programs import registry
+    from repro.runtime.fuzzer import EntryFuzzer
+    from repro.runtime.semantics import INSERT, Update
+
+    flay = Flay(registry.load("scion"), FlayOptions(target="none"))
+    fuzzer = EntryFuzzer(flay.model, seed=7)
+    warmup, burst = [], []
+    for table in (
+        "ScionIngress.ipv4_forward",
+        "ScionIngress.bfd_sessions",
+        "ScionEgress.mtu_table",
+    ):
+        seen: set = set()
+
+        def fresh(count, action=None):
+            updates = []
+            while len(updates) < count:
+                entry = fuzzer.entry(table, action=action)
+                if entry.match_key() not in seen:
+                    seen.add(entry.match_key())
+                    updates.append(Update(table, INSERT, entry))
+            return updates
+
+        for action in flay.model.table(table).action_order:
+            warmup.extend(fresh(2, action))
+        burst.extend(fresh(8))
+    flay.process_batch(warmup)
+    return flay, burst
+
+
+def check_all(solver: Solver, terms) -> list:
+    return [
+        (result.satisfiable, result.model)
+        for result in map(solver.check_sat, terms)
+    ]
+
+
 class TestSolverFacadeFork:
-    def test_fork_slice_and_absorb(self):
+    def test_fork_slice_and_absorb(self, monkeypatch):
         rng = random.Random(3)
         shared = Solver()
         terms = [random_term(rng, depth=2) for _ in range(8)]
         expected = {term: fresh_verdict(term) for term in terms}
         for term in terms[:4]:
             assert shared.check_sat(term).satisfiable == expected[term]
+        calls = count_forks(monkeypatch)
         fork = shared.fork_slice()
+        idle = shared.fork_slice()
+        # A twin that never reaches bit-blasting never copies the session:
+        # folding it back moves stats only.
+        assert idle.check_sat(T.bool_const(True)).satisfiable
+        clauses = (shared.session.sat.num_clauses, shared.session.sat.num_learned)
+        assert shared.absorb_fork(idle) == 0
+        assert idle.session is None and idle.export_learned() == []
+        assert clauses == (
+            shared.session.sat.num_clauses,
+            shared.session.sat.num_learned,
+        )
+        assert calls == []
         for term in terms[4:]:
             assert fork.check_sat(term).satisfiable == expected[term]
+        # ... and one that does, copies it once, on its first probe.
+        assert calls == ["fork", "_rebuild_watches"]
         before = shared.stats.probes
         shared.absorb_fork(fork)
         assert shared.stats.probes == before + fork.stats.probes
         for term in terms:
             assert shared.check_sat(term).satisfiable == expected[term]
+
+    @pytest.mark.parametrize(
+        "executor,workers", [("serial", 1), ("thread", 4), ("process", 4)]
+    )
+    def test_forwarding_burst_never_forks_the_session(
+        self, monkeypatch, executor, workers
+    ):
+        flay, burst = scion_burst()
+        solver = flay.runtime.ctx.query_engine.solver
+        probes = solver.stats.probes
+        clauses = (solver.session.sat.num_clauses, solver.session.sat.num_learned)
+
+        def refuse(self):
+            # Raising reaches the parent from a worker process too (the
+            # child ships the failure), where a counter would not.
+            raise AssertionError("a forwarding burst forked the CDCL session")
+
+        monkeypatch.setattr(SatSolver, "fork", refuse)
+        monkeypatch.setattr(SatSolver, "_rebuild_watches", refuse)
+        report = flay.apply_batch(burst, workers=workers, executor=executor)
+        assert report.forwarded and report.group_count == 3
+        assert solver.stats.probes == probes
+        assert clauses == (
+            solver.session.sat.num_clauses,
+            solver.session.sat.num_learned,
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), nth=st.integers(0, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_lazy_twin_equals_eager_twin(self, seed, nth):
+        # Materialising on the n-th query must be invisible: same verdicts,
+        # models, and exported learned clauses as a twin forked at
+        # fork_slice() time.  Both parents replay the same warmup, so their
+        # sessions (and hence their forks) are identical by determinism.
+        rng = random.Random(seed)
+        warmup = [random_term(rng, depth=2) for _ in range(4)]
+        # ``nth`` queries the simplifier decides, then ones that may probe.
+        queries = [T.bool_const(i % 2 == 0) for i in range(nth)]
+        queries += [random_term(rng, depth=2) for _ in range(6)]
+        twins = []
+        for eager in (False, True):
+            parent = Solver()
+            check_all(parent, warmup)
+            twin = parent.fork_slice()
+            if eager:
+                twin._materialize_fork()
+            twins.append((parent, twin))
+        (lazy_parent, lazy), (eager_parent, eager) = twins
+        assert lazy.session is None and eager.session is not None
+        assert check_all(lazy, queries) == check_all(eager, queries)
+        assert lazy.export_learned() == eager.export_learned()
+        assert lazy.stats.search == eager.stats.search
+        assert lazy_parent.absorb_fork(lazy) == eager_parent.absorb_fork(eager)
+
+    def test_concurrent_materialisation_agrees_with_serial(self):
+        # More twins than cores, all released at once with a short switch
+        # interval: every one forks the same parent session on its first
+        # probe, under the parent's lock.
+        rng = random.Random(17)
+        warmup = [random_term(rng, depth=2) for _ in range(6)]
+        streams = [[random_term(rng, depth=2) for _ in range(6)] for _ in range(6)]
+
+        def parent_with_twins():
+            parent = Solver()
+            check_all(parent, warmup)
+            return parent, [parent.fork_slice() for _ in streams]
+
+        _, serial_twins = parent_with_twins()
+        serial = [check_all(t, s) for t, s in zip(serial_twins, streams)]
+
+        parent, twins = parent_with_twins()
+        barrier = threading.Barrier(len(twins))
+        results: list = [None] * len(twins)
+
+        def work(index):
+            barrier.wait(timeout=30)
+            results[index] = check_all(twins[index], streams[index])
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(twins))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+        assert [t.export_learned() for t in twins] == [
+            t.export_learned() for t in serial_twins
+        ]
+        assert parent.session.sat._decision_level() == 0
+        for twin in twins:
+            assert twin.session is not None
+            parent.absorb_fork(twin)
+        for term in warmup + [term for stream in streams for term in stream]:
+            assert parent.check_sat(term).satisfiable == fresh_verdict(term)
 
     def test_replay_baseline_agrees_with_session(self):
         rng = random.Random(11)
