@@ -47,7 +47,7 @@ class TestTaintAblation:
         info = flay.model.table("ScionIngress.ipv4_forward")
         affected = flay.model.points_for_control_vars(info.control_var_names())
         heading("Ablation: taint-directed re-query vs full re-query (scion)")
-        print(f"points checked per update: {len(affected)} / {flay.model.point_count}")
+        print(f"points tainted by the table: {len(affected)} / {flay.model.point_count}")
         print(f"full re-query of all points: {full_ms:.1f} ms")
         assert len(affected) < flay.model.point_count
 

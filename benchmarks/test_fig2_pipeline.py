@@ -37,7 +37,7 @@ def test_fig2_forward_path(benchmark, corpus_programs):
 
     decision = benchmark(forward_one)
     heading("Fig. 2: incremental pipeline — forward path")
-    print(f"affected points checked: {decision.affected_points}")
+    print(f"points re-queried: {decision.affected_points}")
     print(f"decision: {decision.describe()}")
     assert decision.forwarded and not decision.recompiled
 

@@ -1,10 +1,11 @@
 """The control-plane-triggered incremental pipeline (Fig. 2 of the paper).
 
-On every control-plane update: (1) map the update to its table's control
-symbols ("taint"), (2) find the affected program points via the taint map,
-(3) recompute the specialization verdicts for exactly those points, and
-(4) forward the update untouched when no verdict changed — otherwise
-respecialize and hand the result to the device compiler.
+On every control-plane update: (1) re-encode the update's table and find
+the control symbols whose assignment changed, (2) find the program points
+those symbols taint via the taint map, (3) recompute the specialization
+verdicts for exactly those points, and (4) forward the update untouched
+when no verdict changed — otherwise respecialize and hand the result to
+the device compiler.
 
 The implementation lives in :mod:`repro.engine`: the steps above are the
 declared warm pass sequence run by :class:`~repro.engine.engine.Engine`.

@@ -529,11 +529,10 @@ class GroupOutcome:
     slice: WorkerSlice
     mapping: dict
     assignments: dict
-    point_verdicts: dict
+    point_verdicts: dict  # every point re-queried, changed or not
     table_verdicts: dict
     changed_tables: list
     changed_points: list
-    affected: set
 
     @property
     def changed(self) -> list:
@@ -546,51 +545,32 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
 
     The control-plane state was already mutated on the main thread; this
     function only *reads* shared state (its own group's tables) and
-    writes the slice.
+    writes the slice.  Like the sequential warm path it re-queries only
+    the points tainted by a symbol the slice's ``set_many`` found
+    re-assigned.
     """
     model = ctx.model
     mapping: dict = {}
     assignments: dict = {}
-    touched_vars: set = set()
     for op in group.ops:  # anchor order: later value-set writes win
         if isinstance(op.update, ValueSetUpdate):
             info = model.value_set(op.update.value_set)
             mapping.update(
                 encode_value_set(info, ctx.state.value_sets[info.name])
             )
-            touched_vars.update(info.control_var_names())
     for name in group.tables:
-        info = model.tables[name]
         assignment = encode_table(
-            info, ctx.state.tables[name], ctx.options.overapprox_threshold
+            model.tables[name], ctx.state.tables[name], ctx.options.overapprox_threshold
         )
         assignments[name] = assignment
         mapping.update(assignment.mapping)
-        touched_vars.update(info.control_var_names())
-    piece.substitution.set_many(mapping)
-
-    affected = model.points_for_control_vars(touched_vars)
-    point_verdicts: dict = {}
-    changed_points: list = []
-    for pid in sorted(affected):
-        verdict = piece.query_engine.point_verdict(
-            model.points[pid], piece.substitution
-        )
-        if not verdict.same_specialization(ctx.point_verdicts[pid]):
-            changed_points.append(pid)
-        point_verdicts[pid] = verdict
-
-    table_verdicts: dict = {}
-    changed_tables: list = []
-    for name in group.tables:
-        info = model.tables[name]
-        verdict = piece.query_engine.table_verdict(
-            info, assignments[name], ctx.state.tables[name]
-        )
-        if not verdict.same_specialization(ctx.table_verdicts[name]):
-            changed_tables.append(name)
-        table_verdicts[name] = verdict
-
+    changed_vars = piece.substitution.set_many(mapping)
+    point_verdicts, changed_points = piece.query_engine.reverdict_points(
+        changed_vars, piece.substitution, ctx.point_verdicts
+    )
+    table_verdicts, changed_tables = piece.query_engine.reverdict_tables(
+        assignments, ctx.state, ctx.table_verdicts
+    )
     return GroupOutcome(
         group=group,
         slice=piece,
@@ -600,7 +580,6 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
         table_verdicts=table_verdicts,
         changed_tables=changed_tables,
         changed_points=changed_points,
-        affected=affected,
     )
 
 
@@ -683,7 +662,6 @@ def _encode_outcome(outcome: GroupOutcome) -> dict:
         "table_verdicts": outcome.table_verdicts,
         "changed_tables": outcome.changed_tables,
         "changed_points": outcome.changed_points,
-        "affected": sorted(outcome.affected),
         "sub_mapping": [
             (arena.encode(var), arena.encode(term))
             for var, term in piece.substitution._mapping.items()
@@ -809,7 +787,6 @@ def _decode_outcome(group: ConflictGroup, payload: dict) -> GroupOutcome:
         table_verdicts=payload["table_verdicts"],
         changed_tables=payload["changed_tables"],
         changed_points=payload["changed_points"],
-        affected=set(payload["affected"]),
     )
 
 
@@ -919,7 +896,7 @@ class GroupDecision:
     value_sets: tuple
     net_updates: int  # coalesced ops executed
     source_updates: int  # original updates folded into them
-    affected_points: int
+    affected_points: int  # points re-queried
     changed: list
 
 
@@ -932,7 +909,7 @@ class BatchReport:
     group_count: int
     workers: int
     executor: str = "thread"  # serial | thread | process
-    affected_points: int = 0
+    affected_points: int = 0  # points re-queried, summed over the groups
     # Table names + pids whose verdict changed, in group order.
     changed: list = field(default_factory=list)
     recompiled: bool = False
@@ -955,7 +932,7 @@ class BatchReport:
             f"({self.coalesced_count} after coalescing, "
             f"{self.group_count} conflict groups, "
             f"{self.workers} {self.executor} workers), "
-            f"{self.affected_points} points checked, "
+            f"{self.affected_points} points re-queried, "
             f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
 
@@ -1041,7 +1018,7 @@ def schedule_batch(
     worker_solver = SolverStats()
     worker_gate = GateStats() if shared_gate is not None else None
     changed: list = []
-    affected: set = set()
+    affected_points = 0
     memo_entries = 0
     verdict_entries = 0
     learned_clauses = 0
@@ -1060,7 +1037,7 @@ def schedule_batch(
         ctx.point_verdicts.update(outcome.point_verdicts)
         ctx.table_verdicts.update(outcome.table_verdicts)
         changed.extend(outcome.changed)
-        affected |= outcome.affected
+        affected_points += len(outcome.point_verdicts)  # groups partition points
         group_decisions.append(
             GroupDecision(
                 index=outcome.group.index,
@@ -1068,7 +1045,7 @@ def schedule_batch(
                 value_sets=tuple(outcome.group.value_sets),
                 net_updates=len(outcome.group.ops),
                 source_updates=outcome.group.source_count,
-                affected_points=len(outcome.affected),
+                affected_points=len(outcome.point_verdicts),
                 changed=outcome.changed,
             )
         )
@@ -1122,7 +1099,7 @@ def schedule_batch(
         group_count=len(groups),
         workers=workers,
         executor=executor,
-        affected_points=len(affected),
+        affected_points=affected_points,
         changed=changed,
         recompiled=bool(changed),
         elapsed_ms=(time.perf_counter() - start) * 1000,

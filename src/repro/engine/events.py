@@ -51,7 +51,11 @@ class CacheActivity(Event):
 
 @dataclass(frozen=True)
 class UpdateProcessed(Event):
-    """Outcome of one warm run (single update, value-set update, or batch)."""
+    """Outcome of one warm run (single update, value-set update, or batch).
+
+    ``affected_points`` counts the points re-queried — those tainted by a
+    control symbol whose assignment changed; 0 is the normal forward.
+    """
 
     kind: str  # "update" | "value_set" | "batch"
     forwarded: bool

@@ -51,6 +51,8 @@ class UpdateDecision:
     update: object
     forwarded: bool  # sent to the device without recompilation
     recompiled: bool
+    # Points re-queried: those tainted by a symbol whose assignment changed.
+    # 0 is the normal forward (an overapproximated table, a no-op re-encode).
     affected_points: int
     changed: list  # pids / table names whose verdict changed
     elapsed_ms: float
@@ -61,7 +63,7 @@ class UpdateDecision:
         action = "RECOMPILE" if self.recompiled else "forward"
         mode = " (overapprox)" if self.overapproximated else ""
         return (
-            f"{action}{mode}: {self.affected_points} points checked, "
+            f"{action}{mode}: {self.affected_points} points re-queried, "
             f"{len(self.changed)} changed, {self.elapsed_ms:.2f} ms"
         )
 
@@ -73,7 +75,7 @@ class BatchDecision:
     update_count: int
     recompiled: bool
     changed: list  # verdicts that changed (pids / table names)
-    affected_points: int
+    affected_points: int  # points re-queried (see UpdateDecision); often 0
     elapsed_ms: float
     compile_report: object = None
 
@@ -85,7 +87,7 @@ class BatchDecision:
         action = "RECOMPILE" if self.recompiled else "forward"
         return (
             f"{action}: batch of {self.update_count} updates, "
-            f"{self.affected_points} points checked, "
+            f"{self.affected_points} points re-queried, "
             f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
 
@@ -102,9 +104,9 @@ class WarmState:
     updates: list
     mode: str  # "update" | "value_set" | "batch"
     touched_tables: list = field(default_factory=list)  # sorted names
-    touched_vars: set = field(default_factory=set)
+    changed_vars: set = field(default_factory=set)  # symbols re-assigned
     assignments: dict = field(default_factory=dict)  # table → TableAssignment
-    affected: set = field(default_factory=set)  # pids re-checked
+    affected: set = field(default_factory=set)  # pids re-queried
     changed: list = field(default_factory=list)  # pids / table names
     respecialized: bool = False
     compile_report: object = None
@@ -414,40 +416,41 @@ class ApplyUpdatesPass:
                 info = ctx.state.apply_value_set_update(update)
                 mapping = encode_value_set(info, ctx.state.value_sets[info.name])
                 ctx.mapping.update(mapping)
-                ctx.substitution.set_many(mapping)
-                warm.touched_vars.update(info.control_var_names())
+                warm.changed_vars |= ctx.substitution.set_many(mapping)
             else:
-                info = ctx.state.apply_update(update)
-                touched.add(info.name)
-                warm.touched_vars.update(info.control_var_names())
+                touched.add(ctx.state.apply_update(update).name)
         warm.touched_tables = sorted(touched)
         for name in warm.touched_tables:
-            info = ctx.model.tables[name]
             assignment = encode_table(
-                info, ctx.state.tables[name], ctx.options.overapprox_threshold
+                ctx.model.tables[name],
+                ctx.state.tables[name],
+                ctx.options.overapprox_threshold,
             )
             ctx.table_assignments[name] = assignment
             warm.assignments[name] = assignment
             ctx.mapping.update(assignment.mapping)
-            ctx.substitution.set_many(assignment.mapping)
+            warm.changed_vars |= ctx.substitution.set_many(assignment.mapping)
 
 
 class ReverdictPointsPass:
-    """Re-query exactly the program points tainted by the touched symbols."""
+    """Re-query exactly the program points tainted by a *changed* symbol.
+
+    The changed symbols are the ones ``set_many`` found re-assigned, so an
+    update into an overapproximated table — whose ``!any`` assignment is
+    the identical interned term before and after — re-queries no point.
+    """
 
     name = "reverdict-points"
     stage = "warm"
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
-        warm.affected = ctx.model.points_for_control_vars(warm.touched_vars)
-        for pid in sorted(warm.affected):
-            verdict = ctx.query_engine.point_verdict(
-                ctx.model.points[pid], ctx.substitution
-            )
-            if not verdict.same_specialization(ctx.point_verdicts[pid]):
-                warm.changed.append(pid)
-            ctx.point_verdicts[pid] = verdict
+        verdicts, changed = ctx.query_engine.reverdict_points(
+            warm.changed_vars, ctx.substitution, ctx.point_verdicts
+        )
+        warm.affected = set(verdicts)
+        warm.changed.extend(changed)
+        ctx.point_verdicts.update(verdicts)
 
 
 class ReverdictTablesPass:
@@ -458,14 +461,11 @@ class ReverdictTablesPass:
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
-        for name in warm.touched_tables:
-            info = ctx.model.tables[name]
-            verdict = ctx.query_engine.table_verdict(
-                info, warm.assignments[name], ctx.state.tables[name]
-            )
-            if not verdict.same_specialization(ctx.table_verdicts[name]):
-                warm.changed.append(name)
-            ctx.table_verdicts[name] = verdict
+        verdicts, changed = ctx.query_engine.reverdict_tables(
+            warm.assignments, ctx.state, ctx.table_verdicts
+        )
+        warm.changed.extend(changed)
+        ctx.table_verdicts.update(verdicts)
 
 
 class RespecializePass:

@@ -226,6 +226,55 @@ class QueryEngine:
         self._exec_cache[term] = verdict
         return verdict
 
+    # -- re-verdicts (the warm path) ------------------------------------------------
+
+    def reverdict_points(
+        self, changed_vars, substitution: Substitution, current: dict
+    ) -> tuple[dict, list]:
+        """Re-query the points tainted by a symbol whose assignment changed.
+
+        ``changed_vars`` is what ``set_many`` reported, not every symbol of
+        every touched table: a point none of whose symbols changed has the
+        identical post-substitution term, hence (see the cache invariant in
+        ``__init__``) the identical verdict, and is not visited — so an
+        update into an overapproximated table re-queries nothing.  The one
+        verdict that is not a function of the term, an un-memoized
+        budget-``MAYBE``, is therefore retried when one of the point's
+        symbols next changes rather than on every touch of its tables.
+
+        Returns ``(verdicts by pid, pids whose specialization changed)``
+        against ``current``, both in pid order.
+        """
+        points = self.model.points
+        verdicts: dict = {}
+        changed: list = []
+        for pid in sorted(self.model.points_for_control_vars(changed_vars)):
+            verdict = self.point_verdict(points[pid], substitution)
+            if not verdict.same_specialization(current[pid]):
+                changed.append(pid)
+            verdicts[pid] = verdict
+        return verdicts, changed
+
+    def reverdict_tables(
+        self, assignments: dict, state, current: dict
+    ) -> tuple[dict, list]:
+        """Recompute the structural verdict of every re-encoded table.
+
+        Always runs, changed symbols or not: ``entry_count`` moves with
+        every insert and delete (a memo hit patches it).  Returns
+        ``(verdicts by table, tables whose specialization changed)``.
+        """
+        verdicts: dict = {}
+        changed: list = []
+        for name, assignment in assignments.items():
+            verdict = self.table_verdict(
+                self.model.tables[name], assignment, state.tables[name]
+            )
+            if not verdict.same_specialization(current[name]):
+                changed.append(name)
+            verdicts[name] = verdict
+        return verdicts, changed
+
     # -- per-table queries ---------------------------------------------------------
 
     def table_verdict(

@@ -34,9 +34,11 @@ _EMPTY_DEPS: frozenset = frozenset()
 def variable_dependencies(term: Term) -> frozenset:
     """Names of all variable leaves reachable from ``term`` (memoized).
 
-    This is the dependency oracle behind delta substitution: a memoized
-    substitution result for ``term`` only goes stale when the mapping of
-    one of these names changes.
+    The specification of delta substitution's invalidation: a memoized
+    result for ``term`` goes stale exactly when the mapping of one of
+    these names changes.  :class:`DeltaSubstitution` reaches the same
+    entries by walking parent edges up from the changed variables; the
+    tests check one against the other.
     """
     cached = _VAR_DEPS.get(term)
     if cached is not None:
@@ -122,12 +124,16 @@ class DeltaSubstitution:
     other entries — in practice the overwhelming majority of every program
     point's DAG — are reused by identity.
 
-    Internally the memo (``term → substituted term``) is paired with a
-    dependency index (``variable name → memo keys that mention it``)
-    built from :func:`variable_dependencies` during :meth:`apply`.
+    Internally the memo (``term → substituted term``) is paired with
+    *parent edges* (``child term → memoized terms it is an argument of``)
+    recorded during :meth:`apply`; registering a node costs its arity.
     :meth:`set_many` diffs the new assignments against the old ones by
     term identity (hash-consing makes semantically-identical re-encodings
-    the same object) and drops exactly the dependent entries.
+    the same object), walks up from the variables that changed, drops
+    exactly their memoized ancestors, and *reports the changed symbols* —
+    the warm path re-queries only points tainted by those.  An edge is a
+    structural fact about two source terms, so edges are never removed and
+    neither they nor the memo can outgrow the program's own DAG.
 
     The memo keys interned :class:`Term` objects directly (their hash is
     the precomputed structural hash and equality is identity, so lookups
@@ -146,7 +152,7 @@ class DeltaSubstitution:
         self.counter = counter if counter is not None else CacheCounter("substitution")
         self._mapping: dict[Term, Term] = {}
         self._memo: dict[Term, Term] = {}
-        self._index: dict[str, set[Term]] = {}
+        self._parents: dict[Term, set[Term]] = {}
         self.set_many(mapping)
 
     def __len__(self) -> int:
@@ -166,38 +172,32 @@ class DeltaSubstitution:
                 f"for {var!r} (width {var.width})"
             )
 
-    def set_many(self, mapping: Mapping[Term, Term]) -> int:
-        """Install new assignments; returns the number of memo entries dropped.
+    def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
+        """Install new assignments; returns the names of the symbols whose
+        assignment changed.
 
         Assignments identical (by term identity) to the current ones are
         no-ops — the common case when an overapproximated table is
         re-encoded, or a batch re-touches an unchanged table — so a
-        forwarded update stream invalidates nothing.
+        forwarded update stream invalidates nothing and reports nothing.
         """
-        changed_names: list[str] = []
-        changed_vars: list[Term] = []
+        memo = self._memo
+        changed: list[Term] = []
         for var, replacement in mapping.items():
             self._check(var, replacement)
-            if self._mapping.get(var) is replacement:
-                continue
-            self._mapping[var] = replacement
-            changed_vars.append(var)
-            changed_names.append(var.payload)
-        stale: set[Term] = set()
-        for name in changed_names:
-            stale |= self._index.pop(name, set())
-        memo = self._memo
+            if self._mapping.get(var) is not replacement:
+                self._mapping[var] = memo[var] = replacement
+                changed.append(var)
+        parents = self._parents
         dropped = 0
-        for term in stale:
-            if memo.pop(term, None) is not None:
-                dropped += 1
-        # (Re-)seed the memo with the variables' own entries last, so the
-        # invalidation sweep above cannot clobber a fresh assignment.
-        for var in changed_vars:
-            memo[var] = self._mapping[var]
-            self._index.setdefault(var.payload, set()).add(var)
+        stack = list(changed)
+        while stack:
+            for parent in parents.get(stack.pop(), ()):
+                if memo.pop(parent, None) is not None:
+                    dropped += 1
+                    stack.append(parent)
         self.counter.invalidate(dropped)
-        return dropped
+        return {var.payload for var in changed}
 
     def fork_slice(self) -> "SubstitutionSlice":
         """A copy-on-write worker view over this substitution's memo."""
@@ -211,11 +211,11 @@ class DeltaSubstitution:
     def apply(self, term: Term) -> Term:
         """Replace mapped variables throughout ``term`` (no simplification)."""
         memo = self._memo
-        index = self._index
         if term in memo:
             self.counter.hit()
             return memo[term]
         self.counter.miss()
+        parents = self._parents
         stack: list[tuple[Term, bool]] = [(term, False)]
         while stack:
             node, expanded = stack.pop()
@@ -223,8 +223,6 @@ class DeltaSubstitution:
                 continue
             if not node.args:
                 memo[node] = node
-                if node.is_var:
-                    index.setdefault(node.payload, set()).add(node)
                 continue
             if not expanded:
                 stack.append((node, True))
@@ -234,19 +232,20 @@ class DeltaSubstitution:
                 continue
             new_args = tuple(memo[child] for child in node.args)
             memo[node] = _rebuild_with_args(node, new_args)
-            for name in variable_dependencies(node):
-                index.setdefault(name, set()).add(node)
+            _link(parents, node)
         return memo[term]
 
     # -- snapshot export / import ----------------------------------------------
 
     def export_state(self, arena) -> dict:
-        """A picklable blob of the mapping, memo, and dependency index.
+        """A picklable blob of the mapping and the memo.
 
         Every term (keys and values alike) rides in ``arena`` (a
         :class:`~repro.smt.arena.TermArena`); :meth:`import_state`
         re-interns them through the receiving process's default factory,
         so identity-based invalidation keeps working after a restore.
+        The parent edges are not shipped: they are the memo keys' own
+        argument lists.
         """
         return {
             "mapping": [
@@ -257,18 +256,15 @@ class DeltaSubstitution:
                 (arena.encode(key), arena.encode(value))
                 for key, value in self._memo.items()
             ],
-            "index": {
-                name: [arena.encode(term) for term in terms]
-                for name, terms in self._index.items()
-            },
         }
 
     def import_state(self, arena, blob: dict) -> int:
         """Install an :meth:`export_state` blob; returns the memo size.
 
-        The blob replaces this substitution's mapping/memo/index
+        The blob replaces this substitution's mapping/memo/edges
         wholesale — callers restore into a freshly constructed (empty)
-        instance.
+        instance.  Edges are re-derived from the memo keys (an older
+        blob's ``index`` entry is ignored).
         """
         self._mapping = {
             arena.decode(var): arena.decode(replacement)
@@ -277,11 +273,22 @@ class DeltaSubstitution:
         self._memo = {
             arena.decode(key): arena.decode(value) for key, value in blob["memo"]
         }
-        self._index = {
-            name: {arena.decode(idx) for idx in indices}
-            for name, indices in blob["index"].items()
-        }
+        self._parents = {}
+        for key in self._memo:
+            _link(self._parents, key)
         return len(self._memo)
+
+
+def _link(parents: dict[Term, set[Term]], node: Term) -> None:
+    """Record ``node`` as a parent of each argument that can ever change
+    under substitution (constants cannot, so they carry no edges)."""
+    for child in node.args:
+        if child.args or child.is_var:
+            found = parents.get(child)
+            if found is None:
+                parents[child] = {node}
+            else:
+                found.add(node)
 
 
 class SubstitutionSlice:
@@ -290,12 +297,12 @@ class SubstitutionSlice:
     The batch scheduler runs independent conflict groups on a worker pool;
     every worker needs the warm substitution memo (the cross-update asset)
     but must not mutate it while siblings read it.  A slice layers a
-    private memo, index, and mapping over read-only views of the shared
-    ones:
+    private memo, parent edges, and mapping over read-only views of the
+    shared ones:
 
     * reads check the private memo first, then the shared memo — unless
       the shared entry was *shadowed* by this slice's own ``set_many``
-      (its subterm depends on a control symbol this group re-assigned);
+      (it is an ancestor of a control symbol this group re-assigned);
     * writes (new mapping entries, freshly computed memo entries) go to
       the private layer only.
 
@@ -308,7 +315,7 @@ class SubstitutionSlice:
     def __init__(self, shared: "DeltaSubstitution") -> None:
         self._shared = shared
         self._memo: dict[Term, Term] = {}
-        self._index: dict[str, set[Term]] = {}
+        self._parents: dict[Term, set[Term]] = {}
         self._mapping: dict[Term, Term] = {}
         self._shadowed: set[Term] = set()
         self.counter = CacheCounter("substitution")
@@ -325,33 +332,38 @@ class SubstitutionSlice:
             return None
         return self._shared._memo.get(term)
 
-    def set_many(self, mapping: Mapping[Term, Term]) -> int:
-        """Install this group's assignments without touching shared state."""
-        changed_names: list[str] = []
-        changed_vars: list[Term] = []
+    def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
+        """Install this group's assignments without touching shared state;
+        returns the names of the symbols whose assignment changed."""
+        shared = self._shared
+        memo = self._memo
+        changed: list[Term] = []
         for var, replacement in mapping.items():
             DeltaSubstitution._check(var, replacement)
             current = self._mapping.get(var)
             if current is None:
-                current = self._shared._mapping.get(var)
-            if current is replacement:
-                continue
-            self._mapping[var] = replacement
-            changed_vars.append(var)
-            changed_names.append(var.payload)
+                current = shared._mapping.get(var)
+            if current is not replacement:
+                self._mapping[var] = memo[var] = replacement
+                changed.append(var)
+        shadowed = self._shadowed
+        shared_memo = shared._memo
         dropped = 0
-        for name in changed_names:
-            for term in self._index.pop(name, set()):
-                if self._memo.pop(term, None) is not None:
-                    dropped += 1
-            shared_stale = self._shared._index.get(name)
-            if shared_stale:
-                self._shadowed |= shared_stale
-        for var in changed_vars:
-            self._memo[var] = self._mapping[var]
-            self._index.setdefault(var.payload, set()).add(var)
+        stack = list(changed)
+        while stack:
+            node = stack.pop()
+            for edges in (self._parents, shared._parents):
+                for parent in edges.get(node, ()):
+                    stale = memo.pop(parent, None) is not None
+                    if stale:
+                        dropped += 1
+                    if parent in shared_memo and parent not in shadowed:
+                        shadowed.add(parent)
+                        stale = True
+                    if stale:
+                        stack.append(parent)
         self.counter.invalidate(dropped)
-        return dropped
+        return {var.payload for var in changed}
 
     def apply(self, term: Term) -> Term:
         """Replace mapped variables throughout ``term`` (no simplification)."""
@@ -361,7 +373,7 @@ class SubstitutionSlice:
             return cached
         self.counter.miss()
         memo = self._memo
-        index = self._index
+        parents = self._parents
         stack: list[tuple[Term, bool]] = [(term, False)]
         while stack:
             node, expanded = stack.pop()
@@ -369,8 +381,6 @@ class SubstitutionSlice:
                 continue
             if not node.args:
                 memo[node] = node
-                if node.is_var:
-                    index.setdefault(node.payload, set()).add(node)
                 continue
             if not expanded:
                 stack.append((node, True))
@@ -380,8 +390,7 @@ class SubstitutionSlice:
                 continue
             new_args = tuple(self._lookup(child) for child in node.args)
             memo[node] = _rebuild_with_args(node, new_args)
-            for name in variable_dependencies(node):
-                index.setdefault(name, set()).add(node)
+            _link(parents, node)
         return self._lookup(term)
 
 
@@ -389,7 +398,7 @@ def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
     """Fold one worker slice back into the shared substitution.
 
     Ordering matters: ``set_many`` first drops the shared entries the
-    slice shadowed (they depend on symbols the group re-assigned), then
+    slice shadowed (ancestors of the symbols the group re-assigned), then
     the slice's private entries — computed *after* the new assignments —
     are grafted in their place.  Returns the number of grafted entries.
     """
@@ -400,33 +409,35 @@ def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
         if key not in memo:
             memo[key] = term
             grafted += 1
-    for name, keys in piece._index.items():
-        shared._index.setdefault(name, set()).update(keys)
+    for child, nodes in piece._parents.items():
+        shared._parents.setdefault(child, set()).update(nodes)
     shared.counter.hit(piece.counter.hits)
     shared.counter.miss(piece.counter.misses)
     shared.counter.invalidate(piece.counter.invalidations)
     return grafted
 
 
+#: Operator → default-factory constructor; ``extract`` also takes its
+#: ``(hi, lo)`` payload.
+_BUILDERS = {
+    T.OP_ADD: T.add, T.OP_SUB: T.sub, T.OP_MUL: T.mul,
+    T.OP_AND: T.bv_and, T.OP_OR: T.bv_or, T.OP_XOR: T.bv_xor,
+    T.OP_NOT: T.bv_not, T.OP_NEG: T.neg,
+    T.OP_SHL: T.shl, T.OP_LSHR: T.lshr, T.OP_CONCAT: T.concat,
+    T.OP_ITE: T.ite, T.OP_EQ: T.eq, T.OP_ULT: T.ult, T.OP_ULE: T.ule,
+    T.OP_BAND: T.bool_and, T.OP_BOR: T.bool_or, T.OP_BNOT: T.bool_not,
+    T.OP_EXTRACT: T.extract,
+}
+
+
 def _rebuild_with_args(node: Term, args: tuple) -> Term:
     if args == node.args:
         return node
-    f = T.DEFAULT_FACTORY
-    op = node.op
-    builders = {
-        T.OP_ADD: f.add, T.OP_SUB: f.sub, T.OP_MUL: f.mul,
-        T.OP_AND: f.bv_and, T.OP_OR: f.bv_or, T.OP_XOR: f.bv_xor,
-        T.OP_NOT: f.bv_not, T.OP_NEG: f.neg,
-        T.OP_SHL: f.shl, T.OP_LSHR: f.lshr, T.OP_CONCAT: f.concat,
-        T.OP_ITE: f.ite, T.OP_EQ: f.eq, T.OP_ULT: f.ult, T.OP_ULE: f.ule,
-        T.OP_BAND: f.bool_and, T.OP_BOR: f.bool_or, T.OP_BNOT: f.bool_not,
-    }
-    if op == T.OP_EXTRACT:
-        hi, lo = node.payload
-        return f.extract(args[0], hi, lo)
-    builder = builders.get(op)
+    builder = _BUILDERS.get(node.op)
     if builder is None:
-        raise T.SortError(f"cannot substitute under {op!r}")
+        raise T.SortError(f"cannot substitute under {node.op!r}")
+    if node.op == T.OP_EXTRACT:
+        return builder(args[0], *node.payload)
     return builder(*args)
 
 

@@ -104,17 +104,27 @@ class TestCacheMerge:
     def test_memo_index_covers_grafted_entries(self, flay):
         flay.apply_batch(two_group_batch(flay), workers=2)
         substitution = flay.runtime.substitution
-        indexed = set()
-        for ids in substitution._index.values():
-            indexed |= ids
-        # Entries that depend on at least one variable must be reachable
-        # through the index, or a later set_many could miss invalidating
-        # them.  (Closed terms legitimately live outside the index.)
+        # Entries that depend on a variable must be reachable by walking
+        # the parent edges up from that variable's term, or a later
+        # set_many could miss invalidating them.  (Closed terms
+        # legitimately have no edge leading to them.)
         from repro.smt.substitute import variable_dependencies
 
-        for term_id, term in substitution._memo.items():
-            if variable_dependencies(term):
-                assert term_id in indexed
+        reachable: dict = {}
+        for term in substitution._memo:
+            if not term.is_var:
+                continue
+            seen = {term}
+            stack = [term]
+            while stack:
+                for parent in substitution._parents.get(stack.pop(), ()):
+                    if parent not in seen:
+                        seen.add(parent)
+                        stack.append(parent)
+            reachable[term.name] = seen
+        for term in substitution._memo:
+            for name in variable_dependencies(term):
+                assert term in reachable[name]
 
     def test_verdict_caches_land_in_shared_dicts(self, flay):
         qe = flay.runtime.engine
