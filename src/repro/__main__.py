@@ -5,11 +5,10 @@ Commands:
 * ``stats <prog.p4>`` — program metrics (statements, tables, paths).
 * ``analyze <prog.p4>`` — run the data-plane analysis, print point counts
   and timings (optionally dump the annotated points).
-* ``specialize <prog.p4> [--config cfg.json] [--batch --workers N
-  --executor thread|process|serial]`` — specialize against a JSON
-  control-plane configuration and print (or write) the result;
-  ``--batch`` routes the configuration through the coalescing,
-  conflict-group-parallel batch scheduler.
+* ``specialize <prog.p4> [--config cfg.json] [--batch --workers N]`` —
+  specialize against a JSON control-plane configuration and print (or
+  write) the result; ``--batch`` routes the configuration through the
+  coalescing, conflict-group-parallel batch scheduler.
 * ``compile <prog.p4> [--target tofino|bmv2]`` — device-compile and print
   the resource/time report.
 * ``lint <prog.p4> [--fail-on error|warning|info]`` — positioned static
@@ -101,11 +100,7 @@ def cmd_specialize(args) -> int:
     if args.config:
         configuration = config_mod.load(args.config)
         if args.batch:
-            decision = flay.apply_batch(
-                configuration.updates(),
-                workers=args.workers,
-                executor=args.executor,
-            )
+            decision = flay.apply_batch(configuration.updates(), workers=args.workers)
         else:
             decision = flay.process_batch(configuration.updates())
         print(f"# config: {decision.describe()}", file=sys.stderr)
@@ -192,7 +187,6 @@ def cmd_fleet_replay(args) -> int:
         updates_per_burst=args.updates_per_burst,
         divergent_prefix=args.divergent_prefix,
         workers=args.workers,
-        executor=args.executor,
     )
     sim = FleetSimulator(source, shared_store=not args.no_shared_store, **kwargs)
     report = sim.run()
@@ -336,16 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the machine's CPU count via os.cpu_count()",
     )
     p_spec.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="batch executor strategy: worker threads, forked worker "
-        "processes (escapes the GIL), or forced-inline serial; unset "
-        "falls back to the FLAY_EXECUTOR environment variable, then "
-        "the engine default (thread). Output is byte-identical across "
-        "all three.",
-    )
-    p_spec.add_argument(
         "--target",
         default="none",
         help=f"device backend: {', '.join(available_targets())}, or none",
@@ -422,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--no-fdd-gate", action="store_true")
     p_fleet.add_argument("--no-table-verdict-cache", action="store_true")
     p_fleet.add_argument("--workers", type=int, default=1)
-    p_fleet.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None
-    )
     p_fleet.add_argument(
         "--target",
         default="tofino",

@@ -6,7 +6,7 @@ from repro.core.incremental import (
     IncrementalSpecializer,
     UpdateDecision,
 )
-from repro.core.queries import (
+from repro.engine.queries import (
     ALWAYS,
     MAYBE,
     NEVER,
@@ -14,7 +14,7 @@ from repro.core.queries import (
     QueryEngine,
     TableVerdict,
 )
-from repro.core.specializer import (
+from repro.engine.specialize import (
     EFFORT_DCE,
     EFFORT_FULL,
     EFFORT_NONE,

@@ -69,16 +69,14 @@ class Flay:
     def process_batch(self, updates: list) -> BatchDecision:
         return self.runtime.process_batch(updates)
 
-    def apply_batch(self, updates: list, workers: int = 1, executor: str = None):
+    def apply_batch(self, updates: list, workers: int = 1):
         """Burst processing via the batch scheduler: coalesce redundant
         updates, partition the rest into independent conflict groups, and
         run the groups on a worker pool.  ``workers=0`` auto-detects the
-        CPU count; ``executor`` picks ``serial`` / ``thread`` /
-        ``process`` (None resolves through ``FLAY_EXECUTOR`` and then
-        ``FlayOptions.executor``).  Deterministic — byte-identical output
-        across executors and worker counts.  Returns a
+        CPU count.  Deterministic — byte-identical output across worker
+        counts.  Returns a
         :class:`~repro.engine.batch.BatchReport`."""
-        return self.runtime.apply_batch(updates, workers=workers, executor=executor)
+        return self.runtime.apply_batch(updates, workers=workers)
 
     # -- results ------------------------------------------------------------------
 

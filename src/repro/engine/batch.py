@@ -18,61 +18,37 @@ touch independent tables.  This module is the burst scheduler:
    linked in the :mod:`repro.ir.deps` table dependency graph.  Groups are
    independent by construction: no program point, control symbol, or memo
    entry is touched by two groups.
-3. **Execute** — independent groups run concurrently, on one of three
-   interchangeable *executors* (``FlayOptions.executor``, overridable per
-   call or via the ``FLAY_EXECUTOR`` environment variable):
-
-   * ``"thread"`` (default) — a :mod:`concurrent.futures` thread pool.
-     Each worker gets a private :class:`WorkerSlice` over the shared
-     :class:`EngineContext`: a copy-on-write view of the
-     delta-substitution memo plus layered verdict/solver caches, so
-     nothing shared is written while siblings read.  Building a slice
-     copies nothing: its solver is a lazy twin
-     (:meth:`~repro.smt.solver.Solver.fork_slice`) that forks the shared
-     CNF encoder and CDCL session only if one of the group's queries
-     reaches bit-blasting — a forwarding burst is decided by the gate
-     and the simplifier and never pays for a clause database it does
-     not probe.  The hash-consing term factory *is* shared (its
-     interning is a single atomic dict operation), which keeps term
-     identity — and therefore every downstream memo key — consistent
-     across workers.
-   * ``"process"`` — one forked worker *process* per group, in waves
-     capped at the pool width.  Fork semantics do the heavy lifting: the
-     child inherits the whole engine image (terms, caches, its
-     pre-built slice with the still-unmaterialised solver twin)
-     copy-on-write, runs the exact same :func:`run_group` — forking the
-     session in the child if a query needs it — and ships its results
-     back over a pipe as a picklable payload: terms ride in a
-     :class:`~repro.smt.arena.TermArena`, learned CDCL clauses as plain
-     literal lists, stats as dataclasses.  This is the GIL escape hatch:
-     group solving runs on real cores.
-   * ``"serial"`` — force inline execution on the calling thread (the
-     differential-testing baseline).
-
-4. **Merge** — after the pool joins, worker cache deltas are folded back
-   into the shared context on the main thread, in deterministic group
-   order (first-seen input index), and verdict changes are collected.
-   Thread slices graft their overlays directly; process payloads are
-   decoded through the shared term factory first (interning makes the
-   decoded terms *identical* to what a thread worker would have
-   produced), then merged through the same anchor-order fold.  A
-   double-counting tripwire checks that per-worker solver/gate stat
-   deltas sum exactly to the merged delta.
+3. **Execute** — with one worker or one group the groups run inline on
+   the calling thread; otherwise they run on a :mod:`concurrent.futures`
+   thread pool.  Either way each group gets a private
+   :class:`WorkerSlice` over the shared :class:`EngineContext`: a
+   copy-on-write view of the delta-substitution memo plus layered
+   verdict/solver caches, so nothing shared is written while siblings
+   read.  Building a slice copies nothing: its solver is a lazy twin
+   (:meth:`~repro.smt.solver.Solver.fork_slice`) that forks the shared
+   CNF encoder and CDCL session only if one of the group's queries
+   reaches bit-blasting — a forwarding burst is decided by the gate and
+   the simplifier and never pays for a clause database it does not
+   probe.  The hash-consing term factory *is* shared (its interning is a
+   single atomic dict operation), which keeps term identity — and
+   therefore every downstream memo key — consistent across workers.
+4. **Merge** — after the pool joins, the slices' cache overlays are
+   grafted into the shared context on the main thread, in deterministic
+   group order (first-seen input index), and verdict changes are
+   collected.  A double-counting tripwire checks that per-worker
+   solver/gate stat deltas sum exactly to the merged delta.
 
 Results are deterministic and byte-identical to sequential processing
-across all executors and worker counts: verdicts and the specialized
-program are pure functions of the final control-plane state, and
-forwarded updates are lowered in their original input order — not
-per-group — so the device sees the exact stream a sequential warm path
-would have sent.
+across all worker counts: verdicts and the specialized program are pure
+functions of the final control-plane state, and forwarded updates are
+lowered in their original input order — not per-group — so the device
+sees the exact stream a sequential warm path would have sent.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -87,14 +63,12 @@ from repro.runtime.semantics import (
     DELETE,
     INSERT,
     MODIFY,
-    TableAssignment,
     Update,
     ValueSetUpdate,
     encode_table,
     encode_value_set,
 )
-from repro.smt.arena import TermArena
-from repro.smt.solver import SatResult, SolverStats
+from repro.smt.solver import SolverStats
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +441,6 @@ class WorkerSlice:
             shared_qe._table_verdict_memo
         )
 
-    @property
-    def solver_stats_delta(self) -> SolverStats:
-        """Query/search stats this slice accumulated (fresh at fork)."""
-        return self.query_engine.solver.stats
-
-    @property
-    def gate_stats_delta(self) -> Optional[GateStats]:
-        """Gate tier counters this slice accumulated (fresh at fork)."""
-        gate = self.query_engine.gate
-        return gate.stats if gate is not None else None
-
     def merge_into(self, ctx: EngineContext) -> tuple[int, int, int]:
         """Fold this slice's cache deltas into the shared context.
 
@@ -584,268 +547,8 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
 
 
 # ---------------------------------------------------------------------------
-# The process executor — fork, run, ship an arena payload back
+# Merge accounting
 # ---------------------------------------------------------------------------
-
-#: Executor strategies ``schedule_batch`` understands.
-EXECUTORS = ("serial", "thread", "process")
-
-
-def resolve_executor(executor: Optional[str], ctx: EngineContext) -> str:
-    """Resolution order: explicit argument > ``FLAY_EXECUTOR`` > options."""
-    if executor is None:
-        executor = os.environ.get("FLAY_EXECUTOR") or None
-    if executor is None:
-        executor = getattr(ctx.options, "executor", "thread") or "thread"
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown batch executor {executor!r} "
-            f"(choose from {', '.join(EXECUTORS)})"
-        )
-    return executor
-
-
-def resolve_workers(workers: int) -> int:
-    """Pool width; 0 (or negative) auto-detects the machine's CPU count."""
-    workers = int(workers)
-    if workers <= 0:
-        return os.cpu_count() or 1
-    return workers
-
-
-def _fork_context():
-    """The fork multiprocessing context, or None where unavailable.
-
-    The process executor *requires* fork-style start: children must
-    inherit the engine image (terms, fragments, their pre-built slice)
-    rather than re-import it, both because terms refuse to pickle and
-    because inheriting the warm caches is the whole point.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
-def _encode_outcome(outcome: GroupOutcome) -> dict:
-    """Flatten one group's results into a picklable payload (child side).
-
-    Everything term-valued rides in one :class:`TermArena`; clause lists,
-    verdict dataclasses, stats, and counter deltas are picklable as-is.
-    The id-keyed simplify-memo delta is deliberately dropped: its entries
-    key on child-process object identities, and it is a pure speed cache
-    — output is identical without it.
-    """
-    piece = outcome.slice
-    qe = piece.query_engine
-    solver = qe.solver
-    arena = TermArena()
-    gate = qe.gate
-    return {
-        "mapping": [
-            (arena.encode(var), arena.encode(term))
-            for var, term in outcome.mapping.items()
-        ],
-        "assignments": [
-            (
-                name,
-                [
-                    (arena.encode(k), arena.encode(v))
-                    for k, v in assignment.mapping.items()
-                ],
-                assignment.entry_count,
-                assignment.overapproximated,
-            )
-            for name, assignment in outcome.assignments.items()
-        ],
-        "point_verdicts": outcome.point_verdicts,
-        "table_verdicts": outcome.table_verdicts,
-        "changed_tables": outcome.changed_tables,
-        "changed_points": outcome.changed_points,
-        "sub_mapping": [
-            (arena.encode(var), arena.encode(term))
-            for var, term in piece.substitution._mapping.items()
-        ],
-        "sub_counter": (
-            piece.substitution.counter.hits,
-            piece.substitution.counter.misses,
-            piece.substitution.counter.invalidations,
-        ),
-        "exec_cache": [
-            (arena.encode(term), verdict)
-            for term, verdict in qe._exec_cache.delta.items()
-        ],
-        "solver_results": [
-            (arena.encode(term), result.satisfiable, result.model)
-            for term, result in solver._results.delta.items()
-        ],
-        "exec_counter": (qe.exec_counter.hits, qe.exec_counter.misses),
-        # The table-verdict memo delta itself stays behind (its keys embed
-        # child-process term identities, like the simplify memo); only the
-        # counters cross.
-        "table_verdict_counter": (
-            qe.table_verdict_counter.hits,
-            qe.table_verdict_counter.misses,
-        ),
-        "cache_counter": (solver.cache_counter.hits, solver.cache_counter.misses),
-        "cnf_counter": (solver.cnf_counter.hits, solver.cnf_counter.misses),
-        "learned": solver.export_learned(),
-        "solver_stats": solver.stats,
-        "gate_stats": gate.stats if gate is not None else None,
-        "gate_records": gate.export_record_delta(arena) if gate is not None else [],
-        "terms": arena,
-    }
-
-
-class _RemoteSlice:
-    """Merge adapter for a payload computed in a worker process.
-
-    Presents the same ``merge_into`` / stat-delta surface as
-    :class:`WorkerSlice`, so the scheduler's anchor-order merge loop is
-    executor-agnostic.  Decoding happens here, on the main thread:
-    :meth:`TermArena.decode` re-interns every transported term through
-    the shared factory, so the grafted cache entries are keyed on
-    *identical* objects to what a thread worker would have produced.
-    """
-
-    def __init__(self, payload: dict) -> None:
-        self._payload = payload
-        self.solver_stats_delta: SolverStats = payload["solver_stats"]
-        self.gate_stats_delta: Optional[GateStats] = payload["gate_stats"]
-
-    def merge_into(self, ctx: EngineContext) -> tuple[int, int, int]:
-        payload = self._payload
-        arena = payload["terms"]
-        shared_qe = ctx.query_engine
-        ctx.substitution.set_many(
-            {
-                arena.decode(var): arena.decode(term)
-                for var, term in payload["sub_mapping"]
-            }
-        )
-        hits, misses, invalidations = payload["sub_counter"]
-        ctx.substitution.counter.hit(hits)
-        ctx.substitution.counter.miss(misses)
-        ctx.substitution.counter.invalidate(invalidations)
-        exec_delta = {
-            arena.decode(idx): verdict for idx, verdict in payload["exec_cache"]
-        }
-        result_delta = {
-            arena.decode(idx): SatResult(satisfiable, model)
-            for idx, satisfiable, model in payload["solver_results"]
-        }
-        verdict_entries = len(exec_delta) + len(result_delta)
-        shared_qe._exec_cache.update(exec_delta)
-        shared = shared_qe.solver
-        shared._results.update(result_delta)
-        hits, misses = payload["exec_counter"]
-        shared_qe.exec_counter.hit(hits)
-        shared_qe.exec_counter.miss(misses)
-        hits, misses = payload["table_verdict_counter"]
-        shared_qe.table_verdict_counter.hit(hits)
-        shared_qe.table_verdict_counter.miss(misses)
-        hits, misses = payload["cache_counter"]
-        shared.cache_counter.hit(hits)
-        shared.cache_counter.miss(misses)
-        hits, misses = payload["cnf_counter"]
-        shared.cnf_counter.hit(hits)
-        shared.cnf_counter.miss(misses)
-        shared.stats.absorb(payload["solver_stats"])
-        learned = 0
-        if shared.share_encodings and shared.incremental:
-            learned = shared.session.import_exported(payload["learned"])
-        if payload["gate_stats"] is not None and shared_qe.gate is not None:
-            shared_qe.gate.absorb_exported(
-                arena, payload["gate_stats"], payload["gate_records"]
-            )
-        # No memo entries graft in process mode: the substitution memo is
-        # id-keyed per process and repopulates on first use.
-        return 0, verdict_entries, learned
-
-
-def _decode_outcome(group: ConflictGroup, payload: dict) -> GroupOutcome:
-    """Rebuild a :class:`GroupOutcome` from a worker payload (parent side)."""
-    arena = payload["terms"]
-    mapping = {
-        arena.decode(var): arena.decode(term) for var, term in payload["mapping"]
-    }
-    assignments = {
-        name: TableAssignment(
-            table=name,
-            mapping={arena.decode(k): arena.decode(v) for k, v in pairs},
-            entry_count=entry_count,
-            overapproximated=overapproximated,
-        )
-        for name, pairs, entry_count, overapproximated in payload["assignments"]
-    }
-    return GroupOutcome(
-        group=group,
-        slice=_RemoteSlice(payload),
-        mapping=mapping,
-        assignments=assignments,
-        point_verdicts=payload["point_verdicts"],
-        table_verdicts=payload["table_verdicts"],
-        changed_tables=payload["changed_tables"],
-        changed_points=payload["changed_points"],
-    )
-
-
-def _group_worker(conn, ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice):
-    """Child-process entry point: run one group, pipe the payload back."""
-    try:
-        payload = _encode_outcome(run_group(ctx, group, piece))
-    except BaseException as exc:  # ship the failure; the parent re-raises
-        payload = {
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def _run_groups_in_processes(
-    mp_ctx, ctx: EngineContext, groups: list, slices: list, workers: int
-) -> list:
-    """Run each group in a forked worker process, in waves of ``workers``.
-
-    Children are spawned with the fork start method, so ``ctx`` and the
-    pre-built slices cross the boundary as inherited memory (no pickling
-    on the way in); only the result payload is pickled, over a pipe.
-    Payloads are received in submission order and decoded in group order,
-    which keeps the merge exactly as deterministic as the thread pool's.
-    """
-    payloads: list = [None] * len(groups)
-    pairs = list(zip(groups, slices))
-    width = min(workers, len(groups))
-    for start in range(0, len(pairs), width):
-        running = []
-        for group, piece in pairs[start : start + width]:
-            receiver, sender = mp_ctx.Pipe(duplex=False)
-            proc = mp_ctx.Process(
-                target=_group_worker, args=(sender, ctx, group, piece)
-            )
-            proc.start()
-            sender.close()
-            running.append((group, receiver, proc))
-        for group, receiver, proc in running:
-            try:
-                payload = receiver.recv()
-            except EOFError:
-                payload = {"error": "worker exited without sending a result"}
-            receiver.close()
-            proc.join()
-            payloads[group.index] = payload
-    outcomes = []
-    for group, payload in zip(groups, payloads):
-        if "error" in payload:
-            raise RuntimeError(
-                f"batch worker for conflict group {group.index} failed: "
-                f"{payload['error']}\n{payload.get('traceback', '')}"
-            )
-        outcomes.append(_decode_outcome(group, payload))
-    return outcomes
 
 
 def _verify_merge_accounting(
@@ -908,7 +611,6 @@ class BatchReport:
     coalesced_count: int  # net updates after coalescing
     group_count: int
     workers: int
-    executor: str = "thread"  # serial | thread | process
     affected_points: int = 0  # points re-queried, summed over the groups
     # Table names + pids whose verdict changed, in group order.
     changed: list = field(default_factory=list)
@@ -931,7 +633,7 @@ class BatchReport:
             f"{action}: batch of {self.update_count} updates "
             f"({self.coalesced_count} after coalescing, "
             f"{self.group_count} conflict groups, "
-            f"{self.workers} {self.executor} workers), "
+            f"{self.workers} workers), "
             f"{self.affected_points} points re-queried, "
             f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
@@ -942,25 +644,26 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
-def schedule_batch(
-    ctx: EngineContext,
-    updates: list,
-    workers: int = 1,
-    executor: Optional[str] = None,
-) -> BatchReport:
+def resolve_workers(workers: int) -> int:
+    """Pool width; 0 (or negative) auto-detects the machine's CPU count."""
+    workers = int(workers)
+    if workers <= 0:
+        return os.cpu_count() or 1
+    return workers
+
+
+def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> BatchReport:
     """Coalesce, partition, execute, and merge one burst of updates.
 
-    ``workers`` bounds the pool width (0 auto-detects the CPU count);
-    ``executor`` picks the strategy (``serial`` / ``thread`` /
-    ``process``; None resolves through ``FLAY_EXECUTOR`` and then
-    ``ctx.options.executor``).  With one worker (or one group) the
-    groups run inline on the calling thread through the same code path,
-    so every executor and pool width is byte-identical by construction.
+    ``workers`` bounds the pool width (0 auto-detects the CPU count).
+    With one worker or one group the groups run inline on the calling
+    thread, otherwise on a thread pool — through the same
+    :func:`run_group` either way, so every pool width is byte-identical
+    by construction.
     """
     start = time.perf_counter()
     updates = list(updates)
     workers = resolve_workers(workers)
-    executor = resolve_executor(executor, ctx)
     model = ctx.model
     coalesced = coalesce(
         updates,
@@ -975,15 +678,13 @@ def schedule_batch(
                 coalesced_count=coalesced.output_count,
                 group_count=len(groups),
                 workers=workers,
-                executor=executor,
             )
         )
 
     # State mutation happens up front, on the calling thread, in anchor
-    # order — workers then only read their own group's tables.  (The
-    # process executor forks *after* this point, so children inherit the
-    # post-mutation state and diagrams.)  Every net op is validated
-    # against the pre-batch state first, so a bad one leaves no trace.
+    # order — workers then only read their own group's tables.  Every
+    # net op is validated against the pre-batch state first, so a bad
+    # one leaves no trace.
     ctx.state.validate_updates(op.update for op in coalesced.ops)
     for op in coalesced.ops:
         if isinstance(op.update, ValueSetUpdate):
@@ -992,22 +693,17 @@ def schedule_batch(
             ctx.state.apply_update(op.update)
 
     slices = [WorkerSlice(ctx) for _ in groups]
-    if workers == 1 or len(groups) <= 1 or executor == "serial":
+    if workers == 1 or len(groups) <= 1:
         outcomes = [
             run_group(ctx, group, piece) for group, piece in zip(groups, slices)
         ]
     else:
-        mp_ctx = _fork_context() if executor == "process" else None
-        if mp_ctx is not None:
-            outcomes = _run_groups_in_processes(mp_ctx, ctx, groups, slices, workers)
-        else:
-            # Thread pool — also the fallback on platforms without fork.
-            with ThreadPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-                futures = [
-                    pool.submit(run_group, ctx, group, piece)
-                    for group, piece in zip(groups, slices)
-                ]
-                outcomes = [future.result() for future in futures]
+        with ThreadPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+            futures = [
+                pool.submit(run_group, ctx, group, piece)
+                for group, piece in zip(groups, slices)
+            ]
+            outcomes = [future.result() for future in futures]
 
     # Merge, in deterministic group order.
     merge_start = time.perf_counter()
@@ -1024,10 +720,11 @@ def schedule_batch(
     learned_clauses = 0
     group_decisions: list = []
     for outcome in outcomes:
-        worker_solver.absorb(outcome.slice.solver_stats_delta)
-        gate_delta = outcome.slice.gate_stats_delta
-        if worker_gate is not None and gate_delta is not None:
-            worker_gate.absorb(gate_delta)
+        # A slice's solver and gate stats start at zero when it forks.
+        slice_qe = outcome.slice.query_engine
+        worker_solver.absorb(slice_qe.solver.stats)
+        if worker_gate is not None:  # a slice has a gate iff the context does
+            worker_gate.absorb(slice_qe.gate.stats)
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
         grafted_memo, grafted_verdicts, grafted_learned = outcome.slice.merge_into(ctx)
@@ -1098,7 +795,6 @@ def schedule_batch(
         coalesced_count=coalesced.output_count,
         group_count=len(groups),
         workers=workers,
-        executor=executor,
         affected_points=affected_points,
         changed=changed,
         recompiled=bool(changed),
@@ -1113,7 +809,6 @@ __all__ = [
     "CoalesceResult",
     "CoalescedOp",
     "ConflictGroup",
-    "EXECUTORS",
     "GroupDecision",
     "GroupOutcome",
     "LayeredCache",
@@ -1122,7 +817,6 @@ __all__ = [
     "coalesce",
     "conflict_components",
     "partition",
-    "resolve_executor",
     "resolve_workers",
     "run_group",
     "schedule_batch",

@@ -40,9 +40,6 @@ class EngineOptions:
     effort: str = "full"  # none | dce | full — specialization quality knob
     # Solver budget in CDCL conflicts: None means the QueryEngine defaults.
     solver_budget: Optional[int] = None
-    # Legacy knob from the DPLL era (decisions ≈ conflicts there); honoured
-    # as a conflict budget when ``solver_budget`` is unset.
-    solver_max_decisions: Optional[int] = None
     solver_node_budget: Optional[int] = None
     # Persistent assumption-probing solver session; off = per-query cone
     # replay (the ablation baseline).
@@ -58,12 +55,6 @@ class EngineOptions:
     # scratch.  Pure ablation: verdicts are byte-identical either way
     # (``--no-table-verdict-cache``).
     table_verdict_cache: bool = True
-    # Batch executor strategy: "thread" (worker threads over the shared
-    # term factory), "process" (forked worker processes shipping arena
-    # payloads back — escapes the GIL), or "serial" (force inline; the
-    # differential baseline).  Per-call arguments and the FLAY_EXECUTOR
-    # environment variable take precedence over this default.
-    executor: str = "thread"
 
 
 @dataclass
@@ -89,11 +80,6 @@ class SolverBudget:
 
     max_conflicts: int
     node_budget: int
-
-    @property
-    def max_decisions(self) -> int:
-        """Legacy alias from when the budget was counted in decisions."""
-        return self.max_conflicts
 
 
 @dataclass

@@ -205,9 +205,7 @@ class Engine:
         self._finish_warm("batch", warm, decision)
         return decision
 
-    def apply_batch(
-        self, updates: list, workers: int = 1, executor: str = None
-    ) -> BatchReport:
+    def apply_batch(self, updates: list, workers: int = 1) -> BatchReport:
         """Process a burst through the batch scheduler (coalesce + groups).
 
         Unlike :meth:`process_batch` — which re-encodes every touched table
@@ -215,12 +213,10 @@ class Engine:
         path coalesces redundant updates away, partitions the survivors
         into independent conflict groups, and runs the groups on a worker
         pool of the given width (``workers=0`` auto-detects the CPU
-        count).  ``executor`` picks the pool flavour (``serial`` /
-        ``thread`` / ``process``; None resolves through ``FLAY_EXECUTOR``
-        and then the engine options).  The outcome is deterministic and
-        byte-identical across executors and worker counts; forwarded
-        updates are lowered in their original submission order, exactly
-        as a sequential warm path would have sent them.
+        count).  The outcome is deterministic and byte-identical across
+        worker counts; forwarded updates are lowered in their original
+        submission order, exactly as a sequential warm path would have
+        sent them.
         """
         ctx = self.ctx
         updates = list(updates)
@@ -233,7 +229,7 @@ class Engine:
         gate_before = (
             ctx.gate.snapshot() if ctx.bus.active and ctx.gate is not None else None
         )
-        report = schedule_batch(ctx, updates, workers=workers, executor=executor)
+        report = schedule_batch(ctx, updates, workers=workers)
         if baseline is not None:
             self._emit_activity(baseline, solver_before, gate_before)
         ctx.update_log.append(report)

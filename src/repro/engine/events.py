@@ -90,7 +90,6 @@ class BatchScheduled(Event):
     coalesced_count: int  # net updates after coalescing
     group_count: int  # independent conflict groups
     workers: int  # worker-pool width requested
-    executor: str = "thread"  # serial | thread | process
 
 
 @dataclass(frozen=True)

@@ -834,10 +834,11 @@ class VerdictGate:
                 grafted += 1
         return grafted
 
-    # -- process-pool transport -----------------------------------------------
+    # -- warm-state snapshot --------------------------------------------------
 
-    def export_record_delta(self, arena) -> list:
-        """Picklable ``(pid, record blob)`` pairs from this slice's overlay.
+    def export_records(self, arena) -> list:
+        """Every witness record as a picklable ``(pid, blob)`` pair — the
+        gate's contribution to an engine warm-state snapshot.
 
         Witness terms ride in ``arena``
         (a :class:`~repro.smt.arena.TermArena`); FDD leaves are flattened
@@ -845,66 +846,6 @@ class VerdictGate:
         Re-interning matters: fingerprint comparison is identity-based,
         and each diagram's leaf intern table survives rebuilds, so the
         re-interned leaf is the *same object* a local screen would see.
-        """
-        exported: list = []
-        for pid, record in self._records.delta.items():
-            if record is None:
-                exported.append((pid, None))
-                continue
-            exported.append(
-                (
-                    pid,
-                    {
-                        "verdict": record.verdict,
-                        "term": arena.encode(record.term),
-                        "pos_model": dict(record.pos_model),
-                        "neg_model": dict(record.neg_model),
-                        "pos_keys": record.pos_keys,
-                        "neg_keys": record.neg_keys,
-                        "fp_pos": _flatten_fingerprint(record.fp_pos),
-                        "fp_neg": _flatten_fingerprint(record.fp_neg),
-                    },
-                )
-            )
-        return exported
-
-    def absorb_exported(self, arena, stats: GateStats, records: list) -> int:
-        """Process-mode :meth:`absorb_fork`: fold a worker's shipped delta.
-
-        ``stats`` is absorbed exactly once (the double-counting tripwire
-        in the batch merge checks this); record blobs are decoded through
-        the shared term factory and this gate's own diagrams.
-        """
-        self.stats.absorb(stats)
-        grafted = 0
-        for pid, blob in records:
-            if blob is None:
-                self._records.drop(pid)
-                continue
-            self._records.set(
-                pid,
-                WitnessRecord(
-                    verdict=blob["verdict"],
-                    term=arena.decode(blob["term"]),
-                    pos_model=_ZeroDefault(blob["pos_model"]),
-                    neg_model=_ZeroDefault(blob["neg_model"]),
-                    pos_keys=blob["pos_keys"],
-                    neg_keys=blob["neg_keys"],
-                    fp_pos=self._intern_fingerprint(pid, blob["fp_pos"]),
-                    fp_neg=self._intern_fingerprint(pid, blob["fp_neg"]),
-                ),
-            )
-            grafted += 1
-        return grafted
-
-    # -- warm-state snapshot --------------------------------------------------
-
-    def export_records(self, arena) -> list:
-        """Every witness record as a picklable blob (snapshot variant).
-
-        Same wire format as :meth:`export_record_delta`, but over the main
-        store's full map instead of a worker overlay — this is the gate's
-        contribution to an engine warm-state snapshot.
         """
         exported: list = []
         for pid, record in self._records.map.items():

@@ -218,8 +218,6 @@ class AnalysisPass:
         ctx.state = ControlPlaneState(ctx.model)
         if options.solver_budget is not None:
             conflict_budget = options.solver_budget
-        elif options.solver_max_decisions is not None:
-            conflict_budget = options.solver_max_decisions
         else:
             conflict_budget = QueryEngine.DEFAULT_MAX_CONFLICTS
         ctx.solver_budget = SolverBudget(

@@ -109,7 +109,6 @@ class FleetSimulator:
         updates_per_burst: int = 6,
         divergent_prefix: int = 10,
         workers: int = 1,
-        executor: Optional[str] = None,
         bus: Optional[EventBus] = None,
     ) -> None:
         if switches <= 0:
@@ -120,7 +119,6 @@ class FleetSimulator:
         self.seed = seed
         self.updates_per_burst = updates_per_burst
         self.workers = workers
-        self.executor = executor
         self.store = SharedStore() if shared_store else None
         self.bus = bus if bus is not None else EventBus()
         self.registry = ContextRegistry()
@@ -151,7 +149,7 @@ class FleetSimulator:
             fuzzer = EntryFuzzer(model, seed=self._switch_seed(switch, 1))
             prefix = fuzzer.update_stream(count=divergent_prefix + switch)
             if prefix:
-                engine.apply_batch(prefix, workers=workers, executor=executor)
+                engine.apply_batch(prefix, workers=workers)
             self._updates[switch] += len(prefix)
             self._burst_fuzzers.append(
                 EntryFuzzer(model, seed=self._switch_seed(switch, 2))
@@ -176,9 +174,7 @@ class FleetSimulator:
                 count=self.updates_per_burst
             )
             start = time.perf_counter()
-            report = engine.apply_batch(
-                updates, workers=self.workers, executor=self.executor
-            )
+            report = engine.apply_batch(updates, workers=self.workers)
             elapsed_ms = (time.perf_counter() - start) * 1000
             self._latencies[switch].append(elapsed_ms)
             self._updates[switch] += len(updates)

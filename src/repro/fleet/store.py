@@ -13,10 +13,10 @@ every engine probing the same encoder — see
 :mod:`repro.smt.session`).
 
 The store keys entries by a content hash of the canonical program source
-plus every verdict-relevant engine option (*not* the target backend or
-executor strategy, which only affect lowering/scheduling): two engines
-with the same key provably compute the same cold artifacts, so the
-second one adopts the first one's donation instead of recomputing.
+plus every verdict-relevant engine option (*not* the target backend,
+which only affects lowering): two engines with the same key provably
+compute the same cold artifacts, so the second one adopts the first
+one's donation instead of recomputing.
 
 What is **never** shared: :class:`~repro.runtime.semantics.ControlPlaneState`
 (per-switch entries), the :class:`~repro.smt.substitute.DeltaSubstitution`
@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 #: Option fields that change what the cold pipeline and the term-level
-#: caches compute.  ``target`` and ``executor`` are deliberately absent:
-#: lowering strategy does not touch terms or verdicts, so switches with
-#: different backends still share one entry.
+#: caches compute.  ``target`` is deliberately absent: lowering does not
+#: touch terms or verdicts, so switches with different backends still
+#: share one entry.
 COLD_KEY_FIELDS = (
     "skip_parser",
     "overapprox_threshold",
@@ -45,7 +45,6 @@ COLD_KEY_FIELDS = (
     "prune",
     "effort",
     "solver_budget",
-    "solver_max_decisions",
     "solver_node_budget",
     "incremental_solver",
     "fdd_gate",

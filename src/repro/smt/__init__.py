@@ -11,9 +11,9 @@ Public surface:
   incremental CDCL (assumptions, clause learning, restarts),
 * :mod:`repro.smt.session` — persistent assumption-probing solver session,
 * :mod:`repro.smt.solver` — the layered QF_BV decision facade,
-* :mod:`repro.smt.arena` — flat-array term/clause arenas (picklable
-  transport for the process-pool batch executor, and the storage behind
-  the CDCL core's clause database).
+* :mod:`repro.smt.arena` — the flat-array term codec warm-state
+  snapshots ride in, and the storage behind the CDCL core's clause
+  database.
 """
 
 from repro.smt.arena import ClauseArena, TermArena

@@ -1,43 +1,38 @@
-"""Flat-array arenas for terms and CNF clauses.
+"""Flat-array codecs for terms and CNF clauses.
 
-The object-graph kernels (:mod:`repro.smt.terms`, :mod:`repro.smt.sat`)
-are pointer-chasing Python structures: fast enough under the warm-path
-caches, but impossible to ship across a process boundary (``Term``
-deliberately refuses to pickle — its identity *is* its cache key) and
-unfriendly to the CPU cache.  This module provides the array-native
-mirror of both:
+``Term`` deliberately refuses to pickle — its identity *is* its cache
+key, and an unpickled copy would bypass hash-consing.  Whatever has to
+cross a pickle boundary (the engine warm-state snapshot of
+:mod:`repro.engine.snapshot`, a :class:`~repro.smt.session.SolverSession`
+snapshot) rides in one of the two containers here instead:
 
-* :class:`TermArena` — hash-consed terms stored as parallel arrays
-  (op code, width, child indices, payload) with index-based interning.
-  A node index plays the role a ``Term`` object plays elsewhere:
-  structural equality is index equality.  ``encode``/``decode`` convert
-  between the two worlds; decoding re-interns through the (immortal)
-  default factory, so every identity invariant the caches rely on is
-  re-established on the way back in.  The arena itself is picklable —
-  it carries no ``Term`` references across the wire — which is what
-  lets the process-pool batch executor ship Term-valued results home.
-  Array-native ``substitute``/``simplify`` walkers mirror the
-  object-graph passes rule for rule, so arena-resident pipelines never
-  have to materialize objects mid-flight.
+* :class:`TermArena` — a **codec**, not a second term representation.
+  ``encode`` flattens a term DAG into parallel arrays (op code, width,
+  child indices, payload), one row per distinct node; ``decode`` rebuilds
+  it bottom-up through the (immortal) default factory, so canonical
+  argument order and hash-consing identity are re-established on the way
+  back in: ``decode(encode(t)) is t``, in this process or any other.
+  The arena carries no ``Term`` references across the wire.  It knows
+  nothing about rewriting: :mod:`repro.smt.simplify` and
+  :mod:`repro.smt.substitute` are the only statement of each rule, and a
+  consumer that wants to rewrite a transported term decodes it first.
 
 * :class:`ClauseArena` — CNF clauses as one flat literal buffer plus
   per-clause offset/length/flag arrays.  The CDCL core keeps watch
   lists as lists of integer clause references into this arena, so
   propagation walks contiguous ``array('i')`` slices instead of
   ``Clause`` objects, and a solver snapshot is a handful of arrays —
-  cheap to copy for :meth:`fork` and trivially picklable.
+  cheap to copy for :meth:`~repro.smt.sat.SatSolver.fork` and trivially
+  picklable.
 
-Determinism note: indices are assigned in first-intern order, so two
-runs that build the same terms in the same order get the same arena
-byte-for-byte.  The batch scheduler only ever encodes inside one
-conflict group (deterministic work list) and decodes in anchor order,
-so process-pool results are byte-identical to the in-process path.
+Determinism note: indices are assigned in first-encode order, so two
+runs that encode the same terms in the same order produce the same
+arena byte-for-byte.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional
 
 from repro.smt import terms as T
 from repro.smt.terms import Term
@@ -55,7 +50,6 @@ _OPS = (
     T.OP_ITE, T.OP_EQ, T.OP_ULT, T.OP_ULE, T.OP_BAND, T.OP_BOR, T.OP_BNOT,
 )
 OP_CODE = {op: code for code, op in enumerate(_OPS)}
-OP_NAME = {code: op for code, op in enumerate(_OPS)}
 
 (
     _BVCONST, _BOOLCONST, _DATA_VAR, _CONTROL_VAR, _BOOLVAR,
@@ -64,8 +58,6 @@ OP_NAME = {code: op for code, op in enumerate(_OPS)}
     _ITE, _EQ, _ULT, _ULE, _BAND, _BOR, _BNOT,
 ) = range(len(_OPS))
 
-_CONSTS = (_BVCONST, _BOOLCONST)
-_VARS = (_DATA_VAR, _CONTROL_VAR, _BOOLVAR)
 #: Commutative binary ops whose args the arena stores index-sorted
 #: (mirrors the factory's id-sorted canonical order; decode re-sorts).
 _COMM_BIN = frozenset(
@@ -131,46 +123,13 @@ class TermArena:
             self._intern[self._key(idx)] = idx
 
     def _key(self, idx: int) -> tuple:
+        first = self._first[idx]
         return (
             self._op[idx],
-            self.args(idx),
+            tuple(self._args[first:first + self._nargs[idx]]),
             self._width[idx],
             self._payload[idx],
         )
-
-    # -- node accessors -----------------------------------------------------
-
-    def op(self, idx: int) -> int:
-        """The node's op *code* (see :data:`OP_CODE`)."""
-        return self._op[idx]
-
-    def op_name(self, idx: int) -> str:
-        return OP_NAME[self._op[idx]]
-
-    def width(self, idx: int) -> int:
-        return self._width[idx]
-
-    def args(self, idx: int) -> tuple:
-        first = self._first[idx]
-        return tuple(self._args[first:first + self._nargs[idx]])
-
-    def payload(self, idx: int):
-        return self._payload[idx]
-
-    def is_const(self, idx: int) -> bool:
-        return self._op[idx] in _CONSTS
-
-    def is_var(self, idx: int) -> bool:
-        return self._op[idx] in _VARS
-
-    def const_value(self, idx: int) -> Optional[int]:
-        """The node's concrete value if constant (bools as 0/1), else None."""
-        code = self._op[idx]
-        if code == _BVCONST:
-            return self._payload[idx]
-        if code == _BOOLCONST:
-            return int(self._payload[idx])
-        return None
 
     # -- construction -------------------------------------------------------
 
@@ -193,42 +152,6 @@ class TermArena:
         self._terms.append(None)
         self._intern[key] = idx
         return idx
-
-    def bv_const(self, value: int, width: int) -> int:
-        return self._mk(_BVCONST, (), width, value & ((1 << width) - 1))
-
-    def bool_const(self, value: bool) -> int:
-        return self._mk(_BOOLCONST, (), 0, bool(value))
-
-    @property
-    def true(self) -> int:
-        return self.bool_const(True)
-
-    @property
-    def false(self) -> int:
-        return self.bool_const(False)
-
-    def bool_not(self, a: int) -> int:
-        return self._mk(_BNOT, (a,), 0)
-
-    def bool_and(self, parts: Iterable[int]) -> int:
-        parts = tuple(parts)
-        if not parts:
-            return self.bool_const(True)
-        if len(parts) == 1:
-            return parts[0]
-        return self._mk(_BAND, parts, 0)
-
-    def bool_or(self, parts: Iterable[int]) -> int:
-        parts = tuple(parts)
-        if not parts:
-            return self.bool_const(False)
-        if len(parts) == 1:
-            return parts[0]
-        return self._mk(_BOR, parts, 0)
-
-    def extract(self, a: int, hi: int, lo: int) -> int:
-        return self._mk(_EXTRACT, (a,), hi - lo + 1, (hi, lo))
 
     # -- encode / decode ----------------------------------------------------
 
@@ -313,156 +236,6 @@ class TermArena:
         builder = _DECODE_BUILDERS[code]
         return builder(f, *args)
 
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, root: int, mapping: dict) -> int:
-        """Replace variable nodes per ``mapping`` (index → index).
-
-        Pure structural substitution (no simplification), mirroring
-        :func:`repro.smt.substitute.substitute`.  Replacements must have
-        the same sort and width as the variables they stand in for.
-        """
-        memo: dict[int, int] = dict(mapping)
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            idx, expanded = stack.pop()
-            if idx in memo:
-                continue
-            nargs = self._nargs[idx]
-            if nargs == 0:
-                memo[idx] = idx
-                continue
-            first = self._first[idx]
-            children = self._args[first:first + nargs]
-            if not expanded:
-                stack.append((idx, True))
-                for child in children:
-                    if child not in memo:
-                        stack.append((child, False))
-                continue
-            new_args = tuple(memo[c] for c in children)
-            if new_args == tuple(children):
-                memo[idx] = idx
-            else:
-                memo[idx] = self._mk(
-                    self._op[idx], new_args, self._width[idx],
-                    self._payload[idx],
-                )
-        return memo[root]
-
-    # -- simplification -----------------------------------------------------
-
-    def simplify(self, root: int, memo: Optional[dict] = None) -> int:
-        """Array-native mirror of :func:`repro.smt.simplify.simplify`.
-
-        Same rule set, same bottom-up worklist, same memo discipline
-        (keyed on node index instead of ``id``).  Guaranteed agreement:
-        ``decode(arena.simplify(i)) is simplify(decode(i))``.
-        """
-        if memo is None:
-            memo = {}
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            idx, expanded = stack.pop()
-            if idx in memo:
-                continue
-            if not expanded:
-                stack.append((idx, True))
-                first = self._first[idx]
-                for child in self._args[first:first + self._nargs[idx]]:
-                    if child not in memo:
-                        stack.append((child, False))
-                continue
-            first = self._first[idx]
-            new_args = tuple(
-                memo[c]
-                for c in self._args[first:first + self._nargs[idx]]
-            )
-            memo[idx] = self._rewrite(idx, new_args, memo)
-        return memo[root]
-
-    def _rebuild(self, idx: int, args: tuple) -> int:
-        if args == self.args(idx):
-            return idx
-        return self._mk(self._op[idx], args, self._width[idx],
-                        self._payload[idx])
-
-    def _fold(self, idx: int, args: tuple) -> int:
-        """Constant-fold an all-constant node (mirrors ``_eval_node``)."""
-        code = self._op[idx]
-        width = self._width[idx]
-        mask = (1 << width) - 1 if width else 1
-        vals = [self.const_value(a) for a in args]
-        if code == _ADD:
-            value = (vals[0] + vals[1]) & mask
-        elif code == _SUB:
-            value = (vals[0] - vals[1]) & mask
-        elif code == _MUL:
-            value = (vals[0] * vals[1]) & mask
-        elif code == _AND:
-            value = vals[0] & vals[1]
-        elif code == _OR:
-            value = vals[0] | vals[1]
-        elif code == _XOR:
-            value = vals[0] ^ vals[1]
-        elif code == _NOT:
-            value = ~vals[0] & mask
-        elif code == _NEG:
-            value = (-vals[0]) & mask
-        elif code == _SHL:
-            value = (vals[0] << vals[1]) & mask if vals[1] < width else 0
-        elif code == _LSHR:
-            value = (vals[0] >> vals[1]) if vals[1] < width else 0
-        elif code == _CONCAT:
-            value = (vals[0] << self._width[args[1]]) | vals[1]
-        elif code == _EXTRACT:
-            hi, lo = self._payload[idx]
-            value = (vals[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-        elif code == _ITE:
-            value = vals[1] if vals[0] else vals[2]
-        elif code == _EQ:
-            value = int(vals[0] == vals[1])
-        elif code == _ULT:
-            value = int(vals[0] < vals[1])
-        elif code == _ULE:
-            value = int(vals[0] <= vals[1])
-        elif code == _BAND:
-            value = int(all(vals))
-        elif code == _BOR:
-            value = int(any(vals))
-        elif code == _BNOT:
-            value = int(not vals[0])
-        else:
-            raise T.SortError(f"cannot fold op code {code}")
-        if width:
-            return self.bv_const(value, width)
-        return self.bool_const(bool(value))
-
-    def _rewrite(self, idx: int, args: tuple, memo: dict) -> int:
-        if not args:
-            return idx
-        if all(self.is_const(a) for a in args):
-            return self._fold(idx, args)
-        handler = _ARENA_RULES.get(self._op[idx])
-        if handler is not None:
-            result = handler(self, idx, args, memo)
-            if result is not None:
-                return result
-        return self._rebuild(idx, args)
-
-    def _is_zero(self, idx: int) -> bool:
-        return self._op[idx] == _BVCONST and self._payload[idx] == 0
-
-    def _is_one(self, idx: int) -> bool:
-        return self._op[idx] == _BVCONST and self._payload[idx] == 1
-
-    def _is_ones(self, idx: int) -> bool:
-        return (
-            self._op[idx] == _BVCONST
-            and self._payload[idx] == (1 << self._width[idx]) - 1
-        )
-
-
 def _init_decode_builders() -> dict:
     f = T.TermFactory  # unbound methods: called as builder(factory, *args)
     return {
@@ -486,284 +259,6 @@ def _init_decode_builders() -> dict:
 
 
 _DECODE_BUILDERS = _init_decode_builders()
-
-
-# ---------------------------------------------------------------------------
-# Array-native rewrite rules (rule-for-rule port of simplify._RULES)
-# ---------------------------------------------------------------------------
-
-
-def _ar_add(arena, idx, args, memo):
-    a, b = args
-    if arena._is_zero(a):
-        return b
-    if arena._is_zero(b):
-        return a
-    return None
-
-
-def _ar_sub(arena, idx, args, memo):
-    a, b = args
-    if arena._is_zero(b):
-        return a
-    if a == b:
-        return arena.bv_const(0, arena._width[idx])
-    return None
-
-
-def _ar_mul(arena, idx, args, memo):
-    a, b = args
-    width = arena._width[idx]
-    for x, y in ((a, b), (b, a)):
-        if arena._is_zero(x):
-            return arena.bv_const(0, width)
-        if arena._is_one(x):
-            return y
-        if arena._op[x] == _BVCONST:
-            value = arena._payload[x]
-            if value and (value & (value - 1)) == 0:
-                shift = value.bit_length() - 1
-                return arena._mk(
-                    _SHL, (y, arena.bv_const(shift, width)), width
-                )
-    return None
-
-
-def _ar_bvand(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return a
-    width = arena._width[idx]
-    for x, y in ((a, b), (b, a)):
-        if arena._is_zero(x):
-            return arena.bv_const(0, width)
-        if arena._is_ones(x):
-            return y
-    return None
-
-
-def _ar_bvor(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return a
-    width = arena._width[idx]
-    for x, y in ((a, b), (b, a)):
-        if arena._is_zero(x):
-            return y
-        if arena._is_ones(x):
-            return arena.bv_const((1 << width) - 1, width)
-    return None
-
-
-def _ar_bvxor(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return arena.bv_const(0, arena._width[idx])
-    for x, y in ((a, b), (b, a)):
-        if arena._is_zero(x):
-            return y
-    return None
-
-
-def _ar_bvnot(arena, idx, args, memo):
-    (a,) = args
-    if arena._op[a] == _NOT:
-        return arena.args(a)[0]
-    return None
-
-
-def _ar_shift(arena, idx, args, memo):
-    a, b = args
-    width = arena._width[idx]
-    if arena._is_zero(b):
-        return a
-    if arena._is_zero(a):
-        return arena.bv_const(0, width)
-    if arena._op[b] == _BVCONST and arena._payload[b] >= width:
-        return arena.bv_const(0, width)
-    return None
-
-
-def _ar_extract(arena, idx, args, memo):
-    (a,) = args
-    hi, lo = arena._payload[idx]
-    if lo == 0 and hi == arena._width[a] - 1:
-        return a
-    if arena._op[a] == _EXTRACT:
-        inner_hi, inner_lo = arena._payload[a]
-        return arena.extract(arena.args(a)[0], inner_lo + hi, inner_lo + lo)
-    if arena._op[a] == _CONCAT:
-        left, right = arena.args(a)
-        right_width = arena._width[right]
-        if hi < right_width:
-            return arena.simplify(arena.extract(right, hi, lo), memo)
-        if lo >= right_width:
-            return arena.simplify(
-                arena.extract(left, hi - right_width, lo - right_width), memo
-            )
-    return None
-
-
-def _ar_ite(arena, idx, args, memo):
-    cond, then, orelse = args
-    width = arena._width[idx]
-    if arena._op[cond] == _BOOLCONST:
-        return then if arena._payload[cond] else orelse
-    if then == orelse:
-        return then
-    if arena._op[cond] == _BNOT:
-        return arena._mk(_ITE, (arena.args(cond)[0], orelse, then), width)
-    if width == 0:
-        if arena._op[then] == _BOOLCONST:
-            if arena._payload[then]:
-                return arena.simplify(arena.bool_or((cond, orelse)), memo)
-            return arena.simplify(
-                arena.bool_and((arena.bool_not(cond), orelse)), memo
-            )
-        if arena._op[orelse] == _BOOLCONST:
-            if arena._payload[orelse]:
-                return arena.simplify(
-                    arena.bool_or((arena.bool_not(cond), then)), memo
-                )
-            return arena.simplify(arena.bool_and((cond, then)), memo)
-    if arena._op[then] == _ITE and arena.args(then)[0] == cond:
-        return arena.simplify(
-            arena._mk(_ITE, (cond, arena.args(then)[1], orelse), width), memo
-        )
-    if arena._op[orelse] == _ITE and arena.args(orelse)[0] == cond:
-        return arena.simplify(
-            arena._mk(_ITE, (cond, then, arena.args(orelse)[2]), width), memo
-        )
-    return None
-
-
-def _ar_eq(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return arena.true
-    if (
-        arena._width[a] > 0
-        and arena.is_const(a)
-        and arena.is_const(b)
-    ):
-        return arena.bool_const(arena._payload[a] == arena._payload[b])
-    for x, y in ((a, b), (b, a)):
-        if arena._op[x] == _ITE and arena.is_const(y):
-            cond, then, orelse = arena.args(x)
-            if arena.is_const(then) and arena.is_const(orelse):
-                then_hit = arena._payload[then] == arena._payload[y]
-                else_hit = arena._payload[orelse] == arena._payload[y]
-                if then_hit and else_hit:
-                    return arena.true
-                if then_hit:
-                    return cond
-                if else_hit:
-                    return arena.simplify(arena.bool_not(cond), memo)
-                return arena.false
-    return None
-
-
-def _ar_ult(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return arena.false
-    if arena._is_zero(b):
-        return arena.false
-    if arena._is_zero(a):
-        zero = arena.bv_const(0, arena._width[b])
-        return arena.simplify(
-            arena.bool_not(arena._mk(_EQ, (b, zero), 0)), memo
-        )
-    return None
-
-
-def _ar_ule(arena, idx, args, memo):
-    a, b = args
-    if a == b:
-        return arena.true
-    if arena._is_zero(a):
-        return arena.true
-    if arena._is_ones(b):
-        return arena.true
-    return None
-
-
-def _ar_band(arena, idx, args, memo):
-    flat: list = []
-    seen: set = set()
-    for arg in args:
-        parts = arena.args(arg) if arena._op[arg] == _BAND else (arg,)
-        for part in parts:
-            if arena._op[part] == _BOOLCONST:
-                if not arena._payload[part]:
-                    return arena.false
-                continue
-            if part in seen:
-                continue
-            seen.add(part)
-            flat.append(part)
-    negated = {arena.args(p)[0] for p in flat if arena._op[p] == _BNOT}
-    if any(p in negated for p in flat if arena._op[p] != _BNOT):
-        return arena.false
-    if not flat:
-        return arena.true
-    if len(flat) == 1:
-        return flat[0]
-    return arena.bool_and(flat)
-
-
-def _ar_bor(arena, idx, args, memo):
-    flat: list = []
-    seen: set = set()
-    for arg in args:
-        parts = arena.args(arg) if arena._op[arg] == _BOR else (arg,)
-        for part in parts:
-            if arena._op[part] == _BOOLCONST:
-                if arena._payload[part]:
-                    return arena.true
-                continue
-            if part in seen:
-                continue
-            seen.add(part)
-            flat.append(part)
-    negated = {arena.args(p)[0] for p in flat if arena._op[p] == _BNOT}
-    if any(p in negated for p in flat if arena._op[p] != _BNOT):
-        return arena.true
-    if not flat:
-        return arena.false
-    if len(flat) == 1:
-        return flat[0]
-    return arena.bool_or(flat)
-
-
-def _ar_bnot(arena, idx, args, memo):
-    (a,) = args
-    if arena._op[a] == _BNOT:
-        return arena.args(a)[0]
-    if arena._op[a] == _BOOLCONST:
-        return arena.bool_const(not arena._payload[a])
-    return None
-
-
-_ARENA_RULES = {
-    _ADD: _ar_add,
-    _SUB: _ar_sub,
-    _MUL: _ar_mul,
-    _AND: _ar_bvand,
-    _OR: _ar_bvor,
-    _XOR: _ar_bvxor,
-    _NOT: _ar_bvnot,
-    _SHL: _ar_shift,
-    _LSHR: _ar_shift,
-    _EXTRACT: _ar_extract,
-    _ITE: _ar_ite,
-    _EQ: _ar_eq,
-    _ULT: _ar_ult,
-    _ULE: _ar_ule,
-    _BAND: _ar_band,
-    _BOR: _ar_bor,
-    _BNOT: _ar_bnot,
-}
 
 
 # ---------------------------------------------------------------------------

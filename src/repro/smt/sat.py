@@ -27,8 +27,8 @@ clauses are integer references (*crefs*) into one flat literal buffer,
 watch lists are lists of crefs, and the propagation loop walks
 contiguous ``array('i')`` storage instead of per-clause objects.  That
 makes :meth:`SatSolver.fork` a handful of array copies, and
-:meth:`SatSolver.snapshot` a picklable blob — the enabler for the batch
-scheduler's process-pool executor and for warm-state persistence.
+:meth:`SatSolver.snapshot` a picklable blob — the enabler for
+warm-state persistence.
 
 The search budget is counted in **conflicts**, not decisions: CDCL makes
 decisions nearly free (a heap pop plus propagation) while each conflict
@@ -563,18 +563,15 @@ class SatSolver:
         self,
         assumptions: Optional[Sequence[int]] = None,
         max_conflicts: Optional[int] = None,
-        max_decisions: Optional[int] = None,
         decide_vars: Optional[Sequence[int]] = None,
     ) -> str:
         """CDCL search.  Returns ``SAT`` or ``UNSAT``.
 
         ``assumptions`` hold for this call only: ``UNSAT`` then means
         "unsatisfiable together with the assumptions".  ``max_conflicts``
-        bounds the search (``max_decisions`` is accepted as a legacy alias
-        for the same budget); exceeding it raises
-        :class:`SolverBudgetExceeded` with the solver left reusable, so
-        callers can fall back to an overapproximation rather than stall
-        the update path.
+        bounds the search; exceeding it raises :class:`SolverBudgetExceeded`
+        with the solver left reusable, so callers can fall back to an
+        overapproximation rather than stall the update path.
 
         ``decide_vars`` restricts the decision procedure to the given
         variables: once they (and the assumptions) are all assigned and
@@ -588,7 +585,6 @@ class SatSolver:
         consequences of those.  The model then covers only the assigned
         variables.  ``None`` keeps the classic full-assignment behaviour.
         """
-        budget = max_conflicts if max_conflicts is not None else max_decisions
         assumptions = list(assumptions) if assumptions else []
         for lit in assumptions:
             if lit == 0:
@@ -611,7 +607,7 @@ class SatSolver:
             return UNSAT
         try:
             self._scoped = decide_vars is not None
-            result = self._search(assumptions, budget, decide_vars)
+            result = self._search(assumptions, max_conflicts, decide_vars)
         finally:
             self._backtrack(0)
             self._scoped = False
@@ -806,7 +802,7 @@ class SatSolver:
                         bucket.append(cref)
         self._watches = watches
 
-    # -- snapshot / restore (process-pool transport, warm persistence) ---------
+    # -- snapshot / restore (warm persistence) ----------------------------------
 
     def snapshot(self) -> dict:
         """A picklable blob of the full solver state, at decision level 0.

@@ -246,18 +246,6 @@ class SolverSession:
             return 0
         return self.sat.import_learned(fork.export_learned())
 
-    def import_exported(self, clauses: list) -> int:
-        """Install clause lists a fork exported in *another process*.
-
-        The identity handshake :meth:`absorb` performs is meaningless
-        across a process boundary (the fork object never crosses it), so
-        the process-pool merge path sends :meth:`export_learned`'s plain
-        literal lists and folds them in here.  Soundness is the same
-        argument as :meth:`absorb`: exported clauses range over pre-fork
-        variables only, so they are consequences of this very database.
-        """
-        return self.sat.import_learned(clauses)
-
     # -- snapshot / restore (picklable warm state) -----------------------------
 
     def snapshot(self) -> dict:
@@ -267,7 +255,7 @@ class SolverSession:
         Term-keyed tables (activation literals, cone scopes) ride in a
         :class:`~repro.smt.arena.TermArena`, since terms themselves refuse
         to pickle.  Restore against the *same* encoder (or a fork of it,
-        or a process-image copy) with :meth:`restore`.
+        or a restored copy of it) with :meth:`restore`.
         """
         from repro.smt.arena import TermArena
 

@@ -10,10 +10,9 @@ It implements the three preprocessing steps the paper names (§4.1
 "Processing updates quickly"): constant folding, common-subexpression
 elimination (free, via hash-consing), and strength reduction.
 
-:meth:`repro.smt.arena.TermArena.simplify` mirrors this rule set over the
-flat-array term representation; any rule added here must be added there
-too (``decode(arena.simplify(i)) is simplify(decode(i))`` is a tested
-invariant — see ``tests/smt/test_arena.py``).
+This module is the only statement of the rewrite rules: a term that
+arrives in a :class:`~repro.smt.arena.TermArena` is decoded first and
+simplified here.
 """
 
 from __future__ import annotations

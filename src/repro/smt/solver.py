@@ -182,16 +182,6 @@ class Solver:
         if _fork_of is None:
             self._reset_encoder()
 
-    # Legacy name: the budget used to be counted in decisions.  CDCL makes
-    # decisions nearly free; conflicts are the honest unit of work.
-    @property
-    def max_decisions(self) -> Optional[int]:
-        return self.max_conflicts
-
-    @max_decisions.setter
-    def max_decisions(self, value: Optional[int]) -> None:
-        self.max_conflicts = value
-
     @property
     def session(self) -> Optional[SolverSession]:
         """The CDCL session (None on a twin that has not bit-blasted yet)."""
@@ -387,13 +377,6 @@ class Solver:
             else:
                 self._session = SolverSession(self._encoder)
         self._fork_parent = None
-
-    def export_learned(self) -> list:
-        """Clauses this twin learned that its parent's session can import
-        (none if it never materialised)."""
-        if self._session is None:
-            return []
-        return self._session.export_learned()
 
     def absorb_fork(self, fork: "Solver") -> int:
         """Fold a fork's query/search stats and learned clauses back.

@@ -7,11 +7,10 @@ simplify.  Substitution is memoized over the shared DAG, so substituting
 into the hundreds of program points of one program touches each unique
 subterm once.
 
-:meth:`repro.smt.arena.TermArena.substitute` is the array-native mirror of
-this pass (same structural rules, memo keyed on node index instead of
-``id``), used when the term already lives in an arena — e.g. inside a
-process-pool batch worker.  The two must agree node for node; the arena
-property tests pin that.
+This module is the only substitution walker; the
+:class:`~repro.smt.arena.TermArena` codec moves a substitution's mapping
+and memo through a snapshot (:meth:`DeltaSubstitution.export_state`) but
+does no rewriting of its own.
 """
 
 from __future__ import annotations

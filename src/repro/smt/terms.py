@@ -28,10 +28,10 @@ even for terms from short-lived private factories.
 Because identity *is* the cache key, terms deliberately refuse to pickle
 (see :meth:`Term.__reduce__`): a pickled copy in another process would be
 a distinct object and silently miss every memo.  The supported way to
-move terms across a process boundary is :class:`repro.smt.arena.TermArena`
-— encode to integer indices, ship the arena, and decode *through the
-default factory* on the other side, which re-interns every node and
-restores the identity invariant.
+move terms across a pickle boundary (a warm-state snapshot) is the
+:class:`repro.smt.arena.TermArena` codec — encode to integer indices,
+pickle the arena, and decode *through the default factory* on the other
+side, which re-interns every node and restores the identity invariant.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import EFFORT_DCE, EFFORT_FULL, EFFORT_NONE, Flay, FlayOptions
-from repro.core.specializer import Specializer
+from repro.engine.specialize import Specializer
 from repro.p4 import ast_nodes as ast
 from repro.p4.parser import parse_program
 from repro.runtime.entries import TableEntry, TernaryMatch

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import analyze
-from repro.core.queries import ALWAYS, MAYBE, NEVER, QueryEngine, _possible_values
+from repro.engine.queries import ALWAYS, MAYBE, NEVER, QueryEngine, _possible_values
 from repro.p4.parser import parse_program
 from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.semantics import ControlPlaneState, INSERT, Update, encode_all, encode_table

@@ -187,39 +187,7 @@ def test_output_invariant_across_worker_counts(seed):
             assert a.group_count == b.group_count
 
 
-@pytest.mark.parametrize("seed", [3, 8])
-def test_output_invariant_across_executors(seed):
-    """serial, thread, and process executors over the same chunked stream:
-    byte-identical source, verdicts, state, and lowered writes.  The
-    process executor ships results home as arena payloads; decoding
-    re-interns through the shared factory, so nothing downstream can tell
-    which side of a fork a verdict was computed on."""
-    executors = ("serial", "thread", "process")
-    engines = {e: make_flay("tofino") for e in executors}
-    stream = EntryFuzzer(engines["serial"].model, seed=seed).update_stream(
-        tables=ALL_TABLES, count=40, modify_fraction=0.25, delete_fraction=0.15
-    )
-    reports = {e: [] for e in executors}
-    for executor, flay in engines.items():
-        for batch in chunk(stream, seed):
-            reports[executor].append(
-                flay.apply_batch(batch, workers=4, executor=executor)
-            )
-    baseline = engines["serial"]
-    for executor, flay in engines.items():
-        if executor == "serial":
-            continue
-        assert_same_result(baseline, flay)
-        assert lowered_trace(baseline) == lowered_trace(flay)
-        for a, b in zip(reports["serial"], reports[executor]):
-            assert a.changed == b.changed
-            assert a.recompiled == b.recompiled
-            assert a.coalesced_count == b.coalesced_count
-            assert a.group_count == b.group_count
-
-
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_multi_group_burst_runs_on_the_pool(executor):
+def test_multi_group_burst_runs_on_the_pool():
     """The forwarded-regime burst splits into independent conflict groups
     and actually exercises the worker pool (group_count > 1, workers > 1),
     still matching the sequential engine's lowered stream."""
@@ -236,9 +204,8 @@ def test_multi_group_burst_runs_on_the_pool(executor):
         burst.extend(fuzzer.insert_burst(table, 10))
     for update in burst:
         sequential.process_update(update)
-    report = pooled.apply_batch(burst, workers=4, executor=executor)
+    report = pooled.apply_batch(burst, workers=4)
     assert report.group_count > 1  # otherwise the pool was never used
-    assert report.executor == executor
     assert lowered_trace(sequential) == lowered_trace(pooled)
     assert_same_result(sequential, pooled)
 
@@ -250,16 +217,6 @@ def test_workers_zero_auto_detects_cpu_count():
     )
     report = flay.apply_batch(stream, workers=0)
     assert report.workers == (os.cpu_count() or 1)
-
-
-def test_flay_executor_env_var_selects_executor(monkeypatch):
-    monkeypatch.setenv("FLAY_EXECUTOR", "serial")
-    flay = make_flay("none")
-    stream = EntryFuzzer(flay.model, seed=2).update_stream(
-        tables=ALL_TABLES, count=8
-    )
-    report = flay.apply_batch(stream, workers=4)
-    assert report.executor == "serial"
 
 
 def test_value_set_updates_flow_through_batches():

@@ -170,31 +170,15 @@ class TestEvents:
         log = bus.attach_log()
         flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
         batch = two_group_batch(flay)
-        flay.apply_batch(batch, workers=4, executor="thread")
+        flay.apply_batch(batch, workers=4)
         (scheduled,) = log.of_type(BatchScheduled)
         assert scheduled.update_count == len(batch)
         assert scheduled.coalesced_count == len(batch)  # pure inserts
         assert scheduled.group_count == 2
         assert scheduled.workers == 4
-        assert scheduled.executor == "thread"
         (merged,) = log.of_type(BatchMerged)
         assert merged.group_count == 2
         assert merged.merged_memo_entries > 0
-
-    def test_process_mode_skips_memo_transport(self):
-        """The id()-keyed substitution memo delta deliberately stays home
-        in process mode (child object ids are meaningless in the parent);
-        the event records 0 grafted entries and output is unaffected."""
-        bus = EventBus()
-        log = bus.attach_log()
-        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
-        batch = two_group_batch(flay)
-        flay.apply_batch(batch, workers=4, executor="process")
-        (scheduled,) = log.of_type(BatchScheduled)
-        assert scheduled.executor == "process"
-        (merged,) = log.of_type(BatchMerged)
-        assert merged.group_count == 2
-        assert merged.merged_memo_entries == 0
 
 
 class TestMergeAccounting:
@@ -238,17 +222,15 @@ class TestMergeAccounting:
         )
         assert merged.worker_solver_queries == merged.merged_solver_queries
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_real_batches_emit_balanced_accounting(self, executor):
-        """Across all three executors, the BatchMerged event constructs
-        (its __post_init__ would raise on any imbalance) and reports the
-        same worker totals the sequential accounting implies."""
+    @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "thread"])
+    def test_real_batches_emit_balanced_accounting(self, workers):
+        """Inline (one worker) and on the thread pool, the BatchMerged event
+        constructs (its __post_init__ would raise on any imbalance) and
+        reports the same worker totals the sequential accounting implies."""
         bus = EventBus()
         log = bus.attach_log()
         flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
-        flay.apply_batch(
-            two_group_batch(flay), workers=2, executor=executor
-        )
+        flay.apply_batch(two_group_batch(flay), workers=workers)
         (merged,) = log.of_type(BatchMerged)
         assert merged.worker_solver_queries == merged.merged_solver_queries
         assert merged.worker_gate_screens == merged.merged_gate_screens

@@ -255,9 +255,9 @@ class TestZoo:
         decision = whole.process_batch(burst)
         assert set(decision.changed) == sequential_changed
         assert_same_result(whole, sequential)
-        for executor, workers in (("serial", 1), ("thread", 4), ("process", 4)):
+        for workers in (1, 4):
             flay = engine()
-            report = flay.apply_batch(burst, workers=workers, executor=executor)
+            report = flay.apply_batch(burst, workers=workers)
             assert report.group_count >= 2
             assert sorted(report.changed) == sorted(decision.changed)
             assert report.affected_points == decision.affected_points
@@ -303,7 +303,8 @@ VALUE_SET = st.tuples(
     st.lists(st.sampled_from([0x800, 0x806, 0x86DD]), max_size=3, unique=True),
 )
 CHUNK = st.tuples(
-    st.sampled_from(["update", "process_batch", "serial", "thread"]),
+    # An int is ``apply_batch`` at that worker count.
+    st.sampled_from(["update", "process_batch", 1, 4]),
     st.lists(st.one_of(UPSERT, REMOVE, VALUE_SET), min_size=1, max_size=6),
 )
 
@@ -345,7 +346,7 @@ def test_fig3_stream_matches_a_from_scratch_rebuild(chunks):
         elif mode == "process_batch":
             decisions = [flay.process_batch(updates)]
         else:
-            decisions = [flay.apply_batch(updates, workers=2, executor=mode)]
+            decisions = [flay.apply_batch(updates, workers=mode)]
         assert all(0 <= d.affected_points <= every_point for d in decisions)
         assert_same_result(
             flay, rebuild(program, flay, overapprox_threshold=FIG3_THRESHOLD)

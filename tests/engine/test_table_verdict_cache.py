@@ -5,7 +5,7 @@ to the recomputed one, because the memo key — the table's active-entry
 digest plus the selector/hit term identities — spans every input the
 uncached computation reads.  These tests pin that contract the way the
 gate's differential suite pins gating: fuzzer streams, sequential and
-batched application (thread and process executors), snapshot/restore
+batched application, snapshot/restore
 round-trips, and a Hypothesis sweep — identical output either way, with
 a non-vacuity check that the memo actually got hits.
 
@@ -136,28 +136,24 @@ def test_sequential_stream_cached_equals_uncached(target, seed):
     assert not uncached.runtime.ctx.query_engine._table_verdict_memo
 
 
-@pytest.mark.parametrize("executor", ("thread", "process"))
 @pytest.mark.parametrize("seed", [2])
-def test_batched_stream_cached_equals_uncached(executor, seed):
+def test_batched_stream_cached_equals_uncached(seed):
     cached = make_flay("tofino", True)
     uncached = make_flay("tofino", False)
     stream = EntryFuzzer(cached.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=40, modify_fraction=0.25, delete_fraction=0.15
     )
     for batch in chunk(stream, seed):
-        ra = cached.apply_batch(batch, workers=ENV_WORKERS, executor=executor)
-        rb = uncached.apply_batch(batch, workers=ENV_WORKERS, executor=executor)
+        ra = cached.apply_batch(batch, workers=ENV_WORKERS)
+        rb = uncached.apply_batch(batch, workers=ENV_WORKERS)
         assert ra.changed == rb.changed
         assert ra.recompiled == rb.recompiled
     assert_same_result(cached, uncached)
     assert lowered_trace(cached) == lowered_trace(uncached)
-    # Worker counters fold back through both transports; memo *entries*
-    # only graft in thread mode (a process child's delta keys on its own
-    # term identities and is deliberately dropped, like the simplify
-    # memo), so only the thread pool accumulates cross-batch hits.
+    # Slice counters and memo entries both fold back on merge, so the
+    # shared memo accumulates cross-batch hits.
     assert memo_counter(cached).misses > 0
-    if executor == "thread":
-        assert memo_counter(cached).hits > 0
+    assert memo_counter(cached).hits > 0
     assert memo_counter(uncached).hits == 0
     assert memo_counter(uncached).misses == 0
 

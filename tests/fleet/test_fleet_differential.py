@@ -3,7 +3,7 @@
 The tentpole soundness property.  A fleet where switches adopt shared
 cold artifacts and term-pure warm caches must lower *exactly* what a
 fleet of fully isolated engines lowers on the same correlated trace —
-per switch, in order, across targets and executor modes.
+per switch, in order, across targets and batch worker counts.
 """
 
 import pytest
@@ -42,20 +42,10 @@ def test_shared_matches_isolated_per_target(target):
     assert shared.specialized_sources() == isolated.specialized_sources()
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_shared_matches_isolated_per_executor(executor):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_shared_matches_isolated_per_worker_count(workers):
     shared, isolated, _ = _pair(
-        FIG3, EngineOptions(target="none"), executor=executor, **SMALL
-    )
-    assert shared.lowered_traces() == isolated.lowered_traces()
-    assert shared.specialized_sources() == isolated.specialized_sources()
-
-
-def test_shared_matches_isolated_process_executor():
-    # One (smaller) process-pool case: arena transport under sharing.
-    kwargs = dict(SMALL, switches=2, duration=30.0)
-    shared, isolated, _ = _pair(
-        FIG3, EngineOptions(target="none"), executor="process", workers=2, **kwargs
+        FIG3, EngineOptions(target="none"), workers=workers, **SMALL
     )
     assert shared.lowered_traces() == isolated.lowered_traces()
     assert shared.specialized_sources() == isolated.specialized_sources()

@@ -1,15 +1,12 @@
-"""Property tests for the flat-array term/CNF arenas.
+"""Property tests for the flat-array term/CNF codecs.
 
-The arenas exist to carry solver state across a process boundary, so the
-properties under test are exactly the transport contract the batch
-scheduler's process executor relies on:
+The arenas exist to carry terms and solver state across a pickle
+boundary (warm-state snapshots), so the properties under test are the
+transport contract the snapshot path relies on:
 
 * **interning identity** — ``arena.decode(arena.encode(t)) is t``, and
   the identity survives pickling the arena (the decoded-``Term`` cache
   is process-local and rebuilt through the default factory);
-* **walker agreement** — the arena's array-native ``substitute`` and
-  ``simplify`` produce the same canonical term as the object-graph
-  passes, on random terms;
 * **clause transport** — ``ClauseArena`` and ``SatSolver.snapshot`` blobs
   round-trip through pickle without changing what the solver believes.
 """
@@ -22,8 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.smt import terms as T
 from repro.smt.arena import ClauseArena, TermArena
 from repro.smt.sat import SAT, UNSAT, SatSolver
-from repro.smt.simplify import simplify
-from repro.smt.substitute import substitute
 
 X = T.data_var("ax", 8)
 Y = T.data_var("ay", 8)
@@ -157,50 +152,6 @@ def test_shared_subterms_encode_once():
     b = arena.encode(shared)
     assert arena._args[arena._first[a]] == b
     assert arena._args[arena._first[a] + 1] == b
-
-
-# -- walker agreement -------------------------------------------------------
-
-
-@given(term=bv_terms())
-@settings(max_examples=200, deadline=None)
-def test_arena_simplify_agrees_with_object_simplifier(term):
-    arena = TermArena()
-    root = arena.encode(term)
-    assert arena.decode(arena.simplify(root)) is simplify(term)
-
-
-@given(term=bool_terms())
-@settings(max_examples=100, deadline=None)
-def test_arena_simplify_agrees_on_bool_terms(term):
-    arena = TermArena()
-    root = arena.encode(term)
-    assert arena.decode(arena.simplify(root)) is simplify(term)
-
-
-@given(term=bv_terms(), vx=st.integers(0, 255), vc=st.integers(0, 255))
-@settings(max_examples=200, deadline=None)
-def test_arena_substitute_agrees_with_object_substitution(term, vx, vc):
-    mapping = {X: c(vx), C: c(vc)}
-    expected = substitute(term, mapping, simplify_result=False)
-    arena = TermArena()
-    root = arena.encode(term)
-    arena_mapping = {
-        arena.encode(var): arena.encode(val) for var, val in mapping.items()
-    }
-    assert arena.decode(arena.substitute(root, arena_mapping)) is expected
-
-
-@given(term=bv_terms(), vx=st.integers(0, 255))
-@settings(max_examples=100, deadline=None)
-def test_arena_substitute_then_simplify_matches_query_pipeline(term, vx):
-    """The specialization-query composition: substitute, then simplify."""
-    mapping = {X: c(vx)}
-    expected = substitute(term, mapping, simplify_result=True)
-    arena = TermArena()
-    root = arena.encode(term)
-    subbed = arena.substitute(root, {arena.encode(X): arena.encode(c(vx))})
-    assert arena.decode(arena.simplify(subbed)) is expected
 
 
 # -- clause transport -------------------------------------------------------

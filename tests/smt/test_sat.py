@@ -120,12 +120,6 @@ class TestBudget:
         with pytest.raises(SolverBudgetExceeded):
             solver.solve(max_conflicts=1)
 
-    def test_legacy_decision_budget_alias(self):
-        solver = SatSolver()
-        pigeonhole(solver, 8, 7)
-        with pytest.raises(SolverBudgetExceeded):
-            solver.solve(max_decisions=1)
-
     def test_budget_is_per_call(self):
         # A blown budget must not poison the solver: the same instance
         # answers correctly on a later call with enough budget.

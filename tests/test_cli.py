@@ -89,8 +89,8 @@ def test_specialize_stats_prints_cache_counters(tmp_path, capsys):
         assert layer in err
 
 
-def test_specialize_batch_executor_flag(tmp_path, capsys):
-    """--batch with each --executor (and the auto-detect --workers default)
+def test_specialize_batch_workers_flag(tmp_path, capsys):
+    """--batch at --workers 1 and 4 and with the auto-detect default
     produces byte-identical output."""
     config = {
         "tables": {
@@ -106,18 +106,18 @@ def test_specialize_batch_executor_flag(tmp_path, capsys):
     }
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
-    outputs = {}
-    for executor in ("serial", "thread", "process"):
-        out_path = tmp_path / f"specialized-{executor}.p4"
+    outputs = []
+    for workers in (["--workers", "1"], ["--workers", "4"], []):
+        out_path = tmp_path / "specialized.p4"
         assert main([
             "specialize", "corpus:fig3",
             "--config", str(config_path),
-            "--batch", "--executor", executor,
+            "--batch", *workers,
             "--output", str(out_path),
         ]) == 0
-        outputs[executor] = out_path.read_text()
+        outputs.append(out_path.read_text())
         assert "batch of 1" in capsys.readouterr().err
-    assert outputs["serial"] == outputs["thread"] == outputs["process"]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_specialize_effort_none(capsys):

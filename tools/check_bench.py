@@ -55,18 +55,6 @@ SPECS = {
             "scion_table_verdict_misses",
         ],
     },
-    "BENCH_7.json": {
-        "required": [
-            "cpu_count",
-            "scion_serial_w1_ms",
-            "scion_thread_w4_ms",
-            "scion_process_w4_ms",
-            "scion_thread_w4_speedup_vs_serial",
-            "switch_serial_w1_ms",
-            "switch_thread_w4_ms",
-            "switch_process_w4_ms",
-        ],
-    },
     "BENCH_8.json": {
         "required": [
             "scion_cold_pruned_ms",
