@@ -44,7 +44,7 @@ class TestTaintAblation:
         start = time.perf_counter()
         memo = {}
         for point in flay.model.points.values():
-            flay.runtime.engine.point_verdict(point, substitution, memo)
+            flay.ctx.query_engine.point_verdict(point, substitution, memo)
         full_ms = (time.perf_counter() - start) * 1000
 
         info = flay.model.table("ScionIngress.ipv4_forward")

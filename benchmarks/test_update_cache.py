@@ -88,7 +88,7 @@ def test_solver_verdict_memo_replay(corpus_programs):
     for entry in fuzzer.unique_entries(TABLE, ENTRIES):
         flay.process_update(Update(TABLE, INSERT, entry))
 
-    solver = flay.runtime.engine.solver
+    solver = flay.ctx.query_engine.solver
     answered = list(solver._results)
     assert answered, "workload never reached the solver"
     baseline = solver.cache_counter.snapshot()

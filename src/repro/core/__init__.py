@@ -1,11 +1,7 @@
-"""Flay core: the public facade over the :mod:`repro.engine` pipeline."""
+"""Flay core: the public names of the :mod:`repro.engine` pipeline."""
 
 from repro.core.flay import Flay, FlayOptions, FlayTimings
-from repro.core.incremental import (
-    BatchDecision,
-    IncrementalSpecializer,
-    UpdateDecision,
-)
+from repro.engine.pipeline import BatchDecision, UpdateDecision
 from repro.engine.queries import (
     ALWAYS,
     MAYBE,

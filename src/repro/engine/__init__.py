@@ -26,12 +26,7 @@ from repro.engine.batch import (
     partition,
     schedule_batch,
 )
-from repro.engine.context import (
-    EngineContext,
-    EngineOptions,
-    EngineTimings,
-    SolverBudget,
-)
+from repro.engine.context import EngineContext, EngineOptions, EngineTimings
 from repro.engine.engine import Engine
 from repro.engine.errors import FlayError, OptionsError, SourcePos
 from repro.engine.events import (

@@ -770,7 +770,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
             )
         )
 
-    recompiled = bool(changed) and ctx.respecialize_on_change
+    recompiled = bool(changed)
     compile_report = None
     if recompiled:
         ctx.specialized_program, ctx.report = ctx.specializer.specialize(

@@ -1,11 +1,8 @@
 """The shared state every pipeline pass reads and writes.
 
-Before this layer existed, the facade smuggled all of this through
-constructor arguments: ``Flay`` → ``IncrementalSpecializer`` →
-``analyze``/``Specializer``/``QueryEngine``.  Now one
-:class:`EngineContext` owns it — the hash-consing table, the long-lived
-:class:`~repro.smt.substitute.DeltaSubstitution`, the verdict/CNF caches,
-the timing and cache metrics, the solver budget, the target backend, and
+One :class:`EngineContext` owns it — the hash-consing table, the
+long-lived :class:`~repro.smt.substitute.DeltaSubstitution`, the
+verdict/CNF caches, the timing and cache metrics, the target backend, and
 the event bus — and passes are plain functions over the context.
 """
 
@@ -23,7 +20,7 @@ class EngineOptions:
     """Configuration knobs, mirroring the prototype's command line.
 
     Exported as ``FlayOptions`` from :mod:`repro.core` (the public name);
-    the definition lives here so the engine does not import the facade.
+    the definition lives here so the engine does not import its subclass.
     """
 
     skip_parser: bool = False  # §4.2: skip parser analysis for big programs
@@ -38,9 +35,6 @@ class EngineOptions:
     prune: bool = True
     target: str = "tofino"  # any registered backend name, or "none"
     effort: str = "full"  # none | dce | full — specialization quality knob
-    # Solver budget in CDCL conflicts: None means the QueryEngine defaults.
-    solver_budget: Optional[int] = None
-    solver_node_budget: Optional[int] = None
     # Persistent assumption-probing solver session; off = per-query cone
     # replay (the ablation baseline).
     incremental_solver: bool = True
@@ -74,14 +68,6 @@ class EngineTimings:
         return max(self.update_ms, default=0.0)
 
 
-@dataclass(frozen=True)
-class SolverBudget:
-    """How much search a specialization query may spend before MAYBE."""
-
-    max_conflicts: int
-    node_budget: int
-
-
 @dataclass
 class EngineContext:
     """Everything the pipeline stages share.
@@ -107,7 +93,6 @@ class EngineContext:
     query_engine: Optional[object] = None  # QueryEngine (verdict/CNF caches)
     gate: Optional[object] = None  # VerdictGate (FDDs + witness records)
     specializer: Optional[object] = None  # Specializer
-    solver_budget: Optional[SolverBudget] = None
     # The interning table every id()-keyed memo relies on.
     term_factory: Optional[object] = None  # TermFactory
     # Control-plane encoding state (survives across updates).
@@ -141,7 +126,6 @@ class EngineContext:
     timings: EngineTimings = field(default_factory=EngineTimings)
     update_log: list = field(default_factory=list)
     recompilations: int = 0
-    respecialize_on_change: bool = True
     # Per-warm-run scratch (a pipeline.WarmState while a warm run executes).
     warm: Optional[object] = None
 

@@ -1,7 +1,7 @@
 """The engine: cold pipeline at construction, warm pipeline per update.
 
-``Engine`` is the runtime behind the :class:`repro.core.Flay` facade (and
-the legacy ``IncrementalSpecializer`` name).  It owns one
+``Engine`` is the runtime; :class:`repro.core.Flay` subclasses it with a
+source-string constructor and printers.  It owns one
 :class:`~repro.engine.context.EngineContext`, runs the declared cold
 pass sequence at construction, and runs a declared warm sequence for
 every control-plane update, batch, or value-set update.  All state lives
@@ -201,6 +201,7 @@ class Engine:
             elapsed_ms=elapsed_ms,
             compile_report=warm.compile_report,
         )
+        self.ctx.update_log.append(decision)
         self.ctx.timings.update_ms.append(decision.elapsed_ms)
         self._finish_warm("batch", warm, decision)
         return decision
@@ -424,9 +425,9 @@ class Engine:
         """The prune pass's report, or None under ``--no-prune``."""
         return self.ctx.prune_report
 
-    # -- context views (the pre-engine attribute surface) ----------------------
-    # Everything below delegates to the context so code written against the
-    # old IncrementalSpecializer attributes keeps working unchanged.
+    # -- context views --------------------------------------------------------
+    # Read-only views of the context, so callers write ``engine.model``
+    # rather than ``engine.ctx.model``.
 
     @property
     def program(self):
@@ -443,11 +444,6 @@ class Engine:
     @property
     def state(self):
         return self.ctx.state
-
-    @property
-    def engine(self):
-        """The query engine (historical name)."""
-        return self.ctx.query_engine
 
     @property
     def specializer(self):
@@ -502,21 +498,9 @@ class Engine:
         return self.ctx.timings
 
     @property
-    def threshold(self):
-        return self.ctx.options.overapprox_threshold
-
-    @property
     def device_compiler(self):
         return self.ctx.target
 
     @device_compiler.setter
     def device_compiler(self, target) -> None:
         self.ctx.target = target
-
-    @property
-    def _respecialize_on_change(self) -> bool:
-        return self.ctx.respecialize_on_change
-
-    @_respecialize_on_change.setter
-    def _respecialize_on_change(self, value: bool) -> None:
-        self.ctx.respecialize_on_change = value

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.symexec import analyze
-from repro.engine.context import EngineContext, SolverBudget
+from repro.engine.context import EngineContext
 from repro.engine.events import SnapshotRestored, TargetCompiled
 from repro.engine.gate import VerdictGate
 from repro.engine.queries import QueryEngine
@@ -82,6 +82,10 @@ class BatchDecision:
     @property
     def updates(self) -> int:
         return self.update_count
+
+    @property
+    def forwarded(self) -> bool:
+        return not self.recompiled
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
@@ -216,18 +220,6 @@ class AnalysisPass:
             ctx.model = analyze(ctx.program, ctx.env, skip_parser=options.skip_parser)
             ctx.timings.data_plane_analysis_seconds = ctx.model.analysis_seconds
         ctx.state = ControlPlaneState(ctx.model)
-        if options.solver_budget is not None:
-            conflict_budget = options.solver_budget
-        else:
-            conflict_budget = QueryEngine.DEFAULT_MAX_CONFLICTS
-        ctx.solver_budget = SolverBudget(
-            max_conflicts=conflict_budget,
-            node_budget=(
-                options.solver_node_budget
-                if options.solver_node_budget is not None
-                else 400
-            ),
-        )
         if options.fdd_gate:
             # The gate attaches one match-space FDD per TableState and
             # screens executability queries before solver dispatch; the
@@ -239,11 +231,9 @@ class AnalysisPass:
         ctx.query_engine = QueryEngine(
             ctx.model,
             use_solver=options.use_solver,
-            solver_node_budget=ctx.solver_budget.node_budget,
             gate=ctx.gate,
             table_verdict_cache=options.table_verdict_cache,
         )
-        ctx.query_engine.solver.max_conflicts = ctx.solver_budget.max_conflicts
         ctx.query_engine.solver.incremental = options.incremental_solver
         if entry is not None:
             # Share the term-pure warm layers: the program CNF (encoder),
@@ -474,7 +464,7 @@ class RespecializePass:
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
-        if not warm.changed or not ctx.respecialize_on_change:
+        if not warm.changed:
             return
         ctx.specialized_program, ctx.report = ctx.specializer.specialize(
             ctx.point_verdicts, ctx.table_verdicts

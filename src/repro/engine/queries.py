@@ -92,8 +92,6 @@ class QueryEngine:
     #: update path must stay inside Flay's ~100 ms envelope, so queries
     #: that would need real search fall back to MAYBE instead.
     DEFAULT_MAX_CONFLICTS = 20_000
-    #: Legacy alias from when the budget was counted in DPLL decisions.
-    DEFAULT_MAX_DECISIONS = DEFAULT_MAX_CONFLICTS
     #: Table-verdict memo size guard: overflow clears the memo outright
     #: (the memo re-warms in one pass; an eviction policy is not worth
     #: the bookkeeping at this size).

@@ -82,6 +82,6 @@ class FlayError(Exception):
 
 
 class OptionsError(FlayError, ValueError):
-    """An engine/facade option has an invalid value (bad effort, ...)."""
+    """An engine option has an invalid value (bad effort, ...)."""
 
     default_stage = STAGE_RUNTIME

@@ -44,8 +44,6 @@ COLD_KEY_FIELDS = (
     "prune_parser_tail",
     "prune",
     "effort",
-    "solver_budget",
-    "solver_node_budget",
     "incremental_solver",
     "fdd_gate",
     "table_verdict_cache",

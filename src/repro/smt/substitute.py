@@ -117,11 +117,11 @@ class DeltaSubstitution:
 
     This is the cross-update reuse layer of the incremental pipeline
     (the "Once" cost paid once): one instance lives for the lifetime of an
-    :class:`~repro.core.incremental.IncrementalSpecializer`, and a
-    control-plane update only invalidates the memo entries whose subterm
-    mentions a control symbol whose assignment actually changed.  All
-    other entries — in practice the overwhelming majority of every program
-    point's DAG — are reused by identity.
+    :class:`~repro.engine.engine.Engine`, and a control-plane update only
+    invalidates the memo entries whose subterm mentions a control symbol
+    whose assignment actually changed.  All other entries — in practice
+    the overwhelming majority of every program point's DAG — are reused by
+    identity.
 
     Internally the memo (``term → substituted term``) is paired with
     *parent edges* (``child term → memoized terms it is an argument of``)

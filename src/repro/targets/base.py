@@ -119,7 +119,7 @@ def create_target(
     """Instantiate a backend by name; ``"none"``/``None`` yields no target.
 
     Raises :class:`UnknownTargetError` (naming the registered backends)
-    for anything else — this is the facade's eager ``--target`` check.
+    for anything else — this is the engine's eager ``--target`` check.
     """
     if name is None or name == NO_TARGET:
         return None

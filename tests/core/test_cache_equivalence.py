@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.incremental import IncrementalSpecializer
+from repro.engine import Engine, EngineOptions
 from repro.p4.parser import parse_program
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, Update
@@ -50,7 +50,7 @@ Pipeline(P(), C()) main;
 
 def _scratch_verdicts(updates):
     """Point/table verdicts of a cold pipeline over the same control plane."""
-    scratch = IncrementalSpecializer(parse_program(SOURCE))
+    scratch = Engine(parse_program(SOURCE), EngineOptions(target="none"))
     for update in updates:
         scratch.state.apply_update(update)
     scratch._encode_initial()
@@ -62,7 +62,7 @@ def _scratch_verdicts(updates):
 def test_warm_verdicts_bit_identical_to_scratch(seed):
     """Random insert/modify/delete streams: warm == cold, exactly (``==``,
     not just ``same_specialization``)."""
-    incremental = IncrementalSpecializer(parse_program(SOURCE))
+    incremental = Engine(parse_program(SOURCE), EngineOptions(target="none"))
     fuzzer = EntryFuzzer(incremental.model, seed=seed)
     rng = random.Random(seed)
     installed: list[Update] = []
@@ -109,7 +109,7 @@ def test_flap_cycle_restores_identical_verdicts():
     """Insert → delete → re-insert the same entries: the warm pipeline must
     land on exactly the verdicts of the first insertion (the solver/exec
     caches answer the repeated queries; the answers must not drift)."""
-    incremental = IncrementalSpecializer(parse_program(SOURCE))
+    incremental = Engine(parse_program(SOURCE), EngineOptions(target="none"))
     fuzzer = EntryFuzzer(incremental.model, seed=11)
     entries = fuzzer.unique_entries("t1", 8)
     for entry in entries:

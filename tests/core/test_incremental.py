@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.core.incremental import IncrementalSpecializer
+from repro.engine import Engine, EngineOptions
 from repro.p4.parser import parse_program
 from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
@@ -40,9 +40,13 @@ def entry(value, mask, action="set", args=(1,), priority=1):
     return TableEntry((TernaryMatch(value, mask),), action, args, priority)
 
 
+def _engine(program):
+    return Engine(program, EngineOptions(target="none"))
+
+
 @pytest.fixture()
 def runtime():
-    return IncrementalSpecializer(parse_program(SOURCE))
+    return _engine(parse_program(SOURCE))
 
 
 class TestDecisions:
@@ -109,6 +113,23 @@ class TestBatch:
         decision = runtime.process_batch([Update("t1", INSERT, entry(1, 0xFF))])
         assert "batch of 1" in decision.describe()
 
+    def test_process_batch_is_logged_and_counted(self, runtime):
+        """A burst through ``process_batch`` is one logged decision, like
+        one through ``apply_batch``: the counts and the mean include it."""
+        first = runtime.process_batch([Update("t1", INSERT, entry(1, 0xFF))])
+        assert first.recompiled and not first.forwarded
+        assert runtime.update_log == [first]
+        assert (runtime.forwarded_count, runtime.recompiled_count) == (0, 1)
+        second = runtime.process_batch(
+            [Update("t1", INSERT, entry(2, 0xFF, priority=2))]
+        )
+        assert second.forwarded and not second.recompiled
+        assert runtime.update_log == [first, second]
+        assert (runtime.forwarded_count, runtime.recompiled_count) == (1, 1)
+        assert runtime.mean_update_ms() == pytest.approx(
+            (first.elapsed_ms + second.elapsed_ms) / 2
+        )
+
 
 class TestIncrementalMatchesScratch:
     def test_incremental_equals_from_scratch(self):
@@ -116,7 +137,7 @@ class TestIncrementalMatchesScratch:
         equal the verdicts of a fresh engine over the same control plane —
         the core correctness property of the incremental pipeline."""
         program = parse_program(SOURCE)
-        incremental = IncrementalSpecializer(program)
+        incremental = _engine(program)
         updates = [
             Update("t1", INSERT, entry(1, 0xFF, args=(4,))),
             Update("t1", INSERT, entry(2, 0x0F, args=(5,), priority=2)),
@@ -126,7 +147,7 @@ class TestIncrementalMatchesScratch:
         for update in updates:
             incremental.process_update(update)
 
-        scratch = IncrementalSpecializer(parse_program(SOURCE))
+        scratch = _engine(parse_program(SOURCE))
         for update in updates:
             scratch.state.apply_update(update)
         # Recompute everything from scratch.
@@ -140,6 +161,15 @@ class TestIncrementalMatchesScratch:
 
 
 class TestFlayFacade:
+    def test_flay_is_the_engine(self):
+        flay = Flay.from_source(SOURCE, FlayOptions(target="none"))
+        assert isinstance(flay, Engine)
+        assert flay.runtime is flay
+        flay.process_update(Update("t1", INSERT, entry(1, 0xFF)))
+        restored = Flay.restore(flay.snapshot())
+        assert type(restored) is Flay
+        assert restored.specialized_source() == flay.specialized_source()
+
     def test_from_source_and_summary(self):
         flay = Flay.from_source(SOURCE, FlayOptions(target="none"))
         flay.process_update(Update("t1", INSERT, entry(1, 0xFF)))

@@ -127,7 +127,7 @@ class TestCacheMerge:
                 assert term in reachable[name]
 
     def test_verdict_caches_land_in_shared_dicts(self, flay):
-        qe = flay.runtime.engine
+        qe = flay.ctx.query_engine
         before_exec = dict(qe._exec_cache)
         flay.apply_batch(two_group_batch(flay), workers=2)
         assert isinstance(qe._exec_cache, dict)  # still the plain shared dict

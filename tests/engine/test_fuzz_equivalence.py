@@ -3,14 +3,13 @@
 The pass-pipeline refactor must be behavior-preserving: across random
 update streams, the warm path's verdicts, specialized source, and
 forward/recompile decisions must be bit-identical to (a) a cold pipeline
-rebuilt from scratch over the same control-plane state, and (b) the legacy
-``IncrementalSpecializer`` entry point driving the same engine.
+rebuilt from scratch over the same control-plane state, and (b) a bare
+``Engine`` built from the same program and options as the ``Flay``.
 """
 
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.core.incremental import IncrementalSpecializer
 from repro.engine import Engine, EngineOptions
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
@@ -82,12 +81,12 @@ def test_warm_stream_matches_cold_rebuild(seed):
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_facade_and_legacy_runtime_make_identical_decisions(seed):
-    """Flay-facade engine and legacy IncrementalSpecializer, same stream →
-    identical forward/recompile decisions, changed lists, and verdicts."""
+    """A ``Flay`` and a bare ``Engine``, same stream → identical
+    forward/recompile decisions, changed lists, and verdicts."""
     program_a = parse_program(SOURCE)
     program_b = parse_program(SOURCE)
     flay = Flay(program_a, FlayOptions(target="none"))
-    legacy = IncrementalSpecializer(program_b)
+    legacy = Engine(program_b, EngineOptions(target="none"))
     fuzzer = EntryFuzzer(flay.model, seed=seed)
     stream = fuzzer.update_stream(tables=["t1", "t2"], count=30)
     for update in stream:

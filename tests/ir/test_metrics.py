@@ -147,7 +147,7 @@ class TestCacheCounters:
 
 class TestPipelineCacheStats:
     def test_warm_update_stream_reports_hits(self):
-        from repro.core.incremental import IncrementalSpecializer
+        from repro.engine import Engine, EngineOptions
         from repro.runtime.entries import TableEntry, TernaryMatch
         from repro.runtime.semantics import INSERT, Update
 
@@ -163,7 +163,7 @@ class TestPipelineCacheStats:
     }
 """,
         )
-        runtime = IncrementalSpecializer(parse_program(source))
+        runtime = Engine(parse_program(source), EngineOptions(target="none"))
         for i in range(1, 6):
             entry = TableEntry((TernaryMatch(i, 0xFF),), "set", (i,), i)
             runtime.process_update(Update("t", INSERT, entry))

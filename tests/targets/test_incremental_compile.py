@@ -125,11 +125,13 @@ class TestIncrementalCompiler:
     def test_plugs_into_flay_runtime(self):
         """The incremental compiler is a drop-in device compiler: across
         the Fig. 3-style sequence it only pays for the table that changed."""
-        from repro.core.incremental import IncrementalSpecializer
+        from repro.engine import Engine, EngineOptions
 
         program = parse_program(SOURCE)
         compiler = IncrementalTofinoCompiler()
-        runtime = IncrementalSpecializer(program, device_compiler=compiler)
+        runtime = Engine(
+            program, EngineOptions(target="none"), device_compiler=compiler
+        )
         runtime.process_update(
             Update("t1", INSERT, TableEntry((TernaryMatch(1, 0xFF),), "set_a", (2,), 1))
         )
