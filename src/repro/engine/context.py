@@ -38,7 +38,7 @@ class EngineOptions:
     # Persistent assumption-probing solver session; off = per-query cone
     # replay (the ablation baseline).
     incremental_solver: bool = True
-    # Tiered pre-solver verdict gate (match-space FDDs + witness
+    # Tiered pre-solver verdict gate (first-match lookups + witness
     # fingerprints); off = every executability query pays substitution,
     # simplification, and — for residual MAYBEs — the CDCL probe pair.
     # Output is byte-identical either way (``--no-fdd-gate`` ablation).
@@ -91,7 +91,7 @@ class EngineContext:
     model: Optional[object] = None  # DataPlaneModel
     state: Optional[object] = None  # ControlPlaneState
     query_engine: Optional[object] = None  # QueryEngine (verdict/CNF caches)
-    gate: Optional[object] = None  # VerdictGate (FDDs + witness records)
+    gate: Optional[object] = None  # VerdictGate (lookup rows + witness records)
     specializer: Optional[object] = None  # Specializer
     # The interning table every id()-keyed memo relies on.
     term_factory: Optional[object] = None  # TermFactory

@@ -311,7 +311,7 @@ class Engine:
                 )
         if gate_before is not None and ctx.gate is not None:
             delta = ctx.gate.snapshot().since(gate_before)
-            if delta.screened or delta.fdd_fast_inserts or delta.fdd_rebuilds:
+            if delta.screened or delta.fdd_rebuilds:
                 ctx.bus.emit(
                     GateActivity(
                         screened=delta.screened,
@@ -321,7 +321,6 @@ class Engine:
                         witness_evals=delta.witness_evals,
                         solver_fallbacks=delta.solver_fallbacks,
                         harvested=delta.harvested,
-                        fdd_fast_inserts=delta.fdd_fast_inserts,
                         fdd_rebuilds=delta.fdd_rebuilds,
                     )
                 )

@@ -135,8 +135,8 @@ class GateActivity(Event):
     gate; ``witness_hits`` were resolved pre-substitution from witness
     fingerprints (tier 2a), ``interval_decided``/``witness_evals`` by the
     non-solver tiers over the recomputed term, and ``solver_fallbacks``
-    reached the CDCL probe pair.  The ``fdd_*`` counters describe diagram
-    maintenance during the run.
+    reached the CDCL probe pair.  ``fdd_rebuilds`` counts lazy re-packs
+    of table lookup rows during the run.
     """
 
     screened: int
@@ -146,7 +146,6 @@ class GateActivity(Event):
     witness_evals: int
     solver_fallbacks: int
     harvested: int
-    fdd_fast_inserts: int
     fdd_rebuilds: int
 
 

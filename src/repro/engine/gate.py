@@ -1,4 +1,4 @@
-"""The tiered pre-solver verdict gate: witness screening over match-space FDDs.
+"""The tiered pre-solver verdict gate: witness screening over first-match lookups.
 
 After PR 5, every warm executability query still pays substitution +
 simplification + (for the residual MAYBEs) a CDCL assumption probe, even
@@ -10,12 +10,13 @@ that common case with O(lookup) work:
 path decides a point is MAYBE it has, by definition, two *witnesses*: a
 model making the point's expression true and a model making it false.
 The gate harvests both from the solver and records, per witness, a
-*fingerprint*: for every table the point is tainted by, the identity of
-the table's FDD leaf (the winning ``(action, args)``, or MISS) at the
-witness's concrete key values — plus each dependent value set's tuple
+*fingerprint*: for every table the point is tainted by, the table's
+first-match decision (the winning ``(action, args)``, or MISS) at the
+witness's concrete key point — plus each dependent value set's tuple
 and each dependent table's overapproximation status.  On the next update
 touching the point, the gate recomputes the fingerprint against the
-*current* diagrams (a handful of FDD lookups).  If nothing changed, the
+*current* entries (one :class:`~repro.smt.fdd.TableFdd` row scan per
+dependency table).  If nothing changed, the
 expression's value at both witnesses is provably unchanged — a point's
 post-substitution term is a function of its taint deps' table functions
 at the witness's key values — so both witnesses still stand, the verdict
@@ -54,9 +55,10 @@ different speed.
 
 Batch workers fork the gate alongside the solver session: witness
 records are a copy-on-write overlay (conflict groups partition program
-points, so overlays never collide) merged back in anchor order; the
-FDDs themselves are only mutated on the main thread, before workers
-start, by the :class:`~repro.runtime.semantics.TableState` update hooks.
+points, so overlays never collide) merged back in anchor order; table
+entries only change on the main thread, before workers start, and a
+worker that finds a table's lookup rows stale re-derives them and
+publishes the new list in one assignment.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from typing import Optional
 
 from repro.smt import interval, terms as T
 from repro.smt.simplify import constant_value
-from repro.smt.fdd import FddLeaf, TableFdd
+from repro.smt.fdd import TableFdd
 from repro.smt.sat import SolverBudgetExceeded
 
 # Re-stated here (not imported from queries) to avoid an import cycle.
@@ -98,18 +100,19 @@ class _ZeroDefault(dict):
 class WitnessRecord:
     """One MAYBE point's cached verdict plus the evidence that pins it.
 
-    ``pos_keys``/``neg_keys`` cache each dependency table's key values
-    under the witness models.  Models are frozen at harvest time and key
-    terms are fixed per table, so the values never change for the life
-    of the record — caching them turns a screen into pure FDD lookups
-    (no term evaluation on the hot path).
+    ``pos_keys``/``neg_keys`` cache each dependency table's key point
+    under the witness models, packed into the table's one key integer.
+    Models are frozen at harvest time and key terms are fixed per table,
+    so the points never change for the life of the record — caching them
+    turns a screen into pure row scans (no term evaluation and no
+    packing on the hot path).
     """
 
     verdict: object  # the frozen PointVerdict to replay
     term: object  # the simplified term the witnesses certify
     pos_model: _ZeroDefault
     neg_model: _ZeroDefault
-    pos_keys: dict  # table name → tuple of concrete key values
+    pos_keys: dict  # table name → packed concrete key point
     neg_keys: dict
     fp_pos: tuple
     fp_neg: tuple
@@ -158,8 +161,10 @@ class GateStats:
     ``witness_hits`` resolved before substitution (tier 2a),
     ``exec_cache_hits``/``interval_decided``/``witness_evals`` resolved
     after substitution but before the solver (tiers 0/1/2b), and
-    ``solver_fallbacks`` reached the probe pair (tier 3).  The ``fdd_*``
-    counters describe diagram maintenance.
+    ``solver_fallbacks`` reached the probe pair (tier 3).  ``fdd_rebuilds``
+    counts lazy re-packs of a table's lookup rows; ``fdd_fast_inserts``
+    always reads 0 (there is no second maintenance path) and stays only
+    because ``benchmarks/e2e`` indexes it — ROADMAP item 1(b) removes it.
     """
 
     screened: int = 0
@@ -175,8 +180,6 @@ class GateStats:
     table_verdict_misses: int = 0
     fdd_fast_inserts: int = 0
     fdd_rebuilds: int = 0
-    fdd_opaque: int = 0
-    fdd_banded: int = 0
 
     @property
     def solver_free(self) -> int:
@@ -220,11 +223,7 @@ class GateStats:
                 f"table verdicts: {self.table_verdict_hits} memo hits, "
                 f"{self.table_verdict_misses} misses"
             ),
-            (
-                f"fdd: {self.fdd_fast_inserts} fast inserts, "
-                f"{self.fdd_rebuilds} rebuilds, {self.fdd_opaque} opaque tables, "
-                f"{self.fdd_banded} banded tables"
-            ),
+            f"fdd: {self.fdd_rebuilds} lookup-row re-packs",
         ]
         return "\n".join(lines)
 
@@ -233,7 +232,7 @@ _FIELDS = tuple(GateStats.__dataclass_fields__)
 
 
 class VerdictGate:
-    """Owns the per-table FDDs and the per-point witness records."""
+    """Owns the per-table lookup rows and the per-point witness records."""
 
     def __init__(self, model, state, threshold: Optional[int]) -> None:
         self.model = model
@@ -241,10 +240,10 @@ class VerdictGate:
         self.threshold = threshold
         self.stats = GateStats()
         self._records = _RecordStore()
-        # Attach a diagram to every table's state; the TableState update
-        # hooks keep it maintained from here on.
-        for name, table_state in state.tables.items():
-            table_state.fdd = TableFdd(model.tables[name].key_widths())
+        # Attach a first-match lookup index to every table's state; it
+        # follows the state's revision from here on.
+        for table_state in state.tables.values():
+            table_state.fdd = TableFdd()
         # Per-point taint dependencies: which tables / value sets can
         # change this executability point's post-substitution term.
         owner: dict = {}
@@ -261,8 +260,8 @@ class VerdictGate:
         # decision — record absence never changes a verdict.
         self._hunt_failures: dict = {}
         # The tier-2b witness-model pool: per dependency table, a few
-        # harvested witness models keyed by that table's key values under
-        # the model (distinct key tuples = distinct match points, which
+        # harvested witness models keyed by that table's packed key point
+        # under the model (distinct points = distinct match points, which
         # is the diversity that distinguishes value terms the fixed probe
         # patterns cannot).  Record-less points — hunt-retired monsters
         # included — borrow these as candidate witnesses; one successful
@@ -290,24 +289,26 @@ class VerdictGate:
 
     # -- fingerprints ---------------------------------------------------------
 
-    def _key_values(self, pid: str, model: _ZeroDefault) -> dict:
-        """Each dependency table's key values under one witness model.
+    def _key_point(self, name: str, model: _ZeroDefault) -> int:
+        """Table ``name``'s packed key point under one witness model."""
+        info = self.model.tables[name]
+        return self.state.tables[name].pack_point(
+            T.evaluate(k.term, model) for k in info.keys
+        )
+
+    def _key_points(self, pid: str, model: _ZeroDefault) -> dict:
+        """Each dependency table's key point under one witness model.
 
         Computed once per record (term evaluation is the expensive part
-        of a fingerprint); screens replay the cached values.
+        of a fingerprint); screens replay the cached points.
         """
-        keys: dict = {}
-        for name in self._deps[pid][0]:
-            info = self.model.tables[name]
-            keys[name] = tuple(T.evaluate(k.term, model) for k in info.keys)
-        return keys
+        return {name: self._key_point(name, model) for name in self._deps[pid][0]}
 
-    def _fingerprint(self, pid: str, keys_by_table: dict) -> Optional[tuple]:
-        """The point's dependency state as seen from one witness model.
-
-        None means "unavailable" (an opaque diagram): callers must treat
-        the screen as a miss and fall through to the slower tiers.
-        """
+    def _fingerprint(self, pid: str, points_by_table: dict) -> tuple:
+        """The point's dependency state as seen from one witness model:
+        per dependency table its first-match decision at the witness's
+        key point (or the overapproximation marker), then each dependency
+        value set's tuple."""
         dep_tables, dep_value_sets = self._deps[pid]
         components: list = []
         for name in dep_tables:
@@ -315,11 +316,9 @@ class VerdictGate:
             if self.threshold is not None and len(table_state) > self.threshold:
                 components.append(_OVERAPPROX)
                 continue
-            fdd = table_state.fdd
-            root = fdd.root(table_state)
-            if root is None:
-                return None
-            components.append(fdd.lookup(keys_by_table[name]))
+            components.append(
+                table_state.fdd.lookup(points_by_table[name], table_state)
+            )
         for name in dep_value_sets:
             components.append(self.state.value_sets[name])
         return tuple(components)
@@ -336,11 +335,9 @@ class VerdictGate:
         record = self._records.get(point.pid)
         if record is None:
             return None
-        fp_pos = self._fingerprint(point.pid, record.pos_keys)
-        if fp_pos is None or fp_pos != record.fp_pos:
+        if self._fingerprint(point.pid, record.pos_keys) != record.fp_pos:
             return None
-        fp_neg = self._fingerprint(point.pid, record.neg_keys)
-        if fp_neg is None or fp_neg != record.fp_neg:
+        if self._fingerprint(point.pid, record.neg_keys) != record.fp_neg:
             return None
         self.stats.witness_hits += 1
         return record.verdict
@@ -514,14 +511,14 @@ class VerdictGate:
     #: Total failed lazy attempts after which a point stops borrowing.
     LAZY_RETRY_LIMIT = 8
 
-    def _feed_pool(self, keys_by_table: dict, model: _ZeroDefault) -> None:
+    def _feed_pool(self, points_by_table: dict, model: _ZeroDefault) -> None:
         """Stash a harvested witness model in each dependency table's pool."""
-        for name, key_tuple in keys_by_table.items():
+        for name, key_point in points_by_table.items():
             bucket = self._pool.get(name)
             if bucket is None:
                 bucket = self._pool[name] = {}
-            if key_tuple not in bucket and len(bucket) < self.POOL_LIMIT:
-                bucket[key_tuple] = model
+            if key_point not in bucket and len(bucket) < self.POOL_LIMIT:
+                bucket[key_point] = model
                 self._pool_version += 1
 
     def _pool_pair(self, pid: str, term, boolean: bool, query_engine):
@@ -591,8 +588,6 @@ class VerdictGate:
         term).  Any model is a sound witness candidate, so failed or
         budget-capped queries just leave the bucket sparse.
         """
-        from repro.runtime.entries import as_value_mask
-
         state = self.state.tables[name]
         revision = state.revision()
         if self._seed_attempts.get(name) == revision:
@@ -611,19 +606,19 @@ class VerdictGate:
             > self.HUNT_SIZE_FACTOR * query_engine.solver_node_budget
         ):
             return
-        for entry in state.active_entries()[: self.SEED_ENTRY_LIMIT]:
+        for _entry, value, _mask in state.active_rows()[: self.SEED_ENTRY_LIMIT]:
             if len(bucket) >= self.POOL_LIMIT:
                 break
-            points = []
-            for match, width in zip(entry.matches, widths):
-                value, mask = as_value_mask(match, width)
-                points.append(value & mask)
-            if tuple(points) in bucket:
+            # The row's packed value is the entry's masked match value:
+            # a key point inside its region.
+            if value in bucket:
                 continue
             target = T.bool_and(
                 *[
-                    T.eq(k_term, T.bv_const(point, width))
-                    for k_term, point, width in zip(key_terms, points, widths)
+                    T.eq(k_term, T.bv_const(key_value, width))
+                    for k_term, key_value, width in zip(
+                        key_terms, state.unpack_point(value), widths
+                    )
                 ]
             )
             try:
@@ -633,10 +628,11 @@ class VerdictGate:
             if not result.satisfiable or result.model is None:
                 continue
             model = _ZeroDefault(result.model)
-            key_tuple = tuple(T.evaluate(t, model) for t in key_terms)
-            if key_tuple not in bucket:
-                bucket[key_tuple] = model
+            key_point = self._key_point(name, model)
+            if key_point not in bucket:
+                bucket[key_point] = model
                 self._pool_version += 1
+
     #: Hunt-eligibility cap, as a multiple of the solver node budget.
     #: Well above the solver's own budget (the probe patterns are one
     #: evaluation each, not a search) but low enough that the hunt never
@@ -749,14 +745,9 @@ class VerdictGate:
     ) -> None:
         pid = point.pid
         if pos_keys is None:
-            pos_keys = self._key_values(pid, pos_model)
+            pos_keys = self._key_points(pid, pos_model)
         if neg_keys is None:
-            neg_keys = self._key_values(pid, neg_model)
-        fp_pos = self._fingerprint(pid, pos_keys)
-        fp_neg = self._fingerprint(pid, neg_keys) if fp_pos is not None else None
-        if fp_pos is None or fp_neg is None:
-            self._records.drop(pid)
-            return
+            neg_keys = self._key_points(pid, neg_model)
         self._records.set(
             pid,
             WitnessRecord(
@@ -766,8 +757,8 @@ class VerdictGate:
                 neg_model=neg_model,
                 pos_keys=pos_keys,
                 neg_keys=neg_keys,
-                fp_pos=fp_pos,
-                fp_neg=fp_neg,
+                fp_pos=self._fingerprint(pid, pos_keys),
+                fp_neg=self._fingerprint(pid, neg_keys),
             ),
         )
         self._feed_pool(pos_keys, pos_model)
@@ -776,27 +767,21 @@ class VerdictGate:
     # -- stats ----------------------------------------------------------------
 
     def snapshot(self) -> GateStats:
-        """Gate counters plus the diagrams' maintenance counters."""
+        """Gate counters plus the lookup indexes' re-pack counts."""
         stats = self.stats.snapshot()
         for table_state in self.state.tables.values():
-            fdd = table_state.fdd
-            if fdd is None:
-                continue
-            stats.fdd_fast_inserts += fdd.fast_ops
-            stats.fdd_rebuilds += fdd.rebuilds
-            stats.fdd_opaque += 1 if fdd._opaque else 0
-            stats.fdd_banded += 1 if fdd._banded else 0
+            stats.fdd_rebuilds += table_state.fdd.rebuilds
         return stats
 
     # -- batch-worker forking -------------------------------------------------
 
     def fork_slice(self) -> "VerdictGate":
-        """A worker's view: shared diagrams, overlaid witness records.
+        """A worker's view: shared lookup rows, overlaid witness records.
 
-        Safe because the scheduler mutates all table state (and thus all
-        diagrams) on the main thread before workers start, and conflict
-        groups partition program points, so no two slices touch the same
-        record.
+        Safe because the scheduler mutates all table state on the main
+        thread before workers start (a worker's lazy re-pack derives the
+        same rows any other would), and conflict groups partition program
+        points, so no two slices touch the same record.
         """
         fork = VerdictGate.__new__(VerdictGate)
         fork.model = self.model
@@ -841,11 +826,9 @@ class VerdictGate:
         gate's contribution to an engine warm-state snapshot.
 
         Witness terms ride in ``arena``
-        (a :class:`~repro.smt.arena.TermArena`); FDD leaves are flattened
-        to their ``(action, args)`` intern key and re-interned on import.
-        Re-interning matters: fingerprint comparison is identity-based,
-        and each diagram's leaf intern table survives rebuilds, so the
-        re-interned leaf is the *same object* a local screen would see.
+        (a :class:`~repro.smt.arena.TermArena`); fingerprints and packed
+        key points are plain tuples and integers, compared by value, so
+        they ride as they are.
         """
         exported: list = []
         for pid, record in self._records.map.items():
@@ -859,8 +842,8 @@ class VerdictGate:
                         "neg_model": dict(record.neg_model),
                         "pos_keys": record.pos_keys,
                         "neg_keys": record.neg_keys,
-                        "fp_pos": _flatten_fingerprint(record.fp_pos),
-                        "fp_neg": _flatten_fingerprint(record.fp_neg),
+                        "fp_pos": record.fp_pos,
+                        "fp_neg": record.fp_neg,
                     },
                 )
             )
@@ -872,10 +855,8 @@ class VerdictGate:
         """Rebuild the record map from a snapshot blob.
 
         Precondition: ``self.state`` already replays the snapshotted
-        control plane, so each dependency table's diagram re-interns the
-        flattened leaves to the identical objects a live screen compares
-        against (leaf intern tables are keyed on ``(action, args)`` and
-        survive rebuilds).
+        control plane, so the first screen after restore looks the stored
+        key points up in the same entries and the fingerprints hold.
         """
         self._records.map.clear()
         restored = 0
@@ -889,8 +870,8 @@ class VerdictGate:
                 neg_model=_ZeroDefault(blob["neg_model"]),
                 pos_keys=blob["pos_keys"],
                 neg_keys=blob["neg_keys"],
-                fp_pos=self._intern_fingerprint(pid, blob["fp_pos"]),
-                fp_neg=self._intern_fingerprint(pid, blob["fp_neg"]),
+                fp_pos=blob["fp_pos"],
+                fp_neg=blob["fp_neg"],
             )
             self._records.set(pid, record)
             # Re-seed the 2b pool so record-less points keep their lazy
@@ -901,34 +882,6 @@ class VerdictGate:
         if hunt_failures is not None:
             self._hunt_failures = dict(hunt_failures)
         return restored
-
-    def _intern_fingerprint(self, pid: str, flattened: tuple) -> tuple:
-        """Rebuild a fingerprint, re-interning leaves per dependency table.
-
-        Fingerprint components are positional: the first
-        ``len(dep_tables)`` entries belong to the point's dependency
-        tables in sorted order (leaf or overapprox marker), the rest are
-        value-set tuples — so a leaf at position ``i`` re-interns into
-        ``dep_tables[i]``'s diagram.
-        """
-        dep_tables, _ = self._deps[pid]
-        components: list = []
-        for position, (tag, payload) in enumerate(flattened):
-            if tag == "leaf":
-                action, args = payload
-                fdd = self.state.tables[dep_tables[position]].fdd
-                components.append(fdd.leaf(action, args))
-            else:
-                components.append(payload)
-        return tuple(components)
-
-
-def _flatten_fingerprint(fp: tuple) -> tuple:
-    """A fingerprint with every (unpicklable-by-identity) leaf flattened."""
-    return tuple(
-        ("leaf", (c.action, c.args)) if isinstance(c, FddLeaf) else ("raw", c)
-        for c in fp
-    )
 
 
 __all__ = [

@@ -221,8 +221,8 @@ class AnalysisPass:
             ctx.timings.data_plane_analysis_seconds = ctx.model.analysis_seconds
         ctx.state = ControlPlaneState(ctx.model)
         if options.fdd_gate:
-            # The gate attaches one match-space FDD per TableState and
-            # screens executability queries before solver dispatch; the
+            # The gate attaches one first-match lookup index per TableState
+            # and screens executability queries before solver dispatch; the
             # ``--no-fdd-gate`` ablation leaves ``ctx.gate`` as None and
             # the query engine on its pure-solver path.
             ctx.gate = VerdictGate(

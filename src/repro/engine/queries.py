@@ -133,12 +133,11 @@ class QueryEngine:
         # function of (active-entry digest, selector term, hit term):
         # feasible actions and hit constancy derive from the simplified
         # selector/hit encodings, const-params and the match plan from the
-        # eclipse-elided active list.  Keying on the digest — NOT the FDD
-        # root — is deliberate: an entry eclipsed jointly by two
-        # higher-precedence entries is invisible in the diagram but still
-        # in the active list... and conversely a live-but-union-eclipsed
-        # entry contributes const-param values while leaving no distinct
-        # FDD leaf.  ``entry_count`` is the one field outside the key's
+        # eclipse-elided active list.  Keying on the digest — NOT on the
+        # table's match function — is deliberate: an entry eclipsed
+        # jointly by two higher-precedence entries wins at no key point
+        # but is still in the active list, and contributes const-param
+        # values.  ``entry_count`` is the one field outside the key's
         # span; hits patch it from the current assignment.
         self.table_verdict_cache = table_verdict_cache
         self.table_verdict_counter = CacheCounter("table-verdict")

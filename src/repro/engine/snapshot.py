@@ -47,7 +47,9 @@ from repro.smt.cnf import replay_encoder, roots_compatible
 from repro.smt.session import SolverSession
 from repro.smt.solver import SatResult
 
-SNAPSHOT_FORMAT = 1
+#: 2: gate records carry packed key points and plain-value fingerprints
+#: (1 carried key tuples and flattened diagram leaves).
+SNAPSHOT_FORMAT = 2
 
 
 def snapshot_context(ctx) -> dict:
@@ -109,8 +111,8 @@ def apply_snapshot(ctx, blob: dict) -> dict:
     if blob.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"unsupported snapshot format: {blob.get('format')!r}")
     arena = blob["terms"]
-    # 1. Replay the control plane (maintains the gate's FDDs via the
-    #    TableState update hooks attached during analysis).
+    # 1. Replay the control plane (the gate's lookup rows follow each
+    #    table's revision and re-pack on the first screen that asks).
     for name, entries in blob["tables"].items():
         for entry in entries:
             ctx.state.apply_update(Update(name, INSERT, entry))
@@ -149,7 +151,7 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         solver._results.setdefault(arena.decode(index), SatResult(satisfiable, model))
     for index, verdict in blob["exec_cache"]:
         ctx.query_engine._exec_cache.setdefault(arena.decode(index), verdict)
-    # 6. Gate witness fingerprints (re-interned against the replayed FDDs).
+    # 6. Gate witness fingerprints (plain values: nothing to re-intern).
     witness_records = 0
     if ctx.gate is not None and blob.get("gate_records") is not None:
         witness_records = ctx.gate.restore_records(

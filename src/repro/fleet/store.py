@@ -20,7 +20,7 @@ one's donation instead of recomputing.
 
 What is **never** shared: :class:`~repro.runtime.semantics.ControlPlaneState`
 (per-switch entries), the :class:`~repro.smt.substitute.DeltaSubstitution`
-(per-switch control-plane mapping), the verdict gate (its FDDs mirror
+(per-switch control-plane mapping), the verdict gate (its lookup rows mirror
 per-switch tables), the table-verdict memo (keyed on per-switch
 active-entry digests), per-switch verdict dicts after the first update,
 and all stats/counters.  Sharing is sound under serialized access — the

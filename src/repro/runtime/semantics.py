@@ -16,6 +16,7 @@ and parameter" — which makes update processing O(1) in the entry count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from repro.analysis.model import DataPlaneModel, TableInfo, ValueSetInfo
@@ -28,7 +29,6 @@ from repro.runtime.entries import (
     TableEntry,
     TernaryMatch,
     as_value_mask,
-    match_covers,
     validate_entry,
 )
 from repro.smt import terms as T
@@ -65,39 +65,51 @@ class ValueSetUpdate:
 class TableState:
     """Installed entries of one table, keyed P4Runtime-style.
 
-    The eclipse-elided active list is cached and maintained *incrementally*:
-    an INSERT splices the new entry into the cached list (a bisect on the
-    precedence key plus one coverage sweep, O(n)) instead of recomputing the
-    O(n²) elision from scratch — the dominant cost of precise update
-    processing on large tables.  Deletes of active entries and match-mode
-    changes fall back to a full lazy recompute; everything else keeps the
-    cache.  The splice is exact because :func:`match_covers` is transitive
-    per field: when the new entry evicts a previously-active entry, every
-    entry that old eclipser was hiding is hidden by the new entry too.
+    Every entry is held as a **row** ``(entry, value, mask)``: its whole
+    match packed, once, into one ``(value, mask)`` integer pair over the
+    table's keys concatenated at fixed bit offsets (the value is
+    normalised, ``value & ~mask == 0``).  The row goes when the
+    entry is deleted.  On rows the eclipse rule is two integer
+    operations (:meth:`_covers`) and a point lookup one
+    (:class:`~repro.smt.fdd.TableFdd`).
+
+    The eclipse-elided active list is cached and maintained
+    *incrementally*: an INSERT splices the new row into the cached list
+    (one scan for its precedence position plus one coverage sweep, O(n))
+    instead of recomputing the O(n²) elision from scratch.  Deletes of
+    active entries and match-mode changes fall back to a full *lazy*
+    recompute; everything else keeps the cache.  The splice is exact
+    because covering is transitive: when the new entry evicts a
+    previously-active entry, every entry that old eclipser was hiding is
+    hidden by the new entry too.
     """
 
     def __init__(self, info: TableInfo, counter: Optional[CacheCounter] = None) -> None:
         self.info = info
         self.counter = counter if counter is not None else CacheCounter("active-entries")
-        self._entries: dict[object, TableEntry] = {}
-        # Cached eclipse-elided active list (None = needs full recompute)
+        self._widths = info.key_widths()
+        # Bit offset of each key inside the packed key integer.
+        self._shifts = tuple(accumulate(self._widths, initial=0))[:-1]
+        self._rows: dict[object, tuple] = {}  # match key → (entry, value, mask)
+        # Cached eclipse-elided active rows (None = needs full recompute)
         # and the per-mode entry counts that decide the precedence order.
-        self._active: Optional[list[TableEntry]] = []
+        self._active: Optional[list[tuple]] = []
         self._n_ternary = 0
         self._n_lpm = 0
-        # Optional match-space decision diagram (smt/fdd.py), attached by
-        # the verdict gate and maintained through :meth:`apply`/:meth:`clear`.
+        # First-match lookup index (smt/fdd.py), attached by the verdict
+        # gate.  It watches :meth:`revision` and re-derives its rows from
+        # :meth:`active_rows` on the next lookup, so nothing here feeds it.
         self.fdd = None
         # Monotone content revision: bumped by every successful apply()
         # and clear().  Structural caches (the table-verdict memo, the
-        # gate's lazy-harvest retry signature) key on it to observe
-        # content changes without hashing entries per query.
+        # gate's lazy-harvest retry signature, the lookup index) key on
+        # it to observe content changes without hashing entries per query.
         self._revision = 0
         self._digest_revision = -1
         self._digest: tuple = ()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def revision(self) -> int:
         return self._revision
@@ -116,81 +128,86 @@ class TableState:
         return self._digest
 
     def entries(self) -> list[TableEntry]:
-        return list(self._entries.values())
+        return [row[0] for row in self._rows.values()]
+
+    def pack_entry(self, entry: TableEntry) -> tuple[int, int]:
+        """The entry's whole match as one normalised ``(value, mask)``."""
+        value = mask = 0
+        for match, width, shift in zip(entry.matches, self._widths, self._shifts):
+            key_value, key_mask = as_value_mask(match, width)
+            value |= (key_value & key_mask) << shift
+            mask |= key_mask << shift
+        return value, mask
+
+    def pack_point(self, key_values: Iterable[int]) -> int:
+        """Concrete per-key values (each within its key's width) as one
+        point of the packed key space."""
+        point = 0
+        for value, shift in zip(key_values, self._shifts):
+            point |= value << shift
+        return point
+
+    def unpack_point(self, point: int) -> list[int]:
+        """Per-key values of a packed point (inverse of :meth:`pack_point`)."""
+        return [
+            (point >> shift) & ((1 << width) - 1)
+            for shift, width in zip(self._shifts, self._widths)
+        ]
 
     def apply(self, op: str, entry: TableEntry) -> None:
-        self._apply_op(op, entry)
-        self._revision += 1
-        fdd = self.fdd
-        if fdd is None:
-            return
-        # Maintain the diagram incrementally: an insert into key space the
-        # diagram currently maps to MISS is a single exact overwrite (the
-        # disjoint-update common case); everything else defers to a lazy
-        # rebuild from the active list on the next gate consultation.
-        if op == INSERT:
-            cubes = fdd.entry_cubes(entry)
-            if cubes is None or not fdd.fast_insert(
-                cubes, fdd.leaf(entry.action, entry.args)
-            ):
-                fdd.mark_dirty()
-        else:
-            fdd.mark_dirty()
-
-    def _apply_op(self, op: str, entry: TableEntry) -> None:
         validate_entry(self.info, entry)
         key = entry.match_key()
         if op == INSERT:
-            if key in self._entries:
+            if key in self._rows:
                 raise EntryError(f"duplicate entry in {self.info.name}: {key}")
             mode_before = self._mode()
-            self._entries[key] = entry
+            row = (entry, *self.pack_entry(entry))
+            self._rows[key] = row
             self._count_entry(entry, +1)
-            if self._active is None:
-                return
-            if self._mode() != mode_before:
-                # Precedence order of *existing* entries changed.
-                self._invalidate_active()
-            else:
-                self._splice_insert(entry)
+            if self._active is not None:
+                if self._mode() != mode_before:
+                    # Precedence order of *existing* entries changed.
+                    self._invalidate_active()
+                else:
+                    self._splice_insert(row)
         elif op == MODIFY:
-            old = self._entries.get(key)
+            old = self._rows.get(key)
             if old is None:
                 raise EntryError(f"no such entry in {self.info.name}: {key}")
-            self._entries[key] = entry
+            row = (entry, old[1], old[2])
+            self._rows[key] = row
             # Same match key → same matches and priority → the eclipse
-            # structure is untouched; swap the entry in place if active.
+            # structure is untouched; swap the row in place if active.
             if self._active is not None:
                 for i, existing in enumerate(self._active):
                     if existing is old:
-                        self._active[i] = entry
+                        self._active[i] = row
                         break
         elif op == DELETE:
-            old = self._entries.get(key)
+            old = self._rows.get(key)
             if old is None:
                 raise EntryError(f"no such entry in {self.info.name}: {key}")
             mode_before = self._mode()
-            del self._entries[key]
-            self._count_entry(old, -1)
-            if self._active is None:
-                return
-            if self._mode() != mode_before or any(
-                existing is old for existing in self._active
+            del self._rows[key]
+            self._count_entry(old[0], -1)
+            if self._active is not None and (
+                self._mode() != mode_before
+                or any(existing is old for existing in self._active)
             ):
-                # An active entry may have been hiding others; recompute.
+                # An active entry may have been hiding others; recompute
+                # (lazily: an overapproximated table never asks).
                 self._invalidate_active()
             # Deleting an eclipsed entry cannot un-eclipse anything.
         else:
             raise EntryError(f"unknown update op {op!r}")
+        self._revision += 1
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._rows.clear()
         self._active = []
         self._n_ternary = 0
         self._n_lpm = 0
         self._revision += 1
-        if self.fdd is not None:
-            self.fdd.reset()
 
     # -- ordering & eclipse ----------------------------------------------------
 
@@ -212,15 +229,25 @@ class TableState:
             self._active = None
             self.counter.invalidate()
 
-    def ordered_entries(self) -> list[TableEntry]:
-        """Entries in match-precedence order (first match wins)."""
-        entries = self.entries()
+    def _precedence_key(self):
+        """Sort key over rows: lower sorts first, first match wins."""
         mode = self._mode()
         if mode == "ternary":
-            entries.sort(key=lambda e: -e.priority)
-        elif mode == "lpm":
-            entries.sort(key=lambda e: -self._total_prefix(e))
-        return entries
+            return lambda row: -row[0].priority
+        if mode == "lpm":
+            return lambda row: -self._total_prefix(row[0])
+        return None  # exact: insertion order
+
+    def _ordered_rows(self) -> list[tuple]:
+        rows = list(self._rows.values())
+        key = self._precedence_key()
+        if key is not None:
+            rows.sort(key=key)
+        return rows
+
+    def ordered_entries(self) -> list[TableEntry]:
+        """Entries in match-precedence order (first match wins)."""
+        return [row[0] for row in self._ordered_rows()]
 
     @staticmethod
     def _total_prefix(entry: TableEntry) -> int:
@@ -228,13 +255,19 @@ class TableState:
             m.prefix_len for m in entry.matches if isinstance(m, LpmMatch)
         )
 
-    def _covers(self, outer: TableEntry, inner: TableEntry, widths) -> bool:
-        return all(
-            match_covers(om, im, w)
-            for om, im, w in zip(outer.matches, inner.matches, widths)
-        )
+    @staticmethod
+    def _covers(outer: tuple, inner: tuple) -> bool:
+        """Does row ``outer`` match every key point row ``inner`` matches?
 
-    def _splice_insert(self, entry: TableEntry) -> None:
+        ``outer`` cares about no bit ``inner`` leaves free, and they
+        agree on the bits it cares about — the packed form of
+        :func:`~repro.runtime.entries.match_covers` on every key.
+        """
+        _, ovalue, omask = outer
+        _, ivalue, imask = inner
+        return omask & ~imask == 0 and ivalue & omask == ovalue
+
+    def _splice_insert(self, row: tuple) -> None:
         """Maintain the cached active list across one INSERT, in O(n).
 
         The freshly-inserted entry sorts *after* every existing entry with
@@ -244,42 +277,41 @@ class TableState:
         """
         active = self._active
         assert active is not None
-        mode = self._mode()
-        if mode == "ternary":
-            sort_key = lambda e: -e.priority  # noqa: E731
-        elif mode == "lpm":
-            sort_key = lambda e: -self._total_prefix(e)  # noqa: E731
-        else:
-            sort_key = lambda e: 0  # noqa: E731  (insertion order)
-        new_key = sort_key(entry)
         pos = len(active)
-        for i, existing in enumerate(active):
-            if sort_key(existing) > new_key:
-                pos = i
-                break
-        widths = self.info.key_widths()
-        if any(self._covers(prev, entry, widths) for prev in active[:pos]):
+        sort_key = self._precedence_key()
+        if sort_key is not None:
+            new_key = sort_key(row)
+            for i, existing in enumerate(active):
+                if sort_key(existing) > new_key:
+                    pos = i
+                    break
+        covers = self._covers
+        if any(covers(prev, row) for prev in active[:pos]):
             return  # the new entry is born eclipsed
-        survivors = [e for e in active[pos:] if not self._covers(entry, e, widths)]
-        self._active = active[:pos] + [entry] + survivors
+        survivors = [r for r in active[pos:] if not covers(row, r)]
+        self._active = active[:pos] + [row] + survivors
+
+    def active_rows(self) -> list[tuple]:
+        """Ordered ``(entry, value, mask)`` rows, eclipsed ones elided.
+
+        The cached list itself: callers read it, they do not mutate it.
+        """
+        active = self._active
+        if active is not None:
+            self.counter.hit()
+            return active
+        self.counter.miss()
+        covers = self._covers
+        active = []
+        for row in self._ordered_rows():
+            if not any(covers(prev, row) for prev in active):
+                active.append(row)
+        self._active = active
+        return active
 
     def active_entries(self) -> list[TableEntry]:
         """Ordered entries with eclipsed (never-firing) entries elided."""
-        if self._active is not None:
-            self.counter.hit()
-            return list(self._active)
-        self.counter.miss()
-        ordered = self.ordered_entries()
-        widths = self.info.key_widths()
-        active: list[TableEntry] = []
-        for entry in ordered:
-            eclipsed = any(
-                self._covers(prev, entry, widths) for prev in active
-            )
-            if not eclipsed:
-                active.append(entry)
-        self._active = active
-        return list(active)
+        return [row[0] for row in self.active_rows()]
 
 
 class ControlPlaneState:
@@ -322,7 +354,7 @@ class ControlPlaneState:
             slot = (name, key)
             is_live = live.get(slot)
             if is_live is None:
-                is_live = key in state._entries
+                is_live = key in state._rows
             if update.op == INSERT:
                 if is_live:
                     raise EntryError(f"duplicate entry in {name}: {key}")

@@ -1,542 +1,79 @@
-"""Forwarding decision diagrams over a table's match keys.
+"""First-match lookups over a table's packed ``(value, mask)`` rows.
 
-A :class:`TableFdd` represents one table's *match function* — the map
-from concrete key values to the winning entry's ``(action, args)`` pair
-(or MISS) — as a reduced, ordered decision diagram in the style of the
-NetKAT compiler's FDDs:
+This module used to build a forwarding decision diagram per table.  It
+no longer does: nothing in the engine composes match functions, and the
+verdict gate asks exactly one question of a table — *which entry wins at
+this concrete key point?* — against at most ``overapprox_threshold``
+active entries.  That is the definitional table semantics: scan in
+precedence order, the first row with ``point & mask == value`` wins.
 
-* **ordered** — interior nodes test key indices in the table's declared
-  key order, strictly increasing along every path (a key nobody
-  distinguishes on is simply skipped);
-* **edge-labelled by intervals** — each node carries a partition of its
-  key's domain ``[0, 2^width)`` into closed intervals, one child per
-  interval, so a lookup is a bisect per level instead of a bit per level;
-* **reduced** — adjacent intervals with the same child are merged and a
-  node whose edges all lead to one child collapses into that child;
-* **hash-consed** — nodes and leaves are interned per diagram, so
-  structurally equal subdiagrams are pointer-equal and leaf identity is
-  stable across rebuilds of the same table.
+A table's whole key is **one integer**, the keys concatenated at fixed
+bit offsets.  The :class:`~repro.runtime.semantics.TableState` owns that
+format: it packs an entry once, when it is installed, into one
+``(value, mask)`` pair over the integer (and runs the eclipse rule on
+the pair), and packs a witness key point once, when its record is
+stored.  A lookup is then one AND and one compare per active row, exact
+for any mask — a ternary mask with interleaved free bits costs what a
+prefix does.
 
-The diagram is built by folding :meth:`TableFdd.overwrite` over the
-table's eclipse-elided active entries in *reverse* precedence order —
-each overwrite paints the entry's match region with its leaf, so the
-final diagram gives every key point to its first-match winner, exactly
-like the ite chains :func:`repro.runtime.semantics.encode_table` folds
-(same entry list, same direction).
+:class:`TableFdd` holds the rows of one table, derived *lazily*: the
+table's content revision is compared on lookup and the rows re-derived
+from the eclipse-elided active list only when it moved, so a table that
+is never looked up (an overapproximated one) never pays for a re-pack.
 
-Ternary masks with many free bits interleaved among cared bits explode
-the interval decomposition.  Such an entry no longer makes the whole
-diagram opaque: only that entry degrades, into an **opaque interior
-band** (:class:`FddBand`) — its decomposable keys are still painted as
-precise intervals, and on the undecomposable keys the band covers the
-full domain and wraps whatever decision sits underneath, so every other
-entry (and every other key of *this* entry) keeps its interval diagram.
-Point lookups through a band stay **exact**: deciding whether one
-concrete key point matches a ``value``/``mask`` pair is trivial — only
-the region's interval decomposition blew up — so :meth:`TableFdd.lookup`
-tests the band's entry against the point and either returns that entry's
-interned leaf or falls through to the wrapped decision.  First-match
-precedence is preserved structurally: entries are painted in reverse
-precedence order, a higher-precedence precise entry overwrites the band
-in its exact region, and a higher-precedence fuzzy entry shades another
-band on top.  Only *region* queries (:meth:`TableFdd.fast_insert`'s
-disjointness probe) treat a band as an unknown decision and decline.
-
-Only the hard caps make a diagram fully opaque now (``root() is None``):
-more than :data:`MAX_ENTRIES` active entries, or more than
-:data:`MAX_BANDS` band-degraded entries in one rebuild.  Opacity is per
-rebuild, not permanent: deleting the offending entries brings the
-diagram back.
+The module path, the class name and :meth:`TableFdd.rebuild` are pinned
+by ``benchmarks/e2e``'s tracer (``smt.fdd_rebuild_ms`` times the lazy
+re-pack); renaming them is ROADMAP item 1(b)'s.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Optional
-
-#: Per-match interval-decomposition cap.  2**8 covers every mask over
-#: keys up to 9 cared-free interleavings; wilder masks go opaque.
-MAX_INTERVALS = 256
-#: Active-entry cap per rebuild; beyond this the table is overapproximated
-#: upstream anyway, so a precise diagram would never be consulted.
-MAX_ENTRIES = 2048
-#: Band-degraded entries tolerated per rebuild.  Each band on a lookup
-#: path costs one mask test; a table where *most* entries are wild would
-#: pay a linear scan per lookup, so past this many the diagram goes fully
-#: opaque instead.
-MAX_BANDS = 64
-
-
-class FddLeaf:
-    """Terminal decision: the winning ``(action, args)`` pair, or MISS.
-
-    Interned per :class:`TableFdd`; compare with ``is``.
-    """
-
-    __slots__ = ("action", "args")
-
-    def __init__(self, action: Optional[str], args: tuple) -> None:
-        self.action = action  # None = MISS
-        self.args = args
-
-    @property
-    def is_miss(self) -> bool:
-        return self.action is None
-
-    def __repr__(self) -> str:
-        if self.action is None:
-            return "FddLeaf(MISS)"
-        return f"FddLeaf({self.action}{self.args})"
-
-
-class FddNode:
-    """Interior node: tests key ``index`` against an interval partition.
-
-    ``edges`` is a tuple of ``(hi, child)`` pairs whose ``hi`` bounds are
-    strictly increasing and end at the key domain's maximum: edge ``i``
-    covers ``(edges[i-1].hi, edges[i].hi]`` (from 0 for the first).
-    Interned per :class:`TableFdd`; compare with ``is``.
-    """
-
-    __slots__ = ("index", "edges", "_his")
-
-    def __init__(self, index: int, edges: tuple) -> None:
-        self.index = index
-        self.edges = edges
-        self._his = [hi for hi, _child in edges]
-
-    def child_at(self, value: int):
-        return self.edges[bisect_right(self._his, value - 1)][1]
-
-    def __repr__(self) -> str:
-        return f"FddNode(k{self.index}, {len(self.edges)} edges)"
-
-
-class FddBand:
-    """Opaque interior band: one undecomposable entry shading a region.
-
-    ``key`` is the entry's canonical content — ``(action, args,
-    ((value, mask), ...))`` with one normalised value/mask pair per match
-    key — and ``child`` is the decision underneath (a leaf or another
-    band, never an interior node: bands are painted at terminal
-    positions only).  A point covered by the band resolves to the
-    band's entry when the point matches every value/mask pair, else to
-    ``child``'s decision.  Interned per :class:`TableFdd` on
-    ``(key, id(child))``; compare with ``is``.
-    """
-
-    __slots__ = ("key", "child")
-
-    def __init__(self, key: tuple, child) -> None:
-        self.key = key
-        self.child = child
-
-    def matches(self, key_values) -> bool:
-        """Exact point membership in the entry's true match region."""
-        return all(
-            point & mask == value
-            for point, (value, mask) in zip(key_values, self.key[2])
-        )
-
-    def __repr__(self) -> str:
-        return f"FddBand({self.key[0]}{self.key[1]} over {self.child!r})"
-
-
-def mask_intervals(value: int, mask: int, width: int) -> Optional[list]:
-    """The match region ``{k | k & mask == value & mask}`` as intervals.
-
-    Returns a sorted list of disjoint, merged ``(lo, hi)`` pairs covering
-    the region, or ``None`` when the decomposition would exceed
-    :data:`MAX_INTERVALS` (heavily interleaved masks).
-    """
-    full = (1 << width) - 1
-    mask &= full
-    value &= mask
-    if mask == 0:
-        return [(0, full)]
-    low = (mask & -mask).bit_length() - 1  # lowest cared bit
-    free_above = [b for b in range(low, width) if not (mask >> b) & 1]
-    if 1 << len(free_above) > MAX_INTERVALS:
-        return None
-    run = (1 << low) - 1  # the contiguous free run below the cared bits
-    points = []
-    for bits in range(1 << len(free_above)):
-        v = value
-        for j, pos in enumerate(free_above):
-            if (bits >> j) & 1:
-                v |= 1 << pos
-        points.append(v)
-    points.sort()
-    intervals: list = []
-    for lo in points:
-        hi = lo + run
-        if intervals and intervals[-1][1] + 1 == lo:
-            intervals[-1] = (intervals[-1][0], hi)
-        else:
-            intervals.append((lo, hi))
-    return intervals
+#: The decision where no row matches.  Decisions are plain
+#: ``(action, args)`` tuples — compared by value, picklable as they are.
+MISS = (None, ())
 
 
 class TableFdd:
-    """The decision diagram of one table, with interned nodes and leaves.
+    """One table's active rows in precedence order, for point lookups."""
 
-    The intern tables live on the diagram and survive rebuilds, which is
-    what makes leaf identity a stable fingerprint: two rebuilds that give
-    some key point the same winner hand out the *same* leaf object.
-    """
-
-    def __init__(self, widths: list) -> None:
-        self.widths = list(widths)
-        self._leaves: dict = {}
-        self._nodes: dict = {}
-        self._bands: dict = {}
-        self.miss = self.leaf(None, ())
-        self._root = self.miss  # empty table: MISS everywhere
-        self._dirty = False
-        self._opaque = False
-        self._banded = False
-        # Maintenance counters (surfaced through GateStats).
-        self.fast_ops = 0
+    def __init__(self) -> None:
+        # (table revision the rows were derived at, [(value, mask,
+        # decision)]).  One tuple so that a lazy re-pack on a batch
+        # worker thread publishes rows and revision in one assignment.
+        self._packed: tuple = (0, [])
+        #: Lazy re-packs performed (surfaced through GateStats).
         self.rebuilds = 0
 
-    # -- interning -----------------------------------------------------------
-
-    def leaf(self, action: Optional[str], args: tuple) -> FddLeaf:
-        key = (action, args)
-        found = self._leaves.get(key)
-        if found is None:
-            found = FddLeaf(action, args)
-            self._leaves[key] = found
-        return found
-
-    def node(self, index: int, edges: list):
-        """Intern ``(index, edges)`` after reduction (merge + collapse)."""
-        merged: list = []
-        for hi, child in edges:
-            if merged and merged[-1][1] is child:
-                merged[-1] = (hi, child)
-            else:
-                merged.append((hi, child))
-        if len(merged) == 1:
-            return merged[0][1]
-        key = (index, tuple((hi, id(child)) for hi, child in merged))
-        found = self._nodes.get(key)
-        if found is None:
-            found = FddNode(index, tuple(merged))
-            self._nodes[key] = found
-        return found
-
-    def band(self, key: tuple, child) -> FddBand:
-        ikey = (key, id(child))
-        found = self._bands.get(ikey)
-        if found is None:
-            found = FddBand(key, child)
-            self._bands[ikey] = found
-        return found
-
-    # -- state-change notifications ------------------------------------------
-
-    def fast_insert(self, cubes: list, leaf: FddLeaf) -> bool:
-        """Try the disjoint-insert fast path; returns True on success.
-
-        When the inserted entry's region is currently all-MISS the insert
-        commutes with precedence — no existing entry matches anywhere in
-        the region, so the new entry wins exactly its region regardless
-        of priorities — and a single overwrite keeps the diagram exact.
-        Anything else (overlap, opacity, or an already-dirty diagram)
-        returns False and the caller marks the diagram dirty instead.
-        """
-        if self._dirty or self._opaque:
-            return False
-        if self._region_decisions(cubes) != {self.miss}:
-            return False
-        self._root = self.overwrite(self._root, cubes, leaf)
-        self.fast_ops += 1
-        return True
-
-    def mark_dirty(self) -> None:
-        self._dirty = True
-
-    def reset(self) -> None:
-        """The table was cleared: back to MISS everywhere."""
-        self._root = self.miss
-        self._dirty = False
-        self._opaque = False
-        self._banded = False
-
-    # -- building ------------------------------------------------------------
-
-    def entry_cubes(self, entry) -> Optional[list]:
-        """Per-key interval lists for one entry, or None when undecomposable."""
-        from repro.runtime.entries import as_value_mask
-
-        cubes: list = []
-        for match, width in zip(entry.matches, self.widths):
-            value, mask = as_value_mask(match, width)
-            intervals = mask_intervals(value, mask, width)
-            if intervals is None:
-                return None
-            cubes.append(intervals)
-        return cubes
-
-    def entry_cubes_degraded(self, entry) -> tuple:
-        """``(cubes, fuzzy)``: like :meth:`entry_cubes`, but an
-        undecomposable key gets the full-domain interval (the region is
-        *overapproximated* on that key) and ``fuzzy`` flips True."""
-        from repro.runtime.entries import as_value_mask
-
-        cubes: list = []
-        fuzzy = False
-        for match, width in zip(entry.matches, self.widths):
-            value, mask = as_value_mask(match, width)
-            intervals = mask_intervals(value, mask, width)
-            if intervals is None:
-                intervals = [(0, (1 << width) - 1)]
-                fuzzy = True
-            cubes.append(intervals)
-        return cubes, fuzzy
-
-    def entry_band_key(self, entry) -> tuple:
-        """The canonical content key a band carries for ``entry``."""
-        from repro.runtime.entries import as_value_mask
-
-        pairs: list = []
-        for match, width in zip(entry.matches, self.widths):
-            value, mask = as_value_mask(match, width)
-            mask &= (1 << width) - 1
-            pairs.append((value & mask, mask))
-        return (entry.action, entry.args, tuple(pairs))
-
-    def rebuild(self, active_entries: list) -> None:
-        """Recompute the diagram from the eclipse-elided active list."""
+    def rebuild(self, active_rows: list) -> list:
+        """The lookup rows for an eclipse-elided active list."""
         self.rebuilds += 1
-        self._dirty = False
-        self._opaque = False
-        self._banded = False
-        if len(active_entries) > MAX_ENTRIES:
-            self._root = None
-            self._opaque = True
-            return
-        root = self.miss
-        bands = 0
-        for entry in reversed(active_entries):
-            cubes, fuzzy = self.entry_cubes_degraded(entry)
-            if fuzzy:
-                bands += 1
-                if bands > MAX_BANDS:
-                    self._root = None
-                    self._opaque = True
-                    return
-                root = self.shade(root, cubes, self.entry_band_key(entry))
-            else:
-                root = self.overwrite(
-                    root, cubes, self.leaf(entry.action, entry.args)
-                )
-        self._banded = bands > 0
-        self._root = root
+        return [
+            (value, mask, (entry.action, entry.args))
+            for entry, value, mask in active_rows
+        ]
 
-    def root(self, state=None):
-        """Current root, rebuilding lazily; None while opaque.
+    def lookup(self, point: int, state) -> tuple:
+        """The winning ``(action, args)`` at one packed key point, or MISS.
 
-        ``state`` is the owning :class:`~repro.runtime.semantics.TableState`
-        (needed only when dirty, to fetch the active entries).
+        ``state`` is the owning
+        :class:`~repro.runtime.semantics.TableState`; its revision says
+        whether the rows are current.
         """
-        if self._dirty:
-            if state is None:
-                return None
-            self.rebuild(state.active_entries())
-        return self._root
+        revision, rows = self._packed
+        current = state.revision()
+        if revision != current:
+            # Table state only changes between batches, never under a
+            # worker, so the rows derived here belong to ``current``.
+            rows = self.rebuild(state.active_rows())
+            self._packed = (current, rows)
+        for value, mask, decision in rows:
+            if point & mask == value:
+                return decision
+        return MISS
 
-    def overwrite(self, node, cubes: list, leaf: FddLeaf, index: int = 0):
-        """Paint the region described by ``cubes[index:]`` with ``leaf``."""
-        return self._paint(node, cubes, lambda _old: leaf, index)
-
-    def shade(self, node, cubes: list, key: tuple, index: int = 0):
-        """Wrap every terminal in the region in a band carrying ``key``.
-
-        Used for fuzzy entries: the region is the entry's match-region
-        *overapproximation*, and the band keeps the decision underneath
-        reachable for points the entry doesn't actually match.
-        """
-        return self._paint(node, cubes, lambda old: self.band(key, old), index)
-
-    def _paint(self, node, cubes: list, terminal, index: int):
-        """Apply ``terminal`` to every decision inside the ``cubes`` region.
-
-        At ``index == len(cubes)`` every interior key has been traversed,
-        so ``node`` is a terminal (leaf or band) — ``terminal`` maps it to
-        its replacement.
-        """
-        if index == len(cubes):
-            return terminal(node)
-        intervals = cubes[index]
-        full = (1 << self.widths[index]) - 1
-        if intervals == [(0, full)]:
-            # Don't-care on this key: recurse through (or past) it.
-            if isinstance(node, FddNode) and node.index == index:
-                return self.node(
-                    index,
-                    [
-                        (hi, self._paint(child, cubes, terminal, index + 1))
-                        for hi, child in node.edges
-                    ],
-                )
-            return self._paint(node, cubes, terminal, index + 1)
-        if isinstance(node, FddNode) and node.index == index:
-            return self.node(
-                index, self._paint_edges(node.edges, intervals, cubes, terminal, index)
-            )
-        # ``node`` ignores this key: manufacture a node splitting on it.
-        base_edges = [(full, node)]
-        return self.node(
-            index, self._paint_edges(base_edges, intervals, cubes, terminal, index)
-        )
-
-    def _paint_edges(
-        self, edges, intervals: list, cubes: list, terminal, index: int
-    ) -> list:
-        """Split ``edges`` on ``intervals``; inside them recurse, outside keep."""
-        out: list = []
-        pending = list(intervals)
-        lo = 0
-        for hi, child in edges:
-            seg_lo = lo
-            while pending and pending[0][0] <= hi:
-                ilo, ihi = pending[0]
-                ilo = max(ilo, seg_lo)
-                ihi_clamped = min(ihi, hi)
-                if ilo > seg_lo:
-                    out.append((ilo - 1, child))
-                out.append(
-                    (ihi_clamped, self._paint(child, cubes, terminal, index + 1))
-                )
-                seg_lo = ihi_clamped + 1
-                if ihi <= hi:
-                    pending.pop(0)
-                else:
-                    break  # interval continues into the next edge
-            if seg_lo <= hi:
-                out.append((hi, child))
-            lo = hi + 1
-        return out
-
-    # -- queries -------------------------------------------------------------
-
-    def lookup(self, key_values) -> Optional[FddLeaf]:
-        """The winning leaf at one concrete key point; None while opaque.
-
-        Exact even through bands: a band's entry either matches the
-        point (trivial value/mask test — only the *interval* form of the
-        region blew up) and wins, or the point falls through to the
-        wrapped decision.
-        """
-        node = self._root
-        if node is None or self._dirty:
-            return None
-        while not isinstance(node, FddLeaf):
-            if isinstance(node, FddNode):
-                node = node.child_at(key_values[node.index])
-            elif node.matches(key_values):
-                return self.leaf(node.key[0], node.key[1])
-            else:
-                node = node.child
-        return node
-
-    def _region_decisions(self, cubes: list, node=None) -> set:
-        """Every leaf reachable from the region described by ``cubes``."""
-        if node is None:
-            node = self._root
-        out: set = set()
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, FddNode):
-                # Region membership can't see through a band (that's the
-                # part that blew up), so a band counts as an unknown
-                # decision — never equal to {miss}, so fast_insert
-                # declines and the caller rebuilds.
-                out.add(node)
-                continue
-            intervals = cubes[node.index]
-            lo = 0
-            for hi, child in node.edges:
-                if any(ilo <= hi and lo <= ihi for ilo, ihi in intervals):
-                    stack.append(child)
-                lo = hi + 1
-        return out
-
-    # -- invariants (for the property tests) ---------------------------------
-
-    def check_invariants(self, node=None) -> int:
-        """Verify ordered/reduced/canonical structure; returns node count."""
-        if node is None:
-            node = self._root
-        if node is None:
-            return 0
-        seen: set = set()
-        stack = [(node, -1)]
-        while stack:
-            current, min_index = stack.pop()
-            if isinstance(current, FddLeaf):
-                assert self._leaves.get((current.action, current.args)) is current, (
-                    "leaf not interned"
-                )
-                continue
-            if isinstance(current, FddBand):
-                assert self._bands.get((current.key, id(current.child))) is current, (
-                    "band not interned"
-                )
-                assert not isinstance(current.child, FddNode), (
-                    "band over an interior node"
-                )
-                assert len(current.key[2]) == len(self.widths), (
-                    "band key arity mismatch"
-                )
-                stack.append((current.child, min_index))
-                continue
-            assert current.index > min_index, "key order violated"
-            assert current.index < len(self.widths), "key index out of range"
-            full = (1 << self.widths[current.index]) - 1
-            assert current.edges[-1][0] == full, "edges must cover the domain"
-            assert len(current.edges) >= 2, "unreduced single-edge node"
-            prev_hi = -1
-            prev_child = None
-            for hi, child in current.edges:
-                assert hi > prev_hi, "edge bounds must increase"
-                assert child is not prev_child, "adjacent equal children unmerged"
-                prev_hi, prev_child = hi, child
-            key = (current.index, tuple((hi, id(c)) for hi, c in current.edges))
-            assert self._nodes.get(key) is current, "node not interned"
-            if id(current) in seen:
-                continue
-            seen.add(id(current))
-            for _hi, child in current.edges:
-                stack.append((child, current.index))
-        return len(seen)
-
-    def node_count(self) -> int:
-        root = self._root
-        if root is None or isinstance(root, FddLeaf):
-            return 0
-        seen: set = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, FddNode) or id(node) in seen:
-                continue
-            seen.add(id(node))
-            for _hi, child in node.edges:
-                stack.append(child)
-        return len(seen)
+    def row_count(self) -> int:
+        """Rows currently retained (what the index costs in memory)."""
+        return len(self._packed[1])
 
 
-__all__ = [
-    "FddBand",
-    "FddLeaf",
-    "FddNode",
-    "MAX_BANDS",
-    "MAX_ENTRIES",
-    "MAX_INTERVALS",
-    "TableFdd",
-    "mask_intervals",
-]
+__all__ = ["MISS", "TableFdd"]

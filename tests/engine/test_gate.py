@@ -6,12 +6,14 @@ mechanics — counter bookkeeping, witness-record lifecycle, the tier
 ordering, and the batch-worker fork/absorb protocol.
 """
 
+import pickle
+
 from repro.core import Flay, FlayOptions
 from repro.engine.events import EventBus, GateActivity
 from repro.engine.gate import GateStats, WitnessRecord, _ZeroDefault
 from repro.p4.parser import parse_program
 from repro.runtime.entries import ExactMatch, TableEntry
-from repro.runtime.semantics import DELETE, INSERT, Update
+from repro.runtime.semantics import DELETE, INSERT, MODIFY, TableState, Update
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -164,9 +166,9 @@ class TestWitnessLifecycle:
                 record.verdict.executability == "maybe"
                 or not record.verdict.is_constant
             )
-            # The cached key values agree with re-evaluating the models.
-            assert record.pos_keys == gate._key_values(pid, record.pos_model)
-            assert record.neg_keys == gate._key_values(pid, record.neg_model)
+            # The cached key points agree with re-evaluating the models.
+            assert record.pos_keys == gate._key_points(pid, record.pos_model)
+            assert record.neg_keys == gate._key_points(pid, record.neg_model)
 
     def test_disjoint_insert_replays_verdict_from_witnesses(self):
         flay = make_flay()
@@ -186,8 +188,8 @@ class TestWitnessLifecycle:
         update = insert_ta(1, 7)
         flay.process_update(update)
         before = flay.gate_stats()
-        # Deleting the entry changes the FDD leaf at the positive
-        # witness's key value → fingerprint miss → full re-decide, and
+        # Deleting the entry changes the first-match decision at the
+        # positive witness's key point → fingerprint miss → full re-decide, and
         # the now-NEVER guard drops its record.
         flay.process_update(Update("C.ta", DELETE, update.entry))
         delta = flay.gate_stats().since(before)
@@ -294,6 +296,85 @@ def test_zero_default_reads_absent_variables_as_zero():
     model = _ZeroDefault({"x": 5})
     assert model["x"] == 5
     assert model["never_assigned"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Lookup rows: lazy, and plain values across a snapshot
+# ---------------------------------------------------------------------------
+
+
+class TestLookupRows:
+    def test_overapproximated_table_is_never_repacked(self, monkeypatch):
+        """Counts, not time: past the threshold a table is never looked
+        up, so its updates derive no rows and no active list — an INSERT
+        packs its own entry once, a MODIFY or DELETE packs nothing."""
+        flay = make_flay(overapprox_threshold=3)
+        entries = [insert_ta(key, key).entry for key in range(1, 9)]
+        for entry in entries[:5]:
+            flay.process_update(Update("C.ta", INSERT, entry))
+        state = flay.runtime.ctx.state.tables["C.ta"]
+        assert len(state) > 3
+        packs = []
+        pack_entry = TableState.pack_entry
+        monkeypatch.setattr(
+            TableState,
+            "pack_entry",
+            lambda self, entry: packs.append(entry) or pack_entry(self, entry),
+        )
+        rebuilds = state.fdd.rebuilds
+        recomputes = state.counter.misses
+        before = flay.gate_stats()
+        for entry in entries[5:]:
+            flay.process_update(Update("C.ta", INSERT, entry))
+        assert packs == entries[5:]
+        flay.process_update(Update("C.ta", DELETE, entries[0]))
+        flay.process_update(
+            Update("C.ta", MODIFY, TableEntry(entries[1].matches, "setn", (42,), 0))
+        )
+        flay.process_update(Update("C.ta", DELETE, entries[6]))
+        assert packs == entries[5:]
+        assert state.fdd.rebuilds == rebuilds
+        assert state.counter.misses == recomputes
+        assert flay.gate_stats().since(before).fdd_rebuilds == 0
+
+    def test_fingerprints_and_pool_keys_survive_a_snapshot(self):
+        live = Flay.from_source(SOURCE, FlayOptions(target="none"))
+        live.process_update(insert_ta(1, 7))
+        live.process_update(insert_ta(2, 9))
+        restored = Flay.restore(pickle.loads(pickle.dumps(live.snapshot())))
+        records = live.gate._records.map
+        twins = restored.gate._records.map
+        assert records and twins.keys() == records.keys()
+        points = set()
+        for pid, record in records.items():
+            twin = twins[pid]
+            assert (twin.fp_pos, twin.fp_neg) == (record.fp_pos, record.fp_neg)
+            assert (twin.pos_keys, twin.neg_keys) == (record.pos_keys, record.neg_keys)
+            for keys in (record.pos_keys, record.neg_keys):
+                points.update(keys.items())
+        # The restored pool is re-fed from the records: buckets keyed by
+        # the same packed key points, each one the live pool holds too.
+        pooled = {
+            (name, point)
+            for name, bucket in restored.gate._pool.items()
+            for point in bucket
+        }
+        assert pooled and pooled <= points
+        assert all(point in live.gate._pool[name] for name, point in pooled)
+        # First update after restore: screened from the fingerprints,
+        # nothing re-harvested, exactly as on the engine that never stopped.
+        deltas = []
+        for flay in (live, restored):
+            before = flay.gate_stats()
+            flay.process_update(insert_ta(200, 3))
+            deltas.append(flay.gate_stats().since(before))
+        assert deltas[1].witness_hits >= 1
+        assert deltas[1].harvested == deltas[1].lazy_harvests == 0
+        assert deltas[1].solver_fallbacks == 0
+        assert (deltas[1].screened, deltas[1].witness_hits) == (
+            deltas[0].screened,
+            deltas[0].witness_hits,
+        )
 
 
 # ---------------------------------------------------------------------------

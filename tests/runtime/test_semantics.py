@@ -11,6 +11,7 @@ from repro.runtime.entries import (
     LpmMatch,
     TableEntry,
     TernaryMatch,
+    match_covers,
     match_hits,
 )
 from repro.runtime.semantics import (
@@ -18,6 +19,7 @@ from repro.runtime.semantics import (
     INSERT,
     MODIFY,
     ControlPlaneState,
+    TableState,
     Update,
     ValueSetUpdate,
     encode_all,
@@ -175,6 +177,105 @@ class TestOrderingAndEclipse:
         state.apply_update(Update("tern", INSERT, a))
         state.apply_update(Update("tern", INSERT, b))
         assert len(state.table_state("tern").active_entries()) == 2
+
+
+class TestPackedEclipse:
+    """The eclipse rule on packed ``(value, mask)`` rows is the per-key
+    :func:`match_covers` rule, and the spliced active list is the
+    from-scratch elision."""
+
+    SOURCE = """
+    header h_t { bit<9> port; bit<32> ip; bit<6> dscp; bit<16> vrf; }
+    struct headers_t { h_t h; }
+    struct meta_t { bit<8> m; }
+    parser P(inout headers_t hdr, inout meta_t meta) {
+        state start { pkt_extract(hdr.h); transition accept; }
+    }
+    control C(inout headers_t hdr, inout meta_t meta) {
+        action set(bit<8> v) { meta.m = v; }
+        action noop() { }
+        table acl {
+            key = { hdr.h.port: ternary; hdr.h.ip: ternary; hdr.h.dscp: ternary; }
+            actions = { set; noop; }
+            default_action = noop();
+        }
+        table route {
+            key = { hdr.h.vrf: exact; hdr.h.ip: lpm; }
+            actions = { set; noop; }
+            default_action = noop();
+        }
+        apply { acl.apply(); route.apply(); }
+    }
+    Pipeline(P(), C()) main;
+    """
+    MODEL = analyze(parse_program(SOURCE))
+
+    @staticmethod
+    def draw_entry(draw, info):
+        matches = []
+        ternary = False
+        for key in info.keys:
+            # Few distinct values and coarse masks, so entries do cover
+            # one another; ternary and lpm keys also take exact matches.
+            kind = draw(st.sampled_from([key.match_kind, "exact"]))
+            value = draw(st.integers(0, 3)) << (key.width - 2)
+            if kind == "exact":
+                matches.append(ExactMatch(value))
+            elif kind == "lpm":
+                plen = draw(st.sampled_from([0, 1, 2, key.width]))
+                mask = ((1 << plen) - 1) << (key.width - plen) if plen else 0
+                matches.append(LpmMatch(value & mask, plen))
+            else:
+                mask = draw(st.sampled_from([0, 1, 2, 3])) << (key.width - 2)
+                if draw(st.booleans()):
+                    mask |= draw(st.integers(0, (1 << key.width) - 1))
+                matches.append(TernaryMatch(value & mask, mask))
+                ternary = True
+        priority = draw(st.integers(0, 3)) if ternary else 0
+        return TableEntry(tuple(matches), "set", (draw(st.integers(0, 9)),), priority)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_packed_cover_is_per_key_match_covers(self, data):
+        info = self.MODEL.table(data.draw(st.sampled_from(["acl", "route"])))
+        state = TableState(info)
+        outer = self.draw_entry(data.draw, info)
+        inner = self.draw_entry(data.draw, info)
+        packed = state._covers(
+            (outer, *state.pack_entry(outer)), (inner, *state.pack_entry(inner))
+        )
+        assert packed == all(
+            match_covers(om, im, key.width)
+            for om, im, key in zip(outer.matches, inner.matches, info.keys)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_spliced_active_list_is_the_from_scratch_elision(self, data):
+        info = self.MODEL.table(data.draw(st.sampled_from(["acl", "route"])))
+        state = TableState(info)
+        live: dict = {}
+        for _ in range(data.draw(st.integers(1, 12))):
+            if live and data.draw(st.integers(0, 3)) == 0:
+                key = data.draw(st.sampled_from(sorted(live, key=repr)))
+                state.apply(DELETE, live.pop(key))
+            else:
+                entry = self.draw_entry(data.draw, info)
+                if entry.match_key() in live:
+                    continue
+                state.apply(INSERT, entry)
+                live[entry.match_key()] = entry
+            expected: list = []
+            for entry in state.ordered_entries():
+                if not any(
+                    all(
+                        match_covers(pm, m, key.width)
+                        for pm, m, key in zip(prev.matches, entry.matches, info.keys)
+                    )
+                    for prev in expected
+                ):
+                    expected.append(entry)
+            assert state.active_entries() == expected
 
 
 class TestEncoding:
