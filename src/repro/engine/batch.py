@@ -56,7 +56,8 @@ from typing import Callable, Optional
 from repro.engine.context import EngineContext
 from repro.engine.events import BatchMerged, BatchScheduled, TargetCompiled
 from repro.engine.gate import GateStats
-from repro.engine.queries import QueryEngine
+from repro.engine.pipeline import describe_points
+from repro.engine.queries import PointReverdicts, QueryEngine
 from repro.ir.deps import build_dependency_graph
 from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
@@ -411,7 +412,10 @@ class WorkerSlice:
 
     def __init__(self, ctx: EngineContext) -> None:
         shared_qe = ctx.query_engine
-        self.substitution = ctx.substitution.fork_slice()
+        # One simplify-memo overlay for the slice's substitution view and
+        # its query engine, as the shared ones share one memo.
+        simplify_memo = LayeredMemo(shared_qe._simplify_memo)
+        self.substitution = ctx.substitution.fork_slice(simplify_memo)
         # A lazy twin of the shared solver: it copies the shared encoder
         # and CDCL session (problem + learned clauses) when one of this
         # slice's queries first reaches bit-blasting, and never if the
@@ -431,7 +435,10 @@ class WorkerSlice:
             table_verdict_cache=shared_qe.table_verdict_cache,
         )
         self.query_engine._exec_cache = LayeredCache(shared_qe._exec_cache)
-        self.query_engine._simplify_memo = LayeredMemo(shared_qe._simplify_memo)
+        self.query_engine._simplify_memo = simplify_memo
+        # Conflict groups partition the points, so no two slices decide
+        # the same pid.
+        self.query_engine._decided = LayeredCache(shared_qe._decided)
         # The table-verdict memo layers like the exec cache: shared hits
         # are free, slice misses land in the overlay and graft back on
         # merge.  ``_values_memo`` stays slice-private (it may memoize
@@ -451,6 +458,9 @@ class WorkerSlice:
         memo_entries = ctx.substitution.absorb(self.substitution)
         shared_qe = ctx.query_engine
         qe = self.query_engine
+        shared_qe._decided.update(qe._decided.delta)
+        shared_qe.redecided += qe.redecided
+        shared_qe.unchanged += qe.unchanged
         verdict_entries = (
             len(qe._exec_cache.delta)
             + len(qe.solver._results.delta)
@@ -492,15 +502,14 @@ class GroupOutcome:
     slice: WorkerSlice
     mapping: dict
     assignments: dict
-    point_verdicts: dict  # every point re-queried, changed or not
+    points: PointReverdicts  # every tainted point, changed or not
     table_verdicts: dict
     changed_tables: list
-    changed_points: list
 
     @property
     def changed(self) -> list:
         """Batch order: tables before points (the historical format)."""
-        return self.changed_tables + self.changed_points
+        return self.changed_tables + self.points.changed
 
 
 def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> GroupOutcome:
@@ -528,7 +537,7 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
         assignments[name] = assignment
         mapping.update(assignment.mapping)
     changed_vars = piece.substitution.set_many(mapping)
-    point_verdicts, changed_points = piece.query_engine.reverdict_points(
+    points = piece.query_engine.reverdict_points(
         changed_vars, piece.substitution, ctx.point_verdicts
     )
     table_verdicts, changed_tables = piece.query_engine.reverdict_tables(
@@ -539,10 +548,9 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
         slice=piece,
         mapping=mapping,
         assignments=assignments,
-        point_verdicts=point_verdicts,
+        points=points,
         table_verdicts=table_verdicts,
         changed_tables=changed_tables,
-        changed_points=changed_points,
     )
 
 
@@ -599,8 +607,10 @@ class GroupDecision:
     value_sets: tuple
     net_updates: int  # coalesced ops executed
     source_updates: int  # original updates folded into them
-    affected_points: int  # points re-queried
+    affected_points: int  # points tainted (see UpdateDecision)
     changed: list
+    redecided_points: int = 0
+    unchanged_points: int = 0
 
 
 @dataclass
@@ -611,7 +621,9 @@ class BatchReport:
     coalesced_count: int  # net updates after coalescing
     group_count: int
     workers: int
-    affected_points: int = 0  # points re-queried, summed over the groups
+    affected_points: int = 0  # points tainted, summed over the groups
+    redecided_points: int = 0
+    unchanged_points: int = 0
     # Table names + pids whose verdict changed, in group order.
     changed: list = field(default_factory=list)
     recompiled: bool = False
@@ -629,12 +641,14 @@ class BatchReport:
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
+        points = describe_points(
+            self.affected_points, self.redecided_points, self.unchanged_points
+        )
         return (
             f"{action}: batch of {self.update_count} updates "
             f"({self.coalesced_count} after coalescing, "
             f"{self.group_count} conflict groups, "
-            f"{self.workers} workers), "
-            f"{self.affected_points} points re-queried, "
+            f"{self.workers} workers), {points}; "
             f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
 
@@ -714,7 +728,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     worker_solver = SolverStats()
     worker_gate = GateStats() if shared_gate is not None else None
     changed: list = []
-    affected_points = 0
+    affected_points = redecided_points = unchanged_points = 0
     memo_entries = 0
     verdict_entries = 0
     learned_clauses = 0
@@ -731,10 +745,13 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         memo_entries += grafted_memo
         verdict_entries += grafted_verdicts
         learned_clauses += grafted_learned
-        ctx.point_verdicts.update(outcome.point_verdicts)
+        points = outcome.points
+        ctx.point_verdicts.update(points.verdicts)
         ctx.table_verdicts.update(outcome.table_verdicts)
         changed.extend(outcome.changed)
-        affected_points += len(outcome.point_verdicts)  # groups partition points
+        affected_points += len(points.verdicts)  # groups partition points
+        redecided_points += points.redecided
+        unchanged_points += points.unchanged
         group_decisions.append(
             GroupDecision(
                 index=outcome.group.index,
@@ -742,8 +759,10 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
                 value_sets=tuple(outcome.group.value_sets),
                 net_updates=len(outcome.group.ops),
                 source_updates=outcome.group.source_count,
-                affected_points=len(outcome.point_verdicts),
+                affected_points=len(points.verdicts),
                 changed=outcome.changed,
+                redecided_points=points.redecided,
+                unchanged_points=points.unchanged,
             )
         )
     merged_solver = shared_solver.stats.since(solver_before)
@@ -796,6 +815,8 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         group_count=len(groups),
         workers=workers,
         affected_points=affected_points,
+        redecided_points=redecided_points,
+        unchanged_points=unchanged_points,
         changed=changed,
         recompiled=bool(changed),
         elapsed_ms=(time.perf_counter() - start) * 1000,

@@ -163,6 +163,8 @@ class Engine:
             elapsed_ms=elapsed_ms,
             overapproximated=bool(assignment and assignment.overapproximated),
             compile_report=warm.compile_report,
+            redecided_points=warm.redecided,
+            unchanged_points=warm.unchanged,
         )
         self.ctx.update_log.append(decision)
         self.ctx.timings.update_ms.append(decision.elapsed_ms)
@@ -180,6 +182,8 @@ class Engine:
             elapsed_ms=elapsed_ms,
             overapproximated=False,
             compile_report=warm.compile_report,
+            redecided_points=warm.redecided,
+            unchanged_points=warm.unchanged,
         )
         self.ctx.update_log.append(decision)
         self.ctx.timings.update_ms.append(decision.elapsed_ms)
@@ -200,6 +204,8 @@ class Engine:
             affected_points=len(warm.affected),
             elapsed_ms=elapsed_ms,
             compile_report=warm.compile_report,
+            redecided_points=warm.redecided,
+            unchanged_points=warm.unchanged,
         )
         self.ctx.update_log.append(decision)
         self.ctx.timings.update_ms.append(decision.elapsed_ms)

@@ -53,8 +53,9 @@ class CacheActivity(Event):
 class UpdateProcessed(Event):
     """Outcome of one warm run (single update, value-set update, or batch).
 
-    ``affected_points`` counts the points re-queried — those tainted by a
-    control symbol whose assignment changed; 0 is the normal forward.
+    ``affected_points`` counts the points visited — those tainted by a
+    control symbol whose assignment changed; 0 is the normal forward.  How
+    many of them were re-decided is on the decision record.
     """
 
     kind: str  # "update" | "value_set" | "batch"

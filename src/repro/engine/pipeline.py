@@ -44,6 +44,18 @@ from repro.smt.terms import DEFAULT_FACTORY
 # ---------------------------------------------------------------------------
 
 
+def describe_points(tainted: int, redecided: int, unchanged: int) -> str:
+    """The point counts every decision record reports, in one wording.
+
+    Tainted points not counted in either of the other two replayed a
+    witness fingerprint (gate tier 2a) without pulling their term.
+    """
+    return (
+        f"points: {tainted} tainted, {redecided} re-decided, "
+        f"{unchanged} unchanged term"
+    )
+
+
 @dataclass
 class UpdateDecision:
     """Outcome of processing one control-plane update."""
@@ -51,19 +63,25 @@ class UpdateDecision:
     update: object
     forwarded: bool  # sent to the device without recompilation
     recompiled: bool
-    # Points re-queried: those tainted by a symbol whose assignment changed.
-    # 0 is the normal forward (an overapproximated table, a no-op re-encode).
+    # Points tainted by a symbol whose assignment changed (the points
+    # visited).  0 is the normal forward (an overapproximated table, a
+    # no-op re-encode).
     affected_points: int
     changed: list  # pids / table names whose verdict changed
     elapsed_ms: float
     overapproximated: bool
     compile_report: object = None
+    redecided_points: int = 0  # of those, decided afresh from a new term
+    unchanged_points: int = 0  # of those, kept on the identical term
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
         mode = " (overapprox)" if self.overapproximated else ""
+        points = describe_points(
+            self.affected_points, self.redecided_points, self.unchanged_points
+        )
         return (
-            f"{action}{mode}: {self.affected_points} points re-queried, "
+            f"{action}{mode}: {points}; "
             f"{len(self.changed)} changed, {self.elapsed_ms:.2f} ms"
         )
 
@@ -75,9 +93,11 @@ class BatchDecision:
     update_count: int
     recompiled: bool
     changed: list  # verdicts that changed (pids / table names)
-    affected_points: int  # points re-queried (see UpdateDecision); often 0
+    affected_points: int  # points tainted (see UpdateDecision); often 0
     elapsed_ms: float
     compile_report: object = None
+    redecided_points: int = 0
+    unchanged_points: int = 0
 
     @property
     def updates(self) -> int:
@@ -89,9 +109,11 @@ class BatchDecision:
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
+        points = describe_points(
+            self.affected_points, self.redecided_points, self.unchanged_points
+        )
         return (
-            f"{action}: batch of {self.update_count} updates, "
-            f"{self.affected_points} points re-queried, "
+            f"{action}: batch of {self.update_count} updates, {points}; "
             f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
 
@@ -110,7 +132,9 @@ class WarmState:
     touched_tables: list = field(default_factory=list)  # sorted names
     changed_vars: set = field(default_factory=set)  # symbols re-assigned
     assignments: dict = field(default_factory=dict)  # table → TableAssignment
-    affected: set = field(default_factory=set)  # pids re-queried
+    affected: set = field(default_factory=set)  # pids tainted (visited)
+    redecided: int = 0  # of those, decided afresh from a new term
+    unchanged: int = 0  # of those, kept on the identical term
     changed: list = field(default_factory=list)  # pids / table names
     respecialized: bool = False
     compile_report: object = None
@@ -253,11 +277,14 @@ class AnalysisPass:
             effort=options.effort,
         )
         ctx.term_factory = DEFAULT_FACTORY
-        # One long-lived substitution whose memo survives across updates:
-        # an update only invalidates the memo entries that mention a
-        # control symbol whose assignment actually changed (delta
-        # substitution), so warm updates touch O(delta) of each point's DAG.
-        ctx.substitution = DeltaSubstitution({})
+        # One long-lived substitute-and-simplify pass whose memo survives
+        # across updates: an update marks the entries above a re-assigned
+        # control symbol dirty and the next pull rewrites only those whose
+        # children's results moved, so warm updates touch O(delta) of each
+        # point's DAG.  It shares the query engine's simplify memo.
+        ctx.substitution = DeltaSubstitution(
+            {}, simplify_memo=ctx.query_engine.simplify_memo
+        )
 
 
 class EncodePass:
@@ -433,12 +460,14 @@ class ReverdictPointsPass:
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
-        verdicts, changed = ctx.query_engine.reverdict_points(
+        sweep = ctx.query_engine.reverdict_points(
             warm.changed_vars, ctx.substitution, ctx.point_verdicts
         )
-        warm.affected = set(verdicts)
-        warm.changed.extend(changed)
-        ctx.point_verdicts.update(verdicts)
+        warm.affected = set(sweep.verdicts)
+        warm.redecided = sweep.redecided
+        warm.unchanged = sweep.unchanged
+        warm.changed.extend(sweep.changed)
+        ctx.point_verdicts.update(sweep.verdicts)
 
 
 class ReverdictTablesPass:
@@ -549,6 +578,7 @@ __all__ = [
     "WarmLowerPass",
     "WarmState",
     "cold_passes",
+    "describe_points",
     "restore_passes",
     "warm_passes",
 ]

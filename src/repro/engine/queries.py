@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.analysis.model import (
     DataPlaneModel,
@@ -85,6 +85,15 @@ class TableVerdict:
         )
 
 
+class PointReverdicts(NamedTuple):
+    """What one :meth:`QueryEngine.reverdict_points` sweep did."""
+
+    verdicts: dict  # pid → verdict, for every tainted point, in pid order
+    changed: list  # pids whose specialization changed
+    redecided: int  # tainted points whose term moved, decided afresh
+    unchanged: int  # tainted points kept on the identical term
+
+
 class QueryEngine:
     """Evaluates specialization queries against a substitution."""
 
@@ -129,6 +138,14 @@ class QueryEngine:
         self.generation = 0
         self._exec_cache: dict[Term, str] = {}
         self._simplify_memo: dict[int, Term] = {}
+        # pid → (the simplified term the point's current verdict was decided
+        # from, that verdict).  A pull that returns the same interned term
+        # returns the verdict with it, by the invariant above.  The term is
+        # None after the one verdict that is not a function of the term, an
+        # un-memoized budget-MAYBE, which is therefore always re-decided.
+        self._decided: dict[str, tuple] = {}
+        self.redecided = 0  # point verdicts decided from a (new) term
+        self.unchanged = 0  # point verdicts kept on the identical term
         # Structural table-verdict memo.  A precise verdict is a pure
         # function of (active-entry digest, selector term, hit term):
         # feasible actions and hit constancy derive from the simplified
@@ -158,6 +175,7 @@ class QueryEngine:
         self.exec_counter.invalidate(len(self._exec_cache))
         self._exec_cache.clear()
         self._simplify_memo.clear()
+        self._decided.clear()
         self.table_verdict_counter.invalidate(len(self._table_verdict_memo))
         self._table_verdict_memo.clear()
         self._values_memo.clear()
@@ -168,11 +186,17 @@ class QueryEngine:
     def point_verdict(
         self,
         point: ProgramPoint,
-        substitution: Substitution,
+        substitution,
         memo: Optional[dict[int, Term]] = None,
     ) -> PointVerdict:
-        if memo is None:
-            memo = self._simplify_memo
+        """The verdict at ``point`` under ``substitution``.
+
+        ``substitution`` is the engine's
+        :class:`~repro.smt.substitute.DeltaSubstitution` (or a worker's
+        slice of it), whose ``apply`` already simplifies, or a one-shot
+        :class:`~repro.smt.substitute.Substitution`, whose result is
+        simplified here through ``memo``.
+        """
         gate = self.gate
         if gate is not None:
             # Tier 2a: a fingerprint hit skips substitution, simplification,
@@ -180,19 +204,31 @@ class QueryEngine:
             verdict = gate.screen(point)
             if verdict is not None:
                 return verdict
-        term = simplify(substitution.apply(point.expr), memo=memo)
+        term = substitution.apply(point.expr)
+        if isinstance(substitution, Substitution):
+            term = simplify(term, memo=self._simplify_memo if memo is None else memo)
+        decided = self._decided.get(point.pid)
+        if decided is not None and decided[0] is term:
+            self.unchanged += 1
+            return decided[1]
+        self.redecided += 1
         if point.kind in (KIND_IF, KIND_SELECT):
             if gate is not None:
                 executability = gate.decide(point, term, self)
             else:
                 executability = self._executability(term)
-            return PointVerdict(point.pid, point.kind, executability=executability)
-        if gate is not None:
-            return gate.decide_constant(point, term, self)
-        value = constant_value(term)
-        return PointVerdict(
-            point.pid, point.kind, constant=value, is_constant=value is not None
-        )
+            verdict = PointVerdict(point.pid, point.kind, executability=executability)
+            if executability == MAYBE and term not in self._exec_cache:
+                term = None  # budget-MAYBE: retry on the next change
+        elif gate is not None:
+            verdict = gate.decide_constant(point, term, self)
+        else:
+            value = constant_value(term)
+            verdict = PointVerdict(
+                point.pid, point.kind, constant=value, is_constant=value is not None
+            )
+        self._decided[point.pid] = (term, verdict)
+        return verdict
 
     def _executability(self, term: Term) -> str:
         if term is T.TRUE:
@@ -226,23 +262,25 @@ class QueryEngine:
     # -- re-verdicts (the warm path) ------------------------------------------------
 
     def reverdict_points(
-        self, changed_vars, substitution: Substitution, current: dict
-    ) -> tuple[dict, list]:
+        self, changed_vars, substitution, current: dict
+    ) -> PointReverdicts:
         """Re-query the points tainted by a symbol whose assignment changed.
 
         ``changed_vars`` is what ``set_many`` reported, not every symbol of
         every touched table: a point none of whose symbols changed has the
         identical post-substitution term, hence (see the cache invariant in
         ``__init__``) the identical verdict, and is not visited — so an
-        update into an overapproximated table re-queries nothing.  The one
-        verdict that is not a function of the term, an un-memoized
-        budget-``MAYBE``, is therefore retried when one of the point's
-        symbols next changes rather than on every touch of its tables.
+        update into an overapproximated table re-queries nothing.  A
+        visited point whose pulled term is the object its verdict was
+        decided from keeps that verdict the same way
+        (:meth:`point_verdict`).  The one verdict that is not a function of
+        the term, an un-memoized budget-``MAYBE``, is retried whenever one
+        of the point's symbols changes.
 
-        Returns ``(verdicts by pid, pids whose specialization changed)``
-        against ``current``, both in pid order.
+        Verdicts and changed pids are against ``current``, in pid order.
         """
         points = self.model.points
+        redecided, unchanged = self.redecided, self.unchanged
         verdicts: dict = {}
         changed: list = []
         for pid in sorted(self.model.points_for_control_vars(changed_vars)):
@@ -250,7 +288,9 @@ class QueryEngine:
             if not verdict.same_specialization(current[pid]):
                 changed.append(pid)
             verdicts[pid] = verdict
-        return verdicts, changed
+        return PointReverdicts(
+            verdicts, changed, self.redecided - redecided, self.unchanged - unchanged
+        )
 
     def reverdict_tables(
         self, assignments: dict, state, current: dict

@@ -47,9 +47,11 @@ from repro.smt.cnf import replay_encoder, roots_compatible
 from repro.smt.session import SolverSession
 from repro.smt.solver import SatResult
 
+#: 3: the substitution memo holds simplified results (clean entries only)
+#: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 
 def snapshot_context(ctx) -> dict:
@@ -94,6 +96,10 @@ def snapshot_context(ctx) -> dict:
             dict(ctx.gate._hunt_failures) if ctx.gate is not None else None
         ),
         "point_verdicts": dict(ctx.point_verdicts),
+        "decided": [
+            (pid, None if term is None else arena.encode(term), verdict)
+            for pid, (term, verdict) in ctx.query_engine._decided.items()
+        ],
         "table_verdicts": dict(ctx.table_verdicts),
         "recompilations": ctx.recompilations,
         "terms": arena,
@@ -157,8 +163,13 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         witness_records = ctx.gate.restore_records(
             arena, blob["gate_records"], blob.get("hunt_failures")
         )
-    # 7. Verdicts and counters.
+    # 7. Verdicts, the terms they were decided from (so the first pull
+    #    after restore that finds its term unchanged keeps its verdict, as
+    #    the snapshotted engine would), and counters.
     ctx.point_verdicts.update(blob["point_verdicts"])
+    for pid, index, verdict in blob["decided"]:
+        term = None if index is None else arena.decode(index)
+        ctx.query_engine._decided[pid] = (term, verdict)
     ctx.table_verdicts.update(blob["table_verdicts"])
     ctx.recompilations = blob["recompilations"]
     # 8. Re-prime the table-verdict memo.  The memo itself cannot ride in

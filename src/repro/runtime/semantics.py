@@ -71,7 +71,9 @@ class TableState:
     normalised, ``value & ~mask == 0``).  The row goes when the
     entry is deleted.  On rows the eclipse rule is two integer
     operations (:meth:`_covers`) and a point lookup one
-    (:class:`~repro.smt.fdd.TableFdd`).
+    (:class:`~repro.smt.fdd.TableFdd`).  Beside the row sits the entry's
+    match condition as a term (:meth:`active_matches`), built the first
+    time a precise encoding asks for it and dropped with the row.
 
     The eclipse-elided active list is cached and maintained
     *incrementally*: an INSERT splices the new row into the cached list
@@ -91,6 +93,8 @@ class TableState:
         # Bit offset of each key inside the packed key integer.
         self._shifts = tuple(accumulate(self._widths, initial=0))[:-1]
         self._rows: dict[object, tuple] = {}  # match key → (entry, value, mask)
+        # (value, mask) → the match condition; a function of the pair alone.
+        self._conds: dict[tuple, Term] = {}
         # Cached eclipse-elided active rows (None = needs full recompute)
         # and the per-mode entry counts that decide the precedence order.
         self._active: Optional[list[tuple]] = []
@@ -189,6 +193,7 @@ class TableState:
                 raise EntryError(f"no such entry in {self.info.name}: {key}")
             mode_before = self._mode()
             del self._rows[key]
+            self._conds.pop(old[1:], None)
             self._count_entry(old[0], -1)
             if self._active is not None and (
                 self._mode() != mode_before
@@ -204,6 +209,7 @@ class TableState:
 
     def clear(self) -> None:
         self._rows.clear()
+        self._conds.clear()
         self._active = []
         self._n_ternary = 0
         self._n_lpm = 0
@@ -312,6 +318,23 @@ class TableState:
     def active_entries(self) -> list[TableEntry]:
         """Ordered entries with eclipsed (never-firing) entries elided."""
         return [row[0] for row in self.active_rows()]
+
+    def active_matches(self) -> list[tuple[TableEntry, Term]]:
+        """:meth:`active_entries`, each with its match condition.
+
+        A condition is built once per live entry — a MODIFY keeps the
+        match, hence the condition — so re-encoding a precise table after
+        an update builds the new entry's and no other, and an
+        overapproximated table, whose encoder never asks, builds none.
+        """
+        conds = self._conds
+        matches = []
+        for entry, value, mask in self.active_rows():
+            cond = conds.get((value, mask))
+            if cond is None:
+                cond = conds[value, mask] = entry_match_term(self.info, entry)
+            matches.append((entry, cond))
+        return matches
 
 
 class ControlPlaneState:
@@ -440,11 +463,9 @@ def encode_table(
         # Past the threshold we never look at individual entries again —
         # that's what makes overapproximated update processing O(1).
         return _overapproximate(info, len(state))
-    entries = state.active_entries()
-
     sel_width = TableInfo.SELECTOR_WIDTH
     default_code = info.action_codes.get(info.default_action, 0)
-    matches = [(entry, entry_match_term(info, entry)) for entry in entries]
+    matches = state.active_matches()
 
     # Action selector: first matching entry's action, else the default.
     selector: Term = T.bv_const(default_code, sel_width)

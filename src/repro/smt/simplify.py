@@ -28,7 +28,10 @@ def simplify(term: Term, memo: Optional[dict[int, Term]] = None) -> Term:
 
     A shared ``memo`` (keyed by ``id``) may be passed when simplifying many
     expressions that share structure — e.g. all program points of one
-    program — which is exactly Flay's batched update-analysis path.
+    program — which is exactly Flay's batched update-analysis path.  The
+    rewrite rules hand the same memo to the ``simplify`` calls they make
+    on the terms they build, so a subterm is walked once per memo however
+    many rule applications reach it.
     """
     if memo is None:
         memo = {}
@@ -46,7 +49,7 @@ def simplify(term: Term, memo: Optional[dict[int, Term]] = None) -> Term:
                     stack.append((child, False))
             continue
         new_args = tuple(memo[id(child)] for child in node.args)
-        memo[id(node)] = _rewrite(node, new_args)
+        memo[id(node)] = _rewrite(node, new_args, memo)
     return memo[id(term)]
 
 
@@ -130,7 +133,16 @@ def _fold(node: Term, args: tuple) -> Term:
     return T.bv_const(value, rebuilt.width)
 
 
-def _rewrite(node: Term, args: tuple) -> Term:
+def _rewrite(node: Term, args: tuple, memo: dict) -> Term:
+    """One bottom-up step: ``node`` over already-simplified ``args``.
+
+    Only ``node``'s operator, width and payload are read, and every rule
+    is symmetric in the arguments of a commutative operator, so the
+    result is the same whether ``node`` is a substituted term or the
+    source term it was substituted from — which is what lets
+    :class:`~repro.smt.substitute.DeltaSubstitution` rewrite source nodes
+    over their children's results without building the substituted term.
+    """
     op = node.op
     if not node.args:
         return node
@@ -139,7 +151,7 @@ def _rewrite(node: Term, args: tuple) -> Term:
 
     handler = _RULES.get(op)
     if handler is not None:
-        result = handler(node, args)
+        result = handler(node, args, memo)
         if result is not None:
             return result
     return _rebuild(node, args)
@@ -157,7 +169,7 @@ def _is_one(t: Term) -> bool:
     return t.op == T.OP_BVCONST and t.payload == 1
 
 
-def _rw_add(node: Term, args: tuple) -> Optional[Term]:
+def _rw_add(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if _is_zero(a):
         return b
@@ -166,7 +178,7 @@ def _rw_add(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_sub(node: Term, args: tuple) -> Optional[Term]:
+def _rw_sub(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if _is_zero(b):
         return a
@@ -175,7 +187,7 @@ def _rw_sub(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_mul(node: Term, args: tuple) -> Optional[Term]:
+def _rw_mul(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     for x, y in ((a, b), (b, a)):
         if _is_zero(x):
@@ -189,7 +201,7 @@ def _rw_mul(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_bvand(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bvand(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return a
@@ -201,7 +213,7 @@ def _rw_bvand(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_bvor(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bvor(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return a
@@ -213,7 +225,7 @@ def _rw_bvor(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_bvxor(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bvxor(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return T.bv_const(0, node.width)
@@ -223,14 +235,14 @@ def _rw_bvxor(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_bvnot(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bvnot(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     (a,) = args
     if a.op == T.OP_NOT:
         return a.args[0]
     return None
 
 
-def _rw_shift(node: Term, args: tuple) -> Optional[Term]:
+def _rw_shift(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if _is_zero(b):
         return a
@@ -241,7 +253,7 @@ def _rw_shift(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_extract(node: Term, args: tuple) -> Optional[Term]:
+def _rw_extract(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     (a,) = args
     hi, lo = node.payload
     if lo == 0 and hi == a.width - 1:
@@ -252,13 +264,13 @@ def _rw_extract(node: Term, args: tuple) -> Optional[Term]:
     if a.op == T.OP_CONCAT:
         left, right = a.args
         if hi < right.width:
-            return simplify(T.extract(right, hi, lo))
+            return simplify(T.extract(right, hi, lo), memo)
         if lo >= right.width:
-            return simplify(T.extract(left, hi - right.width, lo - right.width))
+            return simplify(T.extract(left, hi - right.width, lo - right.width), memo)
     return None
 
 
-def _rw_ite(node: Term, args: tuple) -> Optional[Term]:
+def _rw_ite(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     cond, then, orelse = args
     if cond.op == T.OP_BOOLCONST:
         return then if cond.payload else orelse
@@ -270,22 +282,22 @@ def _rw_ite(node: Term, args: tuple) -> Optional[Term]:
         # ite(c, true, e) == c or e;  ite(c, t, false) == c and t, etc.
         if then.op == T.OP_BOOLCONST:
             if then.payload:
-                return simplify(T.bool_or(cond, orelse))
-            return simplify(T.bool_and(T.bool_not(cond), orelse))
+                return simplify(T.bool_or(cond, orelse), memo)
+            return simplify(T.bool_and(T.bool_not(cond), orelse), memo)
         if orelse.op == T.OP_BOOLCONST:
             if orelse.payload:
-                return simplify(T.bool_or(T.bool_not(cond), then))
-            return simplify(T.bool_and(cond, then))
+                return simplify(T.bool_or(T.bool_not(cond), then), memo)
+            return simplify(T.bool_and(cond, then), memo)
     # Collapse ite chains with identical conditions:
     # ite(c, ite(c, a, _), e) -> ite(c, a, e)
     if then.op == T.OP_ITE and then.args[0] is cond:
-        return simplify(T.ite(cond, then.args[1], orelse))
+        return simplify(T.ite(cond, then.args[1], orelse), memo)
     if orelse.op == T.OP_ITE and orelse.args[0] is cond:
-        return simplify(T.ite(cond, then, orelse.args[2]))
+        return simplify(T.ite(cond, then, orelse.args[2]), memo)
     return None
 
 
-def _rw_eq(node: Term, args: tuple) -> Optional[Term]:
+def _rw_eq(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return T.TRUE
@@ -303,23 +315,23 @@ def _rw_eq(node: Term, args: tuple) -> Optional[Term]:
                 if then_hit:
                     return cond
                 if else_hit:
-                    return simplify(T.bool_not(cond))
+                    return simplify(T.bool_not(cond), memo)
                 return T.FALSE
     return None
 
 
-def _rw_ult(node: Term, args: tuple) -> Optional[Term]:
+def _rw_ult(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return T.FALSE
     if _is_zero(b):
         return T.FALSE
     if _is_zero(a):
-        return simplify(T.bool_not(T.eq(b, T.bv_const(0, b.width))))
+        return simplify(T.bool_not(T.eq(b, T.bv_const(0, b.width))), memo)
     return None
 
 
-def _rw_ule(node: Term, args: tuple) -> Optional[Term]:
+def _rw_ule(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     a, b = args
     if a is b:
         return T.TRUE
@@ -330,7 +342,7 @@ def _rw_ule(node: Term, args: tuple) -> Optional[Term]:
     return None
 
 
-def _rw_band(node: Term, args: tuple) -> Optional[Term]:
+def _rw_band(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     flat: list[Term] = []
     seen: set[int] = set()
     for arg in args:
@@ -355,7 +367,7 @@ def _rw_band(node: Term, args: tuple) -> Optional[Term]:
     return T.bool_and(*flat)
 
 
-def _rw_bor(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bor(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     flat: list[Term] = []
     seen: set[int] = set()
     for arg in args:
@@ -379,7 +391,7 @@ def _rw_bor(node: Term, args: tuple) -> Optional[Term]:
     return T.bool_or(*flat)
 
 
-def _rw_bnot(node: Term, args: tuple) -> Optional[Term]:
+def _rw_bnot(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     (a,) = args
     if a.op == T.OP_BNOT:
         return a.args[0]

@@ -7,10 +7,15 @@ simplify.  Substitution is memoized over the shared DAG, so substituting
 into the hundreds of program points of one program touches each unique
 subterm once.
 
-This module is the only substitution walker; the
-:class:`~repro.smt.arena.TermArena` codec moves a substitution's mapping
-and memo through a snapshot (:meth:`DeltaSubstitution.export_state`) but
-does no rewriting of its own.
+Two walkers live here.  :class:`Substitution` is the one-shot
+specification: replace, rebuild, and leave simplification to the caller.
+:class:`DeltaSubstitution` (with its :class:`SubstitutionSlice` overlay)
+is what the engine runs: one fused substitute-and-simplify pass over the
+*source* DAG that survives updates and re-evaluates only what a changed
+assignment actually moved; the tests check it against the specification.
+The :class:`~repro.smt.arena.TermArena` codec moves its mapping and memo
+through a snapshot (:meth:`DeltaSubstitution.export_state`) but does no
+rewriting of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping, Optional
 
 from repro.ir.metrics import CacheCounter
 from repro.smt import terms as T
-from repro.smt.simplify import simplify
+from repro.smt.simplify import _rewrite, simplify
 from repro.smt.terms import Term
 
 #: Process-wide memo: term → frozenset of variable names occurring in it.
@@ -113,45 +118,62 @@ class Substitution:
 
 
 class DeltaSubstitution:
-    """A long-lived substitution whose memo survives mapping updates.
+    """A long-lived substitute-and-simplify pass that propagates changes.
 
     This is the cross-update reuse layer of the incremental pipeline
     (the "Once" cost paid once): one instance lives for the lifetime of an
-    :class:`~repro.engine.engine.Engine`, and a control-plane update only
-    invalidates the memo entries whose subterm mentions a control symbol
-    whose assignment actually changed.  All other entries — in practice
-    the overwhelming majority of every program point's DAG — are reused by
-    identity.
+    :class:`~repro.engine.engine.Engine`.  :meth:`apply` returns what
+    ``simplify(Substitution(mapping).apply(term))`` returns — the same
+    interned object — without building the substituted term: every
+    memoised *source* node stores ``_rewrite(node, results of its
+    children)`` together with the child results it was computed from.
 
-    Internally the memo (``term → substituted term``) is paired with
-    *parent edges* (``child term → memoized terms it is an argument of``)
-    recorded during :meth:`apply`; registering a node costs its arity.
-    :meth:`set_many` diffs the new assignments against the old ones by
-    term identity (hash-consing makes semantically-identical re-encodings
-    the same object), walks up from the variables that changed, drops
-    exactly their memoized ancestors, and *reports the changed symbols* —
-    the warm path re-queries only points tainted by those.  An edge is a
-    structural fact about two source terms, so edges are never removed and
-    neither they nor the memo can outgrow the program's own DAG.
+    A control-plane update does not drop anything.  :meth:`set_many` diffs
+    the new assignments against the old ones by term identity
+    (hash-consing makes semantically-identical re-encodings the same
+    object), *reports the changed symbols* — the warm path re-queries only
+    points tainted by those — and marks **dirty** the memoised ancestors
+    of every symbol whose *simplified* assignment is a different object,
+    walking the *parent edges* (``child → memoised nodes it is an argument
+    of``) recorded when a node is first evaluated.  :meth:`apply`
+    re-evaluates dirty nodes on demand, children first, and keeps a node's
+    stored result without rewriting whenever every child result is the
+    object it was computed from (the **cutoff**): a new ACL entry that
+    leaves ``std.drop`` the constant 1 rewrites the nodes directly above
+    the table's symbols and nothing above those.  Invariant: a dirty
+    node's memoised ancestors are all dirty, so marking stops at a node
+    that already is.
+
+    An edge is a structural fact about two source terms, so edges are
+    never removed and neither they, the memo, the stored child results nor
+    the dirty set can outgrow the program's own DAG.
 
     The memo keys interned :class:`Term` objects directly (their hash is
-    the precomputed structural hash and equality is identity, so lookups
-    cost the same as the historical ``id()`` keying) — which is what
-    makes the memo *exportable*: a snapshot can walk ``_memo.items()``
-    and ship both sides through a
-    :class:`~repro.smt.arena.TermArena`, something ``id``-keyed entries
-    could never recover the key term for.
+    the precomputed structural hash and equality is identity) — which is
+    what makes it *exportable*: a snapshot walks the clean entries and
+    ships both sides through a :class:`~repro.smt.arena.TermArena`.
+
+    ``simplify_memo`` is the ``id``-keyed memo handed to every
+    :func:`~repro.smt.simplify.simplify` call and rewrite rule; the engine
+    passes the query engine's, so a table's selector is simplified once
+    for the substitution and its table verdict alike.
     """
 
     def __init__(
         self,
         mapping: Mapping[Term, Term],
         counter: Optional[CacheCounter] = None,
+        simplify_memo: Optional[dict] = None,
     ) -> None:
         self.counter = counter if counter is not None else CacheCounter("substitution")
+        #: Nodes (re)written by :meth:`apply` — the work the cutoff did not save.
+        self.rewrites = 0
+        self._simplify_memo = simplify_memo if simplify_memo is not None else {}
         self._mapping: dict[Term, Term] = {}
         self._memo: dict[Term, Term] = {}
+        self._inputs: dict[Term, tuple] = {}
         self._parents: dict[Term, set[Term]] = {}
+        self._dirty: set[Term] = set()
         self.set_many(mapping)
 
     def __len__(self) -> int:
@@ -178,29 +200,28 @@ class DeltaSubstitution:
         Assignments identical (by term identity) to the current ones are
         no-ops — the common case when an overapproximated table is
         re-encoded, or a batch re-touches an unchanged table — so a
-        forwarded update stream invalidates nothing and reports nothing.
+        forwarded update stream marks nothing and reports nothing.  A
+        changed assignment that *simplifies* to the object the old one
+        did is reported (the symbol was re-assigned) but marks nothing.
         """
         memo = self._memo
         changed: list[Term] = []
+        moved: list[Term] = []
         for var, replacement in mapping.items():
             self._check(var, replacement)
             if self._mapping.get(var) is not replacement:
-                self._mapping[var] = memo[var] = replacement
+                self._mapping[var] = replacement
                 changed.append(var)
-        parents = self._parents
-        dropped = 0
-        stack = list(changed)
-        while stack:
-            for parent in parents.get(stack.pop(), ()):
-                if memo.pop(parent, None) is not None:
-                    dropped += 1
-                    stack.append(parent)
-        self.counter.invalidate(dropped)
+                result = simplify(replacement, self._simplify_memo)
+                if memo.get(var) is not result:
+                    memo[var] = result
+                    moved.append(var)
+        self.counter.invalidate(_mark_dirty(moved, self._dirty, self._parents))
         return {var.payload for var in changed}
 
-    def fork_slice(self) -> "SubstitutionSlice":
+    def fork_slice(self, simplify_memo: Optional[dict] = None) -> "SubstitutionSlice":
         """A copy-on-write worker view over this substitution's memo."""
-        return SubstitutionSlice(self)
+        return SubstitutionSlice(self, simplify_memo)
 
     def absorb(self, piece: "SubstitutionSlice") -> int:
         """Fold a worker slice's mapping + memo delta back in; see
@@ -208,44 +229,61 @@ class DeltaSubstitution:
         return _absorb_slice(self, piece)
 
     def apply(self, term: Term) -> Term:
-        """Replace mapped variables throughout ``term`` (no simplification)."""
+        """``term`` under the current assignments, substituted and simplified."""
         memo = self._memo
-        if term in memo:
+        dirty = self._dirty
+        if term in memo and term not in dirty:
             self.counter.hit()
             return memo[term]
         self.counter.miss()
+        inputs = self._inputs
         parents = self._parents
+        simplify_memo = self._simplify_memo
         stack: list[tuple[Term, bool]] = [(term, False)]
         while stack:
             node, expanded = stack.pop()
-            if node in memo:
+            known = node in memo
+            if known and node not in dirty:
                 continue
             if not node.args:
-                memo[node] = node
+                memo[node] = node  # a constant or an unassigned symbol
                 continue
             if not expanded:
                 stack.append((node, True))
                 for child in node.args:
-                    if child not in memo:
+                    if child not in memo or child in dirty:
                         stack.append((child, False))
                 continue
-            new_args = tuple(memo[child] for child in node.args)
-            memo[node] = _rebuild_with_args(node, new_args)
-            _link(parents, node)
+            results = tuple([memo[child] for child in node.args])
+            if known:
+                dirty.discard(node)
+                # Interned terms are equal only when identical, so this is
+                # the identity test the cutoff needs at tuple-compare speed.
+                if results == inputs[node]:
+                    continue
+            else:
+                _link(parents, node)
+            inputs[node] = results
+            memo[node] = _rewrite(node, results, simplify_memo)
+            self.rewrites += 1
         return memo[term]
 
     # -- snapshot export / import ----------------------------------------------
 
     def export_state(self, arena) -> dict:
-        """A picklable blob of the mapping and the memo.
+        """A picklable blob of the mapping and the clean part of the memo.
 
         Every term (keys and values alike) rides in ``arena`` (a
         :class:`~repro.smt.arena.TermArena`); :meth:`import_state`
         re-interns them through the receiving process's default factory,
-        so identity-based invalidation keeps working after a restore.
-        The parent edges are not shipped: they are the memo keys' own
-        argument lists.
+        so identity-based change detection keeps working after a restore.
+        Dirty entries are left out — the restored engine recomputes them,
+        to the same interned terms, when they are next pulled — which
+        makes everything else re-derivable: a clean node's children are
+        clean, so its stored child results are its children's entries, and
+        the parent edges are the memo keys' own argument lists.
         """
+        dirty = self._dirty
         return {
             "mapping": [
                 (arena.encode(var), arena.encode(replacement))
@@ -254,28 +292,31 @@ class DeltaSubstitution:
             "memo": [
                 (arena.encode(key), arena.encode(value))
                 for key, value in self._memo.items()
+                if key not in dirty
             ],
         }
 
     def import_state(self, arena, blob: dict) -> int:
         """Install an :meth:`export_state` blob; returns the memo size.
 
-        The blob replaces this substitution's mapping/memo/edges
-        wholesale — callers restore into a freshly constructed (empty)
-        instance.  Edges are re-derived from the memo keys (an older
-        blob's ``index`` entry is ignored).
+        The blob replaces this substitution's state wholesale — callers
+        restore into a freshly constructed (empty) instance.
         """
         self._mapping = {
             arena.decode(var): arena.decode(replacement)
             for var, replacement in blob["mapping"]
         }
-        self._memo = {
+        memo = self._memo = {
             arena.decode(key): arena.decode(value) for key, value in blob["memo"]
         }
+        self._inputs = {
+            key: tuple([memo[child] for child in key.args]) for key in memo if key.args
+        }
         self._parents = {}
-        for key in self._memo:
+        self._dirty = set()
+        for key in memo:
             _link(self._parents, key)
-        return len(self._memo)
+        return len(memo)
 
 
 def _link(parents: dict[Term, set[Term]], node: Term) -> None:
@@ -290,20 +331,37 @@ def _link(parents: dict[Term, set[Term]], node: Term) -> None:
                 found.add(node)
 
 
+def _mark_dirty(moved: list, dirty: set, *edge_maps: dict) -> int:
+    """Add every ancestor of ``moved`` (through ``edge_maps``) to ``dirty``,
+    stopping at nodes already in it; returns the number added."""
+    marked = 0
+    stack = list(moved)
+    while stack:
+        node = stack.pop()
+        for parents in edge_maps:
+            for parent in parents.get(node, ()):
+                if parent not in dirty:
+                    dirty.add(parent)
+                    marked += 1
+                    stack.append(parent)
+    return marked
+
+
 class SubstitutionSlice:
     """A copy-on-write view of a :class:`DeltaSubstitution` for one worker.
 
     The batch scheduler runs independent conflict groups on a worker pool;
-    every worker needs the warm substitution memo (the cross-update asset)
-    but must not mutate it while siblings read it.  A slice layers a
-    private memo, parent edges, and mapping over read-only views of the
-    shared ones:
+    every worker needs the warm memo (the cross-update asset) but must not
+    mutate it while siblings read it.  A slice layers a private memo,
+    stored child results, parent edges, mapping and dirty set over
+    read-only views of the shared ones:
 
-    * reads check the private memo first, then the shared memo — unless
-      the shared entry was *shadowed* by this slice's own ``set_many``
-      (it is an ancestor of a control symbol this group re-assigned);
-    * writes (new mapping entries, freshly computed memo entries) go to
-      the private layer only.
+    * a node is *clean in this view* when the slice has not marked it
+      dirty and it has a private entry, or a shared entry the shared
+      substitution had not marked dirty either;
+    * writes (new mapping entries, re-evaluated nodes — also those the
+      cutoff kept, so that they read as clean here) go to the private
+      layer only.
 
     After the pool joins, :meth:`DeltaSubstitution.absorb` folds the
     private layer back into the shared substitution on the main thread —
@@ -311,25 +369,34 @@ class SubstitutionSlice:
     disagree with another group's.
     """
 
-    def __init__(self, shared: "DeltaSubstitution") -> None:
+    def __init__(
+        self, shared: "DeltaSubstitution", simplify_memo: Optional[dict] = None
+    ) -> None:
         self._shared = shared
+        self._simplify_memo = simplify_memo if simplify_memo is not None else {}
         self._memo: dict[Term, Term] = {}
+        self._inputs: dict[Term, tuple] = {}
         self._parents: dict[Term, set[Term]] = {}
         self._mapping: dict[Term, Term] = {}
-        self._shadowed: set[Term] = set()
+        self._dirty: set[Term] = set()
         self.counter = CacheCounter("substitution")
+        self.rewrites = 0
 
     @property
     def delta_size(self) -> int:
         return len(self._memo)
 
-    def _lookup(self, term: Term) -> Optional[Term]:
+    def _clean(self, term: Term) -> Optional[Term]:
+        """``term``'s result if it is clean in this view, else None."""
+        if term in self._dirty:
+            return None
         found = self._memo.get(term)
         if found is not None:
             return found
-        if term in self._shadowed:
+        shared = self._shared
+        if term in shared._dirty:
             return None
-        return self._shared._memo.get(term)
+        return shared._memo.get(term)
 
     def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
         """Install this group's assignments without touching shared state;
@@ -337,46 +404,40 @@ class SubstitutionSlice:
         shared = self._shared
         memo = self._memo
         changed: list[Term] = []
+        moved: list[Term] = []
         for var, replacement in mapping.items():
             DeltaSubstitution._check(var, replacement)
             current = self._mapping.get(var)
             if current is None:
                 current = shared._mapping.get(var)
             if current is not replacement:
-                self._mapping[var] = memo[var] = replacement
+                self._mapping[var] = replacement
                 changed.append(var)
-        shadowed = self._shadowed
-        shared_memo = shared._memo
-        dropped = 0
-        stack = list(changed)
-        while stack:
-            node = stack.pop()
-            for edges in (self._parents, shared._parents):
-                for parent in edges.get(node, ()):
-                    stale = memo.pop(parent, None) is not None
-                    if stale:
-                        dropped += 1
-                    if parent in shared_memo and parent not in shadowed:
-                        shadowed.add(parent)
-                        stale = True
-                    if stale:
-                        stack.append(parent)
-        self.counter.invalidate(dropped)
+                result = simplify(replacement, self._simplify_memo)
+                if self._clean(var) is not result:
+                    memo[var] = result
+                    moved.append(var)
+        self.counter.invalidate(
+            _mark_dirty(moved, self._dirty, self._parents, shared._parents)
+        )
         return {var.payload for var in changed}
 
     def apply(self, term: Term) -> Term:
-        """Replace mapped variables throughout ``term`` (no simplification)."""
-        cached = self._lookup(term)
+        """``term`` under this view's assignments, substituted and simplified."""
+        cached = self._clean(term)
         if cached is not None:
             self.counter.hit()
             return cached
         self.counter.miss()
+        clean = self._clean
         memo = self._memo
-        parents = self._parents
+        inputs = self._inputs
+        dirty = self._dirty
+        shared = self._shared
         stack: list[tuple[Term, bool]] = [(term, False)]
         while stack:
             node, expanded = stack.pop()
-            if self._lookup(node) is not None:
+            if clean(node) is not None:
                 continue
             if not node.args:
                 memo[node] = node
@@ -384,36 +445,55 @@ class SubstitutionSlice:
             if not expanded:
                 stack.append((node, True))
                 for child in node.args:
-                    if self._lookup(child) is None:
+                    if clean(child) is None:
                         stack.append((child, False))
                 continue
-            new_args = tuple(self._lookup(child) for child in node.args)
-            memo[node] = _rebuild_with_args(node, new_args)
-            _link(parents, node)
-        return self._lookup(term)
+            results = tuple([clean(child) for child in node.args])
+            before = inputs.get(node)
+            if before is None:
+                before = shared._inputs.get(node)
+            dirty.discard(node)
+            inputs[node] = results
+            if before is None:
+                _link(self._parents, node)
+            elif results == before:  # the cutoff; see DeltaSubstitution.apply
+                kept = memo.get(node)
+                memo[node] = kept if kept is not None else shared._memo[node]
+                continue
+            memo[node] = _rewrite(node, results, self._simplify_memo)
+            self.rewrites += 1
+        return memo[term]
 
 
 def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
     """Fold one worker slice back into the shared substitution.
 
-    Ordering matters: ``set_many`` first drops the shared entries the
-    slice shadowed (ancestors of the symbols the group re-assigned), then
-    the slice's private entries — computed *after* the new assignments —
-    are grafted in their place.  Returns the number of grafted entries.
+    The group's assignments are installed and the shared ancestors of the
+    symbols whose simplified assignment moved are marked dirty, as
+    ``set_many`` would; then every node the slice evaluated takes the
+    slice's entry and dirty flag, and every other node the slice marked
+    stays marked.  Returns the number of grafted entries.
     """
-    shared.set_many(piece._mapping)
     memo = shared._memo
-    grafted = 0
-    for key, term in piece._memo.items():
+    shared._mapping.update(piece._mapping)
+    moved = [
+        var
+        for var in piece._mapping
+        if var in piece._memo and memo.get(var) is not piece._memo[var]
+    ]
+    _mark_dirty(moved, shared._dirty, shared._parents)
+    for key, result in piece._memo.items():
         if key not in memo:
-            memo[key] = term
-            grafted += 1
-    for child, nodes in piece._parents.items():
-        shared._parents.setdefault(child, set()).update(nodes)
+            _link(shared._parents, key)
+        memo[key] = result
+    shared._inputs.update(piece._inputs)
+    shared._dirty -= piece._memo.keys()
+    shared._dirty |= piece._dirty
+    shared.rewrites += piece.rewrites
     shared.counter.hit(piece.counter.hits)
     shared.counter.miss(piece.counter.misses)
     shared.counter.invalidate(piece.counter.invalidations)
-    return grafted
+    return len(piece._memo)
 
 
 #: Operator → default-factory constructor; ``extract`` also takes its

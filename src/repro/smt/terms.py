@@ -495,24 +495,46 @@ def tree_size(term: Term, _memo: Optional[dict[int, int]] = None) -> int:
 
 
 def evaluate(term: Term, assignment: dict[str, int]) -> int:
-    """Evaluate ``term`` under a full concrete assignment.
+    """Evaluate ``term`` under a concrete assignment.
 
-    Boolean results are reported as 0/1.  Raises ``KeyError`` for
-    unassigned variables — evaluation is only meaningful when closed.
-    Iterative (post-order over the DAG) so deep ite chains are fine.
+    Boolean results are reported as 0/1.  An ``ite`` evaluates its
+    condition and then only the branch taken, so an entry chain costs the
+    conditions up to the first match, not every entry's subterm; all other
+    operators evaluate every argument.  Raises ``KeyError`` for an
+    unassigned variable the evaluation actually reads.  Iterative and
+    memoised per node, so deep ite chains and shared subterms are fine.
     """
-    memo: dict[int, int] = {}
+    values: dict[int, int] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+            continue
+        if node.op == OP_ITE:
+            cond = values.get(id(node.args[0]))
+            if cond is None:
+                stack.append(node.args[0])
+                continue
+            taken = node.args[1] if cond else node.args[2]
+            value = values.get(id(taken))
+            if value is None:
+                stack.append(taken)
+                continue
+        else:
+            pending = [arg for arg in node.args if id(arg) not in values]
+            if pending:
+                stack.extend(pending)
+                continue
+            value = _eval_node(node, values, assignment)
+        values[id(node)] = value
+        stack.pop()
+    return values[id(term)]
 
-    def walk(node: Term) -> int:
-        return memo[id(node)]
 
-    for node in iter_dag(term):
-        if id(node) not in memo:
-            memo[id(node)] = _eval_node(node, walk, assignment)
-    return memo[id(term)]
-
-
-def _eval_node(node: Term, walk, assignment: dict[str, int]) -> int:
+def _eval_node(node: Term, values: dict[int, int], assignment: dict[str, int]) -> int:
+    """``node``'s value given its arguments' values (by ``id``); ``ite`` is
+    :func:`evaluate`'s own case."""
     op = node.op
     mask = (1 << node.width) - 1 if node.width else 1
     if op == OP_BVCONST:
@@ -521,48 +543,44 @@ def _eval_node(node: Term, walk, assignment: dict[str, int]) -> int:
         return int(node.payload)
     if op in (OP_DATA_VAR, OP_CONTROL_VAR, OP_BOOLVAR):
         return assignment[node.payload] & mask
+    args = [values[id(arg)] for arg in node.args]
     if op == OP_ADD:
-        return (walk(node.args[0]) + walk(node.args[1])) & mask
+        return (args[0] + args[1]) & mask
     if op == OP_SUB:
-        return (walk(node.args[0]) - walk(node.args[1])) & mask
+        return (args[0] - args[1]) & mask
     if op == OP_MUL:
-        return (walk(node.args[0]) * walk(node.args[1])) & mask
+        return (args[0] * args[1]) & mask
     if op == OP_AND:
-        return walk(node.args[0]) & walk(node.args[1])
+        return args[0] & args[1]
     if op == OP_OR:
-        return walk(node.args[0]) | walk(node.args[1])
+        return args[0] | args[1]
     if op == OP_XOR:
-        return walk(node.args[0]) ^ walk(node.args[1])
+        return args[0] ^ args[1]
     if op == OP_NOT:
-        return ~walk(node.args[0]) & mask
+        return ~args[0] & mask
     if op == OP_NEG:
-        return (-walk(node.args[0])) & mask
+        return (-args[0]) & mask
     if op == OP_SHL:
-        shift = walk(node.args[1])
-        return (walk(node.args[0]) << shift) & mask if shift < node.width else 0
+        return (args[0] << args[1]) & mask if args[1] < node.width else 0
     if op == OP_LSHR:
-        shift = walk(node.args[1])
-        return (walk(node.args[0]) >> shift) if shift < node.width else 0
+        return (args[0] >> args[1]) if args[1] < node.width else 0
     if op == OP_CONCAT:
-        lo_width = node.args[1].width
-        return (walk(node.args[0]) << lo_width) | walk(node.args[1])
+        return (args[0] << node.args[1].width) | args[1]
     if op == OP_EXTRACT:
         hi, lo = node.payload
-        return (walk(node.args[0]) >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if op == OP_ITE:
-        return walk(node.args[1]) if walk(node.args[0]) else walk(node.args[2])
+        return (args[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
     if op == OP_EQ:
-        return int(walk(node.args[0]) == walk(node.args[1]))
+        return int(args[0] == args[1])
     if op == OP_ULT:
-        return int(walk(node.args[0]) < walk(node.args[1]))
+        return int(args[0] < args[1])
     if op == OP_ULE:
-        return int(walk(node.args[0]) <= walk(node.args[1]))
+        return int(args[0] <= args[1])
     if op == OP_BAND:
-        return int(all(walk(arg) for arg in node.args))
+        return int(all(args))
     if op == OP_BOR:
-        return int(any(walk(arg) for arg in node.args))
+        return int(any(args))
     if op == OP_BNOT:
-        return int(not walk(node.args[0]))
+        return int(not args[0])
     raise SortError(f"unknown operator {op!r}")
 
 

@@ -121,11 +121,13 @@ def tainted_by(flay, table):
 
 
 class WorkCounters:
-    """The three things a change-free update must not touch."""
+    """What a change-free update must not touch: no screen, no dirty mark,
+    no pull, no rewrite."""
 
     def __init__(self, flay):
         self.gate = flay.runtime.gate
-        self.counter = flay.runtime.substitution.counter
+        self.substitution = flay.runtime.substitution
+        self.counter = self.substitution.counter
         self.reset()
 
     def reset(self):
@@ -135,7 +137,9 @@ class WorkCounters:
         return (
             self.gate.stats.screened,
             self.counter.invalidations,
+            len(self.substitution._dirty),
             self.counter.hits + self.counter.misses,
+            self.substitution.rewrites,
         )
 
     def assert_untouched(self):

@@ -344,6 +344,98 @@ class TestEncoding:
             assert info.hit_var in mapping
 
 
+class TestMatchConditionsAreKept:
+    """A live entry's match condition is built once; re-encoding after an
+    update builds the new entry's only, to the identical interned terms."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The entries ``entry_match_term`` was called on, in call order."""
+        from repro.runtime import semantics
+
+        calls: list = []
+        original = semantics.entry_match_term
+
+        def spy(info, entry):
+            calls.append(entry)
+            return original(info, entry)
+
+        monkeypatch.setattr(semantics, "entry_match_term", spy)
+        return calls
+
+    @staticmethod
+    def assert_is_a_fresh_encoding(model, state, mapping):
+        """Rebuilt from nothing, every assignment is the same object."""
+        fresh = ControlPlaneState(model)
+        for entry in state.table_state("tern").entries():
+            fresh.apply_update(Update("tern", INSERT, entry))
+        rebuilt = encode_table(model.table("tern"), fresh.table_state("tern")).mapping
+        assert mapping.keys() == rebuilt.keys()
+        for var, term in mapping.items():
+            assert term is rebuilt[var]
+
+    def test_one_condition_per_entry_lifetime(self, model, state, built):
+        info, table = model.table("tern"), state.table_state("tern")
+        entries = [tern_entry(i, 0xFF, args=(i,), priority=10 + i) for i in range(1, 6)]
+        for entry in entries[:4]:
+            state.apply_update(Update("tern", INSERT, entry))
+        assert not built  # nothing is built until an encoding asks
+        encode_table(info, table)
+        assert built == table.active_entries()
+        del built[:]
+        encode_table(info, table)
+        assert not built
+        state.apply_update(Update("tern", INSERT, entries[4]))
+        encode_table(info, table)
+        assert built == [entries[4]]
+        del built[:]
+        # MODIFY keeps the match, hence the condition; DELETE drops it.
+        state.apply_update(Update("tern", MODIFY, tern_entry(2, 0xFF, args=(9,), priority=12)))
+        encode_table(info, table)
+        assert not built
+        assert len(table._conds) == 5
+        state.apply_update(Update("tern", DELETE, entries[0]))
+        mapping = encode_table(info, table).mapping
+        assert not built
+        assert len(table._conds) == 4
+        self.assert_is_a_fresh_encoding(model, state, mapping)
+
+    def test_overapproximated_table_builds_none(self, model, state, built):
+        info, table = model.table("tern"), state.table_state("tern")
+        for i in range(5):
+            state.apply_update(Update("tern", INSERT, tern_entry(i, 0xFF, priority=i)))
+        assert encode_table(info, table, threshold=3).overapproximated
+        assert not built and not table._conds
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_stream_encodes_like_a_fresh_state(self, data):
+        model = analyze(parse_program(SOURCE))
+        state = ControlPlaneState(model)
+        info, table = model.table("tern"), state.table_state("tern")
+        live: dict = {}
+        for _ in range(data.draw(st.integers(1, 12))):
+            value = data.draw(st.integers(0, 7))
+            mask = data.draw(st.sampled_from([0xFF, 0xF0, 0x0F, 0x00]))
+            entry = tern_entry(
+                value,
+                mask,
+                args=(data.draw(st.integers(0, 3)),),
+                priority=data.draw(st.integers(0, 3)),
+            )
+            key = entry.match_key()
+            if key in live and data.draw(st.booleans()):
+                op = DELETE
+                del live[key]
+            else:
+                op = MODIFY if key in live else INSERT
+                live[key] = entry
+            state.apply_update(Update("tern", op, entry))
+            mapping = encode_table(info, table).mapping
+            self.assert_is_a_fresh_encoding(model, state, mapping)
+        assert len(table._conds) <= len(live)
+
+
 class TestValueSets:
     SOURCE = """
 header h_t { bit<16> tag; }

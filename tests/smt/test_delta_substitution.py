@@ -1,16 +1,20 @@
-"""Property tests for the change-driven substitution layer.
+"""Property tests for the change-propagating substitution layer.
 
-``DeltaSubstitution`` must behave like a fresh ``Substitution`` over its
-current mapping whatever sequence of ``set_many`` calls led there, report
-exactly the symbols whose assignment changed (the warm path re-queries
-only points tainted by those), and keep its memo and parent edges bounded
-by the program's own term DAG rather than by the update history.
+``DeltaSubstitution.apply`` must return the very object
+``simplify(Substitution(mapping).apply(term))`` returns whatever sequence
+of ``set_many`` calls led to the mapping, report exactly the symbols whose
+assignment changed (the warm path re-queries only points tainted by
+those), mark dirty nothing but ancestors of a symbol whose simplified
+assignment moved, and keep its memo, stored child results, parent edges
+and dirty set bounded by the program's own term DAG rather than by the
+update history.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
 from repro.smt.arena import TermArena
+from repro.smt.simplify import simplify
 from repro.smt.substitute import (
     DeltaSubstitution,
     Substitution,
@@ -58,11 +62,24 @@ STEPS = st.lists(ASSIGNMENTS, min_size=1, max_size=8)
 
 
 def _fresh(current, term):
-    return Substitution(current).apply(term)
+    """The specification: one-shot substitution, then simplification."""
+    return simplify(Substitution(current).apply(term))
 
 
 def _edge_count(substitution):
     return sum(len(nodes) for nodes in substitution._parents.values())
+
+
+def _assert_clean_entries_are_right(delta, current):
+    """Every entry not marked dirty is the specification's result, and was
+    computed from its children's current results."""
+    for key, result in delta._memo.items():
+        if key in delta._dirty:
+            continue
+        assert result is _fresh(current, key)
+        if key.args:
+            assert delta._inputs[key] == tuple(delta._memo[c] for c in key.args)
+            assert not delta._dirty.intersection(key.args)
 
 
 class TestDeltaMatchesFreshSubstitution:
@@ -72,25 +89,24 @@ class TestDeltaMatchesFreshSubstitution:
         delta = DeltaSubstitution({})
         current: dict = {}
         for term in exprs:  # warm the memo under the empty mapping
-            assert delta.apply(term) is term
-        for step in steps:
+            assert delta.apply(term) is simplify(term)
+        for index, step in enumerate(steps):
             expected = {
                 var.name for var, new in step.items() if current.get(var) is not new
             }
-            before = set(delta._memo)
+            dirty_before = set(delta._dirty)
             assert delta.set_many(step) == expected
             current.update(step)
-            # Exactly the entries mentioning a changed symbol were dropped
-            # (a changed variable's own entry is re-seeded, not dropped).
-            survivors = {
-                key
-                for key in before
-                if key.is_var or not (variable_dependencies(key) & expected)
-            }
-            assert set(delta._memo) >= survivors
-            assert not (set(delta._memo) - survivors - set(step))
-            for term in exprs:
+            # Only ancestors of a re-assigned symbol are newly dirty, and
+            # whatever is still clean is still right.
+            for key in delta._dirty - dirty_before:
+                assert variable_dependencies(key) & expected
+            _assert_clean_entries_are_right(delta, current)
+            # Pull a different subset each step, so that dirt outlives steps.
+            for term in exprs[index % 2 :: 2] if index + 1 < len(steps) else exprs:
                 assert delta.apply(term) is _fresh(current, term)
+            _assert_clean_entries_are_right(delta, current)
+        assert not delta._dirty.intersection(exprs)
 
     def test_unchanged_assignment_reports_and_drops_nothing(self):
         expr = T.add(CTRL[0], T.mul(CTRL[1], DATA[0]))
@@ -99,7 +115,35 @@ class TestDeltaMatchesFreshSubstitution:
         memo = dict(delta._memo)
         assert delta.set_many({CTRL[0]: _const(3), CTRL[1]: DATA[1]}) == set()
         assert delta._memo == memo
+        assert not delta._dirty
         assert delta.counter.invalidations == 0
+
+    def test_assignment_with_the_same_simplified_form_marks_nothing(self):
+        expr = T.add(CTRL[0], DATA[0])
+        delta = DeltaSubstitution({CTRL[0]: DATA[1]})
+        delta.apply(expr)
+        rewrites = delta.rewrites
+        same = T.bv_xor(DATA[1], _const(0))  # another term, simplifies to DATA[1]
+        assert delta.set_many({CTRL[0]: same}) == {CTRL[0].name}
+        assert not delta._dirty
+        assert delta.apply(expr) is T.add(DATA[1], DATA[0])
+        assert delta.rewrites == rewrites
+
+    def test_cutoff_stops_above_an_unchanged_result(self):
+        # ctrl0 feeds a comparison that stays false: the node above the
+        # symbol is rewritten, the chain above that is only checked.
+        guard = T.ult(_const(200), T.bv_and(CTRL[0], _const(0x0F)))
+        chain = DATA[0]
+        for level in range(20):
+            chain = T.ite(guard, _const(level), T.add(chain, DATA[1]))
+        delta = DeltaSubstitution({CTRL[0]: _const(1)})
+        first = delta.apply(chain)
+        marked, rewrites = delta.counter.invalidations, delta.rewrites
+        delta.set_many({CTRL[0]: _const(2)})
+        assert delta.counter.invalidations - marked >= 20
+        assert delta.apply(chain) is first
+        assert delta.rewrites - rewrites <= 3
+        assert not delta._dirty
 
 
 class TestNoGrowthWithHistory:
@@ -120,7 +164,13 @@ class TestNoGrowthWithHistory:
                 delta.set_many(assignments[index % 2])
                 for term in exprs:
                     delta.apply(term)
-            return delta.memo_size, len(delta._parents), _edge_count(delta)
+            return (
+                delta.memo_size,
+                len(delta._inputs),
+                len(delta._parents),
+                _edge_count(delta),
+                len(delta._dirty),
+            )
 
         after_two = alternate(2)
         assert alternate(1000) == after_two
@@ -128,9 +178,15 @@ class TestNoGrowthWithHistory:
 
 class TestSliceShadowAndAbsorb:
     @settings(max_examples=100, deadline=None)
-    @given(exprs=EXPRS, initial=ASSIGNMENTS, steps=STEPS, warm=st.integers(0, 5))
+    @given(
+        exprs=EXPRS,
+        initial=ASSIGNMENTS,
+        stale=ASSIGNMENTS,
+        steps=STEPS,
+        warm=st.integers(0, 5),
+    )
     def test_slice_then_absorb_equals_direct_set_many(
-        self, exprs, initial, steps, warm
+        self, exprs, initial, stale, steps, warm
     ):
         shared = DeltaSubstitution(initial)
         twin = DeltaSubstitution(initial)
@@ -139,33 +195,49 @@ class TestSliceShadowAndAbsorb:
         warmed = exprs[:warm]
         for term in warmed:
             shared.apply(term)
+        # The slice forks from a substitution that still has dirty entries.
+        base = dict(initial)
+        base.update(stale)
+        shared.set_many(stale)
+        twin.set_many(stale)
+        dirty_at_fork = set(shared._dirty)
         piece = shared.fork_slice()
-        current = dict(initial)
+        current = dict(base)
         for step in steps:
             assert piece.set_many(step) == twin.set_many(step)
             current.update(step)
             for term in exprs:
                 assert piece.apply(term) is _fresh(current, term)
-            for term in warmed:  # the shared layer is untouched meanwhile
-                assert shared.apply(term) is _fresh(initial, term)
+        # The shared layer was not touched meanwhile.
+        assert shared._dirty == dirty_at_fork
         shared.absorb(piece)
         assert shared._mapping == twin._mapping
+        _assert_clean_entries_are_right(shared, current)
         for term in exprs:
-            assert shared.apply(term) is twin.apply(term)
-        # The grafted edges invalidate like directly recorded ones.
+            assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
+        # The grafted edges mark like directly recorded ones.
         flip = {var: _const(200) for var in CTRL}
         assert shared.set_many(flip) == twin.set_many(flip)
+        current.update(flip)
+        _assert_clean_entries_are_right(shared, current)
         for term in exprs:
-            assert shared.apply(term) is twin.apply(term)
+            assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
 
 
 class TestSnapshotWithoutIndex:
     @settings(max_examples=50, deadline=None)
-    @given(exprs=EXPRS, initial=ASSIGNMENTS, later=ASSIGNMENTS, legacy=st.booleans())
-    def test_round_trip_rederives_the_edges(self, exprs, initial, later, legacy):
+    @given(
+        exprs=EXPRS,
+        initial=ASSIGNMENTS,
+        stale=ASSIGNMENTS,
+        later=ASSIGNMENTS,
+        legacy=st.booleans(),
+    )
+    def test_round_trip_rederives_the_edges(self, exprs, initial, stale, later, legacy):
         source = DeltaSubstitution(initial)
         for term in exprs:
             source.apply(term)
+        source.set_many(stale)  # exported with dirty entries outstanding
         arena = TermArena()
         blob = source.export_state(arena)
         assert set(blob) == {"mapping", "memo"}
@@ -173,13 +245,23 @@ class TestSnapshotWithoutIndex:
             blob["index"] = {
                 var.name: [arena.encode(var)] for var in source._mapping
             }
+        clean = {
+            key: value
+            for key, value in source._memo.items()
+            if key not in source._dirty
+        }
         restored = DeltaSubstitution({})
-        assert restored.import_state(arena, blob) == source.memo_size
+        assert restored.import_state(arena, blob) == len(clean)
         assert restored._mapping == source._mapping
-        assert restored._memo == source._memo
-        assert restored._parents == source._parents
+        assert restored._memo == clean
+        assert restored._inputs == {
+            key: source._inputs[key] for key in clean if key.args
+        }
+        assert not restored._dirty
         current = dict(initial)
+        current.update(stale)
+        _assert_clean_entries_are_right(restored, current)
         current.update(later)
         assert restored.set_many(later) == source.set_many(later)
         for term in exprs:
-            assert restored.apply(term) is _fresh(current, term)
+            assert restored.apply(term) is source.apply(term) is _fresh(current, term)

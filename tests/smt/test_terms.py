@@ -1,8 +1,10 @@
 """Unit tests for the hash-consed term language."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
+from tests.smt.test_simplify import bv_terms
 
 
 class TestConstruction:
@@ -164,6 +166,50 @@ class TestEvaluate:
         for i in range(5000):
             expr = T.add(expr, T.bv_const(1, 8))
         assert T.evaluate(expr, {"ev_deep": 0}) == 5000 % 256
+
+    def test_only_the_taken_branch_is_read(self):
+        x = T.data_var("ev_taken", 8)
+        unread = T.add(T.data_var("ev_unread", 8), T.bv_const(1, 8))
+        first = T.eq(x, T.bv_const(1, 8))
+        expr = T.ite(first, T.bv_const(10, 8), unread)
+        assert T.evaluate(expr, {"ev_taken": 1}) == 10
+        with pytest.raises(KeyError):  # the other branch reads ev_unread
+            T.evaluate(expr, {"ev_taken": 2})
+        with pytest.raises(KeyError):  # a condition is always read
+            T.evaluate(expr, {"ev_unread": 0})
+        # Other operators read every argument, short-circuit or not.
+        with pytest.raises(KeyError):
+            T.evaluate(T.bool_and(T.bool_not(first), T.eq(unread, x)), {"ev_taken": 1})
+
+    def test_entry_chain_stops_at_the_first_match(self):
+        # The table-encoding shape: 3000 entries, the packet matches the
+        # second.  Deep, and later entries' conditions are never reached.
+        x = T.data_var("ev_key", 16)
+        chain = T.bv_const(0, 8)
+        for i in reversed(range(3000)):
+            cond = T.eq(T.bv_and(x, T.data_var(f"ev_mask{i}", 16)), T.bv_const(i, 16))
+            chain = T.ite(cond, T.bv_const(i % 256, 8), chain)
+        env = {"ev_key": 1, "ev_mask0": 0xFFFF, "ev_mask1": 0xFFFF}
+        assert T.evaluate(T.add(chain, chain), env) == 2
+
+
+def _eager(term, env):
+    """Reference evaluation: every node of the DAG, both ite branches."""
+    values = {}
+    for node in T.iter_dag(term):
+        if node.op == T.OP_ITE:
+            cond, then, orelse = (values[id(arg)] for arg in node.args)
+            values[id(node)] = then if cond else orelse
+        else:
+            values[id(node)] = T._eval_node(node, values, env)
+    return values[id(term)]
+
+
+@given(term=bv_terms(), x=st.integers(0, 255), y=st.integers(0, 255))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_equals_the_eager_evaluation_on_total_models(term, x, y):
+    env = {"sx": x, "sy": y}
+    assert T.evaluate(term, env) == _eager(term, env)
 
 
 class TestTraversal:
