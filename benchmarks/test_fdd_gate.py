@@ -1,22 +1,25 @@
-"""The match-space FDD verdict gate: gated vs ungated warm verdicts.
+"""The verdict gate on a disjoint insert stream: gated vs ungated verdicts.
 
 The common control-plane update lands in key space disjoint from every
-tainted path and changes no verdict.  The ungated engine still pays
-substitution + simplification + (for residual MAYBEs) a CDCL probe per
+tainted path and changes no verdict.  The ungated engine still pulls the
+point's term and, where it moved, pays a CDCL probe pair per
 executability point; the gate answers the same queries from witness
-fingerprints — a handful of FDD lookups per point.  This bench measures
-exactly that regime on the ``switch`` program: saturate a few tables so
-their dependent points go MAYBE and harvest witnesses, then time the
-verdict phase of a disjoint-heavy insert stream with the gate on and
-off.  A scion stream rides along for the cross-program picture: its
-value points carry monster rewrite terms past the hunt cap, so the gate
-used to regress there (0.70× in the ISSUE 6 artifact) until the tier-2b
-pool harvest gave hunt-retired points solver-seeded witness pairs — now
-both programs must be a win.
+fingerprints — one first-match row scan per dependency table.  This
+bench measures exactly that regime on the ``switch`` program: saturate
+the tables so their dependent points go MAYBE (the probe pairs that
+decide them leave the witnesses behind), then time the verdict phase of
+a disjoint-heavy insert stream with the gate on and off.  A scion stream
+rides along as the control: its tables taint value points only, which
+never enter the gate, so gated and ungated run the same code there.
 
-Acceptance (ISSUE 6, floors raised by ISSUE 10): gated verdict
-throughput ≥ 5× ungated on the disjoint switch stream with ≥ 80% of
-screens solver-free, and ≥ 1.2× on the scion stream.
+What the gate can claim since the ungated path became incremental
+(PR 22) and value points left the gate (PR 23):
+
+* switch — the gated verdict phase beats the ungated one, with ≥ 80% of
+  the *executability* screens solver-free;
+* scion — gated is within noise of ungated (nothing is gated);
+* by count, on both programs — the gated warm-up issues no more
+  ``check_sat`` calls than the ungated one (its wall time is printed).
 
 Set ``GATE_BENCH_JSON=/path/out.json`` to dump the measured numbers and
 per-layer gate counters (CI uploads that file as an artifact).
@@ -31,13 +34,13 @@ from repro.runtime.fuzzer import EntryFuzzer
 
 # Tracked acceptance floors (validated again offline by
 # ``tools/check_bench.py`` against the committed BENCH_6.json).
-SWITCH_SPEEDUP_FLOOR = 5.0
+SWITCH_SPEEDUP_FLOOR = 1.0
 SWITCH_SOLVER_FREE_FLOOR = 0.8
-# Scion's hot value points are monster rewrite terms the probe-pattern
-# hunt retires; the tier-2b pool (entry-directed solver seeding) turns
-# them into witness replays, so the gate must now *win* on scion too —
-# the floor pins the win, not mere neutrality.
-SCION_SPEEDUP_FLOOR = 1.2
+# Scion's stream taints value points only; they bypass the gate (asserted
+# by count: zero screens), so the two engines run the same code and differ
+# by timer noise.  The floor is the width of that noise on a ~4 ms phase,
+# not a claim.
+SCION_SPEEDUP_FLOOR = 0.5
 
 SWITCH_TABLES = [
     "SwitchIngress.nat_table",
@@ -91,18 +94,20 @@ def disjoint_stream(flay, tables, seed=STREAM_SEED, count=STREAM_COUNT):
 
 
 def run_config(program, tables, gated):
-    """(verdict_ms, calls, warmup delta, measured delta, flay) for one run.
+    """One engine through warm-up and the measured stream.
 
     The gate-stat deltas are split at the warmup/measured boundary:
-    witness harvesting mostly happens while warmup saturates the tables
-    (the measured disjoint stream then *replays*), so folding both phases
-    into one delta is how the harvest counters read zero in ISSUE 6's
-    artifact.
+    witness harvesting happens while warmup saturates the tables (the
+    measured disjoint stream then *replays*), so folding both phases
+    into one delta would hide where the records come from.
     """
     flay = make_flay(program, fdd_gate=gated)
     start = flay.gate_stats() if gated else None
+    began = time.perf_counter()
     for update in warmup_updates(flay):
         flay.process_update(update)
+    warmup_s = time.perf_counter() - began
+    warmup_calls = flay.solver_stats().total
     warm = flay.gate_stats().since(start) if gated else None
     stream = disjoint_stream(flay, tables)
     box = instrument_verdicts(flay)
@@ -110,7 +115,15 @@ def run_config(program, tables, gated):
     for update in stream:
         flay.process_update(update)
     delta = flay.gate_stats().since(before) if gated else None
-    return box["seconds"] * 1000, box["calls"], warm, delta, flay
+    return {
+        "verdict_ms": box["seconds"] * 1000,
+        "calls": box["calls"],
+        "warmup_s": warmup_s,
+        "warmup_solver_calls": warmup_calls,
+        "warm": warm,
+        "delta": delta,
+        "flay": flay,
+    }
 
 
 def layer_counts(delta):
@@ -125,34 +138,43 @@ def layer_counts(delta):
 
 
 def bench_program(name, program, tables, timings):
-    gated_ms, gated_calls, warm, delta, gated_flay = run_config(
-        program, tables, True
-    )
-    ungated_ms, ungated_calls, _, _, ungated_flay = run_config(
-        program, tables, False
-    )
+    # One run each, gated first.  Interned terms carry process-wide
+    # caches (size, variables), so a second pass over the same stream
+    # would find every term already seen and measure neither engine as
+    # deployed; and with the gated engine first, the terms both pull are
+    # new to *it* — the order that can only understate the gate.
+    gated = run_config(program, tables, True)
+    ungated = run_config(program, tables, False)
     # The ablation contract, checked on the bench workload itself.
-    assert gated_flay.specialized_source() == ungated_flay.specialized_source()
+    assert gated["flay"].specialized_source() == ungated["flay"].specialized_source()
     assert (
-        gated_flay.runtime.point_verdicts == ungated_flay.runtime.point_verdicts
+        gated["flay"].runtime.point_verdicts == ungated["flay"].runtime.point_verdicts
     )
+    # The gate may only save solver work (counts repeat exactly).
+    assert gated["warmup_solver_calls"] <= ungated["warmup_solver_calls"]
 
+    warm, delta = gated["warm"], gated["delta"]
+    gated_ms, ungated_ms = gated["verdict_ms"], ungated["verdict_ms"]
     speedup = ungated_ms / gated_ms if gated_ms else float("inf")
-    solver_free_rate = delta.solver_free / max(delta.screened, 1)
+    # A stream that screens nothing (scion) has nothing that could have
+    # reached the solver: trivially solver-free.
+    solver_free_rate = delta.solver_free / delta.screened if delta.screened else 1.0
     timings[f"{name}_gated_verdict_ms"] = gated_ms
     timings[f"{name}_ungated_verdict_ms"] = ungated_ms
     timings[f"{name}_verdict_speedup"] = speedup
-    timings[f"{name}_verdict_calls_gated"] = gated_calls
-    timings[f"{name}_verdict_calls_ungated"] = ungated_calls
+    timings[f"{name}_verdict_calls_gated"] = gated["calls"]
+    timings[f"{name}_verdict_calls_ungated"] = ungated["calls"]
     timings[f"{name}_screens"] = delta.screened
     timings[f"{name}_solver_free_rate"] = solver_free_rate
+    timings[f"{name}_warmup_solver_calls_gated"] = gated["warmup_solver_calls"]
+    timings[f"{name}_warmup_solver_calls_ungated"] = ungated["warmup_solver_calls"]
+    timings[f"{name}_warmup_s_gated"] = gated["warmup_s"]
+    timings[f"{name}_warmup_s_ungated"] = ungated["warmup_s"]
     # Harvest counters, split by phase: warmup is where tables saturate
-    # and most witnesses are mined; the measured stream reports its own
-    # (usually small) top-up plus the tier-2b lazy borrows.
+    # and the probe pairs leave their witnesses; the measured stream
+    # reports its own (usually small) top-up.
     timings[f"{name}_witness_harvested_warmup"] = warm.harvested
     timings[f"{name}_witness_harvested"] = delta.harvested
-    timings[f"{name}_lazy_harvested_warmup"] = warm.lazy_harvests
-    timings[f"{name}_lazy_harvested"] = delta.lazy_harvests
     # Structural table-verdict memo traffic during the measured stream.
     timings[f"{name}_table_verdict_hits"] = delta.table_verdict_hits
     timings[f"{name}_table_verdict_misses"] = delta.table_verdict_misses
@@ -160,8 +182,8 @@ def bench_program(name, program, tables, timings):
         timings[f"{name}_layer_{layer}"] = count
 
     print(f"{name}: {STREAM_COUNT} disjoint-heavy inserts into {len(tables)} tables")
-    print(f"  ungated verdict phase: {ungated_ms:8.1f} ms ({ungated_calls} queries)")
-    print(f"  gated verdict phase:   {gated_ms:8.1f} ms ({gated_calls} queries)")
+    print(f"  ungated verdict phase: {ungated_ms:8.1f} ms ({ungated['calls']} queries)")
+    print(f"  gated verdict phase:   {gated_ms:8.1f} ms ({gated['calls']} queries)")
     print(f"  speedup:               {speedup:8.2f}x")
     print(
         f"  layers: witness {timings[f'{name}_layer_fdd_witness_replays']}, "
@@ -170,12 +192,16 @@ def bench_program(name, program, tables, timings):
         f"cdcl {timings[f'{name}_layer_cdcl_probes']}"
     )
     print(
-        f"  solver-free: {delta.solver_free}/{delta.screened} screens "
+        f"  solver-free: {delta.solver_free}/{delta.screened} executability screens "
         f"({100 * solver_free_rate:.1f}%)"
     )
     print(
-        f"  harvests: warmup {warm.harvested}+{warm.lazy_harvests} lazy, "
-        f"measured {delta.harvested}+{delta.lazy_harvests} lazy; "
+        f"  warm-up: gated {gated['warmup_solver_calls']} check_sat calls in "
+        f"{gated['warmup_s']:.2f} s, ungated {ungated['warmup_solver_calls']} in "
+        f"{ungated['warmup_s']:.2f} s"
+    )
+    print(
+        f"  harvests: warmup {warm.harvested}, measured {delta.harvested}; "
         f"table verdicts {delta.table_verdict_hits} memo hits / "
         f"{delta.table_verdict_misses} misses"
     )
@@ -199,8 +225,14 @@ def test_gate_speedup_on_disjoint_stream(benchmark, corpus_programs):
     scion_speedup, _ = bench_program(
         "scion", corpus_programs["scion"], SCION_TABLES, timings
     )
-    print(f"acceptance: switch speedup {switch_speedup:.2f}x (bar: >= 5x), "
-          f"solver-free {100 * switch_rate:.1f}% (bar: >= 80%)")
+    assert timings["switch_screens"] > 0
+    assert timings["scion_screens"] == 0
+    print(
+        f"acceptance: switch speedup {switch_speedup:.2f}x "
+        f"(bar: >= {SWITCH_SPEEDUP_FLOOR}x), "
+        f"solver-free {100 * switch_rate:.1f}% (bar: >= 80%); "
+        f"scion {scion_speedup:.2f}x (bar: >= {SCION_SPEEDUP_FLOOR}x, nothing gated)"
+    )
 
     # Register the gated switch verdict phase with pytest-benchmark.
     def gated_run():
@@ -219,6 +251,5 @@ def test_gate_speedup_on_disjoint_stream(benchmark, corpus_programs):
 
     assert switch_speedup >= SWITCH_SPEEDUP_FLOOR
     assert switch_rate >= SWITCH_SOLVER_FREE_FLOOR
-    # The scion stream must be a real win now that tier-2b pool harvest
-    # covers its hunt-retired monster points (see SCION_SPEEDUP_FLOOR).
+    # Nothing on the scion stream is gated (see SCION_SPEEDUP_FLOOR).
     assert scion_speedup >= SCION_SPEEDUP_FLOOR

@@ -132,8 +132,9 @@ class BatchMerged(Event):
 class GateActivity(Event):
     """Verdict-gate tier activity over one warm run (delta counters).
 
-    ``screened`` is the number of executability queries offered to the
-    gate; ``witness_hits`` were resolved pre-substitution from witness
+    ``screened`` is the number of queries offered to the gate — the
+    tainted executability points, the only ones that could have reached
+    the solver; ``witness_hits`` were resolved pre-substitution from witness
     fingerprints (tier 2a), ``interval_decided``/``witness_evals`` by the
     non-solver tiers over the recomputed term, and ``solver_fallbacks``
     reached the CDCL probe pair.  ``fdd_rebuilds`` counts lazy re-packs

@@ -35,17 +35,22 @@ is concretely evaluated under the stored witness models (missing
 variables default to zero, matching how the models were harvested).  If
 the positive witness still evaluates true and the negative still false,
 the verdict is MAYBE — a sound, complete-procedure-identical answer for
-the price of two term evaluations.  Successful harvests also feed a
-small per-table **witness-model pool**, and record-less points — most
-importantly hunt-retired monster value terms, which would otherwise pay
-the full slow path on every re-verdict forever — *lazily* borrow pool
-models as candidate witnesses: two that evaluate the term differently
-are a complete certificate, so the point graduates to tier-2a screening
-without ever being probe-eligible.
+the price of two term evaluations.
 
 **Tier 3 — CDCL fallback.**  The exact probe pair the ungated path runs
 (``check_sat(t)`` / ``check_sat(¬t)``), with fresh witnesses harvested
-from the models.
+from the models.  Those two models are the only witnesses the gate ever
+holds: the solver is asked nothing that does not decide a verdict, so a
+MAYBE that never reached the probe pair (a term over the node budget, a
+budget-``MAYBE``) simply stays record-less and re-decides on its next
+change.
+
+**Only executability points come here.**  A value point's verdict is
+``constant_value(term)`` — syntactic, a few microseconds on a term the
+substitution already pulled incrementally — so a witness record for it
+could only ever save less than finding its witnesses costs.
+:meth:`QueryEngine.point_verdict` decides those points itself, gated or
+not.
 
 Every tier returns precisely what the ungated path would return — tiers
 1/3 *are* the ungated decision layers, and tiers 2a/2b only ever
@@ -66,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.model import KIND_IF, KIND_SELECT
 from repro.smt import interval, terms as T
 from repro.smt.simplify import constant_value
 from repro.smt.fdd import TableFdd
@@ -157,7 +163,8 @@ class _RecordOverlay:
 class GateStats:
     """Per-tier gate decision counters (the ``--stats`` surface).
 
-    ``screened`` counts executability queries offered to the gate;
+    ``screened`` counts the queries offered to the gate — executability
+    points only, so every one of them could have reached the solver;
     ``witness_hits`` resolved before substitution (tier 2a),
     ``exec_cache_hits``/``interval_decided``/``witness_evals`` resolved
     after substitution but before the solver (tiers 0/1/2b), and
@@ -175,7 +182,6 @@ class GateStats:
     solver_fallbacks: int = 0
     budget_maybes: int = 0
     harvested: int = 0
-    lazy_harvests: int = 0
     table_verdict_hits: int = 0
     table_verdict_misses: int = 0
     fdd_fast_inserts: int = 0
@@ -183,13 +189,11 @@ class GateStats:
 
     @property
     def solver_free(self) -> int:
-        """Queries resolved without dispatching the probe pair."""
-        return (
-            self.witness_hits
-            + self.exec_cache_hits
-            + self.interval_decided
-            + self.witness_evals
-        )
+        """Screens that never reached the probe pair: the four solver-free
+        tiers, plus the points whose pulled term was the object their
+        verdict was decided from (kept before ``decide``), folded to a
+        constant, or was over the solver's node budget."""
+        return self.screened - self.solver_fallbacks
 
     def snapshot(self) -> "GateStats":
         return GateStats(**{f: getattr(self, f) for f in _FIELDS})
@@ -215,8 +219,7 @@ class GateStats:
             (
                 f"solver-free: {self.solver_free} "
                 f"({100.0 * self.solver_free / screened:.1f}% of screens), "
-                f"{self.harvested} witnesses harvested "
-                f"(+{self.lazy_harvests} lazy from the 2b pool), "
+                f"{self.harvested} witnesses harvested, "
                 f"{self.budget_maybes} budget punts"
             ),
             (
@@ -245,7 +248,8 @@ class VerdictGate:
         for table_state in state.tables.values():
             table_state.fdd = TableFdd()
         # Per-point taint dependencies: which tables / value sets can
-        # change this executability point's post-substitution term.
+        # change an executability point's post-substitution term (value
+        # points never come here).
         owner: dict = {}
         for name, info in model.tables.items():
             for var in info.control_var_names():
@@ -253,31 +257,10 @@ class VerdictGate:
         for name, info in model.value_sets.items():
             for var in info.control_var_names():
                 owner[var] = (False, name)
-        # Per-point consecutive distinguishing-witness hunt failures.  A
-        # point whose term is too big to probe (or genuinely near-constant)
-        # fails the hunt identically on every re-verdict; after a few
-        # strikes the gate stops paying for the attempt.  Purely a speed
-        # decision — record absence never changes a verdict.
-        self._hunt_failures: dict = {}
-        # The tier-2b witness-model pool: per dependency table, a few
-        # harvested witness models keyed by that table's packed key point
-        # under the model (distinct points = distinct match points, which
-        # is the diversity that distinguishes value terms the fixed probe
-        # patterns cannot).  Record-less points — hunt-retired monsters
-        # included — borrow these as candidate witnesses; one successful
-        # borrow turns every later re-verdict into a tier-2a screen.
-        self._pool: dict = {}
-        self._pool_version = 0
-        # pid → (pool version, dep revisions) at the last failed borrow:
-        # a point retries at most once per pool growth or table change,
-        # so saturated pools and quiet tables cost nothing.  A few total
-        # failures retire the point from lazy attempts for good.
-        self._lazy_attempts: dict = {}
-        self._lazy_failures: dict = {}
-        # table name → revision of the last solver-assisted pool seeding.
-        self._seed_attempts: dict = {}
         self._deps: dict = {}
         for pid, point in model.points.items():
+            if point.kind not in (KIND_IF, KIND_SELECT):
+                continue
             tables: set = set()
             value_sets: set = set()
             for var in point.control_vars():
@@ -289,20 +272,20 @@ class VerdictGate:
 
     # -- fingerprints ---------------------------------------------------------
 
-    def _key_point(self, name: str, model: _ZeroDefault) -> int:
-        """Table ``name``'s packed key point under one witness model."""
-        info = self.model.tables[name]
-        return self.state.tables[name].pack_point(
-            T.evaluate(k.term, model) for k in info.keys
-        )
-
     def _key_points(self, pid: str, model: _ZeroDefault) -> dict:
-        """Each dependency table's key point under one witness model.
+        """Each dependency table's packed key point under one witness model.
 
         Computed once per record (term evaluation is the expensive part
         of a fingerprint); screens replay the cached points.
         """
-        return {name: self._key_point(name, model) for name in self._deps[pid][0]}
+        tables = self.model.tables
+        states = self.state.tables
+        return {
+            name: states[name].pack_point(
+                T.evaluate(k.term, model) for k in tables[name].keys
+            )
+            for name in self._deps[pid][0]
+        }
 
     def _fingerprint(self, pid: str, points_by_table: dict) -> tuple:
         """The point's dependency state as seen from one witness model:
@@ -362,7 +345,7 @@ class VerdictGate:
         if cached is not None:
             query_engine.exec_counter.hit()
             self.stats.exec_cache_hits += 1
-            self._revalidate(point, term, cached, query_engine)
+            self._revalidate(point, term, cached)
             return cached
         query_engine.exec_counter.miss()
         if (
@@ -370,7 +353,7 @@ class VerdictGate:
             or T.tree_size(term) > query_engine.solver_node_budget
         ):
             query_engine._exec_cache[term] = MAYBE
-            self._revalidate(point, term, MAYBE, query_engine)
+            self._revalidate(point, term, MAYBE)
             return MAYBE
         # Tier 1: the interval domain.  DEFINITELY_FALSE means no model
         # exists (NEVER); DEFINITELY_TRUE means no countermodel exists
@@ -416,10 +399,6 @@ class VerdictGate:
             # Same contract as the ungated path: MAYBE, not memoized.
             self.stats.budget_maybes += 1
             self._records.drop(pid)
-            # A lazy pair is still sound evidence here: term true under
-            # one model and false under another *proves* MAYBE exactly,
-            # which is the verdict the ungated retry would re-derive.
-            self._lazy_harvest(point, term, MAYBE, query_engine)
             return MAYBE
         query_engine._exec_cache[term] = verdict
         if verdict == MAYBE and positive.model is not None and negative.model is not None:
@@ -439,265 +418,25 @@ class VerdictGate:
         return verdict
 
     def decide_constant(self, point, term, query_engine):
-        """Constant-kind verdict (assignments, args) with witness caching.
+        """The syntactic constancy verdict; no engine path calls this.
 
-        Non-constant-ness is existentially witnessed just like MAYBE: two
-        models under which the term evaluates *differently* prove
-        ``is_constant=False``, and a fingerprint hit proves the current
-        term still takes those two distinct values (the term's value at a
-        witness is a function of the dependency state the fingerprint
-        pins).  ``constant_value`` is syntactic, so the replayed verdict
-        is exactly what the ungated path would compute: a semantically
-        non-constant term can never be a literal constant.
+        Value points never enter the gate:
+        :meth:`QueryEngine.point_verdict` computes this same
+        ``constant_value`` verdict itself.  The method survives only
+        because ``benchmarks/e2e/harness/tracing.py`` resolves it by name
+        (its span now always reads 0 calls) — the next benchmark PR drops
+        the wrap point and this with it.
         """
         from repro.engine.queries import PointVerdict
 
-        pid = point.pid
         value = constant_value(term)
-        verdict = PointVerdict(
-            pid, point.kind, constant=value, is_constant=value is not None
+        return PointVerdict(
+            point.pid, point.kind, constant=value, is_constant=value is not None
         )
-        if value is not None:
-            # "Is a constant" is a global property; witnesses cannot
-            # certify it, so constant points always recompute.
-            self._records.drop(pid)
-            return verdict
-        record = self._records.get(pid)
-        if record is not None:
-            if T.evaluate(term, record.pos_model) != T.evaluate(
-                term, record.neg_model
-            ):
-                self.stats.witness_evals += 1
-                self._store(
-                    point, term, verdict,
-                    record.pos_model, record.neg_model,
-                    pos_keys=record.pos_keys, neg_keys=record.neg_keys,
-                )
-                return verdict
-            self._records.drop(pid)
-        if self._hunt_failures.get(pid, 0) >= self.HUNT_RETRY_LIMIT:
-            # Hunt-retired (typically a monster term past the size cap).
-            # The 2b pool is the retirement plan: borrow harvested
-            # witness models from this point's dependency tables and
-            # look for two that evaluate the term differently.
-            pair = self._pool_pair(pid, term, boolean=False, query_engine=query_engine)
-            if pair is not None:
-                self._store(point, term, verdict, pair[0], pair[1])
-                self.stats.lazy_harvests += 1
-            return verdict
-        pair = self._distinguishing_pair(term, query_engine)
-        if pair is None:
-            pair = self._pool_pair(pid, term, boolean=False, query_engine=query_engine)
-            if pair is not None:
-                self._store(point, term, verdict, pair[0], pair[1])
-                self.stats.lazy_harvests += 1
-                return verdict
-            self._hunt_failures[pid] = self._hunt_failures.get(pid, 0) + 1
-            self._records.drop(pid)
-        else:
-            self._hunt_failures.pop(pid, None)
-            self._store(point, term, verdict, pair[0], pair[1])
-            self.stats.harvested += 1
-        return verdict
-
-    #: Consecutive failed hunts after which a point stops being probed.
-    HUNT_RETRY_LIMIT = 3
-    #: Witness models kept per dependency table in the 2b pool.
-    POOL_LIMIT = 8
-    #: Term evaluations allowed per lazy-harvest attempt.  Together with
-    #: the once-per-pool-growth retry gate this bounds what a borrow can
-    #: cost a verdict that would otherwise pay the full slow path anyway.
-    LAZY_EVAL_LIMIT = 8
-    #: Total failed lazy attempts after which a point stops borrowing.
-    LAZY_RETRY_LIMIT = 8
-
-    def _feed_pool(self, points_by_table: dict, model: _ZeroDefault) -> None:
-        """Stash a harvested witness model in each dependency table's pool."""
-        for name, key_point in points_by_table.items():
-            bucket = self._pool.get(name)
-            if bucket is None:
-                bucket = self._pool[name] = {}
-            if key_point not in bucket and len(bucket) < self.POOL_LIMIT:
-                bucket[key_point] = model
-                self._pool_version += 1
-
-    def _pool_pair(self, pid: str, term, boolean: bool, query_engine):
-        """Borrow two distinguishing witness models for a record-less point.
-
-        Candidates are the harvested models in the point's dependency
-        tables' 2b pool buckets, after topping up sparse buckets with
-        *entry-directed* seeds (:meth:`_seed_pool`).  ``boolean`` asks
-        for a (true-model, false-model) pair in that order
-        (executability points); otherwise any two models with distinct
-        evaluations do (constant-kind points).  On failure the attempt
-        signature (pool version + dependency-table revisions) is
-        remembered so the point retries only once per pool growth or
-        table change, and a few total failures retire the point from
-        lazy attempts outright.
-        """
-        dep_tables = self._deps[pid][0]
-        if self._lazy_failures.get(pid, 0) >= self.LAZY_RETRY_LIMIT:
-            return None
-        signature = (
-            self._pool_version,
-            tuple(self.state.tables[name].revision() for name in dep_tables),
-        )
-        if self._lazy_attempts.get(pid) == signature:
-            return None
-        candidates: list = []
-        candidate_ids: set = set()
-        for name in dep_tables:
-            self._seed_pool(name, query_engine)
-            bucket = self._pool.get(name)
-            if not bucket:
-                continue
-            for model in bucket.values():
-                if id(model) not in candidate_ids:
-                    candidate_ids.add(id(model))
-                    candidates.append(model)
-        seen: dict = {}
-        for model in candidates[: self.LAZY_EVAL_LIMIT]:
-            value = T.evaluate(term, model)
-            for prior_value, prior_model in seen.items():
-                if prior_value != value:
-                    if not boolean:
-                        return prior_model, model
-                    if value == 0:
-                        return prior_model, model
-                    return model, prior_model
-            seen.setdefault(value, model)
-        self._lazy_attempts[pid] = (
-            self._pool_version,
-            tuple(self.state.tables[name].revision() for name in dep_tables),
-        )
-        self._lazy_failures[pid] = self._lazy_failures.get(pid, 0) + 1
-        return None
-
-    #: Entry-directed seed queries per table per content change.
-    SEED_ENTRY_LIMIT = 3
-
-    def _seed_pool(self, name: str, query_engine) -> None:
-        """Top up a sparse pool bucket with entry-directed witness models.
-
-        Harvested solver models rarely exercise a table whose key is a
-        computed expression (unconstrained variables zero-default, so
-        every model reads the same key value).  When a bucket has fewer
-        than two distinct key points, ask the solver for models steering
-        the key *into an active entry's region* (``key == masked value``
-        — a query over the key terms only, far smaller than any point
-        term).  Any model is a sound witness candidate, so failed or
-        budget-capped queries just leave the bucket sparse.
-        """
-        state = self.state.tables[name]
-        revision = state.revision()
-        if self._seed_attempts.get(name) == revision:
-            return
-        self._seed_attempts[name] = revision
-        bucket = self._pool.get(name)
-        if bucket is None:
-            bucket = self._pool[name] = {}
-        if len(bucket) >= 2 or not query_engine.use_solver:
-            return
-        info = self.model.tables[name]
-        key_terms = [k.term for k in info.keys]
-        widths = info.key_widths()
-        if (
-            sum(T.tree_size(t) for t in key_terms)
-            > self.HUNT_SIZE_FACTOR * query_engine.solver_node_budget
-        ):
-            return
-        for _entry, value, _mask in state.active_rows()[: self.SEED_ENTRY_LIMIT]:
-            if len(bucket) >= self.POOL_LIMIT:
-                break
-            # The row's packed value is the entry's masked match value:
-            # a key point inside its region.
-            if value in bucket:
-                continue
-            target = T.bool_and(
-                *[
-                    T.eq(k_term, T.bv_const(key_value, width))
-                    for k_term, key_value, width in zip(
-                        key_terms, state.unpack_point(value), widths
-                    )
-                ]
-            )
-            try:
-                result = query_engine.solver.check_sat(target)
-            except SolverBudgetExceeded:
-                continue
-            if not result.satisfiable or result.model is None:
-                continue
-            model = _ZeroDefault(result.model)
-            key_point = self._key_point(name, model)
-            if key_point not in bucket:
-                bucket[key_point] = model
-                self._pool_version += 1
-
-    #: Hunt-eligibility cap, as a multiple of the solver node budget.
-    #: Well above the solver's own budget (the probe patterns are one
-    #: evaluation each, not a search) but low enough that the hunt never
-    #: dominates a warm pass.
-    HUNT_SIZE_FACTOR = 64
-
-    #: Deterministic probe patterns for distinguishing-witness harvest:
-    #: all-zeros, all-ones, and the two alternating-bit masks.
-    _PROBE_PATTERNS = (0, -1, 0xAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA,
-                       0x55555555555555555555555555555555)
-
-    def _distinguishing_pair(self, term, query_engine):
-        """Two models with different evaluations, or None.
-
-        Fixed probe assignments first (free); if they all agree — random
-        match keys rarely cover the probe points — one solver query finds
-        a model disagreeing with the all-zeros evaluation.  The solver is
-        only hunting witnesses here, never deciding the verdict, so a
-        budget blow-up or UNSAT simply means "no record" — the replayed
-        output is unaffected.
-        """
-        if (
-            T.tree_size(term)
-            > self.HUNT_SIZE_FACTOR * query_engine.solver_node_budget
-        ):
-            # Probe evaluation walks the whole term; on monster terms the
-            # hunt costs more than the replays it could ever save.
-            return None
-        term_vars = T.variables(term)
-        if not term_vars:
-            return None
-        seen: dict = {}
-        for pattern in self._PROBE_PATTERNS:
-            model = _ZeroDefault(
-                {
-                    v.name: pattern & ((1 << (v.width if v.is_bv else 1)) - 1)
-                    for v in term_vars
-                }
-            )
-            value = T.evaluate(term, model)
-            for prior_value, prior_model in seen.items():
-                if prior_value != value:
-                    return prior_model, model
-            seen.setdefault(value, model)
-        if (
-            not query_engine.use_solver
-            or T.tree_size(term) > query_engine.solver_node_budget
-        ):
-            return None
-        (base_value, base_model), = list(seen.items())[:1]
-        if term.is_bool:
-            target = term if base_value == 0 else T.bool_not(term)
-        else:
-            target = T.bool_not(T.eq(term, T.bv_const(base_value, term.width)))
-        try:
-            result = query_engine.solver.check_sat(target)
-        except SolverBudgetExceeded:
-            return None
-        if not result.satisfiable or result.model is None:
-            return None
-        return base_model, _ZeroDefault(result.model)
 
     # -- record maintenance ---------------------------------------------------
 
-    def _revalidate(self, point, term, verdict: str, query_engine=None) -> None:
+    def _revalidate(self, point, term, verdict: str) -> None:
         """Refresh (or discard) the record after a non-witness decision."""
         pid = point.pid
         if verdict != MAYBE:
@@ -706,10 +445,7 @@ class VerdictGate:
         record = self._records.get(pid)
         if record is None:
             # Record-less MAYBE (over-budget term or a cached MAYBE that
-            # never had witnesses): try to build one from the 2b pool so
-            # the next re-verdict screens instead of re-substituting.
-            if query_engine is not None:
-                self._lazy_harvest(point, term, verdict, query_engine)
+            # never had witnesses): it stays record-less.
             return
         if record.term is not term and not (
             T.evaluate(term, record.pos_model) == 1
@@ -722,22 +458,6 @@ class VerdictGate:
             record.pos_model, record.neg_model,
             pos_keys=record.pos_keys, neg_keys=record.neg_keys,
         )
-
-    def _lazy_harvest(self, point, term, verdict: str, query_engine) -> None:
-        """Tier-2b pool harvest for a record-less MAYBE executability
-        point.  A (true-model, false-model) pair from the pool is a full
-        MAYBE certificate, so the stored verdict replays exactly what
-        the ungated path would recompute."""
-        if verdict != MAYBE or not term.is_bool:
-            return
-        pair = self._pool_pair(point.pid, term, boolean=True, query_engine=query_engine)
-        if pair is None:
-            return
-        from repro.engine.queries import PointVerdict
-
-        frozen = PointVerdict(point.pid, point.kind, executability=MAYBE)
-        self._store(point, term, frozen, pair[0], pair[1])
-        self.stats.lazy_harvests += 1
 
     def _store(
         self, point, term, verdict, pos_model, neg_model,
@@ -761,8 +481,6 @@ class VerdictGate:
                 fp_neg=self._fingerprint(pid, neg_keys),
             ),
         )
-        self._feed_pool(pos_keys, pos_model)
-        self._feed_pool(neg_keys, neg_model)
 
     # -- stats ----------------------------------------------------------------
 
@@ -789,21 +507,6 @@ class VerdictGate:
         fork.threshold = self.threshold
         fork.stats = GateStats()
         fork._records = _RecordOverlay(self._records)
-        # Shared outright (no overlay): each pid is only ever touched by
-        # the one worker owning its conflict group, and the counter only
-        # steers hunt effort, never a verdict.
-        fork._hunt_failures = self._hunt_failures
-        fork._lazy_attempts = self._lazy_attempts
-        fork._lazy_failures = self._lazy_failures
-        # The 2b pool is copied, not shared: workers feed it while other
-        # workers iterate buckets, and a shared dict would race.  Worker
-        # contributions are deliberately not merged back — the pool only
-        # steers lazy-harvest effort, never a verdict.  Seed attempts are
-        # copied for the same reason: a worker marking a table as seeded
-        # must not stop the main gate from seeding its own bucket.
-        fork._pool = {name: dict(bucket) for name, bucket in self._pool.items()}
-        fork._pool_version = self._pool_version
-        fork._seed_attempts = dict(self._seed_attempts)
         fork._deps = self._deps
         return fork
 
@@ -849,9 +552,7 @@ class VerdictGate:
             )
         return exported
 
-    def restore_records(
-        self, arena, records: list, hunt_failures: Optional[dict] = None
-    ) -> int:
+    def restore_records(self, arena, records: list) -> int:
         """Rebuild the record map from a snapshot blob.
 
         Precondition: ``self.state`` already replays the snapshotted
@@ -874,13 +575,7 @@ class VerdictGate:
                 fp_neg=blob["fp_neg"],
             )
             self._records.set(pid, record)
-            # Re-seed the 2b pool so record-less points keep their lazy
-            # harvest chances across a snapshot round-trip.
-            self._feed_pool(record.pos_keys, record.pos_model)
-            self._feed_pool(record.neg_keys, record.neg_model)
             restored += 1
-        if hunt_failures is not None:
-            self._hunt_failures = dict(hunt_failures)
         return restored
 
 

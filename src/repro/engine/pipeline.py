@@ -47,8 +47,9 @@ from repro.smt.terms import DEFAULT_FACTORY
 def describe_points(tainted: int, redecided: int, unchanged: int) -> str:
     """The point counts every decision record reports, in one wording.
 
-    Tainted points not counted in either of the other two replayed a
-    witness fingerprint (gate tier 2a) without pulling their term.
+    Tainted points not counted in either of the other two are
+    executability points that replayed a witness fingerprint (gate tier
+    2a) without pulling their term.
     """
     return (
         f"points: {tainted} tainted, {redecided} re-decided, "

@@ -125,7 +125,8 @@ class QueryEngine:
         # set, executability queries screen against witness fingerprints
         # before substitution and run the interval/witness tiers before
         # the probe pair; verdicts are identical either way (the gate
-        # tiers are ablation-safe by construction).
+        # tiers are ablation-safe by construction).  Constancy queries
+        # never reach it.
         self.gate = gate
         # Cross-update caches.  Both are pure: post-substitution terms are
         # hash-consed and a verdict is a function of the term alone (any
@@ -197,7 +198,11 @@ class QueryEngine:
         :class:`~repro.smt.substitute.Substitution`, whose result is
         simplified here through ``memo``.
         """
-        gate = self.gate
+        executable = point.kind in (KIND_IF, KIND_SELECT)
+        # Only an executability verdict can cost a solver call, so only
+        # those points go through the gate; a value point's verdict is the
+        # syntactic check below, gated or not.
+        gate = self.gate if executable else None
         if gate is not None:
             # Tier 2a: a fingerprint hit skips substitution, simplification,
             # and the solver outright — the stored verdict is replayed.
@@ -212,7 +217,7 @@ class QueryEngine:
             self.unchanged += 1
             return decided[1]
         self.redecided += 1
-        if point.kind in (KIND_IF, KIND_SELECT):
+        if executable:
             if gate is not None:
                 executability = gate.decide(point, term, self)
             else:
@@ -220,8 +225,6 @@ class QueryEngine:
             verdict = PointVerdict(point.pid, point.kind, executability=executability)
             if executability == MAYBE and term not in self._exec_cache:
                 term = None  # budget-MAYBE: retry on the next change
-        elif gate is not None:
-            verdict = gate.decide_constant(point, term, self)
         else:
             value = constant_value(term)
             verdict = PointVerdict(

@@ -47,11 +47,13 @@ from repro.smt.cnf import replay_encoder, roots_compatible
 from repro.smt.session import SolverSession
 from repro.smt.solver import SatResult
 
+#: 4: gate records exist for executability points only and the blob has
+#: no ``hunt_failures`` (3 carried value-point records and hunt counters).
 #: 3: the substitution memo holds simplified results (clean entries only)
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 def snapshot_context(ctx) -> dict:
@@ -91,9 +93,6 @@ def snapshot_context(ctx) -> dict:
         ],
         "gate_records": (
             ctx.gate.export_records(arena) if ctx.gate is not None else None
-        ),
-        "hunt_failures": (
-            dict(ctx.gate._hunt_failures) if ctx.gate is not None else None
         ),
         "point_verdicts": dict(ctx.point_verdicts),
         "decided": [
@@ -160,9 +159,7 @@ def apply_snapshot(ctx, blob: dict) -> dict:
     # 6. Gate witness fingerprints (plain values: nothing to re-intern).
     witness_records = 0
     if ctx.gate is not None and blob.get("gate_records") is not None:
-        witness_records = ctx.gate.restore_records(
-            arena, blob["gate_records"], blob.get("hunt_failures")
-        )
+        witness_records = ctx.gate.restore_records(arena, blob["gate_records"])
     # 7. Verdicts, the terms they were decided from (so the first pull
     #    after restore that finds its term unchanged keeps its verdict, as
     #    the snapshotted engine would), and counters.

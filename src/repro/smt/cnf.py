@@ -300,17 +300,30 @@ class _Fragment:
     keeps cone streaming cache-friendly (and cheaply picklable).
     """
 
-    __slots__ = ("_lits", "_ends", "children", "out")
+    __slots__ = ("_lits", "_ends", "_vars", "children", "out")
 
     def __init__(self) -> None:
         self._lits = array("i")
         self._ends = array("q")  # end offset of each clause in _lits
+        self._vars = None  # distinct variables of _lits, derived on demand
         self.children: list["_Fragment"] = []
         self.out = None  # literal (bool terms) or literal vector (bv terms)
 
     def append_clause(self, clause: list[int]) -> None:
         self._lits.extend(clause)
         self._ends.append(len(self._lits))
+        self._vars = None
+
+    @property
+    def variables(self) -> list:
+        """The fragment's distinct variables, in first-occurrence order.
+
+        Derived once: a session collecting a probe's decision scope reads
+        this instead of re-walking every literal of every clause.
+        """
+        if self._vars is None:
+            self._vars = list(dict.fromkeys(map(abs, self._lits)))
+        return self._vars
 
     @property
     def clauses(self):

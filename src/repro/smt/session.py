@@ -128,8 +128,10 @@ class SolverSession:
             if term.is_bool
             else self.encoder._bv_frags.get(term)
         )
-        seen: set[int] = set()
-        cone: list[int] = []
+        # An insertion-ordered set: fragments in DFS order, each one's
+        # distinct variables in first-occurrence order — the order a
+        # literal-by-literal walk of the cone would first meet them.
+        cone: dict[int, None] = {}
         local = self._local
         stack = [frag]
         visited: set[int] = set()
@@ -138,14 +140,10 @@ class SolverSession:
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            for clause in node.clauses:
-                for lit in clause:
-                    var = local[lit if lit > 0 else -lit]
-                    if var not in seen:
-                        seen.add(var)
-                        cone.append(var)
+            for var in node.variables:
+                cone[local[var]] = None
             stack.extend(node.children)
-        return cone
+        return list(cone)
 
     # -- querying --------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.runtime.semantics import (
 )
 from repro.smt.sat import SolverBudgetExceeded
 from repro.smt.simplify import simplify
+from repro.smt.solver import Solver
 from repro.smt.substitute import DeltaSubstitution, Substitution
 
 ZOO = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
@@ -290,7 +291,7 @@ def test_budget_maybe_is_retried_on_a_changed_symbol_with_an_unchanged_term(
     assert flay.runtime.point_verdicts[point.pid].executability == MAYBE
 
 
-# -- (e) snapshot, format 3 ---------------------------------------------------
+# -- (e) snapshot, format 4 ---------------------------------------------------
 
 
 def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
@@ -300,7 +301,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 3
+    assert blob["format"] == 4
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -313,9 +314,53 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     assert restored.point_verdicts == live.point_verdicts
 
 
+def test_first_update_after_restore_replays_witnesses_without_the_solver(monkeypatch):
+    """The records a blob carries are the probe pairs' by-products, for
+    MAYBE executability points only — and they still save the probes: the
+    restored engine's first ACL insert replays every record the insert
+    taints and asks the solver nothing."""
+    source = registry.get("scion").source()
+    live = Engine(source=source, options=FlayOptions(target="none"))
+    entries = EntryFuzzer(live.model, seed=7).unique_entries(SCION_ACL, 18)
+    live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
+    live.process_update(Update(SCION_ACL, INSERT, entries[16]))
+    restored = Engine.restore(pickle.loads(pickle.dumps(live.snapshot())))
+    records = restored.ctx.gate._records.map
+    assert records.keys() == live.ctx.gate._records.map.keys()
+    assert all(record.verdict.executability == MAYBE for record in records.values())
+    tainted = restored.model.points_for_control_vars(
+        restored.model.tables[SCION_ACL].control_var_names()
+    )
+    assert tainted & records.keys()
+    probes = []
+    check_sat = Solver.check_sat
+    monkeypatch.setattr(
+        Solver,
+        "check_sat",
+        lambda self, term, *args, **kwargs: probes.append(term)
+        or check_sat(self, term, *args, **kwargs),
+    )
+    before = restored.gate_stats()
+    decision = restored.process_update(Update(SCION_ACL, INSERT, entries[17]))
+    delta = restored.gate_stats().since(before)
+    assert decision.forwarded
+    assert delta.witness_hits == len(tainted & records.keys())
+    assert delta.solver_fallbacks == 0 and not probes
+
+
 def test_a_format_2_blob_is_refused():
     live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
     blob = live.snapshot()
     blob["format"] = 2
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_3_blob_is_refused_not_misread():
+    """Format 3 carried value-point records and hunt counters."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    blob = live.snapshot()
+    assert "hunt_failures" not in blob
+    blob["format"] = 3
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

@@ -14,6 +14,7 @@ from repro.engine.gate import GateStats, WitnessRecord, _ZeroDefault
 from repro.p4.parser import parse_program
 from repro.runtime.entries import ExactMatch, TableEntry
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, TableState, Update
+from repro.smt import terms as T
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -71,6 +72,9 @@ class TestGateStats:
             solver_fallbacks=2,
         )
         assert stats.solver_free == 8
+        # A screened point kept on its unchanged term reaches no tier and
+        # no solver: solver-free all the same.
+        assert GateStats(screened=10, witness_hits=1, solver_fallbacks=2).solver_free == 8
 
     def test_snapshot_is_independent(self):
         stats = GateStats(screened=3)
@@ -144,31 +148,39 @@ class TestWiring:
 
 class TestWitnessLifecycle:
     def test_maybe_point_harvests_witnesses(self):
-        flay = make_flay()
+        gated, ungated = make_flay(), make_flay(fdd_gate=False)
         # setn(7) reachable iff h.a == 1 → the n==7 guard goes MAYBE and
-        # the probe pair's two models become the point's witnesses.
-        flay.process_update(insert_ta(1, 7))
-        gate = flay.runtime.gate
-        stats = flay.gate_stats()
-        assert stats.harvested >= 1
+        # the probe pair's two models become the point's witnesses.  The
+        # second insert makes setn's parameter a non-constant value point.
+        for update in (insert_ta(1, 7), insert_ta(2, 9)):
+            gated.process_update(update)
+            ungated.process_update(update)
+        gate = gated.runtime.gate
+        assert gated.gate_stats().harvested >= 1
         records = gate._records.map
         assert records, "a MAYBE verdict should leave a witness record"
-        # Both record flavours appear: the MAYBE guard and at least one
-        # non-constant value point (distinguishing-pair harvest).
-        assert any(r.verdict.executability == "maybe" for r in records.values())
-        assert any(
-            r.verdict.executability is None and not r.verdict.is_constant
-            for r in records.values()
-        )
+        points = gated.runtime.ctx.model.points
         for pid, record in records.items():
-            # A record always certifies an existential fact.
-            assert (
-                record.verdict.executability == "maybe"
-                or not record.verdict.is_constant
-            )
+            # Records exist only for MAYBE executability points: their two
+            # witnesses are the models of the probe pair that decided them.
+            assert points[pid].kind in ("if", "select")
+            assert record.verdict.executability == "maybe"
+            assert T.evaluate(record.term, record.pos_model) == 1
+            assert T.evaluate(record.term, record.neg_model) == 0
             # The cached key points agree with re-evaluating the models.
             assert record.pos_keys == gate._key_points(pid, record.pos_model)
             assert record.neg_keys == gate._key_points(pid, record.neg_model)
+        # A non-constant value point leaves no record and is still decided
+        # exactly as the ungated engine decides it.
+        verdicts = gated.runtime.ctx.point_verdicts
+        varying = [
+            pid
+            for pid, v in verdicts.items()
+            if v.executability is None and not v.is_constant
+        ]
+        assert varying
+        assert not set(varying) & set(records)
+        assert verdicts == ungated.runtime.ctx.point_verdicts
 
     def test_disjoint_insert_replays_verdict_from_witnesses(self):
         flay = make_flay()
@@ -337,7 +349,7 @@ class TestLookupRows:
         assert state.counter.misses == recomputes
         assert flay.gate_stats().since(before).fdd_rebuilds == 0
 
-    def test_fingerprints_and_pool_keys_survive_a_snapshot(self):
+    def test_fingerprints_survive_a_snapshot(self):
         live = Flay.from_source(SOURCE, FlayOptions(target="none"))
         live.process_update(insert_ta(1, 7))
         live.process_update(insert_ta(2, 9))
@@ -345,22 +357,10 @@ class TestLookupRows:
         records = live.gate._records.map
         twins = restored.gate._records.map
         assert records and twins.keys() == records.keys()
-        points = set()
         for pid, record in records.items():
             twin = twins[pid]
             assert (twin.fp_pos, twin.fp_neg) == (record.fp_pos, record.fp_neg)
             assert (twin.pos_keys, twin.neg_keys) == (record.pos_keys, record.neg_keys)
-            for keys in (record.pos_keys, record.neg_keys):
-                points.update(keys.items())
-        # The restored pool is re-fed from the records: buckets keyed by
-        # the same packed key points, each one the live pool holds too.
-        pooled = {
-            (name, point)
-            for name, bucket in restored.gate._pool.items()
-            for point in bucket
-        }
-        assert pooled and pooled <= points
-        assert all(point in live.gate._pool[name] for name, point in pooled)
         # First update after restore: screened from the fingerprints,
         # nothing re-harvested, exactly as on the engine that never stopped.
         deltas = []
@@ -369,84 +369,9 @@ class TestLookupRows:
             flay.process_update(insert_ta(200, 3))
             deltas.append(flay.gate_stats().since(before))
         assert deltas[1].witness_hits >= 1
-        assert deltas[1].harvested == deltas[1].lazy_harvests == 0
+        assert deltas[1].harvested == 0
         assert deltas[1].solver_fallbacks == 0
         assert (deltas[1].screened, deltas[1].witness_hits) == (
             deltas[0].screened,
             deltas[0].witness_hits,
         )
-
-
-# ---------------------------------------------------------------------------
-# Hunt retirement → tier-2b pool harvest (the monster-term escape hatch)
-# ---------------------------------------------------------------------------
-
-
-class TestHuntRetirement:
-    def retire_a_value_point(self, flay):
-        """Warm up, pick a non-constant value point, and hunt-retire it."""
-        flay.process_update(insert_ta(1, 7))
-        flay.process_update(insert_ta(2, 9))  # setn's param is now non-constant
-        gate = flay.runtime.gate
-        pid = next(
-            pid
-            for pid, r in gate._records.map.items()
-            if r.verdict.executability is None
-            and not r.verdict.is_constant
-            and "C.ta" in gate._deps[pid][0]
-        )
-        gate._records.drop(pid)
-        gate._hunt_failures[pid] = gate.HUNT_RETRY_LIMIT
-        gate._lazy_attempts.pop(pid, None)
-        return gate, pid
-
-    def test_retired_point_becomes_screenable_via_pool_harvest(self):
-        """A point that exhausted HUNT_RETRY_LIMIT must not pay the slow
-        path on every subsequent re-verdict: the next warm touch borrows
-        pooled tier-2b witness models, re-stores a record, and later
-        re-verdicts replay from the fingerprint again."""
-        flay = make_flay()
-        gate, pid = self.retire_a_value_point(flay)
-        before = flay.gate_stats()
-        flay.process_update(insert_ta(3, 11))  # re-verdicts the retired point
-        delta = flay.gate_stats().since(before)
-        assert delta.lazy_harvests >= 1
-        record = gate._records.get(pid)
-        assert record is not None, "pool harvest should restore the record"
-        # The borrowed pair is a real non-constancy certificate.
-        import repro.smt.terms as T
-
-        assert T.evaluate(record.term, record.pos_model) != T.evaluate(
-            record.term, record.neg_model
-        )
-        # The point stays hunt-retired (no probe-pattern hunts resume) …
-        assert gate._hunt_failures.get(pid, 0) >= gate.HUNT_RETRY_LIMIT
-        # … yet the *next* disjoint insert screens it from the fingerprint.
-        before = flay.gate_stats()
-        flay.process_update(insert_ta(200, 7))
-        assert flay.gate_stats().since(before).witness_hits >= 1
-
-    def test_lazy_attempts_are_gated_per_pool_signature(self):
-        """A failed borrow is not retried until the pool or a dependency
-        table actually changes (the once-per-growth signature gate)."""
-        flay = make_flay()
-        gate, pid = self.retire_a_value_point(flay)
-        # Empty the pool so the borrow must fail.
-        gate._pool.clear()
-        gate._seed_attempts.clear()
-        point = flay.runtime.ctx.model.points[pid]
-        term = gate._records.get(pid).term if gate._records.get(pid) else None
-        assert term is None  # record was dropped by retirement
-        qe = flay.runtime.ctx.query_engine
-        # Use a term the pool's zero-default models cannot distinguish.
-        import repro.smt.terms as T
-
-        constantish = T.data_var("tgate_probe", 8)
-        qe.use_solver = False  # block entry-directed seeding
-        assert gate._pool_pair(pid, constantish, False, qe) is None
-        failures = gate._lazy_failures.get(pid, 0)
-        attempts = dict(gate._lazy_attempts)
-        # Same signature → the retry is refused without another attempt.
-        assert gate._pool_pair(pid, constantish, False, qe) is None
-        assert gate._lazy_failures.get(pid, 0) == failures
-        assert dict(gate._lazy_attempts) == attempts

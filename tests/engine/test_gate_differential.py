@@ -22,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Flay, FlayOptions
 from repro.p4.parser import parse_program
+from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
+from repro.runtime.semantics import INSERT, Update
 
 TARGETS = ("tofino", "tofino-incremental", "bmv2")
 
@@ -67,6 +69,8 @@ Pipeline(P(), C()) main;
 """
 
 ALL_TABLES = ["ta", "t1", "t2"]
+#: The tables whose entries decide an ``if`` guard (ta: n == 7, t1: m == 3).
+GUARD_TABLES = ["ta", "t1"]
 
 
 def make_flay(target, gate):
@@ -165,19 +169,30 @@ def test_output_invariant_across_worker_counts(seed):
 
 
 def test_witness_replay_regime_stays_identical():
-    """The regime the gate accelerates — saturating warm-up, then a
-    disjoint insert burst that the gate answers almost entirely from
-    witness fingerprints — still produces byte-identical output."""
+    """The regime the gate accelerates — a warm-up that leaves both `if`
+    guards MAYBE, then an insert burst into the two tables that guard
+    them, which the gate answers mostly from witness fingerprints — still
+    produces byte-identical output."""
     gated = make_flay("tofino", True)
     ungated = make_flay("tofino", False)
     fuzzer = EntryFuzzer(gated.model, seed=4)
-    warmup = []
+    # ``meta.n == 7`` is decided by ta's entries, ``meta.m == 3`` by t1's:
+    # one entry each that makes the guard reachable, so both points hold a
+    # witness record.  Value points hold none, so a burst that only moves
+    # those replays nothing.
+    warmup = [
+        Update("C.ta", INSERT, TableEntry((ExactMatch(1),), "setn", (7,), 0)),
+        Update("C.t1", INSERT, TableEntry((TernaryMatch(1, 0xFF),), "set", (3,), 9)),
+    ]
+    taken = {(u.table, u.entry.match_key()) for u in warmup}
     for table in ALL_TABLES:
-        warmup.extend(fuzzer.representative_updates(table, per_action=2))
+        for update in fuzzer.representative_updates(table, per_action=2):
+            if (update.table, update.entry.match_key()) not in taken:
+                warmup.append(update)
     gated.process_batch(warmup)
     ungated.process_batch(warmup)
     burst = []
-    for table in ALL_TABLES:
+    for table in GUARD_TABLES:
         burst.extend(fuzzer.insert_burst(table, 15))
     before = gated.gate_stats()
     for update in burst:

@@ -39,8 +39,8 @@ SPECS = {
             "switch_solver_free_rate_floor",
             "switch_witness_harvested",
             "switch_witness_harvested_warmup",
-            "switch_lazy_harvested",
-            "switch_lazy_harvested_warmup",
+            "switch_warmup_solver_calls_gated",
+            "switch_warmup_solver_calls_ungated",
             "switch_table_verdict_hits",
             "switch_table_verdict_misses",
             "scion_gated_verdict_ms",
@@ -49,8 +49,8 @@ SPECS = {
             "scion_verdict_speedup_floor",
             "scion_witness_harvested",
             "scion_witness_harvested_warmup",
-            "scion_lazy_harvested",
-            "scion_lazy_harvested_warmup",
+            "scion_warmup_solver_calls_gated",
+            "scion_warmup_solver_calls_ungated",
             "scion_table_verdict_hits",
             "scion_table_verdict_misses",
         ],
