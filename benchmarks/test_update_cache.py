@@ -52,8 +52,7 @@ def test_flap_workload_cache_hits(benchmark, corpus_programs):
     print(stats.describe())
     print(
         "verdict layers: "
-        f"witness {gate.witness_hits + gate.witness_evals}, "
-        f"interval {gate.interval_decided}, cached {gate.exec_cache_hits}, "
+        f"witness {gate.witness_hits}, cached {gate.exec_cache_hits}, "
         f"cdcl {gate.solver_fallbacks}"
     )
     print(
@@ -62,10 +61,7 @@ def test_flap_workload_cache_hits(benchmark, corpus_programs):
     )
     print(f"outcomes: {forwarded}/{len(outcomes)} forwarded")
     benchmark.extra_info["cold_install_ms"] = round(cold_ms, 2)
-    benchmark.extra_info["layer_fdd_witness_replays"] = (
-        gate.witness_hits + gate.witness_evals
-    )
-    benchmark.extra_info["layer_interval_screen"] = gate.interval_decided
+    benchmark.extra_info["layer_fdd_witness_replays"] = gate.witness_hits
     benchmark.extra_info["layer_cdcl_probes"] = gate.solver_fallbacks
 
     # The engine reported every update on the event bus.

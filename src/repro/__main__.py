@@ -90,8 +90,6 @@ def cmd_specialize(args) -> int:
         target=args.target,
         skip_parser=args.skip_parser,
         effort=args.effort,
-        fdd_gate=not args.no_fdd_gate,
-        table_verdict_cache=not args.no_table_verdict_cache,
         prune=not args.no_prune,
     )
     bus = EventBus()
@@ -115,11 +113,9 @@ def cmd_specialize(args) -> int:
         print("# solver statistics:", file=sys.stderr)
         for line in flay.solver_stats().describe().splitlines():
             print(f"#   {line}", file=sys.stderr)
-        gate_stats = flay.gate_stats()
-        if gate_stats is not None:
-            print("# gate statistics:", file=sys.stderr)
-            for line in gate_stats.describe().splitlines():
-                print(f"#   {line}", file=sys.stderr)
+        print("# gate statistics:", file=sys.stderr)
+        for line in flay.gate_stats().describe().splitlines():
+            print(f"#   {line}", file=sys.stderr)
     text = flay.specialized_source()
     if args.output:
         with open(args.output, "w") as handle:
@@ -171,12 +167,7 @@ def cmd_fleet_replay(args) -> int:
     from repro.fleet.sim import dedup_ratio
 
     source = _load_source(args.program)
-    options = FlayOptions(
-        target=args.target,
-        skip_parser=args.skip_parser,
-        fdd_gate=not args.no_fdd_gate,
-        table_verdict_cache=not args.no_table_verdict_cache,
-    )
+    options = FlayOptions(target=args.target, skip_parser=args.skip_parser)
     kwargs = dict(
         switches=args.switches,
         options=options,
@@ -297,19 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print pipeline events and cache hit/miss statistics to stderr",
     )
     p_spec.add_argument(
-        "--no-fdd-gate",
-        action="store_true",
-        help="disable the tiered pre-solver verdict gate (ablation; "
-        "output is byte-identical, only slower)",
-    )
-    p_spec.add_argument(
-        "--no-table-verdict-cache",
-        action="store_true",
-        help="disable the structural table-verdict memo (ablation; "
-        "verdicts are byte-identical, every warm re-verdict just "
-        "recomputes feasible actions and param constancy from scratch)",
-    )
-    p_spec.add_argument(
         "--no-prune",
         action="store_true",
         help="disable the abstract-interpretation prune pass between "
@@ -403,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument("--json", help="write a JSON summary here")
     p_fleet.add_argument("--skip-parser", action="store_true")
-    p_fleet.add_argument("--no-fdd-gate", action="store_true")
-    p_fleet.add_argument("--no-table-verdict-cache", action="store_true")
     p_fleet.add_argument("--workers", type=int, default=1)
     p_fleet.add_argument(
         "--target",

@@ -425,14 +425,12 @@ class WorkerSlice:
         # The verdict gate forks too: shared FDDs (read-only during group
         # execution — all state mutation happened up front on the main
         # thread), overlaid witness records, private counters.
-        gate = shared_qe.gate.fork_slice() if shared_qe.gate is not None else None
         self.query_engine = QueryEngine(
             ctx.model,
             solver=solver,
             use_solver=shared_qe.use_solver,
             solver_node_budget=shared_qe.solver_node_budget,
-            gate=gate,
-            table_verdict_cache=shared_qe.table_verdict_cache,
+            gate=shared_qe.gate.fork_slice(),
         )
         self.query_engine._exec_cache = LayeredCache(shared_qe._exec_cache)
         self.query_engine._simplify_memo = simplify_memo
@@ -484,8 +482,7 @@ class WorkerSlice:
         learned = shared.absorb_fork(qe.solver)
         # Gate tier counters and witness-record deltas fold back the same
         # way; anchor-order iteration keeps the merge deterministic.
-        if qe.gate is not None:
-            shared_qe.gate.absorb_fork(qe.gate)
+        shared_qe.gate.absorb_fork(qe.gate)
         return memo_entries, verdict_entries, learned
 
 
@@ -562,8 +559,8 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
 def _verify_merge_accounting(
     merged_solver: SolverStats,
     worker_solver: SolverStats,
-    merged_gate: Optional[GateStats],
-    worker_gate: Optional[GateStats],
+    merged_gate: GateStats,
+    worker_gate: GateStats,
 ) -> None:
     """The double-counting tripwire behind :class:`BatchMerged`.
 
@@ -586,7 +583,7 @@ def _verify_merge_accounting(
             "batch merge miscounted SAT search stats: per-worker deltas sum "
             f"to {worker_solver.search}, merged delta is {merged_solver.search}"
         )
-    if merged_gate is not None and merged_gate != worker_gate:
+    if merged_gate != worker_gate:
         raise AssertionError(
             "batch merge miscounted GateStats: per-worker deltas sum to "
             f"{worker_gate}, merged delta is {merged_gate}"
@@ -724,9 +721,9 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     shared_solver = ctx.query_engine.solver
     shared_gate = ctx.query_engine.gate
     solver_before = shared_solver.stats.snapshot()
-    gate_before = shared_gate.stats.snapshot() if shared_gate is not None else None
+    gate_before = shared_gate.stats.snapshot()
     worker_solver = SolverStats()
-    worker_gate = GateStats() if shared_gate is not None else None
+    worker_gate = GateStats()
     changed: list = []
     affected_points = redecided_points = unchanged_points = 0
     memo_entries = 0
@@ -737,8 +734,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         # A slice's solver and gate stats start at zero when it forks.
         slice_qe = outcome.slice.query_engine
         worker_solver.absorb(slice_qe.solver.stats)
-        if worker_gate is not None:  # a slice has a gate iff the context does
-            worker_gate.absorb(slice_qe.gate.stats)
+        worker_gate.absorb(slice_qe.gate.stats)
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
         grafted_memo, grafted_verdicts, grafted_learned = outcome.slice.merge_into(ctx)
@@ -766,9 +762,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
             )
         )
     merged_solver = shared_solver.stats.since(solver_before)
-    merged_gate = (
-        shared_gate.stats.since(gate_before) if shared_gate is not None else None
-    )
+    merged_gate = shared_gate.stats.since(gate_before)
     _verify_merge_accounting(merged_solver, worker_solver, merged_gate, worker_gate)
     if ctx.bus.active:
         ctx.bus.emit(
@@ -780,12 +774,8 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
                 elapsed_ms=(time.perf_counter() - merge_start) * 1000,
                 worker_solver_queries=worker_solver.total,
                 merged_solver_queries=merged_solver.total,
-                worker_gate_screens=(
-                    worker_gate.screened if worker_gate is not None else 0
-                ),
-                merged_gate_screens=(
-                    merged_gate.screened if merged_gate is not None else 0
-                ),
+                worker_gate_screens=worker_gate.screened,
+                merged_gate_screens=merged_gate.screened,
             )
         )
 

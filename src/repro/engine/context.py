@@ -35,20 +35,6 @@ class EngineOptions:
     prune: bool = True
     target: str = "tofino"  # any registered backend name, or "none"
     effort: str = "full"  # none | dce | full — specialization quality knob
-    # Persistent assumption-probing solver session; off = per-query cone
-    # replay (the ablation baseline).
-    incremental_solver: bool = True
-    # Tiered pre-solver verdict gate (first-match lookups + witness
-    # fingerprints); off = every executability query pays substitution,
-    # simplification, and — for residual MAYBEs — the CDCL probe pair.
-    # Output is byte-identical either way (``--no-fdd-gate`` ablation).
-    fdd_gate: bool = True
-    # Structural table-verdict memo keyed on the active-entry digest plus
-    # selector/hit term identity; off = every warm re-verdict recomputes
-    # feasible actions, hit constancy, and per-param constancy from
-    # scratch.  Pure ablation: verdicts are byte-identical either way
-    # (``--no-table-verdict-cache``).
-    table_verdict_cache: bool = True
 
 
 @dataclass

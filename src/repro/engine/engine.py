@@ -233,9 +233,7 @@ class Engine:
         solver_before = (
             ctx.query_engine.solver.stats.snapshot() if ctx.bus.active else None
         )
-        gate_before = (
-            ctx.gate.snapshot() if ctx.bus.active and ctx.gate is not None else None
-        )
+        gate_before = ctx.gate.snapshot() if ctx.bus.active else None
         report = schedule_batch(ctx, updates, workers=workers)
         if baseline is not None:
             self._emit_activity(baseline, solver_before, gate_before)
@@ -272,9 +270,7 @@ class Engine:
         solver_before = (
             ctx.query_engine.solver.stats.snapshot() if ctx.bus.active else None
         )
-        gate_before = (
-            ctx.gate.snapshot() if ctx.bus.active and ctx.gate is not None else None
-        )
+        gate_before = ctx.gate.snapshot() if ctx.bus.active else None
         start = time.perf_counter()
         ctx.warm = WarmState(updates=updates, mode=mode)
         try:
@@ -287,7 +283,7 @@ class Engine:
             self._emit_activity(baseline, solver_before, gate_before)
         return warm, elapsed_ms
 
-    def _emit_activity(self, baseline, solver_before, gate_before=None) -> None:
+    def _emit_activity(self, baseline, solver_before, gate_before) -> None:
         """Emit per-run cache and SAT-core deltas (bus known to be active)."""
         ctx = self.ctx
         for counter, before in zip(ctx.cache_counters(), baseline):
@@ -315,21 +311,18 @@ class Engine:
                         probe_us=stats.probe_us_total,
                     )
                 )
-        if gate_before is not None and ctx.gate is not None:
-            delta = ctx.gate.snapshot().since(gate_before)
-            if delta.screened or delta.fdd_rebuilds:
-                ctx.bus.emit(
-                    GateActivity(
-                        screened=delta.screened,
-                        witness_hits=delta.witness_hits,
-                        exec_cache_hits=delta.exec_cache_hits,
-                        interval_decided=delta.interval_decided,
-                        witness_evals=delta.witness_evals,
-                        solver_fallbacks=delta.solver_fallbacks,
-                        harvested=delta.harvested,
-                        fdd_rebuilds=delta.fdd_rebuilds,
-                    )
+        delta = ctx.gate.snapshot().since(gate_before)
+        if delta.screened or delta.fdd_rebuilds:
+            ctx.bus.emit(
+                GateActivity(
+                    screened=delta.screened,
+                    witness_hits=delta.witness_hits,
+                    exec_cache_hits=delta.exec_cache_hits,
+                    solver_fallbacks=delta.solver_fallbacks,
+                    harvested=delta.harvested,
+                    fdd_rebuilds=delta.fdd_rebuilds,
                 )
+            )
 
     def _finish_warm(self, mode: str, warm: WarmState, decision) -> None:
         """Forward-path lowering plus the outcome event."""
@@ -418,12 +411,12 @@ class Engine:
 
     @property
     def gate(self):
-        """The verdict gate, or None under ``--no-fdd-gate``."""
+        """The verdict gate (lookup rows + witness records)."""
         return self.ctx.gate
 
     def gate_stats(self):
-        """Gate tier counters (a ``GateStats``), or None when gated off."""
-        return self.ctx.gate.snapshot() if self.ctx.gate is not None else None
+        """Gate decision counters (a ``GateStats``)."""
+        return self.ctx.gate.snapshot()
 
     @property
     def prune_report(self):

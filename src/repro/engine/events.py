@@ -130,22 +130,20 @@ class BatchMerged(Event):
 
 @dataclass(frozen=True)
 class GateActivity(Event):
-    """Verdict-gate tier activity over one warm run (delta counters).
+    """Verdict-gate activity over one warm run (delta counters).
 
     ``screened`` is the number of queries offered to the gate — the
     tainted executability points, the only ones that could have reached
     the solver; ``witness_hits`` were resolved pre-substitution from witness
-    fingerprints (tier 2a), ``interval_decided``/``witness_evals`` by the
-    non-solver tiers over the recomputed term, and ``solver_fallbacks``
-    reached the CDCL probe pair.  ``fdd_rebuilds`` counts lazy re-packs
-    of table lookup rows during the run.
+    fingerprints, ``exec_cache_hits`` from the executability cache over
+    the recomputed term, and ``solver_fallbacks`` reached the CDCL probe
+    pair.  ``fdd_rebuilds`` counts lazy re-packs of table lookup rows
+    during the run.
     """
 
     screened: int
     witness_hits: int
     exec_cache_hits: int
-    interval_decided: int
-    witness_evals: int
     solver_fallbacks: int
     harvested: int
     fdd_rebuilds: int

@@ -1,62 +1,50 @@
-"""The tiered pre-solver verdict gate: witness screening over first-match lookups.
+"""The verdict gate: witness replay over first-match lookups.
 
-After PR 5, every warm executability query still pays substitution +
-simplification + (for the residual MAYBEs) a CDCL assumption probe, even
-though the common control-plane update lands in key space disjoint from
-every tainted path and changes no verdict at all.  This module answers
-that common case with O(lookup) work:
+Every warm executability query pays substitution + simplification + (for
+the residual MAYBEs) a CDCL assumption probe pair, even though the common
+control-plane update lands in key space disjoint from every tainted path
+and changes no verdict at all.  This module answers that common case
+with O(lookup) work, in two tiers:
 
-**Tier 2a — witness fingerprints (the fast path).**  Whenever the slow
-path decides a point is MAYBE it has, by definition, two *witnesses*: a
-model making the point's expression true and a model making it false.
-The gate harvests both from the solver and records, per witness, a
-*fingerprint*: for every table the point is tainted by, the table's
-first-match decision (the winning ``(action, args)``, or MISS) at the
-witness's concrete key point — plus each dependent value set's tuple
-and each dependent table's overapproximation status.  On the next update
-touching the point, the gate recomputes the fingerprint against the
-*current* entries (one :class:`~repro.smt.fdd.TableFdd` row scan per
-dependency table).  If nothing changed, the
-expression's value at both witnesses is provably unchanged — a point's
-post-substitution term is a function of its taint deps' table functions
-at the witness's key values — so both witnesses still stand, the verdict
-is still MAYBE, and the stored verdict is returned **without touching
-the substitution, the simplifier, or the solver**.
+**Fingerprint replay (the fast path).**  Whenever the probe pair decides
+a point is MAYBE it has, by definition, two *witnesses*: a model making
+the point's expression true and a model making it false.  The gate keeps
+both and records, per witness, a *fingerprint*: for every table the
+point is tainted by, the table's first-match decision (the winning
+``(action, args)``, or MISS) at the witness's concrete key point — plus
+each dependent value set's tuple and each dependent table's
+overapproximation status.  On the next update touching the point, the
+gate recomputes the fingerprint against the *current* entries (one
+:class:`~repro.smt.fdd.TableFdd` row scan per dependency table).  If
+nothing changed, the expression's value at both witnesses is provably
+unchanged — a point's post-substitution term is a function of its taint
+deps' table functions at the witness's key values — so both witnesses
+still stand, the verdict is still MAYBE, and the stored verdict is
+returned **without touching the substitution, the simplifier, or the
+solver**.
 
-**Tier 1 — interval screen.**  When the fingerprint misses (or the point
-is not MAYBE), the term is recomputed and the existing interval domain
-(:mod:`repro.smt.interval`) gets the first shot; a definite answer
-decides the verdict with no solver dispatch.  This is the same interval
-layer :meth:`Solver.check_sat` runs internally, so the decided verdict
-is identical to the ungated path's by construction.
-
-**Tier 2b — witness evaluation.**  Still no solver: the recomputed term
-is concretely evaluated under the stored witness models (missing
-variables default to zero, matching how the models were harvested).  If
-the positive witness still evaluates true and the negative still false,
-the verdict is MAYBE — a sound, complete-procedure-identical answer for
-the price of two term evaluations.
-
-**Tier 3 — CDCL fallback.**  The exact probe pair the ungated path runs
-(``check_sat(t)`` / ``check_sat(¬t)``), with fresh witnesses harvested
-from the models.  Those two models are the only witnesses the gate ever
-holds: the solver is asked nothing that does not decide a verdict, so a
-MAYBE that never reached the probe pair (a term over the node budget, a
-budget-``MAYBE``) simply stays record-less and re-decides on its next
-change.
+**The probe pair, with harvest.**  When the fingerprint misses (or the
+point has no record) the term is recomputed and
+:meth:`QueryEngine._executability` decides it — the one statement of the
+decision procedure, which a bare ``QueryEngine`` runs as well — and
+:meth:`VerdictGate.decide` only keeps the records in step: a MAYBE the
+probe pair found stores its two models as the new witnesses; a MAYBE out
+of the exec cache or over the node budget keeps the old record iff its
+witnesses still evaluate true/false on the new term; anything else drops
+it.  The solver is asked nothing that does not decide a verdict, so a
+MAYBE that never reached the probe pair simply stays record-less and
+re-decides on its next change.
 
 **Only executability points come here.**  A value point's verdict is
 ``constant_value(term)`` — syntactic, a few microseconds on a term the
 substitution already pulled incrementally — so a witness record for it
 could only ever save less than finding its witnesses costs.
-:meth:`QueryEngine.point_verdict` decides those points itself, gated or
-not.
+:meth:`QueryEngine.point_verdict` decides those points itself.
 
-Every tier returns precisely what the ungated path would return — tiers
-1/3 *are* the ungated decision layers, and tiers 2a/2b only ever
-short-circuit to MAYBE when two concrete witnesses prove MAYBE — which
-is what makes ``--no-fdd-gate`` a pure ablation: byte-identical output,
-different speed.
+A replay only ever short-circuits to MAYBE when two concrete witnesses
+prove MAYBE, so the engine's verdicts are those of a bare
+``QueryEngine`` over a one-shot substitution of the same mapping — the
+specification ``tests/engine/test_gate_differential.py`` compares with.
 
 Batch workers fork the gate alongside the solver session: witness
 records are a copy-on-write overlay (conflict groups partition program
@@ -72,15 +60,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.model import KIND_IF, KIND_SELECT
-from repro.smt import interval, terms as T
+from repro.engine.queries import MAYBE, PointVerdict
+from repro.smt import terms as T
 from repro.smt.simplify import constant_value
 from repro.smt.fdd import TableFdd
-from repro.smt.sat import SolverBudgetExceeded
-
-# Re-stated here (not imported from queries) to avoid an import cycle.
-ALWAYS = "always"
-NEVER = "never"
-MAYBE = "maybe"
 
 #: Fingerprint component for an overapproximated dependency: while a
 #: table is overapproximated its control symbols map to the stable
@@ -161,17 +144,17 @@ class _RecordOverlay:
 
 @dataclass
 class GateStats:
-    """Per-tier gate decision counters (the ``--stats`` surface).
+    """Gate decision counters (the ``--stats`` surface).
 
     ``screened`` counts the queries offered to the gate — executability
     points only, so every one of them could have reached the solver;
-    ``witness_hits`` resolved before substitution (tier 2a),
-    ``exec_cache_hits``/``interval_decided``/``witness_evals`` resolved
-    after substitution but before the solver (tiers 0/1/2b), and
-    ``solver_fallbacks`` reached the probe pair (tier 3).  ``fdd_rebuilds``
-    counts lazy re-packs of a table's lookup rows; ``fdd_fast_inserts``
-    always reads 0 (there is no second maintenance path) and stays only
-    because ``benchmarks/e2e`` indexes it — ROADMAP item 1(b) removes it.
+    ``witness_hits`` resolved before substitution (fingerprint replay),
+    ``exec_cache_hits`` after it but before the solver, and
+    ``solver_fallbacks`` reached the probe pair.  ``fdd_rebuilds`` counts
+    lazy re-packs of a table's lookup rows.  ``interval_decided``,
+    ``witness_evals`` and ``fdd_fast_inserts`` always read 0 (those tiers
+    and that maintenance path are gone) and stay only because
+    ``benchmarks/e2e`` indexes them — ROADMAP item 1(b) removes them.
     """
 
     screened: int = 0
@@ -182,15 +165,13 @@ class GateStats:
     solver_fallbacks: int = 0
     budget_maybes: int = 0
     harvested: int = 0
-    table_verdict_hits: int = 0
-    table_verdict_misses: int = 0
     fdd_fast_inserts: int = 0
     fdd_rebuilds: int = 0
 
     @property
     def solver_free(self) -> int:
-        """Screens that never reached the probe pair: the four solver-free
-        tiers, plus the points whose pulled term was the object their
+        """Screens that never reached the probe pair: replays and exec-cache
+        hits, plus the points whose pulled term was the object their
         verdict was decided from (kept before ``decide``), folded to a
         constant, or was over the solver's node budget."""
         return self.screened - self.solver_fallbacks
@@ -213,7 +194,6 @@ class GateStats:
             (
                 f"screens: {self.screened} "
                 f"(witness {self.witness_hits}, cached {self.exec_cache_hits}, "
-                f"interval {self.interval_decided}, eval {self.witness_evals}, "
                 f"solver {self.solver_fallbacks})"
             ),
             (
@@ -221,10 +201,6 @@ class GateStats:
                 f"({100.0 * self.solver_free / screened:.1f}% of screens), "
                 f"{self.harvested} witnesses harvested, "
                 f"{self.budget_maybes} budget punts"
-            ),
-            (
-                f"table verdicts: {self.table_verdict_hits} memo hits, "
-                f"{self.table_verdict_misses} misses"
             ),
             f"fdd: {self.fdd_rebuilds} lookup-row re-packs",
         ]
@@ -309,7 +285,7 @@ class VerdictGate:
     # -- the tiers ------------------------------------------------------------
 
     def screen(self, point):
-        """Tier 2a: replay the stored verdict iff both fingerprints hold.
+        """Replay the stored verdict iff both fingerprints hold.
 
         Returns the frozen :class:`PointVerdict` on a hit, else None (and
         the caller recomputes the term and calls :meth:`decide`).
@@ -326,96 +302,36 @@ class VerdictGate:
         return record.verdict
 
     def decide(self, point, term, query_engine) -> str:
-        """Tiers 0/1/2b/3 over the recomputed term.
+        """The recomputed term's verdict, with the point's record kept in step.
 
-        Mirrors ``QueryEngine._executability`` exactly — same trivial
-        cases, same cache, same node budget, same probe pair with the
-        same budget handling — with the interval screen and witness
-        evaluation inserted between the cache and the solver.  Every
-        inserted tier returns what the probe pair would have returned.
+        The decision is :meth:`QueryEngine._executability`'s; what happens
+        here is record upkeep — the probe pair's two models become the new
+        witnesses, a cached or punted verdict re-checks the old ones, and
+        every other outcome leaves no record.
         """
-        pid = point.pid
-        if term is T.TRUE:
-            self._records.drop(pid)
-            return ALWAYS
-        if term is T.FALSE:
-            self._records.drop(pid)
-            return NEVER
-        cached = query_engine._exec_cache.get(term)
-        if cached is not None:
-            query_engine.exec_counter.hit()
-            self.stats.exec_cache_hits += 1
-            self._revalidate(point, term, cached)
-            return cached
-        query_engine.exec_counter.miss()
-        if (
-            not query_engine.use_solver
-            or T.tree_size(term) > query_engine.solver_node_budget
-        ):
-            query_engine._exec_cache[term] = MAYBE
-            self._revalidate(point, term, MAYBE)
-            return MAYBE
-        # Tier 1: the interval domain.  DEFINITELY_FALSE means no model
-        # exists (NEVER); DEFINITELY_TRUE means no countermodel exists
-        # (ALWAYS) — the same two facts the solver's internal interval
-        # precheck would have derived, minus the dispatch.
-        abstract = interval.eval_bool(term)
-        if abstract == interval.DEFINITELY_FALSE:
-            self.stats.interval_decided += 1
-            query_engine._exec_cache[term] = NEVER
-            self._records.drop(pid)
-            return NEVER
-        if abstract == interval.DEFINITELY_TRUE:
-            self.stats.interval_decided += 1
-            query_engine._exec_cache[term] = ALWAYS
-            self._records.drop(pid)
-            return ALWAYS
-        # Tier 2b: concrete evaluation under the stored witnesses.
-        record = self._records.get(pid)
-        if (
-            record is not None
-            and T.evaluate(term, record.pos_model) == 1
-            and T.evaluate(term, record.neg_model) == 0
-        ):
-            self.stats.witness_evals += 1
-            query_engine._exec_cache[term] = MAYBE
-            self._store(
-                point, term, record.verdict,
-                record.pos_model, record.neg_model,
-                pos_keys=record.pos_keys, neg_keys=record.neg_keys,
-            )
-            return MAYBE
-        # Tier 3: the ungated probe pair, with witness harvesting.
-        self.stats.solver_fallbacks += 1
-        solver = query_engine.solver
-        try:
-            positive = solver.check_sat(term)
-            if not positive.satisfiable:
-                verdict = NEVER
-            else:
-                negative = solver.check_sat(T.bool_not(term))
-                verdict = MAYBE if negative.satisfiable else ALWAYS
-        except SolverBudgetExceeded:
-            # Same contract as the ungated path: MAYBE, not memoized.
-            self.stats.budget_maybes += 1
-            self._records.drop(pid)
-            return MAYBE
-        query_engine._exec_cache[term] = verdict
-        if verdict == MAYBE and positive.model is not None and negative.model is not None:
-            from repro.engine.queries import PointVerdict
-
-            frozen = PointVerdict(pid, point.kind, executability=MAYBE)
+        found = query_engine._executability(term)
+        stats = self.stats
+        if found.how == "cached":
+            stats.exec_cache_hits += 1
+        elif found.how in ("probed", "budget"):
+            stats.solver_fallbacks += 1
+            if found.how == "budget":
+                stats.budget_maybes += 1
+        if found.models is not None:
+            positive, negative = found.models
             self._store(
                 point,
                 term,
-                frozen,
-                _ZeroDefault(positive.model),
-                _ZeroDefault(negative.model),
+                PointVerdict(point.pid, point.kind, executability=MAYBE),
+                _ZeroDefault(positive),
+                _ZeroDefault(negative),
             )
-            self.stats.harvested += 1
+            stats.harvested += 1
+        elif found.how in ("cached", "punted"):
+            self._revalidate(point, term, found.verdict)
         else:
-            self._records.drop(pid)
-        return verdict
+            self._records.drop(point.pid)
+        return found.verdict
 
     def decide_constant(self, point, term, query_engine):
         """The syntactic constancy verdict; no engine path calls this.
@@ -427,8 +343,6 @@ class VerdictGate:
         (its span now always reads 0 calls) — the next benchmark PR drops
         the wrap point and this with it.
         """
-        from repro.engine.queries import PointVerdict
-
         value = constant_value(term)
         return PointVerdict(
             point.pid, point.kind, constant=value, is_constant=value is not None

@@ -245,21 +245,14 @@ class AnalysisPass:
             ctx.model = analyze(ctx.program, ctx.env, skip_parser=options.skip_parser)
             ctx.timings.data_plane_analysis_seconds = ctx.model.analysis_seconds
         ctx.state = ControlPlaneState(ctx.model)
-        if options.fdd_gate:
-            # The gate attaches one first-match lookup index per TableState
-            # and screens executability queries before solver dispatch; the
-            # ``--no-fdd-gate`` ablation leaves ``ctx.gate`` as None and
-            # the query engine on its pure-solver path.
-            ctx.gate = VerdictGate(
-                ctx.model, ctx.state, threshold=options.overapprox_threshold
-            )
-        ctx.query_engine = QueryEngine(
-            ctx.model,
-            use_solver=options.use_solver,
-            gate=ctx.gate,
-            table_verdict_cache=options.table_verdict_cache,
+        # The gate attaches one first-match lookup index per TableState
+        # and replays witnessed MAYBEs before substitution.
+        ctx.gate = VerdictGate(
+            ctx.model, ctx.state, threshold=options.overapprox_threshold
         )
-        ctx.query_engine.solver.incremental = options.incremental_solver
+        ctx.query_engine = QueryEngine(
+            ctx.model, use_solver=options.use_solver, gate=ctx.gate
+        )
         if entry is not None:
             # Share the term-pure warm layers: the program CNF (encoder),
             # the persistent session (learned clauses included), the

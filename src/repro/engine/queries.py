@@ -85,6 +85,18 @@ class TableVerdict:
         )
 
 
+class Executability(NamedTuple):
+    """What :meth:`QueryEngine._executability` found, and how it got there."""
+
+    verdict: str  # ALWAYS / NEVER / MAYBE
+    # "trivial" (a boolean constant), "cached" (exec-cache hit), "punted"
+    # (solver off or term over the node budget), "probed" (the probe pair
+    # answered) or "budget" (the probe pair ran out of conflicts).
+    how: str
+    # The probe pair's (positive, negative) models when it found both.
+    models: Optional[tuple] = None
+
+
 class PointReverdicts(NamedTuple):
     """What one :meth:`QueryEngine.reverdict_points` sweep did."""
 
@@ -113,7 +125,6 @@ class QueryEngine:
         use_solver: bool = True,
         solver_node_budget: int = 400,
         gate=None,
-        table_verdict_cache: bool = True,
     ) -> None:
         self.model = model
         if solver is None:
@@ -121,12 +132,12 @@ class QueryEngine:
         self.solver = solver
         self.use_solver = use_solver
         self.solver_node_budget = solver_node_budget
-        # Optional tiered pre-solver verdict gate (engine/gate.py).  When
-        # set, executability queries screen against witness fingerprints
-        # before substitution and run the interval/witness tiers before
-        # the probe pair; verdicts are identical either way (the gate
-        # tiers are ablation-safe by construction).  Constancy queries
-        # never reach it.
+        # The engine's witness gate (engine/gate.py): executability
+        # queries replay a stored MAYBE before substitution when both of
+        # its witnesses' fingerprints still hold.  A bare
+        # ``QueryEngine(model)`` has none and decides every point from its
+        # term — the specification the differential tests compare the
+        # engine with.  Constancy queries never reach the gate.
         self.gate = gate
         # Cross-update caches.  Both are pure: post-substitution terms are
         # hash-consed and a verdict is a function of the term alone (any
@@ -157,7 +168,6 @@ class QueryEngine:
         # but is still in the active list, and contributes const-param
         # values.  ``entry_count`` is the one field outside the key's
         # span; hits patch it from the current assignment.
-        self.table_verdict_cache = table_verdict_cache
         self.table_verdict_counter = CacheCounter("table-verdict")
         self._table_verdict_memo: dict = {}
         # ``_possible_values`` memo, id-keyed over interned selector terms
@@ -204,8 +214,8 @@ class QueryEngine:
         # syntactic check below, gated or not.
         gate = self.gate if executable else None
         if gate is not None:
-            # Tier 2a: a fingerprint hit skips substitution, simplification,
-            # and the solver outright — the stored verdict is replayed.
+            # A fingerprint hit skips substitution, simplification, and the
+            # solver outright — the stored verdict is replayed.
             verdict = gate.screen(point)
             if verdict is not None:
                 return verdict
@@ -221,7 +231,7 @@ class QueryEngine:
             if gate is not None:
                 executability = gate.decide(point, term, self)
             else:
-                executability = self._executability(term)
+                executability = self._executability(term).verdict
             verdict = PointVerdict(point.pid, point.kind, executability=executability)
             if executability == MAYBE and term not in self._exec_cache:
                 term = None  # budget-MAYBE: retry on the next change
@@ -233,34 +243,45 @@ class QueryEngine:
         self._decided[point.pid] = (term, verdict)
         return verdict
 
-    def _executability(self, term: Term) -> str:
+    def _executability(self, term: Term) -> Executability:
+        """Decide a simplified guard: the one statement of the procedure.
+
+        Trivial cases, the exec cache, the ``use_solver``/node-budget punt
+        and the probe pair ``check_sat(t)`` / ``check_sat(¬t)`` (whose
+        first layer is the solver's interval precheck).  The gate's
+        ``decide`` is this call plus witness-record upkeep.
+        """
         if term is T.TRUE:
-            return ALWAYS
+            return Executability(ALWAYS, "trivial")
         if term is T.FALSE:
-            return NEVER
+            return Executability(NEVER, "trivial")
         cached = self._exec_cache.get(term)
         if cached is not None:
             self.exec_counter.hit()
-            return cached
+            return Executability(cached, "cached")
         self.exec_counter.miss()
         if not self.use_solver or T.tree_size(term) > self.solver_node_budget:
             self._exec_cache[term] = MAYBE
-            return MAYBE
+            return Executability(MAYBE, "punted")
         # MAYBE is always a sound answer; a blown decision budget simply
         # means "keep the general implementation".  Budget blow-ups are the
         # one outcome we do not memoize: a later engine configuration change
         # (or solver cache warm-up) may let the same query finish.
         try:
-            if not self.solver.check_sat(term).satisfiable:
-                verdict = NEVER
-            elif not self.solver.check_sat(T.bool_not(term)).satisfiable:
-                verdict = ALWAYS
+            positive = self.solver.check_sat(term)
+            if not positive.satisfiable:
+                found = Executability(NEVER, "probed")
             else:
-                verdict = MAYBE
+                negative = self.solver.check_sat(T.bool_not(term))
+                if not negative.satisfiable:
+                    found = Executability(ALWAYS, "probed")
+                else:
+                    models = (positive.model, negative.model)
+                    found = Executability(MAYBE, "probed", models)
         except SolverBudgetExceeded:
-            return MAYBE
-        self._exec_cache[term] = verdict
-        return verdict
+            return Executability(MAYBE, "budget")
+        self._exec_cache[term] = found.verdict
+        return found
 
     # -- re-verdicts (the warm path) ------------------------------------------------
 
@@ -323,8 +344,6 @@ class QueryEngine:
         assignment: TableAssignment,
         state: TableState,
     ) -> TableVerdict:
-        if not self.table_verdict_cache:
-            return self._table_verdict_uncached(info, assignment, state)
         if assignment.overapproximated:
             # Every field of an overapproximated verdict except
             # ``entry_count`` is a constant of the table's shape.
@@ -336,20 +355,15 @@ class QueryEngine:
                 id(assignment.mapping[info.selector_var]),
                 id(assignment.mapping[info.hit_var]),
             )
-        gate = self.gate
         cached = self._table_verdict_memo.get(key)
         if cached is not None:
             self.table_verdict_counter.hit()
-            if gate is not None:
-                gate.stats.table_verdict_hits += 1
             if cached.entry_count != assignment.entry_count:
                 cached = dataclasses.replace(
                     cached, entry_count=assignment.entry_count
                 )
             return cached
         self.table_verdict_counter.miss()
-        if gate is not None:
-            gate.stats.table_verdict_misses += 1
         verdict = self._table_verdict_uncached(info, assignment, state)
         if len(self._table_verdict_memo) >= self.MAX_TABLE_VERDICT_MEMO:
             self._table_verdict_memo.clear()

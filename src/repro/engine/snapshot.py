@@ -47,13 +47,15 @@ from repro.smt.cnf import replay_encoder, roots_compatible
 from repro.smt.session import SolverSession
 from repro.smt.solver import SatResult
 
+#: 5: the pickled options have seven fields (4 carried three ablation
+#: switches on top).
 #: 4: gate records exist for executability points only and the blob has
 #: no ``hunt_failures`` (3 carried value-point records and hunt counters).
 #: 3: the substitution memo holds simplified results (clean entries only)
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 
 
 def snapshot_context(ctx) -> dict:
@@ -91,9 +93,7 @@ def snapshot_context(ctx) -> dict:
             (arena.encode(term), verdict)
             for term, verdict in ctx.query_engine._exec_cache.items()
         ],
-        "gate_records": (
-            ctx.gate.export_records(arena) if ctx.gate is not None else None
-        ),
+        "gate_records": ctx.gate.export_records(arena),
         "point_verdicts": dict(ctx.point_verdicts),
         "decided": [
             (pid, None if term is None else arena.encode(term), verdict)
@@ -157,9 +157,7 @@ def apply_snapshot(ctx, blob: dict) -> dict:
     for index, verdict in blob["exec_cache"]:
         ctx.query_engine._exec_cache.setdefault(arena.decode(index), verdict)
     # 6. Gate witness fingerprints (plain values: nothing to re-intern).
-    witness_records = 0
-    if ctx.gate is not None and blob.get("gate_records") is not None:
-        witness_records = ctx.gate.restore_records(arena, blob["gate_records"])
+    witness_records = ctx.gate.restore_records(arena, blob["gate_records"])
     # 7. Verdicts, the terms they were decided from (so the first pull
     #    after restore that finds its term unchanged keeps its verdict, as
     #    the snapshotted engine would), and counters.
@@ -174,19 +172,16 @@ def apply_snapshot(ctx, blob: dict) -> dict:
     #    assignments are identical hash-consed terms to what the warm path
     #    will look up, so one uncached pass here rebuilds every entry the
     #    snapshotted engine had.
-    primed = 0
-    if ctx.query_engine.table_verdict_cache:
-        for name, info in ctx.model.tables.items():
-            ctx.query_engine.table_verdict(
-                info, ctx.table_assignments[name], ctx.state.tables[name]
-            )
-            primed += 1
+    for name, info in ctx.model.tables.items():
+        ctx.query_engine.table_verdict(
+            info, ctx.table_assignments[name], ctx.state.tables[name]
+        )
     return {
         "memo_entries": memo_entries,
         "learned_clauses": len(session.sat._learned),
         "witness_records": witness_records,
         "replayed_roots": replayed_roots,
-        "table_verdicts_primed": primed,
+        "table_verdicts_primed": len(ctx.model.tables),
     }
 
 

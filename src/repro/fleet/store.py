@@ -44,9 +44,6 @@ COLD_KEY_FIELDS = (
     "prune_parser_tail",
     "prune",
     "effort",
-    "incremental_solver",
-    "fdd_gate",
-    "table_verdict_cache",
 )
 
 

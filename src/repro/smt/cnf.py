@@ -367,12 +367,9 @@ class FragmentBitBlaster(BitBlaster):
     CNF *fragment* the term contributed (its own gate clauses plus
     references to its children's fragments) against a global variable
     numbering.  A query then only encodes the subterms it has never seen
-    — bit-blasting cost scales with the delta — and replays the root's
-    cone of clauses into a throw-away solver via :meth:`cone_clauses`.
-
-    Cones stay dense: solving a small query never drags in clauses from
-    unrelated earlier queries, so DPLL budgets behave exactly as they
-    would with a fresh encoding.
+    — bit-blasting cost scales with the delta — and a
+    :class:`~repro.smt.session.SolverSession` streams the root's cone of
+    clauses into its persistent solver, each fragment once.
     """
 
     def __init__(self, counter: Optional[CacheCounter] = None) -> None:
@@ -483,40 +480,6 @@ class FragmentBitBlaster(BitBlaster):
         twin._roots = list(self._roots)
         twin._root_set = set(self._root_set)
         return twin
-
-    def cone_clauses(self, term: Term) -> list[list[int]]:
-        """All clauses (global numbering) in the Tseitin cone of ``term``."""
-        frag = self._bool_frags.get(term) if term.is_bool else self._bv_frags.get(term)
-        if frag is None:
-            raise KeyError(f"term has not been encoded: {term!r}")
-        clauses = list(self._preamble)
-        seen: set[int] = set()
-        stack = [frag]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            clauses.extend(node.clauses)
-            stack.extend(node.children)
-        return clauses
-
-    def decode_model(self, term: Term, model: dict[int, bool]) -> dict[str, int]:
-        """Values for ``term``'s variables under a global-numbered model."""
-        values: dict[str, int] = {}
-        for var in T.variables(term):
-            if var.is_bool:
-                lit = self._bool_vars.get(var.name)
-                values[var.name] = int(model.get(lit, False)) if lit else 0
-                continue
-            bits = self._var_bits.get(var.name)
-            if bits is None:
-                values[var.name] = 0
-                continue
-            values[var.name] = sum(
-                (1 << i) for i, lit in enumerate(bits) if model.get(lit, False)
-            )
-        return values
 
 
 def replay_encoder(

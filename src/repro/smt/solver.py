@@ -33,7 +33,7 @@ from typing import Optional
 from repro.ir.metrics import CacheCounter
 from repro.smt import interval, sat, terms as T
 from repro.smt.cnf import BitBlaster, FragmentBitBlaster, assert_term, model_values
-from repro.smt.sat import SatSolver, SatStats
+from repro.smt.sat import SatStats
 from repro.smt.session import SolverSession
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -43,7 +43,7 @@ from repro.smt.terms import Term
 class SolverStats:
     """Where queries were decided, and what the SAT core spent on them.
 
-    The ``by_*`` counters are the layered-fast-path ablation surface; the
+    The ``by_*`` counters say which fast-path layer answered; the
     search counters (one :class:`~repro.smt.sat.SatStats`) plus the probe
     latency record are the solver-health surface the ``--stats`` CLI flag
     and the benchmark JSON report.
@@ -151,16 +151,11 @@ class Solver:
         use_interval_precheck: bool = True,
         max_conflicts: Optional[int] = 100_000,
         share_encodings: bool = True,
-        incremental: bool = True,
         _fork_of: Optional["Solver"] = None,
     ) -> None:
         self.use_interval_precheck = use_interval_precheck
         self.max_conflicts = max_conflicts
         self.share_encodings = share_encodings
-        #: ``False`` falls back to the cone-replay architecture (each query
-        #: solved by a throw-away solver over its replayed cone) — kept as
-        #: the ablation baseline for the incremental-session benchmarks.
-        self.incremental = incremental
         self.stats = SolverStats()
         self.cache_counter = CacheCounter("solver-memo")
         self.cnf_counter = CacheCounter("cnf-fragments")
@@ -248,9 +243,7 @@ class Solver:
             ):
                 self.cnf_counter.invalidate()
                 self._reset_encoder()
-            if self.incremental:
-                return self._solve_session(simplified)
-            return self._solve_replay(simplified)
+            return self._solve_session(simplified)
         finally:
             elapsed_us = (time.perf_counter() - start) * 1e6
             self.stats.probes += 1
@@ -282,35 +275,6 @@ class Solver:
         if outcome == sat.UNSAT:
             return SatResult(False)
         return SatResult(True, model_values(blaster, simplified))
-
-    def _solve_replay(self, simplified: Term) -> SatResult:
-        """Cone replay into a throw-away solver (the pre-session baseline:
-        shared encodings, but every query pays a fresh search)."""
-        encoder = self._encoder
-        root = encoder.encode_bool(simplified)
-        solver = SatSolver()
-        local: dict[int, int] = {}
-
-        def localize(lit: int) -> int:
-            var = lit if lit > 0 else -lit
-            mapped = local.get(var)
-            if mapped is None:
-                mapped = solver.new_var()
-                local[var] = mapped
-            return mapped if lit > 0 else -mapped
-
-        for clause in encoder.cone_clauses(simplified):
-            solver.add_clause([localize(lit) for lit in clause])
-        solver.add_clause([localize(root)])
-        try:
-            outcome = solver.solve(max_conflicts=self.max_conflicts)
-        finally:
-            self.stats.search.add(solver.stats)
-        if outcome == sat.UNSAT:
-            return SatResult(False)
-        model = solver.model() or {}
-        global_model = {var: model.get(mapped, False) for var, mapped in local.items()}
-        return SatResult(True, encoder.decode_model(simplified, global_model))
 
     # -- shared-store adoption -------------------------------------------------
 
@@ -355,7 +319,6 @@ class Solver:
             use_interval_precheck=self.use_interval_precheck,
             max_conflicts=self.max_conflicts,
             share_encodings=self.share_encodings,
-            incremental=self.incremental,
             _fork_of=self,
         )
         twin.generation = self.generation
@@ -372,21 +335,18 @@ class Solver:
         parent = self._fork_parent
         with parent._fork_lock:
             self._encoder = parent._encoder.fork(self.cnf_counter)
-            if self.incremental:
-                self._session = parent._session.fork(self._encoder)
-            else:
-                self._session = SolverSession(self._encoder)
+            self._session = parent._session.fork(self._encoder)
         self._fork_parent = None
 
     def absorb_fork(self, fork: "Solver") -> int:
         """Fold a fork's query/search stats and learned clauses back.
 
         Returns the number of learned clauses imported into the shared
-        session (0 when the fork never materialised, its session is
-        unrelated, or incremental solving is off).
+        session (0 when the fork never materialised or its session is
+        unrelated).
         """
         self.stats.absorb(fork.stats)
-        if fork._session is None or not self.incremental:
+        if fork._session is None:
             return 0
         return self._session.absorb(fork._session)
 

@@ -12,6 +12,7 @@ edges and dirty set do not grow with history, a budget-``MAYBE`` is still
 retried, and the terms the verdicts were decided from survive a snapshot.
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Flay, FlayOptions
 from repro.engine.engine import Engine
-from repro.engine.queries import MAYBE
+from repro.engine.queries import MAYBE, QueryEngine
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.entries import TableEntry, TernaryMatch
@@ -249,8 +250,11 @@ def _noop(value, priority):
 def test_budget_maybe_is_retried_on_a_changed_symbol_with_an_unchanged_term(
     gate, monkeypatch
 ):
-    flay = Flay(parse_program(BUDGET_SOURCE), FlayOptions(target="none", fdd_gate=gate))
-    engine = flay.ctx.query_engine
+    """``gate=False`` holds the specification to the same contract: a bare
+    gate-less ``QueryEngine`` over a one-shot substitution of the engine's
+    mapping, re-asked after every update."""
+    flay = Flay(parse_program(BUDGET_SOURCE), FlayOptions(target="none"))
+    engine = flay.ctx.query_engine if gate else QueryEngine(flay.model)
     (point,) = [p for p in flay.model.points.values() if p.kind == "if"]
     probes: list = []
     real_check_sat = engine.solver.check_sat
@@ -259,39 +263,49 @@ def test_budget_maybe_is_retried_on_a_changed_symbol_with_an_unchanged_term(
         probes.append(term)
         raise SolverBudgetExceeded("test budget")
 
+    def process(update):
+        """Apply ``update``; the subject's verdict and the point's term."""
+        decision = flay.process_update(update)
+        assert decision.affected_points >= 1  # the selector was re-assigned
+        if gate:
+            verdict = flay.runtime.point_verdicts[point.pid]
+            return verdict, flay.runtime.substitution.apply(point.expr)
+        one_shot = Substitution(flay.mapping)
+        verdict = engine.point_verdict(point, one_shot)
+        return verdict, simplify(one_shot.apply(point.expr), memo=engine.simplify_memo)
+
     monkeypatch.setattr(engine.solver, "check_sat", out_of_budget)
-    flay.process_update(
+    verdict, pulled = process(
         Update("t1", INSERT, TableEntry((TernaryMatch(1, 0xFF),), "set", (3,), 9))
     )
-    assert flay.runtime.point_verdicts[point.pid].executability == MAYBE
+    assert verdict.executability == MAYBE
     assert probes  # the solver was asked and ran out of budget
     term, _ = engine._decided[point.pid]
     assert term is None
 
     # The selector is re-assigned, the point's term is the same object, and
     # the point is decided again — the solver gets its retry.
-    pulled = flay.runtime.substitution.apply(point.expr)
     del probes[:]
-    decision = flay.process_update(_noop(2, 5))
-    assert decision.affected_points >= 1
-    assert flay.runtime.substitution.apply(point.expr) is pulled
+    redecided = engine.redecided
+    verdict, term = process(_noop(2, 5))
+    assert term is pulled
     assert probes
-    assert decision.redecided_points >= 1
+    assert engine.redecided > redecided
 
     # With budget the verdict is memoized, and the next such update keeps it.
     monkeypatch.setattr(engine.solver, "check_sat", real_check_sat)
-    flay.process_update(_noop(4, 4))
+    process(_noop(4, 4))
     term, verdict = engine._decided[point.pid]
     assert term is pulled and verdict.executability == MAYBE
     monkeypatch.setattr(engine.solver, "check_sat", out_of_budget)
     del probes[:]
-    decision = flay.process_update(_noop(6, 3))
-    assert flay.runtime.substitution.apply(point.expr) is pulled
+    verdict, term = process(_noop(6, 3))
+    assert term is pulled
     assert not probes
-    assert flay.runtime.point_verdicts[point.pid].executability == MAYBE
+    assert verdict.executability == MAYBE
 
 
-# -- (e) snapshot, format 4 ---------------------------------------------------
+# -- (e) snapshot, format 5 ---------------------------------------------------
 
 
 def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
@@ -301,7 +315,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 4
+    assert blob["format"] == 5
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -362,5 +376,15 @@ def test_a_format_3_blob_is_refused_not_misread():
     blob = live.snapshot()
     assert "hunt_failures" not in blob
     blob["format"] = 3
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_4_blob_is_refused_not_misread():
+    """Format 4 pickled ten option fields; three of them no longer exist."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    blob = live.snapshot()
+    assert len(dataclasses.fields(blob["options"])) == 7
+    blob["format"] = 4
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

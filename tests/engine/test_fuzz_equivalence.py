@@ -11,9 +11,13 @@ import pytest
 
 from repro.core import Flay, FlayOptions
 from repro.engine import Engine, EngineOptions
+from repro.engine.queries import QueryEngine
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
+from repro.smt import Solver
+
+from tests.engine.spec import Spec
 
 SOURCE = """
 header h_t { bit<8> f; bit<8> g; }
@@ -121,30 +125,21 @@ def test_batch_stream_matches_cold_rebuild():
 def test_incremental_session_matches_replay_baseline(seed):
     """The persistent assumption-probing solver session must be invisible:
     across a fuzzed stream, every decision, verdict, and the specialized
-    source match an engine running the per-query cone-replay baseline."""
-    session_flay = Flay(
-        parse_program(SOURCE), FlayOptions(target="none", incremental_solver=True)
+    source match the specification (``tests/engine/spec.py``) deciding
+    with a solver that encodes and solves every query afresh."""
+    flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
+    fresh = Solver(
+        share_encodings=False, max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS
     )
-    replay_flay = Flay(
-        parse_program(SOURCE), FlayOptions(target="none", incremental_solver=False)
-    )
-    fuzzer = EntryFuzzer(session_flay.model, seed=seed)
+    spec = Spec(flay, solver=fresh)
+    fuzzer = EntryFuzzer(flay.model, seed=seed)
     stream = fuzzer.update_stream(tables=["t1", "t2"], count=40)
     for update in stream:
-        a = session_flay.process_update(update)
-        b = replay_flay.process_update(update)
-        assert a.forwarded == b.forwarded
-        assert a.recompiled == b.recompiled
-        assert a.changed == b.changed
-        assert a.affected_points == b.affected_points
-    assert session_flay.runtime.point_verdicts == replay_flay.runtime.point_verdicts
-    assert session_flay.runtime.table_verdicts == replay_flay.runtime.table_verdicts
-    assert session_flay.specialized_source() == replay_flay.specialized_source()
-    # Both engines reached the SAT layer, and only the session solved
-    # incrementally (probes show up in its search counters).
-    assert (
-        session_flay.solver_stats().probes == replay_flay.solver_stats().probes
-    )
+        spec.check_decision(flay.process_update(update))
+    assert flay.specialized_source() == spec.specialized_source()
+    # Both reached the SAT layer; the engine, which replays witnesses and
+    # re-asks only what changed, never more often than the specification.
+    assert 0 < flay.solver_stats().probes <= fresh.stats.probes
 
 
 def test_update_stream_replays_cleanly():

@@ -1,20 +1,24 @@
-"""Unit tests for the tiered verdict gate (engine/gate.py).
+"""Unit tests for the verdict gate (engine/gate.py).
 
-The end-to-end speed claim lives in benchmarks/test_fdd_gate.py and the
-equivalence claim in test_gate_differential.py; this module pins the
-mechanics — counter bookkeeping, witness-record lifecycle, the tier
-ordering, and the batch-worker fork/absorb protocol.
+The end-to-end cost is ``benchmarks/e2e``'s to measure and the
+equivalence claim is test_gate_differential.py's; this module pins the
+mechanics — counter bookkeeping, witness-record lifecycle, and the
+batch-worker fork/absorb protocol.
 """
 
+import dataclasses
 import pickle
 
 from repro.core import Flay, FlayOptions
+from repro.engine.context import EngineOptions
 from repro.engine.events import EventBus, GateActivity
 from repro.engine.gate import GateStats, WitnessRecord, _ZeroDefault
 from repro.p4.parser import parse_program
-from repro.runtime.entries import ExactMatch, TableEntry
+from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, TableState, Update
 from repro.smt import terms as T
+
+from tests.engine.spec import Spec
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -67,8 +71,6 @@ class TestGateStats:
             screened=10,
             witness_hits=4,
             exec_cache_hits=2,
-            interval_decided=1,
-            witness_evals=1,
             solver_fallbacks=2,
         )
         assert stats.solver_free == 8
@@ -122,10 +124,18 @@ class TestWiring:
         for state in flay.runtime.ctx.state.tables.values():
             assert state.fdd is not None
 
-    def test_gate_absent_when_disabled(self):
-        flay = make_flay(fdd_gate=False)
-        assert flay.runtime.gate is None
-        assert flay.gate_stats() is None
+    def test_no_option_switches_a_layer_off(self):
+        """The gate, the table-verdict memo and the solver session are not
+        options: an ablation of one is the specification in ``spec.py``."""
+        assert {f.name for f in dataclasses.fields(EngineOptions)} == {
+            "skip_parser",
+            "overapprox_threshold",
+            "use_solver",
+            "prune_parser_tail",
+            "prune",
+            "target",
+            "effort",
+        }
 
     def test_gate_activity_event_emitted(self):
         bus = EventBus()
@@ -148,13 +158,13 @@ class TestWiring:
 
 class TestWitnessLifecycle:
     def test_maybe_point_harvests_witnesses(self):
-        gated, ungated = make_flay(), make_flay(fdd_gate=False)
+        gated = make_flay()
+        ungated = Spec(gated)
         # setn(7) reachable iff h.a == 1 → the n==7 guard goes MAYBE and
         # the probe pair's two models become the point's witnesses.  The
         # second insert makes setn's parameter a non-constant value point.
         for update in (insert_ta(1, 7), insert_ta(2, 9)):
-            gated.process_update(update)
-            ungated.process_update(update)
+            ungated.check_decision(gated.process_update(update))
         gate = gated.runtime.gate
         assert gated.gate_stats().harvested >= 1
         records = gate._records.map
@@ -171,7 +181,7 @@ class TestWitnessLifecycle:
             assert record.pos_keys == gate._key_points(pid, record.pos_model)
             assert record.neg_keys == gate._key_points(pid, record.neg_model)
         # A non-constant value point leaves no record and is still decided
-        # exactly as the ungated engine decides it.
+        # exactly as the gate-less specification decides it.
         verdicts = gated.runtime.ctx.point_verdicts
         varying = [
             pid
@@ -180,7 +190,7 @@ class TestWitnessLifecycle:
         ]
         assert varying
         assert not set(varying) & set(records)
-        assert verdicts == ungated.runtime.ctx.point_verdicts
+        assert verdicts == ungated.points
 
     def test_disjoint_insert_replays_verdict_from_witnesses(self):
         flay = make_flay()
@@ -214,16 +224,76 @@ class TestWitnessLifecycle:
         assert guard.executability == "never"
 
     def test_gated_verdicts_match_ungated(self):
-        gated, ungated = make_flay(), make_flay(fdd_gate=False)
+        gated = make_flay()
+        ungated = Spec(gated)
         for update in [insert_ta(1, 7), insert_ta(9, 2), insert_ta(200, 7)]:
-            gated.process_update(update)
-            ungated.process_update(update)
-        a = gated.runtime.ctx.point_verdicts
-        b = ungated.runtime.ctx.point_verdicts
-        assert set(a) == set(b)
-        for pid in a:
-            assert a[pid] == b[pid], pid
+            ungated.check_decision(gated.process_update(update))
         assert gated.specialized_source() == ungated.specialized_source()
+
+
+# ---------------------------------------------------------------------------
+# The interval domain is the solver's layer, not a gate tier
+# ---------------------------------------------------------------------------
+
+INTERVAL_SOURCE = """
+header h_t { bit<8> f; bit<8> g; }
+struct headers_t { h_t h; }
+struct meta_t { bit<8> m; }
+parser P(inout headers_t hdr, inout meta_t meta) {
+    state start { pkt_extract(hdr.h); transition accept; }
+}
+control C(inout headers_t hdr, inout meta_t meta) {
+    action set(bit<8> v) { meta.m = v + (hdr.h.g & 8w0x0F); }
+    action noop() { }
+    table t1 {
+        key = { hdr.h.f: ternary; }
+        actions = { set; noop; }
+        default_action = noop();
+    }
+    apply {
+        meta.m = 8w0;
+        t1.apply();
+        if (meta.m < 8w64) { hdr.h.g = 8w1; }
+        if ((hdr.h.f & 8w0x0F) > 8w15) { hdr.h.g = 8w2; }
+    }
+}
+Pipeline(P(), C()) main;
+"""
+
+
+def test_a_guard_the_interval_domain_decides_costs_no_probe():
+    """``v + (g & 0xF) < 64`` holds for every installed ``v`` ≤ 48 and
+    ``(f & 0xF) > 15`` never does; neither folds syntactically.  Both are
+    decided by ``check_sat``'s interval precheck — the gate has no tier of
+    its own for them — so they cost solver *calls* but no SAT probe."""
+    flay = Flay(parse_program(INTERVAL_SOURCE), FlayOptions(target="none"))
+    spec = Spec(flay)
+    bounded, masked = sorted(
+        pid for pid, point in flay.model.points.items() if point.kind == "if"
+    )
+
+    def insert(key, value, priority):
+        entry = TableEntry((TernaryMatch(key, 0xFF),), "set", (value,), priority)
+        return Update("t1", INSERT, entry)
+
+    assert flay.point_verdicts[masked].executability == "never"
+    assert flay.solver_stats().by_interval == 1
+    for step, update in enumerate([insert(1, 16, 9), insert(2, 32, 8)], start=1):
+        spec.check_decision(flay.process_update(update))
+        assert flay.point_verdicts[bounded].executability == "always"
+        assert flay.point_verdicts[masked].executability == "never"
+        # One call for the guard, one for its negation, both by interval.
+        assert flay.solver_stats().by_interval == 1 + 2 * step
+    stats = flay.gate_stats()
+    assert flay.solver_stats().probes == 0
+    assert stats.solver_fallbacks == 3 and stats.harvested == 0
+    assert stats.interval_decided == 0  # kept for benchmarks/e2e, reads 0
+    assert not flay.gate._records.map
+    # 60 + 15 can reach 64: now the probe pair has to search.
+    spec.check_decision(flay.process_update(insert(3, 60, 7)))
+    assert flay.point_verdicts[bounded].executability == "maybe"
+    assert flay.solver_stats().probes == 2
+    assert set(flay.gate._records.map) == {bounded}
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ first entry per (table, action) in shuffled order, then the same entries
 deleted in another shuffled order: nearly every update flips a verdict)
 over all seven zoo programs this module pins, by count:
 
-* gated ≡ ungated on every decision, verdict and specialized source;
-* the gated engine issues no more ``check_sat`` calls than the ungated;
+* the engine ≡ the gate-less specification (``tests/engine/spec.py``,
+  the "ungated" of the test names) on every decision, verdict and
+  specialized source;
+* the engine issues no more ``check_sat`` calls than that specification;
 * no ``check_sat`` call happens while a value point is being decided;
+* one ``VerdictGate.decide`` is exactly one
+  ``QueryEngine._executability`` call, and a record exists afterwards
+  iff that call found MAYBE with both probe models;
 * the decision scope a session derives from the fragments' cached
   variable lists is the list the literal-by-literal cone walk gives, for
   every activation (same order ⇒ same scoped decisions ⇒ same models ⇒
@@ -23,12 +28,15 @@ import pytest
 
 from repro.analysis.model import KIND_IF, KIND_SELECT
 from repro.core import Flay, FlayOptions
-from repro.engine.queries import QueryEngine
+from repro.engine.gate import VerdictGate
+from repro.engine.queries import MAYBE, QueryEngine
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import DELETE, Update
 from repro.smt.session import SolverSession
 from repro.smt.solver import Solver
+
+from tests.engine.spec import Spec
 
 ZOO = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
 
@@ -70,15 +78,19 @@ def literal_walk(session, term):
 
 
 class Run:
-    """One program's stream through a gated and an ungated engine."""
+    """One program's stream through the engine, the specification beside it."""
 
     def __init__(self, name, monkeypatch):
         self.deciding = []  # kinds of the points being decided, innermost last
         self.solver_calls_by_kind = []  # kind of the point each check_sat served
         self.activations = 0
         self.cone_mismatches = []
+        self.decides = []  # per gate.decide: (_executability calls, verdict, record kept, term)
+        self.executability_calls = []  # every _executability outcome, in order
 
         point_verdict = QueryEngine.point_verdict
+        executability = QueryEngine._executability
+        decide = VerdictGate.decide
         check_sat = Solver.check_sat
         collect = SolverSession._collect_cone_vars
 
@@ -94,6 +106,19 @@ class Run:
                 self.solver_calls_by_kind.append(self.deciding[-1])
             return check_sat(solver, term, *args, **kwargs)
 
+        def spy_executability(engine, term):
+            found = executability(engine, term)
+            self.executability_calls.append(found)
+            return found
+
+        def spy_decide(gate, point, term, query_engine):
+            before = len(self.executability_calls)
+            verdict = decide(gate, point, term, query_engine)
+            calls = self.executability_calls[before:]
+            kept = gate._records.get(point.pid)
+            self.decides.append((calls, verdict, kept, term))
+            return verdict
+
         def spy_collect(session, term):
             cone = collect(session, term)
             self.activations += 1
@@ -102,17 +127,19 @@ class Run:
             return cone
 
         monkeypatch.setattr(QueryEngine, "point_verdict", spy_point_verdict)
+        monkeypatch.setattr(QueryEngine, "_executability", spy_executability)
+        monkeypatch.setattr(VerdictGate, "decide", spy_decide)
         monkeypatch.setattr(Solver, "check_sat", spy_check_sat)
         monkeypatch.setattr(SolverSession, "_collect_cone_vars", spy_collect)
 
         program = registry.load(name)
         self.gated = Flay(program, FlayOptions(target="none"))
-        self.ungated = Flay(program, FlayOptions(target="none", fdd_gate=False))
+        self.ungated = Spec(self.gated)
         self.decisions = []
         for update in policy_flip_stream(self.gated.model, seed=23):
-            ours = self.gated.process_update(update)
-            theirs = self.ungated.process_update(update)
-            self.decisions.append((ours, theirs))
+            decision = self.gated.process_update(update)
+            self.ungated.check_decision(decision)
+            self.decisions.append(decision)
 
 
 @pytest.fixture(scope="module", params=ZOO)
@@ -125,18 +152,36 @@ def run(request):
 
 
 def test_gated_and_ungated_agree_on_every_decision(run):
+    # Every decision was checked against the specification as it was made
+    # (``Spec.check_decision`` in ``Run``); what is left is the end state.
     assert run.decisions
-    for ours, theirs in run.decisions:
-        assert ours.forwarded == theirs.forwarded
-        assert ours.changed == theirs.changed
-    assert run.gated.point_verdicts == run.ungated.point_verdicts
-    assert run.gated.table_verdicts == run.ungated.table_verdicts
+    assert run.gated.point_verdicts == run.ungated.points
+    assert run.gated.table_verdicts == run.ungated.tables
     assert run.gated.specialized_source() == run.ungated.specialized_source()
-    assert any(not ours.forwarded for ours, _ in run.decisions)
+    assert any(not decision.forwarded for decision in run.decisions)
 
 
 def test_the_gate_adds_no_solver_call(run):
-    assert run.gated.solver_stats().total <= run.ungated.solver_stats().total
+    assert run.gated.solver_stats().total <= run.ungated.solver_calls()
+
+
+def test_one_decide_is_one_executability_call(run):
+    """``decide`` is ``_executability`` plus record upkeep: one call each,
+    the same verdict, and a record afterwards iff the call found MAYBE
+    with both probe models (or re-validated an earlier such pair)."""
+    assert run.decides
+    for calls, verdict, kept, term in run.decides:
+        assert len(calls) == 1
+        (found,) = calls
+        assert verdict == found.verdict
+        if found.how == "probed":
+            assert (kept is not None) == (found.models is not None)
+            assert (found.models is not None) == (verdict == MAYBE)
+        if kept is not None:
+            assert verdict == MAYBE
+            assert kept.term is term
+        if found.how in ("trivial", "budget"):
+            assert kept is None
 
 
 def test_no_solver_call_serves_a_value_point(run):

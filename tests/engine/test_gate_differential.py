@@ -1,16 +1,17 @@
-"""Differential safety net for the verdict gate: gated == ``--no-fdd-gate``.
+"""Differential safety net for the verdict gate: engine == specification.
 
-The gate's contract is that every tier returns exactly what the ungated
-path would return — tiers 1/3 *are* the ungated decision layers, and the
-witness tiers only short-circuit facts two concrete models prove.  These
-tests pin that contract the same way the batch scheduler's differential
-suite pins batching: fuzzer streams, every target backend, sequential
-and batched application, and byte-identical output either way.
+The gate's contract is that a replay only ever short-circuits a MAYBE
+two concrete witnesses prove, and that every other verdict is
+``QueryEngine._executability``'s.  These tests pin that contract against
+the specification in ``tests/engine/spec.py`` — a bare ``QueryEngine``
+over a one-shot substitution of the engine's mapping, re-derived after
+every chunk — the same way the batch scheduler's differential suite pins
+batching: fuzzer streams, every target backend, sequential and batched
+application.
 
-CI runs this module four times — ``FLAY_FDD_GATE`` ∈ {0, 1} ×
-``FLAY_BATCH_WORKERS`` ∈ {1, 4}; the env vars parameterize the
-worker-count-invariance regime (the explicit gated-vs-ungated tests
-construct both engines regardless).
+"Ungated" in the test names is that specification: the gate-less query
+engine.  ``FLAY_BATCH_WORKERS`` (CI's ``batch-differential`` axis) sets
+the worker count of the batched regime.
 """
 
 import os
@@ -26,11 +27,12 @@ from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import INSERT, Update
 
+from tests.engine.spec import Spec
+
 TARGETS = ("tofino", "tofino-incremental", "bmv2")
 
-#: CI matrix axes.
+#: CI matrix axis.
 ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))
-ENV_GATE = os.environ.get("FLAY_FDD_GATE", "1") != "0"
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -73,8 +75,8 @@ ALL_TABLES = ["ta", "t1", "t2"]
 GUARD_TABLES = ["ta", "t1"]
 
 
-def make_flay(target, gate):
-    return Flay(parse_program(SOURCE), FlayOptions(target=target, fdd_gate=gate))
+def make_flay(target):
+    return Flay(parse_program(SOURCE), FlayOptions(target=target))
 
 
 def chunk(stream, seed):
@@ -88,13 +90,6 @@ def chunk(stream, seed):
     return batches
 
 
-def final_state(flay):
-    return {
-        name: table.entries()
-        for name, table in flay.runtime.state.tables.items()
-    }
-
-
 def lowered_trace(flay):
     return [
         (lowered.target, lowered.table, lowered.update)
@@ -106,60 +101,56 @@ def assert_same_result(a, b):
     assert a.runtime.point_verdicts == b.runtime.point_verdicts
     assert a.runtime.table_verdicts == b.runtime.table_verdicts
     assert a.specialized_source() == b.specialized_source()
-    assert final_state(a) == final_state(b)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_sequential_stream_gated_equals_ungated(target, seed):
-    """One-at-a-time application of a mixed stream: verdicts, source,
-    state, and the lowered write sequence are identical with the gate on
-    and off — and the gate actually engaged (non-vacuous)."""
-    gated = make_flay(target, True)
-    ungated = make_flay(target, False)
-    stream = EntryFuzzer(gated.model, seed=seed).update_stream(
+    """One-at-a-time application of a mixed stream: after every update the
+    verdicts are the specification's, the decision reports exactly the
+    verdicts that moved, the source is what a from-scratch specializer
+    prints, and the lowered write sequence is the forwarded updates —
+    and the gate actually engaged (non-vacuous)."""
+    flay = make_flay(target)
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.3, delete_fraction=0.2
     )
     for update in stream:
-        a = gated.process_update(update)
-        b = ungated.process_update(update)
-        assert a.forwarded == b.forwarded
-    assert_same_result(gated, ungated)
-    assert lowered_trace(gated) == lowered_trace(ungated)
-    assert gated.gate_stats().screened > 0
-    assert ungated.gate_stats() is None
+        spec.check_decision(flay.process_update(update), [update])
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
+    assert flay.gate_stats().screened > 0
 
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("seed", [2, 9])
 def test_batched_stream_gated_equals_ungated(target, seed):
     """The batch scheduler path: the forked/absorbed worker gates leave
-    the same output the ungated workers do."""
-    gated = make_flay(target, True)
-    ungated = make_flay(target, False)
-    stream = EntryFuzzer(gated.model, seed=seed).update_stream(
+    the specification's verdicts after every batch."""
+    flay = make_flay(target)
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.25, delete_fraction=0.15
     )
     for batch in chunk(stream, seed):
-        ra = gated.apply_batch(batch, workers=ENV_WORKERS)
-        rb = ungated.apply_batch(batch, workers=ENV_WORKERS)
-        assert ra.changed == rb.changed
-        assert ra.recompiled == rb.recompiled
-    assert_same_result(gated, ungated)
-    assert lowered_trace(gated) == lowered_trace(ungated)
+        spec.check_decision(flay.apply_batch(batch, workers=ENV_WORKERS), batch)
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
 
 
 @pytest.mark.parametrize("seed", [3, 8])
 def test_output_invariant_across_worker_counts(seed):
-    """workers=1, 2, 4 under the env-selected gate flag (the CI matrix
-    crosses this with FLAY_FDD_GATE=0/1): byte-identical everything."""
-    engines = {w: make_flay("tofino", ENV_GATE) for w in (1, 2, 4)}
+    """workers=1, 2, 4: byte-identical everything, and the specification's
+    verdicts after every batch."""
+    engines = {w: make_flay("tofino") for w in (1, 2, 4)}
     stream = EntryFuzzer(engines[1].model, seed=seed).update_stream(
         tables=ALL_TABLES, count=60, modify_fraction=0.25, delete_fraction=0.15
     )
     for workers, flay in engines.items():
+        spec = Spec(flay)
         for batch in chunk(stream, seed):
-            flay.apply_batch(batch, workers=workers)
+            spec.check_decision(flay.apply_batch(batch, workers=workers))
     baseline = engines[1]
     for workers, flay in engines.items():
         if workers == 1:
@@ -172,10 +163,10 @@ def test_witness_replay_regime_stays_identical():
     """The regime the gate accelerates — a warm-up that leaves both `if`
     guards MAYBE, then an insert burst into the two tables that guard
     them, which the gate answers mostly from witness fingerprints — still
-    produces byte-identical output."""
-    gated = make_flay("tofino", True)
-    ungated = make_flay("tofino", False)
-    fuzzer = EntryFuzzer(gated.model, seed=4)
+    holds the specification's verdicts after every update."""
+    flay = make_flay("tofino")
+    spec = Spec(flay)
+    fuzzer = EntryFuzzer(flay.model, seed=4)
     # ``meta.n == 7`` is decided by ta's entries, ``meta.m == 3`` by t1's:
     # one entry each that makes the guard reachable, so both points hold a
     # witness record.  Value points hold none, so a burst that only moves
@@ -189,20 +180,17 @@ def test_witness_replay_regime_stays_identical():
         for update in fuzzer.representative_updates(table, per_action=2):
             if (update.table, update.entry.match_key()) not in taken:
                 warmup.append(update)
-    gated.process_batch(warmup)
-    ungated.process_batch(warmup)
+    spec.check_decision(flay.process_batch(warmup), warmup)
     burst = []
     for table in GUARD_TABLES:
         burst.extend(fuzzer.insert_burst(table, 15))
-    before = gated.gate_stats()
+    before = flay.gate_stats()
     for update in burst:
-        a = gated.process_update(update)
-        b = ungated.process_update(update)
-        assert a.forwarded == b.forwarded
-    delta = gated.gate_stats().since(before)
+        spec.check_decision(flay.process_update(update), [update])
+    delta = flay.gate_stats().since(before)
     assert delta.witness_hits > 0, "burst should exercise the replay tier"
-    assert_same_result(gated, ungated)
-    assert lowered_trace(gated) == lowered_trace(ungated)
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
 
 
 @settings(max_examples=12, deadline=None)
@@ -215,15 +203,14 @@ def test_witness_replay_regime_stays_identical():
 def test_property_gated_equals_ungated(seed, count, modify, delete):
     """Hypothesis sweep over stream shapes: any fuzzer stream, any mix of
     inserts/modifies/deletes, the gate never changes a verdict."""
-    gated = make_flay("none", True)
-    ungated = make_flay("none", False)
-    stream = EntryFuzzer(gated.model, seed=seed).update_stream(
+    flay = make_flay("none")
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES,
         count=count,
         modify_fraction=modify,
         delete_fraction=delete,
     )
     for update in stream:
-        gated.process_update(update)
-        ungated.process_update(update)
-    assert_same_result(gated, ungated)
+        spec.check_decision(flay.process_update(update))
+    assert flay.specialized_source() == spec.specialized_source()

@@ -1,18 +1,17 @@
 """Differential safety net for the structural table-verdict memo.
 
-The memo's contract is pure ablation: a cached verdict is byte-identical
-to the recomputed one, because the memo key — the table's active-entry
-digest plus the selector/hit term identities — spans every input the
-uncached computation reads.  These tests pin that contract the way the
-gate's differential suite pins gating: fuzzer streams, sequential and
-batched application, snapshot/restore
-round-trips, and a Hypothesis sweep — identical output either way, with
-a non-vacuity check that the memo actually got hits.
+A memoised verdict is byte-identical to the recomputed one, because the
+memo key — the table's active-entry digest plus the selector/hit term
+identities — spans every input the uncached computation reads.  These
+tests pin that against the specification in ``tests/engine/spec.py``
+(``_table_verdict_uncached`` on every table, a bare ``QueryEngine`` on
+every point, re-derived after every chunk): fuzzer streams, sequential
+and batched application, snapshot/restore round-trips, and a Hypothesis
+sweep — with a non-vacuity check that the memo actually got hits.
 
-CI runs this module with ``FLAY_TABLE_VERDICT_CACHE`` ∈ {0, 1} ×
-``FLAY_BATCH_WORKERS`` ∈ {1, 4}; the env vars parameterize the
-worker-count-invariance regime (the explicit cached-vs-uncached tests
-construct both engines regardless).
+"Uncached" in the test names is that specification.
+``FLAY_BATCH_WORKERS`` (CI's ``batch-differential`` axis) sets the worker
+count of the batched regime.
 """
 
 import os
@@ -29,9 +28,10 @@ from repro.engine.engine import Engine
 from repro.p4.parser import parse_program
 from repro.runtime.fuzzer import EntryFuzzer
 
-#: CI matrix axes.
+from tests.engine.spec import Spec
+
+#: CI matrix axis.
 ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))
-ENV_CACHE = os.environ.get("FLAY_TABLE_VERDICT_CACHE", "1") != "0"
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -72,11 +72,8 @@ Pipeline(P(), C()) main;
 ALL_TABLES = ["ta", "t1", "t2"]
 
 
-def make_flay(target, cache):
-    return Flay(
-        parse_program(SOURCE),
-        FlayOptions(target=target, table_verdict_cache=cache),
-    )
+def make_flay(target):
+    return Flay(parse_program(SOURCE), FlayOptions(target=target))
 
 
 def chunk(stream, seed):
@@ -107,82 +104,67 @@ def memo_counter(flay):
     return flay.runtime.ctx.query_engine.table_verdict_counter
 
 
-def test_flag_wires_through_to_the_query_engine():
-    cached = make_flay("none", True)
-    uncached = make_flay("none", False)
-    assert cached.runtime.ctx.query_engine.table_verdict_cache is True
-    assert uncached.runtime.ctx.query_engine.table_verdict_cache is False
-
-
 @pytest.mark.parametrize("target", ("none", "tofino"))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sequential_stream_cached_equals_uncached(target, seed):
-    cached = make_flay(target, True)
-    uncached = make_flay(target, False)
-    stream = EntryFuzzer(cached.model, seed=seed).update_stream(
+    flay = make_flay(target)
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.3, delete_fraction=0.2
     )
     for update in stream:
-        a = cached.process_update(update)
-        b = uncached.process_update(update)
-        assert a.forwarded == b.forwarded
-    assert_same_result(cached, uncached)
-    assert lowered_trace(cached) == lowered_trace(uncached)
-    # Non-vacuous: the memo engaged on one side and stayed idle on the
-    # other (the disabled engine must never even count).
-    assert memo_counter(cached).hits > 0
-    assert memo_counter(uncached).hits == 0
-    assert memo_counter(uncached).misses == 0
-    assert not uncached.runtime.ctx.query_engine._table_verdict_memo
+        spec.check_decision(flay.process_update(update), [update])
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
+    # Non-vacuous: the memo engaged.
+    assert memo_counter(flay).hits > 0
 
 
 @pytest.mark.parametrize("seed", [2])
 def test_batched_stream_cached_equals_uncached(seed):
-    cached = make_flay("tofino", True)
-    uncached = make_flay("tofino", False)
-    stream = EntryFuzzer(cached.model, seed=seed).update_stream(
+    flay = make_flay("tofino")
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=40, modify_fraction=0.25, delete_fraction=0.15
     )
     for batch in chunk(stream, seed):
-        ra = cached.apply_batch(batch, workers=ENV_WORKERS)
-        rb = uncached.apply_batch(batch, workers=ENV_WORKERS)
-        assert ra.changed == rb.changed
-        assert ra.recompiled == rb.recompiled
-    assert_same_result(cached, uncached)
-    assert lowered_trace(cached) == lowered_trace(uncached)
+        spec.check_decision(flay.apply_batch(batch, workers=ENV_WORKERS), batch)
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
     # Slice counters and memo entries both fold back on merge, so the
     # shared memo accumulates cross-batch hits.
-    assert memo_counter(cached).misses > 0
-    assert memo_counter(cached).hits > 0
-    assert memo_counter(uncached).hits == 0
-    assert memo_counter(uncached).misses == 0
+    assert memo_counter(flay).misses > 0
+    assert memo_counter(flay).hits > 0
 
 
 @pytest.mark.parametrize("seed", [3])
 def test_output_invariant_across_worker_counts(seed):
-    """workers=1, 4 under the env-selected cache flag (the CI matrix
-    crosses this with FLAY_TABLE_VERDICT_CACHE=0/1)."""
-    engines = {w: make_flay("tofino", ENV_CACHE) for w in (1, 4)}
+    """workers=1, 4: byte-identical, and the specification's verdicts
+    after every batch."""
+    engines = {w: make_flay("tofino") for w in (1, 4)}
     stream = EntryFuzzer(engines[1].model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.25, delete_fraction=0.15
     )
     for workers, flay in engines.items():
+        spec = Spec(flay)
         for batch in chunk(stream, seed):
-            flay.apply_batch(batch, workers=workers)
+            spec.check_decision(flay.apply_batch(batch, workers=workers))
     assert_same_result(engines[1], engines[4])
     assert lowered_trace(engines[1]) == lowered_trace(engines[4])
 
 
 def test_snapshot_roundtrip_reprimes_the_memo():
-    """A restored engine behaves identically to the live one and to an
-    uncached engine — and the restore pass actually re-primed the memo
-    (the blob cannot carry it: the keys embed term identities)."""
+    """A restored engine behaves identically to the live one and holds the
+    specification's verdicts — and the restore pass actually re-primed
+    the memo (the blob cannot carry it: the keys embed term identities)."""
 
-    def drive(engine, seed, count):
+    def drive(engine, seed, count, spec=None):
         for update in EntryFuzzer(engine.model, seed=seed).update_stream(
             tables=ALL_TABLES, count=count
         ):
-            engine.process_update(update)
+            decision = engine.process_update(update)
+            if spec is not None:
+                spec.check_decision(decision)
 
     live = Engine(source=SOURCE, options=EngineOptions(target="none"))
     drive(live, seed=5, count=25)
@@ -190,18 +172,14 @@ def test_snapshot_roundtrip_reprimes_the_memo():
     assert restored.ctx.query_engine._table_verdict_memo, (
         "restore should re-prime the table-verdict memo"
     )
-    uncached = Engine(
-        source=SOURCE,
-        options=EngineOptions(target="none", table_verdict_cache=False),
-    )
-    drive(uncached, seed=5, count=25)
-    for engine in (live, restored):
-        drive(engine, seed=6, count=15)
-    drive(uncached, seed=6, count=15)
+    spec = Spec(restored)
+    assert spec.step() == []  # the restored verdicts are the specification's
+    hits = restored.ctx.query_engine.table_verdict_counter.hits
+    drive(live, seed=6, count=15)
+    drive(restored, seed=6, count=15, spec=spec)
+    assert restored.ctx.query_engine.table_verdict_counter.hits > hits
     assert restored.point_verdicts == live.point_verdicts
     assert restored.table_verdicts == live.table_verdicts
-    assert restored.point_verdicts == uncached.point_verdicts
-    assert restored.table_verdicts == uncached.table_verdicts
 
 
 @settings(max_examples=10, deadline=None)
@@ -214,15 +192,14 @@ def test_snapshot_roundtrip_reprimes_the_memo():
 def test_property_cached_equals_uncached(seed, count, modify, delete):
     """Hypothesis sweep over stream shapes: any fuzzer stream, any mix of
     inserts/modifies/deletes, the memo never changes a verdict."""
-    cached = make_flay("none", True)
-    uncached = make_flay("none", False)
-    stream = EntryFuzzer(cached.model, seed=seed).update_stream(
+    flay = make_flay("none")
+    spec = Spec(flay)
+    stream = EntryFuzzer(flay.model, seed=seed).update_stream(
         tables=ALL_TABLES,
         count=count,
         modify_fraction=modify,
         delete_fraction=delete,
     )
     for update in stream:
-        cached.process_update(update)
-        uncached.process_update(update)
-    assert_same_result(cached, uncached)
+        spec.check_decision(flay.process_update(update))
+    assert flay.specialized_source() == spec.specialized_source()

@@ -350,8 +350,8 @@ class TestSolverFacadeFork:
 
     def test_replay_baseline_agrees_with_session(self):
         rng = random.Random(11)
-        incremental = Solver(incremental=True)
-        replay = Solver(incremental=False)
+        incremental = Solver()
+        replay = Solver(share_encodings=False)  # fresh encoding + solver per query
         for _ in range(25):
             term = random_term(rng, depth=2)
             assert (

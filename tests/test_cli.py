@@ -189,3 +189,11 @@ def test_specialize_no_prune_is_byte_identical(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "prune:" not in err
     assert out_a.read_text() == out_b.read_text()
+
+
+@pytest.mark.parametrize("flag", ["--no-fdd-gate", "--no-table-verdict-cache"])
+def test_removed_ablation_flags_are_rejected_by_argparse(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["specialize", "corpus:fig3", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

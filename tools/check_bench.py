@@ -28,33 +28,6 @@ import sys
 #: Required keys per artifact.  A file at the repo root with no spec
 #: entry fails validation: new benches must register their contract.
 SPECS = {
-    "BENCH_6.json": {
-        "required": [
-            "stream_count",
-            "switch_gated_verdict_ms",
-            "switch_ungated_verdict_ms",
-            "switch_verdict_speedup",
-            "switch_verdict_speedup_floor",
-            "switch_solver_free_rate",
-            "switch_solver_free_rate_floor",
-            "switch_witness_harvested",
-            "switch_witness_harvested_warmup",
-            "switch_warmup_solver_calls_gated",
-            "switch_warmup_solver_calls_ungated",
-            "switch_table_verdict_hits",
-            "switch_table_verdict_misses",
-            "scion_gated_verdict_ms",
-            "scion_ungated_verdict_ms",
-            "scion_verdict_speedup",
-            "scion_verdict_speedup_floor",
-            "scion_witness_harvested",
-            "scion_witness_harvested_warmup",
-            "scion_warmup_solver_calls_gated",
-            "scion_warmup_solver_calls_ungated",
-            "scion_table_verdict_hits",
-            "scion_table_verdict_misses",
-        ],
-    },
     "BENCH_8.json": {
         "required": [
             "scion_cold_pruned_ms",
