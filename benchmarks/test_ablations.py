@@ -88,6 +88,52 @@ class TestIntervalAblation:
         assert stats.by_interval > 0
         assert stats.by_sat < solver_no.stats.by_sat
 
+    def test_ite_chain_guard_is_refuted_by_its_leaves(self, benchmark):
+        """dash's ``ite(chain1 == 0, chain2, 0) == 1`` guard: the interval
+        join of chain2's leaves {0x0, 0x5} is [0, 5], which contains 1, but
+        no leaf is 1 — the precheck reads the leaves and never bit-blasts."""
+        vni = T.data_var("ab_vni", 24)
+
+        def chain(entries, leaf, default):
+            term = T.bv_const(default, 8)
+            for key in reversed(entries):
+                term = T.ite(T.eq(vni, T.bv_const(key, 24)), T.bv_const(leaf(key), 8), term)
+            return term
+
+        keys = [0x10_0000 + 7919 * i for i in range(40)]
+        queries = []
+        for size in range(5, 41, 5):
+            dropped = chain(keys[:size], lambda key: key % 2, 1)
+            direction = chain(keys[:size], lambda key: 5 if key % 3 else 0, 0)
+            routed = T.ite(T.eq(dropped, T.bv_const(0, 8)), direction, T.bv_const(0, 8))
+            queries.append(T.eq(routed, T.bv_const(1, 8)))
+
+        def with_precheck():
+            solver = Solver(use_interval_precheck=True)
+            for q in queries:
+                solver.check_sat(q)
+            return solver
+
+        solver = benchmark(with_precheck)
+
+        solver_no = Solver(use_interval_precheck=False)
+        start = time.perf_counter()
+        for q in queries:
+            solver_no.check_sat(q)
+        no_precheck_ms = (time.perf_counter() - start) * 1000
+
+        heading("Ablation: interval pre-check on ite-chain guards")
+        print(f"with pre-check:  {solver.stats.by_interval} of {len(queries)} guards "
+              f"refuted, {solver.stats.probes} SAT probes, "
+              f"{solver.session.loaded_fragments} fragments loaded")
+        print(f"without pre-check: {solver_no.stats.probes} SAT probes, "
+              f"{solver_no.session.loaded_fragments} fragments loaded "
+              f"({no_precheck_ms:.1f} ms)")
+        assert solver.stats.by_interval == len(queries)
+        assert solver.stats.probes == 0 and solver.session.loaded_fragments == 0
+        assert solver_no.stats.probes == len(queries)
+        assert not any(solver_no.check_sat(q).satisfiable for q in queries)
+
 
 def _branchy_program(num_ifs: int) -> str:
     body = "\n".join(

@@ -6,7 +6,7 @@ over one shared :class:`~repro.engine.context.EngineContext`:
 * the **cold pipeline** — parse → typecheck → data-plane analysis →
   initial specialization → target lowering — run once per program, and
 * the **warm path** — apply updates → re-verdict points/tables →
-  respecialize → lower — run per control-plane update (or batch).
+  respecialize-or-forward — run per control-plane update (or batch).
 
 Progress, cache activity, and forward/recompile outcomes are published as
 typed events on the context's :class:`~repro.engine.events.EventBus`;

@@ -45,7 +45,13 @@ class EngineTimings:
     prune_seconds: float = 0.0
     data_plane_analysis_seconds: float = 0.0
     initial_specialization_seconds: float = 0.0
-    update_ms: list = field(default_factory=list)
+    #: One decision record per warm run (the engine's ``update_log``);
+    #: each carries its own ``elapsed_ms``, so the times are not kept twice.
+    log: list = field(default_factory=list)
+
+    @property
+    def update_ms(self) -> list:
+        return [decision.elapsed_ms for decision in self.log]
 
     def mean_update_ms(self) -> float:
         return sum(self.update_ms) / len(self.update_ms) if self.update_ms else 0.0
@@ -110,10 +116,14 @@ class EngineContext:
     restore_blob: Optional[dict] = None
     # Bookkeeping.
     timings: EngineTimings = field(default_factory=EngineTimings)
-    update_log: list = field(default_factory=list)
     recompilations: int = 0
     # Per-warm-run scratch (a pipeline.WarmState while a warm run executes).
     warm: Optional[object] = None
+
+    @property
+    def update_log(self) -> list:
+        """Every decision record, in order (held by :attr:`timings`)."""
+        return self.timings.log
 
     def cache_counters(self) -> list:
         """Every cross-update cache layer's counter, in report order."""

@@ -152,42 +152,29 @@ class Engine:
 
     def process_update(self, update) -> UpdateDecision:
         """The per-update fast path; aims for the paper's ~100 ms budget."""
-        warm, elapsed_ms = self._run_warm("update", [update])
-        assignment = next(iter(warm.assignments.values()), None)
-        decision = UpdateDecision(
-            update=update,
-            forwarded=not warm.changed,
-            recompiled=bool(warm.changed),
-            affected_points=len(warm.affected),
-            changed=warm.changed,
-            elapsed_ms=elapsed_ms,
-            overapproximated=bool(assignment and assignment.overapproximated),
-            compile_report=warm.compile_report,
-            redecided_points=warm.redecided,
-            unchanged_points=warm.unchanged,
-        )
-        self.ctx.update_log.append(decision)
-        self.ctx.timings.update_ms.append(decision.elapsed_ms)
-        self._finish_warm("update", warm, decision)
-        return decision
+        return self._process_one("update", update)
 
     def process_value_set_update(self, update) -> UpdateDecision:
-        warm, elapsed_ms = self._run_warm("value_set", [update])
+        return self._process_one("value_set", update)
+
+    def _process_one(self, mode: str, update) -> UpdateDecision:
+        warm, elapsed_ms = self._run_warm(mode, [update])
+        # A value-set update re-encodes no table: never overapproximated.
+        assignment = next(iter(warm.assignments.values()), None)
+        # Positional: keyword arguments more than double the cost of this
+        # once-per-update constructor.
         decision = UpdateDecision(
-            update=update,
-            forwarded=not warm.changed,
-            recompiled=bool(warm.changed),
-            affected_points=len(warm.affected),
-            changed=warm.changed,
-            elapsed_ms=elapsed_ms,
-            overapproximated=False,
-            compile_report=warm.compile_report,
-            redecided_points=warm.redecided,
-            unchanged_points=warm.unchanged,
+            update,
+            bool(warm.changed),  # recompiled
+            warm.affected,  # affected_points
+            warm.changed,
+            elapsed_ms,
+            bool(assignment and assignment.overapproximated),
+            warm.compile_report,
+            warm.redecided,  # redecided_points
+            warm.unchanged,  # unchanged_points
         )
-        self.ctx.update_log.append(decision)
-        self.ctx.timings.update_ms.append(decision.elapsed_ms)
-        self._finish_warm("value_set", warm, decision)
+        self._log(mode, warm, decision)
         return decision
 
     def process_batch(self, updates: list) -> BatchDecision:
@@ -201,15 +188,13 @@ class Engine:
             update_count=len(warm.updates),
             recompiled=bool(warm.changed),
             changed=warm.changed,
-            affected_points=len(warm.affected),
+            affected_points=warm.affected,
             elapsed_ms=elapsed_ms,
             compile_report=warm.compile_report,
             redecided_points=warm.redecided,
             unchanged_points=warm.unchanged,
         )
-        self.ctx.update_log.append(decision)
-        self.ctx.timings.update_ms.append(decision.elapsed_ms)
-        self._finish_warm("batch", warm, decision)
+        self._log("batch", warm, decision)
         return decision
 
     def apply_batch(self, updates: list, workers: int = 1) -> BatchReport:
@@ -238,7 +223,6 @@ class Engine:
         if baseline is not None:
             self._emit_activity(baseline, solver_before, gate_before)
         ctx.update_log.append(report)
-        ctx.timings.update_ms.append(report.elapsed_ms)
         if not report.recompiled and ctx.target is not None:
             # The device still needs every submitted write (coalescing is a
             # verdict-side optimization), in the order it was submitted.
@@ -264,22 +248,19 @@ class Engine:
 
     def _run_warm(self, mode: str, updates: list) -> tuple:
         ctx = self.ctx
-        baseline = (
-            [c.snapshot() for c in ctx.cache_counters()] if ctx.bus.active else None
-        )
-        solver_before = (
-            ctx.query_engine.solver.stats.snapshot() if ctx.bus.active else None
-        )
-        gate_before = ctx.gate.snapshot() if ctx.bus.active else None
+        active = ctx.bus.active
+        if active:
+            baseline = [c.snapshot() for c in ctx.cache_counters()]
+            solver_before = ctx.query_engine.solver.stats.snapshot()
+            gate_before = ctx.gate.snapshot()
         start = time.perf_counter()
-        ctx.warm = WarmState(updates=updates, mode=mode)
+        ctx.warm = warm = WarmState(updates, mode)
         try:
             self._warm[mode].run(ctx)
-            warm = ctx.warm
         finally:
             ctx.warm = None
         elapsed_ms = (time.perf_counter() - start) * 1000
-        if baseline is not None:
+        if active:
             self._emit_activity(baseline, solver_before, gate_before)
         return warm, elapsed_ms
 
@@ -324,26 +305,18 @@ class Engine:
                 )
             )
 
-    def _finish_warm(self, mode: str, warm: WarmState, decision) -> None:
-        """Forward-path lowering plus the outcome event."""
+    def _log(self, mode: str, warm: WarmState, decision) -> None:
+        """Record the decision and publish its outcome event."""
         ctx = self.ctx
-        recompiled = bool(warm.changed)
-        if not recompiled and ctx.target is not None:
-            for update in warm.updates:
-                lowered = ctx.target.lower_update(update)
-                ctx.lowered_updates.append(lowered)
-                if ctx.bus.active:
-                    ctx.bus.emit(
-                        UpdateLowered(target=lowered.target, table=lowered.table)
-                    )
+        ctx.update_log.append(decision)
         if ctx.bus.active:
             ctx.bus.emit(
                 UpdateProcessed(
                     kind=mode,
-                    forwarded=not recompiled,
-                    recompiled=recompiled,
+                    forwarded=decision.forwarded,
+                    recompiled=decision.recompiled,
                     update_count=len(warm.updates),
-                    affected_points=len(warm.affected),
+                    affected_points=warm.affected,
                     changed=len(warm.changed),
                     elapsed_ms=decision.elapsed_ms,
                 )

@@ -197,17 +197,17 @@ class EventBus:
 
     def __init__(self) -> None:
         self._subscribers: list[Callable[[Event], None]] = []
-
-    @property
-    def active(self) -> bool:
-        """True when at least one subscriber listens (guard for hot paths)."""
-        return bool(self._subscribers)
+        #: True when at least one subscriber listens — the guard every hot
+        #: path reads, so it is a plain attribute kept by (un)subscribe.
+        self.active = False
 
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         self._subscribers.append(callback)
+        self.active = True
 
     def unsubscribe(self, callback: Callable[[Event], None]) -> None:
         self._subscribers.remove(callback)
+        self.active = bool(self._subscribers)
 
     def emit(self, event: Event) -> None:
         for callback in self._subscribers:

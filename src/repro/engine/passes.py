@@ -36,11 +36,13 @@ class PassManager:
 
     def run(self, ctx: EngineContext) -> None:
         bus = ctx.bus
+        # Read once per run: the warm path runs this for every update, so
+        # an unsubscribed bus costs no clock reads and no event objects.
+        active = bus.active
         for pipeline_pass in self.passes:
-            active = bus.active
             if active:
                 bus.emit(PassStarted(pipeline_pass.name, pipeline_pass.stage))
-            start = time.perf_counter()
+                start = time.perf_counter()
             try:
                 pipeline_pass.run(ctx)
             except FlayError as exc:

@@ -6,8 +6,9 @@ The cold pipeline (run once per program) is the declared sequence
 
 and the warm path (run per control-plane update or batch) is
 
-    apply-updates → reverdict-{points,tables} → respecialize → lower
+    apply-updates → reverdict-{points,tables} → respecialize
 
+where the last pass either recompiles or lowers the forwarded updates.
 Both are plain :class:`~repro.engine.passes.Pass` sequences over one
 :class:`~repro.engine.context.EngineContext`; the only difference between
 processing a single update, a value-set update, and a batch is the
@@ -18,12 +19,11 @@ before changed points, matching the historical decision format).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.analysis.symexec import analyze
 from repro.engine.context import EngineContext
-from repro.engine.events import SnapshotRestored, TargetCompiled
+from repro.engine.events import SnapshotRestored, TargetCompiled, UpdateLowered
 from repro.engine.gate import VerdictGate
 from repro.engine.queries import QueryEngine
 from repro.engine.specialize import Specializer
@@ -57,12 +57,11 @@ def describe_points(tainted: int, redecided: int, unchanged: int) -> str:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateDecision:
     """Outcome of processing one control-plane update."""
 
     update: object
-    forwarded: bool  # sent to the device without recompilation
     recompiled: bool
     # Points tainted by a symbol whose assignment changed (the points
     # visited).  0 is the normal forward (an overapproximated table, a
@@ -74,6 +73,11 @@ class UpdateDecision:
     compile_report: object = None
     redecided_points: int = 0  # of those, decided afresh from a new term
     unchanged_points: int = 0  # of those, kept on the identical term
+
+    @property
+    def forwarded(self) -> bool:
+        """Sent to the device without recompilation."""
+        return not self.recompiled
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
@@ -124,21 +128,24 @@ class BatchDecision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WarmState:
     """Per-run scratch shared by the warm passes via ``ctx.warm``."""
 
-    updates: list
-    mode: str  # "update" | "value_set" | "batch"
-    touched_tables: list = field(default_factory=list)  # sorted names
-    changed_vars: set = field(default_factory=set)  # symbols re-assigned
-    assignments: dict = field(default_factory=dict)  # table → TableAssignment
-    affected: set = field(default_factory=set)  # pids tainted (visited)
-    redecided: int = 0  # of those, decided afresh from a new term
-    unchanged: int = 0  # of those, kept on the identical term
-    changed: list = field(default_factory=list)  # pids / table names
-    respecialized: bool = False
-    compile_report: object = None
+    __slots__ = (
+        "updates", "mode", "changed_vars", "assignments", "affected",
+        "redecided", "unchanged", "changed", "compile_report",
+    )
+
+    def __init__(self, updates: list, mode: str) -> None:
+        self.updates = updates
+        self.mode = mode  # "update" | "value_set" | "batch"
+        self.changed_vars: set = set()  # symbols re-assigned
+        self.assignments: dict = {}  # table → TableAssignment
+        self.affected = 0  # points tainted (visited)
+        self.redecided = 0  # of those, decided afresh from a new term
+        self.unchanged = 0  # of those, kept on the identical term
+        self.changed: list = []  # pids / table names
+        self.compile_report = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +373,29 @@ class SpecializePass:
         )
 
 
-class LowerPass:
-    """Hand the specialized program to the target backend.
+def _compile(ctx: EngineContext):
+    """Compile the specialized program for the target; returns its report."""
+    report = ctx.target.compile(ctx.specialized_program)
+    ctx.compile_reports.append(report)
+    if ctx.bus.active:
+        ctx.bus.emit(
+            TargetCompiled(
+                target=getattr(ctx.target, "name", "target"),
+                modeled_seconds=getattr(report, "modeled_seconds", 0.0),
+            )
+        )
+    return report
 
-    Cold runs always compile; warm runs compile only when the warm path
-    actually respecialized (a forwarded update never reaches the device
-    compiler — that is the paper's entire point).
-    """
+
+class LowerPass:
+    """Hand the initial specialized program to the target backend."""
 
     name = "lower"
     stage = "cold"
 
     def run(self, ctx: EngineContext) -> None:
-        if ctx.target is None:
-            return
-        warm = ctx.warm
-        if warm is not None and not warm.respecialized:
-            return
-        report = ctx.target.compile(ctx.specialized_program)
-        ctx.compile_reports.append(report)
-        if warm is not None:
-            warm.compile_report = report
-        if ctx.bus.active:
-            ctx.bus.emit(
-                TargetCompiled(
-                    target=getattr(ctx.target, "name", "target"),
-                    modeled_seconds=getattr(report, "modeled_seconds", 0.0),
-                )
-            )
+        if ctx.target is not None:
+            _compile(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +430,7 @@ class ApplyUpdatesPass:
                 warm.changed_vars |= ctx.substitution.set_many(mapping)
             else:
                 touched.add(ctx.state.apply_update(update).name)
-        warm.touched_tables = sorted(touched)
-        for name in warm.touched_tables:
+        for name in sorted(touched):
             assignment = encode_table(
                 ctx.model.tables[name],
                 ctx.state.tables[name],
@@ -457,7 +458,7 @@ class ReverdictPointsPass:
         sweep = ctx.query_engine.reverdict_points(
             warm.changed_vars, ctx.substitution, ctx.point_verdicts
         )
-        warm.affected = set(sweep.verdicts)
+        warm.affected = len(sweep.verdicts)
         warm.redecided = sweep.redecided
         warm.unchanged = sweep.unchanged
         warm.changed.extend(sweep.changed)
@@ -480,26 +481,36 @@ class ReverdictTablesPass:
 
 
 class RespecializePass:
-    """Respecialize iff some verdict changed (the recompile decision)."""
+    """The recompile decision, and the lowering that follows from it.
+
+    If some verdict changed, respecialize and recompile for the target;
+    otherwise push each update to the device as a forward — a forwarded
+    update never reaches the device compiler, which is the paper's entire
+    point.
+    """
 
     name = "respecialize"
     stage = "warm"
 
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
+        target = ctx.target
         if not warm.changed:
+            if target is None:
+                return
+            bus = ctx.bus
+            for update in warm.updates:
+                lowered = target.lower_update(update)
+                ctx.lowered_updates.append(lowered)
+                if bus.active:
+                    bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
             return
         ctx.specialized_program, ctx.report = ctx.specializer.specialize(
             ctx.point_verdicts, ctx.table_verdicts
         )
         ctx.recompilations += 1
-        warm.respecialized = True
-
-
-class WarmLowerPass(LowerPass):
-    """Warm-path lowering (same logic; declared under the warm stage)."""
-
-    stage = "warm"
+        if target is not None:
+            warm.compile_report = _compile(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +560,9 @@ def warm_passes(mode: str) -> list:
     apply_stage = ApplyUpdatesPass()
     points = ReverdictPointsPass()
     tables = ReverdictTablesPass()
-    tail = [RespecializePass(), WarmLowerPass()]
     if mode == "batch":
-        return [apply_stage, tables, points, *tail]
-    return [apply_stage, points, tables, *tail]
+        return [apply_stage, tables, points, RespecializePass()]
+    return [apply_stage, points, tables, RespecializePass()]
 
 
 __all__ = [
@@ -569,7 +579,6 @@ __all__ = [
     "SpecializePass",
     "TypeCheckPass",
     "UpdateDecision",
-    "WarmLowerPass",
     "WarmState",
     "cold_passes",
     "describe_points",

@@ -4,6 +4,17 @@ A cheap pre-check used by the solver facade: most executability queries in
 network programs compare fields against constants, and an interval sweep
 decides them without bit-blasting.  The paper's "100 ms per update" budget
 depends on most queries being answered by fast paths like this.
+
+An encoded table is an ``ite`` chain whose leaves are its action values,
+and the interval join forgets which values those are (leaves ``{0, 5}``
+become ``[0, 5]``).  So an equality between a point and an ``ite`` tree is
+also decided by reading the tree's reachable leaves (:func:`_leaves_equal`):
+every leaf a constant other than the point refutes it, every leaf the
+point proves it.  The rule lives here and not in ``simplify``: the
+simplifier's output is what the substitution memo stores and what a value
+point's verdict reads, so a rewrite there would move terms and verdicts;
+this pre-check only answers ``Solver.check_sat``, in front of a complete
+SAT core, so it changes which layer decides and nothing else.
 """
 
 from __future__ import annotations
@@ -190,6 +201,10 @@ def _bool_node(term: Term, memo) -> str:
             return DEFINITELY_FALSE
         if ia.is_point and ib.is_point and ia.lo == ib.lo:
             return DEFINITELY_TRUE
+        if ib.is_point and a.op == T.OP_ITE:
+            return _leaves_equal(a, ib.lo, memo)
+        if ia.is_point and b.op == T.OP_ITE:
+            return _leaves_equal(b, ia.lo, memo)
         return UNKNOWN
     if op == T.OP_ULT:
         ia = memo[id(term.args[0])]
@@ -219,3 +234,38 @@ def _bool_node(term: Term, memo) -> str:
             return ra
         return UNKNOWN
     raise T.SortError(f"unknown boolean operator {op!r}")
+
+
+def _leaves_equal(tree: Term, value: int, memo) -> str:
+    """Decide ``tree == value`` for an ite tree by reading its leaves.
+
+    The interval join loses a table's action values (leaves ``{0, 5}``
+    become ``[0, 5]``); the leaves themselves do not.  Every leaf reachable
+    past the conditions the domain leaves open is read once: all constant
+    and all equal to ``value`` is TRUE, all constant and all different is
+    FALSE, anything else (a non-constant leaf, or a mix) is UNKNOWN.
+    """
+    seen: set[int] = set()
+    stack = [tree]
+    hit = miss = False
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.op == T.OP_ITE:
+            cond = memo[id(node.args[0])]
+            if cond != DEFINITELY_FALSE:
+                stack.append(node.args[1])
+            if cond != DEFINITELY_TRUE:
+                stack.append(node.args[2])
+            continue
+        if node.op != T.OP_BVCONST:
+            return UNKNOWN
+        if node.payload == value:
+            hit = True
+        else:
+            miss = True
+        if hit and miss:
+            return UNKNOWN
+    return DEFINITELY_TRUE if hit else DEFINITELY_FALSE

@@ -4,7 +4,10 @@ Layered fast paths, in the order Flay needs them to keep update analysis
 within its ~100 ms budget (§4.1):
 
 1. algebraic simplification (often decides the query outright),
-2. interval abstract interpretation (cheap sound pre-check),
+2. interval abstract interpretation (cheap sound pre-check; an equality
+   between a constant and a table's ``ite`` chain is decided by reading the
+   chain's leaves, so a guard no action value can satisfy is refuted
+   without being encoded, loaded into the session or probed),
 3. bit-blasting + incremental CDCL (complete, used when the fast paths punt).
 
 Two cross-update caches sit on top (the "Once" cost paid once):

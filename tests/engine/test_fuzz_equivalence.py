@@ -44,6 +44,9 @@ control C(inout headers_t hdr, inout meta_t meta) {
         t1.apply();
         if (meta.m == 8w3) { t2.apply(); }
         if (meta.n == 8w7) { meta.m = 8w1; }
+        // A table-written field against a data field: no constant-leaf
+        // rule decides this guard, so it reaches the SAT core.
+        if (meta.n == hdr.h.g) { meta.m = 8w2; }
     }
 }
 Pipeline(P(), C()) main;

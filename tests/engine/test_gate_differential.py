@@ -22,10 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Flay, FlayOptions
+from repro.engine.queries import QueryEngine
 from repro.p4.parser import parse_program
+from repro.programs import registry
 from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import INSERT, Update
+from repro.smt import Solver
 
 from tests.engine.spec import Spec
 
@@ -191,6 +194,58 @@ def test_witness_replay_regime_stays_identical():
     assert delta.witness_hits > 0, "burst should exercise the replay tier"
     assert flay.specialized_source() == spec.specialized_source()
     spec.check_lowered()
+
+
+DASH_CHURN_TABLES = ["DashIngress.direction_lookup", "DashIngress.outbound_routing"]
+
+
+def dash_churn(model, seed, count):
+    """A live insert/modify/delete stream on dash's direction and routing
+    tables, with every ``set_direction`` argument 5 or, one time in five,
+    1: the ``meta.direction == 1`` guard then moves between chains whose
+    constant leaves all miss 1 (the interval precheck refutes it) and
+    chains with a leaf that hits (the SAT core decides it)."""
+    rng = random.Random(seed)
+    stream = []
+    for update in EntryFuzzer(model, seed=seed).update_stream(
+        tables=DASH_CHURN_TABLES, count=count, modify_fraction=0.2, delete_fraction=0.3
+    ):
+        entry = update.entry
+        if entry.action == "set_direction":
+            direction = 1 if rng.random() < 0.2 else 5
+            entry = TableEntry(entry.matches, entry.action, (direction,), entry.priority)
+        stream.append(Update(update.table, update.op, entry))
+    return stream
+
+
+@pytest.mark.parametrize("seed", [1, 23])
+def test_dash_direction_churn_matches_the_sat_core(seed):
+    """The interval precheck's verdicts are checked against a specification
+    that cannot share them: its solver has no precheck and encodes every
+    query afresh, so each guard the precheck refutes in the engine is
+    decided by the complete SAT core in the specification."""
+    entry = registry.get("dash")
+    flay = Flay.from_source(
+        entry.source(), FlayOptions(target="bmv2", skip_parser=entry.skip_parser)
+    )
+    reference = Solver(
+        use_interval_precheck=False,
+        share_encodings=False,
+        max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS,
+    )
+    spec = Spec(flay, solver=reference)
+    before = flay.solver_stats().snapshot()
+    for update in dash_churn(flay.model, seed, count=40):
+        spec.check_decision(flay.process_update(update), [update])
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
+    engine = flay.solver_stats().since(before)
+    # Non-vacuous: the engine's precheck decided guards during the churn,
+    # and every query of the specification that was not settled by the
+    # simplifier went to the SAT core.
+    assert engine.by_interval > 0
+    assert reference.stats.by_interval == 0
+    assert reference.stats.probes == reference.stats.by_sat > 0
 
 
 @settings(max_examples=12, deadline=None)

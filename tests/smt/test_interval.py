@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smt import interval as I
 from repro.smt import terms as T
+from repro.smt.solver import Solver
 
 X = T.data_var("iv_x", 8)
 
@@ -185,3 +186,141 @@ class TestGateScreenEdgeCases:
         assert I.eval_bool(T.eq(high, c(0x10))) == I.DEFINITELY_FALSE
         assert I.eval_bool(T.ult(high, c(0xF0))) == I.DEFINITELY_FALSE
         assert I.eval_bool(T.ult(c(0x10), high)) == I.DEFINITELY_TRUE
+
+
+# -- equality against an ite tree, decided by its leaves ---------------------
+
+KEY = T.data_var("iv_key", 8)
+DIR = T.data_var("iv_dir", 8)
+
+
+def _dash_guard():
+    """dash's ``ite(chain1 == 0, chain2, 0) == 1``: a direction-lookup chain
+    guarding a routing chain whose leaves are only 0x5 and 0x0."""
+    chain1 = T.ite(T.eq(KEY, c(1)), c(0), T.ite(T.eq(KEY, c(2)), c(3), c(0)))
+    chain2 = T.ite(T.eq(DIR, c(7)), c(5), T.ite(T.eq(DIR, c(9)), c(0), c(5)))
+    return T.eq(T.ite(T.eq(chain1, c(0)), chain2, c(0)), c(1))
+
+
+class TestIteLeaves:
+    def test_dash_shape_is_false(self):
+        guard = _dash_guard()
+        # The interval join alone cannot refute it: [0, 5] contains 1.
+        tree = next(arg for arg in guard.args if arg.op == T.OP_ITE)
+        assert I.eval_interval(tree) == I.Interval(0, 5)
+        assert I.eval_bool(guard) == I.DEFINITELY_FALSE
+
+    def test_all_leaves_equal_is_true(self):
+        tree = T.ite(T.eq(X, c(1)), c(4), T.ite(T.eq(KEY, c(2)), c(4), c(4)))
+        assert I.eval_bool(T.eq(tree, c(4))) == I.DEFINITELY_TRUE
+
+    def test_variable_leaf_is_unknown(self):
+        tree = T.ite(T.eq(X, c(1)), c(5), KEY)
+        assert I.eval_bool(T.eq(tree, c(1))) == I.UNKNOWN
+
+    def test_mixed_hit_and_miss_is_unknown(self):
+        tree = T.ite(T.eq(X, c(1)), c(5), T.ite(T.eq(KEY, c(2)), c(1), c(0)))
+        assert I.eval_bool(T.eq(tree, c(1))) == I.UNKNOWN
+
+    def test_leaf_behind_a_decided_condition_is_ignored(self):
+        never = T.eq(T.bv_and(X, c(0x0F)), c(0xF0))  # interval: FALSE
+        always = T.ult(T.lshr(X, c(4)), c(16))  # interval: TRUE
+        assert I.eval_bool(never) == I.DEFINITELY_FALSE
+        assert I.eval_bool(always) == I.DEFINITELY_TRUE
+        # The inner ites are points, the outer one is [0, 5] again; only
+        # the leaves can decide, and the variable leaves are unreachable.
+        hidden_else = T.ite(always, c(5), KEY)
+        hidden_then = T.ite(never, KEY, c(5))
+        for inner in (hidden_else, hidden_then):
+            tree = T.ite(T.eq(X, c(3)), inner, c(0))
+            assert I.eval_bool(T.eq(tree, c(1))) == I.DEFINITELY_FALSE
+            assert I.eval_bool(T.eq(tree, c(5))) == I.UNKNOWN
+
+    def test_shared_sub_dag_is_walked_once(self):
+        # Every level reaches the previous one through both branches: 2**12
+        # root-to-leaf paths, 62 distinct nodes.
+        tree = c(0)
+        for level in range(12):
+            other = T.ite(T.eq(KEY, c(level)), tree, c(level % 2 * 2))
+            tree = T.ite(T.eq(X, c(level)), tree, other)
+
+        class CountingMemo(dict):
+            def __init__(self):
+                super().__init__()
+                self.reads = {}
+
+            def __getitem__(self, key):
+                self.reads[key] = self.reads.get(key, 0) + 1
+                return super().__getitem__(key)
+
+        conditions = [id(n.args[0]) for n in T.iter_dag(tree) if n.op == T.OP_ITE]
+        # Verdicts go through locals: an assertion message that printed
+        # the tree would expand every path.
+        for value, expected in ((1, I.DEFINITELY_FALSE), (2, I.UNKNOWN)):
+            memo = CountingMemo()
+            verdict = I.eval_bool(T.eq(tree, c(value)), memo)
+            assert verdict == expected
+            # A condition is read once by its ite's interval and at most
+            # once by the leaf walk, however many paths lead to it.
+            reads = max(memo.reads[cond] for cond in conditions)
+            assert reads <= 2
+
+    def test_solver_refutes_the_dash_shape_without_the_sat_core(self):
+        solver = Solver()
+        assert not solver.check_sat(_dash_guard()).satisfiable
+        assert solver.stats.by_interval == 1
+        assert solver.stats.probes == 0
+        assert solver.session.loaded_fragments == 0
+
+
+A3 = T.data_var("iv_a", 3)
+B3 = T.data_var("iv_b", 3)
+
+
+def c3(v):
+    return T.bv_const(v, 3)
+
+
+_operands = st.one_of(st.sampled_from([A3, B3]), st.integers(0, 7).map(c3))
+_conditions = st.builds(
+    lambda op, a, b: op(a, b),
+    st.sampled_from([T.eq, T.ult, T.ule]),
+    _operands,
+    _operands,
+)
+_ite_trees = st.recursive(
+    _operands,
+    lambda branches: st.builds(T.ite, _conditions, branches, branches),
+    max_leaves=12,
+)
+
+
+def _ite_leaves(tree):
+    """The non-ite nodes reachable through ite branches (not conditions)."""
+    leaves, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node.op == T.OP_ITE:
+            stack += node.args[1:]
+        else:
+            leaves.append(node)
+    return leaves
+
+
+@given(tree=_ite_trees, value=st.integers(0, 7))
+@settings(max_examples=400, deadline=None)
+def test_ite_leaf_verdicts_agree_with_brute_force(tree, value):
+    query = T.eq(tree, c3(value))
+    verdict = I.eval_bool(query)
+    outcomes = {
+        T.evaluate(query, {"iv_a": a, "iv_b": b}) for a in range(8) for b in range(8)
+    }
+    if verdict == I.DEFINITELY_TRUE:
+        assert outcomes == {1}
+    elif verdict == I.DEFINITELY_FALSE:
+        assert outcomes == {0}
+    leaves = _ite_leaves(tree)
+    if all(leaf.op == T.OP_BVCONST for leaf in leaves):
+        hits = {leaf.payload == value for leaf in leaves}
+        if len(hits) == 1:  # every leaf hits, or every leaf misses
+            assert verdict != I.UNKNOWN
