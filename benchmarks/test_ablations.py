@@ -134,6 +134,108 @@ class TestIntervalAblation:
         assert solver_no.stats.probes == len(queries)
         assert not any(solver_no.check_sat(q).satisfiable for q in queries)
 
+    def test_pinned_conjunct_guard_is_refuted(self, benchmark):
+        """beaucoup's ``meta.query_id != 0`` over a first-match chain of
+        ``protocol == k && l4_port == p`` entries, where ``l4_port`` is the
+        TCP port under protocol 6, the UDP port under 17 and 0 otherwise.
+        No k here is 6 or 17, so every entry contradicts its own key, yet
+        each conjunct alone is open — the port's interval is its full range.
+        The precheck reads the port under the protocol pin and never
+        bit-blasts."""
+        proto = T.data_var("ab_proto", 8)
+
+        def c8(value):
+            return T.bv_const(value, 8)
+
+        def c16(value):
+            return T.bv_const(value, 16)
+
+        def valid(header):
+            return T.eq(T.data_var(f"ab_{header}_valid", 1), T.bv_const(1, 1))
+
+        port = T.ite(
+            T.bool_and(T.eq(proto, c8(6)), valid("tcp")),
+            T.data_var("ab_tcp_dst", 16),
+            T.ite(
+                T.bool_and(T.eq(proto, c8(0x11)), valid("udp")),
+                T.data_var("ab_udp_dst", 16),
+                c16(0),
+            ),
+        )
+        queries = []
+        for size in range(2, 17, 2):
+            query_id = c16(0)
+            for i in reversed(range(size)):
+                key = T.eq(proto, c8(0x20 + 7 * i))
+                guard = T.bool_and(key, T.eq(port, c16(0x1000 + 977 * i)))
+                query_id = T.ite(guard, c16(i + 1), query_id)
+            queries.append(T.bool_not(T.eq(query_id, c16(0))))
+
+        def with_precheck():
+            solver = Solver(use_interval_precheck=True)
+            for q in queries:
+                solver.check_sat(q)
+            return solver
+
+        solver = benchmark(with_precheck)
+
+        solver_no = Solver(use_interval_precheck=False)
+        start = time.perf_counter()
+        for q in queries:
+            solver_no.check_sat(q)
+        no_precheck_ms = (time.perf_counter() - start) * 1000
+
+        heading("Ablation: interval pre-check on pinned first-match guards")
+        print(f"with pre-check:  {solver.stats.by_interval} of {len(queries)} guards "
+              f"refuted, {solver.stats.probes} SAT probes, "
+              f"{solver.session.loaded_fragments} fragments loaded")
+        print(f"without pre-check: {solver_no.stats.probes} SAT probes, "
+              f"{solver_no.stats.search.conflicts} conflicts, "
+              f"{solver_no.session.loaded_fragments} fragments loaded "
+              f"({no_precheck_ms:.1f} ms)")
+        assert solver.stats.by_interval == len(queries)
+        assert solver.stats.probes == 0 and solver.session.loaded_fragments == 0
+        assert solver_no.stats.probes == len(queries)
+        assert not any(solver_no.check_sat(q).satisfiable for q in queries)
+
+    @pytest.mark.parametrize("seed", (1, 3))
+    def test_eleventh_beaucoup_rollout_costs_what_a_first_does(
+        self, benchmark, corpus_programs, seed
+    ):
+        """Eleven policy roll-outs on one beaucoup engine
+        (``benchmarks/e2e/README.md``, Known defect 6).  Roll-outs differ in
+        content, and one whose guards need a genuine search costs up to ~3×
+        another, so the eleventh is timed against the same roll-out run
+        first on a fresh engine; each side is the fastest of three engines.
+        Measured 1.0-1.2× (2-core box).  Without the precheck's
+        pinned-conjunct rule every refutable guard is probed and the solver
+        session keeps each cone: 7.5× (seed 1) and 8.2× (seed 3)."""
+        program = corpus_programs["beaucoup"]
+        stream = EntryFuzzer(make_flay(program).model, seed=seed).rollout_stream(11)
+        size = len(stream) // 11
+
+        def timed(flay, updates):
+            start = time.perf_counter()
+            for update in updates:
+                flay.process_update(update)
+            return time.perf_counter() - start
+
+        walls = []
+
+        def eleven_rollouts():
+            warm = make_flay(program)
+            first = timed(warm, stream[:size])
+            timed(warm, stream[size : 10 * size])
+            eleventh = stream[10 * size :]
+            walls.append((first, timed(warm, eleventh), timed(make_flay(program), eleventh)))
+
+        benchmark.pedantic(eleven_rollouts, rounds=3, iterations=1)
+        first, eleventh, fresh = (min(column) * 1000 for column in zip(*walls))
+        heading(f"Ablation: eleven beaucoup roll-outs on one engine (seed {seed})")
+        print(f"first roll-out {first:.1f} ms, eleventh {eleventh:.1f} ms, "
+              f"the eleventh on a fresh engine {fresh:.1f} ms")
+        assert eleventh <= 1.5 * fresh
+
 
 def _branchy_program(num_ifs: int) -> str:
     body = "\n".join(

@@ -169,6 +169,23 @@ class EntryFuzzer:
                 updates.append(Update(info.name, INSERT, entry))
         return updates
 
+    def rollout_stream(self, rollouts: int) -> list[Update]:
+        """Policy roll-outs from an empty config: per roll-out the first
+        entry per (table, action) of every table in shuffled order, then a
+        DELETE of each in shuffled order, back to empty."""
+        updates: list[Update] = []
+        for _ in range(rollouts):
+            inserts = [
+                update
+                for table in sorted(self.model.tables)
+                for update in self.representative_updates(table, per_action=1)
+            ]
+            self.rng.shuffle(inserts)
+            deletes = [Update(u.table, DELETE, u.entry) for u in inserts]
+            self.rng.shuffle(deletes)
+            updates += inserts + deletes
+        return updates
+
     # -- match generators ----------------------------------------------------
 
     def _match(self, kind: str, width: int):

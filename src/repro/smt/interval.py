@@ -15,6 +15,14 @@ simplifier's output is what the substitution memo stores and what a value
 point's verdict reads, so a rewrite there would move terms and verdicts;
 this pre-check only answers ``Solver.check_sat``, in front of a complete
 SAT core, so it changes which layer decides and nothing else.
+
+Every variable starts at its full range, so a conjunction is also read
+under the equalities it asserts (:func:`_refuted_by_pins`): a conjunct
+``v == c`` pins ``v``, and a sibling that is FALSE with ``v`` at ``[c, c]``
+refutes the whole conjunction.  A first-match guard on a protocol and a
+port, where the port is an ``ite`` on the protocol, contradicts its own
+key that way; once a path has fixed a field, a later test on it is decided
+(A Fast Compiler for NetKAT).  It lives here for the reason above.
 """
 
 from __future__ import annotations
@@ -62,20 +70,24 @@ def eval_interval(term: Term, memo: Optional[dict[int, Interval]] = None) -> Int
     """Interval of possible values of a bitvector term (free vars = full range)."""
     if not term.is_bv:
         raise T.SortError("eval_interval expects a bitvector term")
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(term))
-    if cached is not None:
-        return cached
-    # Iterative post-order so deeply nested entry-match chains don't blow
-    # the Python stack; boolean subterms are evaluated into the same memo.
-    for node in T.iter_dag(term):
-        if id(node) in memo:
-            continue
-        if node.is_bv:
-            memo[id(node)] = _interval_node(node, memo)
-        else:
-            memo[id(node)] = _bool_node(node, memo)
+    return _sweep(term, {} if memo is None else memo)
+
+
+def _sweep(term: Term, memo: dict, pins: bool = True):
+    """Evaluate every node of ``term``'s DAG missing from ``memo`` into it.
+
+    Iterative post-order so deeply nested entry-match chains don't blow the
+    Python stack; boolean and bitvector nodes share the one memo.  ``pins``
+    is off only for the refined evaluation of :func:`_refuted_by_pins`.
+    """
+    if id(term) not in memo:
+        for node in T.iter_dag(term):
+            if id(node) in memo:
+                continue
+            if node.is_bv:
+                memo[id(node)] = _interval_node(node, memo)
+            else:
+                memo[id(node)] = _bool_node(node, memo, pins)
     return memo[id(term)]
 
 
@@ -147,22 +159,10 @@ def eval_bool(term: Term, memo: Optional[dict[int, Interval]] = None) -> str:
     """Tri-state evaluation of a boolean term under the interval abstraction."""
     if not term.is_bool:
         raise T.SortError("eval_bool expects a boolean term")
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(term))
-    if cached is not None:
-        return cached
-    for node in T.iter_dag(term):
-        if id(node) in memo:
-            continue
-        if node.is_bv:
-            memo[id(node)] = _interval_node(node, memo)
-        else:
-            memo[id(node)] = _bool_node(node, memo)
-    return memo[id(term)]
+    return _sweep(term, {} if memo is None else memo)
 
 
-def _bool_node(term: Term, memo) -> str:
+def _bool_node(term: Term, memo, pins: bool) -> str:
     op = term.op
     if op == T.OP_BOOLCONST:
         return DEFINITELY_TRUE if term.payload else DEFINITELY_FALSE
@@ -181,6 +181,8 @@ def _bool_node(term: Term, memo) -> str:
             return DEFINITELY_FALSE
         if all(r == DEFINITELY_TRUE for r in results):
             return DEFINITELY_TRUE
+        if pins and _refuted_by_pins(term.args, results):
+            return DEFINITELY_FALSE
         return UNKNOWN
     if op == T.OP_BOR:
         results = [memo[id(a)] for a in term.args]
@@ -234,6 +236,54 @@ def _bool_node(term: Term, memo) -> str:
             return ra
         return UNKNOWN
     raise T.SortError(f"unknown boolean operator {op!r}")
+
+
+_VARIABLES = (T.OP_DATA_VAR, T.OP_CONTROL_VAR)
+
+
+def _pin(term: Term) -> Optional[tuple[Term, int]]:
+    """``(v, c)`` when ``term`` is ``v == c`` for a variable ``v`` and a constant ``c``."""
+    if term.op != T.OP_EQ:
+        return None
+    a, b = term.args
+    if a.op in _VARIABLES and b.op == T.OP_BVCONST:
+        return a, b.payload
+    if b.op in _VARIABLES and a.op == T.OP_BVCONST:
+        return b, a.payload
+    return None
+
+
+def _refuted_by_pins(conjuncts: tuple, results: list) -> bool:
+    """Is a conjunction FALSE once read under the equalities it asserts?
+
+    A conjunct ``v == c`` pins ``v``: the conjunction holds only where ``v``
+    is ``c``.  Two different pins on one variable refute it outright;
+    otherwise every other open conjunct is evaluated again in one memo
+    seeded with each pinned ``v`` as the point ``[c, c]``, and one that comes
+    out FALSE refutes the conjunction.  That is a first-match guard
+    ``proto == 0xae && l4_port == 0xc15f`` whose ``l4_port`` is an ``ite``
+    on ``proto == 6``: under its own key the port is 0.
+
+    The refined evaluation does not apply this rule again, so nesting costs
+    no recursion, and it skips a conjunct that is itself a conjunction:
+    ``simplify`` flattens those, so only an unsimplified term has one, and
+    re-reading it would re-walk every nesting level below.
+    """
+    refined: dict[int, Interval] = {}
+    rest = []
+    for arg, verdict in zip(conjuncts, results):
+        if verdict != UNKNOWN or arg.op == T.OP_BAND:
+            continue
+        pin = _pin(arg)
+        if pin is None:
+            rest.append(arg)
+            continue
+        var, value = pin
+        if refined.setdefault(id(var), Interval(value, value)).lo != value:
+            return True
+    return bool(refined) and any(
+        _sweep(arg, refined, pins=False) == DEFINITELY_FALSE for arg in rest
+    )
 
 
 def _leaves_equal(tree: Term, value: int, memo) -> str:

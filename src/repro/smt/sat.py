@@ -65,7 +65,11 @@ class SatStats:
     decisions: int = 0
     conflicts: int = 0
     propagations: int = 0
+    #: Learned clauses, units included.
     learned: int = 0
+    #: The learned units: they are asserted at the root and never enter the
+    #: clause database, so ``_reduce_db`` neither counts nor deletes them.
+    learned_units: int = 0
     deleted: int = 0
     restarts: int = 0
 
@@ -76,6 +80,7 @@ class SatStats:
             self.conflicts,
             self.propagations,
             self.learned,
+            self.learned_units,
             self.deleted,
             self.restarts,
         )
@@ -87,6 +92,7 @@ class SatStats:
             self.conflicts - baseline.conflicts,
             self.propagations - baseline.propagations,
             self.learned - baseline.learned,
+            self.learned_units - baseline.learned_units,
             self.deleted - baseline.deleted,
             self.restarts - baseline.restarts,
         )
@@ -97,6 +103,7 @@ class SatStats:
         self.conflicts += other.conflicts
         self.propagations += other.propagations
         self.learned += other.learned
+        self.learned_units += other.learned_units
         self.deleted += other.deleted
         self.restarts += other.restarts
 
@@ -495,6 +502,7 @@ class SatSolver:
     def _record_learned(self, lits: list[int]) -> None:
         self.stats.learned += 1
         if len(lits) == 1:
+            self.stats.learned_units += 1
             self._enqueue(lits[0], _NO_REASON)
             return
         cref = self._arena.add(lits, learned=True)

@@ -7,7 +7,9 @@ within its ~100 ms budget (§4.1):
 2. interval abstract interpretation (cheap sound pre-check; an equality
    between a constant and a table's ``ite`` chain is decided by reading the
    chain's leaves, so a guard no action value can satisfy is refuted
-   without being encoded, loaded into the session or probed),
+   without being encoded, loaded into the session or probed; and a
+   conjunction is read under the ``v == c`` equalities it asserts, so a
+   first-match guard that contradicts its own key is refuted the same way),
 3. bit-blasting + incremental CDCL (complete, used when the fast paths punt).
 
 Two cross-update caches sit on top (the "Once" cost paid once):
@@ -127,7 +129,7 @@ class SolverStats:
                 f"search: {s.decisions} decisions, {s.conflicts} conflicts, "
                 f"{s.propagations} propagations, {s.restarts} restarts"
             ),
-            f"clauses: {s.learned} learned, {s.deleted} deleted",
+            f"clauses: {s.learned} learned ({s.learned_units} units), {s.deleted} deleted",
         ]
         return "\n".join(lines)
 

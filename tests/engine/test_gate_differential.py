@@ -28,7 +28,8 @@ from repro.programs import registry
 from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import INSERT, Update
-from repro.smt import Solver
+from repro.smt import Solver, interval
+from repro.smt.interval import _refuted_by_pins
 
 from tests.engine.spec import Spec
 
@@ -246,6 +247,69 @@ def test_dash_direction_churn_matches_the_sat_core(seed):
     assert engine.by_interval > 0
     assert reference.stats.by_interval == 0
     assert reference.stats.probes == reference.stats.by_sat > 0
+
+
+def make_beaucoup():
+    entry = registry.get("beaucoup")
+    return Flay.from_source(
+        entry.source(), FlayOptions(target="tofino", skip_parser=entry.skip_parser)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_beaucoup_rollouts_match_the_sat_core(seed, monkeypatch):
+    """The pre-check's pinned-conjunct rule against a specification that
+    cannot share it.  Two policy roll-outs (``EntryFuzzer.rollout_stream``:
+    the first entry per (table, action) with random protocol and port keys,
+    then deletes) on beaucoup, whose ``meta.query_id != 0`` is a first-match
+    chain of ``protocol == k && l4_port == p`` guards, where ``l4_port`` is
+    a port only under protocol 6 or 17.  Each guard the engine refutes under
+    its own pin is decided by the complete SAT core in the specification."""
+    refuted = []
+
+    def counting(conjuncts, results):
+        verdict = _refuted_by_pins(conjuncts, results)
+        refuted.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(interval, "_refuted_by_pins", counting)
+    flay = make_beaucoup()
+    reference = Solver(
+        use_interval_precheck=False,
+        share_encodings=False,
+        max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS,
+    )
+    spec = Spec(flay, solver=reference)
+    for update in EntryFuzzer(flay.model, seed=seed).rollout_stream(2):
+        spec.check_decision(flay.process_update(update), [update])
+    assert flay.specialized_source() == spec.specialized_source()
+    spec.check_lowered()
+    # Non-vacuous: the engine's pre-check refuted pinned guards, and every
+    # query of the specification that was not settled by the simplifier
+    # went to the SAT core.
+    assert any(refuted)
+    assert reference.stats.by_interval == 0
+    assert reference.stats.probes == reference.stats.by_sat > 0
+
+
+#: Total SAT conflicts allowed over eleven beaucoup roll-outs on one engine.
+ROLLOUT_CONFLICT_BOUND = 1000
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_eleven_beaucoup_rollouts_stay_under_a_conflict_bound(seed):
+    """Eleven of the roll-outs above on one engine, the shape of a policy
+    stream that repeats its roll-out (``benchmarks/e2e/README.md``, Known
+    defect 6).  With the pinned-conjunct rule the SAT core spends 368
+    (seed 1) and 426 (seed 3) conflicts on all eleven, against
+    ``ROLLOUT_CONFLICT_BOUND`` = 1 000.  Without it every refutable guard is
+    probed: 6 911 and 6 744 conflicts, and roll-outs grow from 0.2 s to
+    1.6-2.0 s as the persistent session fills with their cones."""
+    flay = make_beaucoup()
+    before = flay.solver_stats().snapshot()
+    for update in EntryFuzzer(flay.model, seed=seed).rollout_stream(11):
+        flay.process_update(update)
+    assert flay.solver_stats().since(before).search.conflicts < ROLLOUT_CONFLICT_BOUND
 
 
 @settings(max_examples=12, deadline=None)

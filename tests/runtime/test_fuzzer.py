@@ -6,7 +6,7 @@ from repro.analysis import analyze
 from repro.p4.parser import parse_program
 from repro.runtime.entries import LpmMatch, validate_entry
 from repro.runtime.fuzzer import EntryFuzzer, ipv4_route_entries
-from repro.runtime.semantics import ControlPlaneState, INSERT
+from repro.runtime.semantics import ControlPlaneState, DELETE, INSERT
 
 SOURCE = """
 header h_t { bit<8> f; bit<32> ip; bit<16> port; }
@@ -110,6 +110,23 @@ class TestFuzzer:
         state = ControlPlaneState(model)
         for update in stream:
             state.apply_update(update)
+
+    def test_rollout_stream_installs_every_action_then_empties(self, model):
+        stream = EntryFuzzer(model, seed=6).rollout_stream(3)
+        per_rollout = len(stream) // 3
+        state = ControlPlaneState(model)
+        for start in range(0, len(stream), per_rollout):
+            rollout = stream[start : start + per_rollout]
+            half = per_rollout // 2
+            assert all(u.op == INSERT for u in rollout[:half])
+            assert all(u.op == DELETE for u in rollout[half:])
+            assert {(u.table, u.entry.action) for u in rollout[:half]} == {
+                (name, action) for name in model.tables
+                for action in model.tables[name].action_order
+            }
+            for update in rollout:
+                state.apply_update(update)
+            assert all(len(state.table_state(name)) == 0 for name in model.tables)
 
     def test_ipv4_route_generator(self, model):
         entries = list(ipv4_route_entries(model, "routes", 50, "fwd", seed=5))

@@ -273,6 +273,93 @@ class TestIteLeaves:
         assert solver.session.loaded_fragments == 0
 
 
+# -- a conjunction read under the equalities it asserts ----------------------
+
+PROTO = T.data_var("iv_proto", 8)
+TCP_VALID = T.data_var("iv_tcp_valid", 1)
+UDP_VALID = T.data_var("iv_udp_valid", 1)
+TCP_DST = T.data_var("iv_tcp_dst", 16)
+UDP_DST = T.data_var("iv_udp_dst", 16)
+ONE = T.bv_const(1, 1)
+
+
+def c16(v):
+    return T.bv_const(v, 16)
+
+
+#: beaucoup's ``meta.l4_dst_port``: the TCP port, else the UDP port, else 0,
+#: where a header is valid only under its protocol number.
+L4_PORT = T.ite(
+    T.bool_and(T.eq(PROTO, c(6)), T.eq(TCP_VALID, ONE)),
+    TCP_DST,
+    T.ite(T.bool_and(T.eq(PROTO, c(0x11)), T.eq(UDP_VALID, ONE)), UDP_DST, c16(0)),
+)
+
+
+def _keydef_guard(proto, port):
+    """A ``query_keydef`` entry's match: protocol exact, port ternary (full mask)."""
+    return T.bool_and(T.eq(PROTO, c(proto)), T.eq(L4_PORT, c16(port)))
+
+
+def _beaucoup_query():
+    """``meta.query_id != 0`` over a first-match chain whose every entry
+    names a protocol that carries no port: no entry can hit."""
+    tree = T.ite(
+        _keydef_guard(0xAE, 0xC15F),
+        c16(0x1234),
+        T.ite(_keydef_guard(0x3B, 0x0050), c16(0x0042), c16(0)),
+    )
+    return T.bool_not(T.eq(tree, c16(0)))
+
+
+class TestConjunctPins:
+    def test_beaucoup_shape_is_false(self):
+        # Each conjunct alone is open: the port's interval is its full range.
+        assert I.eval_interval(L4_PORT) == I.Interval(0, 0xFFFF)
+        assert I.eval_bool(T.eq(L4_PORT, c16(0xC15F))) == I.UNKNOWN
+        assert I.eval_bool(_keydef_guard(0xAE, 0xC15F)) == I.DEFINITELY_FALSE
+        assert I.eval_bool(_beaucoup_query()) == I.DEFINITELY_FALSE
+
+    def test_two_different_pins_on_one_variable_are_false(self):
+        open_sibling = T.eq(TCP_DST, c16(80))
+        conj = T.bool_and(T.eq(PROTO, c(6)), T.eq(PROTO, c(0x11)), open_sibling)
+        assert I.eval_bool(conj) == I.DEFINITELY_FALSE
+        same = T.bool_and(T.eq(PROTO, c(6)), T.eq(c(6), PROTO), open_sibling)
+        assert I.eval_bool(same) == I.UNKNOWN
+
+    def test_pin_the_sibling_agrees_with_stays_unknown(self):
+        assert I.eval_bool(_keydef_guard(6, 0xC15F)) == I.UNKNOWN
+        assert I.eval_bool(_keydef_guard(0x11, 0xC15F)) == I.UNKNOWN
+
+    def test_masked_sibling_under_the_pin_is_false(self):
+        masked = T.eq(T.bv_and(L4_PORT, c16(0xFFE0)), c16(0x9720))
+        assert I.eval_bool(masked) == I.UNKNOWN
+        assert I.eval_bool(T.bool_and(T.eq(PROTO, c(0xAE)), masked)) == I.DEFINITELY_FALSE
+        assert I.eval_bool(T.bool_and(T.eq(PROTO, c(6)), masked)) == I.UNKNOWN
+
+    def test_pin_on_a_variable_the_siblings_never_read_stays_unknown(self):
+        other = T.data_var("iv_other", 8)
+        conj = T.bool_and(T.eq(other, c(0xAE)), T.eq(L4_PORT, c16(0xC15F)))
+        assert I.eval_bool(conj) == I.UNKNOWN
+
+    def test_solver_refutes_the_beaucoup_shape_without_the_sat_core(self):
+        solver = Solver()
+        assert not solver.check_sat(_beaucoup_query()).satisfiable
+        assert solver.stats.by_interval == 1
+        assert solver.stats.probes == 0
+        assert solver.session.loaded_fragments == 0
+
+    def test_deep_nesting_no_recursion_error(self):
+        # Every level pins its own key and reads it in an open sibling, so
+        # each level's rule runs; none may recurse into the levels below.
+        conj = T.eq(L4_PORT, c16(0xC15F))
+        for level in range(2000):
+            key = T.data_var(f"iv_nest{level}", 16)
+            sibling = T.eq(T.ite(T.eq(key, c16(level)), L4_PORT, key), c16(0xC15F))
+            conj = T.bool_and(T.eq(key, c16(level)), sibling, conj)
+        assert I.eval_bool(conj) == I.UNKNOWN
+
+
 A3 = T.data_var("iv_a", 3)
 B3 = T.data_var("iv_b", 3)
 
@@ -324,3 +411,51 @@ def test_ite_leaf_verdicts_agree_with_brute_force(tree, value):
         hits = {leaf.payload == value for leaf in leaves}
         if len(hits) == 1:  # every leaf hits, or every leaf misses
             assert verdict != I.UNKNOWN
+
+
+_pins = st.builds(T.eq, st.sampled_from([A3, B3]), st.integers(0, 7).map(c3))
+_conjuncts = st.one_of(
+    _pins,
+    _conditions,
+    st.builds(T.eq, _ite_trees, st.integers(0, 7).map(c3)),
+)
+
+
+def _pin_of(term):
+    """``(variable, value)`` for a conjunct ``v == k``, else None."""
+    if term.op != T.OP_EQ:
+        return None
+    var = next((a for a in term.args if a.op == T.OP_DATA_VAR), None)
+    const = next((a for a in term.args if a.op == T.OP_BVCONST), None)
+    return None if var is None or const is None else (var, const.payload)
+
+
+@given(conjuncts=st.lists(_conjuncts, min_size=2, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_pinned_conjunction_verdicts_agree_with_brute_force(conjuncts):
+    query = T.bool_and(*conjuncts)
+    verdict = I.eval_bool(query)
+    outcomes = {
+        T.evaluate(query, {"iv_a": a, "iv_b": b}) for a in range(8) for b in range(8)
+    }
+    if verdict == I.DEFINITELY_TRUE:
+        assert outcomes == {1}
+    elif verdict == I.DEFINITELY_FALSE:
+        assert outcomes == {0}
+    # The rule fires where it should: two values for one variable, or a
+    # conjunct that is FALSE with every pinned variable a point.
+    pinned = {}
+    for conjunct in conjuncts:
+        pin = _pin_of(conjunct)
+        if pin is not None:
+            pinned.setdefault(pin[0], set()).add(pin[1])
+    if any(len(values) > 1 for values in pinned.values()):
+        assert verdict == I.DEFINITELY_FALSE
+    elif pinned:
+        points = {id(var): I.Interval(v, v) for var, (v,) in pinned.items()}
+        if any(
+            I.eval_bool(conjunct, dict(points)) == I.DEFINITELY_FALSE
+            for conjunct in conjuncts
+            if _pin_of(conjunct) is None
+        ):
+            assert verdict == I.DEFINITELY_FALSE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt.sat import SAT, UNSAT, SatSolver, SolverBudgetExceeded, luby
+from repro.smt.solver import SolverStats
 
 
 def brute_force(num_vars: int, clauses: list[list[int]]) -> bool:
@@ -237,6 +238,22 @@ class TestStats:
         delta = solver.stats.since(before)
         assert delta.solves == 1
         assert delta.conflicts == solver.stats.conflicts
+
+    def test_learned_units_are_counted_apart(self):
+        solver = SatSolver()
+        pigeonhole(solver, 4, 3)
+        before = solver.stats.snapshot()
+        assert solver.solve() == UNSAT
+        delta = solver.stats.since(before)
+        assert 0 < delta.learned_units < delta.learned
+        # A unit is asserted at the root; every other learned clause enters
+        # the database, where only _reduce_db removes it.
+        assert solver.num_learned == delta.learned - delta.learned_units - delta.deleted
+        text = SolverStats(search=delta).describe()
+        assert (
+            f"clauses: {delta.learned} learned ({delta.learned_units} units), "
+            f"{delta.deleted} deleted"
+        ) in text
 
 
 class TestForkImport:
