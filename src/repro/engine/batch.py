@@ -783,7 +783,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     compile_report = None
     if recompiled:
         ctx.specialized_program, ctx.report = ctx.specializer.specialize(
-            ctx.point_verdicts, ctx.table_verdicts
+            ctx.point_verdicts, ctx.table_verdicts, changed
         )
         ctx.recompilations += 1
         if ctx.target is not None:

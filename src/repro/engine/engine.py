@@ -219,7 +219,11 @@ class Engine:
             ctx.query_engine.solver.stats.snapshot() if ctx.bus.active else None
         )
         gate_before = ctx.gate.snapshot() if ctx.bus.active else None
-        report = schedule_batch(ctx, updates, workers=workers)
+        try:
+            report = schedule_batch(ctx, updates, workers=workers)
+        except BaseException:
+            ctx.specializer.reset()
+            raise
         if baseline is not None:
             self._emit_activity(baseline, solver_before, gate_before)
         ctx.update_log.append(report)
@@ -257,6 +261,11 @@ class Engine:
         ctx.warm = warm = WarmState(updates, mode)
         try:
             self._warm[mode].run(ctx)
+        except BaseException:
+            # A run that fails part-way may have moved verdicts that no
+            # specialize call has seen; the next one starts from scratch.
+            ctx.specializer.reset()
+            raise
         finally:
             ctx.warm = None
         elapsed_ms = (time.perf_counter() - start) * 1000

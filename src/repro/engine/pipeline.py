@@ -506,7 +506,7 @@ class RespecializePass:
                     bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
             return
         ctx.specialized_program, ctx.report = ctx.specializer.specialize(
-            ctx.point_verdicts, ctx.table_verdicts
+            ctx.point_verdicts, ctx.table_verdicts, warm.changed
         )
         ctx.recompilations += 1
         if target is not None:

@@ -20,6 +20,7 @@ The output is a new AST; the device compiler consumes it unchanged.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,30 @@ class SpecializationReport:
     removed_select_cases: int = 0
     pruned_headers: list = field(default_factory=list)
     constants_propagated: int = 0
+
+    def is_empty(self) -> bool:
+        return not (
+            self.removed_tables
+            or self.inlined_tables
+            or self.removed_actions
+            or self.narrowed_keys
+            or self.removed_branches
+            or self.removed_select_cases
+            or self.pruned_headers
+            or self.constants_propagated
+        )
+
+    def merge(self, other: "SpecializationReport") -> None:
+        """Record ``other``'s findings here, as if made after this one's."""
+        self.removed_tables.extend(other.removed_tables)
+        self.inlined_tables.extend(other.inlined_tables)
+        for table, actions in other.removed_actions.items():
+            self.removed_actions.setdefault(table, []).extend(actions)
+        self.narrowed_keys.update(other.narrowed_keys)
+        self.removed_branches += other.removed_branches
+        self.removed_select_cases += other.removed_select_cases
+        self.pruned_headers.extend(other.pruned_headers)
+        self.constants_propagated += other.constants_propagated
 
     def summary(self) -> str:
         parts = []
@@ -71,9 +96,19 @@ EFFORT_NONE = "none"      # pass the program through untouched
 EFFORT_DCE = "dce"        # dead code only: branches, empty tables, actions
 EFFORT_FULL = "full"      # + constant propagation, inlining, narrowing
 
+_OVERAPPROXIMATED = operator.attrgetter("overapproximated")
+_NO_TABLES: frozenset = frozenset()
+
 
 class Specializer:
-    """One-shot specialization of a program against a verdict set."""
+    """Specialization of one program against a verdict set, memoised.
+
+    The output is built statement by statement, and every statement's
+    output is kept until a verdict it read changes.  A warm call is told
+    which verdicts moved and rebuilds only the statements that read them
+    (and the statements, controls and parser that contain those); the
+    rest is reused as the identical objects.  See :meth:`specialize`.
+    """
 
     def __init__(
         self,
@@ -98,91 +133,209 @@ class Specializer:
         self.enable_constant_propagation = effort == EFFORT_FULL
         self.enable_inlining = effort == EFFORT_FULL
         self.enable_narrowing = effort == EFFORT_FULL
+        pipeline = program.pipeline
+        self._parser = pipeline.parser
+        self._controls = frozenset(pipeline.controls)
+        self._index = _ProgramIndex(program, model, self._controls, self._parser)
+        self._header_refs_limit = 4 * len(self._index.parent) + 1024
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every memoised output: the next call builds from scratch."""
+        # id(original statement / control / parser) or qualified table name
+        # → (output, kept-table writes, report fragment or None).
+        self._memo: dict = {}
+        self._node_verdicts: dict[int, PointVerdict] = {}
+        self._overapproximated: frozenset = frozenset()
+        # id(output object) → (object, header instances it references).
+        self._header_refs: dict[int, tuple] = {}
+        self._tail: Optional[tuple] = None  # (parser, prunable, stripped)
 
     def specialize(
         self,
         point_verdicts: dict[str, PointVerdict],
         table_verdicts: dict[str, TableVerdict],
+        changed: Optional[list] = None,
     ) -> tuple[ast.Program, SpecializationReport]:
+        """The program specialized for these verdicts, and what was done.
+
+        ``changed=None`` builds from scratch.  Otherwise ``changed`` names
+        the pids and tables whose verdicts moved (``same_specialization``)
+        since the previous call, and only the statements that read them
+        are rebuilt; the output is the same as a from-scratch build's.
+
+        Why ``changed`` is enough: the output reads verdicts only through
+        the node verdicts of apply-block statements and select cases
+        (``executability``, ``is_constant``, ``constant``) and the table
+        verdicts of applied tables (``feasible_actions``, ``hit``,
+        ``const_params``, ``match_plan``) — exactly the fields
+        ``same_specialization`` compares — plus
+        ``TableVerdict.overapproximated``.  A flip of that one field alone
+        prints the same table when it has two or more actions, or one with
+        parameters, and no ``switch`` on it keeps a default arm next to
+        every action: an overapproximated verdict then equals a precise
+        one with every action feasible, every parameter varying and the
+        declared match kinds, which keeps the table and its arms as
+        declared.  A one-action table without parameters is inlined under
+        such a precise verdict and kept under an overapproximated one, so
+        the overapproximated tables are compared here with the previous
+        call's, and a flipped table is rebuilt as if it had changed.
+
+        Any exception clears the memo, so a failed call never leaves a
+        half-updated one behind.
+        """
         self.report = SpecializationReport()
         if self.effort == EFFORT_NONE:
             return self.program, self.report
         self.point_verdicts = point_verdicts
         self.table_verdicts = table_verdicts
-        self._node_verdicts = self._collect_node_verdicts(point_verdicts)
-
-        new_decls: list = []
-        new_controls: dict[str, ast.ControlDecl] = {}
-        for decl in self.program.declarations:
-            if isinstance(decl, ast.ControlDecl) and self._in_pipeline(decl.name):
-                specialized = self._spec_control(decl)
-                new_controls[decl.name] = specialized
-                new_decls.append(specialized)
-            elif isinstance(decl, ast.ParserDecl) and self._in_pipeline(decl.name):
-                new_decls.append(self._spec_parser(decl))
+        try:
+            if changed is None or not self._memo:
+                self._start_over()
             else:
-                new_decls.append(decl)
+                self._invalidate(changed)
+            return self._build()
+        except BaseException:
+            self.reset()
+            raise
 
-        program = ast.Program(tuple(new_decls))
-        if self.prune_parser_tail:
-            program = self._prune_parser_tail(program)
-        return program, self.report
+    # -- the memo ------------------------------------------------------------
+
+    def _start_over(self) -> None:
+        self.reset()
+        for node in self._index.pids:
+            self._refresh_node(node)
+        self._overapproximated = self._overapproximated_tables()
+
+    def _invalidate(self, changed: list) -> None:
+        """Drop the memo entries that read a verdict in ``changed``."""
+        points = self.model.points
+        pids = self._index.pids
+        for name in changed:
+            point = points.get(name)
+            if point is None:
+                self._invalidate_table(name)
+            elif point.node_id in pids:
+                self._refresh_node(point.node_id)
+                self._invalidate_from(point.node_id)
+        overapproximated = self._overapproximated_tables()
+        for name in overapproximated ^ self._overapproximated:
+            self._invalidate_table(name)
+        self._overapproximated = overapproximated
+
+    def _overapproximated_tables(self) -> frozenset:
+        verdicts = self.table_verdicts
+        if not any(map(_OVERAPPROXIMATED, verdicts.values())):
+            return _NO_TABLES
+        return frozenset(name for name, v in verdicts.items() if v.overapproximated)
+
+    def _invalidate_table(self, name: str) -> None:
+        self._memo.pop(name, None)
+        for key in self._index.mentions.get(name, ()):
+            self._invalidate_from(key)
+
+    def _invalidate_from(self, key) -> None:
+        """Drop ``key``'s entry and those of its memoised ancestors.
+
+        An entry in the memo was built from entries that are still in it,
+        so the climb stops at the first ancestor not in the memo: nothing
+        memoised above it read this one.
+        """
+        memo, parent = self._memo, self._index.parent
+        memo.pop(key, None)
+        key = parent.get(key)
+        while key in memo:
+            del memo[key]
+            key = parent.get(key)
+
+    def _refresh_node(self, node: int) -> None:
+        """Re-derive one node's verdict from its points' verdicts.
+
+        A node can be annotated more than once; it is specialized only
+        when every annotation agrees.
+        """
+        verdict = None
+        for pid in self._index.pids[node]:
+            current = self.point_verdicts.get(pid)
+            if current is None:
+                continue
+            if verdict is None:
+                verdict = current
+            elif not verdict.same_specialization(current):
+                verdict = None
+                break
+        if verdict is None:
+            self._node_verdicts.pop(node, None)
+        else:
+            self._node_verdicts[node] = verdict
+
+    def _memoized(self, key, build, arg):
+        """``build(arg)``'s output, from the memo or built and recorded.
+
+        Each entry carries the table declarations its output keeps and its
+        own report fragment; a reuse replays both into the caller's.
+        """
+        built = self._memo.get(key)
+        if built is None:
+            report, kept = self.report, self._kept
+            self.report, self._kept = SpecializationReport(), []
+            out = build(arg)
+            built = (out, self._kept, None if self.report.is_empty() else self.report)
+            self.report, self._kept = report, kept
+            self._memo[key] = built
+        out, kept, fragment = built
+        self._kept.extend(kept)
+        if fragment is not None:
+            self.report.merge(fragment)
+        return out
 
     # -- plumbing ------------------------------------------------------------
 
-    def _in_pipeline(self, name: str) -> bool:
-        pipeline = self.program.pipeline
-        return name == pipeline.parser or name in pipeline.controls
-
-    def _collect_node_verdicts(
-        self, point_verdicts: dict[str, PointVerdict]
-    ) -> dict[int, PointVerdict]:
-        """node_id → verdict, dropping nodes with conflicting verdicts.
-
-        A node can be annotated more than once (e.g. an assignment inside an
-        action body shared by two tables); we only specialize on it when
-        every annotation agrees.
-        """
-        by_node: dict[int, PointVerdict] = {}
-        conflicted: set[int] = set()
-        for pid, verdict in point_verdicts.items():
-            point = self.model.points.get(pid)
-            if point is None or point.node_id is None:
-                continue
-            node_id = point.node_id
-            if node_id in conflicted:
-                continue
-            existing = by_node.get(node_id)
-            if existing is None:
-                by_node[node_id] = verdict
-            elif not existing.same_specialization(verdict):
-                conflicted.add(node_id)
-                del by_node[node_id]
-        return by_node
-
-    def _table_info(self, control: str, table: str) -> TableInfo:
-        return self.model.tables[f"{control}.{table}"]
+    def _build(self) -> tuple[ast.Program, SpecializationReport]:
+        self._kept: list = []
+        decls: list = []
+        for decl in self.program.declarations:
+            if isinstance(decl, ast.ControlDecl) and decl.name in self._controls:
+                decl = self._memoized(id(decl), self._spec_control, decl)
+            elif isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
+                decl = self._memoized(id(decl), self._spec_parser, decl)
+            decls.append(decl)
+        if self.prune_parser_tail:
+            self._prune_parser_tail(decls)
+        return ast.Program(tuple(decls)), self.report
 
     def _verdict_for_node(self, node_id: int) -> Optional[PointVerdict]:
         return self._node_verdicts.get(node_id)
+
+    def _table_decl(self, control: ast.ControlDecl, name: str) -> ast.TableDecl:
+        decl = self._index.tables[control.name].get(name)
+        if decl is None:
+            raise SpecializeError(f"control {control.name!r} has no table {name!r}")
+        return decl
+
+    def _action_decl(self, control: ast.ControlDecl, name: str) -> ast.ActionDecl:
+        decl = self._index.actions[control.name].get(name)
+        if decl is None:
+            raise SpecializeError(f"control {control.name!r} has no action {name!r}")
+        return decl
 
     # -- controls ---------------------------------------------------------------
 
     def _spec_control(self, decl: ast.ControlDecl) -> ast.ControlDecl:
         self._current = decl
-        self._kept_tables: dict[str, ast.TableDecl] = {}
         new_apply = ast.Block(tuple(self._spec_block(decl.apply)))
+        kept_tables: dict[str, ast.TableDecl] = dict(self._kept)
 
         referenced_actions: set[str] = set()
-        for table in self._kept_tables.values():
+        for table in kept_tables.values():
             referenced_actions.update(ref.name for ref in table.actions)
             if table.default_action is not None:
                 referenced_actions.add(table.default_action.name)
         new_locals: list = []
         for local in decl.locals:
             if isinstance(local, ast.TableDecl):
-                if local.name in self._kept_tables:
-                    new_locals.append(self._kept_tables[local.name])
+                if local.name in kept_tables:
+                    new_locals.append(kept_tables[local.name])
             elif isinstance(local, ast.ActionDecl):
                 if local.name in referenced_actions:
                     new_locals.append(local)
@@ -193,7 +346,7 @@ class Specializer:
     def _spec_block(self, block: ast.Block) -> list:
         statements: list = []
         for stmt in block.statements:
-            statements.extend(self._spec_stmt(stmt))
+            statements.extend(self._memoized(id(stmt), self._spec_stmt, stmt))
         return statements
 
     def _spec_stmt(self, stmt) -> list:
@@ -290,20 +443,25 @@ class Specializer:
     # -- tables -------------------------------------------------------------------
 
     def _spec_table_apply(self, table_name: str) -> list:
+        # The same for every apply of the table, so memoised by its name.
+        qualified = f"{self._current.name}.{table_name}"
+        return self._memoized(qualified, self._spec_table, table_name)
+
+    def _spec_table(self, table_name: str) -> list:
         control = self._current
         qualified = f"{control.name}.{table_name}"
-        decl = _find_table(control, table_name)
+        decl = self._table_decl(control, table_name)
         verdict = self.table_verdicts.get(qualified)
         info = self.model.tables.get(qualified)
         if verdict is None or info is None or verdict.overapproximated:
-            self._kept_tables[table_name] = decl
+            self._kept.append((table_name, decl))
             return [_apply_stmt(table_name)]
 
         feasible = verdict.feasible_actions
         if len(feasible) == 1:
             (action_name,) = feasible
             const_args = self._const_args_for(verdict, info, action_name)
-            action_decl = _find_action(self._current, action_name)
+            action_decl = self._action_decl(control, action_name)
             body_empty = not action_decl.body.statements
             # DCE-only effort may still *remove* an empty table (dead code)
             # but never inlines an effectful action body.
@@ -345,7 +503,7 @@ class Specializer:
         new_decl = ast.TableDecl(
             decl.name, tuple(new_keys), kept_actions, decl.default_action, decl.size
         )
-        self._kept_tables[table_name] = new_decl
+        self._kept.append((table_name, new_decl))
         return [_apply_stmt(table_name)]
 
     def _const_args_for(
@@ -365,7 +523,7 @@ class Specializer:
     def _inline_action(
         self, control: ast.ControlDecl, action_name: str, const_args: dict[str, int]
     ) -> list:
-        action = _find_action(control, action_name)
+        action = self._action_decl(control, action_name)
         widths = {
             p.name: self.env.width_of(p.type) for p in action.params
         }
@@ -402,15 +560,11 @@ class Specializer:
             kept_cases.append(
                 ast.SwitchCase(case.action, ast.Block(tuple(self._spec_block(case.body))))
             )
-        table_inlined = stmt.table not in self._kept_tables
+        # One feasible action leaves at most one arm (its own, or the
+        # default); the table is then kept or inlined as the prefix says.
         if len(feasible) == 1 and len(kept_cases) <= 1:
             body = list(kept_cases[0].body.statements) if kept_cases else []
             return prefix + body
-        if table_inlined:
-            # Table gone but multiple arms remain — cannot happen (a removed
-            # table implies a single feasible action); keep defensive path.
-            self._kept_tables[stmt.table] = _find_table(control, stmt.table)
-            prefix = [_apply_stmt(stmt.table)]
         return [ast.SwitchStmt(stmt.table, tuple(kept_cases), pos=stmt.pos)]
 
     # -- parser -----------------------------------------------------------------------
@@ -452,38 +606,73 @@ class Specializer:
 
     # -- parser-tail pruning ----------------------------------------------------------
 
-    def _prune_parser_tail(self, program: ast.Program) -> ast.Program:
-        pipeline = program.pipeline
-        used = self._used_header_instances(program)
-        order = list(self.model.extracted_headers)
+    def _prune_parser_tail(self, decls: list) -> None:
+        """Strip the extracts of unused tail headers from the parser in
+        ``decls``, in place.
+
+        The header instances each output control, parser, table, action
+        and statement references are kept per output object, so a warm
+        call walks only the objects it built.  Outputs replaced by later
+        calls stay behind until the cache outgrows a few programs' worth
+        and is cleared.
+        """
+        if len(self._header_refs) > self._header_refs_limit:
+            self._header_refs.clear()
+        used: set[str] = set()
+        for decl in decls:
+            if isinstance(decl, ast.ControlDecl) and decl.name in self._controls:
+                used |= self._headers(decl, self._control_headers)
+            elif isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
+                used |= self._headers(decl, _select_headers)
+        order = self.model.extracted_headers
         prunable: set[str] = set()
         for header in reversed(order):
             if header in used:
                 break
             prunable.add(header)
         if not prunable:
-            return program
+            return
         self.report.pruned_headers.extend(h for h in order if h in prunable)
-        new_decls: list = []
-        for decl in program.declarations:
-            if isinstance(decl, ast.ParserDecl) and decl.name == pipeline.parser:
-                new_decls.append(_strip_extracts(decl, prunable))
-            else:
-                new_decls.append(decl)
-        return ast.Program(tuple(new_decls))
+        for at, decl in enumerate(decls):
+            if isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
+                tail = self._tail
+                if tail is None or tail[0] is not decl or tail[1] != prunable:
+                    tail = self._tail = (decl, prunable, _strip_extracts(decl, prunable))
+                decls[at] = tail[2]
 
-    def _used_header_instances(self, program: ast.Program) -> set[str]:
+    def _headers(self, node, collect) -> frozenset:
+        """``collect(node)``, kept for the output object ``node``.
+
+        The entry holds ``node``, so its id is not reused while cached.
+        """
+        hit = self._header_refs.get(id(node))
+        if hit is None:
+            hit = self._header_refs[id(node)] = (node, frozenset(collect(node)))
+        return hit[1]
+
+    def _control_headers(self, decl: ast.ControlDecl) -> set[str]:
         """Header instances referenced anywhere outside their own extract."""
         used: set[str] = set()
-        pipeline = program.pipeline
-        for decl in program.declarations:
-            if isinstance(decl, ast.ControlDecl) and decl.name in pipeline.controls:
-                _collect_header_refs(decl, used)
-            elif isinstance(decl, ast.ParserDecl) and decl.name == pipeline.parser:
-                for state in decl.states:
-                    if isinstance(state.transition, ast.TransitionSelect):
-                        for expr in state.transition.exprs:
-                            _collect_expr_headers(expr, used)
+        for local in decl.locals:
+            if isinstance(local, (ast.ActionDecl, ast.TableDecl)):
+                used |= self._headers(local, _local_headers)
+        for stmt in decl.apply.statements:
+            used |= self._headers(stmt, self._statement_headers)
+        return used
+
+    def _statement_headers(self, stmt) -> set[str]:
+        used: set[str] = set()
+        if isinstance(stmt, ast.IfStmt):
+            _collect_expr_headers(stmt.cond, used)
+            blocks = (stmt.then,) if stmt.orelse is None else (stmt.then, stmt.orelse)
+        elif isinstance(stmt, ast.SwitchStmt):
+            blocks = tuple(case.body for case in stmt.cases)
+        else:
+            _stmt_headers(stmt, used)
+            return used
+        for block in blocks:
+            for child in block.statements:
+                used |= self._headers(child, self._statement_headers)
         return used
 
 
@@ -529,18 +718,66 @@ class SpecializeError(FlayError, KeyError):
     default_stage = STAGE_SPECIALIZE
 
 
-def _find_table(control: ast.ControlDecl, name: str) -> ast.TableDecl:
-    for local in control.locals:
-        if isinstance(local, ast.TableDecl) and local.name == name:
-            return local
-    raise SpecializeError(f"control {control.name!r} has no table {name!r}")
+class _ProgramIndex:
+    """Where verdicts land in one program; built once per specializer.
 
+    Every key is the ``id`` of an original AST node.  ``parent`` maps each
+    apply-block statement to the statement or control containing it, and
+    each parser select case to its parser.  ``mentions`` maps a qualified
+    table to the statements that apply it, test its ``.hit``/``.miss`` or
+    switch on it.  ``pids`` lists the points annotating each indexed node.
+    ``tables`` and ``actions`` are each control's declarations by name.
+    """
 
-def _find_action(control: ast.ControlDecl, name: str) -> ast.ActionDecl:
-    for local in control.locals:
-        if isinstance(local, ast.ActionDecl) and local.name == name:
-            return local
-    raise SpecializeError(f"control {control.name!r} has no action {name!r}")
+    def __init__(
+        self, program: ast.Program, model: DataPlaneModel, controls, parser: str
+    ) -> None:
+        self.parent: dict[int, int] = {}
+        self.mentions: dict[str, list[int]] = {}
+        self.tables: dict[str, dict[str, ast.TableDecl]] = {}
+        self.actions: dict[str, dict[str, ast.ActionDecl]] = {}
+        for decl in program.declarations:
+            if isinstance(decl, ast.ControlDecl) and decl.name in controls:
+                tables = self.tables[decl.name] = {}
+                actions = self.actions[decl.name] = {}
+                for local in decl.locals:
+                    if isinstance(local, ast.TableDecl):
+                        tables.setdefault(local.name, local)
+                    elif isinstance(local, ast.ActionDecl):
+                        actions.setdefault(local.name, local)
+                self._index_block(decl.name, decl.apply, id(decl))
+            elif isinstance(decl, ast.ParserDecl) and decl.name == parser:
+                for state in decl.states:
+                    if isinstance(state.transition, ast.TransitionSelect):
+                        for case in state.transition.cases:
+                            self.parent[id(case)] = id(decl)
+        self.pids: dict[int, list[str]] = {}
+        for pid, point in model.points.items():
+            if point.node_id in self.parent:
+                self.pids.setdefault(point.node_id, []).append(pid)
+
+    def _index_block(self, control: str, block: ast.Block, parent: int) -> None:
+        for stmt in block.statements:
+            key = id(stmt)
+            self.parent[key] = parent
+            table = None
+            if isinstance(stmt, ast.IfStmt):
+                hit_form = _match_apply_hit(stmt.cond)
+                if hit_form is not None:
+                    table = hit_form[0]
+                self._index_block(control, stmt.then, key)
+                if stmt.orelse is not None:
+                    self._index_block(control, stmt.orelse, key)
+            elif isinstance(stmt, ast.SwitchStmt):
+                table = stmt.table
+                for case in stmt.cases:
+                    self._index_block(control, case.body, key)
+            elif isinstance(stmt, ast.MethodCallStmt):
+                call = stmt.call
+                if call.method == "apply" and isinstance(call.target, ast.Ident):
+                    table = call.target.name
+            if table is not None:
+                self.mentions.setdefault(f"{control}.{table}", []).append(key)
 
 
 def _subst_stmt(stmt, mapping: dict[str, ast.Expr]):
@@ -645,37 +882,48 @@ def _extract_target(call: ast.MethodCall) -> Optional[str]:
         return None
 
 
-def _collect_header_refs(decl: ast.ControlDecl, used: set[str]) -> None:
-    def walk_block(block: ast.Block) -> None:
-        for stmt in block.statements:
-            walk_stmt(stmt)
+def _local_headers(local) -> set[str]:
+    used: set[str] = set()
+    if isinstance(local, ast.ActionDecl):
+        _block_headers(local.body, used)
+    else:
+        for key in local.keys:
+            _collect_expr_headers(key.expr, used)
+    return used
 
-    def walk_stmt(stmt) -> None:
-        if isinstance(stmt, ast.AssignStmt):
-            _collect_expr_headers(stmt.lhs, used)
-            _collect_expr_headers(stmt.rhs, used)
-        elif isinstance(stmt, ast.IfStmt):
-            _collect_expr_headers(stmt.cond, used)
-            walk_block(stmt.then)
-            if stmt.orelse is not None:
-                walk_block(stmt.orelse)
-        elif isinstance(stmt, ast.MethodCallStmt):
-            call = stmt.call
-            if call.target is not None:
-                _collect_expr_headers(call.target, used)
-            for arg in call.args:
-                _collect_expr_headers(arg, used)
-        elif isinstance(stmt, ast.SwitchStmt):
-            for case in stmt.cases:
-                walk_block(case.body)
 
-    for local in decl.locals:
-        if isinstance(local, ast.ActionDecl):
-            walk_block(local.body)
-        elif isinstance(local, ast.TableDecl):
-            for key in local.keys:
-                _collect_expr_headers(key.expr, used)
-    walk_block(decl.apply)
+def _select_headers(decl: ast.ParserDecl) -> set[str]:
+    used: set[str] = set()
+    for state in decl.states:
+        if isinstance(state.transition, ast.TransitionSelect):
+            for expr in state.transition.exprs:
+                _collect_expr_headers(expr, used)
+    return used
+
+
+def _block_headers(block: ast.Block, used: set[str]) -> None:
+    for stmt in block.statements:
+        _stmt_headers(stmt, used)
+
+
+def _stmt_headers(stmt, used: set[str]) -> None:
+    if isinstance(stmt, ast.AssignStmt):
+        _collect_expr_headers(stmt.lhs, used)
+        _collect_expr_headers(stmt.rhs, used)
+    elif isinstance(stmt, ast.IfStmt):
+        _collect_expr_headers(stmt.cond, used)
+        _block_headers(stmt.then, used)
+        if stmt.orelse is not None:
+            _block_headers(stmt.orelse, used)
+    elif isinstance(stmt, ast.MethodCallStmt):
+        call = stmt.call
+        if call.target is not None:
+            _collect_expr_headers(call.target, used)
+        for arg in call.args:
+            _collect_expr_headers(arg, used)
+    elif isinstance(stmt, ast.SwitchStmt):
+        for case in stmt.cases:
+            _block_headers(case.body, used)
 
 
 def _collect_expr_headers(expr, used: set[str]) -> None:

@@ -63,12 +63,20 @@ class DependencyGraph:
     nodes: dict[str, TableNode]
     edges: list[DepEdge]
     order: list[str]  # program order of node names
+    _into: Optional[dict[str, list[DepEdge]]] = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def successors(self, name: str) -> list[DepEdge]:
         return [e for e in self.edges if e.src == name]
 
     def predecessors(self, name: str) -> list[DepEdge]:
-        return [e for e in self.edges if e.dst == name]
+        """The edges into ``name``, in edge order (indexed on first use)."""
+        if self._into is None:
+            self._into = {}
+            for edge in self.edges:
+                self._into.setdefault(edge.dst, []).append(edge)
+        return self._into.get(name, [])
 
     def longest_chain(self) -> int:
         """Length (in nodes) of the longest dependency chain."""
@@ -121,18 +129,62 @@ PRECISION_SYNTACTIC = "syntactic"
 PRECISION_FLOW = "flow"
 
 
+class NodeFacts:
+    """Table nodes and gateway read sets, kept from one build to the next.
+
+    Keyed by the identity of the AST objects they are read from: a table
+    node by its ``TableDecl``, the control's parameters and variable
+    declarations, and the action declarations it lists; a gateway's read
+    set by its condition.  Each build keeps only the entries it used, so
+    the memo holds the last program's nodes and no more.  The facts also
+    depend on the type environment, so a memo serves one program's type
+    declarations (see ``TofinoCompiler``).
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+        self._used: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key):
+        """The value stored under ``key`` by this build or the last one."""
+        hit = self._used.get(key) or self._entries.get(key)
+        if hit is not None:
+            self._used[key] = hit
+            return hit[-1]
+        return None
+
+    def store(self, key, held: tuple, value) -> None:
+        """Record ``value``; ``held`` keeps the keyed objects (and so
+        their ids) alive while the entry is."""
+        self._used[key] = (held, value)
+
+    def finish(self) -> None:
+        """End a build: drop every entry it did not use."""
+        self._entries, self._used = self._used, {}
+
+
 def build_dependency_graph(
     program: ast.Program,
     env: Optional[TypeEnv] = None,
     *,
     precision: str = PRECISION_SYNTACTIC,
+    facts: Optional[NodeFacts] = None,
 ) -> DependencyGraph:
+    """The program's table dependency graph.
+
+    With ``facts``, the table nodes and gateway read sets of AST objects
+    the previous build saw are taken from it rather than recomputed.
+    """
     env = env if env is not None else TypeEnv(program)
-    builder = _Builder(program, env, precision=precision)
+    builder = _Builder(program, env, precision=precision, facts=facts)
     for control_name in program.pipeline.controls:
         control = program.find(control_name)
         builder.walk_control(control)
     builder.connect()
+    builder.facts.finish()
     return DependencyGraph(builder.nodes, builder.edges, builder.order)
 
 
@@ -142,12 +194,14 @@ class _Builder:
         program: ast.Program,
         env: TypeEnv,
         precision: str = PRECISION_SYNTACTIC,
+        facts: Optional[NodeFacts] = None,
     ) -> None:
         if precision not in (PRECISION_SYNTACTIC, PRECISION_FLOW):
             raise ValueError(f"unknown dependency precision {precision!r}")
         self.program = program
         self.env = env
         self.precision = precision
+        self.facts = facts if facts is not None else NodeFacts()
         self.nodes: dict[str, TableNode] = {}
         self.edges: list[DepEdge] = []
         self.order: list[str] = []
@@ -161,6 +215,23 @@ class _Builder:
     # -- walking -------------------------------------------------------------
 
     def walk_control(self, control: ast.ControlDecl) -> None:
+        self._tables: dict[str, ast.TableDecl] = {}
+        self._actions: dict[str, ast.ActionDecl] = {}
+        var_decls = []
+        for local in control.locals:
+            if isinstance(local, ast.TableDecl):
+                self._tables.setdefault(local.name, local)
+            elif isinstance(local, ast.ActionDecl):
+                self._actions.setdefault(local.name, local)
+            elif isinstance(local, ast.VarDeclStmt):
+                var_decls.append(local)
+        # What a table node reads of its control besides its actions: the
+        # parameters and variables its key widths resolve through.
+        self._context = (control.params, tuple(var_decls))
+        self._context_key = (
+            self.precision, control.name, id(control.params), *map(id, var_decls)
+        )
+        self._scope: Optional[object] = None  # built on the first table miss
         self._walk_block(control, control.apply, guards=frozenset(), branch=())
 
     def _walk_block(
@@ -218,23 +289,33 @@ class _Builder:
             control=control.name,
             is_gateway=True,
         )
-        node.reads = _expr_fields(cond)
+        reads = self.facts.lookup(id(cond))
+        if reads is None:
+            reads = _expr_fields(cond)
+            self.facts.store(id(cond), (cond,), reads)
+        node.reads = reads
         self._register(node, guards, branch)
         return node
 
     def _add_table(
         self, control, table_name: str, guards: frozenset[str], branch: tuple
     ) -> TableNode:
-        decl = None
-        for local in control.locals:
-            if isinstance(local, ast.TableDecl) and local.name == table_name:
-                decl = local
-                break
+        decl = self._tables.get(table_name)
         if decl is None:
             raise KeyError(f"control {control.name!r} has no table {table_name!r}")
         qualified = f"{control.name}.{table_name}"
         if qualified in self.nodes:
             return self.nodes[qualified]
+        actions = tuple(self._actions.get(ref.name) for ref in decl.actions)
+        key = (id(decl), self._context_key, *map(id, actions))
+        node = self.facts.lookup(key)
+        if node is None:
+            node = self._table_node(control, qualified, decl)
+            self.facts.store(key, (decl, self._context, actions), node)
+        self._register(node, guards, branch)
+        return node
+
+    def _table_node(self, control, qualified: str, decl: ast.TableDecl) -> TableNode:
         node = TableNode(
             name=qualified,
             control=control.name,
@@ -242,10 +323,11 @@ class _Builder:
             size=decl.size or 512,
             num_actions=len(decl.actions),
         )
-        scope = _control_scope(self.env, control)
+        if self._scope is None:
+            self._scope = _control_scope(self.env, control)
         for key in decl.keys:
             node.reads |= _expr_fields(key.expr)
-            width = _key_width(key.expr, scope, self.env)
+            width = _key_width(key.expr, self._scope, self.env)
             node.key_bits += width
             if key.match_kind == "ternary":
                 node.ternary_key_bits += width
@@ -254,7 +336,9 @@ class _Builder:
             else:
                 node.exact_key_bits += width
         for ref in decl.actions:
-            action = _find_action(control, ref.name)
+            action = self._actions.get(ref.name)
+            if action is None:
+                raise KeyError(f"control {control.name!r} has no action {ref.name!r}")
             node.action_param_bits += sum(
                 self.env.width_of(p.type) for p in action.params
             )
@@ -269,7 +353,6 @@ class _Builder:
                 reads, writes = _action_effects(action)
                 node.reads |= reads
                 node.writes |= writes
-        self._register(node, guards, branch)
         return node
 
     def _register(self, node: TableNode, guards: frozenset[str], branch: tuple) -> None:
@@ -280,24 +363,37 @@ class _Builder:
     # -- edges ----------------------------------------------------------------
 
     def connect(self) -> None:
-        seen: set[tuple[str, str]] = set()
-
-        def add(src: str, dst: str, kind: str) -> None:
-            if (src, dst) not in seen and src != dst:
-                seen.add((src, dst))
-                self.edges.append(DepEdge(src, dst, kind))
-
+        # Earlier nodes by the fields they write: a node depends only on
+        # writers of a field it reads or (non-sticky) writes.  Visiting them
+        # in sequence order gives the edges of the all-pairs scan, in order.
+        # Every edge into a node is made in that node's turn, so a pair
+        # repeats only as a guard edge after a match/action edge.
+        edges = self.edges
+        writers: dict[str, list[int]] = {}
         for i, (later, later_guards, later_branch) in enumerate(self._sequence):
-            for j in range(i):
+            dst = later.name
+            candidates: set[int] = set()
+            for path in later.reads:
+                candidates.update(writers.get(path, ()))
+            for path in later.writes:
+                if path not in STICKY_FIELDS:
+                    candidates.update(writers.get(path, ()))
+            sources: set[str] = set()
+            for j in sorted(candidates):
                 earlier, _, earlier_branch = self._sequence[j]
                 if _mutually_exclusive(earlier_branch, later_branch):
                     continue
-                if earlier.writes & later.reads:
-                    add(earlier.name, later.name, MATCH_DEP)
-                elif (earlier.writes & later.writes) - STICKY_FIELDS:
-                    add(earlier.name, later.name, ACTION_DEP)
+                if earlier.writes.isdisjoint(later.reads):
+                    kind = ACTION_DEP
+                else:
+                    kind = MATCH_DEP
+                sources.add(earlier.name)
+                edges.append(DepEdge(earlier.name, dst, kind))
             for guard in later_guards:
-                add(guard, later.name, CONTROL_DEP)
+                if guard not in sources and guard != dst:
+                    edges.append(DepEdge(guard, dst, CONTROL_DEP))
+            for path in later.writes:
+                writers.setdefault(path, []).append(i)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +510,3 @@ def _key_width(expr, scope, env: TypeEnv) -> int:
         return bit_width(expr, scope, context_width=32)
     except Exception:
         return 32
-
-
-def _find_action(control: ast.ControlDecl, name: str) -> ast.ActionDecl:
-    for local in control.locals:
-        if isinstance(local, ast.ActionDecl) and local.name == name:
-            return local
-    raise KeyError(f"control {control.name!r} has no action {name!r}")

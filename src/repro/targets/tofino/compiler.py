@@ -15,11 +15,12 @@ superlinear term in the dependency-chain length (placement backtracking).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.ir.deps import build_dependency_graph
+from repro.ir.deps import NodeFacts, build_dependency_graph
 from repro.ir.metrics import measure
 from repro.p4 import ast_nodes as ast
 from repro.p4.types import TypeEnv
@@ -82,6 +83,10 @@ class CostModel:
         )
 
 
+#: The declarations a ``TypeEnv`` is built from.
+_TYPE_DECLS = (ast.TypedefDecl, ast.HeaderDecl, ast.StructDecl, ast.ConstDecl)
+
+
 class TofinoCompiler(Target):
     """Whole-program ("from scratch") compiler for the RMT target."""
 
@@ -98,11 +103,29 @@ class TofinoCompiler(Target):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.program_name = program_name
         self.compile_count = 0
+        # The type environment and the dependency-graph memo (table nodes
+        # and gateway read sets by AST identity) of the last compile; both
+        # are kept while a program's type declarations are the previous
+        # program's objects, as they are across one program's
+        # specializations.
+        self._types: tuple = ()
+        self._env: Optional[TypeEnv] = None
+        self.facts = NodeFacts()
+
+    def _type_env(self, program: ast.Program) -> TypeEnv:
+        types = tuple(d for d in program.declarations if isinstance(d, _TYPE_DECLS))
+        if (
+            self._env is None
+            or len(types) != len(self._types)
+            or not all(map(operator.is_, types, self._types))
+        ):
+            self._types, self._env, self.facts = types, TypeEnv(program), NodeFacts()
+        return self._env
 
     def compile(self, program: ast.Program) -> CompileReport:
         start = time.perf_counter()
-        env = TypeEnv(program)
-        graph = build_dependency_graph(program, env)
+        env = self._type_env(program)
+        graph = build_dependency_graph(program, env, facts=self.facts)
         resources = allocate(program, self.spec, env, graph=graph)
         metrics = measure(program)
         key_bits = sum(

@@ -77,6 +77,11 @@ class Spec:
 
     def specialized_source(self) -> str:
         """The program a from-scratch specializer prints for these verdicts."""
+        program, _ = self.specialize(self.points, self.tables)
+        return print_program(program)
+
+    def specialize(self, points: dict, tables: dict) -> tuple:
+        """A fresh specializer's ``(program, report)`` for the given verdicts."""
         engine = self.engine
         options = engine.ctx.options
         specializer = Specializer(
@@ -86,8 +91,7 @@ class Spec:
             prune_parser_tail=options.prune_parser_tail,
             effort=options.effort,
         )
-        program, _ = specializer.specialize(self.points, self.tables)
-        return print_program(program)
+        return specializer.specialize(points, tables)
 
     def solver_calls(self) -> int:
         """``check_sat`` calls the specification has issued so far."""

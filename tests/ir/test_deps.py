@@ -1,13 +1,23 @@
 """Tests for the table dependency graph."""
 
+import pytest
+
+from repro.core import Flay, FlayOptions
 from repro.ir import (
     ACTION_DEP,
     CONTROL_DEP,
     MATCH_DEP,
+    DepEdge,
+    DependencyGraph,
     build_dependency_graph,
 )
-from repro.ir.deps import STICKY_FIELDS
+from repro.ir.deps import STICKY_FIELDS, NodeFacts, _Builder, _mutually_exclusive
 from repro.p4.parser import parse_program
+from repro.p4.types import TypeEnv
+from repro.programs import registry
+from repro.runtime.fuzzer import EntryFuzzer
+from repro.targets.tofino.allocator import allocate
+from repro.targets.tofino.compiler import TofinoCompiler
 
 
 def _program(locals_: str, body: str) -> str:
@@ -152,3 +162,111 @@ class TestNodeMetadata:
             parse_program(_program(TWO_TABLES, "t1.apply(); t2.apply();"))
         )
         assert graph.longest_chain() >= 2
+
+
+# -- the memoised, indexed graph against the all-pairs reference ------------
+
+TOFINO_ZOO = ("scion", "switch", "beaucoup", "accturbo", "dta")
+#: Applying these kills the Tofino compile (``benchmarks/e2e/README.md``,
+#: "Known defects" 2): a ``.miss`` test outlives its inlined table.
+COMPILE_DEFECT = ("SwitchIngress.ipv4_host", "SwitchIngress.ipv6_host")
+
+
+def pairwise_edges(sequence: list) -> list:
+    """Every earlier node against every later one, as ``connect`` did
+    before it indexed writers by field: the reference edge list."""
+    edges: list = []
+    seen: set = set()
+
+    def add(src: str, dst: str, kind: str) -> None:
+        if (src, dst) not in seen and src != dst:
+            seen.add((src, dst))
+            edges.append(DepEdge(src, dst, kind))
+
+    for i, (later, later_guards, later_branch) in enumerate(sequence):
+        for j in range(i):
+            earlier, _, earlier_branch = sequence[j]
+            if _mutually_exclusive(earlier_branch, later_branch):
+                continue
+            if earlier.writes & later.reads:
+                add(earlier.name, later.name, MATCH_DEP)
+            elif (earlier.writes & later.writes) - STICKY_FIELDS:
+                add(earlier.name, later.name, ACTION_DEP)
+        for guard in later_guards:
+            add(guard, later.name, CONTROL_DEP)
+    return edges
+
+
+class ScanGraph(DependencyGraph):
+    """Predecessors by a scan of every edge, as before the index."""
+
+    def predecessors(self, name: str) -> list:
+        return [e for e in self.edges if e.dst == name]
+
+
+def reference_graph(program, env) -> ScanGraph:
+    """Fresh nodes, all-pairs edges, scanned predecessors."""
+    builder = _Builder(program, env)
+    for control_name in program.pipeline.controls:
+        builder.walk_control(program.find(control_name))
+    return ScanGraph(builder.nodes, pairwise_edges(builder._sequence), builder.order)
+
+
+def tofino_flay(name: str) -> Flay:
+    entry = registry.get(name)
+    return Flay(
+        registry.load(name),
+        FlayOptions(target="tofino", skip_parser=entry.skip_parser),
+    )
+
+
+def rollouts(flay, count: int, seed: int = 1) -> list:
+    stream = EntryFuzzer(flay.model, seed=seed).rollout_stream(count)
+    return [update for update in stream if update.table not in COMPILE_DEFECT]
+
+
+@pytest.mark.parametrize("name", TOFINO_ZOO)
+def test_rollout_graphs_match_the_pairwise_reference(name):
+    """At every recompile of a roll-out: the memoised, indexed graph has
+    the reference's nodes and edges in the same order, the same chain,
+    components and stage allocation, and the engine's compile report is
+    a fresh compiler's."""
+    flay = tofino_flay(name)
+    facts = NodeFacts()
+    checked = 0
+    for update in rollouts(flay, 1):
+        decision = flay.process_update(update)
+        if not decision.recompiled:
+            continue
+        program = flay.specialized_program
+        env = TypeEnv(program)
+        graph = build_dependency_graph(program, env, facts=facts)
+        reference = reference_graph(program, env)
+        assert graph.edges == reference.edges
+        assert graph.order == reference.order
+        assert graph.nodes == reference.nodes
+        assert graph.longest_chain() == reference.longest_chain()
+        assert graph.components() == reference.components()
+        assert allocate(program, env=env, graph=graph) == allocate(
+            program, env=env, graph=reference
+        )
+        fresh = TofinoCompiler().compile(program)
+        report = decision.compile_report
+        assert report.modeled_seconds == fresh.modeled_seconds
+        assert report.resources == fresh.resources
+        checked += 1
+    assert checked > 0
+
+
+def test_memo_holds_only_the_last_programs_nodes():
+    flay = tofino_flay("accturbo")
+    compiler = flay.device_compiler
+    stream = rollouts(flay, 21)
+    # Stop after the last roll-out's inserts, with every table installed.
+    stream = stream[: len(stream) - len(stream) // 42]
+    recompiles = 0
+    for update in stream:
+        recompiles += flay.process_update(update).recompiled
+    assert recompiles >= 500
+    graph = build_dependency_graph(flay.specialized_program)
+    assert 0 < len(compiler.facts) <= len(graph.nodes)

@@ -3,8 +3,10 @@
 
 Exercises the full cold pipeline (parse → typecheck → analyze → encode →
 specialize → lower) and the warm per-update path against a corpus
-program, and asserts the typed event stream is non-empty and well-formed.
-Exits non-zero on any violation; prints the event summary on success.
+program, and asserts the typed event stream is non-empty and well-formed
+and that the incrementally respecialized program is what a fresh
+specializer builds from the engine's verdicts.  Exits non-zero on any
+violation; prints the event summary on success.
 """
 
 import sys
@@ -17,6 +19,8 @@ from repro.engine import (
     TargetCompiled,
     UpdateProcessed,
 )
+from repro.engine.specialize import Specializer
+from repro.p4.printer import print_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
 
@@ -45,6 +49,13 @@ def main() -> int:
     assert all(o.forwarded != o.recompiled for o in outcomes)
     assert any(e.stage == "warm" for e in log.of_type(PassStarted))
     assert len(log) > 0, "event stream must be non-empty"
+
+    fresh, _ = Specializer(flay.program, flay.model, flay.env).specialize(
+        flay.point_verdicts, flay.table_verdicts
+    )
+    assert flay.specialized_source() == print_program(fresh), (
+        "incremental respecialization differs from a fresh specializer"
+    )
 
     print(f"engine smoke OK: {len(log)} events — {log.summary()}")
     return 0
