@@ -20,7 +20,6 @@ The output is a new AST; the device compiler consumes it unchanged.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,18 +43,6 @@ class SpecializationReport:
     removed_select_cases: int = 0
     pruned_headers: list = field(default_factory=list)
     constants_propagated: int = 0
-
-    def is_empty(self) -> bool:
-        return not (
-            self.removed_tables
-            or self.inlined_tables
-            or self.removed_actions
-            or self.narrowed_keys
-            or self.removed_branches
-            or self.removed_select_cases
-            or self.pruned_headers
-            or self.constants_propagated
-        )
 
     def merge(self, other: "SpecializationReport") -> None:
         """Record ``other``'s findings here, as if made after this one's."""
@@ -96,9 +83,6 @@ EFFORT_NONE = "none"      # pass the program through untouched
 EFFORT_DCE = "dce"        # dead code only: branches, empty tables, actions
 EFFORT_FULL = "full"      # + constant propagation, inlining, narrowing
 
-_OVERAPPROXIMATED = operator.attrgetter("overapproximated")
-_NO_TABLES: frozenset = frozenset()
-
 
 class Specializer:
     """Specialization of one program against a verdict set, memoised.
@@ -137,19 +121,15 @@ class Specializer:
         self._parser = pipeline.parser
         self._controls = frozenset(pipeline.controls)
         self._index = _ProgramIndex(program, model, self._controls, self._parser)
-        self._header_refs_limit = 4 * len(self._index.parent) + 1024
         self.reset()
 
     def reset(self) -> None:
         """Forget every memoised output: the next call builds from scratch."""
         # id(original statement / control / parser) or qualified table name
-        # → (output, kept-table writes, report fragment or None).
+        # → (output, kept-table writes, report fragment, header instances).
         self._memo: dict = {}
         self._node_verdicts: dict[int, PointVerdict] = {}
         self._overapproximated: frozenset = frozenset()
-        # id(output object) → (object, header instances it references).
-        self._header_refs: dict[int, tuple] = {}
-        self._tail: Optional[tuple] = None  # (parser, prunable, stripped)
 
     def specialize(
         self,
@@ -224,10 +204,9 @@ class Specializer:
         self._overapproximated = overapproximated
 
     def _overapproximated_tables(self) -> frozenset:
-        verdicts = self.table_verdicts
-        if not any(map(_OVERAPPROXIMATED, verdicts.values())):
-            return _NO_TABLES
-        return frozenset(name for name, v in verdicts.items() if v.overapproximated)
+        return frozenset(
+            name for name, v in self.table_verdicts.items() if v.overapproximated
+        )
 
     def _invalidate_table(self, name: str) -> None:
         self._memo.pop(name, None)
@@ -272,27 +251,29 @@ class Specializer:
     def _memoized(self, key, build, arg):
         """``build(arg)``'s output, from the memo or built and recorded.
 
-        Each entry carries the table declarations its output keeps and its
-        own report fragment; a reuse replays both into the caller's.
+        Each entry carries the table declarations its output keeps, its own
+        report fragment and the header instances its output references; a
+        reuse replays all three into the caller's.
         """
         built = self._memo.get(key)
         if built is None:
-            report, kept = self.report, self._kept
-            self.report, self._kept = SpecializationReport(), []
+            outer = self.report, self._kept, self._used
+            self.report, self._kept, self._used = SpecializationReport(), [], set()
             out = build(arg)
-            built = (out, self._kept, None if self.report.is_empty() else self.report)
-            self.report, self._kept = report, kept
+            built = (out, self._kept, self.report, self._used)
+            self.report, self._kept, self._used = outer
             self._memo[key] = built
-        out, kept, fragment = built
+        out, kept, fragment, used = built
         self._kept.extend(kept)
-        if fragment is not None:
-            self.report.merge(fragment)
+        self.report.merge(fragment)
+        self._used |= used
         return out
 
     # -- plumbing ------------------------------------------------------------
 
     def _build(self) -> tuple[ast.Program, SpecializationReport]:
         self._kept: list = []
+        self._used: set[str] = set()
         decls: list = []
         for decl in self.program.declarations:
             if isinstance(decl, ast.ControlDecl) and decl.name in self._controls:
@@ -335,10 +316,13 @@ class Specializer:
         for local in decl.locals:
             if isinstance(local, ast.TableDecl):
                 if local.name in kept_tables:
-                    new_locals.append(kept_tables[local.name])
+                    local = kept_tables[local.name]
+                    new_locals.append(local)
+                    _local_headers(local, self._used)
             elif isinstance(local, ast.ActionDecl):
                 if local.name in referenced_actions:
                     new_locals.append(local)
+                    _local_headers(local, self._used)
             else:
                 new_locals.append(local)
         return ast.ControlDecl(decl.name, decl.params, tuple(new_locals), new_apply)
@@ -350,18 +334,30 @@ class Specializer:
         return statements
 
     def _spec_stmt(self, stmt) -> list:
-        if isinstance(stmt, ast.AssignStmt):
-            return [self._spec_assign(stmt)]
+        """``stmt``'s output statements.  Each builder records the header
+        instances of the output it makes itself in ``self._used``; those
+        of nested statements' outputs come from their memo entries."""
         if isinstance(stmt, ast.IfStmt):
             return self._spec_if(stmt)
-        if isinstance(stmt, ast.MethodCallStmt):
-            call = stmt.call
-            if call.method == "apply" and call.target is not None:
-                return self._spec_table_apply(_target_name(call.target))
-            return [stmt]
         if isinstance(stmt, ast.SwitchStmt):
             return self._spec_switch(stmt)
-        return [stmt]
+        if isinstance(stmt, ast.AssignStmt):
+            out = [self._spec_assign(stmt)]
+        elif (
+            isinstance(stmt, ast.MethodCallStmt)
+            and stmt.call.method == "apply"
+            and stmt.call.target is not None
+        ):
+            out = self._spec_table_apply(_target_name(stmt.call.target))
+        else:
+            out = [stmt]
+        return self._with_headers(out)
+
+    def _with_headers(self, statements: list) -> list:
+        """``statements``, their header instances recorded as used."""
+        for stmt in statements:
+            _stmt_headers(stmt, self._used)
+        return statements
 
     def _spec_assign(self, stmt: ast.AssignStmt) -> ast.AssignStmt:
         if not self.enable_constant_propagation:
@@ -410,15 +406,10 @@ class Specializer:
             prefix = self._spec_table_apply(table_name)
             if verdict is None or verdict.hit == MAYBE:
                 # Table must stay; reattach the condition around the apply.
-                then = ast.Block(tuple(self._spec_block(stmt.then)))
-                orelse = (
-                    ast.Block(tuple(self._spec_block(stmt.orelse)))
-                    if stmt.orelse is not None
-                    else None
-                )
-                return [ast.IfStmt(stmt.cond, then, orelse, pos=stmt.pos)]
+                return [self._rebuild_if(stmt)]
             taken = (verdict.hit == ALWAYS) == want_hit
             self.report.removed_branches += 1
+            prefix = self._with_headers(prefix)
             if taken:
                 return prefix + self._spec_block(stmt.then)
             if stmt.orelse is not None:
@@ -432,13 +423,18 @@ class Specializer:
         if verdict is not None and verdict.executability == NEVER:
             self.report.removed_branches += 1
             return self._spec_block(stmt.orelse) if stmt.orelse is not None else []
+        return [self._rebuild_if(stmt)]
+
+    def _rebuild_if(self, stmt: ast.IfStmt) -> ast.IfStmt:
+        """``stmt`` with both branches specialized."""
+        _collect_expr_headers(stmt.cond, self._used)
         then = ast.Block(tuple(self._spec_block(stmt.then)))
         orelse = (
             ast.Block(tuple(self._spec_block(stmt.orelse)))
             if stmt.orelse is not None
             else None
         )
-        return [ast.IfStmt(stmt.cond, then, orelse, pos=stmt.pos)]
+        return ast.IfStmt(stmt.cond, then, orelse, pos=stmt.pos)
 
     # -- tables -------------------------------------------------------------------
 
@@ -564,7 +560,7 @@ class Specializer:
         # default); the table is then kept or inlined as the prefix says.
         if len(feasible) == 1 and len(kept_cases) <= 1:
             body = list(kept_cases[0].body.statements) if kept_cases else []
-            return prefix + body
+            return self._with_headers(prefix) + body
         return [ast.SwitchStmt(stmt.table, tuple(kept_cases), pos=stmt.pos)]
 
     # -- parser -----------------------------------------------------------------------
@@ -580,7 +576,9 @@ class Specializer:
             )
         reachable = _reachable_states(new_states)
         kept = tuple(s for s in new_states if s.name in reachable)
-        return ast.ParserDecl(decl.name, decl.params, decl.locals, kept)
+        out = ast.ParserDecl(decl.name, decl.params, decl.locals, kept)
+        _select_headers(out, self._used)
+        return out
 
     def _spec_select(self, select: ast.TransitionSelect) -> ast.Transition:
         kept_cases: list[ast.SelectCase] = []
@@ -610,24 +608,14 @@ class Specializer:
         """Strip the extracts of unused tail headers from the parser in
         ``decls``, in place.
 
-        The header instances each output control, parser, table, action
-        and statement references are kept per output object, so a warm
-        call walks only the objects it built.  Outputs replaced by later
-        calls stay behind until the cache outgrows a few programs' worth
-        and is cleared.
+        A header instance is used when the output controls or parser
+        reference it outside its own extract: the union of the memo
+        entries' header sets, which ``_build`` has collected.
         """
-        if len(self._header_refs) > self._header_refs_limit:
-            self._header_refs.clear()
-        used: set[str] = set()
-        for decl in decls:
-            if isinstance(decl, ast.ControlDecl) and decl.name in self._controls:
-                used |= self._headers(decl, self._control_headers)
-            elif isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
-                used |= self._headers(decl, _select_headers)
         order = self.model.extracted_headers
         prunable: set[str] = set()
         for header in reversed(order):
-            if header in used:
+            if header in self._used:
                 break
             prunable.add(header)
         if not prunable:
@@ -635,45 +623,7 @@ class Specializer:
         self.report.pruned_headers.extend(h for h in order if h in prunable)
         for at, decl in enumerate(decls):
             if isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
-                tail = self._tail
-                if tail is None or tail[0] is not decl or tail[1] != prunable:
-                    tail = self._tail = (decl, prunable, _strip_extracts(decl, prunable))
-                decls[at] = tail[2]
-
-    def _headers(self, node, collect) -> frozenset:
-        """``collect(node)``, kept for the output object ``node``.
-
-        The entry holds ``node``, so its id is not reused while cached.
-        """
-        hit = self._header_refs.get(id(node))
-        if hit is None:
-            hit = self._header_refs[id(node)] = (node, frozenset(collect(node)))
-        return hit[1]
-
-    def _control_headers(self, decl: ast.ControlDecl) -> set[str]:
-        """Header instances referenced anywhere outside their own extract."""
-        used: set[str] = set()
-        for local in decl.locals:
-            if isinstance(local, (ast.ActionDecl, ast.TableDecl)):
-                used |= self._headers(local, _local_headers)
-        for stmt in decl.apply.statements:
-            used |= self._headers(stmt, self._statement_headers)
-        return used
-
-    def _statement_headers(self, stmt) -> set[str]:
-        used: set[str] = set()
-        if isinstance(stmt, ast.IfStmt):
-            _collect_expr_headers(stmt.cond, used)
-            blocks = (stmt.then,) if stmt.orelse is None else (stmt.then, stmt.orelse)
-        elif isinstance(stmt, ast.SwitchStmt):
-            blocks = tuple(case.body for case in stmt.cases)
-        else:
-            _stmt_headers(stmt, used)
-            return used
-        for block in blocks:
-            for child in block.statements:
-                used |= self._headers(child, self._statement_headers)
-        return used
+                decls[at] = _strip_extracts(decl, prunable)
 
 
 # ---------------------------------------------------------------------------
@@ -738,13 +688,8 @@ class _ProgramIndex:
         self.actions: dict[str, dict[str, ast.ActionDecl]] = {}
         for decl in program.declarations:
             if isinstance(decl, ast.ControlDecl) and decl.name in controls:
-                tables = self.tables[decl.name] = {}
-                actions = self.actions[decl.name] = {}
-                for local in decl.locals:
-                    if isinstance(local, ast.TableDecl):
-                        tables.setdefault(local.name, local)
-                    elif isinstance(local, ast.ActionDecl):
-                        actions.setdefault(local.name, local)
+                self.tables[decl.name] = decl.tables_by_name()
+                self.actions[decl.name] = decl.actions_by_name()
                 self._index_block(decl.name, decl.apply, id(decl))
             elif isinstance(decl, ast.ParserDecl) and decl.name == parser:
                 for state in decl.states:
@@ -882,23 +827,19 @@ def _extract_target(call: ast.MethodCall) -> Optional[str]:
         return None
 
 
-def _local_headers(local) -> set[str]:
-    used: set[str] = set()
+def _local_headers(local, used: set[str]) -> None:
     if isinstance(local, ast.ActionDecl):
         _block_headers(local.body, used)
     else:
         for key in local.keys:
             _collect_expr_headers(key.expr, used)
-    return used
 
 
-def _select_headers(decl: ast.ParserDecl) -> set[str]:
-    used: set[str] = set()
+def _select_headers(decl: ast.ParserDecl, used: set[str]) -> None:
     for state in decl.states:
         if isinstance(state.transition, ast.TransitionSelect):
             for expr in state.transition.exprs:
                 _collect_expr_headers(expr, used)
-    return used
 
 
 def _block_headers(block: ast.Block, used: set[str]) -> None:

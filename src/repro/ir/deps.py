@@ -215,16 +215,11 @@ class _Builder:
     # -- walking -------------------------------------------------------------
 
     def walk_control(self, control: ast.ControlDecl) -> None:
-        self._tables: dict[str, ast.TableDecl] = {}
-        self._actions: dict[str, ast.ActionDecl] = {}
-        var_decls = []
-        for local in control.locals:
-            if isinstance(local, ast.TableDecl):
-                self._tables.setdefault(local.name, local)
-            elif isinstance(local, ast.ActionDecl):
-                self._actions.setdefault(local.name, local)
-            elif isinstance(local, ast.VarDeclStmt):
-                var_decls.append(local)
+        self._tables = control.tables_by_name()
+        self._actions = control.actions_by_name()
+        var_decls = [
+            local for local in control.locals if isinstance(local, ast.VarDeclStmt)
+        ]
         # What a table node reads of its control besides its actions: the
         # parameters and variables its key widths resolve through.
         self._context = (control.params, tuple(var_decls))

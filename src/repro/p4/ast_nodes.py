@@ -313,6 +313,21 @@ class ControlDecl:
     apply: Block
     pos: Optional[SourcePos] = field(default=None, compare=False)
 
+    def tables_by_name(self) -> dict[str, TableDecl]:
+        """This control's tables by name; the first of a repeated name wins."""
+        return self._locals_by_name(TableDecl)
+
+    def actions_by_name(self) -> dict[str, ActionDecl]:
+        """This control's actions by name; the first of a repeated name wins."""
+        return self._locals_by_name(ActionDecl)
+
+    def _locals_by_name(self, kind: type) -> dict:
+        found: dict = {}
+        for local in self.locals:
+            if isinstance(local, kind):
+                found.setdefault(local.name, local)
+        return found
+
 
 # -- parsers --------------------------------------------------------------
 

@@ -57,48 +57,28 @@ class ProgramDelta:
         )
 
 
-def _pipeline_tables(program: ast.Program) -> dict[str, tuple]:
-    """Qualified table → (its declaration, its control's actions by name)."""
-    tables: dict[str, tuple] = {}
+def _table_signatures(program: ast.Program) -> dict[str, str]:
+    """Stable per-table fingerprints: keys, actions, default, size."""
+    signatures: dict[str, str] = {}
     for control in program.controls():
         if control.name not in program.pipeline.controls:
             continue
-        actions: dict[str, ast.ActionDecl] = {}
         for local in control.locals:
-            if isinstance(local, ast.ActionDecl):
-                actions.setdefault(local.name, local)
-        for local in control.locals:
-            if isinstance(local, ast.TableDecl):
-                tables[f"{control.name}.{local.name}"] = (local, actions)
-    return tables
-
-
-def _table_signature(decl: ast.TableDecl, actions: dict) -> str:
-    """A stable fingerprint of one table: keys, actions, default, size."""
-    parts = [f"{_expr_text(k.expr)}:{k.match_kind}" for k in decl.keys]
-    parts.append("|".join(a.name for a in decl.actions))
-    if decl.default_action is not None:
-        parts.append(f"default={decl.default_action.name}")
-    parts.append(f"size={decl.size}")
-    # Action bodies are part of the table's compiled artifact.
-    for ref in decl.actions:
-        action = actions.get(ref.name)
-        if action is None:
-            parts.append("")
-        else:
-            parts.append("\n".join(print_stmt(s) for s in action.body.statements))
-    return ";".join(parts)
-
-
-def _same_table(before: tuple, after: tuple) -> bool:
-    """Unchanged: the same declaration and action objects, or failing
-    that, the same printed signature."""
-    decl, actions = after
-    if before[0] is decl and all(
-        before[1].get(ref.name) is actions.get(ref.name) for ref in decl.actions
-    ):
-        return True
-    return _table_signature(*before) == _table_signature(*after)
+            if not isinstance(local, ast.TableDecl):
+                continue
+            parts = [
+                f"{_expr_text(k.expr)}:{k.match_kind}" for k in local.keys
+            ]
+            parts.append("|".join(a.name for a in local.actions))
+            if local.default_action is not None:
+                parts.append(f"default={local.default_action.name}")
+            parts.append(f"size={local.size}")
+            # Action bodies are part of the table's compiled artifact.
+            for ref in local.actions:
+                body = _action_body_text(control, ref.name)
+                parts.append(body)
+            signatures[f"{control.name}.{local.name}"] = ";".join(parts)
+    return signatures
 
 
 def _expr_text(expr) -> str:
@@ -107,34 +87,32 @@ def _expr_text(expr) -> str:
     return print_expr(expr)
 
 
-def _parser_text(parser: ast.ParserDecl) -> str:
+def _action_body_text(control: ast.ControlDecl, name: str) -> str:
+    for local in control.locals:
+        if isinstance(local, ast.ActionDecl) and local.name == name:
+            return "\n".join(print_stmt(s) for s in local.body.statements)
+    return ""
+
+
+def _parser_text(program: ast.Program) -> str:
     from repro.p4.printer import print_program
 
+    parser_name = program.pipeline.parser
+    decl = program.find(parser_name)
     # Cheap but stable: print the whole parser declaration.
-    return print_program(ast.Program((parser,)))
+    return print_program(ast.Program((decl,)))
 
 
 def diff_programs(previous: ast.Program, current: ast.Program) -> ProgramDelta:
-    """Table-granular diff between two programs.
-
-    A table whose declaration and action declarations are the previous
-    program's objects, and a parser that is the previous program's
-    object, are unchanged without being printed — the specializer reuses
-    every part of the program a recompile did not touch.
-    """
-    before = _pipeline_tables(previous)
-    after = _pipeline_tables(current)
-    added = tuple(sorted(set(after) - set(before)))
-    removed = tuple(sorted(set(before) - set(after)))
-    common = set(before) & set(after)
-    same = {name for name in common if _same_table(before[name], after[name])}
-    changed = tuple(sorted(common - same))
-    unchanged = tuple(sorted(same))
-    old_parser = previous.find(previous.pipeline.parser)
-    new_parser = current.find(current.pipeline.parser)
-    parser_changed = old_parser is not new_parser and (
-        _parser_text(old_parser) != _parser_text(new_parser)
-    )
+    """Table-granular diff between two programs."""
+    prev_sigs = _table_signatures(previous)
+    curr_sigs = _table_signatures(current)
+    added = tuple(sorted(set(curr_sigs) - set(prev_sigs)))
+    removed = tuple(sorted(set(prev_sigs) - set(curr_sigs)))
+    common = set(prev_sigs) & set(curr_sigs)
+    changed = tuple(sorted(n for n in common if prev_sigs[n] != curr_sigs[n]))
+    unchanged = tuple(sorted(n for n in common if prev_sigs[n] == curr_sigs[n]))
+    parser_changed = _parser_text(previous) != _parser_text(current)
     return ProgramDelta(added, removed, changed, unchanged, parser_changed)
 
 

@@ -242,6 +242,86 @@ Pipeline(P(), C()) main;
         flay = flay_for(source)
         assert "pkt_extract(hdr.b)" in flay.specialized_source()
 
+    # A tail header referenced in exactly one place of the output.
+    TABLE_ON_TAG = """
+    action copy() { meta.m = hdr.b.x; }
+    action noop() { }
+    table t {
+        key = { hdr.a.tag: ternary; }
+        actions = { copy; noop; }
+        default_action = noop();
+    }
+"""
+    TABLE_ON_B = """
+    action set(bit<8> v) { meta.m = v; }
+    action noop() { }
+    table t {
+        key = { hdr.b.x: exact; }
+        actions = { set; noop; }
+        default_action = noop();
+    }
+"""
+    ONE_REFERENCE = {
+        "if_condition": ("", "if (hdr.b.x == 1) { meta.m = 1; }", None),
+        "table_key": (TABLE_ON_B, "t.apply();", ExactMatch(1), "set", (2,)),
+        "action_body": (TABLE_ON_TAG, "t.apply();", TernaryMatch(1, 0xFFFF), "copy", ()),
+        "inlined_on_apply": (TABLE_ON_TAG, "t.apply();", TernaryMatch(0, 0), "copy", ()),
+        "inlined_on_hit": (
+            TABLE_ON_TAG,
+            "if (t.apply().hit) { meta.m = 1; }",
+            TernaryMatch(0, 0),
+            "copy",
+            (),
+        ),
+        "inlined_on_switch": (
+            TABLE_ON_TAG,
+            "switch (t.apply().action_run) { copy: { meta.m = 3; } }",
+            TernaryMatch(0, 0),
+            "copy",
+            (),
+        ),
+    }
+
+    @pytest.mark.parametrize("where", sorted(ONE_REFERENCE))
+    def test_header_referenced_once_is_not_pruned(self, where):
+        locals_, body, match, *action = self.ONE_REFERENCE[where]
+        source = self.TAIL_SOURCE.replace(
+            "    apply { meta.m = (bit<8>) hdr.a.tag; }",
+            f"{locals_}    apply {{ {body} }}",
+        )
+        flay = flay_for(source)
+        if match is not None:
+            name, args = action
+            flay.process_update(
+                Update("t", INSERT, TableEntry((match,), name, args, 1))
+            )
+        text = flay.specialized_source()
+        assert "hdr.b" in text.split("control C", 1)[1]
+        assert "pkt_extract(hdr.b)" in text
+        assert "hdr.b" not in flay.report.pruned_headers
+
+    def test_header_referenced_only_by_a_select_is_not_pruned(self):
+        source = self.TAIL_SOURCE.replace(
+            "        transition accept;\n    }\n}",
+            "        transition select(hdr.b.x) {\n"
+            "            1: accept;\n"
+            "            default: reject;\n"
+            "        }\n    }\n}",
+        )
+        flay = flay_for(source)
+        text = flay.specialized_source()
+        assert "select(hdr.b.x)" in text
+        assert "pkt_extract(hdr.b)" in text
+
+    def test_header_referenced_only_in_a_dead_branch_is_pruned(self):
+        source = self.TAIL_SOURCE.replace(
+            "meta.m = (bit<8>) hdr.a.tag;",
+            "meta.m = 0; if (meta.m == 9) { meta.m = hdr.b.x; }",
+        )
+        flay = flay_for(source)
+        assert "hdr.b" in flay.report.pruned_headers
+        assert "hdr.b" not in flay.specialized_source()
+
 
 def _find_table(program, control_name, table_name):
     control = program.find(control_name)

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.p4 import ast_nodes as ast
 from repro.p4.parser import parse_program
-from repro.p4.printer import print_expr, print_program, print_stmt
-from repro.programs import registry
-from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.entries import TableEntry, TernaryMatch
 from repro.runtime.semantics import INSERT, Update
 from repro.targets.tofino.incremental import (
     IncrementalCompileReport,
     IncrementalTofinoCompiler,
-    ProgramDelta,
     diff_programs,
 )
 
@@ -146,73 +141,3 @@ class TestIncrementalCompiler:
         # Only t1's implementation changed; t2 is untouched.
         assert "C.t2" not in last.delta.changed_tables
         assert last.speedup > 1
-
-
-def text_diff(previous: ast.Program, current: ast.Program) -> ProgramDelta:
-    """The diff by printed text alone, as ``diff_programs`` computed it
-    before it compared objects first: the reference."""
-
-    def signatures(program):
-        out = {}
-        for control in program.controls():
-            if control.name not in program.pipeline.controls:
-                continue
-            actions = {}
-            for local in control.locals:
-                if isinstance(local, ast.ActionDecl):
-                    actions.setdefault(local.name, local)
-            for local in control.locals:
-                if not isinstance(local, ast.TableDecl):
-                    continue
-                parts = [f"{print_expr(k.expr)}:{k.match_kind}" for k in local.keys]
-                parts.append("|".join(a.name for a in local.actions))
-                if local.default_action is not None:
-                    parts.append(f"default={local.default_action.name}")
-                parts.append(f"size={local.size}")
-                for ref in local.actions:
-                    action = actions.get(ref.name)
-                    body = action.body.statements if action is not None else ()
-                    parts.append("\n".join(print_stmt(st) for st in body))
-                out[f"{control.name}.{local.name}"] = ";".join(parts)
-        return out
-
-    def parser_text(program):
-        return print_program(ast.Program((program.find(program.pipeline.parser),)))
-
-    before, after = signatures(previous), signatures(current)
-    common = set(before) & set(after)
-    return ProgramDelta(
-        tuple(sorted(set(after) - set(before))),
-        tuple(sorted(set(before) - set(after))),
-        tuple(sorted(n for n in common if before[n] != after[n])),
-        tuple(sorted(n for n in common if before[n] == after[n])),
-        parser_text(previous) != parser_text(current),
-    )
-
-
-@pytest.mark.parametrize("name", ["scion", "middleblock"])
-def test_identity_diff_equals_the_text_diff_over_a_rollout(name):
-    """At every recompile of a roll-out, diffing the new specialized
-    program against the previous one by object identity gives the text
-    diff's delta — and most tables are found unchanged by identity."""
-    entry = registry.get(name)
-    flay = Flay(
-        registry.load(name), FlayOptions(target="none", skip_parser=entry.skip_parser)
-    )
-    previous = flay.specialized_program
-    steps = reused = 0
-    for update in EntryFuzzer(flay.model, seed=1).rollout_stream(1):
-        if not flay.process_update(update).recompiled:
-            continue
-        current = flay.specialized_program
-        delta = diff_programs(previous, current)
-        assert delta == text_diff(previous, current)
-        reused += sum(
-            1
-            for a, b in zip(previous.controls(), current.controls())
-            for x, y in zip(a.locals, b.locals)
-            if isinstance(x, ast.TableDecl) and x is y
-        )
-        steps += 1
-        previous = current
-    assert steps > 0 and reused > steps
