@@ -124,13 +124,11 @@ class TestIntervalAblation:
 
         heading("Ablation: interval pre-check on ite-chain guards")
         print(f"with pre-check:  {solver.stats.by_interval} of {len(queries)} guards "
-              f"refuted, {solver.stats.probes} SAT probes, "
-              f"{solver.session.loaded_fragments} fragments loaded")
-        print(f"without pre-check: {solver_no.stats.probes} SAT probes, "
-              f"{solver_no.session.loaded_fragments} fragments loaded "
+              f"refuted, {solver.stats.probes} SAT probes")
+        print(f"without pre-check: {solver_no.stats.probes} SAT probes "
               f"({no_precheck_ms:.1f} ms)")
         assert solver.stats.by_interval == len(queries)
-        assert solver.stats.probes == 0 and solver.session.loaded_fragments == 0
+        assert solver.stats.probes == 0
         assert solver_no.stats.probes == len(queries)
         assert not any(solver_no.check_sat(q).satisfiable for q in queries)
 
@@ -187,14 +185,12 @@ class TestIntervalAblation:
 
         heading("Ablation: interval pre-check on pinned first-match guards")
         print(f"with pre-check:  {solver.stats.by_interval} of {len(queries)} guards "
-              f"refuted, {solver.stats.probes} SAT probes, "
-              f"{solver.session.loaded_fragments} fragments loaded")
+              f"refuted, {solver.stats.probes} SAT probes")
         print(f"without pre-check: {solver_no.stats.probes} SAT probes, "
-              f"{solver_no.stats.search.conflicts} conflicts, "
-              f"{solver_no.session.loaded_fragments} fragments loaded "
+              f"{solver_no.stats.search.conflicts} conflicts "
               f"({no_precheck_ms:.1f} ms)")
         assert solver.stats.by_interval == len(queries)
-        assert solver.stats.probes == 0 and solver.session.loaded_fragments == 0
+        assert solver.stats.probes == 0
         assert solver_no.stats.probes == len(queries)
         assert not any(solver_no.check_sat(q).satisfiable for q in queries)
 
@@ -208,8 +204,9 @@ class TestIntervalAblation:
         another, so the eleventh is timed against the same roll-out run
         first on a fresh engine; each side is the fastest of three engines.
         Measured 1.0-1.2× (2-core box).  Without the precheck's
-        pinned-conjunct rule every refutable guard is probed and the solver
-        session keeps each cone: 7.5× (seed 1) and 8.2× (seed 3)."""
+        pinned-conjunct rule every refutable guard was probed, and the
+        persistent solver session the engine then had kept each cone:
+        7.5× (seed 1) and 8.2× (seed 3)."""
         program = corpus_programs["beaucoup"]
         stream = EntryFuzzer(make_flay(program).model, seed=seed).rollout_stream(11)
         size = len(stream) // 11

@@ -1,14 +1,10 @@
-"""Fleet-scale replay: CNF dedup, recompile-storm latency, warm failover.
+"""Fleet-scale replay: recompile-storm latency, warm failover.
 
 Eight simulated switches run the ``scion`` program (the solver-heavy
-corpus member — toy programs decide every query before blasting, so
-their CNF footprint is zero) with divergent table configurations under
-one highly-correlated churn trace: every burst is a recompile storm
-sweeping most of the fleet.  Measured:
+corpus member) with divergent table configurations under one
+highly-correlated churn trace: every burst is a recompile storm sweeping
+most of the fleet.  Measured:
 
-* **fleet_dedup_ratio** — CNF fragments held by 8 isolated engines over
-  fragments held with the content-addressed shared store (all switches
-  probe one encoder, so the ratio approaches the fleet size);
 * **storm p50/p99** — per-burst apply latency percentiles during the
   storm, shared-store fleet (the differential against the isolated
   fleet is asserted, not timed: identical per-switch lowered output);
@@ -31,13 +27,11 @@ from conftest import heading
 from repro.engine.context import EngineOptions
 from repro.engine.engine import Engine
 from repro.fleet import FleetSimulator
-from repro.fleet.sim import dedup_ratio
 from repro.programs import registry
 
 SWITCHES = 8
 SEED = 9
-# Tracked acceptance floors (validated offline against BENCH_9.json).
-DEDUP_RATIO_FLOOR = 4.0  # 8 isolated CNF copies collapse to ~1 shared
+# Tracked acceptance floor (validated offline against BENCH_9.json).
 RESTORE_SPEEDUP_FLOOR = 3.0  # failover beats cold rebuild + full replay
 
 FLEET_KW = dict(
@@ -60,13 +54,12 @@ def build_and_run(source, shared):
     return sim, report, elapsed * 1000
 
 
-def test_fleet_replay_dedup_and_failover(benchmark):
+def test_fleet_replay_storms_and_failover(benchmark):
     source = registry.get("scion").source()
     timings = {
         "switches": SWITCHES,
         "seed": SEED,
         "correlation": FLEET_KW["correlation"],
-        "fleet_dedup_ratio_floor": DEDUP_RATIO_FLOOR,
         "restore_speedup_vs_cold_floor": RESTORE_SPEEDUP_FLOOR,
     }
 
@@ -83,12 +76,6 @@ def test_fleet_replay_dedup_and_failover(benchmark):
         == isolated_report.specialized_sources()
     )
 
-    ratio = dedup_ratio(isolated_report, shared_report)
-    timings["fleet_dedup_ratio"] = ratio
-    timings["shared_cnf_fragments"] = shared_report.fragment_footprint
-    timings["isolated_cnf_fragments"] = isolated_report.fragment_footprint
-    timings["shared_encoder_vars"] = shared_report.encoder_vars
-    timings["isolated_encoder_vars"] = isolated_report.encoder_vars
     timings["store_hits"] = shared_report.store_hits
     timings["bursts"] = shared_report.bursts
     timings["updates"] = shared_report.summary["updates"]
@@ -101,9 +88,6 @@ def test_fleet_replay_dedup_and_failover(benchmark):
 
     print(f"bursts: {shared_report.bursts} arrivals, "
           f"{timings['updates']} updates across {SWITCHES} switches")
-    print(f"  CNF fragments: {isolated_report.fragment_footprint} isolated "
-          f"vs {shared_report.fragment_footprint} shared "
-          f"-> dedup ratio {ratio:.2f}x")
     print(f"  storm latency (shared):   p50 {timings['storm_p50_ms']:7.2f} ms, "
           f"p99 {timings['storm_p99_ms']:7.2f} ms")
     print(f"  storm latency (isolated): p50 {timings['storm_p50_ms_isolated']:7.2f} ms, "
@@ -155,7 +139,7 @@ def test_fleet_replay_dedup_and_failover(benchmark):
 
     # Fleet failover restore: the replacement host already runs other
     # switches of this program, so the shared store supplies the parsed
-    # AST, model, and encoder — only the warm-state splice remains.
+    # AST and model — only the warm-state splice remains.
     start = time.perf_counter()
     restored = Engine.restore(pickle.loads(blob), store=shared_sim.store)
     restore_ms = (time.perf_counter() - start) * 1000
@@ -178,8 +162,7 @@ def test_fleet_replay_dedup_and_failover(benchmark):
           f"-> {restore_speedup:.2f}x")
     print(f"  (standalone restore {restore_standalone_ms:.1f} ms, "
           f"empty cold build {cold_ms:.1f} ms)")
-    print(f"acceptance: dedup {ratio:.2f}x (bar: >= {DEDUP_RATIO_FLOOR}x), "
-          f"restore speedup {restore_speedup:.2f}x "
+    print(f"acceptance: restore speedup {restore_speedup:.2f}x "
           f"(bar: >= {RESTORE_SPEEDUP_FLOOR}x)")
 
     # Register the shared-fleet replay with pytest-benchmark.
@@ -187,7 +170,6 @@ def test_fleet_replay_dedup_and_failover(benchmark):
         build_and_run(source, shared=True)
 
     benchmark.pedantic(shared_run, rounds=1, iterations=1)
-    benchmark.extra_info["fleet_dedup_ratio"] = round(ratio, 2)
     benchmark.extra_info["storm_p99_ms"] = round(timings["storm_p99_ms"], 2)
     benchmark.extra_info["restore_speedup_vs_cold"] = round(restore_speedup, 2)
 
@@ -197,5 +179,4 @@ def test_fleet_replay_dedup_and_failover(benchmark):
             json.dump(timings, handle, indent=2, sort_keys=True)
         print(f"wrote {out_path}")
 
-    assert ratio >= DEDUP_RATIO_FLOOR
     assert restore_speedup >= RESTORE_SPEEDUP_FLOOR

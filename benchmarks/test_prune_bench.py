@@ -3,7 +3,8 @@
 Two questions, answered with honest numbers:
 
 * **What does ``--no-prune`` change?**  Cold pipeline wall-clock and the
-  CNF the query engine built, on scion and switch_kitchen_sink.  The
+  CNF of the queries the cold sweep answered (re-encoded together into
+  one fresh bit-blaster), on scion and switch_kitchen_sink.  The
   differential harness already pins that specialized *output* is
   byte-identical either way; this bench records the *cost* side.  On
   this corpus the CNF sizes come out identical — the symbolic executor
@@ -34,6 +35,7 @@ from conftest import heading, make_flay
 
 from repro.engine.batch import conflict_components
 from repro.ir.deps import PRECISION_FLOW, PRECISION_SYNTACTIC
+from repro.smt.cnf import BitBlaster
 
 from test_batch_burst import _workload as scion_burst_workload
 
@@ -41,11 +43,10 @@ COLD_PROGRAMS = ("scion", "switch")
 
 
 def _cnf_counts(flay):
-    encoder = flay.runtime.ctx.query_engine.solver._encoder
-    fragments = list(encoder._bool_frags.values()) + list(
-        encoder._bv_frags.values()
-    )
-    return encoder.var_count, sum(len(f._ends) for f in fragments)
+    blaster = BitBlaster()
+    for term in flay.runtime.ctx.query_engine.solver._results:
+        blaster.encode_bool(term)
+    return blaster.solver.num_vars, blaster.solver.num_clauses
 
 
 def _cold_run(program, prune):

@@ -164,7 +164,6 @@ def cmd_fleet_replay(args) -> int:
     import json
 
     from repro.fleet import FleetSimulator
-    from repro.fleet.sim import dedup_ratio
 
     source = _load_source(args.program)
     options = FlayOptions(target=args.target, skip_parser=args.skip_parser)
@@ -195,7 +194,6 @@ def cmd_fleet_replay(args) -> int:
     )
     if sim.store is not None:
         print(f"# {sim.store.describe()}", file=sys.stderr)
-    ratio = None
     exit_code = 0
     if args.check_isolated:
         isolated = FleetSimulator(source, shared_store=False, **kwargs)
@@ -212,13 +210,7 @@ def cmd_fleet_replay(args) -> int:
             )
             exit_code = 1
         else:
-            ratio = dedup_ratio(isolated_report, report)
-            print(
-                f"# differential OK; CNF dedup ratio "
-                f"{ratio:.2f}x ({isolated_report.fragment_footprint} isolated "
-                f"fragments vs {report.fragment_footprint} shared)",
-                file=sys.stderr,
-            )
+            print("# differential OK", file=sys.stderr)
     if args.snapshot_dir:
         paths = sim.save_snapshots(args.snapshot_dir)
         print(f"# wrote {len(paths)} snapshots to {args.snapshot_dir}", file=sys.stderr)
@@ -231,8 +223,6 @@ def cmd_fleet_replay(args) -> int:
             "recompilations": report.summary["recompilations"],
             "p50_ms": report.latency_quantile(0.5),
             "p99_ms": report.latency_quantile(0.99),
-            "fragment_footprint": report.fragment_footprint,
-            "dedup_ratio": ratio,
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -374,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-isolated",
         action="store_true",
         help="also run the isolated fleet and fail unless per-switch "
-        "lowered output is identical (reports the CNF dedup ratio)",
+        "lowered output is identical",
     )
     p_fleet.add_argument(
         "--snapshot-dir", help="write per-switch warm snapshots here"

@@ -24,12 +24,10 @@ touch independent tables.  This module is the burst scheduler:
    :class:`WorkerSlice` over the shared :class:`EngineContext`: a
    copy-on-write view of the delta-substitution memo plus layered
    verdict/solver caches, so nothing shared is written while siblings
-   read.  Building a slice copies nothing: its solver is a lazy twin
-   (:meth:`~repro.smt.solver.Solver.fork_slice`) that forks the shared
-   CNF encoder and CDCL session only if one of the group's queries
-   reaches bit-blasting — a forwarding burst is decided by the gate and
-   the simplifier and never pays for a clause database it does not
-   probe.  The hash-consing term factory *is* shared (its interning is a
+   read.  Building a slice copies nothing: its solver is a plain
+   :class:`~repro.smt.solver.Solver` whose result memo is layered over
+   the shared one (the solver keeps no other state between queries).
+   The hash-consing term factory *is* shared (its interning is a
    single atomic dict operation), which keeps term identity — and
    therefore every downstream memo key — consistent across workers.
 4. **Merge** — after the pool joins, the slices' cache overlays are
@@ -69,7 +67,7 @@ from repro.runtime.semantics import (
     encode_table,
     encode_value_set,
 )
-from repro.smt.solver import SolverStats
+from repro.smt.solver import Solver, SolverStats
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +399,9 @@ class WorkerSlice:
     """Per-worker view of the shared engine state.
 
     The slice owns everything a conflict group's warm work writes: a
-    copy-on-write substitution view, a private query engine whose
-    executability/solver/simplify caches are layered over the shared
-    ones, and — from its first bit-blasted query on — a private CNF
-    encoder and CDCL session (Tseitin variable numbering cannot be shared
-    across threads).  The immutable inputs — the data-plane model,
+    copy-on-write substitution view and a private query engine and
+    solver whose executability/result/simplify caches are layered over
+    the shared ones.  The immutable inputs — the data-plane model,
     the control-plane state of *this group's* tables, and the hash-consed
     term factory — are shared.
     """
@@ -416,12 +412,12 @@ class WorkerSlice:
         # its query engine, as the shared ones share one memo.
         simplify_memo = LayeredMemo(shared_qe._simplify_memo)
         self.substitution = ctx.substitution.fork_slice(simplify_memo)
-        # A lazy twin of the shared solver: it copies the shared encoder
-        # and CDCL session (problem + learned clauses) when one of this
-        # slice's queries first reaches bit-blasting, and never if the
-        # gate and the simplifier decide them all — the common burst.
-        solver = shared_qe.solver.fork_slice()
-        solver._results = LayeredCache(shared_qe.solver._results)
+        shared_solver = shared_qe.solver
+        solver = Solver(
+            use_interval_precheck=shared_solver.use_interval_precheck,
+            max_conflicts=shared_solver.max_conflicts,
+        )
+        solver._results = LayeredCache(shared_solver._results)
         # The verdict gate forks too: shared FDDs (read-only during group
         # execution — all state mutation happened up front on the main
         # thread), overlaid witness records, private counters.
@@ -446,12 +442,12 @@ class WorkerSlice:
             shared_qe._table_verdict_memo
         )
 
-    def merge_into(self, ctx: EngineContext) -> tuple[int, int, int]:
+    def merge_into(self, ctx: EngineContext) -> tuple[int, int]:
         """Fold this slice's cache deltas into the shared context.
 
         Runs on the main thread after the pool joins.  Returns
-        ``(memo_entries, verdict_entries, learned_clauses)`` grafted, for
-        the :class:`~repro.engine.events.BatchMerged` event.
+        ``(memo_entries, verdict_entries)`` grafted, for the
+        :class:`~repro.engine.events.BatchMerged` event.
         """
         memo_entries = ctx.substitution.absorb(self.substitution)
         shared_qe = ctx.query_engine
@@ -475,15 +471,12 @@ class WorkerSlice:
         shared = shared_qe.solver
         shared.cache_counter.hit(qe.solver.cache_counter.hits)
         shared.cache_counter.miss(qe.solver.cache_counter.misses)
-        shared.cnf_counter.hit(qe.solver.cnf_counter.hits)
-        shared.cnf_counter.miss(qe.solver.cnf_counter.misses)
-        # Query stats, search stats, probe latencies, and the slice's
-        # exportable learned clauses all fold back through the solver.
-        learned = shared.absorb_fork(qe.solver)
+        # Query stats, search stats and probe latencies fold back.
+        shared.stats.absorb(qe.solver.stats)
         # Gate tier counters and witness-record deltas fold back the same
         # way; anchor-order iteration keeps the merge deterministic.
         shared_qe.gate.absorb_fork(qe.gate)
-        return memo_entries, verdict_entries, learned
+        return memo_entries, verdict_entries
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +721,6 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     affected_points = redecided_points = unchanged_points = 0
     memo_entries = 0
     verdict_entries = 0
-    learned_clauses = 0
     group_decisions: list = []
     for outcome in outcomes:
         # A slice's solver and gate stats start at zero when it forks.
@@ -737,10 +729,9 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         worker_gate.absorb(slice_qe.gate.stats)
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
-        grafted_memo, grafted_verdicts, grafted_learned = outcome.slice.merge_into(ctx)
+        grafted_memo, grafted_verdicts = outcome.slice.merge_into(ctx)
         memo_entries += grafted_memo
         verdict_entries += grafted_verdicts
-        learned_clauses += grafted_learned
         points = outcome.points
         ctx.point_verdicts.update(points.verdicts)
         ctx.table_verdicts.update(outcome.table_verdicts)
@@ -770,7 +761,6 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
                 group_count=len(groups),
                 merged_memo_entries=memo_entries,
                 merged_verdict_entries=verdict_entries,
-                imported_learned_clauses=learned_clauses,
                 elapsed_ms=(time.perf_counter() - merge_start) * 1000,
                 worker_solver_queries=worker_solver.total,
                 merged_solver_queries=merged_solver.total,

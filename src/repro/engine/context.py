@@ -2,7 +2,7 @@
 
 One :class:`EngineContext` owns it — the hash-consing table, the
 long-lived :class:`~repro.smt.substitute.DeltaSubstitution`, the
-verdict/CNF caches, the timing and cache metrics, the target backend, and
+verdict caches, the timing and cache metrics, the target backend, and
 the event bus — and passes are plain functions over the context.
 """
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.engine.events import EventBus
+from repro.ir.metrics import CacheCounter
 from repro.runtime.semantics import DEFAULT_OVERAPPROX_THRESHOLD
 
 
@@ -82,7 +83,7 @@ class EngineContext:
     # Analysis products.
     model: Optional[object] = None  # DataPlaneModel
     state: Optional[object] = None  # ControlPlaneState
-    query_engine: Optional[object] = None  # QueryEngine (verdict/CNF caches)
+    query_engine: Optional[object] = None  # QueryEngine (verdict caches)
     gate: Optional[object] = None  # VerdictGate (lookup rows + witness records)
     specializer: Optional[object] = None  # Specializer
     # The interning table every id()-keyed memo relies on.
@@ -132,6 +133,8 @@ class EngineContext:
             self.query_engine.exec_counter,
             self.query_engine.table_verdict_counter,
             self.query_engine.solver.cache_counter,
-            self.query_engine.solver.cnf_counter,
+            # Always zero: the solver keeps no CNF between queries, but
+            # the end-to-end benchmark harness still reads this name.
+            CacheCounter("cnf-fragments"),
             self.state.active_counter,
         ]

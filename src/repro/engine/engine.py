@@ -102,13 +102,7 @@ class Engine:
         else:
             entry = ctx.store.get(ctx.source, ctx.options)
         if ctx.bus.active and entry is not None:
-            ctx.bus.emit(
-                StoreActivity(
-                    key=entry.key,
-                    hit=ctx.store_hit,
-                    shared_fragments=entry.encoder.fragment_count,
-                )
-            )
+            ctx.bus.emit(StoreActivity(key=entry.key, hit=ctx.store_hit))
 
     # -- warm-state snapshot ---------------------------------------------------
 

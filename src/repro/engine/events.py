@@ -107,7 +107,6 @@ class BatchMerged(Event):
     merged_memo_entries: int  # substitution memo entries grafted
     merged_verdict_entries: int  # solver/executability cache entries grafted
     elapsed_ms: float
-    imported_learned_clauses: int = 0  # CDCL clauses folded into the session
     worker_solver_queries: int = 0  # sum of per-worker SolverStats.total
     merged_solver_queries: int = 0  # shared SolverStats.total delta over the merge
     worker_gate_screens: int = 0  # sum of per-worker GateStats.screened
@@ -168,7 +167,6 @@ class StoreActivity(Event):
 
     key: str  # content hash of (source, cold-relevant options)
     hit: bool  # adopted a donated entry vs. computed and donated
-    shared_fragments: int  # encoder CNF fragments visible after attach
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,7 @@ class SnapshotRestored(Event):
     """An engine rebuilt its warm state from a snapshot blob."""
 
     memo_entries: int  # substitution memo entries restored
-    learned_clauses: int  # session clause-database size restored
     witness_records: int  # gate witness fingerprints restored
-    replayed_roots: int  # encoder roots replayed (0 = attached shared)
 
 
 @dataclass(frozen=True)

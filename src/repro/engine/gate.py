@@ -46,7 +46,7 @@ prove MAYBE, so the engine's verdicts are those of a bare
 ``QueryEngine`` over a one-shot substitution of the same mapping — the
 specification ``tests/engine/test_gate_differential.py`` compares with.
 
-Batch workers fork the gate alongside the solver session: witness
+Batch workers fork the gate alongside the solver's result memo: witness
 records are a copy-on-write overlay (conflict groups partition program
 points, so overlays never collide) merged back in anchor order; table
 entries only change on the main thread, before workers start, and a

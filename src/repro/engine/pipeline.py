@@ -236,7 +236,7 @@ class AnalysisPass:
     """One-time data-plane analysis plus the long-lived engine state.
 
     Produces the :class:`DataPlaneModel`, the control-plane state, the
-    query engine (owner of the verdict/CNF caches), the specializer, and
+    query engine (owner of the verdict caches), the specializer, and
     the cross-update :class:`DeltaSubstitution`.
     """
 
@@ -261,14 +261,11 @@ class AnalysisPass:
             ctx.model, use_solver=options.use_solver, gate=ctx.gate
         )
         if entry is not None:
-            # Share the term-pure warm layers: the program CNF (encoder),
-            # the persistent session (learned clauses included), the
-            # solver result memo, and the executability cache.  All are
-            # pure functions of hash-consed terms, so adopters and donor
-            # can interleave freely under serialized access.
-            ctx.query_engine.solver.adopt_shared(
-                entry.encoder, entry.session, entry.results
-            )
+            # Share the term-pure warm layers: the solver result memo and
+            # the executability cache.  Both are pure functions of
+            # hash-consed terms, so adopters and donor can interleave
+            # freely under serialized access.
+            ctx.query_engine.solver._results = entry.results
             ctx.query_engine._exec_cache = entry.exec_cache
         ctx.specializer = Specializer(
             ctx.program,
@@ -333,8 +330,8 @@ class RestorePass:
 
     Replaces :class:`EncodePass` in the restore pipeline: instead of the
     empty-config sweep, the snapshotted control plane is replayed, the
-    substitution memo / solver session / term-pure memos / gate witness
-    records are reinstalled, and the snapshotted verdicts are adopted —
+    substitution memo / term-pure memos / gate witness records are
+    reinstalled, and the snapshotted verdicts are adopted —
     so the following specialize/lower passes reproduce the snapshotted
     engine's current output without a single cold query.
     """
@@ -354,9 +351,7 @@ class RestorePass:
             ctx.bus.emit(
                 SnapshotRestored(
                     memo_entries=restored["memo_entries"],
-                    learned_clauses=restored["learned_clauses"],
                     witness_records=restored["witness_records"],
-                    replayed_roots=restored["replayed_roots"],
                 )
             )
 

@@ -247,9 +247,10 @@ class QueryEngine:
         """Decide a simplified guard: the one statement of the procedure.
 
         Trivial cases, the exec cache, the ``use_solver``/node-budget punt
-        and the probe pair ``check_sat(t)`` / ``check_sat(¬t)`` (whose
-        first layer is the solver's interval precheck).  The gate's
-        ``decide`` is this call plus witness-record upkeep.
+        and the probe pair ``check_sat(t)`` / ``check_sat(¬t)``
+        (:meth:`~repro.smt.solver.Solver.probe_pair`: both halves share
+        one throw-away encoding).  The gate's ``decide`` is this call plus
+        witness-record upkeep.
         """
         if term is T.TRUE:
             return Executability(ALWAYS, "trivial")
@@ -268,18 +269,16 @@ class QueryEngine:
         # one outcome we do not memoize: a later engine configuration change
         # (or solver cache warm-up) may let the same query finish.
         try:
-            positive = self.solver.check_sat(term)
-            if not positive.satisfiable:
-                found = Executability(NEVER, "probed")
-            else:
-                negative = self.solver.check_sat(T.bool_not(term))
-                if not negative.satisfiable:
-                    found = Executability(ALWAYS, "probed")
-                else:
-                    models = (positive.model, negative.model)
-                    found = Executability(MAYBE, "probed", models)
+            positive, negative = self.solver.probe_pair(term)
         except SolverBudgetExceeded:
             return Executability(MAYBE, "budget")
+        if not positive.satisfiable:
+            found = Executability(NEVER, "probed")
+        elif not negative.satisfiable:
+            found = Executability(ALWAYS, "probed")
+        else:
+            models = (positive.model, negative.model)
+            found = Executability(MAYBE, "probed", models)
         self._exec_cache[term] = found.verdict
         return found
 

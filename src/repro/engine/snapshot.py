@@ -1,10 +1,10 @@
 """Warm-state snapshot/restore: an engine's accumulated knowledge, on disk.
 
 A warm engine is expensive to recreate: beyond the cold pipeline it has
-learned CDCL clauses, substitution memo entries, solver/executability
-memo hits, and gate witness fingerprints — all paid for by processing
-real churn.  ``snapshot_context`` captures that state as one picklable
-blob; ``apply_snapshot`` rebuilds it into a freshly-analyzed context (in
+substitution memo entries, solver/executability memo hits, and gate
+witness fingerprints — all paid for by processing real churn.
+``snapshot_context`` captures that state as one picklable blob;
+``apply_snapshot`` rebuilds it into a freshly-analyzed context (in
 the same process or another one) so a failover replica or migrated
 shard starts at warm-path latency instead of re-running the cold sweep.
 
@@ -14,11 +14,8 @@ on decode, so identity-keyed memos line up with the restored engine's
 own hash-consed terms.  The control plane is stored as live entries per
 table (replayed as INSERTs in insertion order — ``TableState`` keeps
 only live entries, so this reproduces the state exactly) plus value-set
-tuples.  The encoder is stored as its top-level encode-root log:
-encoding is deterministic structural recursion, so replaying the log
-(:func:`~repro.smt.cnf.replay_encoder`) reproduces the exact variable
-numbering the snapshotted :class:`~repro.smt.session.SolverSession`
-requires.  Table assignments and the control mapping are *not* stored:
+tuples.  No CNF is stored: the solver keeps none between queries.
+Table assignments and the control mapping are *not* stored:
 they are pure functions of (table info, state, threshold) and are
 re-derived, yielding identical hash-consed terms.
 
@@ -26,11 +23,8 @@ re-derived, yielding identical hash-consed terms.
 (source, verdict-relevant options) pair — ``Engine.restore`` re-runs the
 front half of the cold pipeline from the blob's own copies of both, so
 mismatch is impossible by construction rather than checked after the
-fact.  Restoring against a shared store whose encoder has moved past
-the snapshot (extra roots appended by sibling switches) still attaches
-directly when the blob's root log is a prefix of the store's
-(append-only numbering); otherwise the encoder is replayed fresh and
-the engine simply stops sharing — degraded, never wrong.
+fact.  Restoring against a shared store merges the blob's term-pure
+memos into the store's: both sides are pure functions of the term.
 """
 
 from __future__ import annotations
@@ -43,10 +37,9 @@ from repro.runtime.semantics import (
     encode_value_set,
 )
 from repro.smt.arena import TermArena
-from repro.smt.cnf import replay_encoder, roots_compatible
-from repro.smt.session import SolverSession
 from repro.smt.solver import SatResult
 
+#: 6: no encoder root log and no solver session (5 carried both).
 #: 5: the pickled options have seven fields (4 carried three ablation
 #: switches on top).
 #: 4: gate records exist for executability points only and the blob has
@@ -55,7 +48,7 @@ from repro.smt.solver import SatResult
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 
 def snapshot_context(ctx) -> dict:
@@ -80,11 +73,6 @@ def snapshot_context(ctx) -> dict:
             name: values for name, values in ctx.state.value_sets.items() if values
         },
         "substitution": ctx.substitution.export_state(arena),
-        "roots": [
-            (is_bool, arena.encode(term))
-            for is_bool, term in solver._encoder.encode_roots()
-        ],
-        "session": solver._session.snapshot(),
         "results": [
             (arena.encode(term), (result.satisfiable, result.model))
             for term, result in solver._results.items()
@@ -135,30 +123,17 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         ctx.mapping.update(encode_value_set(info, ctx.state.value_sets[name]))
     # 3. Substitution mapping + memo, wholesale.
     memo_entries = ctx.substitution.import_state(arena, blob["substitution"])
-    # 4. Encoder + session.  Attach the context's current encoder when it
-    #    already presents the snapshot's fragment graph (fresh restore →
-    #    both empty; store-backed restore → blob roots are a prefix of
-    #    the shared log); otherwise replay the root log into a fresh one.
-    solver = ctx.query_engine.solver
-    roots = [(is_bool, arena.decode(index)) for is_bool, index in blob["roots"]]
-    replayed_roots = 0
-    if roots_compatible(solver._encoder, roots):
-        encoder = solver._encoder
-    else:
-        encoder = replay_encoder(roots, solver.cnf_counter)
-        replayed_roots = len(roots)
-    session = SolverSession.restore(encoder, blob["session"])
-    solver.adopt_shared(encoder, session)
-    # 5. Term-pure memos: union, never overwrite (a store-shared memo may
+    # 4. Term-pure memos: union, never overwrite (a store-shared memo may
     #    already hold entries from sibling switches — both sides are pure
     #    functions of the term, so any merge order is correct).
+    solver = ctx.query_engine.solver
     for index, (satisfiable, model) in blob["results"]:
         solver._results.setdefault(arena.decode(index), SatResult(satisfiable, model))
     for index, verdict in blob["exec_cache"]:
         ctx.query_engine._exec_cache.setdefault(arena.decode(index), verdict)
-    # 6. Gate witness fingerprints (plain values: nothing to re-intern).
+    # 5. Gate witness fingerprints (plain values: nothing to re-intern).
     witness_records = ctx.gate.restore_records(arena, blob["gate_records"])
-    # 7. Verdicts, the terms they were decided from (so the first pull
+    # 6. Verdicts, the terms they were decided from (so the first pull
     #    after restore that finds its term unchanged keeps its verdict, as
     #    the snapshotted engine would), and counters.
     ctx.point_verdicts.update(blob["point_verdicts"])
@@ -167,7 +142,7 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         ctx.query_engine._decided[pid] = (term, verdict)
     ctx.table_verdicts.update(blob["table_verdicts"])
     ctx.recompilations = blob["recompilations"]
-    # 8. Re-prime the table-verdict memo.  The memo itself cannot ride in
+    # 7. Re-prime the table-verdict memo.  The memo itself cannot ride in
     #    the blob (its keys embed term identities), but the re-derived
     #    assignments are identical hash-consed terms to what the warm path
     #    will look up, so one uncached pass here rebuilds every entry the
@@ -178,9 +153,7 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         )
     return {
         "memo_entries": memo_entries,
-        "learned_clauses": len(session.sat._learned),
         "witness_records": witness_records,
-        "replayed_roots": replayed_roots,
         "table_verdicts_primed": len(ctx.model.tables),
     }
 

@@ -5,8 +5,8 @@ The paper's premise is that control-plane churn arrives continuously at
 :class:`~repro.fleet.sim.FleetSimulator` drives N engines through a
 correlated churn trace (:func:`repro.runtime.trace.fleet_trace`), a
 :class:`~repro.fleet.store.SharedStore` deduplicates the cold artifacts
-and warm solver state switches running the same program would otherwise
-each rebuild, and warm-state snapshots
+and term-pure warm memos switches running the same program would
+otherwise each rebuild, and warm-state snapshots
 (:mod:`repro.engine.snapshot`) move a switch's accumulated knowledge to
 disk and back for failover and shard migration.
 """

@@ -14,8 +14,8 @@ platform-stable, per-switch workloads come from per-switch seeded
 :class:`~repro.runtime.fuzzer.EntryFuzzer` streams, and the event loop
 is single-threaded — so two simulators built from the same arguments
 (one shared, one isolated) replay byte-identical per-switch update
-sequences, which is what makes the shared-store differential (and the
-``dedup_ratio`` measurement) meaningful.
+sequences, which is what makes the shared-store differential
+meaningful.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class FleetReport:
     shared: bool
     events: int
     bursts: int
-    #: CNF fragments held across *distinct* encoders (shared engines
-    #: count their one store encoder once) — the dedup denominator.
-    fragment_footprint: int
-    encoder_vars: int
     store_entries: int = 0
     store_hits: int = 0
     store_donations: int = 0
@@ -84,13 +80,6 @@ class FleetReport:
 
     def specialized_sources(self) -> dict:
         return {result.switch: result.specialized_source for result in self.switches}
-
-
-def dedup_ratio(isolated: FleetReport, shared: FleetReport) -> float:
-    """How many times over the fleet would duplicate the program CNF."""
-    if not shared.fragment_footprint:
-        return 1.0
-    return isolated.fragment_footprint / shared.fragment_footprint
 
 
 class FleetSimulator:
@@ -193,23 +182,6 @@ class FleetSimulator:
 
     # -- results ---------------------------------------------------------------
 
-    @property
-    def fragment_footprint(self) -> int:
-        """CNF fragments across distinct encoders (shared counted once)."""
-        distinct: dict[int, int] = {}
-        for engine in self.engines:
-            encoder = engine.ctx.query_engine.solver._encoder
-            distinct[id(encoder)] = encoder.fragment_count
-        return sum(distinct.values())
-
-    @property
-    def encoder_vars(self) -> int:
-        distinct: dict[int, int] = {}
-        for engine in self.engines:
-            encoder = engine.ctx.query_engine.solver._encoder
-            distinct[id(encoder)] = encoder.var_count
-        return sum(distinct.values())
-
     def report(self) -> FleetReport:
         results = [
             SwitchResult(
@@ -231,8 +203,6 @@ class FleetSimulator:
             shared=self.store is not None,
             events=len(self.trace),
             bursts=sum(self._bursts),
-            fragment_footprint=self.fragment_footprint,
-            encoder_vars=self.encoder_vars,
             store_entries=len(self.store) if self.store is not None else 0,
             store_hits=self.store.hits if self.store is not None else 0,
             store_donations=self.store.donations if self.store is not None else 0,
@@ -286,5 +256,4 @@ __all__ = [
     "FleetReport",
     "FleetSimulator",
     "SwitchResult",
-    "dedup_ratio",
 ]

@@ -3,14 +3,11 @@
 Switches in a fleet overwhelmingly run the *same* data-plane program
 with *different* table configurations.  Everything the cold pipeline
 computes from the program alone — the parsed/pruned AST, the type
-environment, the data-plane model, the blasted program CNF, and the
-initial (empty-config) verdict sweep — is therefore identical across
-those switches, and so is every warm cache that is a pure function of
-hash-consed terms: the solver result memo, the executability cache, the
-CNF fragment graph, and the session's learned clauses (each learned
-clause is a consequence of Tseitin definitions alone, so it is valid for
-every engine probing the same encoder — see
-:mod:`repro.smt.session`).
+environment, the data-plane model, and the initial (empty-config)
+verdict sweep — is therefore identical across those switches, and so is
+every warm cache that is a pure function of hash-consed terms: the
+solver result memo and the executability cache.  The solver keeps no
+CNF between queries, so there is none to share.
 
 The store keys entries by a content hash of the canonical program source
 plus every verdict-relevant engine option (*not* the target backend,
@@ -58,8 +55,6 @@ class StoreEntry:
     prune_report: object
     model: object
     # Term-pure shared warm state (mutated in place by every adopter).
-    encoder: object  # FragmentBitBlaster — the shared program CNF
-    session: object  # SolverSession over the shared encoder
     results: dict  # Term → SatResult (solver result memo)
     exec_cache: dict  # Term → verdict string (executability cache)
     # Initial (empty-config) sweep, so adopters skip the cold encode pass.
@@ -102,25 +97,18 @@ class SharedStore:
     def donate(self, ctx) -> StoreEntry:
         """Register a completed cold run's artifacts as the program's entry.
 
-        The donor keeps using the now-shared encoder/session/memos; they
-        are pinned on the donor's solver so the var-limit generation reset
-        can never swap them out from under later adopters.
+        The donor keeps using the now-shared memos.
         """
         key = self.key_for(ctx.source, ctx.options)
         if key in self._entries:
             return self._entries[key]
-        solver = ctx.query_engine.solver
-        # Pin the donor to the shared state (no-op reassignment + pin).
-        solver.adopt_shared(solver._encoder, solver._session, solver._results)
         entry = StoreEntry(
             key=key,
             program=ctx.program,
             env=ctx.env,
             prune_report=ctx.prune_report,
             model=ctx.model,
-            encoder=solver._encoder,
-            session=solver._session,
-            results=solver._results,
+            results=ctx.query_engine.solver._results,
             exec_cache=ctx.query_engine._exec_cache,
             initial={
                 "mapping": dict(ctx.mapping),
@@ -138,20 +126,10 @@ class SharedStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def shared_fragments(self) -> int:
-        """Total CNF fragments held across all entries (the dedup numerator)."""
-        return sum(e.encoder.fragment_count for e in self._entries.values())
-
-    @property
-    def shared_vars(self) -> int:
-        return sum(e.encoder.var_count for e in self._entries.values())
-
     def describe(self) -> str:
         return (
             f"store: {len(self._entries)} entries, {self.hits} hits, "
-            f"{self.misses} misses, {self.donations} donations, "
-            f"{self.shared_fragments} shared CNF fragments"
+            f"{self.misses} misses, {self.donations} donations"
         )
 
 

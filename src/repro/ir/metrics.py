@@ -6,7 +6,7 @@ from here.
 
 This module also hosts the cache instrumentation shared by the
 cross-update evaluation caches (delta substitution, solver verdict
-memoization, CNF fragment reuse, active-entry elision): every cache layer
+memoization, active-entry elision): every cache layer
 owns a :class:`CacheCounter`, and :class:`CacheReport` aggregates them for
 the ``--stats`` CLI flag and the cache benchmarks.
 """

@@ -8,9 +8,10 @@ Public surface:
 * :mod:`repro.smt.substitute` — the e-matching-style substitution engine,
 * :mod:`repro.smt.interval` — interval abstract domain for fast pre-checks,
 * :mod:`repro.smt.cnf` / :mod:`repro.smt.sat` — bit-blasting and
-  incremental CDCL (assumptions, clause learning, restarts),
-* :mod:`repro.smt.session` — persistent assumption-probing solver session,
-* :mod:`repro.smt.solver` — the layered QF_BV decision facade,
+  CDCL (assumptions, clause learning, restarts),
+* :mod:`repro.smt.solver` — the layered QF_BV decision facade: each query
+  that reaches the SAT core gets a fresh encoding and solver, and the two
+  halves of an executability probe pair share one,
 * :mod:`repro.smt.arena` — the flat-array term codec warm-state
   snapshots ride in, and the storage behind the CDCL core's clause
   database.
@@ -18,7 +19,6 @@ Public surface:
 
 from repro.smt.arena import ClauseArena, TermArena
 from repro.smt.sat import SatStats, SolverBudgetExceeded
-from repro.smt.session import SolverSession
 from repro.smt.simplify import simplify
 from repro.smt.solver import SatResult, Solver, SolverStats
 from repro.smt.substitute import (

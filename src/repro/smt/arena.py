@@ -1,10 +1,10 @@
-"""Flat-array codecs for terms and CNF clauses.
+"""Flat arrays for terms and CNF clauses.
 
 ``Term`` deliberately refuses to pickle — its identity *is* its cache
-key, and an unpickled copy would bypass hash-consing.  Whatever has to
-cross a pickle boundary (the engine warm-state snapshot of
-:mod:`repro.engine.snapshot`, a :class:`~repro.smt.session.SolverSession`
-snapshot) rides in one of the two containers here instead:
+key, and an unpickled copy would bypass hash-consing.  What has to cross
+a pickle boundary (the engine warm-state snapshot of
+:mod:`repro.engine.snapshot`) rides in a :class:`TermArena` instead.
+The CDCL core keeps its clause database in a :class:`ClauseArena`.
 
 * :class:`TermArena` — a **codec**, not a second term representation.
   ``encode`` flattens a term DAG into parallel arrays (op code, width,
@@ -21,9 +21,7 @@ snapshot) rides in one of the two containers here instead:
   per-clause offset/length/flag arrays.  The CDCL core keeps watch
   lists as lists of integer clause references into this arena, so
   propagation walks contiguous ``array('i')`` slices instead of
-  ``Clause`` objects, and a solver snapshot is a handful of arrays —
-  cheap to copy for :meth:`~repro.smt.sat.SatSolver.fork` and trivially
-  picklable.
+  ``Clause`` objects.
 
 Determinism note: indices are assigned in first-encode order, so two
 runs that encode the same terms in the same order produce the same
@@ -270,10 +268,9 @@ class ClauseArena:
     """CNF clauses in one contiguous literal buffer.
 
     A clause is an integer reference (*cref*): its literals live at
-    ``lits[start[cref] : start[cref] + size[cref]]``.  Watch-list order,
-    learned flags, activities, and the dead mask are parallel arrays, so
-    the whole clause database copies with six array copies (``fork``)
-    and pickles without touching a single Python object per clause.
+    ``lits[start[cref] : start[cref] + size[cref]]``.  Learned flags,
+    activities, and the dead mask are parallel arrays, so no clause is a
+    Python object of its own.
 
     The CDCL solver's two-watched-literal scheme swaps the watched
     literals into slots 0/1 *in place*, exactly as the object core did
@@ -304,34 +301,3 @@ class ClauseArena:
         self.dead.append(0)
         self.activity.append(0.0)
         return cref
-
-    def clause(self, cref: int) -> list:
-        """The clause's literals, as a fresh list."""
-        first = self.start[cref]
-        return self.lits[first:first + self.size[cref]].tolist()
-
-    def shrink(self, cref: int, new_size: int) -> None:
-        """Drop trailing literals (root-level clause strengthening)."""
-        self.size[cref] = new_size
-
-    def copy(self) -> "ClauseArena":
-        twin = ClauseArena.__new__(ClauseArena)
-        twin.lits = array("i", self.lits)
-        twin.start = array("q", self.start)
-        twin.size = array("i", self.size)
-        twin.learned = bytearray(self.learned)
-        twin.dead = bytearray(self.dead)
-        twin.activity = array("d", self.activity)
-        return twin
-
-    def __getstate__(self):
-        return (
-            self.lits, self.start, self.size,
-            self.learned, self.dead, self.activity,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.lits, self.start, self.size,
-            self.learned, self.dead, self.activity,
-        ) = state

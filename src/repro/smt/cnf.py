@@ -1,6 +1,6 @@
 """Bit-blasting terms to CNF (Tseitin encoding).
 
-Turns a boolean :class:`~repro.smt.terms.Term` into clauses for the DPLL
+Turns a boolean :class:`~repro.smt.terms.Term` into clauses for the CDCL
 solver.  Every bitvector term becomes a vector of SAT literals (LSB first);
 every boolean term becomes a single literal.  Gates use the standard Tseitin
 encodings, arithmetic uses ripple-carry, and shifts by non-constant amounts
@@ -9,10 +9,8 @@ use a barrel shifter — everything a P4 program's expressions can contain.
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional
 
-from repro.ir.metrics import CacheCounter
 from repro.smt import terms as T
 from repro.smt.sat import SatSolver
 from repro.smt.terms import Term
@@ -288,238 +286,6 @@ class BitBlaster:
             zero = self.false_lit()
             current = [self._mux_gate(any_high, zero, c) for c in current]
         return current
-
-
-class _Fragment:
-    """The Tseitin cone of one term: its own gate clauses + child cones.
-
-    Clause literals live in one flat ``array('i')`` with prefix end
-    offsets instead of a list of lists: fragments are written once during
-    encoding and then shared read-only across every encoder fork and
-    session, so the compact layout cuts per-clause object overhead and
-    keeps cone streaming cache-friendly (and cheaply picklable).
-    """
-
-    __slots__ = ("_lits", "_ends", "_vars", "children", "out")
-
-    def __init__(self) -> None:
-        self._lits = array("i")
-        self._ends = array("q")  # end offset of each clause in _lits
-        self._vars = None  # distinct variables of _lits, derived on demand
-        self.children: list["_Fragment"] = []
-        self.out = None  # literal (bool terms) or literal vector (bv terms)
-
-    def append_clause(self, clause: list[int]) -> None:
-        self._lits.extend(clause)
-        self._ends.append(len(self._lits))
-        self._vars = None
-
-    @property
-    def variables(self) -> list:
-        """The fragment's distinct variables, in first-occurrence order.
-
-        Derived once: a session collecting a probe's decision scope reads
-        this instead of re-walking every literal of every clause.
-        """
-        if self._vars is None:
-            self._vars = list(dict.fromkeys(map(abs, self._lits)))
-        return self._vars
-
-    @property
-    def clauses(self):
-        """The fragment's clauses, yielded as literal lists."""
-        lits = self._lits
-        start = 0
-        for end in self._ends:
-            yield lits[start:end].tolist()
-            start = end
-
-
-class _FragmentSink:
-    """Duck-typed stand-in for :class:`SatSolver` during shared encoding.
-
-    Allocates variables from a process-stable counter and routes emitted
-    clauses to the fragment currently being encoded (``owner._sink``).
-    """
-
-    def __init__(self, owner: "FragmentBitBlaster") -> None:
-        self._owner = owner
-        self._num_vars = 0
-
-    def new_var(self) -> int:
-        self._num_vars += 1
-        return self._num_vars
-
-    def add_clause(self, lits) -> None:
-        self._owner._record(list(lits))
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-
-class FragmentBitBlaster(BitBlaster):
-    """A bit-blaster whose encodings persist *across* queries.
-
-    The plain :class:`BitBlaster` memoizes per-solver-instance: a fresh
-    query pays the full Tseitin cost again even for subterms it has
-    already encoded.  This subclass records, per hash-consed term, the
-    CNF *fragment* the term contributed (its own gate clauses plus
-    references to its children's fragments) against a global variable
-    numbering.  A query then only encodes the subterms it has never seen
-    — bit-blasting cost scales with the delta — and a
-    :class:`~repro.smt.session.SolverSession` streams the root's cone of
-    clauses into its persistent solver, each fragment once.
-    """
-
-    def __init__(self, counter: Optional[CacheCounter] = None) -> None:
-        super().__init__(solver=_FragmentSink(self))
-        self.counter = counter if counter is not None else CacheCounter("cnf")
-        self._stack: list[_Fragment] = []
-        self._bool_frags: dict[Term, _Fragment] = {}
-        self._bv_frags: dict[Term, _Fragment] = {}
-        # Top-level encode calls, in order (``(is_bool, term)``, first call
-        # per term only).  Encoding is a deterministic structural recursion
-        # over hash-consed terms, so replaying this log into a fresh
-        # blaster — :func:`replay_encoder` — reproduces the variable
-        # numbering and fragment graph *exactly*.  That replayability is
-        # what makes a :class:`~repro.smt.session.SolverSession` snapshot
-        # restorable in a process that no longer has the original encoder.
-        self._roots: list[tuple[bool, Term]] = []
-        self._root_set: set[tuple[bool, Term]] = set()
-        # The shared true-literal and its defining clause live in a
-        # preamble included in every cone (a plain BitBlaster would emit
-        # it inside whichever fragment happened to be open first).
-        self._true_lit = self.solver.new_var()
-        self._preamble: list[list[int]] = [[self._true_lit]]
-
-    @property
-    def var_count(self) -> int:
-        return self.solver.num_vars
-
-    @property
-    def fragment_count(self) -> int:
-        """Distinct Tseitin fragments encoded so far (dedup observability)."""
-        return len(self._bool_frags) + len(self._bv_frags)
-
-    def encode_roots(self) -> list[tuple[bool, Term]]:
-        """The top-level encode log (is_bool, term), in call order."""
-        return list(self._roots)
-
-    def _log_root(self, is_bool: bool, term: Term) -> None:
-        # Only genuinely top-level calls shape the allocation order; a
-        # repeat (or a root already encoded as some other root's subterm)
-        # is a numbering no-op, so logging its first top-level occurrence
-        # is enough to replay the exact variable sequence.
-        if not self._stack:
-            key = (is_bool, term)
-            if key not in self._root_set:
-                self._root_set.add(key)
-                self._roots.append(key)
-
-    def _record(self, clause: list[int]) -> None:
-        if self._stack:
-            self._stack[-1].append_clause(clause)
-        else:
-            self._preamble.append(clause)
-
-    def _encode_fragment(self, term: Term, cache: dict, encode_node):
-        frag = cache.get(term)
-        if frag is not None:
-            self.counter.hit()
-            if self._stack:
-                self._stack[-1].children.append(frag)
-            return frag.out
-        self.counter.miss()
-        frag = _Fragment()
-        if self._stack:
-            self._stack[-1].children.append(frag)
-        self._stack.append(frag)
-        try:
-            frag.out = encode_node(term)
-        finally:
-            self._stack.pop()
-        cache[term] = frag
-        return frag.out
-
-    def encode_bool(self, term: Term) -> int:
-        if not term.is_bool:
-            raise T.SortError("encode_bool expects a boolean term")
-        self._log_root(True, term)
-        return self._encode_fragment(term, self._bool_frags, self._encode_bool_node)
-
-    def encode_bv(self, term: Term) -> list[int]:
-        if not term.is_bv:
-            raise T.SortError("encode_bv expects a bitvector term")
-        self._log_root(False, term)
-        bits = self._encode_fragment(term, self._bv_frags, self._encode_bv_node)
-        if len(bits) != term.width:
-            raise AssertionError(
-                f"blasted {term.op} to {len(bits)} bits, expected {term.width}"
-            )
-        return bits
-
-    def fork(self, counter: Optional[CacheCounter] = None) -> "FragmentBitBlaster":
-        """A private copy for one batch worker slice.
-
-        Fragment objects are immutable once encoded, so the fork shares
-        them and copies only the lookup tables and the variable counter.
-        Fragments encoded after the fork allocate from each side's own
-        counter — the same numbers can mean different things across forks,
-        which is why sessions only exchange clauses over pre-fork
-        variables (see :meth:`repro.smt.session.SolverSession.fork`).
-        """
-        twin = FragmentBitBlaster(counter)
-        twin.solver._num_vars = self.solver.num_vars
-        twin._true_lit = self._true_lit
-        twin._var_bits = dict(self._var_bits)
-        twin._bool_vars = dict(self._bool_vars)
-        twin._bool_frags = dict(self._bool_frags)
-        twin._bv_frags = dict(self._bv_frags)
-        twin._preamble = list(self._preamble)
-        twin._roots = list(self._roots)
-        twin._root_set = set(self._root_set)
-        return twin
-
-
-def replay_encoder(
-    roots: list[tuple[bool, Term]],
-    counter: Optional[CacheCounter] = None,
-) -> FragmentBitBlaster:
-    """Rebuild a :class:`FragmentBitBlaster` from an encode-root log.
-
-    Encoding is a pure structural recursion, so replaying the same roots
-    in the same order reproduces the original's variable numbering and
-    fragment graph exactly — the precondition
-    :meth:`~repro.smt.session.SolverSession.restore` places on its
-    encoder.  Used by the warm-state snapshot layer to resurrect a
-    session's encoder in a process that never ran the original queries.
-    """
-    encoder = FragmentBitBlaster(counter)
-    for is_bool, term in roots:
-        if is_bool:
-            encoder.encode_bool(term)
-        else:
-            encoder.encode_bv(term)
-    return encoder
-
-
-def roots_compatible(
-    encoder: FragmentBitBlaster, roots: list[tuple[bool, Term]]
-) -> bool:
-    """Does ``encoder`` present the fragment graph ``roots`` describes?
-
-    True iff ``roots`` is a prefix of the encoder's own root log (term
-    comparison is identity — both sides intern through the default
-    factory).  Fragment numbering is append-only, so an encoder that has
-    encoded *more* roots since the log was taken still presents every
-    fragment/variable the log's session knew, unchanged — a shared-store
-    encoder extended by sibling switches stays attachable.
-    """
-    log = encoder._roots
-    if len(log) < len(roots):
-        return False
-    return all(log[i] == root for i, root in enumerate(roots))
 
 
 def assert_term(blaster: BitBlaster, term: Term) -> None:

@@ -1,18 +1,17 @@
 """An incremental CDCL SAT solver with solve-under-assumptions.
 
-This replaces the original one-shot chronological-backtracking DPLL.  The
-queries Flay asks (branch executability / constancy of the bit-blasted
-program formula under a control-plane assignment) arrive as a *stream* of
-closely-related CNFs, so the solver is built around the incremental
-interface Z3 gives the paper's prototype:
+This replaces the original one-shot chronological-backtracking DPLL.  Flay
+asks executability as a probe pair — is the guard satisfiable, is its
+negation? — so the solver keeps the incremental interface Z3 gives the
+paper's prototype:
 
 * clauses may be added at any time (:meth:`SatSolver.add_clause`) and the
   clause database — including everything *learned* — persists across
   :meth:`SatSolver.solve` calls;
 * :meth:`SatSolver.solve` takes ``assumptions``: literals that hold for
-  this call only.  A query is phrased as a fresh *activation literal*
-  guarding its root assertion, so probing a query never poisons the
-  database for the next one;
+  this call only.  Both halves of a pair are encoded into one solver and
+  each is solved under its own root literal, so the first half never
+  constrains the second;
 * conflict analysis is first-UIP with learned-clause recording and
   non-chronological backjumping, decisions use an EVSIDS activity heap
   with phase saving, restarts follow the Luby sequence, and the learned
@@ -25,10 +24,7 @@ convention, unchanged from the DPLL this module used to hold.
 The clause database lives in a :class:`~repro.smt.arena.ClauseArena`:
 clauses are integer references (*crefs*) into one flat literal buffer,
 watch lists are lists of crefs, and the propagation loop walks
-contiguous ``array('i')`` storage instead of per-clause objects.  That
-makes :meth:`SatSolver.fork` a handful of array copies, and
-:meth:`SatSolver.snapshot` a picklable blob — the enabler for
-warm-state persistence.
+contiguous ``array('i')`` storage instead of per-clause objects.
 
 The search budget is counted in **conflicts**, not decisions: CDCL makes
 decisions nearly free (a heap pop plus propagation) while each conflict
@@ -160,14 +156,8 @@ class SatSolver:
         # database assigns its variables in one O(n) pass instead of
         # restarting the scan at 1 for every decision.
         self._sweep_hint = 1
-        # True while a decide_vars-scoped solve runs: scoped probes never
-        # consult the decision heap, so backtracking skips the heap pushes.
-        self._scoped = False
-        # Dead-literal bookkeeping for arena compaction.  Forked solvers
-        # never compact: a session fork marks inherited learned clauses by
-        # cref, and compaction would renumber them.
+        # Dead-literal bookkeeping for arena compaction.
         self._dead_lits = 0
-        self._compactable = True
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
@@ -288,15 +278,13 @@ class SatSolver:
         mark = self._trail_lim[level]
         assign, phase, reason = self._assign, self._phase, self._reason
         heap, activity = self._heap, self._activity
-        scoped = self._scoped  # scoped probes never consult the heap
         for i in range(len(self._trail) - 1, mark - 1, -1):
             lit = self._trail[i]
             var = lit if lit > 0 else -lit
             phase[var] = lit > 0
             assign[var] = None
             reason[var] = _NO_REASON
-            if not scoped:
-                heapq.heappush(heap, (-activity[var], var))
+            heapq.heappush(heap, (-activity[var], var))
         del self._trail[mark:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -309,8 +297,7 @@ class SatSolver:
 
         The watch-repair loop is inlined with local bindings and walks the
         arena's flat literal buffer — this is the solver's innermost loop,
-        and per-probe latency in the session's warm path is dominated by
-        it.
+        and per-probe search latency is dominated by it.
         """
         trail = self._trail
         assign = self._assign
@@ -539,9 +526,7 @@ class SatSolver:
     def _compact(self) -> None:
         """Rebuild the arena without dead rows, renumbering every cref.
 
-        Only ever called between solves, at decision level 0, and never on
-        a forked solver (a session fork pins inherited learned clauses by
-        cref — see :meth:`fork`).
+        Only ever called between solves, at decision level 0.
         """
         arena = self._arena
         fresh = ClauseArena()
@@ -571,7 +556,6 @@ class SatSolver:
         self,
         assumptions: Optional[Sequence[int]] = None,
         max_conflicts: Optional[int] = None,
-        decide_vars: Optional[Sequence[int]] = None,
     ) -> str:
         """CDCL search.  Returns ``SAT`` or ``UNSAT``.
 
@@ -580,18 +564,6 @@ class SatSolver:
         bounds the search; exceeding it raises :class:`SolverBudgetExceeded`
         with the solver left reusable, so callers can fall back to an
         overapproximation rather than stall the update path.
-
-        ``decide_vars`` restricts the decision procedure to the given
-        variables: once they (and the assumptions) are all assigned and
-        propagation quiesces without conflict, the answer is ``SAT``
-        *without* assigning the rest of the database.  This is only sound
-        when the caller guarantees every clause not fully covered by
-        ``decide_vars`` is extendable from any such partial assignment —
-        the solver-session discipline, where all other clauses are acyclic
-        Tseitin definitions (evaluate the unassigned gates bottom-up),
-        activation guards (satisfiable by ``act = false``), or learned
-        consequences of those.  The model then covers only the assigned
-        variables.  ``None`` keeps the classic full-assignment behaviour.
         """
         assumptions = list(assumptions) if assumptions else []
         for lit in assumptions:
@@ -604,34 +576,21 @@ class SatSolver:
         if not self._ok:
             return UNSAT
         self._backtrack(0)
-        if (
-            self._compactable
-            and self._dead_lits * 2 > len(self._arena.lits)
-            and self._dead_lits > 4096
-        ):
+        if self._dead_lits * 2 > len(self._arena.lits) and self._dead_lits > 4096:
             self._compact()
         if self._propagate() != _NO_REASON:
             self._ok = False
             return UNSAT
         try:
-            self._scoped = decide_vars is not None
-            result = self._search(assumptions, max_conflicts, decide_vars)
+            return self._search(assumptions, max_conflicts)
         finally:
             self._backtrack(0)
-            self._scoped = False
-        return result
 
-    def _search(
-        self,
-        assumptions: list[int],
-        budget: Optional[int],
-        decide_vars: Optional[Sequence[int]] = None,
-    ) -> str:
+    def _search(self, assumptions: list[int], budget: Optional[int]) -> str:
         conflicts_this_call = 0
         restart_number = 0
         restart_limit = self.RESTART_BASE * luby(1)
         conflicts_since_restart = 0
-        decide_idx = 0  # scan position in decide_vars; reset on backtrack
         while True:
             conflict = self._propagate()
             if conflict != _NO_REASON:
@@ -656,7 +615,6 @@ class SatSolver:
                 self._record_learned(learned)
                 self._var_inc *= self._var_decay
                 self._cla_inc *= self._cla_decay
-                decide_idx = 0
                 continue
             if conflicts_since_restart >= restart_limit:
                 self.stats.restarts += 1
@@ -664,17 +622,11 @@ class SatSolver:
                 restart_limit = self.RESTART_BASE * luby(restart_number + 1)
                 conflicts_since_restart = 0
                 self._backtrack(len(assumptions) if self._decision_level() else 0)
-                decide_idx = 0
                 continue
             if len(self._learned) >= self._max_learnts:
                 self._reduce_db()
                 self._max_learnts *= self._learnt_growth
-            if decide_vars is None:
-                lit = self._next_decision(assumptions)
-            else:
-                lit, decide_idx = self._next_scoped_decision(
-                    assumptions, decide_vars, decide_idx
-                )
+            lit = self._next_decision(assumptions)
             if lit is None:
                 # Snapshot the raw assignment (C-speed copy); the model
                 # dict is materialized lazily in :meth:`model`.
@@ -700,32 +652,6 @@ class SatSolver:
                 continue
             return lit
         return self._pick_branch()
-
-    def _next_scoped_decision(
-        self, assumptions: list[int], decide_vars: Sequence[int], idx: int
-    ):
-        """Decision restricted to ``decide_vars``: ``(lit, next_idx)``.
-
-        Returns ``(None, idx)`` once every scoped variable is assigned —
-        the partial-assignment SAT claim of ``solve(decide_vars=...)``."""
-        while self._decision_level() < len(assumptions):
-            lit = assumptions[self._decision_level()]
-            val = self._value(lit)
-            if val is False:
-                return UNSAT, idx
-            if val is True:
-                self._trail_lim.append(len(self._trail))
-                continue
-            return lit, idx
-        assign = self._assign
-        phase = self._phase
-        n = len(decide_vars)
-        while idx < n:
-            var = decide_vars[idx]
-            idx += 1
-            if assign[var] is None:
-                return (var if phase[var] else -var), idx
-        return None, idx
 
     def _assumption_level(self, learned: list[int]) -> int:
         """Assumption decisions may not be undone by a backjump to 0 while
@@ -758,150 +684,3 @@ class SatSolver:
         if snapshot is None or not 0 < var < len(snapshot):
             return None
         return snapshot[var]
-
-    # -- forking (batch-scheduler worker sessions) ----------------------------
-
-    def fork(self) -> "SatSolver":
-        """An independent copy sharing no mutable state.
-
-        The fork starts with the same problem and learned clauses, variable
-        activities, and saved phases; budgets and statistics start fresh.
-        Crefs are preserved (the arena is copied wholesale), so a session
-        can mark the inherited learned clauses by cref — which is also why
-        forks never compact their arena.  Used by the batch scheduler to
-        hand each worker slice a warm private solver.
-        """
-        self._backtrack(0)
-        twin = SatSolver()
-        twin._arena = self._arena.copy()
-        twin._clauses = list(self._clauses)
-        twin._learned = list(self._learned)
-        twin._num_vars = self._num_vars
-        twin._ok = self._ok
-        twin._assign = list(self._assign)
-        twin._level = list(self._level)
-        twin._reason = [_NO_REASON] * len(self._reason)
-        twin._activity = list(self._activity)
-        twin._phase = list(self._phase)
-        twin._trail = list(self._trail)
-        twin._qhead = len(twin._trail)
-        twin._dead_lits = self._dead_lits
-        twin._compactable = False
-        twin._var_inc = self._var_inc
-        twin._cla_inc = self._cla_inc
-        twin._max_learnts = self._max_learnts
-        twin._rebuild_watches()
-        return twin
-
-    def _rebuild_watches(self) -> None:
-        """Watch the first two literals of every live clause, in database
-        order — the deterministic layout a freshly-loaded solver has."""
-        watches: dict[int, list[int]] = {}
-        arena = self._arena
-        alits, astart = arena.lits, arena.start
-        for group in (self._clauses, self._learned):
-            for cref in group:
-                base = astart[cref]
-                for lit in (alits[base], alits[base + 1]):
-                    bucket = watches.get(lit)
-                    if bucket is None:
-                        watches[lit] = [cref]
-                    else:
-                        bucket.append(cref)
-        self._watches = watches
-
-    # -- snapshot / restore (warm persistence) ----------------------------------
-
-    def snapshot(self) -> dict:
-        """A picklable blob of the full solver state, at decision level 0.
-
-        Everything semantic is captured: the clause arena, variable
-        assignments/levels (the root trail), activities, phases, and the
-        EVSIDS/learnt-size parameters.  Watches and the decision heap are
-        derived state and are rebuilt on :meth:`restore`.
-        """
-        self._backtrack(0)
-        return {
-            "arena": self._arena.copy(),
-            "clauses": list(self._clauses),
-            "learned": list(self._learned),
-            "num_vars": self._num_vars,
-            "ok": self._ok,
-            "assign": list(self._assign),
-            "level": list(self._level),
-            "activity": list(self._activity),
-            "phase": list(self._phase),
-            "trail": list(self._trail),
-            "dead_lits": self._dead_lits,
-            "var_inc": self._var_inc,
-            "cla_inc": self._cla_inc,
-            "max_learnts": self._max_learnts,
-        }
-
-    @classmethod
-    def restore(cls, blob: dict) -> "SatSolver":
-        """Rebuild a solver from a :meth:`snapshot` blob."""
-        twin = cls()
-        twin._arena = blob["arena"].copy()
-        twin._clauses = list(blob["clauses"])
-        twin._learned = list(blob["learned"])
-        twin._num_vars = blob["num_vars"]
-        twin._ok = blob["ok"]
-        twin._assign = list(blob["assign"])
-        twin._level = list(blob["level"])
-        twin._reason = [_NO_REASON] * len(twin._assign)
-        twin._activity = list(blob["activity"])
-        twin._phase = list(blob["phase"])
-        twin._trail = list(blob["trail"])
-        twin._qhead = len(twin._trail)
-        twin._dead_lits = blob["dead_lits"]
-        twin._var_inc = blob["var_inc"]
-        twin._cla_inc = blob["cla_inc"]
-        twin._max_learnts = blob["max_learnts"]
-        twin._rebuild_watches()
-        return twin
-
-    def learned_clauses(self) -> list[list[int]]:
-        """Snapshots of the current learned clauses (for session export)."""
-        return [self._clause_lits(cref) for cref in self._learned]
-
-    def import_learned(self, clauses: Iterable[Sequence[int]]) -> int:
-        """Install externally learned clauses (logical consequences only).
-
-        Returns how many clauses were installed.  Used when folding a
-        worker session's learned clauses back into the shared session —
-        the clauses must be consequences of this solver's database, which
-        holds for any clause a fork learned over pre-fork variables.
-        """
-        count = 0
-        for lits in clauses:
-            if not self._ok:
-                break
-            self._backtrack(0)
-            reduced: list[int] = []
-            satisfied = False
-            for lit in lits:
-                if abs(lit) > self._num_vars:
-                    reduced = []
-                    satisfied = True  # unknown variable: skip the clause
-                    break
-                val = self._value(lit)
-                if val is True:
-                    satisfied = True
-                    break
-                if val is None:
-                    reduced.append(lit)
-            if satisfied:
-                continue
-            if not reduced:
-                self._ok = False
-                break
-            if len(reduced) == 1:
-                if not self._assert_root(reduced[0]):
-                    self._ok = False
-                count += 1
-                continue
-            self._attach(self._arena.add(reduced, learned=True))
-            self.stats.learned += 1
-            count += 1
-        return count

@@ -7,39 +7,36 @@ within its ~100 ms budget (§4.1):
 2. interval abstract interpretation (cheap sound pre-check; an equality
    between a constant and a table's ``ite`` chain is decided by reading the
    chain's leaves, so a guard no action value can satisfy is refuted
-   without being encoded, loaded into the session or probed; and a
-   conjunction is read under the ``v == c`` equalities it asserts, so a
-   first-match guard that contradicts its own key is refuted the same way),
-3. bit-blasting + incremental CDCL (complete, used when the fast paths punt).
+   without being encoded or probed; and a conjunction is read under the
+   ``v == c`` equalities it asserts, so a first-match guard that
+   contradicts its own key is refuted the same way),
+3. bit-blasting + CDCL (complete, used when the fast paths punt).
 
-Two cross-update caches sit on top (the "Once" cost paid once):
+A **result memo** keyed on the hash-consed simplified term sits behind the
+simplifier: identical residual terms across updates never reach layers 2
+and 3 twice.
 
-* a **result memo** keyed on the hash-consed simplified term — identical
-  residual terms across updates never reach the SAT core twice, and
-* a **CNF fragment cache** (:class:`~repro.smt.cnf.FragmentBitBlaster`)
-  that reuses Tseitin encodings of shared subterms across queries, so
-  bit-blasting cost scales with the delta rather than the full expression.
-
-Below both sits the **solver session** (:class:`~repro.smt.session.SolverSession`):
-one persistent CDCL instance per solver into which every query's cone is
-streamed exactly once and probed under an activation-literal assumption —
-the incremental-solving discipline the paper gets from Z3.  Clauses the
-CDCL core learns while answering one update's queries keep pruning the
-search for every later update.
+Layer 3 keeps nothing between queries.  Each query that reaches it gets a
+fresh :class:`~repro.smt.cnf.BitBlaster` and SAT solver, dropped once it
+is answered — except that the two halves of an executability probe pair
+(:meth:`Solver.probe_pair`) share one.  The first half to reach layer 3
+builds it; each half encodes its term into it (the second reuses the
+subterm encodings the first memoised) and is solved under its root
+literal as an assumption.  The clause database holds only Tseitin
+definitions, which every input assignment extends, so neither half
+constrains the other and each gets the answer a fresh solver would give.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.ir.metrics import CacheCounter
 from repro.smt import interval, sat, terms as T
-from repro.smt.cnf import BitBlaster, FragmentBitBlaster, assert_term, model_values
+from repro.smt.cnf import BitBlaster, model_values
 from repro.smt.sat import SatStats
-from repro.smt.session import SolverSession
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
 
@@ -145,60 +142,25 @@ class SatResult:
 class Solver:
     """Decides satisfiability/validity of boolean terms over bitvectors."""
 
-    #: Reset the shared encoder past this many allocated SAT variables —
-    #: a generation bump that bounds fragment-cache (and session clause
-    #: database) memory.  The result memo survives resets (its entries
-    #: stay correct forever).
-    ENCODER_VAR_LIMIT = 500_000
-
     def __init__(
         self,
         use_interval_precheck: bool = True,
         max_conflicts: Optional[int] = 100_000,
-        share_encodings: bool = True,
-        _fork_of: Optional["Solver"] = None,
     ) -> None:
         self.use_interval_precheck = use_interval_precheck
         self.max_conflicts = max_conflicts
-        self.share_encodings = share_encodings
         self.stats = SolverStats()
         self.cache_counter = CacheCounter("solver-memo")
-        self.cnf_counter = CacheCounter("cnf-fragments")
-        self.generation = 0
         self._results: dict[Term, SatResult] = {}
-        #: Set on a :meth:`fork_slice` twin until its first bit-blasted
-        #: query: the solver whose encoder and session it will fork then.
-        self._fork_parent = _fork_of
-        #: Serializes the materialisation of this solver's twins (two
-        #: thread slices may reach it at once, and ``SatSolver.fork``
-        #: backtracks the solver it copies).
-        self._fork_lock = threading.Lock()
-        self._encoder: Optional[FragmentBitBlaster] = None
-        self._session: Optional[SolverSession] = None
-        #: Set by :meth:`adopt_shared`: the encoder is owned by a shared
-        #: store, so the var-limit generation reset must never swap it out
-        #: from under the other solvers attached to it.
-        self._encoder_pinned = False
-        if _fork_of is None:
-            self._reset_encoder()
-
-    @property
-    def session(self) -> Optional[SolverSession]:
-        """The CDCL session (None on a twin that has not bit-blasted yet)."""
-        return self._session
-
-    def _reset_encoder(self) -> None:
-        self._fork_parent = None
-        self._encoder = FragmentBitBlaster(self.cnf_counter)
-        self._session = SolverSession(self._encoder)
-        self._encoder_pinned = False
+        # Inside :meth:`probe_pair`: whether a pair is open, and its
+        # encoding once one of its halves has reached bit-blasting.
+        self._pairing = False
+        self._pair: Optional[BitBlaster] = None
 
     def invalidate_caches(self) -> None:
-        """Drop the result memo, fragment cache, and solver session."""
-        self.generation += 1
+        """Drop the result memo."""
         self.cache_counter.invalidate(len(self._results))
         self._results.clear()
-        self._reset_encoder()
 
     def check_sat(self, term: Term) -> SatResult:
         """Is there an assignment making ``term`` true?"""
@@ -235,125 +197,53 @@ class Solver:
         self._results[simplified] = result
         return result
 
+    def probe_pair(self, term: Term) -> tuple[SatResult, Optional[SatResult]]:
+        """Executability's probe pair: ``check_sat(term)`` and, when that is
+        satisfiable, ``check_sat(¬term)`` (else ``None``).
+
+        Both halves go through :meth:`check_sat`, so every layer and the
+        result memo see each of them; the halves that reach bit-blasting
+        share one encoding (see the module docstring), dropped on return.
+        A blown budget on either half raises
+        :class:`~repro.smt.sat.SolverBudgetExceeded` after the drop.
+        """
+        self._pairing = True
+        try:
+            positive = self.check_sat(term)
+            if not positive.satisfiable:
+                return positive, None
+            return positive, self.check_sat(T.bool_not(term))
+        finally:
+            self._pairing = False
+            self._pair = None
+
     def _check_sat_blasted(self, simplified: Term) -> SatResult:
         start = time.perf_counter()
         try:
-            if not self.share_encodings:
-                return self._solve_fresh(simplified)
-            if self._fork_parent is not None:
-                self._materialize_fork()
-            if (
-                not self._encoder_pinned
-                and self._encoder.var_count > self.ENCODER_VAR_LIMIT
-            ):
-                self.cnf_counter.invalidate()
-                self._reset_encoder()
-            return self._solve_session(simplified)
+            return self._solve(simplified)
         finally:
             elapsed_us = (time.perf_counter() - start) * 1e6
             self.stats.probes += 1
             self.stats.probe_us_total += elapsed_us
             self.stats.probe_latencies_us.append(elapsed_us)
 
-    def _solve_session(self, simplified: Term) -> SatResult:
-        """One assumption probe against the persistent session."""
-        session = self._session
-        before = session.sat.stats.snapshot()
+    def _solve(self, simplified: Term) -> SatResult:
+        """Encode ``simplified`` and solve it under its root literal."""
+        blaster = self._pair
+        if blaster is None:
+            blaster = BitBlaster()
+            if self._pairing:
+                self._pair = blaster
+        solver = blaster.solver
+        before = solver.stats.snapshot()
         try:
-            satisfiable = session.probe(
-                simplified, max_conflicts=self.max_conflicts
-            )
+            root = blaster.encode_bool(simplified)
+            outcome = solver.solve(assumptions=[root], max_conflicts=self.max_conflicts)
         finally:
-            self.stats.search.add(session.sat.stats.since(before))
-        if not satisfiable:
-            return SatResult(False)
-        return SatResult(True, session.model_values(simplified))
-
-    def _solve_fresh(self, simplified: Term) -> SatResult:
-        """Fresh per-query encoding and solver (``share_encodings=False``)."""
-        blaster = BitBlaster()
-        assert_term(blaster, simplified)
-        try:
-            outcome = blaster.solver.solve(max_conflicts=self.max_conflicts)
-        finally:
-            self.stats.search.add(blaster.solver.stats)
+            self.stats.search.add(solver.stats.since(before))
         if outcome == sat.UNSAT:
             return SatResult(False)
         return SatResult(True, model_values(blaster, simplified))
-
-    # -- shared-store adoption -------------------------------------------------
-
-    def adopt_shared(
-        self,
-        encoder: FragmentBitBlaster,
-        session: Optional[SolverSession] = None,
-        results: Optional[dict[Term, SatResult]] = None,
-    ) -> None:
-        """Attach this solver to store-owned warm state.
-
-        ``encoder`` (and optionally ``session`` and the result memo) come
-        from a fleet shared store; every cache involved is a pure function
-        of hash-consed terms, so sharing them across engine instances is
-        sound as long as access is serialized (the fleet simulator is a
-        single-threaded discrete-event loop).  The encoder is pinned:
-        generation resets are disabled so sibling solvers never see their
-        fragment numbering invalidated.
-        """
-        self._encoder = encoder
-        self._session = session if session is not None else SolverSession(encoder)
-        if results is not None:
-            self._results = results
-        self._encoder_pinned = True
-
-    # -- batch-worker forking --------------------------------------------------
-
-    def fork_slice(self) -> "Solver":
-        """A private view for one batch worker slice; copies nothing yet.
-
-        The twin keeps a reference to this solver and forks its encoder
-        and session (:meth:`_materialize_fork`) only when one of its own
-        queries falls through to bit-blasting — most slices decide every
-        point in the gate or the simplifier and never do.  Nothing
-        mutable is shared either way; the anchor-order merge folds the
-        twin's stats and exportable learned clauses back via
-        :meth:`absorb_fork`.  The batch scheduler probes only slices
-        between fork and merge, so a twin forks the same clause database
-        whenever it materialises.
-        """
-        twin = Solver(
-            use_interval_precheck=self.use_interval_precheck,
-            max_conflicts=self.max_conflicts,
-            share_encodings=self.share_encodings,
-            _fork_of=self,
-        )
-        twin.generation = self.generation
-        return twin
-
-    def _materialize_fork(self) -> None:
-        """Fork the parent's encoder and session, on the first probe.
-
-        The twin gets its own encoder (sharing the parent's immutable
-        fragments) and its own session pre-loaded with the parent's
-        clause database — including everything learned so far — so the
-        probe that triggered this, and every later one, runs warm.
-        """
-        parent = self._fork_parent
-        with parent._fork_lock:
-            self._encoder = parent._encoder.fork(self.cnf_counter)
-            self._session = parent._session.fork(self._encoder)
-        self._fork_parent = None
-
-    def absorb_fork(self, fork: "Solver") -> int:
-        """Fold a fork's query/search stats and learned clauses back.
-
-        Returns the number of learned clauses imported into the shared
-        session (0 when the fork never materialised or its session is
-        unrelated).
-        """
-        self.stats.absorb(fork.stats)
-        if fork._session is None:
-            return 0
-        return self._session.absorb(fork._session)
 
     # -- higher-level queries --------------------------------------------------
 

@@ -19,8 +19,8 @@ is module-level and therefore immortal.  Consequently a term built through
 the module-level constructors is never garbage-collected, its ``id()`` is
 stable for the life of the process, and a memo keyed on ``id(term)`` can
 never alias a recycled address.  The cross-update caches (delta
-substitution, simplify memos, solver verdict cache, CNF fragments) rely on
-this; ``tests/smt/test_interning.py`` is the regression test.  Caches keyed
+substitution, simplify memos, solver verdict cache, the bit-blaster's
+encoding memo) rely on this; ``tests/smt/test_interning.py`` is the regression test.  Caches keyed
 directly on :class:`Term` objects (hash is precomputed, equality short-cuts
 on identity) additionally hold their own strong references and are safe
 even for terms from short-lived private factories.

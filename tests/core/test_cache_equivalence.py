@@ -1,10 +1,10 @@
 """Property tests: the cross-update caches never change any verdict.
 
-The caching layers (delta substitution, solver verdict memo, CNF fragment
-reuse, incremental active-entry maintenance) are pure-reuse optimizations:
-a warm pipeline must produce verdicts *bit-identical* to a pipeline built
-from scratch over the same control-plane state, and the shared-encoding
-solver must agree with a fresh-encoding solver on every query.
+The caching layers (delta substitution, solver verdict memo, incremental
+active-entry maintenance) are pure-reuse optimizations: a warm pipeline
+must produce verdicts *bit-identical* to a pipeline built from scratch
+over the same control-plane state, and a probe pair sharing one encoding
+must agree with two fresh solvers on every query.
 """
 
 import random
@@ -126,8 +126,8 @@ def test_flap_cycle_restores_identical_verdicts():
 
 
 class TestSharedEncodingSolverAgrees:
-    """The fragment-cached solver is query-for-query equivalent to one that
-    re-encodes from scratch."""
+    """A probe pair whose halves share one encoding is half-for-half
+    equivalent to two solvers that each encode from scratch."""
 
     def _random_bool_term(self, rng, depth=0):
         x = T.data_var("x", 8)
@@ -148,25 +148,28 @@ class TestSharedEncodingSolverAgrees:
 
     def test_verdicts_match_fresh_encoding(self):
         rng = random.Random(5)
-        shared = Solver(share_encodings=True)
+        shared = Solver()
         queries = [self._random_bool_term(rng) for _ in range(25)]
-        # Each query twice: the second round runs entirely from the caches.
+        # Each query twice: the second round runs entirely from the memo.
         for term in queries + queries:
-            fresh = Solver(share_encodings=False)
-            assert shared.check_sat(term).satisfiable == fresh.check_sat(term).satisfiable
+            positive, negative = shared.probe_pair(term)
+            assert positive.satisfiable == Solver().check_sat(term).satisfiable
+            if negative is not None:
+                fresh = Solver().check_sat(T.bool_not(term))
+                assert negative.satisfiable == fresh.satisfiable
         assert shared.cache_counter.hits > 0
-        assert shared.cnf_counter.hits > 0
 
     def test_model_decodes_against_original_term(self):
-        # A model produced through cone replay + local renumbering must
-        # still satisfy the term it was found for.
-        solver = Solver(share_encodings=True)
+        # The second half's model comes from a solver that also holds the
+        # first half's encoding; it must still satisfy its own term.
+        solver = Solver()
         x = T.data_var("x", 8)
         y = T.data_var("y", 8)
         term = T.bool_and(
             T.eq(T.bv_and(x, T.bv_const(0xF0, 8)), T.bv_const(0x30, 8)),
             T.ult(y, x),
         )
-        result = solver.check_sat(term)
-        assert result.satisfiable
-        assert T.evaluate(term, result.model) == 1
+        positive, negative = solver.probe_pair(term)
+        assert solver.stats.probes == 2
+        assert T.evaluate(term, positive.model) == 1
+        assert T.evaluate(term, negative.model) == 0

@@ -315,7 +315,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 5
+    assert blob["format"] == 6
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -386,5 +386,15 @@ def test_a_format_4_blob_is_refused_not_misread():
     blob = live.snapshot()
     assert len(dataclasses.fields(blob["options"])) == 7
     blob["format"] = 4
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_5_blob_is_refused_not_misread():
+    """Format 5 carried the encoder's root log and the solver session."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    blob = live.snapshot()
+    assert "roots" not in blob and "session" not in blob
+    blob["format"] = 5
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

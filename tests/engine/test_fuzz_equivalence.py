@@ -126,14 +126,12 @@ def test_batch_stream_matches_cold_rebuild():
 
 @pytest.mark.parametrize("seed", [5, 17])
 def test_incremental_session_matches_replay_baseline(seed):
-    """The persistent assumption-probing solver session must be invisible:
+    """The engine's warm caches and witness replays must be invisible:
     across a fuzzed stream, every decision, verdict, and the specialized
     source match the specification (``tests/engine/spec.py``) deciding
-    with a solver that encodes and solves every query afresh."""
+    every point afresh with its own solver."""
     flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
-    fresh = Solver(
-        share_encodings=False, max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS
-    )
+    fresh = Solver(max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS)
     spec = Spec(flay, solver=fresh)
     fuzzer = EntryFuzzer(flay.model, seed=seed)
     stream = fuzzer.update_stream(tables=["t1", "t2"], count=40)

@@ -125,8 +125,8 @@ class TestWiring:
             assert state.fdd is not None
 
     def test_no_option_switches_a_layer_off(self):
-        """The gate, the table-verdict memo and the solver session are not
-        options: an ablation of one is the specification in ``spec.py``."""
+        """The gate and the table-verdict memo are not options: an
+        ablation of one is the specification in ``spec.py``."""
         assert {f.name for f in dataclasses.fields(EngineOptions)} == {
             "skip_parser",
             "overapprox_threshold",

@@ -15,11 +15,7 @@ over all seven zoo programs this module pins, by count:
 * no ``check_sat`` call happens while a value point is being decided;
 * one ``VerdictGate.decide`` is exactly one
   ``QueryEngine._executability`` call, and a record exists afterwards
-  iff that call found MAYBE with both probe models;
-* the decision scope a session derives from the fragments' cached
-  variable lists is the list the literal-by-literal cone walk gives, for
-  every activation (same order ⇒ same scoped decisions ⇒ same models ⇒
-  same witness records).
+  iff that call found MAYBE with both probe models.
 """
 
 import random
@@ -33,7 +29,6 @@ from repro.engine.queries import MAYBE, QueryEngine
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import DELETE, Update
-from repro.smt.session import SolverSession
 from repro.smt.solver import Solver
 
 from tests.engine.spec import Spec
@@ -56,35 +51,12 @@ def policy_flip_stream(model, seed):
     return inserts + deletes
 
 
-def literal_walk(session, term):
-    """``_collect_cone_vars`` as it was before fragments kept their
-    variables: every literal of every clause of the cone, in load order."""
-    encoder = session.encoder
-    frag = (encoder._bool_frags if term.is_bool else encoder._bv_frags)[term]
-    seen, cone, visited, stack = set(), [], set(), [frag]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        for clause in node.clauses:
-            for lit in clause:
-                var = session._local[abs(lit)]
-                if var not in seen:
-                    seen.add(var)
-                    cone.append(var)
-        stack.extend(node.children)
-    return cone
-
-
 class Run:
     """One program's stream through the engine, the specification beside it."""
 
     def __init__(self, name, monkeypatch):
         self.deciding = []  # kinds of the points being decided, innermost last
         self.solver_calls_by_kind = []  # kind of the point each check_sat served
-        self.activations = 0
-        self.cone_mismatches = []
         self.decides = []  # per gate.decide: (_executability calls, verdict, record kept, term)
         self.executability_calls = []  # every _executability outcome, in order
 
@@ -92,7 +64,6 @@ class Run:
         executability = QueryEngine._executability
         decide = VerdictGate.decide
         check_sat = Solver.check_sat
-        collect = SolverSession._collect_cone_vars
 
         def spy_point_verdict(engine, point, *args, **kwargs):
             self.deciding.append(point.kind)
@@ -119,18 +90,10 @@ class Run:
             self.decides.append((calls, verdict, kept, term))
             return verdict
 
-        def spy_collect(session, term):
-            cone = collect(session, term)
-            self.activations += 1
-            if cone != literal_walk(session, term):
-                self.cone_mismatches.append(term)
-            return cone
-
         monkeypatch.setattr(QueryEngine, "point_verdict", spy_point_verdict)
         monkeypatch.setattr(QueryEngine, "_executability", spy_executability)
         monkeypatch.setattr(VerdictGate, "decide", spy_decide)
         monkeypatch.setattr(Solver, "check_sat", spy_check_sat)
-        monkeypatch.setattr(SolverSession, "_collect_cone_vars", spy_collect)
 
         program = registry.load(name)
         self.gated = Flay(program, FlayOptions(target="none"))
@@ -193,8 +156,3 @@ def test_records_are_for_maybe_executability_points_only(run):
     for pid, record in run.gated.gate._records.map.items():
         assert points[pid].kind in (KIND_IF, KIND_SELECT)
         assert record.verdict.executability == "maybe"
-
-
-def test_cone_variables_keep_the_literal_walk_order(run):
-    assert run.activations
-    assert not run.cone_mismatches

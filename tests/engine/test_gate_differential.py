@@ -231,7 +231,6 @@ def test_dash_direction_churn_matches_the_sat_core(seed):
     )
     reference = Solver(
         use_interval_precheck=False,
-        share_encodings=False,
         max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS,
     )
     spec = Spec(flay, solver=reference)
@@ -276,7 +275,6 @@ def test_beaucoup_rollouts_match_the_sat_core(seed, monkeypatch):
     flay = make_beaucoup()
     reference = Solver(
         use_interval_precheck=False,
-        share_encodings=False,
         max_conflicts=QueryEngine.DEFAULT_MAX_CONFLICTS,
     )
     spec = Spec(flay, solver=reference)
@@ -303,8 +301,9 @@ def test_eleven_beaucoup_rollouts_stay_under_a_conflict_bound(seed):
     defect 6).  With the pinned-conjunct rule the SAT core spends 368
     (seed 1) and 426 (seed 3) conflicts on all eleven, against
     ``ROLLOUT_CONFLICT_BOUND`` = 1 000.  Without it every refutable guard is
-    probed: 6 911 and 6 744 conflicts, and roll-outs grow from 0.2 s to
-    1.6-2.0 s as the persistent session fills with their cones."""
+    probed: 6 911 and 6 744 conflicts, and under the persistent solver
+    session the engine then had, roll-outs grew from 0.2 s to 1.6-2.0 s as
+    it filled with their cones."""
     flay = make_beaucoup()
     before = flay.solver_stats().snapshot()
     for update in EntryFuzzer(flay.model, seed=seed).rollout_stream(11):

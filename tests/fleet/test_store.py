@@ -1,8 +1,8 @@
 """The content-addressed shared store's contract.
 
 Keying must separate exactly the option sets that change verdicts, and
-adoption must hand the second engine the *same* warm objects the donor
-pinned — not copies — while leaving per-switch state private.
+adoption must hand the second engine the *same* warm memos the donor
+holds — not copies — while leaving per-switch state private.
 """
 
 import pytest
@@ -65,8 +65,6 @@ class TestAdoption:
         donor = Engine(source=FIG3, options=opts, store=store)
         adopter = Engine(source=FIG3, options=opts, store=store)
         d, a = donor.ctx.query_engine.solver, adopter.ctx.query_engine.solver
-        assert a._encoder is d._encoder
-        assert a._session is d._session
         assert a._results is d._results
         assert (
             adopter.ctx.query_engine._exec_cache
@@ -84,16 +82,6 @@ class TestAdoption:
         for update in EntryFuzzer(adopter.model, seed=5).update_stream(count=8):
             adopter.process_update(update)
         assert all(len(ts) == 0 for ts in donor.ctx.state.tables.values())
-
-    def test_both_solvers_are_pinned(self):
-        # The var-limit generation reset would silently re-number the
-        # shared fragment graph; pinning forbids it for donor and adopter.
-        store = SharedStore()
-        opts = EngineOptions()
-        donor = Engine(source=FIG3, options=opts, store=store)
-        adopter = Engine(source=FIG3, options=opts, store=store)
-        assert donor.ctx.query_engine.solver._encoder_pinned
-        assert adopter.ctx.query_engine.solver._encoder_pinned
 
     def test_divergent_options_do_not_adopt(self):
         store = SharedStore()

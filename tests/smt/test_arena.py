@@ -1,24 +1,19 @@
-"""Property tests for the flat-array term/CNF codecs.
+"""Property tests for the flat-array term codec.
 
-The arenas exist to carry terms and solver state across a pickle
-boundary (warm-state snapshots), so the properties under test are the
-transport contract the snapshot path relies on:
-
-* **interning identity** — ``arena.decode(arena.encode(t)) is t``, and
-  the identity survives pickling the arena (the decoded-``Term`` cache
-  is process-local and rebuilt through the default factory);
-* **clause transport** — ``ClauseArena`` and ``SatSolver.snapshot`` blobs
-  round-trip through pickle without changing what the solver believes.
+The term arena exists to carry terms across a pickle boundary
+(warm-state snapshots), so the property under test is the transport
+contract the snapshot path relies on: **interning identity** —
+``arena.decode(arena.encode(t)) is t``, and the identity survives
+pickling the arena (the decoded-``Term`` cache is process-local and
+rebuilt through the default factory).
 """
 
 import pickle
-import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
-from repro.smt.arena import ClauseArena, TermArena
-from repro.smt.sat import SAT, UNSAT, SatSolver
+from repro.smt.arena import TermArena
 
 X = T.data_var("ax", 8)
 Y = T.data_var("ay", 8)
@@ -152,67 +147,3 @@ def test_shared_subterms_encode_once():
     b = arena.encode(shared)
     assert arena._args[arena._first[a]] == b
     assert arena._args[arena._first[a] + 1] == b
-
-
-# -- clause transport -------------------------------------------------------
-
-
-def random_cnf(rng, num_vars=6, num_clauses=14):
-    clauses = []
-    for _ in range(num_clauses):
-        width = rng.randint(1, 3)
-        chosen = rng.sample(range(1, num_vars + 1), width)
-        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
-    return clauses
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
-def test_clause_arena_pickle_round_trip(seed):
-    rng = random.Random(seed)
-    arena = ClauseArena()
-    clauses = random_cnf(rng)
-    crefs = [arena.add(lits, learned=bool(rng.random() < 0.3))
-             for lits in clauses]
-    thawed = pickle.loads(pickle.dumps(arena))
-    assert len(thawed) == len(arena)
-    for cref, lits in zip(crefs, clauses):
-        assert thawed.clause(cref) == lits
-        assert thawed.learned[cref] == arena.learned[cref]
-
-
-def test_clause_arena_copy_is_independent():
-    arena = ClauseArena()
-    cref = arena.add([1, -2, 3])
-    twin = arena.copy()
-    twin.add([4, 5])
-    twin.shrink(cref, 2)
-    assert len(arena) == 1
-    assert arena.clause(cref) == [1, -2, 3]
-    assert twin.clause(cref) == [1, -2]
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=50, deadline=None)
-def test_solver_snapshot_pickles_and_restores_equivalently(seed):
-    """A snapshot blob survives pickle, and the restored solver reaches
-    the same verdict (and keeps agreeing under added constraints)."""
-    rng = random.Random(seed)
-    clauses = random_cnf(rng)
-    solver = SatSolver()
-    for lits in clauses:
-        solver.add_clause(lits)
-    verdict = solver.solve()
-    blob = pickle.loads(pickle.dumps(solver.snapshot()))
-    twin = SatSolver.restore(blob)
-    assert twin.solve() == verdict
-    if verdict == SAT:
-        # Pin the original model as units: still satisfiable on both.
-        model = solver.model()
-        units = [v if val else -v for v, val in model.items()]
-        for solver_ in (solver, twin):
-            for lit in units:
-                solver_.add_clause([lit])
-        assert solver.solve() == twin.solve() == SAT
-    else:
-        assert twin.solve() == UNSAT

@@ -270,7 +270,6 @@ class TestIteLeaves:
         assert not solver.check_sat(_dash_guard()).satisfiable
         assert solver.stats.by_interval == 1
         assert solver.stats.probes == 0
-        assert solver.session.loaded_fragments == 0
 
 
 # -- a conjunction read under the equalities it asserts ----------------------
@@ -347,7 +346,6 @@ class TestConjunctPins:
         assert not solver.check_sat(_beaucoup_query()).satisfiable
         assert solver.stats.by_interval == 1
         assert solver.stats.probes == 0
-        assert solver.session.loaded_fragments == 0
 
     def test_deep_nesting_no_recursion_error(self):
         # Every level pins its own key and reads it in an open sibling, so

@@ -184,7 +184,7 @@ class TestAssumptions:
         assert solver.solve(assumptions=[1]) == SAT
 
     def test_activation_literal_pattern(self):
-        # The session idiom: each query root guarded by (¬act ∨ root).
+        # Each query root guarded by (¬act ∨ root), probed under act.
         solver = SatSolver()
         x, a1, a2 = 1, 2, 3
         solver.add_clause([-a1, x])
@@ -254,42 +254,6 @@ class TestStats:
             f"clauses: {delta.learned} learned ({delta.learned_units} units), "
             f"{delta.deleted} deleted"
         ) in text
-
-
-class TestForkImport:
-    def test_fork_is_independent(self):
-        parent = SatSolver()
-        parent.add_clause([1, 2])
-        child = parent.fork()
-        child.add_clause([-1])
-        assert child.solve() == SAT
-        assert child.model()[2] is True
-        # Parent unaffected by the child's extra clause.
-        assert parent.solve(assumptions=[-2]) == SAT
-        assert parent.model()[1] is True
-
-    def test_fork_carries_learned_clauses(self):
-        parent = SatSolver()
-        pigeonhole(parent, 5, 4)
-        assert parent.solve() == UNSAT
-        child = parent.fork()
-        assert child.solve() == UNSAT
-
-    def test_import_learned(self):
-        a = SatSolver()
-        pigeonhole(a, 4, 3)
-        b = a.fork()
-        assert b.solve() == UNSAT
-        exported = b.learned_clauses()
-        imported = a.import_learned(exported)
-        assert imported >= 0
-        assert a.solve() == UNSAT
-
-    def test_import_skips_unknown_vars(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        assert solver.import_learned([[3, 4]]) == 0
-        assert solver.solve() == SAT
 
 
 clause_strategy = st.lists(

@@ -3,11 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.queries import MAYBE, NEVER, Executability, QueryEngine
 from repro.smt import terms as T
+from repro.smt.sat import SatSolver, SolverBudgetExceeded
+from repro.smt.simplify import simplify
 from repro.smt.solver import Solver
 
 X = T.data_var("so_x", 8)
 Y = T.data_var("so_y", 8)
+Z = T.data_var("so_z", 4)
+P = T.bool_var("so_p")
 
 
 def c(v, w=8):
@@ -120,3 +125,111 @@ def test_unsat_means_no_counterexample(value):
     result = solver.check_sat(term)
     assert not result.satisfiable
     assert T.evaluate(term, {"so_x": value}) == 0
+
+
+# -- the probe pair: both halves on one throw-away encoding ------------------
+
+
+@st.composite
+def bv_terms(draw, depth=0):
+    """Random 8-bit terms, ``ite`` chains (a table's shape) included."""
+    if depth > 2 or draw(st.booleans()):
+        return draw(st.sampled_from([X, Y, T.concat(Z, Z), c(draw(st.integers(0, 255)))]))
+    op = draw(st.sampled_from(["add", "and", "xor", "mul", "ite"]))
+    a = draw(bv_terms(depth=depth + 1))
+    b = draw(bv_terms(depth=depth + 1))
+    if op == "ite":
+        return T.ite(draw(guards(depth=depth + 1)), a, b)
+    return {"add": T.add, "and": T.bv_and, "xor": T.bv_xor, "mul": T.mul}[op](a, b)
+
+
+@st.composite
+def guards(draw, depth=0):
+    """Random executability guards over the terms above."""
+    if depth > 2 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return P
+        cmp = draw(st.sampled_from([T.eq, T.ult, T.ule]))
+        return cmp(draw(bv_terms(depth=depth + 1)), draw(bv_terms(depth=depth + 1)))
+    op = draw(st.sampled_from(["and", "or", "not"]))
+    a = draw(guards(depth=depth + 1))
+    if op == "not":
+        return T.bool_not(a)
+    b = draw(guards(depth=depth + 1))
+    return T.bool_and(a, b) if op == "and" else T.bool_or(a, b)
+
+
+def holds(term, model) -> bool:
+    """``term`` under ``model``; variables the model omits (simplification
+    dropped them, so their value cannot matter) read as 0."""
+    assignment = {var.name: 0 for var in T.variables(term)}
+    assignment.update(model)
+    return T.evaluate(term, assignment) == 1
+
+
+@given(guard=guards())
+@settings(max_examples=150, deadline=None)
+def test_probe_pair_agrees_with_two_fresh_solvers(guard):
+    # No precheck, so every half simplification leaves open reaches the
+    # shared encoding.
+    solver = Solver(use_interval_precheck=False)
+    positive, negative = solver.probe_pair(guard)
+    assert positive.satisfiable == Solver().check_sat(guard).satisfiable
+    if not positive.satisfiable:
+        assert negative is None
+        return
+    assert holds(guard, positive.model)
+    assert negative.satisfiable == Solver().check_sat(T.bool_not(guard)).satisfiable
+    if negative.satisfiable:
+        assert not holds(guard, negative.model)
+
+
+class TestProbePair:
+    def test_both_halves_share_one_solver_and_drop_it(self, monkeypatch):
+        solvers = []
+        solve = SatSolver.solve
+
+        def recording(sat_solver, *args, **kwargs):
+            solvers.append(sat_solver)
+            return solve(sat_solver, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
+        solver = Solver()
+        guard = T.eq(T.add(X, Y), c(10))
+        positive, negative = solver.probe_pair(guard)
+        assert positive.satisfiable and negative.satisfiable
+        assert len(solvers) == 2 and solvers[0] is solvers[1]
+        assert solver._pair is None
+        # Outside a pair every query gets its own solver.
+        solver.check_sat(T.ult(X, Y))
+        solver.check_sat(T.ult(Y, X))
+        assert len({id(s) for s in solvers}) == 3
+
+    def test_budget_on_the_second_half_is_a_maybe_that_is_not_memoised(
+        self, monkeypatch
+    ):
+        solve = SatSolver.solve
+        calls = []
+
+        def second_half_blows(sat_solver, *args, **kwargs):
+            calls.append(sat_solver)
+            if len(calls) == 2:
+                raise SolverBudgetExceeded("exceeded 0 conflicts")
+            return solve(sat_solver, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", second_half_blows)
+        solver = Solver()
+        engine = QueryEngine(None, solver=solver)  # the pair never reads the model
+        guard = simplify(T.eq(T.add(X, Y), c(10)))
+        assert engine._executability(guard) == Executability(MAYBE, "budget")
+        assert calls[0] is calls[1]
+        assert guard not in engine._exec_cache
+        assert list(solver._results) == [guard]  # the first half only
+        assert solver._pair is None
+        # The next questions are answered as a fresh engine would answer them.
+        again = engine._executability(guard)
+        assert (again.verdict, again.how) == (MAYBE, "probed")
+        assert not holds(guard, again.models[1]) and holds(guard, again.models[0])
+        assert engine._exec_cache[guard] == MAYBE
+        contradiction = simplify(T.bool_and(T.ult(X, Y), T.ult(Y, X)))
+        assert engine._executability(contradiction).verdict == NEVER

@@ -19,8 +19,6 @@ def _write(tmp_path: Path, name: str, payload) -> str:
 
 def _good_bench9(tmp_path: Path) -> dict:
     payload = {key: 1.0 for key in SPECS["BENCH_9.json"]["required"]}
-    payload["fleet_dedup_ratio"] = 8.0
-    payload["fleet_dedup_ratio_floor"] = 4.0
     payload["restore_speedup_vs_cold"] = 5.0
     payload["restore_speedup_vs_cold_floor"] = 3.0
     return payload
@@ -39,7 +37,7 @@ class TestCheckFile:
 
     def test_metric_below_floor(self, tmp_path):
         payload = _good_bench9(tmp_path)
-        payload["fleet_dedup_ratio"] = 2.0  # floor is 4.0
+        payload["restore_speedup_vs_cold"] = 2.0  # floor is 3.0
         path = _write(tmp_path, "BENCH_9.json", payload)
         assert any("below its floor" in p for p in check_file(path))
 
@@ -79,7 +77,7 @@ class TestMain:
         bad_dir = tmp_path / "bad"
         bad_dir.mkdir()
         bad_payload = _good_bench9(tmp_path)
-        bad_payload["fleet_dedup_ratio"] = 0.5
+        bad_payload["restore_speedup_vs_cold"] = 0.5
         bad = _write(bad_dir, "BENCH_9.json", bad_payload)
         assert main([bad]) == 1
 

@@ -44,10 +44,6 @@ SPECS = {
     "BENCH_9.json": {
         "required": [
             "switches",
-            "fleet_dedup_ratio",
-            "fleet_dedup_ratio_floor",
-            "shared_cnf_fragments",
-            "isolated_cnf_fragments",
             "storm_p50_ms",
             "storm_p99_ms",
             "cold_replay_ms",
