@@ -5,6 +5,17 @@ solver.  Every bitvector term becomes a vector of SAT literals (LSB first);
 every boolean term becomes a single literal.  Gates use the standard Tseitin
 encodings, arithmetic uses ripple-carry, and shifts by non-constant amounts
 use a barrel shifter — everything a P4 program's expressions can contain.
+
+Each subterm is paid for once.  Gates fold as they are built: an input
+that is the constant literal, or two inputs that are equal or
+complementary, give back an input, its negation or a constant without a
+new variable (``ite(s, 1, 0)`` is ``s``, ``x ⊕ 1`` is ``¬x``).  A gate
+that does not fold is hashed on its normalised inputs (AND on the sorted
+literals, XOR on the sign-normalised pair, MUX on ``(sel, then, else)``
+with ``sel`` positive), so two terms over the same literals share it.  An
+n-ary AND or OR is one gate of n + 1 clauses, and ``x == c`` is one AND
+over ``x``'s own literals.  The tables live as long as the blaster, which
+the solver facade builds per query (see :mod:`repro.smt.solver`).
 """
 
 from __future__ import annotations
@@ -26,6 +37,10 @@ class BitBlaster:
         self._true_lit: Optional[int] = None
         self._var_bits: dict[str, list[int]] = {}
         self._bool_vars: dict[str, int] = {}
+        # Structural hashing: normalised gate inputs → output literal.
+        self._and_table: dict[tuple[int, ...], int] = {}
+        self._xor_table: dict[tuple[int, int], int] = {}
+        self._mux_table: dict[tuple[int, int, int], int] = {}
 
     # -- constants ------------------------------------------------------------
 
@@ -42,60 +57,122 @@ class BitBlaster:
         return self.true_lit() if value else self.false_lit()
 
     # -- gates ------------------------------------------------------------------
+    #
+    # Every gate first folds: an input that is the constant literal, two
+    # equal inputs or two complementary ones give back an input, its
+    # negation or a constant, and no variable.  What is left is looked up
+    # in a per-blaster table, so a gate over the same literals is built
+    # once however many terms reach it.  ``self._true_lit or 0`` stands
+    # for "no constant yet": 0 is never a literal, so nothing matches it.
 
     def _and_gate(self, a: int, b: int) -> int:
-        out = self.solver.new_var()
-        self.solver.add_clause([-out, a])
-        self.solver.add_clause([-out, b])
-        self.solver.add_clause([out, -a, -b])
+        t = self._true_lit or 0
+        if a == -t or b == -t:
+            return -t
+        if a == t or a == b:
+            return b
+        if b == t:
+            return a
+        if a == -b:
+            return self.false_lit()
+        key = (a, b) if a < b else (b, a)
+        out = self._and_table.get(key)
+        if out is None:
+            out = self.solver.new_var()
+            self.solver.add_clause([-out, a])
+            self.solver.add_clause([-out, b])
+            self.solver.add_clause([out, -a, -b])
+            self._and_table[key] = out
         return out
 
     def _or_gate(self, a: int, b: int) -> int:
-        out = self.solver.new_var()
-        self.solver.add_clause([out, -a])
-        self.solver.add_clause([out, -b])
-        self.solver.add_clause([-out, a, b])
-        return out
+        return -self._and_gate(-a, -b)
 
     def _xor_gate(self, a: int, b: int) -> int:
-        out = self.solver.new_var()
-        self.solver.add_clause([-out, a, b])
-        self.solver.add_clause([-out, -a, -b])
-        self.solver.add_clause([out, -a, b])
-        self.solver.add_clause([out, a, -b])
-        return out
+        # Sign-normalise: a ⊕ b = |a| ⊕ |b|, negated once per negative input.
+        negate = False
+        if a < 0:
+            a, negate = -a, not negate
+        if b < 0:
+            b, negate = -b, not negate
+        t = self._true_lit or 0
+        if a == t:
+            out = -b
+        elif b == t:
+            out = -a
+        elif a == b:
+            out = self.false_lit()
+        else:
+            key = (a, b) if a < b else (b, a)
+            out = self._xor_table.get(key)
+            if out is None:
+                out = self.solver.new_var()
+                self.solver.add_clause([-out, a, b])
+                self.solver.add_clause([-out, -a, -b])
+                self.solver.add_clause([out, -a, b])
+                self.solver.add_clause([out, a, -b])
+                self._xor_table[key] = out
+        return -out if negate else out
 
     def _mux_gate(self, sel: int, then: int, orelse: int) -> int:
         """out = sel ? then : orelse."""
-        out = self.solver.new_var()
-        self.solver.add_clause([-sel, -then, out])
-        self.solver.add_clause([-sel, then, -out])
-        self.solver.add_clause([sel, -orelse, out])
-        self.solver.add_clause([sel, orelse, -out])
+        if sel < 0:
+            sel, then, orelse = -sel, orelse, then
+        t = self._true_lit or 0
+        if sel == t or then == orelse:
+            return then
+        if then == -orelse:  # sel ? x : ¬x  is  ¬(sel ⊕ x)
+            return -self._xor_gate(sel, then)
+        if then == t or then == sel:  # sel ∨ orelse
+            return self._or_gate(sel, orelse)
+        if then == -t or then == -sel:  # ¬sel ∧ orelse
+            return self._and_gate(-sel, orelse)
+        if orelse == t or orelse == -sel:  # ¬sel ∨ then
+            return self._or_gate(-sel, then)
+        if orelse == -t or orelse == sel:  # sel ∧ then
+            return self._and_gate(sel, then)
+        key = (sel, then, orelse)
+        out = self._mux_table.get(key)
+        if out is None:
+            out = self.solver.new_var()
+            self.solver.add_clause([-sel, -then, out])
+            self.solver.add_clause([-sel, then, -out])
+            self.solver.add_clause([sel, -orelse, out])
+            self.solver.add_clause([sel, orelse, -out])
+            self._mux_table[key] = out
         return out
 
     def _and_many(self, lits: list[int]) -> int:
-        if not lits:
+        """One n-ary AND gate (n + 1 clauses) over the inputs that do not fold."""
+        t = self._true_lit or 0
+        kept: set[int] = set()
+        for lit in lits:
+            if lit == t or lit in kept:
+                continue
+            if lit == -t or -lit in kept:
+                return self.false_lit()
+            kept.add(lit)
+        if not kept:
             return self.true_lit()
-        out = lits[0]
-        for lit in lits[1:]:
-            out = self._and_gate(out, lit)
+        if len(kept) == 1:
+            return next(iter(kept))
+        key = tuple(sorted(kept))
+        out = self._and_table.get(key)
+        if out is None:
+            out = self.solver.new_var()
+            for lit in key:
+                self.solver.add_clause([-out, lit])
+            self.solver.add_clause([out] + [-lit for lit in key])
+            self._and_table[key] = out
         return out
 
     def _or_many(self, lits: list[int]) -> int:
-        if not lits:
-            return self.false_lit()
-        out = lits[0]
-        for lit in lits[1:]:
-            out = self._or_gate(out, lit)
-        return out
+        return -self._and_many([-lit for lit in lits])
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        s = self._xor_gate(self._xor_gate(a, b), cin)
-        carry = self._or_gate(
-            self._and_gate(a, b),
-            self._and_gate(cin, self._xor_gate(a, b)),
-        )
+        half = self._xor_gate(a, b)
+        s = self._xor_gate(half, cin)
+        carry = self._or_gate(self._and_gate(a, b), self._and_gate(cin, half))
         return s, carry
 
     def _adder(self, a: list[int], b: list[int], cin: int) -> list[int]:
@@ -168,13 +245,15 @@ class BitBlaster:
         raise T.SortError(f"cannot bit-blast boolean op {op!r}")
 
     def _bv_eq(self, a: list[int], b: list[int]) -> int:
-        diffs = [self._xor_gate(x, y) for x, y in zip(a, b)]
-        return -self._or_many(diffs)
+        # Per-bit XNORs under one AND: against a constant each XNOR folds
+        # to a bit of ``a`` or its negation, so ``x == c`` is one gate.
+        return self._and_many([-self._xor_gate(x, y) for x, y in zip(a, b)])
 
     def _bv_ult(self, a: list[int], b: list[int]) -> int:
-        # MSB-down comparison: lt_i = (~a_i & b_i) | (a_i == b_i) & lt_{i-1}
+        # Folds from the LSB upward, so the highest differing bit decides:
+        # lt_i = (~a_i & b_i) | (a_i == b_i) & lt_{i-1}
         lt = self.false_lit()
-        for abit, bbit in zip(a, b):  # LSB first: fold from LSB upward
+        for abit, bbit in zip(a, b):
             eq_bit = -self._xor_gate(abit, bbit)
             lt = self._or_gate(
                 self._and_gate(-abit, bbit),

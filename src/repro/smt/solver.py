@@ -16,6 +16,18 @@ A **result memo** keyed on the hash-consed simplified term sits behind the
 simplifier: identical residual terms across updates never reach layers 2
 and 3 twice.
 
+Layers 1 and 2 also keep a per-node memo each for the life of the solver:
+``simplify``'s (``id`` of a term → its simplified form) and the interval
+sweep's (``id`` of a simplified node → its interval or tri-state verdict).
+Guards share their tables' ``ite`` chains, so a query walks only the nodes
+no earlier query reached.  Both are keyed on ``id``, which is sound because
+the default term factory interns strongly (ids are never recycled), and
+both map a node to a value that depends on that node alone.  The pinned
+re-evaluation of a conjunction (``interval._refuted_by_pins``) reads its
+conjuncts under assumed equalities, so it runs in a memo of its own and no
+pinned interval ever enters the persistent one.  :meth:`Solver.invalidate_caches`
+clears both; neither is snapshotted or shared between solvers.
+
 Layer 3 keeps nothing between queries.  Each query that reaches it gets a
 fresh :class:`~repro.smt.cnf.BitBlaster` and SAT solver, dropped once it
 is answered — except that the two halves of an executability probe pair
@@ -152,21 +164,27 @@ class Solver:
         self.stats = SolverStats()
         self.cache_counter = CacheCounter("solver-memo")
         self._results: dict[Term, SatResult] = {}
+        # Per-node memos for layers 1 and 2, kept for the life of the
+        # solver (see the module docstring); keyed on ``id``.
+        self._simplify_memo: dict[int, Term] = {}
+        self._interval_memo: dict[int, interval.Interval] = {}
         # Inside :meth:`probe_pair`: whether a pair is open, and its
         # encoding once one of its halves has reached bit-blasting.
         self._pairing = False
         self._pair: Optional[BitBlaster] = None
 
     def invalidate_caches(self) -> None:
-        """Drop the result memo."""
+        """Drop the result memo and the simplify and interval memos."""
         self.cache_counter.invalidate(len(self._results))
         self._results.clear()
+        self._simplify_memo.clear()
+        self._interval_memo.clear()
 
     def check_sat(self, term: Term) -> SatResult:
         """Is there an assignment making ``term`` true?"""
         if not term.is_bool:
             raise T.SortError("check_sat expects a boolean term")
-        simplified = simplify(term)
+        simplified = simplify(term, self._simplify_memo)
         if simplified.op == T.OP_BOOLCONST:
             self.stats.by_simplify += 1
             return SatResult(bool(simplified.payload), {} if simplified.payload else None)
@@ -177,7 +195,7 @@ class Solver:
             return cached
         self.cache_counter.miss()
         if self.use_interval_precheck:
-            verdict = interval.eval_bool(simplified)
+            verdict = interval.eval_bool(simplified, self._interval_memo)
             if verdict == interval.DEFINITELY_FALSE:
                 self.stats.by_interval += 1
                 result = SatResult(False)

@@ -19,7 +19,7 @@ is module-level and therefore immortal.  Consequently a term built through
 the module-level constructors is never garbage-collected, its ``id()`` is
 stable for the life of the process, and a memo keyed on ``id(term)`` can
 never alias a recycled address.  The cross-update caches (delta
-substitution, simplify memos, solver verdict cache, the bit-blaster's
+substitution, simplify and interval memos, solver verdict cache, the bit-blaster's
 encoding memo) rely on this; ``tests/smt/test_interning.py`` is the regression test.  Caches keyed
 directly on :class:`Term` objects (hash is precomputed, equality short-cuts
 on identity) additionally hold their own strong references and are safe

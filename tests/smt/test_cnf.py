@@ -1,6 +1,8 @@
 """Tests for the bit-blaster: every operator's CNF encoding matches the
 evaluation semantics."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,3 +155,159 @@ def test_comparison_encoding_matches_semantics(a, b):
             op(X, Y),
         )
         assert is_sat(expr) == pyop(a, b)
+
+
+# -- the folding, structurally hashed encoder ---------------------------------
+
+A3 = T.data_var("bb_a3", 3)
+B3 = T.data_var("bb_b3", 3)
+C3 = T.data_var("bb_c3", 3)
+P = T.bool_var("bb_p")
+Q = T.bool_var("bb_q")
+
+
+def _shaped(draw, make, sub):
+    """``make(a, b)`` over distinct, repeated, complementary or constant operands."""
+    a = draw(sub)
+    shape = draw(st.sampled_from(["distinct", "repeat", "complement", "constant"]))
+    if shape == "repeat":
+        return make(a, a)
+    if shape == "complement":
+        return make(a, T.bv_not(a) if a.is_bv else T.bool_not(a))
+    if shape == "constant":
+        if a.is_bv:
+            other = T.bv_const(draw(st.integers(0, (1 << a.width) - 1)), a.width)
+        else:
+            other = draw(st.sampled_from([T.TRUE, T.FALSE]))
+        return make(a, other) if draw(st.booleans()) else make(other, a)
+    return make(a, draw(sub))
+
+
+@st.composite
+def bv3_terms(draw, depth=0):
+    """Random 3-bit terms that exercise every fold of the encoder."""
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([A3, B3, C3, T.bv_const(draw(st.integers(0, 7)), 3)]))
+    op = draw(st.sampled_from(
+        ["and", "or", "xor", "add", "sub", "not", "neg", "ite", "ite_const", "shl", "slice"]
+    ))
+    sub = bv3_terms(depth=depth + 1)
+    if op == "not":
+        return T.bv_not(draw(sub))
+    if op == "neg":
+        return T.neg(draw(sub))
+    if op == "ite":
+        return _shaped(draw, lambda a, b: T.ite(draw(bool3_terms(depth=depth + 1)), a, b), sub)
+    if op == "ite_const":
+        leaves = st.integers(0, 7).map(lambda v: T.bv_const(v, 3))
+        return T.ite(draw(bool3_terms(depth=depth + 1)), draw(leaves), draw(leaves))
+    if op == "shl":
+        return T.shl(draw(sub), draw(sub))
+    if op == "slice":  # a bit rebuilt into three: extract/concat over 1-bit ite
+        bit = T.extract(draw(sub), 0, 0)
+        one, zero = T.bv_const(1, 1), T.bv_const(0, 1)
+        flag = T.ite(draw(bool3_terms(depth=depth + 1)), one, zero)
+        return T.concat(T.concat(bit, flag), bit)
+    make = {"and": T.bv_and, "or": T.bv_or, "xor": T.bv_xor, "add": T.add, "sub": T.sub}[op]
+    return _shaped(draw, make, sub)
+
+
+@st.composite
+def bool3_terms(draw, depth=0):
+    """Random guards over :func:`bv3_terms`, n-ary connectives included."""
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([P, Q, T.TRUE, T.FALSE]))
+    op = draw(st.sampled_from(["cmp", "not", "and", "or", "ite", "iff"]))
+    sub = bool3_terms(depth=depth + 1)
+    if op == "cmp":
+        cmp = draw(st.sampled_from([T.eq, T.ult, T.ule]))
+        return _shaped(draw, cmp, bv3_terms(depth=depth + 1))
+    if op == "not":
+        return T.bool_not(draw(sub))
+    if op in ("and", "or"):
+        members = draw(st.lists(sub, min_size=2, max_size=4))
+        extra = draw(st.sampled_from(["none", "true", "false", "repeat", "complement"]))
+        if extra in ("true", "false"):
+            members.append(T.TRUE if extra == "true" else T.FALSE)
+        elif extra == "repeat":
+            members.append(members[0])
+        elif extra == "complement":
+            members.append(T.bool_not(members[0]))
+        return (T.bool_and if op == "and" else T.bool_or)(*members)
+    if op == "ite":
+        return _shaped(draw, lambda a, b: T.ite(draw(sub), a, b), sub)
+    return _shaped(draw, T.eq, sub)
+
+
+def _assignments(term):
+    names = sorted(var.name for var in T.variables(term))
+    widths = {var.name: max(var.width, 1) for var in T.variables(term)}
+    for values in itertools.product(*(range(1 << widths[n]) for n in names)):
+        yield dict(zip(names, values))
+
+
+def _holds(term, model) -> bool:
+    assignment = {var.name: 0 for var in T.variables(term)}
+    assignment.update(model)
+    return T.evaluate(term, assignment) == 1
+
+
+@given(term=bool3_terms())
+@settings(max_examples=300, deadline=None)
+def test_folded_encoding_agrees_with_brute_force(term):
+    blaster = BitBlaster()
+    root = blaster.encode_bool(term)
+    satisfiable = blaster.solver.solve(assumptions=[root]) == SAT
+    assert satisfiable == any(T.evaluate(term, a) == 1 for a in _assignments(term))
+    if satisfiable:
+        assert _holds(term, model_values(blaster, term))
+
+
+class TestFoldingAndHashing:
+    def _ready(self, *terms):
+        """A blaster with ``terms`` and the constant already encoded."""
+        blaster = BitBlaster()
+        for term in terms:
+            if term.is_bool:
+                blaster.encode_bool(term)
+            else:
+                blaster.encode_bv(term)
+        blaster.true_lit()
+        return blaster
+
+    def test_eq_const_is_one_gate_over_the_variable(self):
+        x = T.data_var("bb_x8", 8)
+        blaster = self._ready(x)
+        before = blaster.solver.num_vars
+        lit = blaster.encode_bool(T.eq(x, T.bv_const(0xA5, 8)))
+        assert blaster.solver.num_vars == before + 1
+        assert lit == before + 1
+
+    def test_ite_over_one_and_zero_is_the_selector(self):
+        blaster = self._ready(P)
+        before = blaster.solver.num_vars
+        bits = blaster.encode_bv(T.ite(P, T.bv_const(1, 1), T.bv_const(0, 1)))
+        assert bits == [blaster.encode_bool(P)]
+        assert blaster.solver.num_vars == before
+
+    def test_same_gate_through_different_terms_is_shared(self):
+        blaster = self._ready(X, Y)
+        first = blaster.encode_bv(T.bv_and(X, Y))
+        before = blaster.solver.num_vars
+        second = blaster.encode_bv(T.bv_and(T.bv_not(T.bv_not(Y)), X))
+        assert second == first
+        assert blaster.solver.num_vars == before
+
+    def test_contradiction_folds_to_false(self):
+        blaster = self._ready(P)
+        before = blaster.solver.num_vars
+        lit = blaster.encode_bool(T.bool_and(P, T.bool_not(P)))
+        assert lit == -blaster.true_lit()
+        assert blaster.solver.num_vars == before
+
+    def test_xor_with_true_is_negation(self):
+        blaster = self._ready(P)
+        before = blaster.solver.num_vars
+        lit = blaster.encode_bool(T.bool_not(T.eq(P, T.TRUE)))
+        assert lit == -blaster.encode_bool(P)
+        assert blaster.solver.num_vars == before

@@ -233,3 +233,114 @@ class TestProbePair:
         assert engine._exec_cache[guard] == MAYBE
         contradiction = simplify(T.bool_and(T.ult(X, Y), T.ult(Y, X)))
         assert engine._executability(contradiction).verdict == NEVER
+
+
+# -- the simplify and interval memos outlive the query ----------------------
+
+
+@st.composite
+def guard_streams(draw):
+    """Guards over shared subterms, some conjoined with a pin ``x == c``."""
+    stream = []
+    for guard in draw(st.lists(guards(), min_size=2, max_size=8)):
+        if draw(st.booleans()):
+            pin = T.eq(draw(st.sampled_from([X, Y])), c(draw(st.integers(0, 255))))
+            guard = T.bool_and(pin, guard)
+        stream.append(guard)
+    return stream
+
+
+@given(stream=guard_streams())
+@settings(max_examples=100, deadline=None)
+def test_long_lived_solver_answers_like_a_fresh_one_per_query(stream):
+    solver = Solver()
+    for guard in stream:
+        kept = solver.check_sat(guard)
+        assert kept.satisfiable == Solver().check_sat(guard).satisfiable
+        if kept.satisfiable:
+            assert holds(guard, kept.model)
+
+
+class TestSolverMemos:
+    def test_invalidate_caches_empties_both_memos(self):
+        solver = Solver()
+        solver.check_sat(T.bool_and(T.eq(X, c(3)), T.ult(Y, T.add(X, c(1)))))
+        assert solver._simplify_memo and solver._interval_memo
+        solver.invalidate_caches()
+        assert solver._simplify_memo == {} and solver._interval_memo == {}
+
+    def test_a_pin_never_leaks_into_the_persistent_memo(self):
+        v = T.data_var("so_v", 8)
+        p = T.data_var("so_pv", 8)
+        port = T.eq(T.ite(T.eq(v, c(6)), p, c(0)), c(5))
+        solver = Solver()
+        # Under its own pin v == 3 the port is 0, never 5.
+        assert not solver.check_sat(T.bool_and(T.eq(v, c(3)), port)).satisfiable
+        assert solver.stats.by_interval == 1
+        # Without the pin, and under another one, the port can be 5.
+        alone = solver.check_sat(port)
+        assert alone.satisfiable and holds(port, alone.model)
+        other = T.bool_and(T.eq(v, c(6)), T.eq(p, c(5)))
+        assert solver.check_sat(other).satisfiable
+        assert solver.check_sat(T.bool_and(T.eq(v, c(6)), port)).satisfiable
+
+    def test_worker_slice_solver_has_memos_of_its_own(self, monkeypatch):
+        from repro.core import Flay, FlayOptions
+        from repro.engine import batch
+        from repro.p4.parser import parse_program
+        from repro.runtime.fuzzer import EntryFuzzer
+
+        flay = Flay(parse_program(SLICE_SOURCE), FlayOptions(target="none"))
+        shared = flay.runtime.ctx.query_engine.solver
+        pieces = []
+        run_group = batch.run_group
+
+        def checked(ctx, group, piece):
+            mine = piece.query_engine.solver
+            assert mine is not shared
+            assert mine._simplify_memo == {} and mine._interval_memo == {}
+            before = (dict(shared._simplify_memo), dict(shared._interval_memo))
+            outcome = run_group(ctx, group, piece)
+            assert (shared._simplify_memo, shared._interval_memo) == before
+            pieces.append(piece)
+            return outcome
+
+        monkeypatch.setattr(batch, "run_group", checked)
+        fuzzer = EntryFuzzer(flay.model, seed=3)
+        for _ in range(3):
+            burst = fuzzer.insert_burst("ta", 6) + fuzzer.insert_burst("tb", 6)
+            flay.apply_batch(burst, workers=1)
+        assert pieces
+        assert any(p.query_engine.solver._interval_memo for p in pieces)
+
+
+SLICE_SOURCE = """
+header h_t { bit<8> a; bit<8> b; bit<8> f; }
+struct headers_t { h_t h; }
+struct meta_t { bit<8> m; bit<8> n; }
+parser P(inout headers_t hdr, inout meta_t meta) {
+    state start { pkt_extract(hdr.h); transition accept; }
+}
+control C(inout headers_t hdr, inout meta_t meta) {
+    action set(bit<8> v) { meta.m = v; }
+    action setn(bit<8> v) { meta.n = v; }
+    action noop() { }
+    table ta {
+        key = { hdr.h.a: ternary; }
+        actions = { set; noop; }
+        default_action = noop();
+    }
+    table tb {
+        key = { hdr.h.b: ternary; }
+        actions = { setn; noop; }
+        default_action = noop();
+    }
+    apply {
+        ta.apply();
+        tb.apply();
+        if (meta.m == 8w3) { hdr.h.f = 8w1; }
+        if (meta.n + meta.m == 8w7) { hdr.h.f = 8w2; }
+    }
+}
+Pipeline(P(), C()) main;
+"""
