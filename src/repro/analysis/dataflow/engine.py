@@ -109,6 +109,9 @@ class AbstractInterpreter:
         # The executor instance supplies to_term/_infer_width/_initial_store;
         # those methods only touch self.env and the ctx/unit we pass in.
         self._sx = SymbolicExecutor(program, self.env, skip_parser)
+        # The executor's run-long simplify memo, so this run also pays for
+        # each subterm once; it dies with the interpreter.
+        self._memo = self._sx._memo
         self.decisions: dict[int, bool] = {}
         self.folds: dict[int, FoldFact] = {}
         # Node ids whose repeated executions disagreed (parser fixpoint
@@ -248,10 +251,10 @@ class AbstractInterpreter:
 
     def _write(self, ctx: _Context, path: str, value: Term) -> None:
         if ctx.exited is T.FALSE:
-            ctx.store.write(path, simplify(value))
+            ctx.store.write(path, simplify(value, self._memo))
             return
         old = ctx.store.read(path) if ctx.store.has(path) else value
-        ctx.store.write(path, simplify(T.ite(ctx.exited, old, value)))
+        ctx.store.write(path, simplify(T.ite(ctx.exited, old, value), self._memo))
 
     def _exec_block(self, block: ast.Block, unit: _Unit, ctx: _Context) -> None:
         for stmt in block.statements:
@@ -268,7 +271,7 @@ class AbstractInterpreter:
                 value = self._sx.to_term(stmt.init, unit, ctx, width)
             else:
                 value = T.bv_const(0, width)
-            ctx.store.write(path, simplify(value))
+            ctx.store.write(path, simplify(value, self._memo))
         elif isinstance(stmt, ast.IfStmt):
             self._exec_if(stmt, unit, ctx)
         elif isinstance(stmt, ast.MethodCallStmt):
@@ -348,7 +351,7 @@ class AbstractInterpreter:
         self._write(ctx, path, value)
 
     def _exec_if(self, stmt: ast.IfStmt, unit: _Unit, ctx: _Context) -> None:
-        cond = simplify(self._cond_term(stmt.cond, unit, ctx))
+        cond = simplify(self._cond_term(stmt.cond, unit, ctx), self._memo)
         if cond is T.TRUE:
             self._record_decision(stmt, unit, True)
             self._exec_block(stmt.then, unit, ctx)
@@ -365,8 +368,10 @@ class AbstractInterpreter:
         else_ctx = ctx.fork()
         if stmt.orelse is not None:
             self._exec_block(stmt.orelse, unit, else_ctx)
-        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store)
-        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited))
+        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store, self._memo)
+        ctx.exited = simplify(
+            T.ite(cond, then_ctx.exited, else_ctx.exited), self._memo
+        )
 
     def _cond_term(self, expr: ast.Expr, unit: _Unit, ctx: _Context) -> Term:
         if (
@@ -415,8 +420,10 @@ class AbstractInterpreter:
         self._exec_block(body, unit, then_ctx)
         else_ctx = ctx.fork()
         self._exec_arm_chain(arms[1:], default_body, unit, else_ctx)
-        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store)
-        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited))
+        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store, self._memo)
+        ctx.exited = simplify(
+            T.ite(cond, then_ctx.exited, else_ctx.exited), self._memo
+        )
 
     # -- calls --------------------------------------------------------------
 
@@ -519,7 +526,7 @@ class AbstractInterpreter:
                 continue
             code = action_codes[action_name]
             cond = T.eq(selector, T.bv_const(code, _SELECTOR_WIDTH))
-            merged = merge_stores(cond, branch_stores[action_name], merged)
+            merged = merge_stores(cond, branch_stores[action_name], merged, self._memo)
         ctx.store = merged
         return hit_cond
 

@@ -31,6 +31,43 @@ KIND_ASSIGN = "assign"
 KIND_SELECT = "select"
 KIND_ACTION_VALUE = "action-value"
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def control_var_names(
+    term: Term, memo: dict[int, frozenset[str]]
+) -> frozenset[str]:
+    """The names of the control-plane symbols in ``term``.
+
+    ``memo`` maps the ``id`` of every node already visited to its names: a
+    control symbol's own, an interior node's the union of its children's
+    (sharing a child's set when it already holds the others).  Points
+    whose expressions share sub-DAGs therefore walk each node once across
+    all of them.  ``id`` keys are sound because the default factory
+    interns every term strongly.
+    """
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in memo:
+            continue
+        if not expanded:
+            stack.append((node, True))
+            for child in node.args:
+                if id(child) not in memo:
+                    stack.append((child, False))
+            continue
+        if node.is_control_var:
+            memo[id(node)] = frozenset((node.name,))
+            continue
+        names = _NO_NAMES
+        for child in node.args:
+            child_names = memo[id(child)]
+            if not child_names <= names:
+                names = child_names if not names else names | child_names
+        memo[id(node)] = names
+    return memo[id(term)]
+
 
 @dataclass(frozen=True)
 class ProgramPoint:
@@ -137,11 +174,22 @@ class DataPlaneModel:
     analysis_seconds: float = 0.0
     skipped_parser: bool = False
 
-    def add_point(self, point: ProgramPoint) -> None:
+    def add_point(
+        self,
+        point: ProgramPoint,
+        taint_memo: Optional[dict[int, frozenset[str]]] = None,
+    ) -> None:
+        """Register ``point`` and index it under each control symbol in it.
+
+        ``taint_memo`` is the executor's run-long memo for
+        :func:`control_var_names`; without one the point's DAG is walked
+        afresh.
+        """
         if point.pid in self.points:
             raise ValueError(f"duplicate program point {point.pid!r}")
         self.points[point.pid] = point
-        for var_name in point.control_vars():
+        memo = {} if taint_memo is None else taint_memo
+        for var_name in control_var_names(point.expr, memo):
             self.taint.setdefault(var_name, set()).add(point.pid)
 
     def points_for_control_vars(self, names: Iterable[str]) -> set[str]:

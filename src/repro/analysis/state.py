@@ -1,4 +1,9 @@
-"""Symbolic store: dotted field path → term, with ite-based state merging."""
+"""Symbolic store: dotted field path → term, with ite-based state merging.
+
+Merging simplifies each merged ``ite`` through the executor's run-long
+``simplify`` memo (see :func:`merge_stores`), so the cold analysis walks
+each subterm once, not once per join above it.
+"""
 
 from __future__ import annotations
 
@@ -51,13 +56,23 @@ class SymbolicStore:
 
 
 def merge_stores(
-    cond: Term, then_store: SymbolicStore, else_store: SymbolicStore
+    cond: Term,
+    then_store: SymbolicStore,
+    else_store: SymbolicStore,
+    memo: Optional[dict[int, Term]] = None,
 ) -> SymbolicStore:
     """State merging (the paper's §4.1): per-path ``ite(cond, then, else)``.
 
     Paths present in only one branch keep that branch's value — this only
     arises for locals declared inside a branch, which are dead after the
     join anyway.
+
+    ``memo`` is the caller's ``simplify`` memo.  An executor passes the one
+    it keeps for its run, so the sub-DAGs an earlier join already
+    simplified are not walked again at this one; without it each ``ite``
+    is simplified under a fresh memo.  ``simplify`` maps an interned term
+    to a result that depends on that term alone, so both give the
+    identical objects.
     """
     merged = SymbolicStore()
     then_values = then_store._values
@@ -67,7 +82,7 @@ def merge_stores(
         if else_value is None or then_value is else_value:
             merged.write(path, then_value)
         else:
-            merged.write(path, simplify(T.ite(cond, then_value, else_value)))
+            merged.write(path, simplify(T.ite(cond, then_value, else_value), memo))
     for path, else_value in else_values.items():
         if path not in then_values:
             merged.write(path, else_value)

@@ -5,6 +5,19 @@ It executes the whole pipeline symbolically: packet-derived values become
 data-plane symbols, table outcomes become control-plane symbols (action
 selector, hit bit, per-parameter action data), and every program point of
 interest is annotated with a hermetic expression.
+
+The run pays for each subterm once.  One executor keeps one ``simplify``
+memo (``id`` of an interned term → its simplified form) and passes it to
+every ``simplify`` it calls: writes, variable declarations, branch and
+select guards, path conditions, ``exited``, table keys, and the ``ite`` of
+every join (:func:`~repro.analysis.state.merge_stores`), so a join does
+not re-walk the DAGs an earlier one already simplified.  A second memo maps
+a term to the names of the control symbols in it, so the taint of every
+program point is read off its children's.  Both are sound because the
+default factory interns every term strongly (ids are never reused) and
+each maps a term to a value that depends on that term alone; both die
+with the executor and never enter the model, a snapshot or the fleet
+store.
 """
 
 from __future__ import annotations
@@ -86,6 +99,9 @@ class SymbolicExecutor:
         self.model = DataPlaneModel(skipped_parser=skip_parser)
         self._point_counter = 0
         self._fresh_counter = 0
+        # Run-long memos (see the module docstring).
+        self._memo: dict[int, Term] = {}
+        self._taint_memo: dict[int, frozenset[str]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -182,7 +198,9 @@ class SymbolicExecutor:
     ) -> str:
         self._point_counter += 1
         pid = f"{label}#{self._point_counter}"
-        self.model.add_point(ProgramPoint(pid, kind, expr, context, node_id))
+        self.model.add_point(
+            ProgramPoint(pid, kind, expr, context, node_id), self._taint_memo
+        )
         return pid
 
     def _fresh_data(self, prefix: str, width: int) -> Term:
@@ -365,10 +383,10 @@ class SymbolicExecutor:
     def _write(self, ctx: _Context, path: str, value: Term) -> None:
         """Store write that respects a (possibly symbolic) prior ``exit``."""
         if ctx.exited is T.FALSE:
-            ctx.store.write(path, simplify(value))
+            ctx.store.write(path, simplify(value, self._memo))
             return
         old = ctx.store.read(path) if ctx.store.has(path) else value
-        ctx.store.write(path, simplify(T.ite(ctx.exited, old, value)))
+        ctx.store.write(path, simplify(T.ite(ctx.exited, old, value), self._memo))
 
     # -- statements ------------------------------------------------------------------------
 
@@ -386,7 +404,7 @@ class SymbolicExecutor:
                 value = self.to_term(stmt.init, unit, ctx, width)
             else:
                 value = T.bv_const(0, width)
-            ctx.store.write(path, simplify(value))
+            ctx.store.write(path, simplify(value, self._memo))
         elif isinstance(stmt, ast.IfStmt):
             self._exec_if(stmt, unit, ctx)
         elif isinstance(stmt, ast.MethodCallStmt):
@@ -448,7 +466,8 @@ class SymbolicExecutor:
         self._add_point(
             KIND_IF, f"{unit.name}::if", cond, context="if-condition", node_id=id(stmt)
         )
-        cond = simplify(cond)
+        memo = self._memo
+        cond = simplify(cond, memo)
         if cond is T.TRUE:
             self._exec_block(stmt.then, unit, ctx)
             return
@@ -457,14 +476,16 @@ class SymbolicExecutor:
                 self._exec_block(stmt.orelse, unit, ctx)
             return
         then_ctx = ctx.fork()
-        then_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, cond))
+        then_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, cond), memo)
         self._exec_block(stmt.then, unit, then_ctx)
         else_ctx = ctx.fork()
-        else_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, T.bool_not(cond)))
+        else_ctx.path_cond = simplify(
+            T.bool_and(ctx.path_cond, T.bool_not(cond)), memo
+        )
         if stmt.orelse is not None:
             self._exec_block(stmt.orelse, unit, else_ctx)
-        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store)
-        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited))
+        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store, memo)
+        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited), memo)
 
     def _cond_term(self, expr: ast.Expr, unit: _Unit, ctx: _Context) -> Term:
         """Translate a condition, handling ``t.apply().hit`` / ``.miss``."""
@@ -512,14 +533,17 @@ class SymbolicExecutor:
                 self._exec_block(default_body, unit, ctx)
             return
         cond, body = arms[0]
+        memo = self._memo
         then_ctx = ctx.fork()
-        then_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, cond))
+        then_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, cond), memo)
         self._exec_block(body, unit, then_ctx)
         else_ctx = ctx.fork()
-        else_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, T.bool_not(cond)))
+        else_ctx.path_cond = simplify(
+            T.bool_and(ctx.path_cond, T.bool_not(cond)), memo
+        )
         self._exec_arm_chain(arms[1:], default_body, unit, else_ctx)
-        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store)
-        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited))
+        ctx.store = merge_stores(cond, then_ctx.store, else_ctx.store, memo)
+        ctx.exited = simplify(T.ite(cond, then_ctx.exited, else_ctx.exited), memo)
 
     # -- calls ----------------------------------------------------------------------------------
 
@@ -605,7 +629,7 @@ class SymbolicExecutor:
         keys: list[KeyInfo] = []
         for key in table_decl.keys:
             term = self.to_term(key.expr, unit, ctx)
-            keys.append(KeyInfo(simplify(term), key.match_kind, term.width))
+            keys.append(KeyInfo(simplify(term, self._memo), key.match_kind, term.width))
 
         selector = T.control_var(f"{qualified}.action", TableInfo.SELECTOR_WIDTH)
         hit_bit = T.control_var(f"{qualified}.hit", 1)
@@ -656,7 +680,7 @@ class SymbolicExecutor:
                 continue
             code = action_codes[action_name]
             cond = T.eq(selector, T.bv_const(code, TableInfo.SELECTOR_WIDTH))
-            merged = merge_stores(cond, branch_stores[action_name], merged)
+            merged = merge_stores(cond, branch_stores[action_name], merged, self._memo)
         written_paths = [
             path
             for path, value in merged.items()
@@ -762,12 +786,13 @@ class SymbolicExecutor:
         ctx: _Context,
         depth: int,
     ) -> _Context:
-        key_terms = [simplify(self.to_term(e, unit, ctx)) for e in select.exprs]
+        memo = self._memo
+        key_terms = [simplify(self.to_term(e, unit, ctx), memo) for e in select.exprs]
         branches: list[tuple[Term, str]] = []  # (guard, target-state)
         remaining = T.TRUE
         for case in select.cases:
             match = self._case_match(case, key_terms, unit)
-            guard = simplify(T.bool_and(remaining, match))
+            guard = simplify(T.bool_and(remaining, match), memo)
             branches.append((guard, case.state))
             self._add_point(
                 KIND_SELECT,
@@ -776,7 +801,7 @@ class SymbolicExecutor:
                 context=f"select -> {case.state}",
                 node_id=id(case),
             )
-            remaining = simplify(T.bool_and(remaining, T.bool_not(match)))
+            remaining = simplify(T.bool_and(remaining, T.bool_not(match)), memo)
         # A select with no matching case rejects.
         branches.append((remaining, ast.REJECT))
 
@@ -786,7 +811,7 @@ class SymbolicExecutor:
             if guard is T.FALSE:
                 continue
             branch_ctx = ctx.fork()
-            branch_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, guard))
+            branch_ctx.path_cond = simplify(T.bool_and(ctx.path_cond, guard), memo)
             results.append(
                 (
                     guard,
@@ -799,8 +824,10 @@ class SymbolicExecutor:
             return ctx
         merged = results[-1][1]
         for guard, branch in reversed(results[:-1]):
-            merged_store = merge_stores(guard, branch.store, merged.store)
-            merged_exited = simplify(T.ite(guard, branch.exited, merged.exited))
+            merged_store = merge_stores(guard, branch.store, merged.store, memo)
+            merged_exited = simplify(
+                T.ite(guard, branch.exited, merged.exited), memo
+            )
             merged = _Context(merged_store, merged_exited, ctx.path_cond)
         return merged
 

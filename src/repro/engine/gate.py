@@ -225,26 +225,23 @@ class VerdictGate:
             table_state.fdd = TableFdd()
         # Per-point taint dependencies: which tables / value sets can
         # change an executability point's post-substitution term (value
-        # points never come here).
-        owner: dict = {}
-        for name, info in model.tables.items():
-            for var in info.control_var_names():
-                owner[var] = (True, name)
-        for name, info in model.value_sets.items():
-            for var in info.control_var_names():
-                owner[var] = (False, name)
-        self._deps: dict = {}
-        for pid, point in model.points.items():
-            if point.kind not in (KIND_IF, KIND_SELECT):
-                continue
-            tables: set = set()
-            value_sets: set = set()
-            for var in point.control_vars():
-                entry = owner.get(var)
-                if entry is None:
-                    continue
-                (tables if entry[0] else value_sets).add(entry[1])
-            self._deps[pid] = (tuple(sorted(tables)), tuple(sorted(value_sets)))
+        # points never come here): the model's taint index (control
+        # symbol → points), inverted.
+        deps: dict = {
+            pid: (set(), set())
+            for pid, point in model.points.items()
+            if point.kind in (KIND_IF, KIND_SELECT)
+        }
+        for slot, owners in enumerate((model.tables, model.value_sets)):
+            for name, info in owners.items():
+                for var in info.control_var_names():
+                    for pid in model.taint.get(var, ()):
+                        if pid in deps:
+                            deps[pid][slot].add(name)
+        self._deps: dict = {
+            pid: (tuple(sorted(tables)), tuple(sorted(value_sets)))
+            for pid, (tables, value_sets) in deps.items()
+        }
 
     # -- fingerprints ---------------------------------------------------------
 

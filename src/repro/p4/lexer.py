@@ -1,14 +1,26 @@
 """Tokenizer for the P4-16 subset.
 
 Handles the lexical features our corpus programs use: identifiers, keywords,
-decimal/hex integer literals with optional width prefixes (``8w0xFF``),
-annotations (``@name("...")``, skipped), and both comment styles.
+decimal/hex/binary integer literals with optional width prefixes
+(``8w0xFF``) and ``_`` separators, strings (annotation arguments, returned
+as identifiers), and both comment styles plus ``#`` lines, which are
+skipped.
+
+:func:`tokenize` is one compiled alternation matched at an index with
+``Pattern.match``: trivia, a word, a string, then the punctuation list
+longest first (Python tries alternatives in order, so that is maximal
+munch).  Line and column come from counting the newlines in each match.
+A word is ``\\w+``, which is exactly a run of ``isalnum()`` or ``_``
+characters, and its first character decides identifier, number or error.
+``tests/p4/reference_lexer.py`` keeps the character-at-a-time scanner this
+replaced as the specification: the same tokens and positions, and the same
+``LexError`` message at the same position, on every input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import re
+from typing import NamedTuple, Optional
 
 from repro.p4.errors import LexError, SourcePos
 
@@ -36,9 +48,21 @@ _PUNCTUATION = [
     "=", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "?", "@",
 ]
 
+_TOKEN = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|\#[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<word>\w+)"
+    r'|"(?P<string>[^"]*)"'
+    r"|(?P<open_comment>/\*)"
+    r'|(?P<open_string>")'
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATION) + ")",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
+    """One token; a named tuple because the lexer builds one per token and
+    a tuple is the cheapest immutable record to construct."""
+
     kind: str
     text: str
     pos: SourcePos
@@ -52,118 +76,56 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; raises :class:`LexError` on malformed input."""
-    return list(_Lexer(source))
-
-
-class _Lexer:
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.index = 0
-        self.line = 1
-        self.column = 1
-
-    def __iter__(self) -> Iterator[Token]:
-        while True:
-            token = self._next_token()
-            yield token
-            if token.kind == EOF:
-                return
-
-    def _pos(self) -> SourcePos:
-        return SourcePos(self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.index < len(self.source) and self.source[self.index] == "\n":
-                self.line += 1
-                self.column = 1
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    end = len(source)
+    index = 0
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    while index < end:
+        found = match(source, index)
+        pos = SourcePos(line, index - line_start + 1)
+        if found is None:
+            raise LexError(f"unexpected character {source[index]!r}", pos)
+        group = found.lastgroup
+        text = found.group(group)
+        if group == "word":
+            first = text[0]
+            if first.isalpha() or first == "_":
+                append(Token(IDENT, text, pos))
+            elif first.isdigit():
+                append(_number(text, pos))
             else:
-                self.column += 1
-            self.index += 1
+                raise LexError(f"unexpected character {first!r}", pos)
+        elif group == "punct":
+            append(Token(PUNCT, text, pos))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", pos)
+        elif group == "open_string":
+            raise LexError("unterminated string", pos)
+        else:  # trivia or a string, the two that may span lines
+            if group == "string":
+                append(Token(IDENT, text, pos))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", index, found.end()) + 1
+        index = found.end()
+    append(Token(EOF, "", SourcePos(line, index - line_start + 1)))
+    return tokens
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.index + offset
-        return self.source[i] if i < len(self.source) else ""
 
-    def _skip_trivia(self) -> None:
-        while self.index < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.index < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._pos()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.index >= len(self.source):
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor-style lines (e.g. #include) are ignored.
-                while self.index < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        pos = self._pos()
-        if self.index >= len(self.source):
-            return Token(EOF, "", pos)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(pos)
-        if ch.isdigit():
-            return self._lex_number(pos)
-        if ch == '"':
-            return self._lex_string(pos)
-        for punct in _PUNCTUATION:
-            if self.source.startswith(punct, self.index):
-                self._advance(len(punct))
-                return Token(PUNCT, punct, pos)
-        raise LexError(f"unexpected character {ch!r}", pos)
-
-    def _lex_word(self, pos: SourcePos) -> Token:
-        start = self.index
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.index]
-        return Token(IDENT, text, pos)
-
-    def _lex_string(self, pos: SourcePos) -> Token:
-        # Strings only appear inside annotations; return them as idents.
-        self._advance()
-        start = self.index
-        while self._peek() != '"':
-            if self.index >= len(self.source):
-                raise LexError("unterminated string", pos)
-            self._advance()
-        text = self.source[start : self.index]
-        self._advance()
-        return Token(IDENT, text, pos)
-
-    def _lex_number(self, pos: SourcePos) -> Token:
-        start = self.index
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.index]
-        # Width-prefixed literal: <width>w<value>, e.g. 8w0xFF or 9w1.
+def _number(text: str, pos: SourcePos) -> Token:
+    # Width-prefixed literal: <width>w<value>, e.g. 8w0xFF or 9w1.
+    try:
         if "w" in text:
             width_text, _, value_text = text.partition("w")
-            try:
-                width = int(width_text)
-                value = _parse_int(value_text)
-            except ValueError as exc:
-                raise LexError(f"malformed literal {text!r}", pos) from exc
-            return Token(INT, text, pos, value=value, width=width)
-        try:
-            value = _parse_int(text)
-        except ValueError as exc:
-            raise LexError(f"malformed literal {text!r}", pos) from exc
-        return Token(INT, text, pos, value=value, width=None)
+            width = int(width_text)
+            return Token(INT, text, pos, value=_parse_int(value_text), width=width)
+        return Token(INT, text, pos, value=_parse_int(text), width=None)
+    except ValueError as exc:
+        raise LexError(f"malformed literal {text!r}", pos) from exc
 
 
 def _parse_int(text: str) -> int:

@@ -58,6 +58,21 @@ class TestMerge:
         assert merge_stores(T.TRUE, a, b).read("x") is c(1)
         assert merge_stores(T.FALSE, a, b).read("x") is c(2)
 
+    def test_memo_gives_the_same_objects(self):
+        x = T.data_var("mm", 8)
+        cond = T.eq(x, c(0))
+        a = SymbolicStore({"x": T.add(x, c(0)), "y": c(1), "z": T.ite(cond, x, x)})
+        b = SymbolicStore({"x": T.bv_and(x, c(0xFF)), "y": c(2), "z": c(3)})
+        memo: dict = {}
+        # Seed the memo with a subterm both merges simplify.
+        merge_stores(T.bool_not(cond), a, b, memo)
+        with_memo = merge_stores(cond, a, b, memo)
+        without = merge_stores(cond, a, b)
+        assert list(with_memo.paths()) == list(without.paths())
+        for path in without.paths():
+            assert with_memo.read(path) is without.read(path)
+        assert with_memo.read("x") is x
+
     def test_one_sided_paths_kept(self):
         cond = T.bool_var("mo")
         a = SymbolicStore({"x": c(1), "only_a": c(9)})

@@ -3,14 +3,17 @@
 
 Exercises the full cold pipeline (parse → typecheck → analyze → encode →
 specialize → lower) and the warm per-update path against a corpus
-program, and asserts the typed event stream is non-empty and well-formed
-and that the incrementally respecialized program is what a fresh
-specializer builds from the engine's verdicts.  Exits non-zero on any
-violation; prints the event summary on success.
+program, and asserts the typed event stream is non-empty and well-formed,
+that the cold model's point terms are the identical objects an executor
+builds with a fresh ``simplify`` memo per call, and that the
+incrementally respecialized program is what a fresh specializer builds
+from the engine's verdicts.  Exits non-zero on any violation; prints the
+event summary on success.
 """
 
 import sys
 
+from repro.analysis import state, symexec
 from repro.core import Flay, FlayOptions
 from repro.engine import (
     EventBus,
@@ -23,6 +26,7 @@ from repro.engine.specialize import Specializer
 from repro.p4.printer import print_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
+from repro.smt.simplify import simplify
 
 
 def main() -> int:
@@ -36,6 +40,11 @@ def main() -> int:
         "lower",
     ], f"unexpected cold pipeline: {cold}"
     assert log.count(TargetCompiled) == 1, "cold lowering must compile once"
+    reference = _fresh_memo_points(flay)
+    assert list(flay.model.points) == list(reference), "program points differ"
+    assert all(
+        point.expr is reference[pid].expr for pid, point in flay.model.points.items()
+    ), "the run-long simplify memo changed a program point's term"
 
     fuzzer = EntryFuzzer(flay.model, seed=0)
     table = sorted(flay.model.tables)[0]
@@ -59,6 +68,22 @@ def main() -> int:
 
     print(f"engine smoke OK: {len(log)} events — {log.summary()}")
     return 0
+
+
+def _fresh_memo_points(flay: Flay) -> dict:
+    """The engine's program points, rebuilt by a plain executor whose every
+    ``simplify`` call gets a fresh memo and whose joins pass none."""
+    saved = symexec.simplify, state.simplify, symexec.merge_stores
+    merge = state.merge_stores
+    symexec.simplify = state.simplify = lambda term, memo=None: simplify(term)
+    symexec.merge_stores = lambda cond, a, b, memo=None: merge(cond, a, b)
+    try:
+        executor = symexec.SymbolicExecutor(
+            flay.program, flay.env, skip_parser=flay.model.skipped_parser
+        )
+        return executor.analyze().points
+    finally:
+        symexec.simplify, state.simplify, symexec.merge_stores = saved
 
 
 if __name__ == "__main__":
