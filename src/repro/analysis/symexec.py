@@ -594,9 +594,7 @@ class SymbolicExecutor:
     def _find_action_or_none(self, unit: _Unit, name: str):
         decl = unit.decl
         if isinstance(decl, ast.ControlDecl):
-            for local in decl.locals:
-                if isinstance(local, ast.ActionDecl) and local.name == name:
-                    return local
+            return decl.actions_by_name().get(name)
         return None
 
     def _extern_assign(

@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.engine.context import EngineContext
-from repro.engine.events import BatchMerged, BatchScheduled, TargetCompiled
+from repro.engine.events import BatchMerged, BatchScheduled
 from repro.engine.gate import GateStats
-from repro.engine.pipeline import describe_points
+from repro.engine.pipeline import _compile, describe_points
 from repro.engine.queries import PointReverdicts, QueryEngine
 from repro.ir.deps import build_dependency_graph
 from repro.runtime.entries import EntryError
@@ -777,17 +777,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         )
         ctx.recompilations += 1
         if ctx.target is not None:
-            compile_report = ctx.target.compile(ctx.specialized_program)
-            ctx.compile_reports.append(compile_report)
-            if ctx.bus.active:
-                ctx.bus.emit(
-                    TargetCompiled(
-                        target=getattr(ctx.target, "name", "target"),
-                        modeled_seconds=getattr(
-                            compile_report, "modeled_seconds", 0.0
-                        ),
-                    )
-                )
+            compile_report = _compile(ctx)
 
     return BatchReport(
         update_count=len(updates),

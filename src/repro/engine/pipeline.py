@@ -376,7 +376,7 @@ def _compile(ctx: EngineContext):
         ctx.bus.emit(
             TargetCompiled(
                 target=getattr(ctx.target, "name", "target"),
-                modeled_seconds=getattr(report, "modeled_seconds", 0.0),
+                modeled_seconds=report.modeled_seconds,
             )
         )
     return report

@@ -130,6 +130,8 @@ class Specializer:
         self._memo: dict = {}
         self._node_verdicts: dict[int, PointVerdict] = {}
         self._overapproximated: frozenset = frozenset()
+        # (input parser, prunable headers, output) of the last tail pruning.
+        self._stripped: Optional[tuple] = None
 
     def specialize(
         self,
@@ -289,13 +291,13 @@ class Specializer:
         return self._node_verdicts.get(node_id)
 
     def _table_decl(self, control: ast.ControlDecl, name: str) -> ast.TableDecl:
-        decl = self._index.tables[control.name].get(name)
+        decl = control.tables_by_name().get(name)
         if decl is None:
             raise SpecializeError(f"control {control.name!r} has no table {name!r}")
         return decl
 
     def _action_decl(self, control: ast.ControlDecl, name: str) -> ast.ActionDecl:
-        decl = self._index.actions[control.name].get(name)
+        decl = control.actions_by_name().get(name)
         if decl is None:
             raise SpecializeError(f"control {control.name!r} has no action {name!r}")
         return decl
@@ -610,7 +612,9 @@ class Specializer:
 
         A header instance is used when the output controls or parser
         reference it outside its own extract: the union of the memo
-        entries' header sets, which ``_build`` has collected.
+        entries' header sets, which ``_build`` has collected.  While the
+        input parser is the identical object and the prunable set is the
+        same, the last stripped parser is reused.
         """
         order = self.model.extracted_headers
         prunable: set[str] = set()
@@ -623,7 +627,11 @@ class Specializer:
         self.report.pruned_headers.extend(h for h in order if h in prunable)
         for at, decl in enumerate(decls):
             if isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
-                decls[at] = _strip_extracts(decl, prunable)
+                stripped = self._stripped
+                if stripped is None or stripped[0] is not decl or stripped[1] != prunable:
+                    stripped = (decl, prunable, _strip_extracts(decl, prunable))
+                    self._stripped = stripped
+                decls[at] = stripped[2]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +684,6 @@ class _ProgramIndex:
     each parser select case to its parser.  ``mentions`` maps a qualified
     table to the statements that apply it, test its ``.hit``/``.miss`` or
     switch on it.  ``pids`` lists the points annotating each indexed node.
-    ``tables`` and ``actions`` are each control's declarations by name.
     """
 
     def __init__(
@@ -684,12 +691,8 @@ class _ProgramIndex:
     ) -> None:
         self.parent: dict[int, int] = {}
         self.mentions: dict[str, list[int]] = {}
-        self.tables: dict[str, dict[str, ast.TableDecl]] = {}
-        self.actions: dict[str, dict[str, ast.ActionDecl]] = {}
         for decl in program.declarations:
             if isinstance(decl, ast.ControlDecl) and decl.name in controls:
-                self.tables[decl.name] = decl.tables_by_name()
-                self.actions[decl.name] = decl.actions_by_name()
                 self._index_block(decl.name, decl.apply, id(decl))
             elif isinstance(decl, ast.ParserDecl) and decl.name == parser:
                 for state in decl.states:

@@ -10,6 +10,7 @@ straight-line apply blocks with if/else, and a small extern surface
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from repro.p4.errors import SourcePos
@@ -315,18 +316,22 @@ class ControlDecl:
 
     def tables_by_name(self) -> dict[str, TableDecl]:
         """This control's tables by name; the first of a repeated name wins."""
-        return self._locals_by_name(TableDecl)
+        return self._locals_by_name[0]
 
     def actions_by_name(self) -> dict[str, ActionDecl]:
         """This control's actions by name; the first of a repeated name wins."""
-        return self._locals_by_name(ActionDecl)
+        return self._locals_by_name[1]
 
-    def _locals_by_name(self, kind: type) -> dict:
-        found: dict = {}
+    @cached_property
+    def _locals_by_name(self) -> tuple:
+        """Both maps, built once per control object; not to be mutated."""
+        tables, actions = {}, {}
         for local in self.locals:
-            if isinstance(local, kind):
-                found.setdefault(local.name, local)
-        return found
+            if isinstance(local, TableDecl):
+                tables.setdefault(local.name, local)
+            elif isinstance(local, ActionDecl):
+                actions.setdefault(local.name, local)
+        return tables, actions
 
 
 # -- parsers --------------------------------------------------------------
@@ -407,7 +412,7 @@ class Program:
                 return decl
         raise KeyError(name)
 
-    @property
+    @cached_property
     def pipeline(self) -> PipelineDecl:
         for decl in self.declarations:
             if isinstance(decl, PipelineDecl):

@@ -1,14 +1,12 @@
 """The unified device-backend interface and the target registry.
 
-Every device backend — the Tofino RMT model, the BMv2 software switch,
-the incremental Tofino recompiler — implements one :class:`Target` ABC:
+Every device backend — the Tofino RMT model and the BMv2 software
+switch — implements one :class:`Target` ABC:
 
 * :meth:`Target.compile` — lower a (specialized) program to the device,
   returning the backend's compile report;
 * :meth:`Target.lower_update` — push one *forwarded* control-plane update
-  to the device untouched (the cheap path the paper's pipeline protects);
-* :meth:`Target.resources` — the device resource accounting for a
-  program, where the backend models any.
+  to the device untouched (the cheap path the paper's pipeline protects).
 
 Backends register themselves by name; the engine and the CLI resolve
 names through :func:`create_target`, so an unknown ``--target`` fails
@@ -91,10 +89,6 @@ class Target(ABC):
         """
         return [self.lower_update(update) for update in updates]
 
-    def resources(self, program):
-        """Device resource accounting for ``program`` (None if unmodeled)."""
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -143,12 +137,6 @@ def _tofino(program_name: str) -> Target:
     return TofinoCompiler(program_name=program_name)
 
 
-def _tofino_incremental(program_name: str) -> Target:
-    from repro.targets.tofino.incremental import IncrementalTofinoCompiler
-
-    return IncrementalTofinoCompiler(program_name=program_name)
-
-
 def _bmv2(program_name: str) -> Target:
     from repro.targets.bmv2.compiler import Bmv2Compiler
 
@@ -156,5 +144,4 @@ def _bmv2(program_name: str) -> Target:
 
 
 register_target("tofino", _tofino)
-register_target("tofino-incremental", _tofino_incremental)
 register_target("bmv2", _bmv2)

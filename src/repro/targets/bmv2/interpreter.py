@@ -299,14 +299,14 @@ class Interpreter:
             return
         if call.target is None and isinstance(unit.decl, ast.ControlDecl):
             # Direct action invocation from the apply block.
-            for local in unit.decl.locals:
-                if isinstance(local, ast.ActionDecl) and local.name == method:
-                    args = tuple(
-                        self._eval(arg, unit, state, self.env.width_of(p.type))
-                        for arg, p in zip(call.args, local.params)
-                    )
-                    self._run_action(unit.decl, unit, state, method, args)
-                    return
+            local = unit.decl.actions_by_name().get(method)
+            if local is not None:
+                args = tuple(
+                    self._eval(arg, unit, state, self.env.width_of(p.type))
+                    for arg, p in zip(call.args, local.params)
+                )
+                self._run_action(unit.decl, unit, state, method, args)
+                return
         if method in ("hash", "update_checksum"):
             dst = state.resolve_path(lvalue_path(call.args[0]), unit.name)
             width = state.widths[dst]
@@ -344,11 +344,7 @@ class Interpreter:
     def _apply_table(self, table_name: str, unit, state) -> tuple[bool, str]:
         """Run a table; returns (hit, action_run)."""
         control = unit.decl
-        decl = None
-        for local in control.locals:
-            if isinstance(local, ast.TableDecl) and local.name == table_name:
-                decl = local
-                break
+        decl = control.tables_by_name().get(table_name)
         if decl is None:
             raise InterpreterError(
                 f"control {control.name!r} has no table {table_name!r}"
@@ -389,11 +385,7 @@ class Interpreter:
         return False, default.name
 
     def _run_action(self, control, unit, state, action_name: str, args: tuple) -> None:
-        action = None
-        for local in control.locals:
-            if isinstance(local, ast.ActionDecl) and local.name == action_name:
-                action = local
-                break
+        action = control.actions_by_name().get(action_name)
         if action is None:
             raise InterpreterError(
                 f"control {control.name!r} has no action {action_name!r}"

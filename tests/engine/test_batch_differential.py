@@ -26,7 +26,7 @@ from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
 
-TARGETS = ("tofino", "tofino-incremental", "bmv2")
+TARGETS = ("tofino", "bmv2")
 
 #: CI matrix axis: the worker count used by the mixed-stream regime.
 ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))

@@ -33,7 +33,7 @@ from repro.smt.interval import _refuted_by_pins
 
 from tests.engine.spec import Spec
 
-TARGETS = ("tofino", "tofino-incremental", "bmv2")
+TARGETS = ("tofino", "bmv2")
 
 #: CI matrix axis.
 ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))

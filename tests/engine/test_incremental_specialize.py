@@ -11,7 +11,8 @@ is the fresh one's, order included:
 * a policy roll-out on all seven zoo programs, one update at a time and in
   ``process_batch`` / ``apply_batch`` chunks;
 * the ``dce`` effort and ``prune_parser_tail=False``;
-* value-set updates, which move parser select cases;
+* value-set updates, which move parser select cases, and recompiles that
+  move none, which keep the stripped parser object;
 * a table crossing the overapproximation threshold, and a one-action table
   whose crossing moves no ``same_specialization`` field but does move its
   printed form;
@@ -109,6 +110,24 @@ def test_rollout_in_batches(name):
 def test_rollout_under_other_options(name, options):
     flay = make_flay(name, **options)
     assert run_one_at_a_time(flay, rollout(flay, seed=3)) > 0
+
+
+def test_an_unchanged_parser_stays_the_identical_object():
+    """accturbo's parser loses its unused tail headers.  A recompile that
+    moves no parser verdict returns the last stripped parser object, not an
+    equal copy, and the output is still a fresh specializer's."""
+    flay = make_flay("accturbo")
+    spec = Spec(flay)
+    name = flay.program.pipeline.parser
+    parser = flay.specialized_program.find(name)
+    assert flay.report.pruned_headers
+    recompiles = 0
+    for update in rollout(flay):
+        if flay.process_update(update).recompiled:
+            assert flay.specialized_program.find(name) is parser
+            assert_fresh(flay, spec)
+            recompiles += 1
+    assert recompiles > 1
 
 
 def test_value_set_updates_move_the_parser():

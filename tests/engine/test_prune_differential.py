@@ -22,7 +22,7 @@ from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
 
-TARGETS = ("tofino", "tofino-incremental", "bmv2")
+TARGETS = ("tofino", "bmv2")
 
 # The gate-differential program, plus a constant-dominated region so the
 # prune pass actually engages: an always-true guard around a table apply,

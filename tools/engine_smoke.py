@@ -7,8 +7,9 @@ program, and asserts the typed event stream is non-empty and well-formed,
 that the cold model's point terms are the identical objects an executor
 builds with a fresh ``simplify`` memo per call, and that the
 incrementally respecialized program is what a fresh specializer builds
-from the engine's verdicts.  Exits non-zero on any violation; prints the
-event summary on success.
+from the engine's verdicts, and that every warm Tofino recompile reports
+its §6 modular cost.  Exits non-zero on any violation; prints the event
+summary on success.
 """
 
 import sys
@@ -40,6 +41,7 @@ def main() -> int:
         "lower",
     ], f"unexpected cold pipeline: {cold}"
     assert log.count(TargetCompiled) == 1, "cold lowering must compile once"
+    assert flay.compile_reports[0].delta is None, "a cold compile has no delta"
     reference = _fresh_memo_points(flay)
     assert list(flay.model.points) == list(reference), "program points differ"
     assert all(
@@ -57,6 +59,11 @@ def main() -> int:
     assert outcomes[-1].kind == "batch" and outcomes[-1].update_count == 20
     assert all(o.forwarded != o.recompiled for o in outcomes)
     assert any(e.stage == "warm" for e in log.of_type(PassStarted))
+    warm_reports = flay.compile_reports[1:]
+    assert warm_reports, "the warm updates must recompile"
+    for report in warm_reports:
+        assert report.delta is not None, "a warm recompile must report its delta"
+        assert report.modular_seconds <= report.modeled_seconds, report.describe()
     assert len(log) > 0, "event stream must be non-empty"
 
     fresh, _ = Specializer(flay.program, flay.model, flay.env).specialize(
