@@ -276,10 +276,11 @@ class AnalysisPass:
         )
         ctx.term_factory = DEFAULT_FACTORY
         # One long-lived substitute-and-simplify pass whose memo survives
-        # across updates: an update marks the entries above a re-assigned
-        # control symbol dirty and the next pull rewrites only those whose
-        # children's results moved, so warm updates touch O(delta) of each
-        # point's DAG.  It shares the query engine's simplify memo.
+        # across updates: an update pushes a re-assigned control symbol up
+        # the memoised DAG and rewrites only the entries whose children's
+        # results moved, so warm updates touch O(delta) of each point's DAG
+        # and the pulls after it are memo hits.  It shares the query
+        # engine's simplify memo.
         ctx.substitution = DeltaSubstitution(
             {}, simplify_memo=ctx.query_engine.simplify_memo
         )

@@ -11,8 +11,10 @@ Two walkers live here.  :class:`Substitution` is the one-shot
 specification: replace, rebuild, and leave simplification to the caller.
 :class:`DeltaSubstitution` (with its :class:`SubstitutionSlice` overlay)
 is what the engine runs: one fused substitute-and-simplify pass over the
-*source* DAG that survives updates and re-evaluates only what a changed
-assignment actually moved; the tests check it against the specification.
+*source* DAG that survives updates.  Each update pushes the symbols whose
+assignment moved up the memoised DAG once, lowest node first, and stops
+wherever a result comes back unchanged; what is left for the warm path's
+pulls is dict hits.  The tests check it against the specification.
 The :class:`~repro.smt.arena.TermArena` codec moves its mapping and memo
 through a snapshot (:meth:`DeltaSubstitution.export_state`) but does no
 rewriting of its own.
@@ -20,6 +22,7 @@ rewriting of its own.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Mapping, Optional
 
 from repro.ir.metrics import CacheCounter
@@ -38,11 +41,11 @@ _EMPTY_DEPS: frozenset = frozenset()
 def variable_dependencies(term: Term) -> frozenset:
     """Names of all variable leaves reachable from ``term`` (memoized).
 
-    The specification of delta substitution's invalidation: a memoized
-    result for ``term`` goes stale exactly when the mapping of one of
-    these names changes.  :class:`DeltaSubstitution` reaches the same
-    entries by walking parent edges up from the changed variables; the
-    tests check one against the other.
+    The specification of delta substitution's propagation: a memoized
+    result for ``term`` can move only when the mapping of one of these
+    names changes.  :class:`DeltaSubstitution` reaches the same entries by
+    walking parent edges up from the changed variables; the tests check
+    one against the other.
     """
     cached = _VAR_DEPS.get(term)
     if cached is not None:
@@ -72,6 +75,16 @@ def variable_dependencies(term: Term) -> frozenset:
     return _VAR_DEPS[term]
 
 
+def _check(var: Term, replacement: Term) -> None:
+    if not var.is_var:
+        raise T.SortError(f"substitution key {var!r} is not a variable")
+    if var.width != replacement.width:
+        raise T.SortError(
+            f"substituting {replacement!r} (width {replacement.width}) "
+            f"for {var!r} (width {var.width})"
+        )
+
+
 class Substitution:
     """A reusable variable→term mapping with a shared memo table.
 
@@ -82,13 +95,7 @@ class Substitution:
 
     def __init__(self, mapping: Mapping[Term, Term]) -> None:
         for var, replacement in mapping.items():
-            if not var.is_var:
-                raise T.SortError(f"substitution key {var!r} is not a variable")
-            if var.width != replacement.width:
-                raise T.SortError(
-                    f"substituting {replacement!r} (width {replacement.width}) "
-                    f"for {var!r} (width {var.width})"
-                )
+            _check(var, replacement)
         self._mapping = {id(var): replacement for var, replacement in mapping.items()}
         self._memo: dict[int, Term] = dict(self._mapping)
 
@@ -126,32 +133,34 @@ class DeltaSubstitution:
     ``simplify(Substitution(mapping).apply(term))`` returns — the same
     interned object — without building the substituted term: every
     memoised *source* node stores ``_rewrite(node, results of its
-    children)`` together with the child results it was computed from.
+    children)``.
 
     A control-plane update does not drop anything.  :meth:`set_many` diffs
     the new assignments against the old ones by term identity
     (hash-consing makes semantically-identical re-encodings the same
     object), *reports the changed symbols* — the warm path re-queries only
-    points tainted by those — and marks **dirty** the memoised ancestors
-    of every symbol whose *simplified* assignment is a different object,
-    walking the *parent edges* (``child → memoised nodes it is an argument
-    of``) recorded when a node is first evaluated.  :meth:`apply`
-    re-evaluates dirty nodes on demand, children first, and keeps a node's
-    stored result without rewriting whenever every child result is the
-    object it was computed from (the **cutoff**): a new ACL entry that
-    leaves ``std.drop`` the constant 1 rewrites the nodes directly above
-    the table's symbols and nothing above those.  Invariant: a dirty
-    node's memoised ancestors are all dirty, so marking stops at a node
-    that already is.
+    points tainted by those — and **pushes** every symbol whose
+    *simplified* assignment is a different object up the *parent edges*
+    (``child → memoised nodes it is an argument of``, recorded when a node
+    is first evaluated).  Nodes are re-evaluated lowest *height* first (a
+    leaf is 0, a node one more than its tallest child), so each is
+    rewritten at most once per call and after all of its children.  A node
+    is queued only when a child's result changed, and one whose rewrite
+    returns its stored result queues nothing (the **cutoff**): a new ACL
+    entry that leaves ``std.drop`` the constant 1 rewrites the nodes
+    directly above the table's symbols and nothing above those.  Once
+    :meth:`set_many` returns every memo entry is current, so :meth:`apply`
+    is a dict hit for any memoised term and evaluates only nodes it has
+    never seen.
 
     An edge is a structural fact about two source terms, so edges are
-    never removed and neither they, the memo, the stored child results nor
-    the dirty set can outgrow the program's own DAG.
+    never removed and neither they, the memo nor the heights can outgrow
+    the program's own DAG.
 
     The memo keys interned :class:`Term` objects directly (their hash is
     the precomputed structural hash and equality is identity) — which is
-    what makes it *exportable*: a snapshot walks the clean entries and
-    ships both sides through a :class:`~repro.smt.arena.TermArena`.
+    what makes it *exportable*: a snapshot ships both sides of every entry
+    through a :class:`~repro.smt.arena.TermArena`.
 
     ``simplify_memo`` is the ``id``-keyed memo handed to every
     :func:`~repro.smt.simplify.simplify` call and rewrite rule; the engine
@@ -165,15 +174,15 @@ class DeltaSubstitution:
         counter: Optional[CacheCounter] = None,
         simplify_memo: Optional[dict] = None,
     ) -> None:
+        #: ``invalidations`` counts the nodes propagation re-evaluated.
         self.counter = counter if counter is not None else CacheCounter("substitution")
-        #: Nodes (re)written by :meth:`apply` — the work the cutoff did not save.
+        #: Nodes rewritten, by propagation or by a first evaluation.
         self.rewrites = 0
         self._simplify_memo = simplify_memo if simplify_memo is not None else {}
         self._mapping: dict[Term, Term] = {}
         self._memo: dict[Term, Term] = {}
-        self._inputs: dict[Term, tuple] = {}
         self._parents: dict[Term, set[Term]] = {}
-        self._dirty: set[Term] = set()
+        self._heights: dict[Term, int] = {}
         self.set_many(mapping)
 
     def __len__(self) -> int:
@@ -183,15 +192,14 @@ class DeltaSubstitution:
     def memo_size(self) -> int:
         return len(self._memo)
 
-    @staticmethod
-    def _check(var: Term, replacement: Term) -> None:
-        if not var.is_var:
-            raise T.SortError(f"substitution key {var!r} is not a variable")
-        if var.width != replacement.width:
-            raise T.SortError(
-                f"substituting {replacement!r} (width {replacement.width}) "
-                f"for {var!r} (width {var.width})"
-            )
+    def _read(self, term: Term) -> Optional[Term]:
+        return self._memo.get(term)
+
+    def _height(self, term: Term) -> int:
+        return self._heights.get(term, 0)
+
+    def _parent_maps(self) -> tuple:
+        return (self._parents,)
 
     def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
         """Install new assignments; returns the names of the symbols whose
@@ -200,24 +208,11 @@ class DeltaSubstitution:
         Assignments identical (by term identity) to the current ones are
         no-ops — the common case when an overapproximated table is
         re-encoded, or a batch re-touches an unchanged table — so a
-        forwarded update stream marks nothing and reports nothing.  A
+        forwarded update stream pushes nothing and reports nothing.  A
         changed assignment that *simplifies* to the object the old one
-        did is reported (the symbol was re-assigned) but marks nothing.
+        did is reported (the symbol was re-assigned) but pushes nothing.
         """
-        memo = self._memo
-        changed: list[Term] = []
-        moved: list[Term] = []
-        for var, replacement in mapping.items():
-            self._check(var, replacement)
-            if self._mapping.get(var) is not replacement:
-                self._mapping[var] = replacement
-                changed.append(var)
-                result = simplify(replacement, self._simplify_memo)
-                if memo.get(var) is not result:
-                    memo[var] = result
-                    moved.append(var)
-        self.counter.invalidate(_mark_dirty(moved, self._dirty, self._parents))
-        return {var.payload for var in changed}
+        return _assign(self, mapping, self._mapping.get)
 
     def fork_slice(self, simplify_memo: Optional[dict] = None) -> "SubstitutionSlice":
         """A copy-on-write worker view over this substitution's memo."""
@@ -230,60 +225,25 @@ class DeltaSubstitution:
 
     def apply(self, term: Term) -> Term:
         """``term`` under the current assignments, substituted and simplified."""
-        memo = self._memo
-        dirty = self._dirty
-        if term in memo and term not in dirty:
+        found = self._memo.get(term)
+        if found is not None:
             self.counter.hit()
-            return memo[term]
+            return found
         self.counter.miss()
-        inputs = self._inputs
-        parents = self._parents
-        simplify_memo = self._simplify_memo
-        stack: list[tuple[Term, bool]] = [(term, False)]
-        while stack:
-            node, expanded = stack.pop()
-            known = node in memo
-            if known and node not in dirty:
-                continue
-            if not node.args:
-                memo[node] = node  # a constant or an unassigned symbol
-                continue
-            if not expanded:
-                stack.append((node, True))
-                for child in node.args:
-                    if child not in memo or child in dirty:
-                        stack.append((child, False))
-                continue
-            results = tuple([memo[child] for child in node.args])
-            if known:
-                dirty.discard(node)
-                # Interned terms are equal only when identical, so this is
-                # the identity test the cutoff needs at tuple-compare speed.
-                if results == inputs[node]:
-                    continue
-            else:
-                _link(parents, node)
-            inputs[node] = results
-            memo[node] = _rewrite(node, results, simplify_memo)
-            self.rewrites += 1
-        return memo[term]
+        return _evaluate(self, term)
 
     # -- snapshot export / import ----------------------------------------------
 
     def export_state(self, arena) -> dict:
-        """A picklable blob of the mapping and the clean part of the memo.
+        """A picklable blob of the mapping and the memo.
 
         Every term (keys and values alike) rides in ``arena`` (a
         :class:`~repro.smt.arena.TermArena`); :meth:`import_state`
         re-interns them through the receiving process's default factory,
         so identity-based change detection keeps working after a restore.
-        Dirty entries are left out — the restored engine recomputes them,
-        to the same interned terms, when they are next pulled — which
-        makes everything else re-derivable: a clean node's children are
-        clean, so its stored child results are its children's entries, and
-        the parent edges are the memo keys' own argument lists.
+        Every entry is current, and the parent edges and heights are
+        re-derived from the memo keys' own argument lists.
         """
-        dirty = self._dirty
         return {
             "mapping": [
                 (arena.encode(var), arena.encode(replacement))
@@ -292,7 +252,6 @@ class DeltaSubstitution:
             "memo": [
                 (arena.encode(key), arena.encode(value))
                 for key, value in self._memo.items()
-                if key not in dirty
             ],
         }
 
@@ -309,12 +268,9 @@ class DeltaSubstitution:
         memo = self._memo = {
             arena.decode(key): arena.decode(value) for key, value in blob["memo"]
         }
-        self._inputs = {
-            key: tuple([memo[child] for child in key.args]) for key in memo if key.args
-        }
+        self._heights = _derive_heights(memo)
         self._parents = {}
-        self._dirty = set()
-        for key in memo:
+        for key in self._heights:
             _link(self._parents, key)
         return len(memo)
 
@@ -331,20 +287,101 @@ def _link(parents: dict[Term, set[Term]], node: Term) -> None:
                 found.add(node)
 
 
-def _mark_dirty(moved: list, dirty: set, *edge_maps: dict) -> int:
-    """Add every ancestor of ``moved`` (through ``edge_maps``) to ``dirty``,
-    stopping at nodes already in it; returns the number added."""
-    marked = 0
-    stack = list(moved)
-    while stack:
-        node = stack.pop()
+def _derive_heights(memo: Mapping[Term, Term]) -> dict[Term, int]:
+    """The height of every memoised node that has arguments."""
+    heights: dict[Term, int] = {}
+    for key in memo:
+        stack = [key]
+        while stack:
+            node = stack[-1]
+            if node in heights or not node.args:
+                stack.pop()
+                continue
+            pending = [child for child in node.args if child.args and child not in heights]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            heights[node] = 1 + max([heights.get(child, 0) for child in node.args])
+    return heights
+
+
+def _assign(
+    view: DeltaSubstitution | SubstitutionSlice, mapping: Mapping[Term, Term], assigned
+) -> set[str]:
+    """``set_many`` for a substitution or a slice: install every assignment
+    that is not ``assigned(var)`` already and push the symbols whose
+    simplified assignment moved; returns the changed symbols' names."""
+    changed: list[Term] = []
+    moved: list[Term] = []
+    for var, replacement in mapping.items():
+        _check(var, replacement)
+        if assigned(var) is not replacement:
+            view._mapping[var] = replacement
+            changed.append(var)
+            result = simplify(replacement, view._simplify_memo)
+            if view._read(var) is not result:
+                view._memo[var] = result
+                moved.append(var)
+    if moved:
+        view.counter.invalidate(_propagate(view, moved))
+    return {var.payload for var in changed}
+
+
+def _propagate(view: DeltaSubstitution | SubstitutionSlice, moved: list) -> int:
+    """Re-evaluate the memoised ancestors of ``moved`` whose result can have
+    changed, lowest first; returns how many were re-evaluated.
+
+    Heights order the worklist: a parent is taller than each of its
+    children, so a popped node's children are all final and nothing is
+    queued twice.  Only a node whose result moved queues its parents.
+    """
+    read, height, edge_maps = view._read, view._height, view._parent_maps()
+    queued: set[Term] = set()
+    heap: list = []
+
+    def enqueue(node: Term) -> None:
         for parents in edge_maps:
             for parent in parents.get(node, ()):
-                if parent not in dirty:
-                    dirty.add(parent)
-                    marked += 1
-                    stack.append(parent)
-    return marked
+                if parent not in queued:
+                    queued.add(parent)
+                    heappush(heap, (height(parent), len(queued), parent))
+
+    for var in moved:
+        enqueue(var)
+    while heap:
+        node = heappop(heap)[2]
+        results = tuple([read(child) for child in node.args])
+        result = _rewrite(node, results, view._simplify_memo)
+        if result is not read(node):
+            view._memo[node] = result
+            enqueue(node)
+    view.rewrites += len(queued)
+    return len(queued)
+
+
+def _evaluate(view: DeltaSubstitution | SubstitutionSlice, term: Term) -> Term:
+    """``term``'s result, evaluating children first every node that ``view``
+    has none for and recording its parent edges and height."""
+    read, memo, height = view._read, view._memo, view._height
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if read(node) is not None:
+            continue
+        if not node.args:
+            memo[node] = node  # a constant or an unassigned symbol
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend([(child, False) for child in node.args if read(child) is None])
+            continue
+        results = tuple([read(child) for child in node.args])
+        memo[node] = _rewrite(node, results, view._simplify_memo)
+        view._heights[node] = 1 + max([height(child) for child in node.args])
+        _link(view._parents, node)
+        view.rewrites += 1
+    return memo[term]
 
 
 class SubstitutionSlice:
@@ -353,20 +390,18 @@ class SubstitutionSlice:
     The batch scheduler runs independent conflict groups on a worker pool;
     every worker needs the warm memo (the cross-update asset) but must not
     mutate it while siblings read it.  A slice layers a private memo,
-    stored child results, parent edges, mapping and dirty set over
-    read-only views of the shared ones:
-
-    * a node is *clean in this view* when the slice has not marked it
-      dirty and it has a private entry, or a shared entry the shared
-      substitution had not marked dirty either;
-    * writes (new mapping entries, re-evaluated nodes — also those the
-      cutoff kept, so that they read as clean here) go to the private
-      layer only.
+    parent edges, heights and mapping over read-only views of the shared
+    ones.  A lookup tries the private layer first; every write — a new
+    assignment, a first evaluation, a result moved by propagation — goes
+    to the private layer only.  Propagation follows the private and the
+    shared edges, so a node only this slice has evaluated stays current
+    too.
 
     After the pool joins, :meth:`DeltaSubstitution.absorb` folds the
     private layer back into the shared substitution on the main thread —
-    groups touch disjoint control symbols, so grafted entries can never
-    disagree with another group's.
+    groups touch disjoint control symbols, so their propagated regions
+    never overlap and grafted entries can never disagree with another
+    group's.
     """
 
     def __init__(
@@ -375,10 +410,9 @@ class SubstitutionSlice:
         self._shared = shared
         self._simplify_memo = simplify_memo if simplify_memo is not None else {}
         self._memo: dict[Term, Term] = {}
-        self._inputs: dict[Term, tuple] = {}
         self._parents: dict[Term, set[Term]] = {}
+        self._heights: dict[Term, int] = {}
         self._mapping: dict[Term, Term] = {}
-        self._dirty: set[Term] = set()
         self.counter = CacheCounter("substitution")
         self.rewrites = 0
 
@@ -386,109 +420,50 @@ class SubstitutionSlice:
     def delta_size(self) -> int:
         return len(self._memo)
 
-    def _clean(self, term: Term) -> Optional[Term]:
-        """``term``'s result if it is clean in this view, else None."""
-        if term in self._dirty:
-            return None
+    def _read(self, term: Term) -> Optional[Term]:
         found = self._memo.get(term)
-        if found is not None:
-            return found
-        shared = self._shared
-        if term in shared._dirty:
-            return None
-        return shared._memo.get(term)
+        return found if found is not None else self._shared._memo.get(term)
+
+    def _height(self, term: Term) -> int:
+        found = self._heights.get(term)
+        return found if found is not None else self._shared._heights.get(term, 0)
+
+    def _parent_maps(self) -> tuple:
+        return (self._parents, self._shared._parents)
+
+    def _assigned(self, var: Term) -> Optional[Term]:
+        found = self._mapping.get(var)
+        return found if found is not None else self._shared._mapping.get(var)
 
     def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
         """Install this group's assignments without touching shared state;
         returns the names of the symbols whose assignment changed."""
-        shared = self._shared
-        memo = self._memo
-        changed: list[Term] = []
-        moved: list[Term] = []
-        for var, replacement in mapping.items():
-            DeltaSubstitution._check(var, replacement)
-            current = self._mapping.get(var)
-            if current is None:
-                current = shared._mapping.get(var)
-            if current is not replacement:
-                self._mapping[var] = replacement
-                changed.append(var)
-                result = simplify(replacement, self._simplify_memo)
-                if self._clean(var) is not result:
-                    memo[var] = result
-                    moved.append(var)
-        self.counter.invalidate(
-            _mark_dirty(moved, self._dirty, self._parents, shared._parents)
-        )
-        return {var.payload for var in changed}
+        return _assign(self, mapping, self._assigned)
 
     def apply(self, term: Term) -> Term:
         """``term`` under this view's assignments, substituted and simplified."""
-        cached = self._clean(term)
-        if cached is not None:
+        found = self._read(term)
+        if found is not None:
             self.counter.hit()
-            return cached
+            return found
         self.counter.miss()
-        clean = self._clean
-        memo = self._memo
-        inputs = self._inputs
-        dirty = self._dirty
-        shared = self._shared
-        stack: list[tuple[Term, bool]] = [(term, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if clean(node) is not None:
-                continue
-            if not node.args:
-                memo[node] = node
-                continue
-            if not expanded:
-                stack.append((node, True))
-                for child in node.args:
-                    if clean(child) is None:
-                        stack.append((child, False))
-                continue
-            results = tuple([clean(child) for child in node.args])
-            before = inputs.get(node)
-            if before is None:
-                before = shared._inputs.get(node)
-            dirty.discard(node)
-            inputs[node] = results
-            if before is None:
-                _link(self._parents, node)
-            elif results == before:  # the cutoff; see DeltaSubstitution.apply
-                kept = memo.get(node)
-                memo[node] = kept if kept is not None else shared._memo[node]
-                continue
-            memo[node] = _rewrite(node, results, self._simplify_memo)
-            self.rewrites += 1
-        return memo[term]
+        return _evaluate(self, term)
 
 
 def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
     """Fold one worker slice back into the shared substitution.
 
-    The group's assignments are installed and the shared ancestors of the
-    symbols whose simplified assignment moved are marked dirty, as
-    ``set_many`` would; then every node the slice evaluated takes the
-    slice's entry and dirty flag, and every other node the slice marked
-    stays marked.  Returns the number of grafted entries.
+    The slice's propagation already brought every entry its symbols can
+    move up to date in its private layer, so absorbing is a graft: the
+    mapping, memo and heights take the slice's entries, and each node the
+    slice evaluated first gets its parent edges.  Returns the number of
+    grafted entries.
     """
-    memo = shared._memo
     shared._mapping.update(piece._mapping)
-    moved = [
-        var
-        for var in piece._mapping
-        if var in piece._memo and memo.get(var) is not piece._memo[var]
-    ]
-    _mark_dirty(moved, shared._dirty, shared._parents)
-    for key, result in piece._memo.items():
-        if key not in memo:
-            _link(shared._parents, key)
-        memo[key] = result
-    shared._inputs.update(piece._inputs)
-    shared._dirty -= piece._memo.keys()
-    shared._dirty |= piece._dirty
+    shared._memo.update(piece._memo)
+    shared._heights.update(piece._heights)
+    for node in piece._heights:
+        _link(shared._parents, node)
     shared.rewrites += piece.rewrites
     shared.counter.hit(piece.counter.hits)
     shared.counter.miss(piece.counter.misses)

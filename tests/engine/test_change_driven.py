@@ -121,8 +121,8 @@ def tainted_by(flay, table):
 
 
 class WorkCounters:
-    """What a change-free update must not touch: no screen, no dirty mark,
-    no pull, no rewrite."""
+    """What a change-free update must not touch: no screen, no propagation,
+    no new node, no pull, no rewrite."""
 
     def __init__(self, flay):
         self.gate = flay.runtime.gate
@@ -137,7 +137,7 @@ class WorkCounters:
         return (
             self.gate.stats.screened,
             self.counter.invalidations,
-            len(self.substitution._dirty),
+            len(self.substitution._heights),
             self.counter.hits + self.counter.misses,
             self.substitution.rewrites,
         )

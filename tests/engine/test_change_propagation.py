@@ -7,9 +7,10 @@ terms; this one checks it on every program point of all seven zoo
 programs, after valid update streams through real table encodings —
 directly, and through a worker slice that is absorbed — and then pins,
 by count rather than by time, what the cutoff is for: a precise ACL insert
-re-decides a handful of points and rewrites less than it marks, memo,
-edges and dirty set do not grow with history, a budget-``MAYBE`` is still
-retried, and the terms the verdicts were decided from survive a snapshot.
+re-decides a handful of points and re-evaluates fewer nodes than its moved
+symbols have memoised ancestors, memo, edges and heights do not grow with
+history, a budget-``MAYBE`` is still retried, and the terms the verdicts
+were decided from survive a snapshot.
 """
 
 import dataclasses
@@ -124,18 +125,35 @@ def _scion_with_acl(entries):
     return flay
 
 
+def _memoised_ancestors(nodes, edges):
+    found: set = set()
+    stack = list(nodes)
+    while stack:
+        for parent in edges.get(stack.pop(), ()):
+            if parent not in found:
+                found.add(parent)
+                stack.append(parent)
+    return found
+
+
 def test_precise_acl_insert_redecides_a_handful_and_rewrites_less_than_it_marks():
     probe = Flay(registry.load("scion"), FlayOptions(target="none"))
     entries = EntryFuzzer(probe.model, seed=7).unique_entries(SCION_ACL, 24)
     flay = _scion_with_acl(entries[:16])
     substitution = flay.runtime.substitution
-    tainted = flay.model.points_for_control_vars(
-        flay.model.table(SCION_ACL).control_var_names()
-    )
+    names = flay.model.table(SCION_ACL).control_var_names()
+    symbols = [var for var in substitution._mapping if var.payload in names]
+    tainted = flay.model.points_for_control_vars(names)
     assert len(tainted) > 50
     marking_inserts = 0
     for entry in entries[16:]:
-        marked, rewrites = substitution.counter.invalidations, substitution.rewrites
+        # The memoised ancestors of each symbol whose simplified assignment
+        # moved, over the edges at update time: what a scheme that visits
+        # every possibly-stale entry would touch.
+        edges = {child: set(parents) for child, parents in substitution._parents.items()}
+        results = {var: substitution._memo[var] for var in symbols}
+        invalidations = substitution.counter.invalidations
+        rewrites = substitution.rewrites
         decision = flay.process_update(Update(SCION_ACL, INSERT, entry))
         assert not decision.overapproximated
         assert decision.affected_points > 50
@@ -144,13 +162,16 @@ def test_precise_acl_insert_redecides_a_handful_and_rewrites_less_than_it_marks(
             decision.redecided_points + decision.unchanged_points
             <= decision.affected_points
         )
-        marked = substitution.counter.invalidations - marked
+        moved = [var for var in symbols if substitution._memo[var] is not results[var]]
+        marked = len(_memoised_ancestors(moved, edges))
+        reevaluated = substitution.counter.invalidations - invalidations
         rewrites = substitution.rewrites - rewrites
         if marked:  # else the new encodings simplify to the old ones
             marking_inserts += 1
-            assert 0 < rewrites < marked
+            assert 0 < rewrites
+            assert reevaluated < marked
         else:
-            assert rewrites == 0
+            assert reevaluated == rewrites == 0
         assert "re-decided" in decision.describe()
     assert marking_inserts >= 4
 
@@ -201,9 +222,8 @@ def test_alternating_insert_and_delete_leaves_every_structure_the_size_two_did(m
                     substitution.apply(expr)
         return (
             substitution.memo_size,
-            len(substitution._inputs),
+            len(substitution._heights),
             sum(len(nodes) for nodes in substitution._parents.values()),
-            len(substitution._dirty),
             len(simplify_memo),
             len(state.tables[info.name]._conds),
         )

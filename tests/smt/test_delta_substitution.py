@@ -4,11 +4,13 @@
 ``simplify(Substitution(mapping).apply(term))`` returns whatever sequence
 of ``set_many`` calls led to the mapping, report exactly the symbols whose
 assignment changed (the warm path re-queries only points tainted by
-those), mark dirty nothing but ancestors of a symbol whose simplified
-assignment moved, and keep its memo, stored child results, parent edges
-and dirty set bounded by the program's own term DAG rather than by the
-update history.
+those), leave every memo entry current when ``set_many`` returns,
+re-evaluate nothing but ancestors of a symbol whose simplified assignment
+moved, and keep its memo, parent edges and heights bounded by the
+program's own term DAG rather than by the update history.
 """
+
+import importlib
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,9 @@ from repro.smt.substitute import (
     Substitution,
     variable_dependencies,
 )
+
+#: The module, not the ``substitute`` helper ``repro.smt`` re-exports.
+substitute_module = importlib.import_module("repro.smt.substitute")
 
 CTRL = [T.control_var(f"dsub.c{i}", 8) for i in range(4)]
 DATA = [T.data_var(f"dsub.x{i}", 8) for i in range(3)]
@@ -70,16 +75,14 @@ def _edge_count(substitution):
     return sum(len(nodes) for nodes in substitution._parents.values())
 
 
-def _assert_clean_entries_are_right(delta, current):
-    """Every entry not marked dirty is the specification's result, and was
-    computed from its children's current results."""
+def _assert_every_entry_is_right(delta, current):
+    """Every memo entry is the specification's result, and every height is
+    one more than the tallest child's."""
     for key, result in delta._memo.items():
-        if key in delta._dirty:
-            continue
         assert result is _fresh(current, key)
         if key.args:
-            assert delta._inputs[key] == tuple(delta._memo[c] for c in key.args)
-            assert not delta._dirty.intersection(key.args)
+            tallest = max(delta._heights.get(child, 0) for child in key.args)
+            assert delta._heights[key] == 1 + tallest
 
 
 class TestDeltaMatchesFreshSubstitution:
@@ -94,19 +97,22 @@ class TestDeltaMatchesFreshSubstitution:
             expected = {
                 var.name for var, new in step.items() if current.get(var) is not new
             }
-            dirty_before = set(delta._dirty)
+            before = dict(delta._memo)
             assert delta.set_many(step) == expected
             current.update(step)
-            # Only ancestors of a re-assigned symbol are newly dirty, and
-            # whatever is still clean is still right.
-            for key in delta._dirty - dirty_before:
-                assert variable_dependencies(key) & expected
-            _assert_clean_entries_are_right(delta, current)
-            # Pull a different subset each step, so that dirt outlives steps.
+            # Only ancestors of a re-assigned symbol moved, and everything,
+            # pulled or not, is right before anything is pulled.
+            for key, result in delta._memo.items():
+                if key in before and before[key] is not result:
+                    assert variable_dependencies(key) & expected
+            _assert_every_entry_is_right(delta, current)
+            # Pull a different subset each step: a pull of a memoised term
+            # is a hit, whatever the history.
             for term in exprs[index % 2 :: 2] if index + 1 < len(steps) else exprs:
+                misses = delta.counter.misses
                 assert delta.apply(term) is _fresh(current, term)
-            _assert_clean_entries_are_right(delta, current)
-        assert not delta._dirty.intersection(exprs)
+                assert delta.counter.misses == misses
+            _assert_every_entry_is_right(delta, current)
 
     def test_unchanged_assignment_reports_and_drops_nothing(self):
         expr = T.add(CTRL[0], T.mul(CTRL[1], DATA[0]))
@@ -115,35 +121,60 @@ class TestDeltaMatchesFreshSubstitution:
         memo = dict(delta._memo)
         assert delta.set_many({CTRL[0]: _const(3), CTRL[1]: DATA[1]}) == set()
         assert delta._memo == memo
-        assert not delta._dirty
         assert delta.counter.invalidations == 0
 
-    def test_assignment_with_the_same_simplified_form_marks_nothing(self):
+    def test_assignment_with_the_same_simplified_form_pushes_nothing(self):
         expr = T.add(CTRL[0], DATA[0])
         delta = DeltaSubstitution({CTRL[0]: DATA[1]})
         delta.apply(expr)
         rewrites = delta.rewrites
         same = T.bv_xor(DATA[1], _const(0))  # another term, simplifies to DATA[1]
         assert delta.set_many({CTRL[0]: same}) == {CTRL[0].name}
-        assert not delta._dirty
+        assert delta.counter.invalidations == 0
         assert delta.apply(expr) is T.add(DATA[1], DATA[0])
         assert delta.rewrites == rewrites
 
     def test_cutoff_stops_above_an_unchanged_result(self):
-        # ctrl0 feeds a comparison that stays false: the node above the
-        # symbol is rewritten, the chain above that is only checked.
+        # ctrl0 feeds a comparison that stays false: the nodes up to the
+        # guard are re-evaluated, the 20-level chain above it is left alone.
         guard = T.ult(_const(200), T.bv_and(CTRL[0], _const(0x0F)))
         chain = DATA[0]
         for level in range(20):
             chain = T.ite(guard, _const(level), T.add(chain, DATA[1]))
         delta = DeltaSubstitution({CTRL[0]: _const(1)})
         first = delta.apply(chain)
-        marked, rewrites = delta.counter.invalidations, delta.rewrites
+        invalidations, rewrites = delta.counter.invalidations, delta.rewrites
         delta.set_many({CTRL[0]: _const(2)})
-        assert delta.counter.invalidations - marked >= 20
+        assert 0 < delta.counter.invalidations - invalidations <= 3
+        hits = delta.counter.hits
         assert delta.apply(chain) is first
+        assert delta.counter.hits == hits + 1
         assert delta.rewrites - rewrites <= 3
-        assert not delta._dirty
+
+    def test_a_diamond_is_rewritten_once_and_after_both_sides(self, monkeypatch):
+        # Both arms of the top node move, one three levels above the symbol
+        # and one a single level: the top is rewritten exactly once per
+        # set_many, after each arm, whatever order the edges list them in.
+        left = T.add(CTRL[0], DATA[0])
+        right = T.mul(T.add(T.bv_xor(CTRL[0], DATA[1]), DATA[2]), DATA[0])
+        top = T.bv_xor(left, right)
+        delta = DeltaSubstitution({CTRL[0]: _const(1)})
+        delta.apply(top)
+        rewritten: list = []
+        original = substitute_module._rewrite
+
+        def spy(node, results, memo):
+            rewritten.append(node)
+            return original(node, results, memo)
+
+        monkeypatch.setattr(substitute_module, "_rewrite", spy)
+        for value in (2, 3, 4):
+            rewritten.clear()
+            delta.set_many({CTRL[0]: _const(value)})
+            assert rewritten.count(top) == 1
+            assert rewritten.index(top) > max(rewritten.index(left), rewritten.index(right))
+            assert delta.counter.misses == 1
+            assert delta.apply(top) is _fresh({CTRL[0]: _const(value)}, top)
 
 
 class TestNoGrowthWithHistory:
@@ -166,10 +197,9 @@ class TestNoGrowthWithHistory:
                     delta.apply(term)
             return (
                 delta.memo_size,
-                len(delta._inputs),
+                len(delta._heights),
                 len(delta._parents),
                 _edge_count(delta),
-                len(delta._dirty),
             )
 
         after_two = alternate(2)
@@ -195,12 +225,11 @@ class TestSliceShadowAndAbsorb:
         warmed = exprs[:warm]
         for term in warmed:
             shared.apply(term)
-        # The slice forks from a substitution that still has dirty entries.
         base = dict(initial)
         base.update(stale)
         shared.set_many(stale)
         twin.set_many(stale)
-        dirty_at_fork = set(shared._dirty)
+        at_fork = (dict(shared._memo), dict(shared._heights), _edge_count(shared))
         piece = shared.fork_slice()
         current = dict(base)
         for step in steps:
@@ -209,17 +238,17 @@ class TestSliceShadowAndAbsorb:
             for term in exprs:
                 assert piece.apply(term) is _fresh(current, term)
         # The shared layer was not touched meanwhile.
-        assert shared._dirty == dirty_at_fork
+        assert (dict(shared._memo), dict(shared._heights), _edge_count(shared)) == at_fork
         shared.absorb(piece)
         assert shared._mapping == twin._mapping
-        _assert_clean_entries_are_right(shared, current)
+        _assert_every_entry_is_right(shared, current)
         for term in exprs:
             assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
-        # The grafted edges mark like directly recorded ones.
+        # The grafted edges and heights push like directly recorded ones.
         flip = {var: _const(200) for var in CTRL}
         assert shared.set_many(flip) == twin.set_many(flip)
         current.update(flip)
-        _assert_clean_entries_are_right(shared, current)
+        _assert_every_entry_is_right(shared, current)
         for term in exprs:
             assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
 
@@ -237,7 +266,7 @@ class TestSnapshotWithoutIndex:
         source = DeltaSubstitution(initial)
         for term in exprs:
             source.apply(term)
-        source.set_many(stale)  # exported with dirty entries outstanding
+        source.set_many(stale)  # exported after a push, with nothing pulled
         arena = TermArena()
         blob = source.export_state(arena)
         assert set(blob) == {"mapping", "memo"}
@@ -245,23 +274,17 @@ class TestSnapshotWithoutIndex:
             blob["index"] = {
                 var.name: [arena.encode(var)] for var in source._mapping
             }
-        clean = {
-            key: value
-            for key, value in source._memo.items()
-            if key not in source._dirty
-        }
         restored = DeltaSubstitution({})
-        assert restored.import_state(arena, blob) == len(clean)
+        assert restored.import_state(arena, blob) == source.memo_size
         assert restored._mapping == source._mapping
-        assert restored._memo == clean
-        assert restored._inputs == {
-            key: source._inputs[key] for key in clean if key.args
-        }
-        assert not restored._dirty
+        assert restored._memo == source._memo
+        assert restored._heights == source._heights
+        assert restored._parents == source._parents
         current = dict(initial)
         current.update(stale)
-        _assert_clean_entries_are_right(restored, current)
+        _assert_every_entry_is_right(restored, current)
         current.update(later)
         assert restored.set_many(later) == source.set_many(later)
+        _assert_every_entry_is_right(restored, current)
         for term in exprs:
             assert restored.apply(term) is source.apply(term) is _fresh(current, term)

@@ -7,9 +7,11 @@ program, and asserts the typed event stream is non-empty and well-formed,
 that the cold model's point terms are the identical objects an executor
 builds with a fresh ``simplify`` memo per call, and that the
 incrementally respecialized program is what a fresh specializer builds
-from the engine's verdicts, and that every warm Tofino recompile reports
-its §6 modular cost.  Exits non-zero on any violation; prints the event
-summary on success.
+from the engine's verdicts, that every warm Tofino recompile reports
+its §6 modular cost, and that after every warm update re-pulling each
+point tainted by the updated table is a substitution memo hit (the update
+pushed its changes; nothing is left pending).  Exits non-zero on any
+violation; prints the event summary on success.
 """
 
 import sys
@@ -50,9 +52,15 @@ def main() -> int:
 
     fuzzer = EntryFuzzer(flay.model, seed=0)
     table = sorted(flay.model.tables)[0]
+    tainted = flay.model.points_for_control_vars(
+        flay.model.table(table).control_var_names()
+    )
+    _repull(flay, tainted)
     for update in fuzzer.insert_burst(table, 5):
         flay.process_update(update)
+        assert _repull(flay, tainted) == 0, "a warm update left a substitution pull pending"
     flay.process_batch(fuzzer.insert_burst(table, 20))
+    assert _repull(flay, tainted) == 0, "a warm batch left a substitution pull pending"
 
     outcomes = log.of_type(UpdateProcessed)
     assert len(outcomes) == 6, f"expected 6 outcomes, got {len(outcomes)}"
@@ -75,6 +83,16 @@ def main() -> int:
 
     print(f"engine smoke OK: {len(log)} events — {log.summary()}")
     return 0
+
+
+def _repull(flay: Flay, pids) -> int:
+    """Pull every point in ``pids`` through the engine's substitution;
+    returns how many of those pulls missed its memo."""
+    substitution = flay.runtime.substitution
+    misses = substitution.counter.misses
+    for pid in pids:
+        substitution.apply(flay.model.points[pid].expr)
+    return substitution.counter.misses - misses
 
 
 def _fresh_memo_points(flay: Flay) -> dict:
