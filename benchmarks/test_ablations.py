@@ -271,13 +271,13 @@ class TestStateMergingAblation:
 
 
 class TestBatchAblation:
-    def test_batched_vs_per_update_burst(self, benchmark, corpus_programs):
+    def test_batched_vs_per_update_burst(self, benchmark, corpus_programs, solver_free):
         """Re-encoding the table once per burst (batch path) beats
         re-encoding on every single update."""
         program = corpus_programs["middleblock"]
         from repro.programs.middleblock import PRE_INGRESS_ACL
 
-        flay = make_flay(program, use_solver=False)
+        flay = make_flay(program)
         fuzzer = EntryFuzzer(flay.model, seed=3)
         entries = fuzzer.unique_entries(PRE_INGRESS_ACL, 80)
         prototype = [Update(PRE_INGRESS_ACL, INSERT, e) for e in entries]
@@ -292,7 +292,7 @@ class TestBatchAblation:
         batched_ms = decision.elapsed_ms
 
         # Per-update baseline.
-        flay2 = make_flay(program, use_solver=False)
+        flay2 = make_flay(program)
         start = time.perf_counter()
         for update in prototype:
             flay2.process_update(update)

@@ -1,27 +1,26 @@
-"""BENCH_8: the prune ablation and the dependency-precision measurement.
+"""BENCH_8: the prune ablation and the strict-partition measurement.
 
 Two questions, answered with honest numbers:
 
-* **What does ``--no-prune`` change?**  Cold pipeline wall-clock and the
+* **What does the prune pass change?**  Cold pipeline wall-clock and the
   CNF of the queries the cold sweep answered (re-encoded together into
   one fresh bit-blaster), on scion and switch_kitchen_sink.  The
   differential harness already pins that specialized *output* is
-  byte-identical either way; this bench records the *cost* side.  On
-  this corpus the CNF sizes come out identical — the symbolic executor
+  byte-identical either way; this bench records the *cost* side.  The
+  unpruned side is the cold pipeline with ``PrunePass`` filtered out
+  (``conftest.without_prune_pass``).  On this corpus the CNF sizes come out identical — the symbolic executor
   short-circuits the same constant branches the prune pass deletes — and
   pruning pays its own abstract-interpretation run up front, so the
   ablation documents overhead, not savings.  The assertion layer pins
   the identity (output and CNF), not a speedup.
 
-* **Does flow-sensitive dependency precision shrink conflict groups?**
-  Strict conflict components (taint ∪ dependency edges) under the
-  historical syntactic walk vs the flow-sensitive effects analysis, next
-  to the taint-only partition the scheduler actually uses, on the scion
-  240-insert burst and on switch.  Measured result: the flow refinement
-  tightens per-action effect sets and edge kinds but never connectivity
-  on this corpus (a killed read always implies the killing write, which
-  keeps a write-write edge) — the partitions coincide, and the bench
-  records that parity explicitly as ``*_parity: true``.
+* **How much does the dependency graph coarsen the conflict groups?**
+  Strict conflict components (taint ∪ dependency edges, the oracle in
+  ``tests/engine/test_batch_merge.py``) next to the taint-only partition
+  the scheduler actually uses, on scion and switch, plus the scion
+  240-insert burst through the real scheduler.  ``*_strict_refines``
+  records the property ``partition`` relies on: every taint component
+  lies inside one strict component.
 
 Set ``PRUNE_BENCH_JSON=/path/out.json`` to dump the measured numbers
 (CI uploads it as the BENCH_8 artifact).
@@ -31,10 +30,10 @@ import json
 import os
 import time
 
-from conftest import heading, make_flay
+from conftest import heading, make_flay, without_prune_pass
 
 from repro.engine.batch import conflict_components
-from repro.ir.deps import PRECISION_FLOW, PRECISION_SYNTACTIC
+from repro.ir.deps import build_dependency_graph
 from repro.smt.cnf import BitBlaster
 
 from test_batch_burst import _workload as scion_burst_workload
@@ -53,7 +52,11 @@ def _cold_run(program, prune):
     from repro.core import Flay, FlayOptions
 
     start = time.perf_counter()
-    flay = Flay(program, FlayOptions(target="tofino", prune=prune))
+    if prune:
+        flay = Flay(program, FlayOptions(target="tofino"))
+    else:
+        with without_prune_pass():
+            flay = Flay(program, FlayOptions(target="tofino"))
     source = flay.specialized_source()
     elapsed_ms = (time.perf_counter() - start) * 1000
     variables, clauses = _cnf_counts(flay)
@@ -70,7 +73,23 @@ def _component_count(components):
     return len(set(components.values()))
 
 
-def test_prune_ablation_and_dependency_precision(benchmark, corpus_programs):
+def _strict_components(model, program, env):
+    """Taint components merged along table-to-table dependency edges (the
+    same oracle as ``tests/engine/test_batch_merge.strict_components``)."""
+    parent = conflict_components(model)
+
+    def find(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    for edge in build_dependency_graph(program, env).edges:
+        if edge.src in model.tables and edge.dst in model.tables:
+            parent[find(edge.dst)] = find(edge.src)
+    return {name: find(name) for name in parent}
+
+
+def test_prune_ablation_and_strict_components(benchmark, corpus_programs):
     results = {}
 
     # -- prune ablation: cold pipeline with and without the pass --------
@@ -88,32 +107,20 @@ def test_prune_ablation_and_dependency_precision(benchmark, corpus_programs):
         results[f"{name}_removed_branches"] = pruned["report"].removed_branches
         results[f"{name}_folded_constants"] = pruned["report"].folded_constants
 
-    # -- dependency precision: strict components, both walks ------------
+    # -- strict components: taint ∪ dependency edges --------------------
     for name in COLD_PROGRAMS:
         flay = make_flay(corpus_programs[name])
-        taint_only = conflict_components(flay.model)
-        syntactic = conflict_components(
-            flay.model,
-            flay.program,
-            flay.env,
-            strict=True,
-            precision=PRECISION_SYNTACTIC,
+        taint = conflict_components(flay.model)
+        strict = _strict_components(flay.model, flay.program, flay.env)
+        results[f"{name}_taint_components"] = _component_count(taint)
+        results[f"{name}_strict_components"] = _component_count(strict)
+        groups = {}
+        for member, root in taint.items():
+            groups.setdefault(root, set()).add(member)
+        results[f"{name}_strict_refines"] = all(
+            len({strict[member] for member in members}) == 1
+            for members in groups.values()
         )
-        flow = conflict_components(
-            flay.model,
-            flay.program,
-            flay.env,
-            strict=True,
-            precision=PRECISION_FLOW,
-        )
-        results[f"{name}_taint_components"] = _component_count(taint_only)
-        results[f"{name}_strict_syntactic_components"] = _component_count(
-            syntactic
-        )
-        results[f"{name}_strict_flow_components"] = _component_count(flow)
-        results[f"{name}_strict_parity"] = _component_count(
-            syntactic
-        ) == _component_count(flow)
 
     # -- the scion 240-insert burst through the real scheduler ----------
     def burst_cell():
@@ -126,20 +133,19 @@ def test_prune_ablation_and_dependency_precision(benchmark, corpus_programs):
     results["scion_burst_ms"] = report.elapsed_ms
     benchmark.pedantic(lambda: burst_cell()[1], rounds=3, iterations=1)
 
-    heading("BENCH_8: prune ablation + dependency precision")
+    heading("BENCH_8: prune ablation + strict components")
     for name in COLD_PROGRAMS:
         print(
             f"{name}: cold {results[f'{name}_cold_pruned_ms']:.0f} ms pruned / "
-            f"{results[f'{name}_cold_no_prune_ms']:.0f} ms --no-prune, "
+            f"{results[f'{name}_cold_no_prune_ms']:.0f} ms unpruned, "
             f"CNF {results[f'{name}_cnf_variables']} vars / "
             f"{results[f'{name}_cnf_clauses']} clauses (identical both ways), "
             f"{results[f'{name}_removed_branches']} branches removed"
         )
         print(
             f"{name}: components taint={results[f'{name}_taint_components']} "
-            f"strict/syntactic={results[f'{name}_strict_syntactic_components']} "
-            f"strict/flow={results[f'{name}_strict_flow_components']} "
-            f"(parity={results[f'{name}_strict_parity']})"
+            f"strict={results[f'{name}_strict_components']} "
+            f"(refines={results[f'{name}_strict_refines']})"
         )
     print(
         f"scion burst: {results['scion_burst_updates']} updates in "

@@ -90,7 +90,6 @@ def cmd_specialize(args) -> int:
         target=args.target,
         skip_parser=args.skip_parser,
         effort=args.effort,
-        prune=not args.no_prune,
     )
     bus = EventBus()
     log = bus.attach_log() if args.stats else None
@@ -276,13 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print pipeline events and cache hit/miss statistics to stderr",
-    )
-    p_spec.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable the abstract-interpretation prune pass between "
-        "typecheck and analysis (ablation; output is byte-identical, "
-        "the cold pipeline just analyzes dead paths it could skip)",
     )
     p_spec.add_argument(
         "--batch",

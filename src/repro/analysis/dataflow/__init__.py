@@ -9,19 +9,13 @@ Pieces:
   :class:`AbstractInterpreter`, a join-based re-execution of the whole
   pipeline in the symbolic constant domain, mirroring the symbolic
   executor's transfer functions rule for rule.
-* :mod:`~repro.analysis.dataflow.effects` — flow-sensitive read/write
-  sets (the taint-domain client feeding :mod:`repro.ir.deps`).
+* :mod:`~repro.analysis.dataflow.effects` — straight-line dead writes
+  (the ``repro lint`` client; read/write sets are :mod:`repro.ir.deps`').
 * :mod:`~repro.analysis.dataflow.prune` — the output-preserving
   dead-path prune / constant-fold pass for the cold pipeline.
 """
 
-from repro.analysis.dataflow.effects import (
-    DeadWrite,
-    Effects,
-    action_effects,
-    block_effects,
-    dead_writes,
-)
+from repro.analysis.dataflow.effects import DeadWrite, dead_writes
 from repro.analysis.dataflow.engine import AbstractInterpreter, FoldFact, Observer
 from repro.analysis.dataflow.lattice import (
     Bool3,
@@ -36,14 +30,11 @@ __all__ = [
     "AbstractInterpreter",
     "Bool3",
     "DeadWrite",
-    "Effects",
     "FoldFact",
     "IntervalLattice",
     "Observer",
     "PruneReport",
     "TaintLattice",
-    "action_effects",
-    "block_effects",
     "dead_writes",
     "fixpoint",
     "prune_program",

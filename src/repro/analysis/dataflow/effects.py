@@ -1,50 +1,21 @@
-"""Flow-sensitive read/write effect analysis over statement blocks.
+"""Dead (overwritten-before-read) writes, for the ``repro lint`` client.
 
-This is the :class:`~repro.analysis.dataflow.lattice.TaintLattice` client
-of the dataflow framework: abstract facts are sets of flattened field
-paths, joined by union (reads, may-writes) and intersection
-(must-writes).  Compared to the syntactic walk in :mod:`repro.ir.deps`
-(``_action_effects``), this analysis is
-
-* **more precise on reads** — a field read only *after* a definite write
-  in the same block never escapes as a read (the incoming value is dead),
-  which is what removes spurious match dependencies between tables that
-  each rebuild a scratch field before using it; and
-* **sound on extern writes** — ``hash(dst, ...)``, ``update_checksum``
-  and ``register.read(dst, idx)`` destinations count as writes (the
-  syntactic walk files the first two under "reads all args").
-
-Field naming matches :mod:`repro.ir.deps` exactly (flattened lvalue
-paths, bare identifiers for locals, ``<header>.$valid`` for validity
-bits, ``std.drop`` for the drop flag) so the two analyses are directly
-comparable — the regression suite pins their agreement on the aliased
-table corpus.
+A straight-line walk over one block: a write whose value is definitely
+overwritten before any read is reported.  Field naming is the table
+dependency graph's (flattened lvalue paths, bare identifiers for
+locals); the field extraction helpers are :mod:`repro.ir.deps`' own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
+from repro.ir.deps import _DST_WRITE_METHODS, _expr_fields, _maybe_path
 from repro.p4 import ast_nodes as ast
-from repro.p4.types import lvalue_path
-
-#: Destination-writing externs: the first argument is assigned, the rest
-#: are read.  ``register.read`` is target-dispatched; ``hash`` and
-#: ``update_checksum`` are free-standing.
-_DST_WRITE_METHODS = ("read", "hash", "update_checksum")
 
 #: Stateful externs whose arguments are only read.
 _READ_ONLY_METHODS = ("count", "execute", "write")
-
-
-@dataclass(frozen=True)
-class Effects:
-    """Read/write summary of one block (or action body)."""
-
-    reads: frozenset[str]
-    writes: frozenset[str]  # may-writes
-    must_writes: frozenset[str]  # definite writes on every path
 
 
 @dataclass(frozen=True)
@@ -54,182 +25,6 @@ class DeadWrite:
     first: ast.AssignStmt
     second: object  # the overwriting statement
     path: str
-
-
-class _State:
-    __slots__ = ("reads", "may", "must")
-
-    def __init__(
-        self,
-        reads: Optional[set[str]] = None,
-        may: Optional[set[str]] = None,
-        must: Optional[set[str]] = None,
-    ) -> None:
-        self.reads: set[str] = set() if reads is None else reads
-        self.may: set[str] = set() if may is None else may
-        self.must: set[str] = set() if must is None else must
-
-    def copy(self) -> "_State":
-        return _State(set(self.reads), set(self.may), set(self.must))
-
-
-def action_effects(action: ast.ActionDecl) -> Effects:
-    """Flow-sensitive effects of one action body."""
-    params = frozenset(p.name for p in action.params)
-    return block_effects(action.body, params)
-
-
-def block_effects(block: ast.Block, params: frozenset[str]) -> Effects:
-    state = _State()
-    _flow_block(block, params, state)
-    return Effects(
-        reads=frozenset(state.reads),
-        writes=frozenset(state.may),
-        must_writes=frozenset(state.must),
-    )
-
-
-def _flow_block(block: ast.Block, params: frozenset[str], state: _State) -> None:
-    for stmt in block.statements:
-        _flow_stmt(stmt, params, state)
-
-
-def _flow_stmt(stmt: object, params: frozenset[str], state: _State) -> None:
-    if isinstance(stmt, ast.AssignStmt):
-        _read_expr(stmt.rhs, params, state)
-        if isinstance(stmt.lhs, ast.Slice):
-            # A partial write composes with the old value: it both reads
-            # and (fully re-)defines the field.
-            path = _maybe_path(stmt.lhs.expr)
-            if path is not None and path not in params:
-                _read_field(path, state)
-                state.may.add(path)
-                state.must.add(path)
-            return
-        path = _maybe_path(stmt.lhs)
-        if path is not None and path not in params:
-            state.may.add(path)
-            state.must.add(path)
-        return
-    if isinstance(stmt, ast.VarDeclStmt):
-        if stmt.init is not None:
-            _read_expr(stmt.init, params, state)
-        state.may.add(stmt.name)
-        state.must.add(stmt.name)
-        return
-    if isinstance(stmt, ast.IfStmt):
-        _read_expr(stmt.cond, params, state)
-        then_state = state.copy()
-        _flow_block(stmt.then, params, then_state)
-        else_state = state.copy()
-        if stmt.orelse is not None:
-            _flow_block(stmt.orelse, params, else_state)
-        state.reads = then_state.reads | else_state.reads
-        state.may = then_state.may | else_state.may
-        state.must = then_state.must & else_state.must
-        return
-    if isinstance(stmt, ast.SwitchStmt):
-        # Arm bodies are alternatives; none is guaranteed to run (the
-        # selected action may not be labeled), so must-writes are the
-        # pre-switch ones.
-        pre_must = set(state.must)
-        reads = set(state.reads)
-        may = set(state.may)
-        for case in stmt.cases:
-            arm = _State(set(state.reads), set(state.may), set(pre_must))
-            _flow_block(case.body, params, arm)
-            reads |= arm.reads
-            may |= arm.may
-        state.reads = reads
-        state.may = may
-        state.must = pre_must
-        return
-    if isinstance(stmt, ast.MethodCallStmt):
-        _flow_call(stmt.call, params, state)
-        return
-    # exit / return: no data effects.
-
-
-def _flow_call(call: ast.MethodCall, params: frozenset[str], state: _State) -> None:
-    method = call.method
-    if method == "mark_to_drop":
-        state.may.add("std.drop")
-        state.must.add("std.drop")
-        return
-    if method in ("setValid", "setInvalid") and call.target is not None:
-        path = _maybe_path(call.target)
-        if path is not None:
-            state.may.add(path + ".$valid")
-            state.must.add(path + ".$valid")
-        return
-    if method in _DST_WRITE_METHODS and call.args:
-        for arg in call.args[1:]:
-            _read_expr(arg, params, state)
-        path = _maybe_path(call.args[0])
-        if path is not None and path not in params:
-            state.may.add(path)
-            state.must.add(path)
-        return
-    for arg in call.args:
-        _read_expr(arg, params, state)
-
-
-def _read_expr(expr: object, params: frozenset[str], state: _State) -> None:
-    for field in _expr_fields(expr):
-        if field not in params:
-            _read_field(field, state)
-
-
-def _read_field(field: str, state: _State) -> None:
-    """A read only escapes when the incoming value can still be live."""
-    if field not in state.must:
-        state.reads.add(field)
-
-
-def _expr_fields(expr: object) -> set[str]:
-    fields: set[str] = set()
-    _collect_fields(expr, fields)
-    return fields
-
-
-def _collect_fields(expr: object, out: set[str]) -> None:
-    if isinstance(expr, ast.Member):
-        path = _maybe_path(expr)
-        if path is not None:
-            out.add(path)
-            return
-        _collect_fields(expr.expr, out)
-    elif isinstance(expr, ast.Ident):
-        out.add(expr.name)
-    elif isinstance(expr, (ast.Unary, ast.Cast, ast.Slice)):
-        _collect_fields(expr.expr, out)
-    elif isinstance(expr, ast.Binary):
-        _collect_fields(expr.left, out)
-        _collect_fields(expr.right, out)
-    elif isinstance(expr, ast.Ternary):
-        _collect_fields(expr.cond, out)
-        _collect_fields(expr.then, out)
-        _collect_fields(expr.orelse, out)
-    elif isinstance(expr, ast.MethodCall):
-        if expr.target is not None and expr.method == "isValid":
-            path = _maybe_path(expr.target)
-            if path is not None:
-                out.add(path + ".$valid")
-                return
-        for arg in expr.args:
-            _collect_fields(arg, out)
-
-
-def _maybe_path(expr: object) -> Optional[str]:
-    try:
-        return lvalue_path(expr)
-    except Exception:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Dead (overwritten-before-read) writes, for the lint client
-# ---------------------------------------------------------------------------
 
 
 def dead_writes(

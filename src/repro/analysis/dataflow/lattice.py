@@ -7,9 +7,8 @@ is parameterized over these small algebraic pieces:
   validity and reachability facts.
 * :class:`IntervalLattice` — unsigned value ranges, a thin join/widen
   layer over :mod:`repro.smt.interval`'s ``Interval`` arithmetic.
-* :class:`TaintLattice` — label sets with union join, used for the
-  flow-sensitive read/write (information-flow) analysis that feeds
-  :mod:`repro.ir.deps`.
+* :class:`TaintLattice` — label sets with union join; nothing in the
+  package uses it.
 * :func:`term_join` — the symbolic constant domain: abstract values are
   hash-consed *terms* (literal constants, the executor's own initial
   data symbols, or opaque placeholders), and the partial order is term

@@ -16,7 +16,7 @@ executor short-circuits exactly the branches pruning deleted, and the
 specializer folds exactly the assignments pruning folded (its literal
 has the same value and the same ``_lhs_width``-derived width).  Pruning
 therefore changes *what work the cold pipeline does*, never *what it
-emits* — pinned by the ``--no-prune`` differential harness.  The
+emits* — pinned by the pruned == unpruned differential tests.  The
 gating mirrors the specializer's effort presets: nothing at ``none``,
 branch removal at ``dce``/``full``, constant folding at ``full`` only —
 and only statements the specializer itself would rewrite (apply-block

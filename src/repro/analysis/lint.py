@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import SourcePos
+from repro.ir.deps import _DST_WRITE_METHODS, _expr_fields
 from repro.p4 import ast_nodes as ast
 from repro.p4.types import (
     TypeEnv,
@@ -38,11 +39,7 @@ from repro.p4.types import (
 from repro.smt import terms as T
 
 from repro.analysis.symexec import VALID_SUFFIX, _Context, _Unit
-from repro.analysis.dataflow.effects import (
-    _DST_WRITE_METHODS,
-    _expr_fields,
-    dead_writes,
-)
+from repro.analysis.dataflow.effects import dead_writes
 from repro.analysis.dataflow.engine import AbstractInterpreter, Observer
 
 SEVERITY_INFO = "info"

@@ -14,10 +14,9 @@ touch independent tables.  This module is the burst scheduler:
    exact-match table's precedence depends on.
 2. **Partition** — the survivors are split into *conflict groups*: two
    updates share a group iff their tables (or value sets) can influence a
-   common program point (the model's control-variable taint index), or are
-   linked in the :mod:`repro.ir.deps` table dependency graph.  Groups are
-   independent by construction: no program point, control symbol, or memo
-   entry is touched by two groups.
+   common program point (the model's control-variable taint index).
+   Groups are independent by construction: no program point, control
+   symbol, or memo entry is touched by two groups.
 3. **Execute** — with one worker or one group the groups run inline on
    the calling thread; otherwise they run on a :mod:`concurrent.futures`
    thread pool.  Either way each group gets a private
@@ -56,7 +55,6 @@ from repro.engine.events import BatchMerged, BatchScheduled
 from repro.engine.gate import GateStats
 from repro.engine.pipeline import _compile, describe_points
 from repro.engine.queries import PointReverdicts, QueryEngine
-from repro.ir.deps import build_dependency_graph
 from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
     DELETE,
@@ -209,14 +207,7 @@ def coalesce(
 # ---------------------------------------------------------------------------
 
 
-def conflict_components(
-    model,
-    program=None,
-    env=None,
-    *,
-    strict: bool = False,
-    precision: str = "flow",
-) -> dict[str, str]:
+def conflict_components(model) -> dict[str, str]:
     """Map every table and value set to its conflict-component root.
 
     Two entities land in the same component when they can taint a common
@@ -226,20 +217,9 @@ def conflict_components(
     verdict (e.g. by writing a field the other matches on) shares a
     tainted point with it — and any substituted subterm mixing two
     tables' control symbols lives under a point tainted by both, which is
-    what makes the per-group memo grafts conflict-free.
-
-    ``strict=True`` additionally merges tables linked by the
-    :mod:`repro.ir.deps` match/action dependency graph.  ``precision``
-    selects the graph's read/write sets: the historical ``"syntactic"``
-    walk (field-level mentions without kill tracking) over-merges
-    heavily — on the scion program it collapses 28 taint components into
-    one, serializing the whole batch — while the default ``"flow"``
-    precision (flow-sensitive per-action effects from
-    :mod:`repro.analysis.dataflow.effects`) drops reads that are
-    provably preceded by a definite write and so keeps independent
-    tables in separate groups.  Either way the edges can never miss a
-    conflict the taint index sees, which makes the strict mode a
-    differential-testing oracle for the default partition.
+    what makes the per-group memo grafts conflict-free.  Merging along
+    the :mod:`repro.ir.deps` match/action edges as well only coarsens
+    the partition (on scion, 28 components become one).
     """
     parent: dict[str, str] = {}
 
@@ -266,15 +246,6 @@ def conflict_components(
                 owner = owner_by_pid.setdefault(pid, name)
                 if owner != name:
                     union(owner, name)
-    if strict and program is not None:
-        try:
-            graph = build_dependency_graph(program, env, precision=precision)
-        except Exception:
-            graph = None  # partial front ends still get taint-based groups
-        if graph is not None:
-            for edge in graph.edges:
-                if edge.src in model.tables and edge.dst in model.tables:
-                    union(edge.src, edge.dst)
     return {name: find(name) for name, _info in infos}
 
 
@@ -300,7 +271,7 @@ def partition(ctx: EngineContext, coalesced: CoalesceResult) -> list:
     """Split net updates into conflict groups, ordered by first input index."""
     components = ctx.batch_components
     if components is None:
-        components = conflict_components(ctx.model, ctx.program, ctx.env)
+        components = conflict_components(ctx.model)
         ctx.batch_components = components
     buckets: dict[str, list] = {}
     order: list[str] = []
@@ -424,7 +395,6 @@ class WorkerSlice:
         self.query_engine = QueryEngine(
             ctx.model,
             solver=solver,
-            use_solver=shared_qe.use_solver,
             solver_node_budget=shared_qe.solver_node_budget,
             gate=shared_qe.gate.fork_slice(),
         )

@@ -26,16 +26,10 @@ class EngineOptions:
 
     skip_parser: bool = False  # §4.2: skip parser analysis for big programs
     overapprox_threshold: Optional[int] = DEFAULT_OVERAPPROX_THRESHOLD
-    use_solver: bool = True  # allow SAT fallback for executability queries
-    prune_parser_tail: bool = True
-    # Abstract-interpretation prune pass between typecheck and analysis:
-    # folds ground constants and deletes statically-dead branches before
-    # symexec/encoding ever see them.  Specialized output is byte-identical
-    # either way (``--no-prune`` ablation); pruning only shrinks the cold
-    # pipeline's work.  Follows the ``effort`` preset (off at "none").
-    prune: bool = True
     target: str = "tofino"  # any registered backend name, or "none"
-    effort: str = "full"  # none | dce | full — specialization quality knob
+    # §6 specialization quality: none | dce | full.  It also gates the
+    # cold prune pass (off at "none") and parser-tail pruning (on at "full").
+    effort: str = "full"
 
 
 @dataclass
@@ -78,7 +72,7 @@ class EngineContext:
     program: Optional[object] = None  # ast.Program
     env: Optional[object] = None  # TypeEnv
     # Prune-pass outcome (an analysis.dataflow.prune.PruneReport, or None
-    # when the pass is disabled).
+    # when the pass did not run: effort "none").
     prune_report: Optional[object] = None
     # Analysis products.
     model: Optional[object] = None  # DataPlaneModel

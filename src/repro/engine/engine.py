@@ -396,7 +396,7 @@ class Engine:
 
     @property
     def prune_report(self):
-        """The prune pass's report, or None under ``--no-prune``."""
+        """The prune pass's report, or None at effort "none"."""
         return self.ctx.prune_report
 
     # -- context views --------------------------------------------------------

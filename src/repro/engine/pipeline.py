@@ -203,9 +203,9 @@ class PrunePass:
     Runs between typecheck and analysis so the symbolic executor and the
     encoder never see statically-dead paths.  The rewrite is specialized-
     output-preserving by construction (see
-    :mod:`repro.analysis.dataflow.prune`); ``options.prune=False`` is the
-    ``--no-prune`` ablation.  The type environment is rebuilt when the
-    program changed so every downstream consumer sees one consistent AST.
+    :mod:`repro.analysis.dataflow.prune`).  It runs at every effort but
+    "none".  The type environment is rebuilt when the program changed so
+    every downstream consumer sees one consistent AST.
     """
 
     name = "prune"
@@ -216,7 +216,7 @@ class PrunePass:
 
         if ctx.store_hit:
             return  # the adopted AST is already pruned
-        if not ctx.options.prune or ctx.options.effort == "none":
+        if ctx.options.effort == "none":
             return
         start = time.perf_counter()
         pruned, report = prune_program(
@@ -257,9 +257,7 @@ class AnalysisPass:
         ctx.gate = VerdictGate(
             ctx.model, ctx.state, threshold=options.overapprox_threshold
         )
-        ctx.query_engine = QueryEngine(
-            ctx.model, use_solver=options.use_solver, gate=ctx.gate
-        )
+        ctx.query_engine = QueryEngine(ctx.model, gate=ctx.gate)
         if entry is not None:
             # Share the term-pure warm layers: the solver result memo and
             # the executability cache.  Both are pure functions of
@@ -268,11 +266,7 @@ class AnalysisPass:
             ctx.query_engine.solver._results = entry.results
             ctx.query_engine._exec_cache = entry.exec_cache
         ctx.specializer = Specializer(
-            ctx.program,
-            ctx.model,
-            ctx.env,
-            prune_parser_tail=options.prune_parser_tail,
-            effort=options.effort,
+            ctx.program, ctx.model, ctx.env, effort=options.effort
         )
         ctx.term_factory = DEFAULT_FACTORY
         # One long-lived substitute-and-simplify pass whose memo survives

@@ -122,7 +122,6 @@ class QueryEngine:
         self,
         model: DataPlaneModel,
         solver: Optional[Solver] = None,
-        use_solver: bool = True,
         solver_node_budget: int = 400,
         gate=None,
     ) -> None:
@@ -130,7 +129,6 @@ class QueryEngine:
         if solver is None:
             solver = Solver(max_conflicts=self.DEFAULT_MAX_CONFLICTS)
         self.solver = solver
-        self.use_solver = use_solver
         self.solver_node_budget = solver_node_budget
         # The engine's witness gate (engine/gate.py): executability
         # queries replay a stored MAYBE before substitution when both of
@@ -246,11 +244,11 @@ class QueryEngine:
     def _executability(self, term: Term) -> Executability:
         """Decide a simplified guard: the one statement of the procedure.
 
-        Trivial cases, the exec cache, the ``use_solver``/node-budget punt
-        and the probe pair ``check_sat(t)`` / ``check_sat(¬t)``
-        (:meth:`~repro.smt.solver.Solver.probe_pair`: both halves share
-        one throw-away encoding).  The gate's ``decide`` is this call plus
-        witness-record upkeep.
+        Trivial cases, the exec cache, the node-budget punt (a budget of
+        0 punts every term) and the probe pair ``check_sat(t)`` /
+        ``check_sat(¬t)`` (:meth:`~repro.smt.solver.Solver.probe_pair`:
+        both halves share one throw-away encoding).  The gate's
+        ``decide`` is this call plus witness-record upkeep.
         """
         if term is T.TRUE:
             return Executability(ALWAYS, "trivial")
@@ -261,7 +259,7 @@ class QueryEngine:
             self.exec_counter.hit()
             return Executability(cached, "cached")
         self.exec_counter.miss()
-        if not self.use_solver or T.tree_size(term) > self.solver_node_budget:
+        if T.tree_size(term) > self.solver_node_budget:
             self._exec_cache[term] = MAYBE
             return Executability(MAYBE, "punted")
         # MAYBE is always a sound answer; a blown decision budget simply

@@ -39,6 +39,8 @@ from repro.runtime.semantics import (
 from repro.smt.arena import TermArena
 from repro.smt.solver import SatResult
 
+#: 7: the pickled options have four fields (6 carried three ablation
+#: switches on top).
 #: 6: no encoder root log and no solver session (5 carried both).
 #: 5: the pickled options have seven fields (4 carried three ablation
 #: switches on top).
@@ -48,7 +50,7 @@ from repro.smt.solver import SatResult
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 
 def snapshot_context(ctx) -> dict:

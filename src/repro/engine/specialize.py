@@ -99,7 +99,6 @@ class Specializer:
         program: ast.Program,
         model: DataPlaneModel,
         env: Optional[TypeEnv] = None,
-        prune_parser_tail: bool = True,
         effort: str = EFFORT_FULL,
     ) -> None:
         if effort not in (EFFORT_NONE, EFFORT_DCE, EFFORT_FULL):
@@ -111,7 +110,6 @@ class Specializer:
         self.model = model
         self.env = env if env is not None else TypeEnv(program)
         self.effort = effort
-        self.prune_parser_tail = prune_parser_tail and effort == EFFORT_FULL
         # Individual passes, derived from the effort preset.
         self.enable_dce = effort in (EFFORT_DCE, EFFORT_FULL)
         self.enable_constant_propagation = effort == EFFORT_FULL
@@ -283,8 +281,8 @@ class Specializer:
             elif isinstance(decl, ast.ParserDecl) and decl.name == self._parser:
                 decl = self._memoized(id(decl), self._spec_parser, decl)
             decls.append(decl)
-        if self.prune_parser_tail:
-            self._prune_parser_tail(decls)
+        if self.effort == EFFORT_FULL:
+            self._strip_parser_tail(decls)
         return ast.Program(tuple(decls)), self.report
 
     def _verdict_for_node(self, node_id: int) -> Optional[PointVerdict]:
@@ -606,7 +604,7 @@ class Specializer:
 
     # -- parser-tail pruning ----------------------------------------------------------
 
-    def _prune_parser_tail(self, decls: list) -> None:
+    def _strip_parser_tail(self, decls: list) -> None:
         """Strip the extracts of unused tail headers from the parser in
         ``decls``, in place.
 

@@ -34,14 +34,7 @@ from typing import Optional
 #: caches compute.  ``target`` is deliberately absent: lowering does not
 #: touch terms or verdicts, so switches with different backends still
 #: share one entry.
-COLD_KEY_FIELDS = (
-    "skip_parser",
-    "overapprox_threshold",
-    "use_solver",
-    "prune_parser_tail",
-    "prune",
-    "effort",
-)
+COLD_KEY_FIELDS = ("skip_parser", "overapprox_threshold", "effort")
 
 
 @dataclass

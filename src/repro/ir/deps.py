@@ -12,6 +12,13 @@ Classic RMT dependency classes between earlier node A and later node B:
   later stage (Tofino gateways resolve in-stage, but successor tables of a
   hit/miss branch still serialize).
 
+A node's read/write sets come from one syntactic walk over its keys and
+its actions' bodies.  Every field an expression mentions is a read, even
+one the action rebuilt before using it.  Assignments, validity changes,
+``mark_to_drop`` and the destinations of ``hash``, ``update_checksum``
+and ``register.read`` are writes.  The field helpers below are also the
+lint's.
+
 The Tofino allocator consumes this graph to compute the stage count.
 """
 
@@ -118,15 +125,10 @@ class DependencyGraph:
         return [frozenset(members) for members in grouped.values()]
 
 
-#: Read/write-set precision for table nodes.  ``"syntactic"`` is the
-#: historical walk below (every field mention in an action body is a
-#: read, ``hash``/``update_checksum`` destinations included).  ``"flow"``
-#: delegates to :func:`repro.analysis.dataflow.effects.action_effects`,
-#: which kill-tracks definite writes (a field rebuilt before use never
-#: escapes as a read) and treats destination-writing externs as writes —
-#: strictly fewer spurious match/action edges, never a missed real one.
-PRECISION_SYNTACTIC = "syntactic"
-PRECISION_FLOW = "flow"
+#: Destination-writing externs: the first argument is assigned, the rest
+#: are read.  ``register.read`` is target-dispatched; ``hash`` and
+#: ``update_checksum`` are free-standing.
+_DST_WRITE_METHODS = ("read", "hash", "update_checksum")
 
 
 class NodeFacts:
@@ -170,7 +172,6 @@ def build_dependency_graph(
     program: ast.Program,
     env: Optional[TypeEnv] = None,
     *,
-    precision: str = PRECISION_SYNTACTIC,
     facts: Optional[NodeFacts] = None,
 ) -> DependencyGraph:
     """The program's table dependency graph.
@@ -179,7 +180,7 @@ def build_dependency_graph(
     the previous build saw are taken from it rather than recomputed.
     """
     env = env if env is not None else TypeEnv(program)
-    builder = _Builder(program, env, precision=precision, facts=facts)
+    builder = _Builder(program, env, facts=facts)
     for control_name in program.pipeline.controls:
         control = program.find(control_name)
         builder.walk_control(control)
@@ -193,14 +194,10 @@ class _Builder:
         self,
         program: ast.Program,
         env: TypeEnv,
-        precision: str = PRECISION_SYNTACTIC,
         facts: Optional[NodeFacts] = None,
     ) -> None:
-        if precision not in (PRECISION_SYNTACTIC, PRECISION_FLOW):
-            raise ValueError(f"unknown dependency precision {precision!r}")
         self.program = program
         self.env = env
-        self.precision = precision
         self.facts = facts if facts is not None else NodeFacts()
         self.nodes: dict[str, TableNode] = {}
         self.edges: list[DepEdge] = []
@@ -223,9 +220,7 @@ class _Builder:
         # What a table node reads of its control besides its actions: the
         # parameters and variables its key widths resolve through.
         self._context = (control.params, tuple(var_decls))
-        self._context_key = (
-            self.precision, control.name, id(control.params), *map(id, var_decls)
-        )
+        self._context_key = (control.name, id(control.params), *map(id, var_decls))
         self._scope: Optional[object] = None  # built on the first table miss
         self._walk_block(control, control.apply, guards=frozenset(), branch=())
 
@@ -337,17 +332,9 @@ class _Builder:
             node.action_param_bits += sum(
                 self.env.width_of(p.type) for p in action.params
             )
-            if self.precision == PRECISION_FLOW:
-                # Imported lazily: ir is a lower layer than analysis.
-                from repro.analysis.dataflow.effects import action_effects
-
-                effects = action_effects(action)
-                node.reads |= effects.reads
-                node.writes |= effects.writes
-            else:
-                reads, writes = _action_effects(action)
-                node.reads |= reads
-                node.writes |= writes
+            reads, writes = _action_reads_writes(action)
+            node.reads |= reads
+            node.writes |= writes
         return node
 
     def _register(self, node: TableNode, guards: frozenset[str], branch: tuple) -> None:
@@ -422,9 +409,7 @@ def _collect_fields(expr, out: set[str]) -> None:
         _collect_fields(expr.expr, out)
     elif isinstance(expr, ast.Ident):
         out.add(expr.name)
-    elif isinstance(expr, (ast.Unary, ast.Cast)):
-        _collect_fields(expr.expr, out)
-    elif isinstance(expr, ast.Slice):
+    elif isinstance(expr, (ast.Unary, ast.Cast, ast.Slice)):
         _collect_fields(expr.expr, out)
     elif isinstance(expr, ast.Binary):
         _collect_fields(expr.left, out)
@@ -450,15 +435,20 @@ def _maybe_path(expr) -> Optional[str]:
         return None
 
 
-def _action_effects(action: ast.ActionDecl) -> tuple[set[str], set[str]]:
+def _action_reads_writes(action: ast.ActionDecl) -> tuple[set[str], set[str]]:
+    """The fields an action may read and may write, parameters excluded.
+
+    Every field an expression mentions is a read, even one the action
+    wrote earlier.
+    """
     param_names = {p.name for p in action.params}
     reads: set[str] = set()
     writes: set[str] = set()
-    _block_effects(action.body, param_names, reads, writes)
+    _block_reads_writes(action.body, param_names, reads, writes)
     return reads, writes
 
 
-def _block_effects(block: ast.Block, params: set[str], reads, writes) -> None:
+def _block_reads_writes(block: ast.Block, params: set[str], reads, writes) -> None:
     for stmt in block.statements:
         if isinstance(stmt, ast.AssignStmt):
             lhs = stmt.lhs.expr if isinstance(stmt.lhs, ast.Slice) else stmt.lhs
@@ -468,9 +458,9 @@ def _block_effects(block: ast.Block, params: set[str], reads, writes) -> None:
             reads.update(f for f in _expr_fields(stmt.rhs) if f not in params)
         elif isinstance(stmt, ast.IfStmt):
             reads.update(f for f in _expr_fields(stmt.cond) if f not in params)
-            _block_effects(stmt.then, params, reads, writes)
+            _block_reads_writes(stmt.then, params, reads, writes)
             if stmt.orelse is not None:
-                _block_effects(stmt.orelse, params, reads, writes)
+                _block_reads_writes(stmt.orelse, params, reads, writes)
         elif isinstance(stmt, ast.MethodCallStmt):
             call = stmt.call
             if call.method == "mark_to_drop":
@@ -479,10 +469,12 @@ def _block_effects(block: ast.Block, params: set[str], reads, writes) -> None:
                 path = _maybe_path(call.target)
                 if path is not None:
                     writes.add(path + ".$valid")
-            elif call.method == "read" and call.args:
+            elif call.method in _DST_WRITE_METHODS and call.args:
                 path = _maybe_path(call.args[0])
                 if path is not None and path not in params:
                     writes.add(path)
+                for arg in call.args[1:]:
+                    reads.update(f for f in _expr_fields(arg) if f not in params)
             else:
                 for arg in call.args:
                     reads.update(f for f in _expr_fields(arg) if f not in params)

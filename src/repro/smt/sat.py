@@ -611,7 +611,7 @@ class SatSolver:
                         f"exceeded {budget} conflicts"
                     )
                 learned, back_level = self._analyze(conflict)
-                self._backtrack(max(back_level, self._assumption_level(learned)))
+                self._backtrack(back_level)
                 self._record_learned(learned)
                 self._var_inc *= self._var_decay
                 self._cla_inc *= self._cla_decay
@@ -652,11 +652,6 @@ class SatSolver:
                 continue
             return lit
         return self._pick_branch()
-
-    def _assumption_level(self, learned: list[int]) -> int:
-        """Assumption decisions may not be undone by a backjump to 0 while
-        deeper assumption levels still hold facts the clause relies on."""
-        return 0
 
     def _conflict_at_root(self, conflict: int, assumptions: list[int]) -> bool:
         """True when the conflict holds independently of the assumptions."""

@@ -1,8 +1,9 @@
 """Unit tests for the abstract-interpretation framework.
 
 Covers the lattice algebra, the interpreter's fact discipline
-(decisions, folds, conflict clearing), the flow-sensitive effects
-analysis, and the prune rewriter's gating.
+(decisions, folds, conflict clearing), action read/write sets (the
+dependency graph's walk) and dead writes (the lint's), and the prune
+rewriter's gating.
 """
 
 import pytest
@@ -10,12 +11,9 @@ import pytest
 from repro.analysis.dataflow import (
     AbstractInterpreter,
     Bool3,
-    Effects,
     IntervalLattice,
     PruneReport,
     TaintLattice,
-    action_effects,
-    block_effects,
     dead_writes,
     fixpoint,
     prune_program,
@@ -24,6 +22,7 @@ from repro.analysis.dataflow import (
 from repro.analysis.dataflow import engine as engine_mod
 from repro.analysis.dataflow.prune import EFFORT_DCE, EFFORT_FULL, EFFORT_NONE
 from repro.analysis.symexec import TableInfo
+from repro.ir.deps import _action_reads_writes
 from repro.p4 import ast_nodes as ast
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
@@ -215,6 +214,8 @@ class TestAbstractInterpreter:
 
 
 class TestEffects:
+    """Read/write sets from :mod:`repro.ir.deps`' walk, and dead writes."""
+
     def make_action(self, body, params="bit<8> v"):
         program = make_program(
             "        helper(8w1);",
@@ -226,32 +227,14 @@ class TestEffects:
         )
         return program.find("C").locals[0]
 
-    def test_kill_hides_read_after_must_write(self):
-        action = self.make_action(
-            """        meta.m = v;
-        meta.n = meta.m;"""
-        )
-        effects = action_effects(action)
-        assert "meta.m" not in effects.reads  # locally defined before use
-        assert {"meta.m", "meta.n"} <= set(effects.must_writes)
-
     def test_read_before_write_escapes(self):
         action = self.make_action(
             """        meta.n = meta.m;
         meta.m = v;"""
         )
-        effects = action_effects(action)
-        assert "meta.m" in effects.reads
-
-    def test_branch_merge_must_is_intersection(self):
-        action = self.make_action(
-            """        if (v == 8w1) { meta.m = 8w1; meta.n = 8w1; }
-        else { meta.m = 8w2; }"""
-        )
-        effects = action_effects(action)
-        assert "meta.m" in effects.must_writes
-        assert "meta.n" not in effects.must_writes
-        assert "meta.n" in effects.writes  # still a may-write
+        reads, writes = _action_reads_writes(action)
+        assert "meta.m" in reads
+        assert writes == {"meta.m", "meta.n"}
 
     def test_dst_write_extern_writes_first_arg(self):
         program = make_program(
@@ -268,9 +251,9 @@ class TestEffects:
             for local in program.find("C").locals
             if isinstance(local, ast.ActionDecl)
         )
-        effects = action_effects(action)
-        assert "meta.m" in effects.writes
-        assert "meta.m" not in effects.reads
+        reads, writes = _action_reads_writes(action)
+        assert "meta.m" in writes
+        assert "meta.m" not in reads
 
     def test_dead_write_straight_line(self):
         action = self.make_action(

@@ -87,7 +87,7 @@ class TestPointVerdicts:
 class TestExecutability:
     def test_solver_refines_maybe(self):
         model = analyze(parse_program(SOURCE))
-        engine = QueryEngine(model, use_solver=True)
+        engine = QueryEngine(model)
         x = T.data_var("q_x", 8)
         tautology = T.bool_or(T.eq(x, T.bv_const(1, 8)), T.ne(x, T.bv_const(1, 8)))
         assert engine._executability(tautology).verdict == ALWAYS
@@ -95,15 +95,16 @@ class TestExecutability:
         assert engine._executability(contradiction).verdict == NEVER
 
     def test_solver_disabled_returns_maybe(self):
+        # A node budget of 0 punts every term: the solver is never asked.
         model = analyze(parse_program(SOURCE))
-        engine = QueryEngine(model, use_solver=False)
+        engine = QueryEngine(model, solver_node_budget=0)
         x = T.data_var("q_y", 8)
         contradiction = T.bool_and(T.eq(x, T.bv_const(1, 8)), T.eq(x, T.bv_const(2, 8)))
         assert engine._executability(contradiction).verdict == MAYBE
 
     def test_budget_guard(self):
         model = analyze(parse_program(SOURCE))
-        engine = QueryEngine(model, use_solver=True, solver_node_budget=3)
+        engine = QueryEngine(model, solver_node_budget=3)
         x = T.data_var("q_z", 8)
         big = T.eq(T.add(T.add(x, x), T.add(x, x)), T.bv_const(0, 8))
         assert engine._executability(big).verdict == MAYBE

@@ -232,7 +232,8 @@ Pipeline(P(), C()) main;
         assert "pkt_extract(hdr.a)" in text
 
     def test_tail_pruning_can_be_disabled(self):
-        flay = flay_for(self.TAIL_SOURCE, prune_parser_tail=False)
+        # Parser-tail pruning is part of the full effort preset only.
+        flay = flay_for(self.TAIL_SOURCE, effort="dce")
         assert "pkt_extract(hdr.b)" in flay.specialized_source()
 
     def test_used_header_not_pruned(self):

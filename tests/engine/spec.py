@@ -5,9 +5,16 @@ No option switches it on and the engine never runs it: a bare
 point from a one-shot ``Substitution`` of the engine's current control
 mapping, and ``_table_verdict_uncached`` on every table.  The warm path's
 replays, memos and change-driven sweeps are all claims that the engine
-still holds exactly these verdicts.
+still holds exactly these verdicts.  :func:`without_prune_pass` builds the
+other reference, an engine whose cold pipeline has no prune pass.
 """
 
+from contextlib import contextmanager
+
+import pytest
+
+from repro.engine import engine as engine_module
+from repro.engine.pipeline import PrunePass, cold_passes
 from repro.engine.queries import QueryEngine
 from repro.engine.specialize import Specializer
 from repro.p4.printer import print_program
@@ -20,7 +27,9 @@ class Spec:
     def __init__(self, engine, solver=None):
         self.engine = engine
         self.query_engine = QueryEngine(
-            engine.model, solver=solver, use_solver=engine.ctx.options.use_solver
+            engine.model,
+            solver=solver,
+            solver_node_budget=engine.ctx.query_engine.solver_node_budget,
         )
         self.points, self.tables = self._derive()
         self.forwarded = []  # the updates of every chunk decided "forward"
@@ -83,16 +92,25 @@ class Spec:
     def specialize(self, points: dict, tables: dict) -> tuple:
         """A fresh specializer's ``(program, report)`` for the given verdicts."""
         engine = self.engine
-        options = engine.ctx.options
         specializer = Specializer(
-            engine.program,
-            engine.model,
-            engine.env,
-            prune_parser_tail=options.prune_parser_tail,
-            effort=options.effort,
+            engine.program, engine.model, engine.env, effort=engine.ctx.options.effort
         )
         return specializer.specialize(points, tables)
 
     def solver_calls(self) -> int:
         """``check_sat`` calls the specification has issued so far."""
         return self.query_engine.solver.stats.total
+
+
+@contextmanager
+def without_prune_pass():
+    """Engines built inside this block run the cold pipeline without
+    :class:`PrunePass`: the unpruned reference the prune differential
+    compares with.  (A restore still prunes: it runs its own passes.)"""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            engine_module,
+            "cold_passes",
+            lambda: [p for p in cold_passes() if not isinstance(p, PrunePass)],
+        )
+        yield

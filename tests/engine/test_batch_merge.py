@@ -13,6 +13,7 @@ import pytest
 from repro.core import Flay, FlayOptions
 from repro.engine import BatchMerged, BatchScheduled, EventBus
 from repro.engine.batch import conflict_components
+from repro.ir.deps import build_dependency_graph
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
@@ -50,6 +51,22 @@ Pipeline(P(), C()) main;
 """
 
 
+def strict_components(model, program, env=None):
+    """The strict partition oracle: the scheduler's taint components,
+    merged further along every table-to-table dependency edge."""
+    parent = conflict_components(model)
+
+    def find(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    for edge in build_dependency_graph(program, env).edges:
+        if edge.src in model.tables and edge.dst in model.tables:
+            parent[find(edge.dst)] = find(edge.src)
+    return {name: find(name) for name in parent}
+
+
 def two_group_batch(flay, seed=0, per_table=6):
     fuzzer = EntryFuzzer(flay.model, seed=seed)
     return fuzzer.insert_burst("ta", per_table) + fuzzer.insert_burst(
@@ -79,14 +96,12 @@ class TestPartitionIndependence:
     def test_strict_mode_only_merges_further(self, flay):
         model = flay.model
         loose = conflict_components(model)
-        strict = conflict_components(
-            model, flay.program, flay.env, strict=True
-        )
+        strict = strict_components(model, flay.program, flay.env)
         loose_groups = {}
         for name, root in loose.items():
             loose_groups.setdefault(root, set()).add(name)
         # Every loose component sits wholly inside one strict component:
-        # the syntactic graph can over-merge, never split a semantic group.
+        # the dependency graph can over-merge, never split a taint group.
         for members in loose_groups.values():
             assert len({strict[m] for m in members}) == 1
 

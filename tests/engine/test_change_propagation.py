@@ -335,7 +335,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 6
+    assert blob["format"] == 7
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -404,7 +404,7 @@ def test_a_format_4_blob_is_refused_not_misread():
     """Format 4 pickled ten option fields; three of them no longer exist."""
     live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
     blob = live.snapshot()
-    assert len(dataclasses.fields(blob["options"])) == 7
+    assert len(dataclasses.fields(blob["options"])) == 4
     blob["format"] = 4
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)
@@ -416,5 +416,18 @@ def test_a_format_5_blob_is_refused_not_misread():
     blob = live.snapshot()
     assert "roots" not in blob and "session" not in blob
     blob["format"] = 5
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_6_blob_is_refused_not_misread():
+    """Format 6 pickled seven option fields: ``use_solver``,
+    ``prune_parser_tail`` and ``prune`` no longer exist."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    blob = live.snapshot()
+    assert {f.name for f in dataclasses.fields(blob["options"])} == {
+        "skip_parser", "overapprox_threshold", "target", "effort"
+    }
+    blob["format"] = 6
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

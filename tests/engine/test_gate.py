@@ -125,14 +125,13 @@ class TestWiring:
             assert state.fdd is not None
 
     def test_no_option_switches_a_layer_off(self):
-        """The gate and the table-verdict memo are not options: an
-        ablation of one is the specification in ``spec.py``."""
+        """The gate, the table-verdict memo, the solver, the prune pass and
+        parser-tail pruning are not options: an ablation of one is the
+        specification in ``spec.py``, a test-side fixture or the effort
+        level.  What is left is one option per paper axis."""
         assert {f.name for f in dataclasses.fields(EngineOptions)} == {
             "skip_parser",
             "overapprox_threshold",
-            "use_solver",
-            "prune_parser_tail",
-            "prune",
             "target",
             "effort",
         }

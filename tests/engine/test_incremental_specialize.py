@@ -10,7 +10,8 @@ is the fresh one's, order included:
 
 * a policy roll-out on all seven zoo programs, one update at a time and in
   ``process_batch`` / ``apply_batch`` chunks;
-* the ``dce`` effort and ``prune_parser_tail=False``;
+* the ``dce`` effort (no constant propagation, inlining, narrowing or
+  parser-tail pruning);
 * value-set updates, which move parser select cases, and recompiles that
   move none, which keep the stripped parser object;
 * a table crossing the overapproximation threshold, and a one-action table
@@ -103,8 +104,8 @@ def test_rollout_in_batches(name):
     [
         ("scion", {"effort": "dce"}),
         ("beaucoup", {"effort": "dce"}),
-        ("dash", {"prune_parser_tail": False}),
-        ("middleblock", {"prune_parser_tail": False}),
+        ("dash", {"effort": "dce"}),
+        ("middleblock", {"effort": "dce"}),
     ],
 )
 def test_rollout_under_other_options(name, options):

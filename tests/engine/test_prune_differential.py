@@ -1,4 +1,4 @@
-"""Differential safety net for the prune pass: pruned == ``--no-prune``.
+"""Differential safety net for the prune pass: pruned == unpruned.
 
 The pass's contract is *output preservation*: every branch it deletes is
 a branch the symbolic executor would short-circuit, and every constant
@@ -6,7 +6,9 @@ it folds is one the specializer folds to the same literal — so the
 specialized source, the materialized table state, and the lowered write
 sequence are byte-identical with pruning on and off.  Program points and
 CNF sizes legitimately differ (that's the point of the pass), so unlike
-the gate differential these tests never compare point verdicts.
+the gate differential these tests never compare point verdicts.  The
+unpruned side is the cold pipeline without :class:`PrunePass`
+(:func:`tests.engine.spec.without_prune_pass`).
 
 Exceptions count as output too: when the pipeline raises on a given
 update, it must raise identically on both sides (error-for-error
@@ -21,6 +23,7 @@ from repro.core import Flay, FlayOptions
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
+from tests.engine.spec import without_prune_pass
 
 TARGETS = ("tofino", "bmv2")
 
@@ -70,7 +73,10 @@ ALL_TABLES = ["ta", "t1", "t2"]
 
 def make_flay(target, prune, source=SOURCE):
     program = source if not isinstance(source, str) else parse_program(source)
-    return Flay(program, FlayOptions(target=target, prune=prune))
+    if prune:
+        return Flay(program, FlayOptions(target=target))
+    with without_prune_pass():
+        return Flay(program, FlayOptions(target=target))
 
 
 def final_state(flay):
@@ -120,6 +126,13 @@ def test_cold_specialization_identical(target):
     assert pruned.prune_report is not None and pruned.prune_report.changed
     assert pruned.prune_report.removed_branches >= 1
     assert unpruned.prune_report is None
+
+
+@pytest.mark.parametrize("effort", ["none", "dce", "full"])
+def test_the_pass_runs_at_every_effort_but_none(effort):
+    """No option switches the pass off; the effort level does."""
+    flay = Flay(parse_program(SOURCE), FlayOptions(target="none", effort=effort))
+    assert (flay.prune_report is None) == (effort == "none")
 
 
 @pytest.mark.parametrize("target", TARGETS)

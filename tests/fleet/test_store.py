@@ -85,10 +85,8 @@ class TestAdoption:
 
     def test_divergent_options_do_not_adopt(self):
         store = SharedStore()
-        Engine(source=FIG3, options=EngineOptions(use_solver=True), store=store)
-        other = Engine(
-            source=FIG3, options=EngineOptions(use_solver=False), store=store
-        )
+        Engine(source=FIG3, options=EngineOptions(effort="full"), store=store)
+        other = Engine(source=FIG3, options=EngineOptions(effort="dce"), store=store)
         assert not other.ctx.store_hit
         assert len(store) == 2
 

@@ -1,34 +1,21 @@
-"""Flow-sensitive precision for the dependency graph (``precision="flow"``).
+"""The read/write sets behind the table dependency graph.
 
-The flow mode swaps the historical syntactic per-action read/write walk
-for :func:`repro.analysis.dataflow.effects.action_effects`.  The tests
-pin both directions of the refinement:
+One syntactic walk over each table's keys and action bodies builds them
+(:mod:`repro.ir.deps`).  The tests pin what it sees:
 
-* a read that is provably preceded by a definite write in the same
-  action no longer creates a spurious match dependency;
-* a destination-writing extern (``hash``/``update_checksum``) counts as
-  a write, so a real write-after-write hazard the syntactic walk missed
-  produces an action dependency.
-
-They also pin the honest limit of the refinement: a killed read always
-implies the killing write, so the earlier writer keeps an *action*
-edge to the reader — connectivity (and thus strict conflict components)
-is unchanged on programs whose only refinements are kills.  That is the
-mechanism behind the measured corpus parity recorded in ``BENCH_8.json``.
+* a field an action rebuilds before reading it still counts as a read,
+  so the earlier writer keeps a match dependency to it;
+* a destination-writing extern (``hash``/``update_checksum``) writes its
+  first argument and reads the rest, so a write-after-write hazard
+  through it orders the two tables;
+* tables sharing one action declaration get equal sets in separate nodes;
+* the edge counts and longest chains of the whole zoo.
 """
 
 import pytest
 
-from repro.analysis import analyze
-from repro.core import Flay, FlayOptions
-from repro.engine.batch import conflict_components
 from repro.ir import build_dependency_graph
-from repro.ir.deps import (
-    ACTION_DEP,
-    MATCH_DEP,
-    PRECISION_FLOW,
-    PRECISION_SYNTACTIC,
-)
+from repro.ir.deps import ACTION_DEP, MATCH_DEP
 from repro.p4.parser import parse_program
 from repro.programs import registry
 
@@ -74,98 +61,49 @@ KILLED_READ = """
 class TestKilledRead:
     def test_syntactic_keeps_the_spurious_match_edge(self):
         graph = build_dependency_graph(
-            _program(KILLED_READ, "tw.apply(); tr.apply();"),
-            precision=PRECISION_SYNTACTIC,
+            _program(KILLED_READ, "tw.apply(); tr.apply();")
         )
         assert "meta.a" in graph.nodes["C.tr"].reads
         assert ("C.tw", "C.tr", MATCH_DEP) in edge_kinds(graph)
 
-    def test_flow_drops_the_killed_read_and_its_match_edge(self):
-        graph = build_dependency_graph(
-            _program(KILLED_READ, "tw.apply(); tr.apply();"),
-            precision=PRECISION_FLOW,
-        )
-        assert "meta.a" not in graph.nodes["C.tr"].reads
-        assert ("C.tw", "C.tr", MATCH_DEP) not in edge_kinds(graph)
 
-    def test_kill_write_keeps_the_action_edge(self):
-        # The refinement's honest limit: killing a read *is* a write, so
-        # tw → tr survives as a write-after-write action dependency and
-        # strict components cannot split on kill-only refinements.
-        graph = build_dependency_graph(
-            _program(KILLED_READ, "tw.apply(); tr.apply();"),
-            precision=PRECISION_FLOW,
-        )
-        assert ("C.tw", "C.tr", ACTION_DEP) in edge_kinds(graph)
-
-    def test_strict_components_agree_across_precisions(self):
-        flay = Flay(
-            _program(KILLED_READ, "tw.apply(); tr.apply();"),
-            FlayOptions(target="none"),
-        )
-        syntactic = conflict_components(
-            flay.model,
-            flay.program,
-            flay.env,
-            strict=True,
-            precision=PRECISION_SYNTACTIC,
-        )
-        flow = conflict_components(
-            flay.model,
-            flay.program,
-            flay.env,
-            strict=True,
-            precision=PRECISION_FLOW,
-        )
-        as_groups = lambda comp: {
-            frozenset(n for n, r in comp.items() if r == root)
-            for root in set(comp.values())
-        }
-        assert as_groups(syntactic) == as_groups(flow)
-
-
-# A hash extern writes its destination; the syntactic walk reads it.
-HASH_WRITER = """
-    action digest() { hash(meta.a, hdr.h.g); }
-    action write_a(bit<8> v) { meta.a = v; }
-    action noop() { }
-    table th {
-        key = { hdr.h.f: exact; }
-        actions = { digest; noop; }
+# An extern writes meta.a from hdr.h.g; a later table writes meta.a too.
+EXTERN_WRITER = """
+    action digest() {{ {call}; }}
+    action write_a(bit<8> v) {{ meta.a = v; }}
+    action noop() {{ }}
+    table th {{
+        key = {{ hdr.h.f: exact; }}
+        actions = {{ digest; noop; }}
         default_action = noop();
-    }
-    table tw {
-        key = { hdr.h.g: exact; }
-        actions = { write_a; noop; }
+    }}
+    table tw {{
+        key = {{ hdr.h.f: exact; }}
+        actions = {{ write_a; noop; }}
         default_action = noop();
-    }
+    }}
 """
 
 
 class TestExternDestinationWrite:
-    def test_syntactic_misses_the_hazard(self):
+    def _assert_hazard_is_seen(self, call):
         graph = build_dependency_graph(
-            _program(HASH_WRITER, "th.apply(); tw.apply();"),
-            precision=PRECISION_SYNTACTIC,
+            _program(EXTERN_WRITER.format(call=call), "th.apply(); tw.apply();")
         )
-        assert "meta.a" not in graph.nodes["C.th"].writes
-        assert not any(
-            e.src == "C.th" and e.dst == "C.tw" for e in graph.edges
-        )
-
-    def test_flow_adds_the_write_after_write_edge(self):
-        graph = build_dependency_graph(
-            _program(HASH_WRITER, "th.apply(); tw.apply();"),
-            precision=PRECISION_FLOW,
-        )
-        assert "meta.a" in graph.nodes["C.th"].writes
-        assert "meta.a" not in graph.nodes["C.th"].reads
+        th = graph.nodes["C.th"]
+        assert "meta.a" in th.writes
+        assert "meta.a" not in th.reads
+        assert "hdr.h.g" in th.reads
         assert ("C.th", "C.tw", ACTION_DEP) in edge_kinds(graph)
 
+    def test_the_walk_sees_the_hazard_through_hash(self):
+        self._assert_hazard_is_seen("hash(meta.a, hdr.h.g)")
 
-# Two tables aliasing the same action declaration (satellite regression:
-# the syntactic oracle and the flow analysis must agree on actions with
-# no kills and no destination-writing externs).
+    def test_the_walk_sees_the_hazard_through_update_checksum(self):
+        self._assert_hazard_is_seen("update_checksum(meta.a, hdr.h.g)")
+
+
+# Two tables aliasing the same action declaration.
 ALIASED = """
     action shared(bit<8> v) { meta.b = meta.a + v; }
     action noop() { }
@@ -183,75 +121,35 @@ ALIASED = """
 
 
 class TestAliasedTables:
-    def test_taint_sets_agree_between_oracle_and_flow(self):
-        program = _program(ALIASED, "alias1.apply(); alias2.apply();")
-        syntactic = build_dependency_graph(program, precision=PRECISION_SYNTACTIC)
-        flow = build_dependency_graph(program, precision=PRECISION_FLOW)
-        for name in ("C.alias1", "C.alias2"):
-            assert syntactic.nodes[name].reads == flow.nodes[name].reads
-            assert syntactic.nodes[name].writes == flow.nodes[name].writes
-        assert edge_kinds(syntactic) == edge_kinds(flow)
-
     def test_aliased_tables_share_effects_but_not_identity(self):
         graph = build_dependency_graph(
-            _program(ALIASED, "alias1.apply(); alias2.apply();"),
-            precision=PRECISION_FLOW,
+            _program(ALIASED, "alias1.apply(); alias2.apply();")
         )
         a1 = graph.nodes["C.alias1"]
         a2 = graph.nodes["C.alias2"]
+        assert a1 is not a2
         assert a1.writes == a2.writes == {"meta.b"}
         assert "meta.a" in a1.reads and "meta.a" in a2.reads
 
-    def test_strict_components_agree_on_aliased_program(self):
-        flay = Flay(
-            _program(ALIASED, "alias1.apply(); alias2.apply();"),
-            FlayOptions(target="none"),
-        )
-        for precision in (PRECISION_SYNTACTIC, PRECISION_FLOW):
-            components = conflict_components(
-                flay.model,
-                flay.program,
-                flay.env,
-                strict=True,
-                precision=precision,
-            )
-            # The shared write target meta.b links the aliases.
-            assert components["C.alias1"] == components["C.alias2"]
+
+#: Edge count and longest chain (in nodes) of every corpus program's graph.
+#: The stage allocator places tables from these edges, so a change here is
+#: a change in every Tofino stage count and modeled compile time.
+CORPUS_GRAPHS = {
+    "scion": (4595, 64),
+    "switch": (7042, 85),
+    "middleblock": (2904, 35),
+    "dash": (5565, 89),
+    "beaucoup": (84, 12),
+    "accturbo": (37, 10),
+    "dta": (36, 8),
+    "fig3": (0, 1),
+    "fig5": (0, 1),
+}
 
 
-class TestPrecisionPlumbing:
-    def test_unknown_precision_is_rejected(self):
-        program = _program(ALIASED, "alias1.apply(); alias2.apply();")
-        with pytest.raises(ValueError):
-            build_dependency_graph(program, precision="psychic")
-
-    def test_default_precision_is_syntactic(self):
-        # The historical call signature keeps its historical meaning;
-        # flow is opt-in at the call sites that want it.
-        program = _program(KILLED_READ, "tw.apply(); tr.apply();")
-        default = build_dependency_graph(program)
-        explicit = build_dependency_graph(program, precision=PRECISION_SYNTACTIC)
-        assert edge_kinds(default) == edge_kinds(explicit)
-
-
-class TestCorpusParity:
-    @pytest.mark.parametrize("name", ["scion", "switch"])
-    def test_strict_components_parity_on_corpus(self, name):
-        # Measured result (see BENCH_8.json): on this corpus the flow
-        # refinement changes per-action effect sets but not connectivity,
-        # so the strict partitions coincide.  If a future edge-algebra
-        # change lets flow precision split a group, this pin should be
-        # updated alongside the benchmark.
-        program = registry.load(name)
-        model = analyze(program)
-        syntactic = conflict_components(
-            model, program, strict=True, precision=PRECISION_SYNTACTIC
-        )
-        flow = conflict_components(
-            model, program, strict=True, precision=PRECISION_FLOW
-        )
-        as_groups = lambda comp: {
-            frozenset(n for n, r in comp.items() if r == root)
-            for root in set(comp.values())
-        }
-        assert as_groups(syntactic) == as_groups(flow)
+@pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
+def test_corpus_edge_counts_and_longest_chains(name):
+    assert set(CORPUS_GRAPHS) == set(registry.CORPUS)
+    graph = build_dependency_graph(registry.load(name))
+    assert (len(graph.edges), graph.longest_chain()) == CORPUS_GRAPHS[name]

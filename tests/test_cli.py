@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from tests.engine.spec import without_prune_pass
 
 
 def test_stats(capsys):
@@ -178,20 +179,23 @@ def test_lint_fail_on_threshold(capsys):
 
 
 def test_specialize_no_prune_is_byte_identical(tmp_path, capsys):
+    """The command's output without the prune pass, which no flag turns
+    off: the unpruned pipeline comes from the test-side reference."""
     out_a = tmp_path / "pruned.p4"
     out_b = tmp_path / "no_prune.p4"
     assert main(["specialize", "corpus:fig3", "-o", str(out_a)]) == 0
     err = capsys.readouterr().err
     assert "prune:" in err
-    assert main([
-        "specialize", "corpus:fig3", "--no-prune", "-o", str(out_b)
-    ]) == 0
+    with without_prune_pass():
+        assert main(["specialize", "corpus:fig3", "-o", str(out_b)]) == 0
     err = capsys.readouterr().err
     assert "prune:" not in err
     assert out_a.read_text() == out_b.read_text()
 
 
-@pytest.mark.parametrize("flag", ["--no-fdd-gate", "--no-table-verdict-cache"])
+@pytest.mark.parametrize(
+    "flag", ["--no-fdd-gate", "--no-table-verdict-cache", "--no-prune"]
+)
 def test_removed_ablation_flags_are_rejected_by_argparse(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["specialize", "corpus:fig3", flag])

@@ -55,8 +55,8 @@ class TestCheckFile:
 
     def test_false_parity_flag(self, tmp_path):
         payload = {key: 1.0 for key in SPECS["BENCH_8.json"]["required"]}
-        payload["scion_strict_parity"] = True
-        payload["switch_strict_parity"] = False
+        payload["scion_strict_refines"] = True
+        payload["switch_strict_refines"] = False
         path = _write(tmp_path, "BENCH_8.json", payload)
         assert any("must be true" in p for p in check_file(path))
 

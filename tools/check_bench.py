@@ -10,7 +10,7 @@ copy at the repo root.  This validator keeps those artifacts honest:
   measurements (``<metric>_floor`` next to ``<metric>``); every such
   pair must satisfy ``metric >= floor``, so a committed artifact that
   no longer meets its own bar cannot land;
-* **truths** — boolean parity flags (differential results) must be true.
+* **truths** — boolean flags (differential and refinement results) must be true.
 
 Timing values themselves are machine-dependent and deliberately *not*
 floored — only ratios and counts the benches export as floors are.
@@ -33,13 +33,13 @@ SPECS = {
             "scion_cold_pruned_ms",
             "scion_cold_no_prune_ms",
             "scion_cnf_clauses",
-            "scion_strict_parity",
+            "scion_strict_refines",
             "switch_cold_pruned_ms",
             "switch_cold_no_prune_ms",
             "switch_cnf_clauses",
-            "switch_strict_parity",
+            "switch_strict_refines",
         ],
-        "truthy": ["scion_strict_parity", "switch_strict_parity"],
+        "truthy": ["scion_strict_refines", "switch_strict_refines"],
     },
     "BENCH_9.json": {
         "required": [
