@@ -400,6 +400,9 @@ class WorkerSlice:
         )
         self.query_engine._exec_cache = LayeredCache(shared_qe._exec_cache)
         self.query_engine._simplify_memo = simplify_memo
+        # Tree sizes are pure, so the slice writes the shared memo directly
+        # (two workers can only ever store the same size for a term).
+        self.query_engine._tree_sizes = shared_qe._tree_sizes
         # Conflict groups partition the points, so no two slices decide
         # the same pid.
         self.query_engine._decided = LayeredCache(shared_qe._decided)

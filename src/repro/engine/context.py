@@ -4,12 +4,16 @@ One :class:`EngineContext` owns it — the hash-consing table, the
 long-lived :class:`~repro.smt.substitute.DeltaSubstitution`, the
 verdict caches, the timing and cache metrics, the target backend, and
 the event bus — and passes are plain functions over the context.
+
+:data:`WARM_STATE` is the one inventory of what the engine keeps from
+one update to the next; the snapshot, the restore and the fleet store
+iterate it instead of naming attributes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.engine.events import EventBus
 from repro.ir.metrics import CacheCounter
@@ -97,8 +101,8 @@ class EngineContext:
     compile_reports: list = field(default_factory=list)
     lowered_updates: list = field(default_factory=list)
     # Conflict components for the batch scheduler (entity → component
-    # root), computed lazily from the model and dependency graph on the
-    # first ``apply_batch`` — both are fixed per program, so this never
+    # root), computed lazily from the model's taint index on the first
+    # ``apply_batch`` — it is fixed per program, so this never
     # invalidates.
     batch_components: Optional[dict] = None
     # Fleet shared store (a repro.fleet.store.SharedStore, or None when the
@@ -132,3 +136,100 @@ class EngineContext:
             CacheCounter("cnf-fragments"),
             self.state.active_counter,
         ]
+
+
+# ---------------------------------------------------------------------------
+# The warm-state inventory
+# ---------------------------------------------------------------------------
+
+#: Key kinds.  ``id``: the ``id()`` of an interned term or AST node, valid
+#: in this process only.  ``term``: an interned term itself.  ``value``: a
+#: plain value (a pid, a table name, a digest).  ``log``: an append-only
+#: history, not a memo.
+KEY_ID, KEY_TERM, KEY_VALUE, KEY_LOG = "id", "term", "value", "log"
+
+#: Carry rules.  ``shared``: a pure function of the term — the fleet store
+#: shares it and a restore unions the blob's entries into it.
+#: ``carried``: the snapshot installs it.  ``rebuilt``: a restore
+#: re-derives it.  ``local``: it starts empty in every engine.
+SHARED, CARRIED, REBUILT, LOCAL = "shared", "carried", "rebuilt", "local"
+
+
+def _follow(obj, names):
+    for name in names:
+        if obj is None:
+            return None
+        obj = getattr(obj, name)
+    return obj
+
+
+class WarmRow(NamedTuple):
+    """One structure the engine keeps across updates."""
+
+    path: str  # attribute path from the EngineContext
+    key: str
+    carry: str
+
+    def resolve(self, ctx: "EngineContext"):
+        """The container, or None when an owner on the path is None
+        (no target, no batch yet); raises ``AttributeError`` when the
+        path names an attribute that does not exist."""
+        return _follow(ctx, self.path.split("."))
+
+    def install(self, ctx: "EngineContext", container) -> None:
+        """Make ``container`` the structure at this row's path."""
+        *owner, name = self.path.split(".")
+        setattr(_follow(ctx, owner), name, container)
+
+
+WARM_STATE: tuple = (
+    # The intern table every id()-keyed memo relies on; decoding a
+    # snapshot re-interns every term it carries.
+    WarmRow("term_factory._table", KEY_TERM, REBUILT),
+    # The control plane: the snapshot stores the live entries and value
+    # sets, and a restore replays them.
+    WarmRow("state.tables", KEY_VALUE, REBUILT),
+    WarmRow("state.value_sets", KEY_VALUE, REBUILT),
+    # Re-encoded from the replayed control plane (pure encodings).
+    WarmRow("mapping", KEY_TERM, REBUILT),
+    WarmRow("table_assignments", KEY_VALUE, REBUILT),
+    WarmRow("substitution._mapping", KEY_TERM, CARRIED),
+    WarmRow("substitution._memo", KEY_TERM, CARRIED),
+    # Re-derived from the memo keys' own argument lists.
+    WarmRow("substitution._parents", KEY_TERM, REBUILT),
+    WarmRow("substitution._heights", KEY_TERM, REBUILT),
+    # Shared with the substitution.
+    WarmRow("query_engine._simplify_memo", KEY_ID, LOCAL),
+    WarmRow("query_engine._exec_cache", KEY_TERM, SHARED),
+    WarmRow("query_engine._decided", KEY_VALUE, CARRIED),
+    # Its keys embed term ids; a restore re-primes it with one pass.
+    WarmRow("query_engine._table_verdict_memo", KEY_ID, REBUILT),
+    WarmRow("query_engine._values_memo", KEY_ID, LOCAL),
+    WarmRow("query_engine._tree_sizes", KEY_TERM, LOCAL),
+    WarmRow("query_engine.solver._results", KEY_TERM, SHARED),
+    WarmRow("query_engine.solver._simplify_memo", KEY_ID, LOCAL),
+    WarmRow("query_engine.solver._interval_memo", KEY_ID, LOCAL),
+    WarmRow("query_engine.solver.stats.probe_latencies_us", KEY_LOG, LOCAL),
+    WarmRow("gate._records.map", KEY_VALUE, CARRIED),
+    WarmRow("point_verdicts", KEY_VALUE, CARRIED),
+    WarmRow("table_verdicts", KEY_VALUE, CARRIED),
+    # Computed from the model on the first ``apply_batch``.
+    WarmRow("batch_components", KEY_VALUE, REBUILT),
+    WarmRow("specializer._memo", KEY_ID, LOCAL),
+    WarmRow("specializer._node_verdicts", KEY_ID, LOCAL),
+    WarmRow("compile_reports", KEY_LOG, LOCAL),
+    WarmRow("lowered_updates", KEY_LOG, LOCAL),
+    WarmRow("timings.log", KEY_LOG, LOCAL),
+)
+
+
+def warm_state(ctx: EngineContext, *carry: str) -> Iterator[tuple]:
+    """``(row, container)`` for every row present in ``ctx``, in table
+    order; only the rows with one of the ``carry`` rules when any are
+    given."""
+    for row in WARM_STATE:
+        if carry and row.carry not in carry:
+            continue
+        container = row.resolve(ctx)
+        if container is not None:
+            yield row, container

@@ -433,62 +433,6 @@ class VerdictGate:
                 grafted += 1
         return grafted
 
-    # -- warm-state snapshot --------------------------------------------------
-
-    def export_records(self, arena) -> list:
-        """Every witness record as a picklable ``(pid, blob)`` pair — the
-        gate's contribution to an engine warm-state snapshot.
-
-        Witness terms ride in ``arena``
-        (a :class:`~repro.smt.arena.TermArena`); fingerprints and packed
-        key points are plain tuples and integers, compared by value, so
-        they ride as they are.
-        """
-        exported: list = []
-        for pid, record in self._records.map.items():
-            exported.append(
-                (
-                    pid,
-                    {
-                        "verdict": record.verdict,
-                        "term": arena.encode(record.term),
-                        "pos_model": dict(record.pos_model),
-                        "neg_model": dict(record.neg_model),
-                        "pos_keys": record.pos_keys,
-                        "neg_keys": record.neg_keys,
-                        "fp_pos": record.fp_pos,
-                        "fp_neg": record.fp_neg,
-                    },
-                )
-            )
-        return exported
-
-    def restore_records(self, arena, records: list) -> int:
-        """Rebuild the record map from a snapshot blob.
-
-        Precondition: ``self.state`` already replays the snapshotted
-        control plane, so the first screen after restore looks the stored
-        key points up in the same entries and the fingerprints hold.
-        """
-        self._records.map.clear()
-        restored = 0
-        for pid, blob in records:
-            if blob is None:
-                continue
-            record = WitnessRecord(
-                verdict=blob["verdict"],
-                term=arena.decode(blob["term"]),
-                pos_model=_ZeroDefault(blob["pos_model"]),
-                neg_model=_ZeroDefault(blob["neg_model"]),
-                pos_keys=blob["pos_keys"],
-                neg_keys=blob["neg_keys"],
-                fp_pos=blob["fp_pos"],
-                fp_neg=blob["fp_neg"],
-            )
-            self._records.set(pid, record)
-            restored += 1
-        return restored
-
 
 __all__ = [
     "GateStats",

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from repro.analysis.symexec import analyze
-from repro.engine.context import EngineContext
+from repro.engine.context import SHARED, EngineContext, warm_state
 from repro.engine.events import SnapshotRestored, TargetCompiled, UpdateLowered
 from repro.engine.gate import VerdictGate
 from repro.engine.queries import QueryEngine
@@ -258,13 +258,6 @@ class AnalysisPass:
             ctx.model, ctx.state, threshold=options.overapprox_threshold
         )
         ctx.query_engine = QueryEngine(ctx.model, gate=ctx.gate)
-        if entry is not None:
-            # Share the term-pure warm layers: the solver result memo and
-            # the executability cache.  Both are pure functions of
-            # hash-consed terms, so adopters and donor can interleave
-            # freely under serialized access.
-            ctx.query_engine.solver._results = entry.results
-            ctx.query_engine._exec_cache = entry.exec_cache
         ctx.specializer = Specializer(
             ctx.program, ctx.model, ctx.env, effort=options.effort
         )
@@ -278,6 +271,12 @@ class AnalysisPass:
         ctx.substitution = DeltaSubstitution(
             {}, simplify_memo=ctx.query_engine.simplify_memo
         )
+        if entry is not None:
+            # Adopt the donor's term-pure warm rows.  Each is a pure
+            # function of hash-consed terms, so adopters and donor can
+            # interleave freely under serialized access.
+            for row, _ in warm_state(ctx, SHARED):
+                row.install(ctx, entry.shared[row.path])
 
 
 class EncodePass:
@@ -325,8 +324,7 @@ class RestorePass:
 
     Replaces :class:`EncodePass` in the restore pipeline: instead of the
     empty-config sweep, the snapshotted control plane is replayed, the
-    substitution memo / term-pure memos / gate witness records are
-    reinstalled, and the snapshotted verdicts are adopted —
+    snapshot's warm rows are reinstalled (verdicts among them) —
     so the following specialize/lower passes reproduce the snapshotted
     engine's current output without a single cold query.
     """
@@ -340,13 +338,13 @@ class RestorePass:
         blob = ctx.restore_blob
         if blob is None:
             raise ValueError("RestorePass needs ctx.restore_blob")
-        restored = apply_snapshot(ctx, blob)
+        sizes = apply_snapshot(ctx, blob)
         ctx.restore_blob = None
         if ctx.bus.active:
             ctx.bus.emit(
                 SnapshotRestored(
-                    memo_entries=restored["memo_entries"],
-                    witness_records=restored["witness_records"],
+                    memo_entries=sizes["substitution._memo"],
+                    witness_records=sizes["gate._records.map"],
                 )
             )
 

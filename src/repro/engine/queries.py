@@ -137,17 +137,18 @@ class QueryEngine:
         # term — the specification the differential tests compare the
         # engine with.  Constancy queries never reach the gate.
         self.gate = gate
-        # Cross-update caches.  Both are pure: post-substitution terms are
-        # hash-consed and a verdict is a function of the term alone (any
-        # residual control symbols — single-pass substitution leaves
-        # upstream tables' symbols inside replacement terms — are treated
-        # as free variables, consistently), so a verdict/simplified form
-        # computed once is correct forever (only an explicit
-        # :meth:`invalidate` — a generation bump — ever drops them).
+        # Cross-update caches (each one a row of
+        # :data:`~repro.engine.context.WARM_STATE`).  They are pure:
+        # post-substitution terms are hash-consed and a verdict is a
+        # function of the term alone (any residual control symbols —
+        # single-pass substitution leaves upstream tables' symbols inside
+        # replacement terms — are treated as free variables, consistently),
+        # so a verdict, simplified form or tree size computed once is
+        # correct forever.
         self.exec_counter = CacheCounter("executability")
-        self.generation = 0
         self._exec_cache: dict[Term, str] = {}
         self._simplify_memo: dict[int, Term] = {}
+        self._tree_sizes: dict[Term, int] = {}  # for the node-budget punt
         # pid → (the simplified term the point's current verdict was decided
         # from, that verdict).  A pull that returns the same interned term
         # returns the verdict with it, by the invariant above.  The term is
@@ -169,26 +170,13 @@ class QueryEngine:
         self.table_verdict_counter = CacheCounter("table-verdict")
         self._table_verdict_memo: dict = {}
         # ``_possible_values`` memo, id-keyed over interned selector terms
-        # (same lifetime discipline as ``_simplify_memo``: the simplify
-        # memo holds the selector alive, both clear together).
+        # (the intern table keeps every selector alive).
         self._values_memo: dict[int, Optional[set]] = {}
 
     @property
     def simplify_memo(self) -> dict[int, Term]:
         """Engine-persistent simplify memo (id-keyed over interned terms)."""
         return self._simplify_memo
-
-    def invalidate(self) -> None:
-        """Drop every cache layer (generation bump); verdicts stay correct."""
-        self.generation += 1
-        self.exec_counter.invalidate(len(self._exec_cache))
-        self._exec_cache.clear()
-        self._simplify_memo.clear()
-        self._decided.clear()
-        self.table_verdict_counter.invalidate(len(self._table_verdict_memo))
-        self._table_verdict_memo.clear()
-        self._values_memo.clear()
-        self.solver.invalidate_caches()
 
     # -- per-point queries ----------------------------------------------------
 
@@ -259,7 +247,7 @@ class QueryEngine:
             self.exec_counter.hit()
             return Executability(cached, "cached")
         self.exec_counter.miss()
-        if T.tree_size(term) > self.solver_node_budget:
+        if T.tree_size(term, self._tree_sizes) > self.solver_node_budget:
             self._exec_cache[term] = MAYBE
             return Executability(MAYBE, "punted")
         # MAYBE is always a sound answer; a blown decision budget simply

@@ -6,8 +6,7 @@ computes from the program alone — the parsed/pruned AST, the type
 environment, the data-plane model, and the initial (empty-config)
 verdict sweep — is therefore identical across those switches, and so is
 every warm cache that is a pure function of hash-consed terms: the
-solver result memo and the executability cache.  The solver keeps no
-CNF between queries, so there is none to share.
+``shared`` rows of :data:`~repro.engine.context.WARM_STATE`.
 
 The store keys entries by a content hash of the canonical program source
 plus every verdict-relevant engine option (*not* the target backend,
@@ -15,12 +14,8 @@ which only affects lowering): two engines with the same key provably
 compute the same cold artifacts, so the second one adopts the first
 one's donation instead of recomputing.
 
-What is **never** shared: :class:`~repro.runtime.semantics.ControlPlaneState`
-(per-switch entries), the :class:`~repro.smt.substitute.DeltaSubstitution`
-(per-switch control-plane mapping), the verdict gate (its lookup rows mirror
-per-switch tables), the table-verdict memo (keyed on per-switch
-active-entry digests), per-switch verdict dicts after the first update,
-and all stats/counters.  Sharing is sound under serialized access — the
+Every other row is per switch and **never** shared, and so are all
+stats/counters.  Sharing is sound under serialized access — the
 fleet simulator is a single-threaded discrete-event loop.
 """
 
@@ -29,6 +24,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.engine.context import SHARED, warm_state
 
 #: Option fields that change what the cold pipeline and the term-level
 #: caches compute.  ``target`` is deliberately absent: lowering does not
@@ -47,9 +44,9 @@ class StoreEntry:
     env: object
     prune_report: object
     model: object
-    # Term-pure shared warm state (mutated in place by every adopter).
-    results: dict  # Term → SatResult (solver result memo)
-    exec_cache: dict  # Term → verdict string (executability cache)
+    # The donor's ``shared`` rows by row path (mutated in place by every
+    # adopter).
+    shared: dict
     # Initial (empty-config) sweep, so adopters skip the cold encode pass.
     initial: dict = field(default_factory=dict)
     adoptions: int = 0
@@ -101,8 +98,7 @@ class SharedStore:
             env=ctx.env,
             prune_report=ctx.prune_report,
             model=ctx.model,
-            results=ctx.query_engine.solver._results,
-            exec_cache=ctx.query_engine._exec_cache,
+            shared={row.path: container for row, container in warm_state(ctx, SHARED)},
             initial={
                 "mapping": dict(ctx.mapping),
                 "table_assignments": dict(ctx.table_assignments),

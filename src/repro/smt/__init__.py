@@ -26,7 +26,6 @@ from repro.smt.substitute import (
     Substitution,
     substitute,
     substitute_names,
-    variable_dependencies,
 )
 from repro.smt.terms import (
     FALSE,

@@ -3,7 +3,10 @@
 ``Term`` deliberately refuses to pickle — its identity *is* its cache
 key, and an unpickled copy would bypass hash-consing.  What has to cross
 a pickle boundary (the engine warm-state snapshot of
-:mod:`repro.engine.snapshot`) rides in a :class:`TermArena` instead.
+:mod:`repro.engine.snapshot`) rides in a :class:`TermArena` instead:
+:meth:`TermArena.dumps` pickles any object graph with each term in it
+replaced by its arena index, and :meth:`TermArena.loads` decodes them
+back, so no container needs a codec of its own.
 The CDCL core keeps its clause database in a :class:`ClauseArena`.
 
 * :class:`TermArena` — a **codec**, not a second term representation.
@@ -30,6 +33,8 @@ arena byte-for-byte.
 
 from __future__ import annotations
 
+import io
+import pickle
 from array import array
 
 from repro.smt import terms as T
@@ -94,6 +99,27 @@ class TermArena:
 
     def __len__(self) -> int:
         return len(self._op)
+
+    # -- the term-aware pickler ---------------------------------------------
+
+    @classmethod
+    def dumps(cls, obj) -> bytes:
+        """Pickle ``obj`` with every :class:`Term` in it, wherever it sits
+        (a key, a value, a field of a record), carried by one arena."""
+        arena, payload = cls(), io.BytesIO()
+        pickler = pickle.Pickler(payload, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda o: arena.encode(o) if type(o) is Term else None
+        pickler.dump(obj)
+        return pickle.dumps((arena, payload.getvalue()), pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def loads(raw: bytes):
+        """The inverse of :meth:`dumps`: every term comes back interned
+        in this process's default factory."""
+        arena, payload = pickle.loads(raw)
+        unpickler = pickle.Unpickler(io.BytesIO(payload))
+        unpickler.persistent_load = arena.decode
+        return unpickler.load()
 
     # -- pickling -----------------------------------------------------------
 

@@ -25,8 +25,9 @@ the default term factory interns strongly (ids are never recycled), and
 both map a node to a value that depends on that node alone.  The pinned
 re-evaluation of a conjunction (``interval._refuted_by_pins``) reads its
 conjuncts under assumed equalities, so it runs in a memo of its own and no
-pinned interval ever enters the persistent one.  :meth:`Solver.invalidate_caches`
-clears both; neither is snapshotted or shared between solvers.
+pinned interval ever enters the persistent one.  Neither is snapshotted
+or shared between solvers (both are ``local`` rows of
+:data:`~repro.engine.context.WARM_STATE`).
 
 Layer 3 keeps nothing between queries.  Each query that reaches it gets a
 fresh :class:`~repro.smt.cnf.BitBlaster` and SAT solver, dropped once it
@@ -172,13 +173,6 @@ class Solver:
         # encoding once one of its halves has reached bit-blasting.
         self._pairing = False
         self._pair: Optional[BitBlaster] = None
-
-    def invalidate_caches(self) -> None:
-        """Drop the result memo and the simplify and interval memos."""
-        self.cache_counter.invalidate(len(self._results))
-        self._results.clear()
-        self._simplify_memo.clear()
-        self._interval_memo.clear()
 
     def check_sat(self, term: Term) -> SatResult:
         """Is there an assignment making ``term`` true?"""

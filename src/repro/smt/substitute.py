@@ -15,9 +15,9 @@ is what the engine runs: one fused substitute-and-simplify pass over the
 assignment moved up the memoised DAG once, lowest node first, and stops
 wherever a result comes back unchanged; what is left for the warm path's
 pulls is dict hits.  The tests check it against the specification.
-The :class:`~repro.smt.arena.TermArena` codec moves its mapping and memo
-through a snapshot (:meth:`DeltaSubstitution.export_state`) but does no
-rewriting of its own.
+A snapshot carries its mapping and memo through the
+:class:`~repro.smt.arena.TermArena` pickler, which does no rewriting of
+its own; :meth:`DeltaSubstitution.rederive_edges` rebuilds the rest.
 """
 
 from __future__ import annotations
@@ -29,51 +29,6 @@ from repro.ir.metrics import CacheCounter
 from repro.smt import terms as T
 from repro.smt.simplify import _rewrite, simplify
 from repro.smt.terms import Term
-
-#: Process-wide memo: term → frozenset of variable names occurring in it.
-#: Pure function of the (immutable) term, shared across all substitutions;
-#: keyed on the Term itself so the cache owns strong references.
-_VAR_DEPS: dict[Term, frozenset] = {}
-
-_EMPTY_DEPS: frozenset = frozenset()
-
-
-def variable_dependencies(term: Term) -> frozenset:
-    """Names of all variable leaves reachable from ``term`` (memoized).
-
-    The specification of delta substitution's propagation: a memoized
-    result for ``term`` can move only when the mapping of one of these
-    names changes.  :class:`DeltaSubstitution` reaches the same entries by
-    walking parent edges up from the changed variables; the tests check
-    one against the other.
-    """
-    cached = _VAR_DEPS.get(term)
-    if cached is not None:
-        return cached
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node in _VAR_DEPS:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for child in node.args:
-                if child not in _VAR_DEPS:
-                    stack.append((child, False))
-            continue
-        if node.is_var:
-            deps: frozenset = frozenset((node.payload,))
-        elif not node.args:
-            deps = _EMPTY_DEPS
-        else:
-            child_deps = [_VAR_DEPS[arg] for arg in node.args]
-            deps = child_deps[0]
-            for extra in child_deps[1:]:
-                if not (extra <= deps):
-                    deps = deps | extra
-        _VAR_DEPS[node] = deps
-    return _VAR_DEPS[term]
-
 
 def _check(var: Term, replacement: Term) -> None:
     if not var.is_var:
@@ -159,8 +114,8 @@ class DeltaSubstitution:
 
     The memo keys interned :class:`Term` objects directly (their hash is
     the precomputed structural hash and equality is identity) — which is
-    what makes it *exportable*: a snapshot ships both sides of every entry
-    through a :class:`~repro.smt.arena.TermArena`.
+    what lets a snapshot carry it: both sides of every entry ride through
+    a :class:`~repro.smt.arena.TermArena`.
 
     ``simplify_memo`` is the ``id``-keyed memo handed to every
     :func:`~repro.smt.simplify.simplify` call and rewrite rule; the engine
@@ -232,47 +187,14 @@ class DeltaSubstitution:
         self.counter.miss()
         return _evaluate(self, term)
 
-    # -- snapshot export / import ----------------------------------------------
-
-    def export_state(self, arena) -> dict:
-        """A picklable blob of the mapping and the memo.
-
-        Every term (keys and values alike) rides in ``arena`` (a
-        :class:`~repro.smt.arena.TermArena`); :meth:`import_state`
-        re-interns them through the receiving process's default factory,
-        so identity-based change detection keeps working after a restore.
-        Every entry is current, and the parent edges and heights are
-        re-derived from the memo keys' own argument lists.
-        """
-        return {
-            "mapping": [
-                (arena.encode(var), arena.encode(replacement))
-                for var, replacement in self._mapping.items()
-            ],
-            "memo": [
-                (arena.encode(key), arena.encode(value))
-                for key, value in self._memo.items()
-            ],
-        }
-
-    def import_state(self, arena, blob: dict) -> int:
-        """Install an :meth:`export_state` blob; returns the memo size.
-
-        The blob replaces this substitution's state wholesale — callers
-        restore into a freshly constructed (empty) instance.
-        """
-        self._mapping = {
-            arena.decode(var): arena.decode(replacement)
-            for var, replacement in blob["mapping"]
-        }
-        memo = self._memo = {
-            arena.decode(key): arena.decode(value) for key, value in blob["memo"]
-        }
-        self._heights = _derive_heights(memo)
+    def rederive_edges(self) -> None:
+        """Rebuild the parent edges and heights from the memo keys' own
+        argument lists — all a restore needs after installing a
+        snapshot's mapping and memo, since every memo entry is current."""
+        self._heights = _derive_heights(self._memo)
         self._parents = {}
         for key in self._heights:
             _link(self._parents, key)
-        return len(memo)
 
 
 def _link(parents: dict[Term, set[Term]], node: Term) -> None:

@@ -29,9 +29,10 @@ Because identity *is* the cache key, terms deliberately refuse to pickle
 (see :meth:`Term.__reduce__`): a pickled copy in another process would be
 a distinct object and silently miss every memo.  The supported way to
 move terms across a pickle boundary (a warm-state snapshot) is the
-:class:`repro.smt.arena.TermArena` codec — encode to integer indices,
-pickle the arena, and decode *through the default factory* on the other
-side, which re-interns every node and restores the identity invariant.
+:class:`repro.smt.arena.TermArena` codec (``TermArena.dumps`` for whole
+object graphs) — encode to integer indices, pickle the arena, and decode
+*through the default factory* on the other side, which re-interns every
+node and restores the identity invariant.
 """
 
 from __future__ import annotations
@@ -447,28 +448,18 @@ def dag_size(term: Term) -> int:
     return sum(1 for _ in iter_dag(term))
 
 
-#: Process-wide tree-size memo.  Keyed on the Term itself (not ``id``) so
-#: the cache holds strong references to its keys; terms are immutable, so
-#: entries are valid forever.  The executability budget check consults
-#: ``tree_size`` on the same large residual DAGs on every update — this
-#: memo makes the repeat checks O(1).
-_TREE_SIZE_MEMO: dict["Term", int] = {}
-
-
-def tree_size(term: Term, _memo: Optional[dict[int, int]] = None) -> int:
+def tree_size(term: Term, memo: Optional[dict[Term, int]] = None) -> int:
     """Number of nodes counting shared subterms once per occurrence.
 
     This is the "expression complexity" metric the paper blames for
     slowdowns with large tables: nesting makes the *tree* explode even when
-    the DAG stays small.  Results are memoized process-wide; pass an
-    explicit ``_memo`` (keyed on ``id``) to bypass the shared cache.
+    the DAG stays small.  ``memo`` maps terms to their sizes; a caller that
+    asks about growing DAGs keeps one (the query engine's node-budget check
+    does, per engine), so a repeat call pays only for nodes no earlier call
+    reached.
     """
-    if _memo is not None:
-        for node in iter_dag(term):  # post-order: children first
-            if id(node) not in _memo:
-                _memo[id(node)] = 1 + sum(_memo[id(arg)] for arg in node.args)
-        return _memo[id(term)]
-    memo = _TREE_SIZE_MEMO
+    if memo is None:
+        memo = {}
     cached = memo.get(term)
     if cached is not None:
         return cached

@@ -123,7 +123,7 @@ class TestCacheMerge:
         # the parent edges up from that variable's term, or a later
         # set_many could miss invalidating them.  (Closed terms
         # legitimately have no edge leading to them.)
-        from repro.smt.substitute import variable_dependencies
+        from tests.smt.variable_deps import variable_dependencies
 
         reachable: dict = {}
         for term in substitution._memo:

@@ -335,7 +335,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 7
+    assert blob["format"] == 8
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -429,5 +429,17 @@ def test_a_format_6_blob_is_refused_not_misread():
         "skip_parser", "overapprox_threshold", "target", "effort"
     }
     blob["format"] = 6
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_7_blob_is_refused_not_misread():
+    """Format 7 carried one term arena plus a per-structure export of each
+    memo; format 8 carries the warm rows in one term-aware pickle."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    blob = live.snapshot()
+    assert "terms" not in blob and "gate_records" not in blob
+    assert isinstance(blob["warm"], bytes)
+    blob["format"] = 7
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

@@ -5,11 +5,15 @@ The term arena exists to carry terms across a pickle boundary
 contract the snapshot path relies on: **interning identity** —
 ``arena.decode(arena.encode(t)) is t``, and the identity survives
 pickling the arena (the decoded-``Term`` cache is process-local and
-rebuilt through the default factory).
+rebuilt through the default factory) — and the pickler the snapshot
+pickles its warm rows with, :meth:`TermArena.dumps`, keeps it for every
+term in an arbitrary object graph.
 """
 
 import pickle
+from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
@@ -147,3 +151,39 @@ def test_shared_subterms_encode_once():
     b = arena.encode(shared)
     assert arena._args[arena._first[a]] == b
     assert arena._args[arena._first[a] + 1] == b
+
+
+# -- the term-aware pickler ----------------------------------------------------
+
+
+@dataclass
+class _Record:
+    term: object
+    model: dict
+
+
+@given(terms=st.lists(bv_terms(), min_size=1, max_size=5), cond=bool_terms())
+@settings(max_examples=100, deadline=None)
+def test_dumps_carries_every_term_wherever_it_sits(terms, cond):
+    """Terms as dict keys, dict values, tuple members and record fields all
+    come back as the very objects the sender held, in the same order."""
+    payload = {
+        "memo": {term: T.bv_not(term) for term in terms},
+        "decided": {f"p{i}": (term, "maybe") for i, term in enumerate(terms)},
+        "records": {"p0": _Record(cond, {"ax": 3})},
+        "empty": (None, 7),
+    }
+    raw = TermArena.dumps(payload)
+    back = TermArena.loads(pickle.loads(pickle.dumps(raw)))
+    assert back == payload
+    assert all(a is b for a, b in zip(back["memo"], payload["memo"]))
+    for key, value in payload["memo"].items():
+        assert back["memo"][key] is value
+    for pid, (term, _) in payload["decided"].items():
+        assert back["decided"][pid][0] is term
+    assert back["records"]["p0"].term is cond
+
+
+def test_a_bare_term_still_refuses_to_pickle():
+    with pytest.raises(TypeError):
+        pickle.dumps(T.add(X, Y))

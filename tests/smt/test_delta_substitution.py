@@ -17,11 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.smt import terms as T
 from repro.smt.arena import TermArena
 from repro.smt.simplify import simplify
-from repro.smt.substitute import (
-    DeltaSubstitution,
-    Substitution,
-    variable_dependencies,
-)
+from repro.smt.substitute import DeltaSubstitution, Substitution
+from tests.smt.variable_deps import variable_dependencies
 
 #: The module, not the ``substitute`` helper ``repro.smt`` re-exports.
 substitute_module = importlib.import_module("repro.smt.substitute")
@@ -260,22 +257,21 @@ class TestSnapshotWithoutIndex:
         initial=ASSIGNMENTS,
         stale=ASSIGNMENTS,
         later=ASSIGNMENTS,
-        legacy=st.booleans(),
     )
-    def test_round_trip_rederives_the_edges(self, exprs, initial, stale, later, legacy):
+    def test_round_trip_rederives_the_edges(self, exprs, initial, stale, later):
         source = DeltaSubstitution(initial)
         for term in exprs:
             source.apply(term)
         source.set_many(stale)  # exported after a push, with nothing pulled
-        arena = TermArena()
-        blob = source.export_state(arena)
-        assert set(blob) == {"mapping", "memo"}
-        if legacy:  # a blob written before the index was dropped
-            blob["index"] = {
-                var.name: [arena.encode(var)] for var in source._mapping
-            }
+        # What a snapshot carries: the mapping and the memo, nothing else.
+        carried = TermArena.loads(
+            TermArena.dumps({"mapping": source._mapping, "memo": source._memo})
+        )
         restored = DeltaSubstitution({})
-        assert restored.import_state(arena, blob) == source.memo_size
+        restored._mapping.update(carried["mapping"])
+        restored._memo.update(carried["memo"])
+        restored.rederive_edges()
+        assert restored.memo_size == source.memo_size
         assert restored._mapping == source._mapping
         assert restored._memo == source._memo
         assert restored._heights == source._heights

@@ -12,7 +12,8 @@ import gc
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.smt import terms as T
-from repro.smt.substitute import DeltaSubstitution, variable_dependencies
+from repro.smt.substitute import DeltaSubstitution
+from tests.smt.variable_deps import variable_dependencies
 
 
 class TestInterningInvariant:
@@ -96,19 +97,22 @@ class TestTreeSizeMemo:
     def test_memoized_matches_recount(self):
         x = T.data_var("x", 8)
         term = T.add(T.mul(x, T.bv_const(3, 8)), T.bv_const(7, 8))
-        first = T.tree_size(term)
+        memo: dict = {}
+        first = T.tree_size(term, memo)
+        assert memo[term] == first
+        assert T.tree_size(term, memo) == first
+        # A fresh count agrees with the memoised one.
         assert T.tree_size(term) == first
-        # An explicit memo (legacy call shape) agrees with the global one.
-        assert T.tree_size(term, {}) == first
 
     def test_shared_subterms_counted_per_occurrence(self):
         # tree_size is the *tree* size: a DAG-shared child counts once per
         # occurrence.  The memo must not collapse that to DAG size.
         x = T.data_var("x", 8)
         shared = T.add(x, T.bv_const(1, 8))
-        T.tree_size(shared)  # warm the memo on the subterm first
+        memo: dict = {}
+        T.tree_size(shared, memo)  # warm the memo on the subterm first
         term = T.mul(shared, shared)
-        assert T.tree_size(term) == 2 * T.tree_size(shared) + 1
+        assert T.tree_size(term, memo) == 2 * T.tree_size(shared) + 1
 
 
 class TestVariableDependencies:

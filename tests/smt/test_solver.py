@@ -262,13 +262,6 @@ def test_long_lived_solver_answers_like_a_fresh_one_per_query(stream):
 
 
 class TestSolverMemos:
-    def test_invalidate_caches_empties_both_memos(self):
-        solver = Solver()
-        solver.check_sat(T.bool_and(T.eq(X, c(3)), T.ult(Y, T.add(X, c(1)))))
-        assert solver._simplify_memo and solver._interval_memo
-        solver.invalidate_caches()
-        assert solver._simplify_memo == {} and solver._interval_memo == {}
-
     def test_a_pin_never_leaks_into_the_persistent_memo(self):
         v = T.data_var("so_v", 8)
         p = T.data_var("so_pv", 8)
