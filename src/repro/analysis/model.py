@@ -43,8 +43,8 @@ def control_var_names(
     control symbol's own, an interior node's the union of its children's
     (sharing a child's set when it already holds the others).  Points
     whose expressions share sub-DAGs therefore walk each node once across
-    all of them.  ``id`` keys are sound because the default factory
-    interns every term strongly.
+    all of them.  ``id`` keys are sound because the memo lives for one
+    analysis run and no term collection runs inside one.
     """
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:

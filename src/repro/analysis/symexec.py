@@ -13,11 +13,11 @@ select guards, path conditions, ``exited``, table keys, and the ``ite`` of
 every join (:func:`~repro.analysis.state.merge_stores`), so a join does
 not re-walk the DAGs an earlier one already simplified.  A second memo maps
 a term to the names of the control symbols in it, so the taint of every
-program point is read off its children's.  Both are sound because the
-default factory interns every term strongly (ids are never reused) and
-each maps a term to a value that depends on that term alone; both die
-with the executor and never enter the model, a snapshot or the fleet
-store.
+program point is read off its children's.  Both are sound because no
+term collection runs while an executor lives, so no id is reused under
+them, and each maps a term to a value that depends on that term alone;
+both die with the executor and never enter the model, a snapshot or the
+fleet store.
 """
 
 from __future__ import annotations

@@ -365,6 +365,10 @@ class LayeredMemo:
         if key not in self.base:
             self.delta[key] = value
 
+    def clear(self) -> None:
+        """Drop the overlay only (the shared base is not this view's)."""
+        self.delta.clear()
+
 
 class WorkerSlice:
     """Per-worker view of the shared engine state.
@@ -639,6 +643,9 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     by construction.
     """
     start = time.perf_counter()
+    # Between decisions and before the pool starts: the one point of a
+    # burst where a term collection may run.
+    ctx.term_factory.collect_if_due()
     updates = list(updates)
     workers = resolve_workers(workers)
     model = ctx.model

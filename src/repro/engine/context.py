@@ -84,7 +84,8 @@ class EngineContext:
     query_engine: Optional[object] = None  # QueryEngine (verdict caches)
     gate: Optional[object] = None  # VerdictGate (lookup rows + witness records)
     specializer: Optional[object] = None  # Specializer
-    # The interning table every id()-keyed memo relies on.
+    # The interning table; a collection between decisions frees the terms
+    # nothing holds (every id()-keyed memo's owner forgets it first).
     term_factory: Optional[object] = None  # TermFactory
     # Control-plane encoding state (survives across updates).
     substitution: Optional[object] = None  # DeltaSubstitution
@@ -142,17 +143,26 @@ class EngineContext:
 # The warm-state inventory
 # ---------------------------------------------------------------------------
 
-#: Key kinds.  ``id``: the ``id()`` of an interned term or AST node, valid
-#: in this process only.  ``term``: an interned term itself.  ``value``: a
-#: plain value (a pid, a table name, a digest).  ``log``: an append-only
-#: history, not a memo.
-KEY_ID, KEY_TERM, KEY_VALUE, KEY_LOG = "id", "term", "value", "log"
+#: Key kinds.  ``id``: the ``id()`` of an interned term, valid in this
+#: process until the term is collected.  ``node``: the ``id()`` of an AST
+#: node of the engine's own program, which the program holds for the
+#: engine's life.  ``term``: an interned term itself.  ``value``: a plain
+#: value (a pid, a table name, a digest).  ``log``: an append-only history,
+#: not a memo.
+KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE, KEY_LOG = "id", "node", "term", "value", "log"
 
 #: Carry rules.  ``shared``: a pure function of the term — the fleet store
 #: shares it and a restore unions the blob's entries into it.
 #: ``carried``: the snapshot installs it.  ``rebuilt``: a restore
 #: re-derives it.  ``local``: it starts empty in every engine.
 SHARED, CARRIED, REBUILT, LOCAL = "shared", "carried", "rebuilt", "local"
+
+#: Lifetimes.  ``generation``: its owner's ``forget()`` empties it at every
+#: term collection (:meth:`~repro.smt.terms.TermFactory.collect`) — an
+#: ``id`` key would alias a freed term's address, a term key would keep a
+#: dead term alive.  ``engine``: a collection leaves it as it is; the terms
+#: it holds are live, so the intern table keeps them.
+GENERATION, ENGINE = "generation", "engine"
 
 
 def _follow(obj, names):
@@ -169,6 +179,7 @@ class WarmRow(NamedTuple):
     path: str  # attribute path from the EngineContext
     key: str
     carry: str
+    lifetime: str
 
     def resolve(self, ctx: "EngineContext"):
         """The container, or None when an owner on the path is None
@@ -183,44 +194,58 @@ class WarmRow(NamedTuple):
 
 
 WARM_STATE: tuple = (
-    # The intern table every id()-keyed memo relies on; decoding a
-    # snapshot re-interns every term it carries.
-    WarmRow("term_factory._table", KEY_TERM, REBUILT),
+    # The intern table.  A collection sweeps the terms nothing else holds;
+    # decoding a snapshot re-interns every term it carries.
+    WarmRow("term_factory._table", KEY_TERM, REBUILT, ENGINE),
     # The control plane: the snapshot stores the live entries and value
     # sets, and a restore replays them.
-    WarmRow("state.tables", KEY_VALUE, REBUILT),
-    WarmRow("state.value_sets", KEY_VALUE, REBUILT),
+    WarmRow("state.tables", KEY_VALUE, REBUILT, ENGINE),
+    WarmRow("state.value_sets", KEY_VALUE, REBUILT, ENGINE),
     # Re-encoded from the replayed control plane (pure encodings).
-    WarmRow("mapping", KEY_TERM, REBUILT),
-    WarmRow("table_assignments", KEY_VALUE, REBUILT),
-    WarmRow("substitution._mapping", KEY_TERM, CARRIED),
-    WarmRow("substitution._memo", KEY_TERM, CARRIED),
+    WarmRow("mapping", KEY_TERM, REBUILT, ENGINE),
+    WarmRow("table_assignments", KEY_VALUE, REBUILT, ENGINE),
+    WarmRow("substitution._mapping", KEY_TERM, CARRIED, ENGINE),
+    WarmRow("substitution._memo", KEY_TERM, CARRIED, ENGINE),
     # Re-derived from the memo keys' own argument lists.
-    WarmRow("substitution._parents", KEY_TERM, REBUILT),
-    WarmRow("substitution._heights", KEY_TERM, REBUILT),
+    WarmRow("substitution._parents", KEY_TERM, REBUILT, ENGINE),
+    WarmRow("substitution._heights", KEY_TERM, REBUILT, ENGINE),
     # Shared with the substitution.
-    WarmRow("query_engine._simplify_memo", KEY_ID, LOCAL),
-    WarmRow("query_engine._exec_cache", KEY_TERM, SHARED),
-    WarmRow("query_engine._decided", KEY_VALUE, CARRIED),
+    WarmRow("query_engine._simplify_memo", KEY_ID, LOCAL, GENERATION),
+    WarmRow("query_engine._exec_cache", KEY_TERM, SHARED, GENERATION),
+    WarmRow("query_engine._decided", KEY_VALUE, CARRIED, ENGINE),
     # Its keys embed term ids; a restore re-primes it with one pass.
-    WarmRow("query_engine._table_verdict_memo", KEY_ID, REBUILT),
-    WarmRow("query_engine._values_memo", KEY_ID, LOCAL),
-    WarmRow("query_engine._tree_sizes", KEY_TERM, LOCAL),
-    WarmRow("query_engine.solver._results", KEY_TERM, SHARED),
-    WarmRow("query_engine.solver._simplify_memo", KEY_ID, LOCAL),
-    WarmRow("query_engine.solver._interval_memo", KEY_ID, LOCAL),
-    WarmRow("query_engine.solver.stats.probe_latencies_us", KEY_LOG, LOCAL),
-    WarmRow("gate._records.map", KEY_VALUE, CARRIED),
-    WarmRow("point_verdicts", KEY_VALUE, CARRIED),
-    WarmRow("table_verdicts", KEY_VALUE, CARRIED),
+    WarmRow("query_engine._table_verdict_memo", KEY_ID, REBUILT, GENERATION),
+    WarmRow("query_engine._values_memo", KEY_ID, LOCAL, GENERATION),
+    WarmRow("query_engine._tree_sizes", KEY_TERM, LOCAL, GENERATION),
+    WarmRow("query_engine.solver._results", KEY_TERM, SHARED, GENERATION),
+    WarmRow("query_engine.solver._simplify_memo", KEY_ID, LOCAL, GENERATION),
+    WarmRow("query_engine.solver._interval_memo", KEY_ID, LOCAL, GENERATION),
+    WarmRow("query_engine.solver.stats.probe_latencies_us", KEY_LOG, LOCAL, ENGINE),
+    WarmRow("gate._records.map", KEY_VALUE, CARRIED, ENGINE),
+    WarmRow("point_verdicts", KEY_VALUE, CARRIED, ENGINE),
+    WarmRow("table_verdicts", KEY_VALUE, CARRIED, ENGINE),
     # Computed from the model on the first ``apply_batch``.
-    WarmRow("batch_components", KEY_VALUE, REBUILT),
-    WarmRow("specializer._memo", KEY_ID, LOCAL),
-    WarmRow("specializer._node_verdicts", KEY_ID, LOCAL),
-    WarmRow("compile_reports", KEY_LOG, LOCAL),
-    WarmRow("lowered_updates", KEY_LOG, LOCAL),
-    WarmRow("timings.log", KEY_LOG, LOCAL),
+    WarmRow("batch_components", KEY_VALUE, REBUILT, ENGINE),
+    WarmRow("specializer._memo", KEY_NODE, LOCAL, ENGINE),
+    WarmRow("specializer._node_verdicts", KEY_NODE, LOCAL, ENGINE),
+    WarmRow("compile_reports", KEY_LOG, LOCAL, ENGINE),
+    WarmRow("lowered_updates", KEY_LOG, LOCAL, ENGINE),
+    WarmRow("timings.log", KEY_LOG, LOCAL, ENGINE),
 )
+
+
+def generation_attributes(owner: str) -> tuple:
+    """The attribute names of the ``generation`` rows held directly by
+    the object at path ``owner`` — what that object's ``forget()``
+    empties."""
+    prefix = owner + "."
+    return tuple(
+        row.path[len(prefix):]
+        for row in WARM_STATE
+        if row.lifetime == GENERATION
+        and row.path.startswith(prefix)
+        and "." not in row.path[len(prefix):]
+    )
 
 
 def warm_state(ctx: EngineContext, *carry: str) -> Iterator[tuple]:

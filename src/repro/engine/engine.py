@@ -34,6 +34,7 @@ from repro.engine.pipeline import (
     warm_passes,
 )
 from repro.ir.metrics import CacheReport
+from repro.smt.terms import DEFAULT_FACTORY
 from repro.targets.base import create_target
 
 _UNSET = object()
@@ -81,6 +82,8 @@ class Engine:
             mode: PassManager(warm_passes(mode))
             for mode in ("update", "value_set", "batch")
         }
+        # No term of this engine exists yet: a due collection runs here.
+        DEFAULT_FACTORY.collect_if_due()
         self._cold.run(self.ctx)
         self._settle_store()
         total = time.perf_counter() - start

@@ -399,13 +399,16 @@ class ApplyUpdatesPass:
     into one table costs one encoding, not a thousand.  A batch is
     validated as a whole before its first update applies, so a bad update
     in the middle leaves the state as it found it (a single update already
-    fails before it mutates).
+    fails before it mutates).  It opens the warm path, so it is where a
+    due term collection runs.
     """
 
     name = "apply-updates"
     stage = "warm"
 
     def run(self, ctx: EngineContext) -> None:
+        # The previous decision is done and this one has built nothing yet.
+        ctx.term_factory.collect_if_due()
         warm = ctx.warm
         if warm.mode == "batch":
             ctx.state.validate_updates(warm.updates)

@@ -27,6 +27,7 @@ from repro.analysis.model import (
     ProgramPoint,
     TableInfo,
 )
+from repro.engine.context import generation_attributes
 from repro.ir.metrics import CacheCounter
 from repro.runtime.entries import LpmMatch, TernaryMatch
 from repro.runtime.semantics import TableAssignment, TableState
@@ -34,6 +35,9 @@ from repro.smt import Solver, Substitution, terms as T
 from repro.smt.sat import SolverBudgetExceeded
 from repro.smt.simplify import constant_value, simplify
 from repro.smt.terms import Term
+
+#: What :meth:`QueryEngine.forget` empties.
+_GENERATION = generation_attributes("query_engine")
 
 # Executability outcomes.
 ALWAYS = "always"
@@ -144,7 +148,9 @@ class QueryEngine:
         # single-pass substitution leaves upstream tables' symbols inside
         # replacement terms — are treated as free variables, consistently),
         # so a verdict, simplified form or tree size computed once is
-        # correct forever.
+        # correct for as long as the term lives.  The ``generation`` rows
+        # among them are emptied by :meth:`forget` at every term
+        # collection.
         self.exec_counter = CacheCounter("executability")
         self._exec_cache: dict[Term, str] = {}
         self._simplify_memo: dict[int, Term] = {}
@@ -170,8 +176,17 @@ class QueryEngine:
         self.table_verdict_counter = CacheCounter("table-verdict")
         self._table_verdict_memo: dict = {}
         # ``_possible_values`` memo, id-keyed over interned selector terms
-        # (the intern table keeps every selector alive).
+        # (sound until the next collection, which has it forgotten first).
         self._values_memo: dict[int, Optional[set]] = {}
+        T.DEFAULT_FACTORY.register(self)
+
+    def forget(self) -> None:
+        """Empty this engine's ``generation`` rows of
+        :data:`~repro.engine.context.WARM_STATE` (the solver forgets its
+        own).  Called by :meth:`~repro.smt.terms.TermFactory.collect`;
+        on a worker slice it drops the overlays only."""
+        for name in _GENERATION:
+            getattr(self, name).clear()
 
     @property
     def simplify_memo(self) -> dict[int, Term]:

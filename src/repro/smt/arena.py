@@ -12,7 +12,7 @@ The CDCL core keeps its clause database in a :class:`ClauseArena`.
 * :class:`TermArena` — a **codec**, not a second term representation.
   ``encode`` flattens a term DAG into parallel arrays (op code, width,
   child indices, payload), one row per distinct node; ``decode`` rebuilds
-  it bottom-up through the (immortal) default factory, so canonical
+  it bottom-up through the default factory, so canonical
   argument order and hash-consing identity are re-established on the way
   back in: ``decode(encode(t)) is t``, in this process or any other.
   The arena carries no ``Term`` references across the wire.  It knows

@@ -14,19 +14,21 @@ within its ~100 ms budget (§4.1):
 
 A **result memo** keyed on the hash-consed simplified term sits behind the
 simplifier: identical residual terms across updates never reach layers 2
-and 3 twice.
+and 3 twice between two term collections.
 
-Layers 1 and 2 also keep a per-node memo each for the life of the solver:
-``simplify``'s (``id`` of a term → its simplified form) and the interval
-sweep's (``id`` of a simplified node → its interval or tri-state verdict).
-Guards share their tables' ``ite`` chains, so a query walks only the nodes
-no earlier query reached.  Both are keyed on ``id``, which is sound because
-the default term factory interns strongly (ids are never recycled), and
-both map a node to a value that depends on that node alone.  The pinned
-re-evaluation of a conjunction (``interval._refuted_by_pins``) reads its
-conjuncts under assumed equalities, so it runs in a memo of its own and no
-pinned interval ever enters the persistent one.  Neither is snapshotted
-or shared between solvers (both are ``local`` rows of
+Layers 1 and 2 also keep a per-node memo each, from one term collection
+to the next: ``simplify``'s (``id`` of a term → its simplified form) and
+the interval sweep's (``id`` of a simplified node → its interval or
+tri-state verdict).  Guards share their tables' ``ite`` chains, so a
+query walks only the nodes no earlier query reached.  Both are keyed on
+``id``, which is sound because every solver registers with the default
+term factory, which has it forget all three memos (:meth:`Solver.forget`)
+before a collection frees the terms those ids name; and both map a node
+to a value that depends on that node alone.  The pinned re-evaluation of
+a conjunction (``interval._refuted_by_pins``) reads its conjuncts under
+assumed equalities, so it runs in a memo of its own and no pinned
+interval ever enters the persistent one.  Neither is snapshotted or
+shared between solvers (both are ``local``, ``generation`` rows of
 :data:`~repro.engine.context.WARM_STATE`).
 
 Layer 3 keeps nothing between queries.  Each query that reaches it gets a
@@ -165,14 +167,26 @@ class Solver:
         self.stats = SolverStats()
         self.cache_counter = CacheCounter("solver-memo")
         self._results: dict[Term, SatResult] = {}
-        # Per-node memos for layers 1 and 2, kept for the life of the
-        # solver (see the module docstring); keyed on ``id``.
+        # Per-node memos for layers 1 and 2, kept until the next term
+        # collection (see the module docstring); keyed on ``id``.
         self._simplify_memo: dict[int, Term] = {}
         self._interval_memo: dict[int, interval.Interval] = {}
         # Inside :meth:`probe_pair`: whether a pair is open, and its
         # encoding once one of its halves has reached bit-blasting.
         self._pairing = False
         self._pair: Optional[BitBlaster] = None
+        T.DEFAULT_FACTORY.register(self)
+
+    def forget(self) -> None:
+        """Drop the memos a term collection would leave stale.
+
+        The two ``id``-keyed per-node memos, and the result memo, whose
+        keys would pin terms nothing else holds.  Called by
+        :meth:`~repro.smt.terms.TermFactory.collect`.
+        """
+        self._results.clear()
+        self._simplify_memo.clear()
+        self._interval_memo.clear()
 
     def check_sat(self, term: Term) -> SatResult:
         """Is there an assignment making ``term`` true?"""

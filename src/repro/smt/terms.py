@@ -13,16 +13,22 @@ the same object, so structural equality is identity (``is``) and memoized
 passes key on ``id()``.  All bitvector arithmetic is unsigned modulo 2**width.
 
 **Interning invariant (load-bearing for every ``id()``-keyed memo).**  A
-:class:`TermFactory` holds a *strong* reference to every term it ever
-built, for the lifetime of the factory; the shared :data:`DEFAULT_FACTORY`
-is module-level and therefore immortal.  Consequently a term built through
-the module-level constructors is never garbage-collected, its ``id()`` is
-stable for the life of the process, and a memo keyed on ``id(term)`` can
-never alias a recycled address.  The cross-update caches (delta
-substitution, simplify and interval memos, solver verdict cache, the bit-blaster's
-encoding memo) rely on this; ``tests/smt/test_interning.py`` is the regression test.  Caches keyed
-directly on :class:`Term` objects (hash is precomputed, equality short-cuts
-on identity) additionally hold their own strong references and are safe
+:class:`TermFactory` holds a *strong* reference to every term it builds
+until its next :meth:`TermFactory.collect`, which frees every interned
+term nothing else references.  So a term's ``id()`` is stable for as long
+as something holds the term, and between two collections for every term
+the factory built: a memo keyed on ``id(term)`` cannot alias a recycled
+address unless it outlives a collection.  Every such memo therefore
+belongs to an *owner* — a :class:`~repro.smt.solver.Solver` or a
+:class:`~repro.engine.queries.QueryEngine` — that registers with the
+factory when it is built, and ``collect`` has every owner ``forget()``
+its ``id``-keyed memos (and the term-keyed ones that would pin dead
+terms) before it sweeps.  The engine collects only between decisions,
+once the table has grown :data:`COLLECT_GROWTH` times since the last
+collection.  ``tests/smt/test_interning.py`` and
+``tests/engine/test_term_lifetime.py`` are the regression tests.  Caches
+keyed directly on :class:`Term` objects (hash is precomputed, equality
+short-cuts on identity) hold their own strong references and are safe
 even for terms from short-lived private factories.
 
 Because identity *is* the cache key, terms deliberately refuse to pickle
@@ -38,6 +44,8 @@ node and restores the identity invariant.
 from __future__ import annotations
 
 import itertools
+import sys
+import weakref
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import FlayError, STAGE_QUERY
@@ -177,6 +185,13 @@ OP_BNOT = "not"
 _COMMUTATIVE = frozenset({OP_ADD, OP_MUL, OP_AND, OP_OR, OP_XOR, OP_EQ, OP_BAND, OP_BOR})
 
 
+#: A collection is due once the intern table holds this many times the
+#: terms that survived the last one ...
+COLLECT_GROWTH = 4
+#: ... and at least this many.
+COLLECT_FLOOR = 4096
+
+
 class TermFactory:
     """Builds and interns terms.
 
@@ -190,6 +205,74 @@ class TermFactory:
     def __init__(self) -> None:
         self._table: dict[tuple, Term] = {}
         self._fresh_counter = itertools.count()
+        # Objects whose ``forget()`` drops their id-keyed memos; held
+        # weakly, so a dropped owner simply leaves the set.
+        self._owners: weakref.WeakSet = weakref.WeakSet()
+        #: Bumped by every :meth:`collect`.
+        self.generation = 0
+        #: Interned terms that survived the last collection.
+        self.live = 0
+        self._collect_at = COLLECT_FLOOR
+
+    def register(self, owner) -> None:
+        """Have ``owner.forget()`` run ahead of every :meth:`collect`."""
+        self._owners.add(owner)
+
+    def collect_if_due(self) -> None:
+        """:meth:`collect` once the table has grown :data:`COLLECT_GROWTH`
+        times since the last collection (and past :data:`COLLECT_FLOOR`).
+
+        Call it only where no term is being built or decided from — the
+        engine does so between decisions, on the thread that runs them.
+        """
+        if len(self._table) >= self._collect_at:
+            self.collect()
+
+    def collect(self) -> int:
+        """Free every interned term nothing else references; returns how
+        many were freed.
+
+        Every registered owner forgets its ``id``-keyed memos first (their
+        keys would alias the addresses of freed terms).  Then the table is
+        emptied into two lists and walked newest-first: a term whose only
+        references are the walk's own is dropped, every other one is put
+        back, in its old order.  A parent is always interned after its
+        children, so by the time the walk reaches a child, every dead
+        parent — and the key tuple that also held the parent's ``args`` —
+        is already released.  Putting back only the survivors hashes only
+        their keys.  "Nothing else references" is read from
+        ``sys.getrefcount``, so this relies on CPython's reference
+        counting; terms held only by a reference cycle the cyclic
+        collector has not yet broken survive until a later collection.
+        """
+        for owner in list(self._owners):
+            owner.forget()
+        table = self._table
+        before = len(table)
+        keys, terms = list(table), list(table.values())
+        table.clear()
+        kept_keys: list = []
+        kept_terms: list = []
+        getrefcount = sys.getrefcount
+        try:
+            while terms:
+                # Each rebinding releases the previous term, then its key.
+                term = terms.pop()
+                key = keys.pop()
+                # More than two: this local and getrefcount's argument.
+                if getrefcount(term) > 2:
+                    kept_keys.append(key)
+                    kept_terms.append(term)
+        finally:
+            # Whatever the walk did not reach, then the survivors, oldest
+            # first — so the table never loses a live term.
+            kept_keys.reverse()
+            kept_terms.reverse()
+            table.update(zip(keys + kept_keys, terms + kept_terms))
+        self.live = len(table)
+        self._collect_at = max(COLLECT_FLOOR, COLLECT_GROWTH * self.live)
+        self.generation += 1
+        return before - self.live
 
     def _mk(self, op: str, args: tuple, width: int, payload=None) -> Term:
         key = (op, args, width, payload)

@@ -15,12 +15,17 @@ They fail on:
   across the updates;
 - an ``id``-keyed row the snapshot or the store would move to another
   engine (``id``s mean nothing outside their process);
-- a row path missing from DESIGN.md's "Caching architecture" table.
+- a row path missing from DESIGN.md's "Caching architecture" table, or
+  listed there with another lifetime;
+- an ``id``-keyed row whose lifetime is not ``generation``, a
+  ``generation`` row the owners' ``forget()`` leaves non-empty, and an
+  ``engine`` row ``forget()`` changes.
 
 The walk stops at terms and AST nodes: a term's arguments are terms, and
 a rebuilt specialized program is a new object, not growth.
 """
 
+import copy
 import re
 import sys
 import types
@@ -30,8 +35,11 @@ import pytest
 
 from repro.engine.context import (
     CARRIED,
+    ENGINE,
+    GENERATION,
     KEY_ID,
     KEY_LOG,
+    KEY_NODE,
     KEY_TERM,
     KEY_VALUE,
     LOCAL,
@@ -175,17 +183,50 @@ def test_every_row_is_declared_once_with_known_kinds():
     paths = [row.path for row in WARM_STATE]
     assert len(paths) == len(set(paths))
     for row in WARM_STATE:
-        assert row.key in (KEY_ID, KEY_TERM, KEY_VALUE, KEY_LOG), row
+        assert row.key in (KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE, KEY_LOG), row
         assert row.carry in (SHARED, CARRIED, REBUILT, LOCAL), row
+        assert row.lifetime in (GENERATION, ENGINE), row
 
 
 def test_no_id_keyed_row_leaves_its_engine():
     """An ``id`` means nothing in another engine's process, so the store
-    and the snapshot never move an ``id``-keyed row; a log is history, not
-    knowledge, and starts empty too."""
+    and the snapshot never move an ``id``- or ``node``-keyed row; a log is
+    history, not knowledge, and starts empty too."""
     for row in WARM_STATE:
-        if row.key in (KEY_ID, KEY_LOG):
+        if row.key in (KEY_ID, KEY_NODE, KEY_LOG):
             assert row.carry in (REBUILT, LOCAL), row
+
+
+def test_every_id_keyed_row_is_generation():
+    """A term ``id`` is reused once a collection frees its term, so every
+    memo keyed on one is forgotten at every collection."""
+    for row in WARM_STATE:
+        if row.key == KEY_ID:
+            assert row.lifetime == GENERATION, row
+
+
+def _contents(ctx, lifetime) -> dict:
+    return {
+        row.path: (container, copy.copy(container))
+        for row, container in warm_state(ctx)
+        if row.lifetime == lifetime
+    }
+
+
+def test_forget_empties_every_generation_row(warmed):
+    engine, _, _ = warmed
+    ctx = engine.ctx
+    engine_rows = _contents(ctx, ENGINE)
+    assert any(len(container) for container, _ in _contents(ctx, GENERATION).values())
+    ctx.query_engine.forget()
+    ctx.query_engine.solver.forget()
+    for path, (container, _) in _contents(ctx, GENERATION).items():
+        assert len(container) == 0, path
+    after = _contents(ctx, ENGINE)
+    assert after.keys() == engine_rows.keys()
+    for path, (container, before) in engine_rows.items():
+        assert after[path][0] is container, path
+        assert container == before, path
 
 
 def test_design_documents_every_row():
@@ -194,3 +235,14 @@ def test_design_documents_every_row():
     documented = set(re.findall(r"^\| `([\w.]+)` \|", section, re.MULTILINE))
     missing = [row.path for row in WARM_STATE if row.path not in documented]
     assert missing == [], f"rows missing from DESIGN.md: {missing}"
+
+
+def test_design_lists_the_lifetime_column():
+    design = (Path(__file__).resolve().parents[2] / "DESIGN.md").read_text()
+    section = design.split("## Caching architecture", 1)[1].split("\n## ", 1)[0]
+    assert "| Path | Key | Carry | Lifetime | What it holds |" in section
+    listed = dict(
+        re.findall(r"^\| `([\w.]+)` \| \w+ \| \w+ \| (\w+) \|", section, re.MULTILINE)
+    )
+    wrong = [row.path for row in WARM_STATE if listed.get(row.path) != row.lifetime]
+    assert wrong == [], f"rows with another lifetime in DESIGN.md: {wrong}"

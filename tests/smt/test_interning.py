@@ -1,14 +1,17 @@
 """Regression tests for the interning invariant that id-keyed memos rely on.
 
-Several caches (substitution memos, the engine's simplify memo) key on
-``id(term)``.  That is only sound because the default :class:`TermFactory`
-holds a *strong* reference to every term it ever built, so a term's id can
-never be recycled by a structurally different term.  These tests pin that
-invariant down so a future switch to weak interning fails loudly here
-instead of corrupting caches silently.
+Several caches (the engine's and the solver's simplify memos, the interval
+memo) key on ``id(term)``.  That is sound because the default
+:class:`TermFactory` holds a *strong* reference to every term it builds
+until its next :meth:`~repro.smt.terms.TermFactory.collect`, which frees
+only the terms nothing else holds — after every registered owner has
+forgotten its id-keyed memos.  These tests pin that rule down: identity
+between collections, freeing at a collection, and stable ids for the
+terms something still holds.
 """
 
 import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.smt import terms as T
@@ -23,19 +26,100 @@ class TestInterningInvariant:
         assert a is b
 
     def test_factory_holds_strong_references(self):
-        # Build a term, drop every local reference, collect, rebuild: the
-        # factory must hand back the *same object* (same id), proving the
-        # first build was never garbage collected.
-        term = T.bv_xor(T.data_var("intern_probe", 16), T.bv_const(0xBEEF, 16))
+        """Between collections a rebuilt term is the same object; a
+        collection frees a term nothing holds and keeps the id of one
+        that something does."""
+        def probe():
+            return T.bv_xor(T.data_var("intern_probe", 16), T.bv_const(0xBEEF, 16))
+
+        term = probe()
         first_id = id(term)
+        dropped = weakref.ref(term)
         del term
         gc.collect()
-        rebuilt = T.bv_xor(T.data_var("intern_probe", 16), T.bv_const(0xBEEF, 16))
+        assert dropped() is not None  # the table still holds it
+        rebuilt = probe()
         assert id(rebuilt) == first_id
+        del rebuilt
+
+        held = T.bv_and(T.data_var("intern_held", 16), T.bv_const(0x0F0F, 16))
+        held_id = id(held)
+        T.DEFAULT_FACTORY.collect()
+        assert dropped() is None
+        assert id(held) == held_id
+        assert T.bv_and(T.data_var("intern_held", 16), T.bv_const(0x0F0F, 16)) is held
 
     def test_interned_terms_are_in_factory_table(self):
         term = T.eq(T.data_var("y", 4), T.bv_const(3, 4))
         assert any(entry is term for entry in T.DEFAULT_FACTORY._table.values())
+
+
+class TestCollection:
+    """``TermFactory.collect`` on private factories, so the counts are
+    exact."""
+
+    @staticmethod
+    def chain(factory, depth, name="c"):
+        x = factory.data_var(name, 16)
+        term = factory.bv_const(0, 16)
+        for i in range(depth):
+            term = factory.ite(factory.eq(x, factory.bv_const(i, 16)), x, term)
+        return term
+
+    def test_one_collection_frees_a_whole_dead_dag(self):
+        factory = T.TermFactory()
+        held = self.chain(factory, 5, "held")
+        live = len(factory._table)
+        self.chain(factory, 60)
+        grown = len(factory._table) - live
+        assert grown > 120
+        assert factory.collect() == grown
+        assert len(factory._table) == live == factory.live
+        # The survivors keep their order: children before parents.
+        order = {id(term): i for i, term in enumerate(factory._table.values())}
+        for term in factory._table.values():
+            assert all(order[id(arg)] < order[id(term)] for arg in term.args)
+        assert self.chain(factory, 5, "held") is held
+
+    def test_owners_forget_first_and_are_held_weakly(self):
+        factory = T.TermFactory()
+
+        class Owner:
+            def __init__(self):
+                self.memo = {}
+
+            def forget(self):
+                self.forgot_at = len(factory._table)
+                self.memo.clear()
+
+        owner, dropped = Owner(), Owner()
+        factory.register(owner)
+        factory.register(dropped)
+        term = self.chain(factory, 3)
+        owner.memo[id(term)] = term
+        size = len(factory._table)
+        del term, dropped
+        gc.collect()
+        assert len(factory._owners) == 1
+        factory.collect()
+        assert owner.forgot_at == size  # before the sweep
+        assert len(factory._table) == 0
+
+    def test_collection_waits_for_the_table_to_grow(self):
+        factory = T.TermFactory()
+        held = [self.chain(factory, 700, f"h{i}") for i in range(2)]
+        live = len(factory._table)
+        assert live < T.COLLECT_FLOOR
+        factory.collect_if_due()
+        assert factory.generation == 0
+        self.chain(factory, 1000)
+        factory.collect_if_due()
+        assert factory.generation == 1
+        assert factory.live == len(factory._table) == live
+        assert factory._collect_at == max(
+            T.COLLECT_FLOOR, T.COLLECT_GROWTH * factory.live
+        )
+        assert held
 
 
 class TestConcurrentInterning:
