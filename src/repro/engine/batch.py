@@ -80,12 +80,14 @@ class CoalescedOp:
     ``anchor`` is the input index that fixes this op's position in the
     coalesced order (for inserts, the index of the insert that determines
     the entry's precedence position); ``sources`` are the input indices of
-    every original update folded into it.
+    every original update folded into it.  ``key`` is the entry's match
+    key (``None`` for a value-set update), computed once, by the fold.
     """
 
     update: object  # Update | ValueSetUpdate
     anchor: int
     sources: tuple
+    key: object = None
 
 
 @dataclass
@@ -127,8 +129,9 @@ def coalesce(
     up front — exactly the sequences sequential application would reject —
     before any state is touched.  Validity that depends on pre-batch state
     (e.g. the first delete of a key) is the caller's half of
-    all-or-nothing: :func:`schedule_batch` runs the net ops through
-    ``ControlPlaneState.validate_updates`` before it applies the first.
+    all-or-nothing: :func:`schedule_batch` runs the net ops, with the
+    match keys computed here, through ``ControlPlaneState.check`` before
+    it commits the first.
     """
     table_of = resolve_table if resolve_table is not None else lambda name: name
     vs_of = resolve_value_set if resolve_value_set is not None else lambda name: name
@@ -183,16 +186,16 @@ def coalesce(
         slot.ever_touched = True
 
     ops: list[CoalescedOp] = []
-    for (table, _key), slot in slots.items():
+    for (table, key), slot in slots.items():
         if slot.delete is not None:
             anchor, entry, sources = slot.delete
             ops.append(
-                CoalescedOp(Update(table, DELETE, entry), anchor, tuple(sources))
+                CoalescedOp(Update(table, DELETE, entry), anchor, tuple(sources), key)
             )
         if slot.upsert is not None:
             op, anchor, entry, sources = slot.upsert
             ops.append(
-                CoalescedOp(Update(table, op, entry), anchor, tuple(sources))
+                CoalescedOp(Update(table, op, entry), anchor, tuple(sources), key)
             )
     for name, (anchor, values, sources) in value_sets.items():
         ops.append(
@@ -407,6 +410,9 @@ class WorkerSlice:
         # Tree sizes are pure, so the slice writes the shared memo directly
         # (two workers can only ever store the same size for a term).
         self.query_engine._tree_sizes = shared_qe._tree_sizes
+        # So are overapproximated verdicts, one per table (and conflict
+        # groups partition the tables).
+        self.query_engine._overapproximated = shared_qe._overapproximated
         # Conflict groups partition the points, so no two slices decide
         # the same pid.
         self.query_engine._decided = LayeredCache(shared_qe._decided)
@@ -502,7 +508,9 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
             model.tables[name], ctx.state.tables[name], ctx.options.overapprox_threshold
         )
         assignments[name] = assignment
-        mapping.update(assignment.mapping)
+        # An overapproximated table's one `!any` mapping is installed already.
+        if assignment.mapping is not ctx.table_assignments[name].mapping:
+            mapping.update(assignment.mapping)
     changed_vars = piece.substitution.set_many(mapping)
     points = piece.query_engine.reverdict_points(
         changed_vars, piece.substitution, ctx.point_verdicts
@@ -667,14 +675,10 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
 
     # State mutation happens up front, on the calling thread, in anchor
     # order — workers then only read their own group's tables.  Every
-    # net op is validated against the pre-batch state first, so a bad
-    # one leaves no trace.
-    ctx.state.validate_updates(op.update for op in coalesced.ops)
-    for op in coalesced.ops:
-        if isinstance(op.update, ValueSetUpdate):
-            ctx.state.apply_value_set_update(op.update)
-        else:
-            ctx.state.apply_update(op.update)
+    # net op is checked against the pre-batch state first, so a bad one
+    # leaves no trace.
+    for update, key in ctx.state.check((op.update, op.key) for op in coalesced.ops):
+        ctx.state.commit(update, key)
 
     slices = [WorkerSlice(ctx) for _ in groups]
     if workers == 1 or len(groups) <= 1:

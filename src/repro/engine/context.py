@@ -198,7 +198,9 @@ WARM_STATE: tuple = (
     # decoding a snapshot re-interns every term it carries.
     WarmRow("term_factory._table", KEY_TERM, REBUILT, ENGINE),
     # The control plane: the snapshot stores the live entries and value
-    # sets, and a restore replays them.
+    # sets, and a restore replays them.  Each TableState also holds its
+    # `!any` mapping once the table is overapproximated; a replay that
+    # passes the threshold builds it again.
     WarmRow("state.tables", KEY_VALUE, REBUILT, ENGINE),
     WarmRow("state.value_sets", KEY_VALUE, REBUILT, ENGINE),
     # Re-encoded from the replayed control plane (pure encodings).
@@ -215,6 +217,8 @@ WARM_STATE: tuple = (
     WarmRow("query_engine._decided", KEY_VALUE, CARRIED, ENGINE),
     # Its keys embed term ids; a restore re-primes it with one pass.
     WarmRow("query_engine._table_verdict_memo", KEY_ID, REBUILT, GENERATION),
+    # One verdict per overapproximated table, built on its first use.
+    WarmRow("query_engine._overapproximated", KEY_VALUE, LOCAL, ENGINE),
     WarmRow("query_engine._values_memo", KEY_ID, LOCAL, GENERATION),
     WarmRow("query_engine._tree_sizes", KEY_TERM, LOCAL, GENERATION),
     WarmRow("query_engine.solver._results", KEY_TERM, SHARED, GENERATION),

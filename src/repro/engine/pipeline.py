@@ -396,10 +396,10 @@ class ApplyUpdatesPass:
 
     Value-set updates are encoded inline (in update order); touched tables
     are re-encoded once each, in sorted name order — so a 1000-entry burst
-    into one table costs one encoding, not a thousand.  A batch is
-    validated as a whole before its first update applies, so a bad update
-    in the middle leaves the state as it found it (a single update already
-    fails before it mutates).  It opens the warm path, so it is where a
+    into one table costs one encoding, not a thousand.  Every update, one
+    or a batch, is checked before the first commits (each entry's schema
+    and match key once), so a bad update in the middle of a batch leaves
+    the state as it found it.  It opens the warm path, so it is where a
     due term collection runs.
     """
 
@@ -410,25 +410,28 @@ class ApplyUpdatesPass:
         # The previous decision is done and this one has built nothing yet.
         ctx.term_factory.collect_if_due()
         warm = ctx.warm
-        if warm.mode == "batch":
-            ctx.state.validate_updates(warm.updates)
         touched: set = set()
-        for update in warm.updates:
+        for update, key in ctx.state.validate_updates(warm.updates):
+            info = ctx.state.commit(update, key)
             if isinstance(update, ValueSetUpdate):
-                info = ctx.state.apply_value_set_update(update)
                 mapping = encode_value_set(info, ctx.state.value_sets[info.name])
                 ctx.mapping.update(mapping)
                 warm.changed_vars |= ctx.substitution.set_many(mapping)
             else:
-                touched.add(ctx.state.apply_update(update).name)
+                touched.add(info.name)
         for name in sorted(touched):
             assignment = encode_table(
                 ctx.model.tables[name],
                 ctx.state.tables[name],
                 ctx.options.overapprox_threshold,
             )
+            installed = ctx.table_assignments[name].mapping
             ctx.table_assignments[name] = assignment
             warm.assignments[name] = assignment
+            if assignment.mapping is installed:
+                # An overapproximated table's one `!any` mapping: every
+                # assignment is already in place, so nothing changed.
+                continue
             ctx.mapping.update(assignment.mapping)
             warm.changed_vars |= ctx.substitution.set_many(assignment.mapping)
 

@@ -16,7 +16,6 @@ verdicts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -79,6 +78,19 @@ class TableVerdict:
     match_plan: tuple
     entry_count: int
     overapproximated: bool
+
+    def with_entry_count(self, entry_count: int) -> "TableVerdict":
+        """This verdict at another ``entry_count``, the one field every
+        insert and delete moves."""
+        return TableVerdict(
+            self.table,
+            self.feasible_actions,
+            self.hit,
+            self.const_params,
+            self.match_plan,
+            entry_count,
+            self.overapproximated,
+        )
 
     def same_specialization(self, other: "TableVerdict") -> bool:
         return (
@@ -175,6 +187,10 @@ class QueryEngine:
         # span; hits patch it from the current assignment.
         self.table_verdict_counter = CacheCounter("table-verdict")
         self._table_verdict_memo: dict = {}
+        # Table name → its overapproximated verdict, a function of the
+        # table's shape alone (``entry_count`` aside): built the first time
+        # the table is overapproximated, then patched.
+        self._overapproximated: dict[str, TableVerdict] = {}
         # ``_possible_values`` memo, id-keyed over interned selector terms
         # (sound until the next collection, which has it forgotten first).
         self._values_memo: dict[int, Optional[set]] = {}
@@ -347,27 +363,27 @@ class QueryEngine:
         if assignment.overapproximated:
             # Every field of an overapproximated verdict except
             # ``entry_count`` is a constant of the table's shape.
-            key: tuple = (info.name, "overapprox")
+            memo: dict = self._overapproximated
+            key: object = info.name
         else:
+            memo = self._table_verdict_memo
             key = (
                 info.name,
                 state.structural_digest(),
                 id(assignment.mapping[info.selector_var]),
                 id(assignment.mapping[info.hit_var]),
             )
-        cached = self._table_verdict_memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
             self.table_verdict_counter.hit()
             if cached.entry_count != assignment.entry_count:
-                cached = dataclasses.replace(
-                    cached, entry_count=assignment.entry_count
-                )
+                cached = cached.with_entry_count(assignment.entry_count)
             return cached
         self.table_verdict_counter.miss()
         verdict = self._table_verdict_uncached(info, assignment, state)
-        if len(self._table_verdict_memo) >= self.MAX_TABLE_VERDICT_MEMO:
-            self._table_verdict_memo.clear()
-        self._table_verdict_memo[key] = verdict
+        if len(memo) >= self.MAX_TABLE_VERDICT_MEMO:
+            memo.clear()
+        memo[key] = verdict
         return verdict
 
     def _table_verdict_uncached(

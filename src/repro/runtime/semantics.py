@@ -8,9 +8,10 @@ are substituted for the table's control symbols (action selector, hit bit,
 action parameters).
 
 Past :data:`DEFAULT_OVERAPPROX_THRESHOLD` entries the encoder
-*overapproximates* (§4.1): each control symbol is replaced by a fresh
-unconstrained data-plane symbol — "assume the entries cover every action
-and parameter" — which makes update processing O(1) in the entry count.
+*overapproximates* (§4.1): each control symbol is replaced by the table's
+stable, unconstrained ``!any`` data-plane symbol — "assume the entries
+cover every action and parameter" — which makes update processing O(1)
+in the entry count.
 """
 
 from __future__ import annotations
@@ -111,6 +112,10 @@ class TableState:
         self._revision = 0
         self._digest_revision = -1
         self._digest: tuple = ()
+        # The encoder's `!any` mapping (:func:`_overapproximate`): a
+        # function of the table's shape alone, built the first time the
+        # table passes the threshold and handed out from then on.
+        self.any_mapping: Optional[dict[Term, Term]] = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -158,12 +163,30 @@ class TableState:
             for shift, width in zip(self._shifts, self._widths)
         ]
 
-    def apply(self, op: str, entry: TableEntry) -> None:
+    def check(self, op: str, entry: TableEntry, key, live: bool) -> bool:
+        """Raise what :meth:`commit` would meet; touches nothing.
+
+        ``key`` is ``entry.match_key()`` and ``live`` whether it is
+        installed when the op commits: a malformed entry, an unknown op,
+        an INSERT of a live key and a MODIFY or DELETE of a dead one
+        raise :class:`EntryError`.  Returns whether the key is live after
+        the op.
+        """
         validate_entry(self.info, entry)
-        key = entry.match_key()
         if op == INSERT:
-            if key in self._rows:
+            if live:
                 raise EntryError(f"duplicate entry in {self.info.name}: {key}")
+        elif op in (MODIFY, DELETE):
+            if not live:
+                raise EntryError(f"no such entry in {self.info.name}: {key}")
+        else:
+            raise EntryError(f"unknown update op {op!r}")
+        return op != DELETE
+
+    def commit(self, op: str, entry: TableEntry, key) -> None:
+        """Apply ``op`` on ``entry`` (match key ``key``), which
+        :meth:`check` passed against the current rows."""
+        if op == INSERT:
             mode_before = self._mode()
             row = (entry, *self.pack_entry(entry))
             self._rows[key] = row
@@ -175,9 +198,7 @@ class TableState:
                 else:
                     self._splice_insert(row)
         elif op == MODIFY:
-            old = self._rows.get(key)
-            if old is None:
-                raise EntryError(f"no such entry in {self.info.name}: {key}")
+            old = self._rows[key]
             row = (entry, old[1], old[2])
             self._rows[key] = row
             # Same match key → same matches and priority → the eclipse
@@ -187,12 +208,9 @@ class TableState:
                     if existing is old:
                         self._active[i] = row
                         break
-        elif op == DELETE:
-            old = self._rows.get(key)
-            if old is None:
-                raise EntryError(f"no such entry in {self.info.name}: {key}")
+        else:
             mode_before = self._mode()
-            del self._rows[key]
+            old = self._rows.pop(key)
             self._conds.pop(old[1:], None)
             self._count_entry(old[0], -1)
             if self._active is not None and (
@@ -203,9 +221,13 @@ class TableState:
                 # (lazily: an overapproximated table never asks).
                 self._invalidate_active()
             # Deleting an eclipsed entry cannot un-eclipse anything.
-        else:
-            raise EntryError(f"unknown update op {op!r}")
         self._revision += 1
+
+    def apply(self, op: str, entry: TableEntry) -> None:
+        """:meth:`check` against the installed rows, then :meth:`commit`."""
+        key = entry.match_key()
+        self.check(op, entry, key, key in self._rows)
+        self.commit(op, entry, key)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -353,41 +375,56 @@ class ControlPlaneState:
         self.update_count = 0
 
     def table_state(self, name: str) -> TableState:
-        info = self.model.table(name)
-        return self.tables[info.name]
+        """The table's state, by qualified or local name."""
+        state = self.tables.get(name)
+        return state if state is not None else self.tables[self.model.table(name).name]
 
-    def validate_updates(self, updates: Iterable) -> None:
+    def validate_updates(self, updates: Iterable) -> list[tuple]:
         """Raise what applying ``updates`` in order would raise, touching nothing.
 
-        Makes a batch all-or-nothing: the schema of every entry, the size
-        of every value set, and the liveness of every key — looked up in
-        the installed entries the first time the batch names it, tracked
-        in an overlay from then on — are checked before the first
-        mutation.  Cost is one key lookup per update, no table copy.
+        Keys each entry once and runs :meth:`check`, which makes a batch
+        all-or-nothing; returns its ``(update, key)`` pairs for
+        :meth:`commit`, in order.
+        """
+        return self.check(
+            (update, None if isinstance(update, ValueSetUpdate) else update.entry.match_key())
+            for update in updates
+        )
+
+    def check(self, keyed: Iterable[tuple]) -> list[tuple]:
+        """:meth:`validate_updates` over ``(update, match key)`` pairs (the
+        key is ``None`` for a value-set update); returns the pairs.
+
+        The schema of every entry, the size of every value set, and the
+        liveness of every key — looked up in the installed entries the
+        first time the batch names it, tracked in an overlay from then on
+        — are checked before anything commits.  Cost is one key lookup
+        per update, no table copy.
         """
         live: dict[tuple, bool] = {}
-        for update in updates:
+        checked = []
+        for update, key in keyed:
             if isinstance(update, ValueSetUpdate):
                 self._check_value_set_size(update)
-                continue
-            state = self.table_state(update.table)
-            name = state.info.name
-            validate_entry(state.info, update.entry)
-            key = update.entry.match_key()
-            slot = (name, key)
-            is_live = live.get(slot)
-            if is_live is None:
-                is_live = key in state._rows
-            if update.op == INSERT:
-                if is_live:
-                    raise EntryError(f"duplicate entry in {name}: {key}")
-                live[slot] = True
-            elif update.op in (MODIFY, DELETE):
-                if not is_live:
-                    raise EntryError(f"no such entry in {name}: {key}")
-                live[slot] = update.op == MODIFY
             else:
-                raise EntryError(f"unknown update op {update.op!r}")
+                state = self.table_state(update.table)
+                slot = (state.info.name, key)
+                is_live = live.get(slot)
+                if is_live is None:
+                    is_live = key in state._rows
+                live[slot] = state.check(update.op, update.entry, key, is_live)
+            checked.append((update, key))
+        return checked
+
+    def commit(self, update, key) -> TableInfo | ValueSetInfo:
+        """Apply one pair :meth:`check` returned, in its batch's order;
+        returns the table's or value set's info."""
+        if isinstance(update, ValueSetUpdate):
+            return self.apply_value_set_update(update)
+        state = self.table_state(update.table)
+        state.commit(update.op, update.entry, key)
+        self.update_count += 1
+        return state.info
 
     def _check_value_set_size(self, update: ValueSetUpdate) -> ValueSetInfo:
         info = self.model.value_set(update.value_set)
@@ -422,7 +459,7 @@ class TableAssignment:
 
     ``mapping`` sends each of the table's control symbols to a term over
     the table's key symbols (data-plane).  ``overapproximated`` tables map
-    their symbols to fresh unconstrained symbols instead.
+    their symbols to the table's unconstrained ``!any`` symbols instead.
     """
 
     table: str
@@ -462,7 +499,7 @@ def encode_table(
     if threshold is not None and len(state) > threshold:
         # Past the threshold we never look at individual entries again —
         # that's what makes overapproximated update processing O(1).
-        return _overapproximate(info, len(state))
+        return _overapproximate(info, state)
     sel_width = TableInfo.SELECTOR_WIDTH
     default_code = info.action_codes.get(info.default_action, 0)
     matches = state.active_matches()
@@ -508,27 +545,33 @@ def encode_table(
     )
 
 
-def _overapproximate(info: TableInfo, entry_count: int) -> TableAssignment:
+def _overapproximate(info: TableInfo, state: TableState) -> TableAssignment:
     """Map every control symbol of the table to `*any*` (an unconstrained symbol).
 
     The `*any*` symbols are *stable* — deterministic names, not fresh ones.
     An unconstrained symbol's only meaning is "anything", so reuse is
-    semantically free, and it makes re-encoding an overapproximated table a
-    hash-consed no-op: the incremental pipeline sees the identical
-    assignment and invalidates nothing (overapproximated updates are O(1)
-    end to end, not just at encode time).
+    semantically free.  The mapping is built the first time the table is
+    overapproximated and kept on its :class:`TableState`, so every later
+    re-encoding hands back the same dict: the incremental pipeline sees
+    the mapping it already installed and does nothing for the update
+    (overapproximated updates are O(1) end to end, not just at encode
+    time).
     """
-    mapping: dict[Term, Term] = {
-        info.selector_var: T.data_var(f"{info.name}.action!any", TableInfo.SELECTOR_WIDTH),
-        info.hit_var: T.data_var(f"{info.name}.hit!any", 1),
-    }
-    for params in info.action_params.values():
-        for param in params:
-            mapping[param.var] = T.data_var(f"{param.var.name}!any", param.width)
+    mapping = state.any_mapping
+    if mapping is None:
+        mapping = state.any_mapping = {
+            info.selector_var: T.data_var(
+                f"{info.name}.action!any", TableInfo.SELECTOR_WIDTH
+            ),
+            info.hit_var: T.data_var(f"{info.name}.hit!any", 1),
+        }
+        for params in info.action_params.values():
+            for param in params:
+                mapping[param.var] = T.data_var(f"{param.var.name}!any", param.width)
     return TableAssignment(
         table=info.name,
         mapping=mapping,
-        entry_count=entry_count,
+        entry_count=len(state),
         overapproximated=True,
     )
 

@@ -51,7 +51,6 @@ from repro.smt.terms import (
     eq,
     evaluate,
     extract,
-    fresh_data_var,
     implies,
     ite,
     lshr,

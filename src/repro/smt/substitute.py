@@ -161,11 +161,11 @@ class DeltaSubstitution:
         assignment changed.
 
         Assignments identical (by term identity) to the current ones are
-        no-ops — the common case when an overapproximated table is
-        re-encoded, or a batch re-touches an unchanged table — so a
-        forwarded update stream pushes nothing and reports nothing.  A
-        changed assignment that *simplifies* to the object the old one
-        did is reported (the symbol was re-assigned) but pushes nothing.
+        no-ops — the common case when a precise re-encoding keeps most of
+        a table's symbols, or a batch re-touches an unchanged table — and
+        are not checked again.  A changed assignment that *simplifies* to
+        the object the old one did is reported (the symbol was
+        re-assigned) but pushes nothing.
         """
         return _assign(self, mapping, self._mapping.get)
 
@@ -233,12 +233,14 @@ def _assign(
 ) -> set[str]:
     """``set_many`` for a substitution or a slice: install every assignment
     that is not ``assigned(var)`` already and push the symbols whose
-    simplified assignment moved; returns the changed symbols' names."""
+    simplified assignment moved; returns the changed symbols' names.  An
+    assignment that is already installed was checked when it was, so
+    only the ones that change are checked."""
     changed: list[Term] = []
     moved: list[Term] = []
     for var, replacement in mapping.items():
-        _check(var, replacement)
         if assigned(var) is not replacement:
+            _check(var, replacement)
             view._mapping[var] = replacement
             changed.append(var)
             result = simplify(replacement, view._simplify_memo)

@@ -43,7 +43,6 @@ node and restores the identity invariant.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import weakref
 from typing import Iterable, Iterator, Optional, Sequence
@@ -204,7 +203,6 @@ class TermFactory:
 
     def __init__(self) -> None:
         self._table: dict[tuple, Term] = {}
-        self._fresh_counter = itertools.count()
         # Objects whose ``forget()`` drops their id-keyed memos; held
         # weakly, so a dropped owner simply leaves the set.
         self._owners: weakref.WeakSet = weakref.WeakSet()
@@ -309,15 +307,6 @@ class TermFactory:
 
     def bool_var(self, name: str) -> Term:
         return self._mk(OP_BOOLVAR, (), 0, name)
-
-    def fresh_data_var(self, prefix: str, width: int) -> Term:
-        """A data-plane variable with a never-before-used name.
-
-        Used by the overapproximation path: replacing a control symbol with
-        a fresh unconstrained data symbol is exactly "assume this entry set
-        covers every action and parameter".
-        """
-        return self.data_var(f"{prefix}!{next(self._fresh_counter)}", width)
 
     # -- interior nodes -----------------------------------------------------
 
@@ -458,7 +447,6 @@ bool_const = DEFAULT_FACTORY.bool_const
 data_var = DEFAULT_FACTORY.data_var
 control_var = DEFAULT_FACTORY.control_var
 bool_var = DEFAULT_FACTORY.bool_var
-fresh_data_var = DEFAULT_FACTORY.fresh_data_var
 add = DEFAULT_FACTORY.add
 sub = DEFAULT_FACTORY.sub
 mul = DEFAULT_FACTORY.mul

@@ -8,7 +8,17 @@ re-queries nothing (its ``!any`` assignment is the same object before and
 after), a precise insert leaves the other actions' parameter symbols
 alone, and re-installing a value set is free.  Everything is checked
 against an engine rebuilt from scratch on the final control plane.
+
+The overapproximated forward is O(1) in the table's size: it validates
+and keys its entry once, builds no term, copies no verdict through
+``dataclasses.replace``, and hands back the table's one ``!any`` mapping.
+A batch, through ``process_batch`` or ``apply_batch``, validates each net
+entry once as well, and is still all-or-nothing.
 """
+
+import dataclasses
+import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +28,14 @@ from repro.engine.queries import QueryEngine
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.programs.fig3 import FIG3_SOURCE
-from repro.runtime.entries import TableEntry, TernaryMatch
+from repro.runtime import semantics
+from repro.runtime.entries import EntryError, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer, ipv4_route_entries
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, Update, ValueSetUpdate
+from repro.smt.terms import TermFactory
+
+# ``repro.smt`` re-exports a ``substitute`` function under the module's name.
+substitute_module = importlib.import_module("repro.smt.substitute")
 
 #: program → (route table, action A, action B with parameters).  Every
 #: table has points tainted by B's parameter symbols and by no other
@@ -160,9 +175,55 @@ def requeried(monkeypatch):
     return pids
 
 
+@pytest.fixture()
+def calls(monkeypatch):
+    """Calls by name: ``validate_entry`` (as the control-plane state binds
+    it), ``match_key`` (``TableEntry.match_key``), ``_mk`` (every term the
+    factory builds or looks up), ``_check`` (the substitution's check of an
+    assignment) and ``replace`` (``dataclasses.replace``)."""
+    counts: Counter = Counter()
+
+    def count(name, original):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(
+        semantics, "validate_entry", count("validate_entry", semantics.validate_entry)
+    )
+    monkeypatch.setattr(TableEntry, "match_key", count("match_key", TableEntry.match_key))
+    monkeypatch.setattr(TermFactory, "_mk", count("_mk", TermFactory._mk))
+    monkeypatch.setattr(
+        substitute_module, "_check", count("_check", substitute_module._check)
+    )
+    monkeypatch.setattr(dataclasses, "replace", count("replace", dataclasses.replace))
+    return counts
+
+
+def run_batch(flay, path, updates):
+    """Run ``updates`` as one batch through ``path``."""
+    if path == "process_batch":
+        return flay.process_batch(updates)
+    return flay.apply_batch(updates, workers=1)
+
+
+def table_snapshot(flay):
+    """Every table's entries and revision, and the update count."""
+    state = flay.runtime.state
+    return (
+        {
+            name: (table.entries(), table.revision())
+            for name, table in state.tables.items()
+        },
+        state.update_count,
+    )
+
+
 @pytest.mark.parametrize("name", ZOO)
 class TestZoo:
-    def test_overapproximated_update_requeries_nothing(self, name, programs):
+    def test_overapproximated_update_requeries_nothing(self, name, programs, calls):
         table, action_a, action_b = ZOO[name]
         flay = make_flay(programs[name])
         entries = routes(flay, table, (action_a, action_b), THRESHOLD + 12)
@@ -170,6 +231,7 @@ class TestZoo:
             [Update(table, INSERT, entry) for entry in entries[: THRESHOLD + 10]]
         )
         assert flay.runtime.table_assignments[table].overapproximated
+        mapping = flay.runtime.table_assignments[table].mapping
         work = WorkCounters(flay)
         assert entries[1].action == action_b  # the one with action data
         for update in (
@@ -178,12 +240,97 @@ class TestZoo:
             Update(table, MODIFY, with_new_args(flay, table, entries[1])),
         ):
             work.reset()
+            calls.clear()
             decision = flay.process_update(update)
             assert decision.forwarded and decision.overapproximated
             assert decision.affected_points == 0
             work.assert_untouched()
+            # O(1): the entry is validated and keyed once, no term is
+            # built, no assignment re-checked, no verdict copied field by
+            # field, and the table keeps its one `!any` mapping.
+            assert calls["_mk"] == calls["_check"] == 0
+            assert calls["replace"] == 0
+            assert calls["validate_entry"] == calls["match_key"] == 1
+            assert flay.runtime.table_assignments[table].mapping is mapping
             live = len(flay.runtime.state.tables[table])
             assert flay.runtime.table_verdicts[table].entry_count == live
+        assert_same_result(flay, rebuild(programs[name], flay))
+
+    @pytest.mark.parametrize("path", ["process_batch", "apply_batch"])
+    def test_a_batch_validates_each_net_entry_once(self, name, programs, calls, path):
+        table, action_a, action_b = ZOO[name]
+        flay = make_flay(programs[name])
+        entries = routes(flay, table, (action_a, action_b), 30)
+        flay.process_batch([Update(table, INSERT, entry) for entry in entries[:20]])
+        burst = (
+            [Update(table, INSERT, entry) for entry in entries[20:]]
+            + [
+                Update(table, MODIFY, with_new_args(flay, table, entry))
+                for entry in entries[:5]
+            ]
+            + [Update(table, DELETE, entry) for entry in entries[5:10]]
+            + EntryFuzzer(flay.model, seed=3).representative_updates(SIDE_TABLE[name], 1)
+        )
+        calls.clear()
+        run_batch(flay, path, burst)
+        # Nothing folds, so every update is a net update.
+        assert calls["validate_entry"] == calls["match_key"] == len(burst)
+        assert_same_result(flay, rebuild(programs[name], flay))
+
+    def test_a_folding_burst_keys_each_input_once(self, name, programs, calls):
+        table, action_a, action_b = ZOO[name]
+        flay = make_flay(programs[name])
+        entries = routes(flay, table, (action_a, action_b), 8)
+        flay.process_batch([Update(table, INSERT, entry) for entry in entries[:4]])
+        burst = [
+            Update(table, INSERT, entries[4]),
+            Update(table, MODIFY, with_new_args(flay, table, entries[4])),  # folds
+            Update(table, INSERT, entries[5]),
+            Update(table, DELETE, entries[5]),  # cancels the insert
+            Update(table, MODIFY, with_new_args(flay, table, entries[0])),
+            Update(table, MODIFY, with_new_args(flay, table, entries[0], 2)),  # folds
+            Update(table, DELETE, entries[1]),
+        ]
+        calls.clear()
+        report = flay.apply_batch(burst, workers=1)
+        assert report.coalesced_count == 3
+        # The fold keys each input update; the check and the commit reuse
+        # the keys, and validate each net entry.
+        assert calls["match_key"] == len(burst)
+        assert calls["validate_entry"] == report.coalesced_count
+        assert_same_result(flay, rebuild(programs[name], flay))
+
+    @pytest.mark.parametrize("path", ["process_batch", "apply_batch"])
+    @pytest.mark.parametrize("bad", ["duplicate", "out_of_range"])
+    def test_a_bad_entry_mid_batch_changes_nothing(self, name, programs, path, bad):
+        table, action_a, action_b = ZOO[name]
+        flay = make_flay(programs[name])
+        entries = routes(flay, table, (action_a, action_b), 30)
+        flay.process_batch([Update(table, INSERT, entry) for entry in entries[:20]])
+        if bad == "duplicate":
+            wrong = Update(table, INSERT, entries[3])
+        else:
+            params = flay.model.table(table).action_params[action_b]
+            wrong = Update(
+                table,
+                INSERT,
+                TableEntry(
+                    entries[29].matches,
+                    action_b,
+                    tuple(1 << param.width for param in params),
+                    entries[29].priority,
+                ),
+            )
+        good = [Update(table, INSERT, entry) for entry in entries[20:29]] + [
+            Update(table, DELETE, entries[0])
+        ]
+        good += EntryFuzzer(flay.model, seed=3).representative_updates(SIDE_TABLE[name], 1)
+        before = table_snapshot(flay)
+        with pytest.raises(EntryError):
+            run_batch(flay, path, good[:5] + [wrong] + good[5:])
+        assert table_snapshot(flay) == before
+        # The batch without the bad entry goes through.
+        run_batch(flay, path, good)
         assert_same_result(flay, rebuild(programs[name], flay))
 
     def test_threshold_crossing_requeries_every_tainted_point(self, name, programs):

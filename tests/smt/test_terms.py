@@ -58,12 +58,6 @@ class TestConstruction:
         x = T.data_var("x", 16)
         assert T.extract(x, 11, 4).width == 8
 
-    def test_fresh_data_vars_are_distinct(self):
-        a = T.fresh_data_var("p", 8)
-        b = T.fresh_data_var("p", 8)
-        assert a is not b
-        assert a.name != b.name
-
 
 class TestHashConsing:
     def test_same_construction_same_object(self):
