@@ -11,9 +11,8 @@ Commands:
   coalescing, conflict-group-parallel batch scheduler.
 * ``compile <prog.p4> [--target tofino|bmv2]`` — device-compile and print
   the resource/time report.
-* ``lint <prog.p4> [--fail-on error|warning|info]`` — positioned static
-  diagnostics (uninitialized header reads, unreachable branches, shadowed
-  cases, width truncation, dead actions, write-after-write).
+* ``fleet-replay <prog.p4> [--switches N]`` — replay correlated churn
+  over a multi-switch fleet and print its latency summary.
 * ``corpus`` — list the bundled evaluation programs.
 """
 
@@ -142,20 +141,6 @@ def cmd_compile(args) -> int:
             more = "..." if len(stage.tables) > 6 else ""
             print(f"  stage {stage.index:>2}: {stage.table_count} tables, "
                   f"{stage.gateways} gateways — {names}{more}")
-    return 0
-
-
-def cmd_lint(args) -> int:
-    from repro.analysis.lint import SEVERITY_RANK, lint_program
-
-    program = _load_program(args.program)
-    report = lint_program(program, skip_parser=args.skip_parser)
-    for diag in report.diagnostics:
-        print(f"{args.program}:{diag.render()}")
-    print(f"# {report.summary()}", file=sys.stderr)
-    worst = report.max_severity()
-    if worst is not None and SEVERITY_RANK[worst] >= SEVERITY_RANK[args.fail_on]:
-        return 1
     return 0
 
 
@@ -305,18 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--stages", action="store_true", help="per-stage detail")
     p_compile.set_defaults(func=cmd_compile)
-
-    p_lint = sub.add_parser("lint", help="positioned static diagnostics")
-    p_lint.add_argument("program")
-    p_lint.add_argument("--skip-parser", action="store_true")
-    p_lint.add_argument(
-        "--fail-on",
-        choices=["error", "warning", "info"],
-        default="error",
-        help="exit non-zero when a finding at or above this severity "
-        "exists (default: error)",
-    )
-    p_lint.set_defaults(func=cmd_lint)
 
     p_fleet = sub.add_parser(
         "fleet-replay",

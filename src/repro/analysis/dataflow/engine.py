@@ -11,7 +11,7 @@ definite fact the interpreter derives (a condition folding to literal
 true/false, a store slot holding a literal constant) is a fact the
 downstream pipeline derives on the σ-image of the same terms.  That
 subset property is the soundness argument for the prune client: see
-DESIGN.md ("Static analysis: the dataflow framework").
+DESIGN.md ("Static analysis framework").
 
 Differences from the symbolic executor, all precision-losing and
 therefore safe:
@@ -20,20 +20,19 @@ therefore safe:
   value-set membership) are opaque placeholders instead of control
   symbols — nothing control-plane-dependent is ever "definite" here.
 * The parser is solved as a worklist fixpoint over the state graph
-  (linear in states, via :func:`repro.analysis.dataflow.lattice.fixpoint`)
+  (linear in states, via :func:`fixpoint`)
   instead of the executor's per-path recursion; entry stores join at
   shared states through memoized per-state placeholders, which is what
   bounds the iteration.
 * No program points, no taint, no model — the outputs are the
-  ``decisions`` (if-conditions that folded to a literal), ``folds``
-  (store slots holding literal constants after an assignment), and
-  whatever a client :class:`Observer` collected along the way.
+  ``decisions`` (if-conditions that folded to a literal) and ``folds``
+  (store slots holding literal constants after an assignment).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from repro.analysis.state import SymbolicStore, merge_stores
 from repro.analysis.symexec import (
@@ -52,14 +51,49 @@ from repro.smt import simplify, terms as T
 from repro.smt.simplify import constant_value
 from repro.smt.terms import Term
 
-from repro.analysis.dataflow.lattice import fixpoint
-
 #: Synthetic sink node joining the accept and reject exits of the parser.
 _FINAL = "$final"
 
 #: Selector width must mirror TableInfo.SELECTOR_WIDTH without importing
 #: the model layer (kept in sync by tests/analysis/test_dataflow.py).
 _SELECTOR_WIDTH = 8
+
+
+N = TypeVar("N", bound=Hashable)
+F = TypeVar("F")
+
+
+def fixpoint(
+    successors: Callable[[N], Iterable[N]],
+    entry_facts: dict[N, F],
+    transfer: Callable[[N, F], F],
+    join_into: Callable[[N, F], bool],
+    fact_at: Callable[[N], F],
+) -> None:
+    """Chaotic-iteration worklist solver over an explicit flow graph.
+
+    Iteration starts from the ``entry_facts`` seeds and visits whatever
+    ``successors`` reaches from there.  ``join_into(node, fact)`` merges
+    ``fact`` into ``node``'s entry fact and returns True when the entry
+    fact changed; ``fact_at`` reads the current entry fact.  Termination
+    is the caller's business (the interpreter's per-state placeholders
+    bound every chain).
+    """
+    worklist: list[N] = []
+    seen: set[N] = set()
+    for node, fact in entry_facts.items():
+        join_into(node, fact)
+        if node not in seen:
+            seen.add(node)
+            worklist.append(node)
+    while worklist:
+        node = worklist.pop()
+        seen.discard(node)
+        out = transfer(node, fact_at(node))
+        for succ in successors(node):
+            if join_into(succ, out) and succ not in seen:
+                seen.add(succ)
+                worklist.append(succ)
 
 
 @dataclass(frozen=True)
@@ -70,28 +104,6 @@ class FoldFact:
     width: int
 
 
-class Observer:
-    """Client hooks; the default implementation observes nothing.
-
-    ``ctx`` arguments are live interpreter state — observers must read,
-    never mutate.
-    """
-
-    def enter_stmt(self, stmt: object, unit: _Unit, ctx: _Context) -> None:
-        pass
-
-    def enter_state(self, state: ast.ParserState, ctx: _Context) -> None:
-        pass
-
-    def on_decision(self, stmt: ast.IfStmt, unit: _Unit, value: bool) -> None:
-        pass
-
-    def on_table_apply(
-        self, qualified: str, decl: ast.TableDecl, unit: _Unit, ctx: _Context
-    ) -> None:
-        pass
-
-
 class AbstractInterpreter:
     """One abstract execution of a program; see the module docstring."""
 
@@ -100,12 +112,10 @@ class AbstractInterpreter:
         program: ast.Program,
         env: Optional[TypeEnv] = None,
         skip_parser: bool = False,
-        observer: Optional[Observer] = None,
     ) -> None:
         self.program = program
         self.env = env if env is not None else TypeEnv(program)
         self.skip_parser = skip_parser
-        self.observer = observer if observer is not None else Observer()
         # The executor instance supplies to_term/_infer_width/_initial_store;
         # those methods only touch self.env and the ctx/unit we pass in.
         self._sx = SymbolicExecutor(program, self.env, skip_parser)
@@ -221,7 +231,6 @@ class AbstractInterpreter:
             if name in (ast.ACCEPT, _FINAL):
                 return out
             state = states[name]
-            self.observer.enter_state(state, out)
             for stmt in state.statements:
                 self._exec_stmt(stmt, unit, out)
             return out
@@ -261,7 +270,6 @@ class AbstractInterpreter:
             self._exec_stmt(stmt, unit, ctx)
 
     def _exec_stmt(self, stmt: object, unit: _Unit, ctx: _Context) -> None:
-        self.observer.enter_stmt(stmt, unit, ctx)
         if isinstance(stmt, ast.AssignStmt):
             self._exec_assign(stmt, unit, ctx)
         elif isinstance(stmt, ast.VarDeclStmt):
@@ -318,8 +326,7 @@ class AbstractInterpreter:
             return
         self.folds[node_id] = fact
 
-    def _record_decision(self, stmt: ast.IfStmt, unit: _Unit, value: bool) -> None:
-        self.observer.on_decision(stmt, unit, value)
+    def _record_decision(self, stmt: ast.IfStmt, value: bool) -> None:
         node_id = id(stmt)
         if node_id in self._decision_conflicts:
             return
@@ -353,11 +360,11 @@ class AbstractInterpreter:
     def _exec_if(self, stmt: ast.IfStmt, unit: _Unit, ctx: _Context) -> None:
         cond = simplify(self._cond_term(stmt.cond, unit, ctx), self._memo)
         if cond is T.TRUE:
-            self._record_decision(stmt, unit, True)
+            self._record_decision(stmt, True)
             self._exec_block(stmt.then, unit, ctx)
             return
         if cond is T.FALSE:
-            self._record_decision(stmt, unit, False)
+            self._record_decision(stmt, False)
             if stmt.orelse is not None:
                 self._exec_block(stmt.orelse, unit, ctx)
             return
@@ -483,7 +490,6 @@ class AbstractInterpreter:
                 "the control-plane encoding assumes a single apply site"
             )
         self.applied_tables.add(qualified)
-        self.observer.on_table_apply(qualified, table_decl, unit, ctx)
         # Mirror the executor's key evaluation (including its failure modes).
         for key in table_decl.keys:
             self._sx.to_term(key.expr, unit, ctx)

@@ -169,7 +169,7 @@ class _Rewriter:
         orelse = self.block(stmt.orelse) if stmt.orelse is not None else None
         if then is stmt.then and orelse is stmt.orelse:
             return [stmt]
-        return [ast.IfStmt(stmt.cond, then, orelse, pos=stmt.pos)]
+        return [ast.IfStmt(stmt.cond, then, orelse)]
 
     def _rw_assign(self, stmt: ast.AssignStmt) -> ast.AssignStmt:
         if not self.enable_fold:
@@ -187,9 +187,7 @@ class _Rewriter:
             # same way in both the pruned and unpruned runs.
             if width is not None and width == fact.width:
                 self.report.folded_constants += 1
-                return ast.AssignStmt(
-                    stmt.lhs, ast.IntLit(fact.value, width), pos=stmt.pos
-                )
+                return ast.AssignStmt(stmt.lhs, ast.IntLit(fact.value, width))
         return stmt
 
     def _rw_switch(self, stmt: ast.SwitchStmt) -> ast.SwitchStmt:
@@ -204,7 +202,7 @@ class _Rewriter:
                 cases.append(dataclasses.replace(case, body=body))
         if not changed:
             return stmt
-        return ast.SwitchStmt(stmt.table, tuple(cases), pos=stmt.pos)
+        return ast.SwitchStmt(stmt.table, tuple(cases))
 
     def _lhs_width(self, lhs: ast.Expr) -> Optional[int]:
         """The width the specializer would give a folded literal.

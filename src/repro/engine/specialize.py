@@ -372,9 +372,7 @@ class Specializer:
             width = self._lhs_width(stmt.lhs)
             if width is not None:
                 self.report.constants_propagated += 1
-                return ast.AssignStmt(
-                    stmt.lhs, ast.IntLit(verdict.constant, width), pos=stmt.pos
-                )
+                return ast.AssignStmt(stmt.lhs, ast.IntLit(verdict.constant, width))
         return stmt
 
     def _lhs_width(self, lhs) -> Optional[int]:
@@ -434,7 +432,7 @@ class Specializer:
             if stmt.orelse is not None
             else None
         )
-        return ast.IfStmt(stmt.cond, then, orelse, pos=stmt.pos)
+        return ast.IfStmt(stmt.cond, then, orelse)
 
     # -- tables -------------------------------------------------------------------
 
@@ -541,7 +539,7 @@ class Specializer:
                 ast.SwitchCase(c.action, ast.Block(tuple(self._spec_block(c.body))))
                 for c in stmt.cases
             )
-            return [ast.SwitchStmt(stmt.table, cases, pos=stmt.pos)]
+            return [ast.SwitchStmt(stmt.table, cases)]
         feasible = verdict.feasible_actions
         labelled = {c.action for c in stmt.cases if c.action is not None}
         default_needed = bool(feasible - labelled)
@@ -561,7 +559,7 @@ class Specializer:
         if len(feasible) == 1 and len(kept_cases) <= 1:
             body = list(kept_cases[0].body.statements) if kept_cases else []
             return self._with_headers(prefix) + body
-        return [ast.SwitchStmt(stmt.table, tuple(kept_cases), pos=stmt.pos)]
+        return [ast.SwitchStmt(stmt.table, tuple(kept_cases))]
 
     # -- parser -----------------------------------------------------------------------
 
@@ -729,7 +727,7 @@ class _ProgramIndex:
 def _subst_stmt(stmt, mapping: dict[str, ast.Expr]):
     if isinstance(stmt, ast.AssignStmt):
         return ast.AssignStmt(
-            _subst_expr(stmt.lhs, mapping), _subst_expr(stmt.rhs, mapping), pos=stmt.pos
+            _subst_expr(stmt.lhs, mapping), _subst_expr(stmt.rhs, mapping)
         )
     if isinstance(stmt, ast.IfStmt):
         return ast.IfStmt(
@@ -738,7 +736,6 @@ def _subst_stmt(stmt, mapping: dict[str, ast.Expr]):
             ast.Block(tuple(_subst_stmt(s, mapping) for s in stmt.orelse.statements))
             if stmt.orelse is not None
             else None,
-            pos=stmt.pos,
         )
     if isinstance(stmt, ast.MethodCallStmt):
         call = stmt.call
@@ -747,8 +744,7 @@ def _subst_stmt(stmt, mapping: dict[str, ast.Expr]):
                 _subst_expr(call.target, mapping) if call.target is not None else None,
                 call.method,
                 tuple(_subst_expr(a, mapping) for a in call.args),
-            ),
-            pos=stmt.pos,
+            )
         )
     return stmt
 

@@ -16,8 +16,7 @@ A node's read/write sets come from one syntactic walk over its keys and
 its actions' bodies.  Every field an expression mentions is a read, even
 one the action rebuilt before using it.  Assignments, validity changes,
 ``mark_to_drop`` and the destinations of ``hash``, ``update_checksum``
-and ``register.read`` are writes.  The field helpers below are also the
-lint's.
+and ``register.read`` are writes.
 
 The Tofino allocator consumes this graph to compute the stage count.
 """

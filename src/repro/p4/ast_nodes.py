@@ -9,11 +9,9 @@ straight-line apply blocks with if/else, and a small extern surface
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
-
-from repro.p4.errors import SourcePos
 
 # ---------------------------------------------------------------------------
 # Types
@@ -57,19 +55,16 @@ Type = Union[BitType, BoolType, NamedType]
 class IntLit:
     value: int
     width: Optional[int] = None  # None = unsized literal
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class BoolLit:
     value: bool
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Ident:
     name: str
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,6 @@ class Member:
 
     expr: "Expr"
     name: str
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,6 @@ class Slice:
     expr: "Expr"
     hi: int
     lo: int
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,14 +90,12 @@ class Cast:
 
     type: Type
     expr: "Expr"
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # one of ~ - !
     expr: "Expr"
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,6 @@ class Binary:
     op: str  # + - * & | ^ << >> ++ == != < <= > >= && ||
     left: "Expr"
     right: "Expr"
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,6 @@ class Ternary:
     cond: "Expr"
     then: "Expr"
     orelse: "Expr"
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,6 @@ class MethodCall:
     target: Optional["Expr"]
     method: str
     args: tuple
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 Expr = Union[IntLit, BoolLit, Ident, Member, Slice, Cast, Unary, Binary, Ternary, MethodCall]
@@ -155,7 +143,6 @@ class Block:
 class AssignStmt:
     lhs: Expr
     rhs: Expr
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,13 +150,11 @@ class IfStmt:
     cond: Expr
     then: Block
     orelse: Optional[Block]
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class MethodCallStmt:
     call: MethodCall
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -177,17 +162,16 @@ class VarDeclStmt:
     name: str
     type: Type
     init: Optional[Expr]
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ExitStmt:
-    pos: Optional[SourcePos] = field(default=None, compare=False)
+    """``exit;``."""
 
 
 @dataclass(frozen=True)
 class ReturnStmt:
-    pos: Optional[SourcePos] = field(default=None, compare=False)
+    """``return;``."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +180,6 @@ class SwitchCase:
 
     action: Optional[str]  # None = default arm
     body: Block
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -205,7 +188,6 @@ class SwitchStmt:
 
     table: str
     cases: tuple
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 Stmt = Union[
@@ -227,7 +209,6 @@ class StructField:
 class HeaderDecl:
     name: str
     fields: tuple  # of StructField
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -261,7 +242,6 @@ class ActionDecl:
     name: str
     params: tuple  # of Param
     body: Block
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -284,7 +264,6 @@ class TableDecl:
     actions: tuple  # of ActionRef
     default_action: Optional[ActionRef]
     size: Optional[int] = None
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -312,7 +291,6 @@ class ControlDecl:
     params: tuple  # of Param
     locals: tuple  # of ActionDecl | TableDecl | InstantiationDecl | VarDeclStmt
     apply: Block
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
     def tables_by_name(self) -> dict[str, TableDecl]:
         """This control's tables by name; the first of a repeated name wins."""
@@ -355,7 +333,6 @@ class SelectCaseKey:
 class SelectCase:
     keys: tuple  # of SelectCaseKey, one per select expression
     state: str
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -381,7 +358,6 @@ class ParserState:
     name: str
     statements: tuple  # of Stmt (extract calls, assignments)
     transition: Transition
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -390,7 +366,6 @@ class ParserDecl:
     params: tuple  # of Param
     locals: tuple  # of ValueSetDecl | VarDeclStmt
     states: tuple  # of ParserState
-    pos: Optional[SourcePos] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

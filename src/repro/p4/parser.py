@@ -168,7 +168,7 @@ class _Parser:
     def _header_decl(self) -> ast.HeaderDecl:
         self._expect("header")
         name = self._expect_ident()
-        return ast.HeaderDecl(name.text, self._field_list(), pos=name.pos)
+        return ast.HeaderDecl(name.text, self._field_list())
 
     def _struct_decl(self) -> ast.StructDecl:
         self._expect("struct")
@@ -247,9 +247,7 @@ class _Parser:
                 raise ParseError(
                     f"unexpected {token.text!r} in parser body", token.pos
                 )
-        return ast.ParserDecl(
-            name.text, params, tuple(locals_), tuple(states), pos=name.pos
-        )
+        return ast.ParserDecl(name.text, params, tuple(locals_), tuple(states))
 
     def _value_set_decl(self) -> ast.ValueSetDecl:
         self._expect("value_set")
@@ -274,9 +272,7 @@ class _Parser:
                 transition = self._transition()
             else:
                 statements.append(self._statement())
-        return ast.ParserState(
-            name.text, tuple(statements), transition, pos=name.pos
-        )
+        return ast.ParserState(name.text, tuple(statements), transition)
 
     def _transition(self) -> ast.Transition:
         self._expect("transition")
@@ -296,7 +292,6 @@ class _Parser:
         return ast.TransitionDirect(state.text)
 
     def _select_case(self, arity: int) -> ast.SelectCase:
-        case_pos = self._peek().pos
         keys: list[ast.SelectCaseKey]
         if self._accept("("):
             keys = [self._select_keyset()]
@@ -316,7 +311,7 @@ class _Parser:
         self._expect(":")
         state = self._expect_ident()
         self._expect(";")
-        return ast.SelectCase(tuple(keys), state.text, pos=case_pos)
+        return ast.SelectCase(tuple(keys), state.text)
 
     def _select_keyset(self) -> ast.SelectCaseKey:
         token = self._peek()
@@ -365,16 +360,14 @@ class _Parser:
                 )
         if apply_block is None:
             raise ParseError(f"control {name.text!r} has no apply block", name.pos)
-        return ast.ControlDecl(
-            name.text, params, tuple(locals_), apply_block, pos=name.pos
-        )
+        return ast.ControlDecl(name.text, params, tuple(locals_), apply_block)
 
     def _action_decl(self) -> ast.ActionDecl:
         self._expect("action")
         name = self._expect_ident()
         params = self._params()
         body = self._block()
-        return ast.ActionDecl(name.text, params, body, pos=name.pos)
+        return ast.ActionDecl(name.text, params, body)
 
     def _table_decl(self) -> ast.TableDecl:
         self._expect("table")
@@ -408,9 +401,7 @@ class _Parser:
                 raise ParseError(
                     f"unknown table property {prop.text!r}", prop.pos
                 )
-        return ast.TableDecl(
-            name.text, keys, actions, default_action, size, pos=name.pos
-        )
+        return ast.TableDecl(name.text, keys, actions, default_action, size)
 
     def _table_keys(self) -> tuple:
         self._expect("{")
@@ -466,14 +457,13 @@ class _Parser:
         return ast.InstantiationDecl(kind, tuple(type_args), tuple(args), name.text)
 
     def _var_decl(self) -> ast.VarDeclStmt:
-        pos = self._peek().pos
         var_type = self._type()
         name = self._expect_ident()
         init: Optional[ast.Expr] = None
         if self._accept("="):
             init = self._expression()
         self._expect(";")
-        return ast.VarDeclStmt(name.text, var_type, init, pos=pos)
+        return ast.VarDeclStmt(name.text, var_type, init)
 
     # -- statements -----------------------------------------------------------------------------
 
@@ -493,11 +483,11 @@ class _Parser:
         if token.text == "exit":
             self._advance()
             self._expect(";")
-            return ast.ExitStmt(pos=token.pos)
+            return ast.ExitStmt()
         if token.text == "return":
             self._advance()
             self._expect(";")
-            return ast.ReturnStmt(pos=token.pos)
+            return ast.ReturnStmt()
         if token.text in ("bit", "bool"):
             return self._var_decl()
         if token.kind == IDENT and self._peek(1).kind == IDENT:
@@ -507,7 +497,7 @@ class _Parser:
         if self._accept("="):
             rhs = self._expression()
             self._expect(";")
-            return ast.AssignStmt(expr, rhs, pos=token.pos)
+            return ast.AssignStmt(expr, rhs)
         if self._check("["):
             # Slice assignment: x[hi:lo] = rhs
             self._advance()
@@ -518,14 +508,14 @@ class _Parser:
             self._expect("=")
             rhs = self._expression()
             self._expect(";")
-            return ast.AssignStmt(ast.Slice(expr, hi, lo, pos=token.pos), rhs, pos=token.pos)
+            return ast.AssignStmt(ast.Slice(expr, hi, lo), rhs)
         self._expect(";")
         if not isinstance(expr, ast.MethodCall):
             raise ParseError("expression statement must be a call", token.pos)
-        return ast.MethodCallStmt(expr, pos=token.pos)
+        return ast.MethodCallStmt(expr)
 
     def _if_statement(self) -> ast.IfStmt:
-        pos = self._expect("if").pos
+        self._expect("if")
         self._expect("(")
         cond = self._expression()
         self._expect(")")
@@ -536,7 +526,7 @@ class _Parser:
                 orelse = ast.Block((self._if_statement(),))
             else:
                 orelse = self._block_or_single()
-        return ast.IfStmt(cond, then, orelse, pos=pos)
+        return ast.IfStmt(cond, then, orelse)
 
     def _block_or_single(self) -> ast.Block:
         if self._check("{"):
@@ -544,7 +534,7 @@ class _Parser:
         return ast.Block((self._statement(),))
 
     def _switch_statement(self) -> ast.SwitchStmt:
-        pos = self._expect("switch").pos
+        self._expect("switch")
         self._expect("(")
         table = self._expect_ident().text
         self._expect(".")
@@ -559,15 +549,14 @@ class _Parser:
         self._expect("{")
         cases: list[ast.SwitchCase] = []
         while not self._accept("}"):
-            case_pos = self._peek().pos
             if self._accept("default"):
                 label: Optional[str] = None
             else:
                 label = self._expect_ident().text
             self._expect(":")
             body = self._block()
-            cases.append(ast.SwitchCase(label, body, pos=case_pos))
-        return ast.SwitchStmt(table, tuple(cases), pos=pos)
+            cases.append(ast.SwitchCase(label, body))
+        return ast.SwitchStmt(table, tuple(cases))
 
     # -- expressions --------------------------------------------------------------------------------
 
@@ -610,7 +599,7 @@ class _Parser:
                 # always comparison in our subset, so no special case needed.
                 self._advance()
                 right = self._binary(level + 1)
-                left = ast.Binary(token.text, left, right, pos=token.pos)
+                left = ast.Binary(token.text, left, right)
             else:
                 return left
 
@@ -618,12 +607,12 @@ class _Parser:
         token = self._peek()
         if token.kind == PUNCT and token.text in ("~", "-", "!"):
             self._advance()
-            return ast.Unary(token.text, self._unary(), pos=token.pos)
+            return ast.Unary(token.text, self._unary())
         if token.text == "(" and self._peek(1).text in ("bit", "bool"):
             self._advance()
             cast_type = self._type()
             self._expect(")")
-            return ast.Cast(cast_type, self._unary(), pos=token.pos)
+            return ast.Cast(cast_type, self._unary())
         return self._postfix_expression()
 
     def _postfix_expression(self) -> ast.Expr:
@@ -635,16 +624,16 @@ class _Parser:
                 name = self._expect_ident()
                 if self._check("("):
                     args = self._call_args()
-                    expr = ast.MethodCall(expr, name.text, args, pos=token.pos)
+                    expr = ast.MethodCall(expr, name.text, args)
                 else:
-                    expr = ast.Member(expr, name.text, pos=token.pos)
+                    expr = ast.Member(expr, name.text)
             elif token.text == "[" and self._peek(1).kind == INT:
                 self._advance()
                 hi = self._expect_int().value
                 self._expect(":")
                 lo = self._expect_int().value
                 self._expect("]")
-                expr = ast.Slice(expr, hi, lo, pos=token.pos)
+                expr = ast.Slice(expr, hi, lo)
             else:
                 return expr
 
@@ -662,13 +651,13 @@ class _Parser:
         token = self._peek()
         if token.kind == INT:
             self._advance()
-            return ast.IntLit(token.value, token.width, pos=token.pos)
+            return ast.IntLit(token.value, token.width)
         if token.text == "true":
             self._advance()
-            return ast.BoolLit(True, pos=token.pos)
+            return ast.BoolLit(True)
         if token.text == "false":
             self._advance()
-            return ast.BoolLit(False, pos=token.pos)
+            return ast.BoolLit(False)
         if token.text == "(":
             self._advance()
             expr = self._expression()
@@ -678,6 +667,6 @@ class _Parser:
             self._advance()
             if self._check("(") :
                 args = self._call_args()
-                return ast.MethodCall(None, token.text, args, pos=token.pos)
-            return ast.Ident(token.text, pos=token.pos)
+                return ast.MethodCall(None, token.text, args)
+            return ast.Ident(token.text)
         raise ParseError(f"unexpected token {token.text!r} in expression", token.pos)

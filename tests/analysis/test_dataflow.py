@@ -1,23 +1,18 @@
 """Unit tests for the abstract-interpretation framework.
 
-Covers the lattice algebra, the interpreter's fact discipline
-(decisions, folds, conflict clearing), action read/write sets (the
-dependency graph's walk) and dead writes (the lint's), and the prune
-rewriter's gating.
+Covers the worklist fixpoint, the interpreter's fact discipline
+(decisions, folds, conflict clearing, header validity), action
+read/write sets (the dependency graph's walk), and the prune rewriter's
+gating.
 """
 
 import pytest
 
 from repro.analysis.dataflow import (
     AbstractInterpreter,
-    Bool3,
-    IntervalLattice,
     PruneReport,
-    TaintLattice,
-    dead_writes,
     fixpoint,
     prune_program,
-    term_join,
 )
 from repro.analysis.dataflow import engine as engine_mod
 from repro.analysis.dataflow.prune import EFFORT_DCE, EFFORT_FULL, EFFORT_NONE
@@ -26,8 +21,6 @@ from repro.ir.deps import _action_reads_writes
 from repro.p4 import ast_nodes as ast
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
-from repro.smt import terms as T
-from repro.smt.interval import Interval
 
 
 def make_program(apply_body, locals_src="", parser_body=None):
@@ -37,7 +30,8 @@ def make_program(apply_body, locals_src="", parser_body=None):
     )
     return parse_program(f"""
 header h_t {{ bit<8> a; bit<8> b; }}
-struct headers_t {{ h_t h; }}
+header u_t {{ bit<8> x; }}
+struct headers_t {{ h_t h; u_t u; }}
 struct meta_t {{ bit<8> m; bit<8> n; }}
 parser P(inout headers_t hdr, inout meta_t meta) {{
 {parser_body}
@@ -54,64 +48,6 @@ Pipeline(P(), C()) main;
 
 def apply_stmts(program):
     return program.find("C").apply.statements
-
-
-class TestBool3:
-    def test_join(self):
-        assert Bool3.TRUE.join(Bool3.TRUE) is Bool3.TRUE
-        assert Bool3.TRUE.join(Bool3.FALSE) is Bool3.UNKNOWN
-        assert Bool3.UNKNOWN.join(Bool3.TRUE) is Bool3.UNKNOWN
-
-    def test_negate(self):
-        assert Bool3.TRUE.negate() is Bool3.FALSE
-        assert Bool3.FALSE.negate() is Bool3.TRUE
-        assert Bool3.UNKNOWN.negate() is Bool3.UNKNOWN
-
-    def test_from_term(self):
-        assert Bool3.from_term(T.TRUE) is Bool3.TRUE
-        assert Bool3.from_term(T.FALSE) is Bool3.FALSE
-        sym = T.data_var("x", 1)
-        assert Bool3.from_term(T.eq(sym, T.bv_const(1, 1))) is Bool3.UNKNOWN
-
-
-class TestIntervalLattice:
-    def test_top(self):
-        assert IntervalLattice.top(8) == Interval(0, 255)
-
-    def test_join_is_hull(self):
-        joined = IntervalLattice.join(Interval(1, 3), Interval(10, 12))
-        assert joined == Interval(1, 12)
-
-    def test_leq(self):
-        assert IntervalLattice.leq(Interval(2, 3), Interval(0, 10))
-        assert not IntervalLattice.leq(Interval(0, 11), Interval(0, 10))
-
-    def test_of_term_constant(self):
-        assert IntervalLattice.of_term(T.bv_const(7, 8)) == Interval(7, 7)
-
-
-class TestTaintLattice:
-    def test_join_union(self):
-        a = frozenset({"x"})
-        b = frozenset({"y"})
-        assert TaintLattice.join(a, b) == frozenset({"x", "y"})
-        assert TaintLattice.join(a, TaintLattice.BOTTOM) is a
-        assert TaintLattice.join(TaintLattice.BOTTOM, b) is b
-
-    def test_leq_is_inclusion(self):
-        assert TaintLattice.leq(frozenset({"x"}), frozenset({"x", "y"}))
-        assert not TaintLattice.leq(frozenset({"z"}), frozenset({"x"}))
-
-
-class TestTermJoin:
-    def test_identical_terms_stay(self):
-        t = T.bv_const(3, 8)
-        assert term_join(t, T.bv_const(3, 8), fresh=lambda _: T.TRUE) is t
-
-    def test_differing_terms_go_fresh(self):
-        opaque = T.data_var("fresh", 8)
-        out = term_join(T.bv_const(1, 8), T.bv_const(2, 8), fresh=lambda _: opaque)
-        assert out is opaque
 
 
 class TestFixpoint:
@@ -165,6 +101,53 @@ class TestAbstractInterpreter:
         if_stmt = apply_stmts(program)[0]
         assert id(if_stmt) not in interp.decisions
 
+    @pytest.mark.parametrize(
+        "cond, expected",
+        [("meta.m == 8w2", False), ("true", True)],
+    )
+    def test_literal_condition_decides_without_else(self, cond, expected):
+        program = make_program(
+            f"""        meta.m = 8w1;
+        if ({cond}) {{ meta.n = 8w2; }}"""
+        )
+        interp = AbstractInterpreter(program)
+        interp.run()
+        if_stmt = apply_stmts(program)[1]
+        assert interp.decisions[id(if_stmt)] is expected
+
+    COND_EXTRACT_U = """    state start {
+        pkt_extract(hdr.h);
+        transition select(hdr.h.a) {
+            8w0: u;
+            default: accept;
+        }
+    }
+    state u { pkt_extract(hdr.u); transition accept; }"""
+
+    @pytest.mark.parametrize(
+        "header, parser_body, skip_parser, expected",
+        [
+            ("hdr.h", None, False, True),
+            ("hdr.u", None, False, False),
+            ("hdr.u", COND_EXTRACT_U, False, None),
+            ("hdr.u", None, True, None),
+        ],
+        ids=["extracted", "never-extracted", "extracted-on-one-path", "skip-parser"],
+    )
+    def test_header_validity_decides_isvalid(
+        self, header, parser_body, skip_parser, expected
+    ):
+        # The parser fixpoint carries each header's validity into the
+        # controls; an isValid() guard decides only where it is a literal.
+        program = make_program(
+            f"        if ({header}.isValid()) {{ meta.m = 8w1; }}",
+            parser_body=parser_body,
+        )
+        interp = AbstractInterpreter(program, skip_parser=skip_parser)
+        interp.run()
+        if_stmt = apply_stmts(program)[0]
+        assert interp.decisions.get(id(if_stmt)) is expected
+
     def test_conflicting_reexecution_clears_the_decision(self):
         # The action runs once per table fork with different parameter
         # bindings; a fact that differs across executions must die.
@@ -214,7 +197,7 @@ class TestAbstractInterpreter:
 
 
 class TestEffects:
-    """Read/write sets from :mod:`repro.ir.deps`' walk, and dead writes."""
+    """Read/write sets from :mod:`repro.ir.deps`' walk."""
 
     def make_action(self, body, params="bit<8> v"):
         program = make_program(
@@ -254,22 +237,6 @@ class TestEffects:
         reads, writes = _action_reads_writes(action)
         assert "meta.m" in writes
         assert "meta.m" not in reads
-
-    def test_dead_write_straight_line(self):
-        action = self.make_action(
-            """        meta.m = 8w1;
-        meta.m = v;"""
-        )
-        dead = dead_writes(action.body, frozenset({"v"}))
-        assert [d.path for d in dead] == ["meta.m"]
-
-    def test_branch_is_a_barrier(self):
-        action = self.make_action(
-            """        meta.m = 8w1;
-        if (v == 8w0) { meta.n = 8w1; }
-        meta.m = v;"""
-        )
-        assert dead_writes(action.body, frozenset({"v"})) == []
 
 
 class TestPrune:

@@ -155,27 +155,11 @@ def test_program_from_file(tmp_path, capsys):
     assert "statements" in capsys.readouterr().out
 
 
-def test_lint_clean_program(capsys):
-    assert main(["lint", "corpus:scion"]) == 0
-    captured = capsys.readouterr()
-    assert "no findings" in captured.err
-
-
-def test_lint_reports_positioned_findings(capsys):
-    assert main(["lint", "corpus:switch"]) == 0
-    out = capsys.readouterr().out
-    assert "[dead-action]" in out
-    assert "[unreachable-branch]" in out
-    # Findings carry line:column positions.
-    assert "corpus:switch:246:12" in out
-
-
-def test_lint_fail_on_threshold(capsys):
-    # switch has warnings but no errors: default threshold passes,
-    # lowering it to warning fails.
-    assert main(["lint", "corpus:switch", "--fail-on", "error"]) == 0
-    capsys.readouterr()
-    assert main(["lint", "corpus:switch", "--fail-on", "warning"]) == 1
+def test_lint_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", "corpus:scion"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_specialize_no_prune_is_byte_identical(tmp_path, capsys):
