@@ -27,7 +27,6 @@ from repro.engine.events import EventBus
 from repro.errors import FlayError
 from repro.ir import measure
 from repro.p4.parser import parse_program
-from repro.p4.printer import print_program
 from repro.runtime import config as config_mod
 from repro.smt import to_string
 from repro.targets.base import available_targets, create_target

@@ -53,7 +53,7 @@ from typing import Callable, Optional
 from repro.engine.context import EngineContext
 from repro.engine.events import BatchMerged, BatchScheduled
 from repro.engine.gate import GateStats
-from repro.engine.pipeline import _compile, describe_points
+from repro.engine.pipeline import _compile, describe_points, respecialize
 from repro.engine.queries import PointReverdicts, QueryEngine
 from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
@@ -601,6 +601,7 @@ class BatchReport:
     unchanged_points: int = 0
     # Table names + pids whose verdict changed, in group order.
     changed: list = field(default_factory=list)
+    # The respecialized program differed from the one last compiled.
     recompiled: bool = False
     elapsed_ms: float = 0.0
     compile_report: object = None
@@ -702,6 +703,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     worker_solver = SolverStats()
     worker_gate = GateStats()
     changed: list = []
+    tables: list = []  # every re-encoded table
     affected_points = redecided_points = unchanged_points = 0
     memo_entries = 0
     verdict_entries = 0
@@ -713,6 +715,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         worker_gate.absorb(slice_qe.gate.stats)
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
+        tables.extend(outcome.assignments)
         grafted_memo, grafted_verdicts = outcome.slice.merge_into(ctx)
         memo_entries += grafted_memo
         verdict_entries += grafted_verdicts
@@ -753,15 +756,10 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
             )
         )
 
-    recompiled = bool(changed)
+    recompiled = respecialize(ctx, changed, tables)
     compile_report = None
-    if recompiled:
-        ctx.specialized_program, ctx.report = ctx.specializer.specialize(
-            ctx.point_verdicts, ctx.table_verdicts, changed
-        )
-        ctx.recompilations += 1
-        if ctx.target is not None:
-            compile_report = _compile(ctx)
+    if recompiled and ctx.target is not None:
+        compile_report = _compile(ctx)
 
     return BatchReport(
         update_count=len(updates),
@@ -772,7 +770,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         redecided_points=redecided_points,
         unchanged_points=unchanged_points,
         changed=changed,
-        recompiled=bool(changed),
+        recompiled=recompiled,
         elapsed_ms=(time.perf_counter() - start) * 1000,
         compile_report=compile_report,
         groups=group_decisions,

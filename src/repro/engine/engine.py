@@ -162,7 +162,7 @@ class Engine:
         # once-per-update constructor.
         decision = UpdateDecision(
             update,
-            bool(warm.changed),  # recompiled
+            warm.recompiled,
             warm.affected,  # affected_points
             warm.changed,
             elapsed_ms,
@@ -183,7 +183,7 @@ class Engine:
         warm, elapsed_ms = self._run_warm("batch", list(updates))
         decision = BatchDecision(
             update_count=len(warm.updates),
-            recompiled=bool(warm.changed),
+            recompiled=warm.recompiled,
             changed=warm.changed,
             affected_points=warm.affected,
             elapsed_ms=elapsed_ms,

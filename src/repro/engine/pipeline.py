@@ -59,7 +59,12 @@ def describe_points(tainted: int, redecided: int, unchanged: int) -> str:
 
 @dataclass(slots=True)
 class UpdateDecision:
-    """Outcome of processing one control-plane update."""
+    """Outcome of processing one control-plane update.
+
+    ``recompiled`` says the respecialized program differed from the one
+    last compiled; ``changed`` lists the verdicts that moved, which may be
+    non-empty on a forward (a move no printed statement reads).
+    """
 
     update: object
     recompiled: bool
@@ -93,7 +98,11 @@ class UpdateDecision:
 
 @dataclass
 class BatchDecision:
-    """Outcome of processing a burst of updates as one unit."""
+    """Outcome of processing a burst of updates as one unit.
+
+    ``recompiled`` and ``changed`` mean what they mean on
+    :class:`UpdateDecision`: the program moved, and the verdicts moved.
+    """
 
     update_count: int
     recompiled: bool
@@ -133,7 +142,7 @@ class WarmState:
 
     __slots__ = (
         "updates", "mode", "changed_vars", "assignments", "affected",
-        "redecided", "unchanged", "changed", "compile_report",
+        "redecided", "unchanged", "changed", "recompiled", "compile_report",
     )
 
     def __init__(self, updates: list, mode: str) -> None:
@@ -145,6 +154,7 @@ class WarmState:
         self.redecided = 0  # of those, decided afresh from a new term
         self.unchanged = 0  # of those, kept on the identical term
         self.changed: list = []  # pids / table names
+        self.recompiled = False  # the program moved (see respecialize)
         self.compile_report = None
 
 
@@ -474,13 +484,44 @@ class ReverdictTablesPass:
         ctx.table_verdicts.update(verdicts)
 
 
+def respecialize(ctx: EngineContext, changed: list, tables) -> bool:
+    """The recompile decision: whether the device program moved.
+
+    ``changed`` names the verdicts the run moved and ``tables`` the
+    tables it re-encoded.  When some verdict moved, or one of ``tables``
+    crossed between precise and overapproximated, the program is
+    respecialized and compared with the one last compiled.  Equality is
+    frozen-dataclass ``==``, which short-circuits on the identical nodes
+    the incremental specializer reuses, so it costs what the rebuild
+    cost.  A different program replaces ``ctx.specialized_program`` and
+    ``ctx.report`` and the caller recompiles it; an equal one leaves both
+    the objects last compiled, so the printed source is what the device
+    runs and the update is a forward.
+    """
+    specializer = ctx.specializer
+    if not changed and not specializer.overapproximation_moved(
+        ctx.table_verdicts, tables
+    ):
+        return False
+    program, report = specializer.specialize(
+        ctx.point_verdicts, ctx.table_verdicts, changed
+    )
+    if program == ctx.specialized_program:
+        return False
+    ctx.specialized_program, ctx.report = program, report
+    ctx.recompilations += 1
+    return True
+
+
 class RespecializePass:
     """The recompile decision, and the lowering that follows from it.
 
-    If some verdict changed, respecialize and recompile for the target;
-    otherwise push each update to the device as a forward — a forwarded
-    update never reaches the device compiler, which is the paper's entire
-    point.
+    Recompile exactly when the respecialized program differs from the one
+    last compiled (:func:`respecialize`); otherwise push each update to
+    the device as a forward — a forwarded update never reaches the device
+    compiler, which is the paper's entire point.  A verdict can move
+    without moving one printed statement (a value point whose constant
+    feeds nothing the program keeps), and such an update forwards.
     """
 
     name = "respecialize"
@@ -489,22 +530,19 @@ class RespecializePass:
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
         target = ctx.target
-        if not warm.changed:
-            if target is None:
-                return
-            bus = ctx.bus
-            for update in warm.updates:
-                lowered = target.lower_update(update)
-                ctx.lowered_updates.append(lowered)
-                if bus.active:
-                    bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
+        if respecialize(ctx, warm.changed, warm.assignments):
+            warm.recompiled = True
+            if target is not None:
+                warm.compile_report = _compile(ctx)
             return
-        ctx.specialized_program, ctx.report = ctx.specializer.specialize(
-            ctx.point_verdicts, ctx.table_verdicts, warm.changed
-        )
-        ctx.recompilations += 1
-        if target is not None:
-            warm.compile_report = _compile(ctx)
+        if target is None:
+            return
+        bus = ctx.bus
+        for update in warm.updates:
+            lowered = target.lower_update(update)
+            ctx.lowered_updates.append(lowered)
+            if bus.active:
+                bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +614,7 @@ __all__ = [
     "WarmState",
     "cold_passes",
     "describe_points",
+    "respecialize",
     "restore_passes",
     "warm_passes",
 ]

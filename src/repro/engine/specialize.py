@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.model import DataPlaneModel, TableInfo
-from repro.analysis.symexec import VALID_SUFFIX
 from repro.errors import FlayError, OptionsError, STAGE_SPECIALIZE
 from repro.engine.queries import ALWAYS, MAYBE, NEVER, PointVerdict, TableVerdict
 from repro.p4 import ast_nodes as ast
@@ -150,16 +149,20 @@ class Specializer:
         verdicts of applied tables (``feasible_actions``, ``hit``,
         ``const_params``, ``match_plan``) — exactly the fields
         ``same_specialization`` compares — plus
-        ``TableVerdict.overapproximated``.  A flip of that one field alone
-        prints the same table when it has two or more actions, or one with
-        parameters, and no ``switch`` on it keeps a default arm next to
-        every action: an overapproximated verdict then equals a precise
-        one with every action feasible, every parameter varying and the
-        declared match kinds, which keeps the table and its arms as
-        declared.  A one-action table without parameters is inlined under
-        such a precise verdict and kept under an overapproximated one, so
-        the overapproximated tables are compared here with the previous
-        call's, and a flipped table is rebuilt as if it had changed.
+        ``TableVerdict.overapproximated``.  A flip of that one field can
+        move the output: a one-action table without parameters is inlined
+        when precise and kept when overapproximated, and a precise verdict
+        with every action feasible drops a ``switch``'s default arm that
+        has an arm next to it for every action, where an overapproximated
+        one keeps the arms as declared — and in that case no
+        ``same_specialization`` field moves.  So the overapproximated
+        tables are compared here with the previous call's, and a flipped
+        table is rebuilt as if it had changed; the warm path calls this
+        method on a flip even when ``changed`` is empty
+        (:meth:`overapproximation_moved`).  The
+        output may still equal the previous one — most moved verdicts
+        feed nothing the program prints — and the caller compares the two
+        to decide between forward and recompile.
 
         Any exception clears the memo, so a failed call never leaves a
         half-updated one behind.
@@ -178,6 +181,16 @@ class Specializer:
         except BaseException:
             self.reset()
             raise
+
+    def overapproximation_moved(self, table_verdicts: dict, tables) -> bool:
+        """Whether one of ``tables`` crossed between precise and
+        overapproximated since the previous call (a move no
+        ``same_specialization`` field shows)."""
+        held = self._overapproximated
+        for name in tables:  # a loop: this runs on every forward
+            if table_verdicts[name].overapproximated != (name in held):
+                return True
+        return False
 
     # -- the memo ------------------------------------------------------------
 
@@ -376,7 +389,7 @@ class Specializer:
         return stmt
 
     def _lhs_width(self, lhs) -> Optional[int]:
-        from repro.p4.types import Scope, lvalue_path, scope_for_params
+        from repro.p4.types import scope_for_params
 
         try:
             scope = scope_for_params(self.env, self._current.params)
@@ -452,7 +465,10 @@ class Specializer:
             return [_apply_stmt(table_name)]
 
         feasible = verdict.feasible_actions
-        if len(feasible) == 1:
+        # A kept ``t.apply().hit`` test needs the table, whatever it runs.
+        if len(feasible) == 1 and not (
+            verdict.hit == MAYBE and qualified in self._index.hit_tested
+        ):
             (action_name,) = feasible
             const_args = self._const_args_for(verdict, info, action_name)
             action_decl = self._action_decl(control, action_name)
@@ -544,10 +560,15 @@ class Specializer:
         labelled = {c.action for c in stmt.cases if c.action is not None}
         default_needed = bool(feasible - labelled)
         kept_cases: list[ast.SwitchCase] = []
+        seen: set[str] = set()
         for case in stmt.cases:
-            if case.action is not None and case.action not in feasible:
+            # An arm for an action an earlier arm took never runs.
+            if case.action is not None and (
+                case.action not in feasible or case.action in seen
+            ):
                 self.report.removed_branches += 1
                 continue
+            seen.add(case.action)
             if case.action is None and not default_needed:
                 self.report.removed_branches += 1
                 continue
@@ -679,7 +700,9 @@ class _ProgramIndex:
     apply-block statement to the statement or control containing it, and
     each parser select case to its parser.  ``mentions`` maps a qualified
     table to the statements that apply it, test its ``.hit``/``.miss`` or
-    switch on it.  ``pids`` lists the points annotating each indexed node.
+    switch on it, and ``hit_tested`` holds the tables whose
+    ``.hit``/``.miss`` is tested.  ``pids`` lists the points annotating
+    each indexed node.
     """
 
     def __init__(
@@ -687,6 +710,7 @@ class _ProgramIndex:
     ) -> None:
         self.parent: dict[int, int] = {}
         self.mentions: dict[str, list[int]] = {}
+        self.hit_tested: set[str] = set()
         for decl in program.declarations:
             if isinstance(decl, ast.ControlDecl) and decl.name in controls:
                 self._index_block(decl.name, decl.apply, id(decl))
@@ -709,6 +733,7 @@ class _ProgramIndex:
                 hit_form = _match_apply_hit(stmt.cond)
                 if hit_form is not None:
                     table = hit_form[0]
+                    self.hit_tested.add(f"{control}.{table}")
                 self._index_block(control, stmt.then, key)
                 if stmt.orelse is not None:
                     self._index_block(control, stmt.orelse, key)

@@ -42,6 +42,8 @@ class TypeEnv:
                 self.structs[decl.name] = decl
             elif isinstance(decl, ast.ConstDecl):
                 self.constants[decl.name] = _const_value(decl, self)
+            elif isinstance(decl, ast.ControlDecl):
+                _check_switch_arms(decl, decl.apply)
 
     # -- type resolution -------------------------------------------------------
 
@@ -229,6 +231,31 @@ def lvalue_path(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Member):
         return f"{lvalue_path(expr.expr)}.{expr.name}"
     raise TypeCheckError(f"not an lvalue: {expr!r}")
+
+
+def _check_switch_arms(control: ast.ControlDecl, block: ast.Block) -> None:
+    """Reject a ``switch`` arm naming an action its table does not list
+    (nor runs by default): no selector code stands for it."""
+    for stmt in block.statements:
+        if isinstance(stmt, ast.IfStmt):
+            _check_switch_arms(control, stmt.then)
+            if stmt.orelse is not None:
+                _check_switch_arms(control, stmt.orelse)
+        elif isinstance(stmt, ast.SwitchStmt):
+            table = control.tables_by_name().get(stmt.table)
+            if table is not None:
+                listed = {ref.name for ref in table.actions}
+                if table.default_action is not None:
+                    listed.add(table.default_action.name)
+                for case in stmt.cases:
+                    if case.action is not None and case.action not in listed:
+                        raise TypeCheckError(
+                            f"control {control.name!r}: switch on table "
+                            f"{stmt.table!r} has an arm for action "
+                            f"{case.action!r}, which the table does not list"
+                        )
+            for case in stmt.cases:
+                _check_switch_arms(control, case.body)
 
 
 def _const_value(decl: ast.ConstDecl, env: TypeEnv) -> int:

@@ -136,6 +136,40 @@ class TestBranchSpecialization:
         text = flay.specialized_source()
         assert "t.apply().hit" in text
 
+    def test_hit_maybe_keeps_a_one_action_table(self):
+        """One feasible action without parameters would inline the table,
+        but the kept ``t.apply().miss`` test still applies it: the table
+        and its action stay declared, and the dependency graph finds them."""
+        from repro.ir import build_dependency_graph
+
+        body = """
+        if (t.apply().miss) { meta.m = 1; }
+        """
+        flay = flay_for(BASE.format(locals=TABLE, body=body))
+        flay.process_update(Update("t", INSERT, entry(1, 0xFF, "noop", ())))
+        assert flay.table_verdicts["C.t"].feasible_actions == {"noop"}
+        text = flay.specialized_source()
+        assert "t.apply().miss" in text and "table t" in text
+        assert "C.t" in build_dependency_graph(flay.specialized_program).nodes
+
+    def test_a_repeated_switch_arm_is_dropped(self):
+        """The first arm for an action wins, so a later one never runs;
+        with one feasible action the switch then folds into the table's
+        inlined action and the first arm, leaving no switch on a table
+        the output no longer declares."""
+        body = """
+        switch (t.apply().action_run) {
+            set: { meta.m = 1; }
+            set: { meta.m = 2; }
+            default: { }
+        }
+        """
+        flay = flay_for(BASE.format(locals=TABLE, body=body))
+        flay.process_update(Update("t", INSERT, entry(0, 0, "set", (7,))))
+        text = flay.specialized_source()
+        assert "switch" not in text and "table t" not in text
+        assert "meta.m = 1;" in text and "meta.m = 2;" not in text
+
     def test_switch_arms_filtered(self):
         body = """
         switch (t.apply().action_run) {

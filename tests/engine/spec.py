@@ -32,7 +32,10 @@ class Spec:
             solver_node_budget=engine.ctx.query_engine.solver_node_budget,
         )
         self.points, self.tables = self._derive()
+        self._printed = None  # ((points, tables), their source)
         self.forwarded = []  # the updates of every chunk decided "forward"
+        # The program the device runs: the last one decided "recompile".
+        self.compiled = self.specialized_source()
 
     def _derive(self):
         engine, qe = self.engine, self.query_engine
@@ -68,12 +71,22 @@ class Spec:
 
     def check_decision(self, decision, updates=()) -> None:
         """One chunk's decision (and the ``updates`` it was for) against
-        :meth:`step`."""
+        :meth:`step` and a from-scratch specialization.
+
+        ``changed`` lists the verdicts that moved.  The chunk recompiles
+        exactly when the program printed for the new verdicts differs from
+        the one the device runs; either way the engine's program prints
+        that program, so a forward keeps one that is still right under
+        the new control plane."""
         moved = self.step()
         assert sorted(decision.changed) == moved
-        assert decision.recompiled == bool(moved)
-        assert decision.forwarded == (not moved)
-        if not moved:
+        source = self.specialized_source()
+        assert decision.recompiled == (source != self.compiled)
+        assert decision.forwarded == (not decision.recompiled)
+        assert print_program(self.engine.specialized_program) == source
+        if decision.recompiled:
+            self.compiled = source
+        else:
             self.forwarded.extend(updates)
 
     def check_lowered(self) -> None:
@@ -85,9 +98,15 @@ class Spec:
         assert lowered == [(target.name, u.table, u) for u in forwarded]
 
     def specialized_source(self) -> str:
-        """The program a from-scratch specializer prints for these verdicts."""
-        program, _ = self.specialize(self.points, self.tables)
-        return print_program(program)
+        """The program a from-scratch specializer prints for these verdicts.
+
+        Specializing is a function of the verdicts, so the last source is
+        kept while they stay equal."""
+        verdicts = (self.points, self.tables)
+        if self._printed is None or self._printed[0] != verdicts:
+            program, _ = self.specialize(*verdicts)
+            self._printed = (verdicts, print_program(program))
+        return self._printed[1]
 
     def specialize(self, points: dict, tables: dict) -> tuple:
         """A fresh specializer's ``(program, report)`` for the given verdicts."""

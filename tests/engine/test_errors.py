@@ -131,6 +131,82 @@ class TestUserReachablePaths:
         assert "registered backends" in capsys.readouterr().err
 
 
+#: A ``switch`` arm naming an action ``t`` does not list: no selector code
+#: stands for it.
+UNKNOWN_SWITCH_ARM = """
+header h_t { bit<8> a; bit<8> b; }
+struct headers_t { h_t h; }
+struct meta_t { bit<8> m; bit<8> n; }
+parser P(inout headers_t hdr, inout meta_t meta) {
+    state start { pkt_extract(hdr.h); transition accept; }
+}
+control C(inout headers_t hdr, inout meta_t meta) {
+    action set(bit<8> v) { meta.m = v; }
+    action noop() { }
+    table t {
+        key = { hdr.h.a: exact; }
+        actions = { set; noop; }
+        default_action = noop();
+    }
+    apply {
+        if (hdr.h.b == 8w1) {
+            switch (t.apply().action_run) {
+                set: { meta.n = 8w1; }
+                missing: { meta.n = 8w2; }
+                default: { }
+            }
+        }
+    }
+}
+Pipeline(P(), C()) main;
+"""
+
+
+class TestUnknownSwitchArm:
+    """Rejected by the type check, before prune or analysis sees it."""
+
+    def _assert_names_it(self, err):
+        assert isinstance(err, TypeCheckError) and not isinstance(err, KeyError)
+        for name in ("'C'", "'t'", "'missing'"):
+            assert name in err.message
+
+    def test_the_engine_rejects_it_at_typecheck(self):
+        with pytest.raises(TypeCheckError) as err:
+            Flay(parse_program(UNKNOWN_SWITCH_ARM), FlayOptions(target="none"))
+        self._assert_names_it(err.value)
+        assert err.value.stage == "typecheck"
+
+    @pytest.mark.parametrize("layer", ["analyze", "prune", "interpret", "bmv2"])
+    def test_every_layer_rejects_it(self, layer):
+        from repro.analysis import analyze
+        from repro.analysis.dataflow import AbstractInterpreter, prune_program
+        from repro.targets.bmv2 import Interpreter
+
+        build = {
+            "analyze": analyze,
+            "prune": prune_program,
+            "interpret": AbstractInterpreter,
+            "bmv2": Interpreter,
+        }[layer]
+        with pytest.raises(TypeCheckError) as err:
+            build(parse_program(UNKNOWN_SWITCH_ARM))
+        self._assert_names_it(err.value)
+
+    def test_the_cli_reports_it(self, tmp_path, capsys):
+        source = tmp_path / "bad.p4"
+        source.write_text(UNKNOWN_SWITCH_ARM)
+        assert main(["specialize", str(source), "--target", "none"]) == 2
+        err = capsys.readouterr().err
+        assert "[typecheck]" in err and "'missing'" in err
+
+    def test_the_default_action_is_a_listed_arm(self):
+        source = UNKNOWN_SWITCH_ARM.replace("actions = { set; noop; }", "actions = { set; }")
+        source = source.replace("missing:", "noop:")
+        flay = Flay(parse_program(source), FlayOptions(target="none"))
+        # The empty table always runs its default: the `noop` arm is inlined.
+        assert "meta.n = 8w2;" in flay.specialized_source()
+
+
 FULL_MASK = (1 << 48) - 1
 
 

@@ -19,7 +19,6 @@ from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import INSERT, Update
 from repro.targets.tofino.compiler import TofinoCompiler
 
-from tests.ir.test_deps import COMPILE_DEFECT
 from tests.targets.reference_diff import diff_programs
 
 PROGRAMS = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
@@ -153,16 +152,12 @@ class TestIncrementalCompiler:
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_rollout_delta_equals_reference(name):
     """At every recompile of a policy roll-out, the reported delta is the
-    reference diff of the previous and current specialized programs.  The
-    roll-out leaves out the tables whose entries kill the Tofino compile
-    (``COMPILE_DEFECT``, a specializer defect this test does not cover)."""
+    reference diff of the previous and current specialized programs."""
     entry = registry.get(name)
     flay = Flay(registry.load(name), FlayOptions(target="tofino", skip_parser=entry.skip_parser))
     previous = flay.specialized_program
     recompiles = 0
     for update in EntryFuzzer(flay.model, seed=1).rollout_stream(1):
-        if update.table in COMPILE_DEFECT:
-            continue
         if not flay.process_update(update).recompiled:
             continue
         current = flay.specialized_program
