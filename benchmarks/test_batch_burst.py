@@ -3,15 +3,13 @@
 Replays a SCION burst that sprays inserts across four independent
 per-interface MAC-rewrite tables (each its own conflict group under the
 taint partition) and compares the sequential per-update warm path against
-``apply_batch`` at worker counts 1, 2, and 4.
+one ``decide`` of the whole burst.
 
-The speedup is algorithmic, not parallel: the per-update path re-encodes
-the growing table and re-verdicts its tainted points once per insert
-(O(n) each as the table grows), while the batch path pays one encode and
-one verdict sweep per conflict group.  The worker pool adds determinism-
-preserving concurrency structure on top; on a single-CPU runner it does
-not add cycles, which is why the acceptance bar (≥2× at 4 workers) is
-set against the sequential baseline, not against workers=1.
+The speedup is algorithmic: the per-update path re-encodes the growing
+table and re-verdicts its tainted points once per insert (O(n) each as
+the table grows), while the burst path pays one encode and one verdict
+sweep per conflict group, all on the calling thread.  The acceptance
+bar is ≥2× against the sequential baseline.
 
 Set ``BATCH_BENCH_JSON=/path/out.json`` to dump the measured numbers
 (CI uploads that file as an artifact).
@@ -85,35 +83,29 @@ def test_batch_scheduler_burst_speedup(benchmark, corpus_programs):
     sequential_verdicts = dict(flay.runtime.point_verdicts)
     sequential_source = flay.specialized_source()
 
-    reports = {}
-    for workers in (1, 2, 4):
-        for _ in range(ROUNDS):
-            flay, burst = _workload(corpus_programs)
-            report = flay.apply_batch(burst, workers=workers)
-            reports[workers] = report
-            keep_fastest(f"batch_w{workers}_ms", report.elapsed_ms)
-            assert report.forwarded
-            assert report.group_count == len(TABLES)
-            # Batched output == sequential output, whatever the pool width.
-            assert flay.runtime.point_verdicts == sequential_verdicts
-            assert flay.specialized_source() == sequential_source
+    for _ in range(ROUNDS):
+        flay, burst = _workload(corpus_programs)
+        decision = flay.decide(burst)
+        keep_fastest("batch_ms", decision.elapsed_ms)
+        assert decision.forwarded
+        assert decision.group_count == len(TABLES)
+        # Batched output == sequential output.
+        assert flay.runtime.point_verdicts == sequential_verdicts
+        assert flay.specialized_source() == sequential_source
 
-    # Register the 4-worker batch with pytest-benchmark's statistics.
-    benchmark.pedantic(
-        lambda: _batched(corpus_programs, 4), rounds=3, iterations=1
-    )
+    # Register the burst with pytest-benchmark's statistics.
+    benchmark.pedantic(_batched, args=(corpus_programs,), rounds=3, iterations=1)
 
-    speedup = timings["sequential_ms"] / timings["batch_w4_ms"]
-    timings["speedup_w4"] = speedup
+    speedup = timings["sequential_ms"] / timings["batch_ms"]
+    timings["speedup"] = speedup
     timings["updates"] = len(burst)
-    timings["groups"] = reports[4].group_count
-    timings["coalesced"] = reports[4].coalesced_count
+    timings["groups"] = decision.group_count
+    timings["coalesced"] = decision.coalesced_count
 
     heading("Batch scheduler: 240-insert burst over 4 independent SCION tables")
     print(f"sequential warm path:  {timings['sequential_ms']:8.1f} ms")
-    for workers in (1, 2, 4):
-        print(f"apply_batch workers={workers}: {timings[f'batch_w{workers}_ms']:8.1f} ms")
-    print(f"speedup at 4 workers:  {speedup:8.1f}x  (bar: >= 2x)")
+    print(f"one burst decision:    {timings['batch_ms']:8.1f} ms")
+    print(f"speedup:               {speedup:8.1f}x  (bar: >= 2x)")
 
     out_path = os.environ.get("BATCH_BENCH_JSON")
     if out_path:
@@ -124,9 +116,9 @@ def test_batch_scheduler_burst_speedup(benchmark, corpus_programs):
     assert speedup >= 2.0
 
 
-def _batched(corpus_programs, workers):
+def _batched(corpus_programs):
     flay, burst = _workload(corpus_programs)
-    return flay.apply_batch(burst, workers=workers)
+    return flay.decide(burst)
 
 
 def test_batch_coalescing_collapses_churn(benchmark, corpus_programs):
@@ -143,7 +135,7 @@ def test_batch_coalescing_collapses_churn(benchmark, corpus_programs):
     )
 
     def run():
-        report = flay.apply_batch(churn, workers=2)
+        report = flay.decide(churn)
         # Reset: undo the batch's net effect so every round replays cleanly.
         state = flay.runtime.state.table_state(table)
         survivors = {u.entry.match_key() for u in churn}

@@ -125,7 +125,7 @@ def test_prune_ablation_and_strict_components(benchmark, corpus_programs):
     # -- the scion 240-insert burst through the real scheduler ----------
     def burst_cell():
         flay, burst = scion_burst_workload(corpus_programs)
-        return flay, flay.apply_batch(burst, workers=2)
+        return flay, flay.decide(burst)
 
     flay, report = burst_cell()
     results["scion_burst_updates"] = report.update_count

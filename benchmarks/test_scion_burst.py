@@ -51,7 +51,7 @@ def test_scion_1000_entry_burst(benchmark, corpus_programs):
     heading("§4.2: burst of 1000 unique IPv4 entries into the SCION forwarding table")
     print(decision.describe())
     print(f"(paper: decided 'no recompilation' within a second)")
-    assert decision.updates == 1000
+    assert decision.update_count == 1000
     assert not decision.recompiled
     assert decision.elapsed_ms < 5000
 

@@ -42,7 +42,7 @@ def main() -> None:
         middleblock.PRE_INGRESS_ACL,
     ):
         config.extend(fuzzer.representative_updates(table))
-    flay.process_batch(config)
+    flay.decide(config)
     print(f"baseline config installed "
           f"({flay.runtime.state.update_count} entries)")
 
@@ -66,7 +66,7 @@ def main() -> None:
     forwarded = 0
     for burst_id, burst_events in sorted(bursts.items()):
         batch = [next(route_updates) for _ in burst_events]
-        decision = flay.process_batch(batch)
+        decision = flay.decide(batch)
         total_ms += decision.elapsed_ms
         if decision.recompiled:
             recompiles += 1

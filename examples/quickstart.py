@@ -40,7 +40,7 @@ def main() -> None:
     print(f"\ninitial specializations: {flay.report.summary()}")
 
     banner("2. Insert [key 0x1, mask 0x0] -> set(0x800): inline the action")
-    decision = flay.process_update(
+    decision = flay.decide(
         Update(
             "eth_table",
             INSERT,
@@ -50,14 +50,14 @@ def main() -> None:
     show(flay, decision)
 
     banner("3. Replace with [key 0x2, full mask]: an exact-match table")
-    flay.process_update(
+    flay.decide(
         Update(
             "eth_table",
             DELETE,
             TableEntry((TernaryMatch(0x1, 0x0),), "set", (0x800,), priority=10),
         )
     )
-    decision = flay.process_update(
+    decision = flay.decide(
         Update(
             "eth_table",
             INSERT,
@@ -69,7 +69,7 @@ def main() -> None:
     print("`drop` action is gone from the table.")
 
     banner("4. Insert [key 0x5, mask 0x8]: back to a ternary table")
-    decision = flay.process_update(
+    decision = flay.decide(
         Update(
             "eth_table",
             INSERT,
@@ -79,7 +79,7 @@ def main() -> None:
     show(flay, decision)
 
     banner("5. Insert [key 0x6, mask 0x7]: no behaviour change -> forwarded")
-    decision = flay.process_update(
+    decision = flay.decide(
         Update(
             "eth_table",
             INSERT,

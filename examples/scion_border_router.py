@@ -50,7 +50,7 @@ def main() -> None:
     ]
     for table in scion.ipv4_config_tables():
         updates.extend(fuzzer.representative_updates(table))
-    decision = flay.process_batch(updates)
+    decision = flay.decide(updates)
     print(f"config batch: {decision.describe()}")
 
     specialized = allocate(flay.specialized_program)
@@ -65,7 +65,7 @@ def main() -> None:
             flay.model, "ScionIngress.ipv4_forward", 1000, "deliver_local_v4", seed=23
         )
     )
-    decision = flay.process_batch(
+    decision = flay.decide(
         [Update("ScionIngress.ipv4_forward", INSERT, e) for e in routes]
     )
     print(f"burst: {decision.describe()}")
@@ -81,7 +81,7 @@ def main() -> None:
     ]
     for table in scion.IPV6_ONLY_TABLES:
         enable.extend(fuzzer.representative_updates(table))
-    decision = flay.process_batch(enable)
+    decision = flay.decide(enable)
     print(f"enable-IPv6 batch: {decision.describe()}")
     restored = allocate(flay.specialized_program)
     print(f"stage demand after enabling IPv6: {restored.stages_used} "

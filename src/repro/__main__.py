@@ -5,10 +5,9 @@ Commands:
 * ``stats <prog.p4>`` — program metrics (statements, tables, paths).
 * ``analyze <prog.p4>`` — run the data-plane analysis, print point counts
   and timings (optionally dump the annotated points).
-* ``specialize <prog.p4> [--config cfg.json] [--batch --workers N]`` —
-  specialize against a JSON control-plane configuration and print (or
-  write) the result; ``--batch`` routes the configuration through the
-  coalescing, conflict-group-parallel batch scheduler.
+* ``specialize <prog.p4> [--config cfg.json]`` — specialize against a
+  JSON control-plane configuration, decided as one burst (coalesced and
+  split into conflict groups), and print (or write) the result.
 * ``compile <prog.p4> [--target tofino|bmv2]`` — device-compile and print
   the resource/time report.
 * ``fleet-replay <prog.p4> [--switches N]`` — replay correlated churn
@@ -93,11 +92,7 @@ def cmd_specialize(args) -> int:
     log = bus.attach_log() if args.stats else None
     flay = Flay(program, options, bus=bus)
     if args.config:
-        configuration = config_mod.load(args.config)
-        if args.batch:
-            decision = flay.apply_batch(configuration.updates(), workers=args.workers)
-        else:
-            decision = flay.process_batch(configuration.updates())
+        decision = flay.decide(config_mod.load(args.config).updates())
         print(f"# config: {decision.describe()}", file=sys.stderr)
     if flay.prune_report is not None:
         print(f"# {flay.prune_report.summary()}", file=sys.stderr)
@@ -159,7 +154,6 @@ def cmd_fleet_replay(args) -> int:
         correlation=args.correlation,
         updates_per_burst=args.updates_per_burst,
         divergent_prefix=args.divergent_prefix,
-        workers=args.workers,
     )
     sim = FleetSimulator(source, shared_store=not args.no_shared_store, **kwargs)
     report = sim.run()
@@ -261,19 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print pipeline events and cache hit/miss statistics to stderr",
     )
     p_spec.add_argument(
-        "--batch",
-        action="store_true",
-        help="apply the --config updates through the batch scheduler "
-        "(coalescing + conflict-group parallelism)",
-    )
-    p_spec.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker-pool width for --batch; 0 (the default) auto-detects "
-        "the machine's CPU count via os.cpu_count()",
-    )
-    p_spec.add_argument(
         "--target",
         default="none",
         help=f"device backend: {', '.join(available_targets())}, or none",
@@ -335,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument("--json", help="write a JSON summary here")
     p_fleet.add_argument("--skip-parser", action="store_true")
-    p_fleet.add_argument("--workers", type=int, default=1)
     p_fleet.add_argument(
         "--target",
         default="tofino",

@@ -305,8 +305,10 @@ class AbstractInterpreter:
             else:
                 raise AnalysisError(f"assignment to unknown path {path!r}")
         old = ctx.store.read(path)
-        width = old.width
-        value = self._sx.to_term(stmt.rhs, unit, ctx, width)
+        value = self._sx.to_term(stmt.rhs, unit, ctx, old.width)
+        if old.is_bv and value.is_bv:
+            # Truncated or zero-extended to the destination, as on the target.
+            value = self._sx._cast(value, old.width)
         self._write(ctx, path, value)
         written = ctx.store.read(path)
         folded = constant_value(written)

@@ -430,8 +430,11 @@ class SymbolicExecutor:
             else:
                 raise AnalysisError(f"assignment to unknown path {path!r}")
         old = ctx.store.read(path)
-        width = old.width
-        value = self.to_term(stmt.rhs, unit, ctx, width)
+        value = self.to_term(stmt.rhs, unit, ctx, old.width)
+        if old.is_bv and value.is_bv:
+            # A sized right-hand side keeps the low bits that fit the
+            # destination (or is zero-extended to it), as on the target.
+            value = self._cast(value, old.width)
         self._write(ctx, path, value)
         self._add_point(
             KIND_ASSIGN,

@@ -1,7 +1,7 @@
 """Flay core: the public names of the :mod:`repro.engine` pipeline."""
 
 from repro.core.flay import Flay, FlayOptions, FlayTimings
-from repro.engine.pipeline import BatchDecision, UpdateDecision
+from repro.engine.pipeline import Decision
 from repro.engine.queries import (
     ALWAYS,
     MAYBE,

@@ -5,13 +5,15 @@ Typical use::
     from repro.core import Flay, FlayOptions
 
     flay = Flay.from_source(p4_source, FlayOptions(target="tofino"))
-    decision = flay.process_update(update)   # ~ms: forward or recompile
+    decision = flay.decide(update)    # ~ms: forward or recompile
+    decision = flay.decide([u1, u2])  # a burst, decided as one unit
     print(flay.specialized_source())
 
 ``Flay`` *is* the :class:`repro.engine.engine.Engine`: construction runs
 the cold pipeline (parse → typecheck → analyze → encode → specialize →
-lower) and every ``process_update``/``process_batch``/``apply_batch``
-call runs the warm per-update path.  This module adds only the
+lower) and every ``decide`` call runs the warm path, for one update or
+one burst, and returns one :class:`~repro.engine.pipeline.Decision`.
+This module adds only the
 source-string constructor and two printers.  Pass an
 :class:`~repro.engine.events.EventBus` via ``bus=`` to observe typed
 pipeline events (pass timings, cache activity, forward/recompile

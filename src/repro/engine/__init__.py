@@ -6,7 +6,8 @@ over one shared :class:`~repro.engine.context.EngineContext`:
 * the **cold pipeline** — parse → typecheck → data-plane analysis →
   initial specialization → target lowering — run once per program, and
 * the **warm path** — apply updates → re-verdict points/tables →
-  respecialize-or-forward — run per control-plane update (or batch).
+  respecialize-or-forward — run by :meth:`Engine.decide` per
+  control-plane update (a burst goes through the batch scheduler).
 
 Progress, cache activity, and forward/recompile outcomes are published as
 typed events on the context's :class:`~repro.engine.events.EventBus`;
@@ -15,7 +16,6 @@ stage that raised them.
 """
 
 from repro.engine.batch import (
-    BatchReport,
     CoalescedOp,
     CoalesceResult,
     ConflictGroup,
@@ -43,9 +43,4 @@ from repro.engine.events import (
     UpdateProcessed,
 )
 from repro.engine.passes import Pass, PassManager
-from repro.engine.pipeline import (
-    BatchDecision,
-    UpdateDecision,
-    cold_passes,
-    warm_passes,
-)
+from repro.engine.pipeline import Decision, cold_passes, warm_passes

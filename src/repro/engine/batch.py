@@ -1,8 +1,9 @@
-"""Batched, dependency-aware parallel update processing (the warm path at burst scale).
+"""The burst scheduler: the warm path for a list of updates.
 
 Real control planes deliver updates in *bursts* — route flaps, table
-rollouts — and the per-update warm path serializes them even when they
-touch independent tables.  This module is the burst scheduler:
+rollouts.  :meth:`~repro.engine.engine.Engine.decide` hands a list or
+tuple of updates to :func:`schedule_batch`, which decides the burst as
+one unit, on the calling thread:
 
 1. **Coalesce** — redundant updates are folded per ``(table, match key)``:
    insert-then-delete cancels, modify-after-insert collapses into the
@@ -17,43 +18,37 @@ touch independent tables.  This module is the burst scheduler:
    common program point (the model's control-variable taint index).
    Groups are independent by construction: no program point, control
    symbol, or memo entry is touched by two groups.
-3. **Execute** — with one worker or one group the groups run inline on
-   the calling thread; otherwise they run on a :mod:`concurrent.futures`
-   thread pool.  Either way each group gets a private
-   :class:`WorkerSlice` over the shared :class:`EngineContext`: a
-   copy-on-write view of the delta-substitution memo plus layered
-   verdict/solver caches, so nothing shared is written while siblings
-   read.  Building a slice copies nothing: its solver is a plain
+3. **Execute** — the groups run one after the other, in group order.
+   Each runs against a private :class:`WorkerSlice` over the shared
+   :class:`EngineContext`: a copy-on-write view of the delta-substitution
+   memo plus layered verdict/solver caches, so a group writes only its
+   slice.  Building a slice copies nothing: its solver is a plain
    :class:`~repro.smt.solver.Solver` whose result memo is layered over
    the shared one (the solver keeps no other state between queries).
-   The hash-consing term factory *is* shared (its interning is a
-   single atomic dict operation), which keeps term identity — and
-   therefore every downstream memo key — consistent across workers.
-4. **Merge** — after the pool joins, the slices' cache overlays are
-   grafted into the shared context on the main thread, in deterministic
-   group order (first-seen input index), and verdict changes are
-   collected.  A double-counting tripwire checks that per-worker
+   The hash-consing term factory is shared, which keeps term identity —
+   and therefore every downstream memo key — consistent across slices.
+4. **Merge** — the slices' cache overlays are grafted into the shared
+   context in group order (first-seen input index), and verdict changes
+   are collected.  A double-counting tripwire checks that per-slice
    solver/gate stat deltas sum exactly to the merged delta.
 
-Results are deterministic and byte-identical to sequential processing
-across all worker counts: verdicts and the specialized program are pure
-functions of the final control-plane state, and forwarded updates are
-lowered in their original input order — not per-group — so the device
-sees the exact stream a sequential warm path would have sent.
+The burst respecializes at most once.  Verdicts and the specialized
+program are pure functions of the final control-plane state, and
+forwarded updates are lowered in their original input order — not per
+group — so the device sees the exact stream a sequential warm path would
+have sent.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.engine.context import EngineContext
 from repro.engine.events import BatchMerged, BatchScheduled
 from repro.engine.gate import GateStats
-from repro.engine.pipeline import _compile, describe_points, respecialize
+from repro.engine.pipeline import Decision, _compile, respecialize
 from repro.engine.queries import PointReverdicts, QueryEngine
 from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
@@ -94,6 +89,9 @@ class CoalescedOp:
 class CoalesceResult:
     ops: list  # CoalescedOps, sorted by anchor
     input_count: int
+    # Every input update with its match key (None for a value set), in
+    # input order — the folded-away ones included.
+    keyed: list = field(default_factory=list)
 
     @property
     def output_count(self) -> int:
@@ -128,17 +126,22 @@ def coalesce(
     delete of a key the batch already deleted) raise :class:`EntryError`
     up front — exactly the sequences sequential application would reject —
     before any state is touched.  Validity that depends on pre-batch state
-    (e.g. the first delete of a key) is the caller's half of
-    all-or-nothing: :func:`schedule_batch` runs the net ops, with the
-    match keys computed here, through ``ControlPlaneState.check`` before
-    it commits the first.
+    (e.g. the first delete of a key) or on an entry's schema is the
+    caller's half of all-or-nothing: :func:`schedule_batch` runs every
+    input update, with the match keys computed here, through
+    ``ControlPlaneState.check`` before it commits the first net op.  The
+    updates the fold drops — an insert and its delete, an overwritten
+    modify — are checked too, so a burst fails exactly when sequential
+    application would.
     """
     table_of = resolve_table if resolve_table is not None else lambda name: name
     vs_of = resolve_value_set if resolve_value_set is not None else lambda name: name
     slots: dict[tuple, _Slot] = {}
     value_sets: dict[str, list] = {}  # name -> [anchor, values, sources]
+    keyed: list = []
     for index, update in enumerate(updates):
         if isinstance(update, ValueSetUpdate):
+            keyed.append((update, None))
             name = vs_of(update.value_set)
             slot = value_sets.get(name)
             if slot is None:
@@ -149,6 +152,7 @@ def coalesce(
             continue
         table = table_of(update.table)
         key = (table, update.entry.match_key())
+        keyed.append((update, key[1]))
         slot = slots.setdefault(key, _Slot())
         if update.op == INSERT:
             if slot.live:
@@ -202,7 +206,7 @@ def coalesce(
             CoalescedOp(ValueSetUpdate(name, tuple(values)), anchor, tuple(sources))
         )
     ops.sort(key=lambda op: op.anchor)
-    return CoalesceResult(ops=ops, input_count=len(updates))
+    return CoalesceResult(ops=ops, input_count=len(updates), keyed=keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,7 @@ def partition(ctx: EngineContext, coalesced: CoalesceResult) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Worker slices — layered caches over the shared context
+# Slices — layered caches over the shared context
 # ---------------------------------------------------------------------------
 
 
@@ -374,7 +378,7 @@ class LayeredMemo:
 
 
 class WorkerSlice:
-    """Per-worker view of the shared engine state.
+    """One conflict group's view of the shared engine state.
 
     The slice owns everything a conflict group's warm work writes: a
     copy-on-write substitution view and a private query engine and
@@ -397,8 +401,8 @@ class WorkerSlice:
         )
         solver._results = LayeredCache(shared_solver._results)
         # The verdict gate forks too: shared FDDs (read-only during group
-        # execution — all state mutation happened up front on the main
-        # thread), overlaid witness records, private counters.
+        # execution — all state mutation happened up front), overlaid
+        # witness records, private counters.
         self.query_engine = QueryEngine(
             ctx.model,
             solver=solver,
@@ -408,7 +412,7 @@ class WorkerSlice:
         self.query_engine._exec_cache = LayeredCache(shared_qe._exec_cache)
         self.query_engine._simplify_memo = simplify_memo
         # Tree sizes are pure, so the slice writes the shared memo directly
-        # (two workers can only ever store the same size for a term).
+        # (two slices can only ever store the same size for a term).
         self.query_engine._tree_sizes = shared_qe._tree_sizes
         # So are overapproximated verdicts, one per table (and conflict
         # groups partition the tables).
@@ -428,7 +432,7 @@ class WorkerSlice:
     def merge_into(self, ctx: EngineContext) -> tuple[int, int]:
         """Fold this slice's cache deltas into the shared context.
 
-        Runs on the main thread after the pool joins.  Returns
+        Runs after every group has run.  Returns
         ``(memo_entries, verdict_entries)`` grafted, for the
         :class:`~repro.engine.events.BatchMerged` event.
         """
@@ -469,7 +473,7 @@ class WorkerSlice:
 
 @dataclass
 class GroupOutcome:
-    """Everything one worker computed for its group."""
+    """Everything one group's run computed, in its slice."""
 
     group: ConflictGroup
     slice: WorkerSlice
@@ -486,10 +490,10 @@ class GroupOutcome:
 
 
 def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> GroupOutcome:
-    """The warm path of one conflict group, against a worker slice.
+    """The warm path of one conflict group, against its slice.
 
-    The control-plane state was already mutated on the main thread; this
-    function only *reads* shared state (its own group's tables) and
+    The control-plane state was already mutated up front; this function
+    only *reads* shared state (its own group's tables) and
     writes the slice.  Like the sequential warm path it re-queries only
     the points tainted by a symbol the slice's ``set_many`` found
     re-assigned.
@@ -536,35 +540,35 @@ def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> G
 
 def _verify_merge_accounting(
     merged_solver: SolverStats,
-    worker_solver: SolverStats,
+    slice_solver: SolverStats,
     merged_gate: GateStats,
-    worker_gate: GateStats,
+    slice_gate: GateStats,
 ) -> None:
     """The double-counting tripwire behind :class:`BatchMerged`.
 
-    Each worker's solver/gate stats start at zero when its slice forks
-    and are absorbed into the shared objects exactly once during the
-    merge, so the shared delta across the merge must equal the sum of
-    the per-worker deltas — field for field.  A mismatch means a merge
-    path absorbed some worker twice (or dropped one) and is a bug.
+    Each slice's solver/gate stats start at zero when it forks and are
+    absorbed into the shared objects exactly once during the merge, so
+    the shared delta across the merge must equal the sum of the
+    per-slice deltas — field for field.  A mismatch means a merge path
+    absorbed some slice twice (or dropped one) and is a bug.
     """
     for name in ("by_simplify", "by_interval", "by_sat", "by_cache", "probes"):
         merged = getattr(merged_solver, name)
-        summed = getattr(worker_solver, name)
+        summed = getattr(slice_solver, name)
         if merged != summed:
             raise AssertionError(
-                f"batch merge miscounted SolverStats.{name}: per-worker "
+                f"batch merge miscounted SolverStats.{name}: per-slice "
                 f"deltas sum to {summed}, merged delta is {merged}"
             )
-    if merged_solver.search != worker_solver.search:
+    if merged_solver.search != slice_solver.search:
         raise AssertionError(
-            "batch merge miscounted SAT search stats: per-worker deltas sum "
-            f"to {worker_solver.search}, merged delta is {merged_solver.search}"
+            "batch merge miscounted SAT search stats: per-slice deltas sum "
+            f"to {slice_solver.search}, merged delta is {merged_solver.search}"
         )
-    if merged_gate != worker_gate:
+    if merged_gate != slice_gate:
         raise AssertionError(
-            "batch merge miscounted GateStats: per-worker deltas sum to "
-            f"{worker_gate}, merged delta is {merged_gate}"
+            "batch merge miscounted GateStats: per-slice deltas sum to "
+            f"{slice_gate}, merged delta is {merged_gate}"
         )
 
 
@@ -575,58 +579,17 @@ def _verify_merge_accounting(
 
 @dataclass
 class GroupDecision:
-    """Per-group outcome recorded on the batch report."""
+    """Per-group outcome recorded on a burst's :class:`Decision`."""
 
     index: int
     tables: tuple
     value_sets: tuple
     net_updates: int  # coalesced ops executed
     source_updates: int  # original updates folded into them
-    affected_points: int  # points tainted (see UpdateDecision)
+    affected_points: int  # points tainted (see Decision)
     changed: list
     redecided_points: int = 0
     unchanged_points: int = 0
-
-
-@dataclass
-class BatchReport:
-    """Outcome of one scheduled batch (the ``apply_batch`` decision)."""
-
-    update_count: int  # updates as submitted
-    coalesced_count: int  # net updates after coalescing
-    group_count: int
-    workers: int
-    affected_points: int = 0  # points tainted, summed over the groups
-    redecided_points: int = 0
-    unchanged_points: int = 0
-    # Table names + pids whose verdict changed, in group order.
-    changed: list = field(default_factory=list)
-    # The respecialized program differed from the one last compiled.
-    recompiled: bool = False
-    elapsed_ms: float = 0.0
-    compile_report: object = None
-    groups: list = field(default_factory=list)  # GroupDecisions
-
-    @property
-    def forwarded(self) -> bool:
-        return not self.recompiled
-
-    @property
-    def updates(self) -> int:
-        return self.update_count
-
-    def describe(self) -> str:
-        action = "RECOMPILE" if self.recompiled else "forward"
-        points = describe_points(
-            self.affected_points, self.redecided_points, self.unchanged_points
-        )
-        return (
-            f"{action}: batch of {self.update_count} updates "
-            f"({self.coalesced_count} after coalescing, "
-            f"{self.group_count} conflict groups, "
-            f"{self.workers} workers), {points}; "
-            f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -634,29 +597,16 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
-def resolve_workers(workers: int) -> int:
-    """Pool width; 0 (or negative) auto-detects the machine's CPU count."""
-    workers = int(workers)
-    if workers <= 0:
-        return os.cpu_count() or 1
-    return workers
-
-
-def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> BatchReport:
+def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
     """Coalesce, partition, execute, and merge one burst of updates.
 
-    ``workers`` bounds the pool width (0 auto-detects the CPU count).
-    With one worker or one group the groups run inline on the calling
-    thread, otherwise on a thread pool — through the same
-    :func:`run_group` either way, so every pool width is byte-identical
-    by construction.
+    The groups run one after the other on the calling thread, each
+    through :func:`run_group` against its own slice.
     """
     start = time.perf_counter()
-    # Between decisions and before the pool starts: the one point of a
-    # burst where a term collection may run.
+    # Between decisions: the one point of a burst where a term collection
+    # may run.
     ctx.term_factory.collect_if_due()
-    updates = list(updates)
-    workers = resolve_workers(workers)
     model = ctx.model
     coalesced = coalesce(
         updates,
@@ -670,29 +620,18 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
                 update_count=len(updates),
                 coalesced_count=coalesced.output_count,
                 group_count=len(groups),
-                workers=workers,
             )
         )
 
-    # State mutation happens up front, on the calling thread, in anchor
-    # order — workers then only read their own group's tables.  Every
-    # net op is checked against the pre-batch state first, so a bad one
-    # leaves no trace.
-    for update, key in ctx.state.check((op.update, op.key) for op in coalesced.ops):
-        ctx.state.commit(update, key)
+    # State mutation happens up front, in anchor order — a group then
+    # only reads its own tables.  Every input update, folded or not, is
+    # checked against the pre-batch state first, so a bad one leaves no
+    # trace; a valid input stream makes its net ops valid.
+    ctx.state.check(coalesced.keyed)
+    for op in coalesced.ops:
+        ctx.state.commit(op.update, op.key)
 
-    slices = [WorkerSlice(ctx) for _ in groups]
-    if workers == 1 or len(groups) <= 1:
-        outcomes = [
-            run_group(ctx, group, piece) for group, piece in zip(groups, slices)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            futures = [
-                pool.submit(run_group, ctx, group, piece)
-                for group, piece in zip(groups, slices)
-            ]
-            outcomes = [future.result() for future in futures]
+    outcomes = [run_group(ctx, group, WorkerSlice(ctx)) for group in groups]
 
     # Merge, in deterministic group order.
     merge_start = time.perf_counter()
@@ -700,8 +639,8 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     shared_gate = ctx.query_engine.gate
     solver_before = shared_solver.stats.snapshot()
     gate_before = shared_gate.stats.snapshot()
-    worker_solver = SolverStats()
-    worker_gate = GateStats()
+    slice_solver = SolverStats()
+    slice_gate = GateStats()
     changed: list = []
     tables: list = []  # every re-encoded table
     affected_points = redecided_points = unchanged_points = 0
@@ -711,8 +650,8 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     for outcome in outcomes:
         # A slice's solver and gate stats start at zero when it forks.
         slice_qe = outcome.slice.query_engine
-        worker_solver.absorb(slice_qe.solver.stats)
-        worker_gate.absorb(slice_qe.gate.stats)
+        slice_solver.absorb(slice_qe.solver.stats)
+        slice_gate.absorb(slice_qe.gate.stats)
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
         tables.extend(outcome.assignments)
@@ -741,7 +680,7 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
         )
     merged_solver = shared_solver.stats.since(solver_before)
     merged_gate = shared_gate.stats.since(gate_before)
-    _verify_merge_accounting(merged_solver, worker_solver, merged_gate, worker_gate)
+    _verify_merge_accounting(merged_solver, slice_solver, merged_gate, slice_gate)
     if ctx.bus.active:
         ctx.bus.emit(
             BatchMerged(
@@ -749,9 +688,9 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
                 merged_memo_entries=memo_entries,
                 merged_verdict_entries=verdict_entries,
                 elapsed_ms=(time.perf_counter() - merge_start) * 1000,
-                worker_solver_queries=worker_solver.total,
+                worker_solver_queries=slice_solver.total,
                 merged_solver_queries=merged_solver.total,
-                worker_gate_screens=worker_gate.screened,
+                worker_gate_screens=slice_gate.screened,
                 merged_gate_screens=merged_gate.screened,
             )
         )
@@ -761,24 +700,22 @@ def schedule_batch(ctx: EngineContext, updates: list, workers: int = 1) -> Batch
     if recompiled and ctx.target is not None:
         compile_report = _compile(ctx)
 
-    return BatchReport(
+    return Decision(
+        recompiled,
+        changed,
+        affected_points,
+        redecided_points,
+        unchanged_points,
+        (time.perf_counter() - start) * 1000,
+        compile_report=compile_report,
         update_count=len(updates),
         coalesced_count=coalesced.output_count,
         group_count=len(groups),
-        workers=workers,
-        affected_points=affected_points,
-        redecided_points=redecided_points,
-        unchanged_points=unchanged_points,
-        changed=changed,
-        recompiled=recompiled,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
-        compile_report=compile_report,
         groups=group_decisions,
     )
 
 
 __all__ = [
-    "BatchReport",
     "CoalesceResult",
     "CoalescedOp",
     "ConflictGroup",
@@ -790,7 +727,6 @@ __all__ = [
     "coalesce",
     "conflict_components",
     "partition",
-    "resolve_workers",
     "run_group",
     "schedule_batch",
 ]

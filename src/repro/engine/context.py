@@ -103,8 +103,7 @@ class EngineContext:
     lowered_updates: list = field(default_factory=list)
     # Conflict components for the batch scheduler (entity → component
     # root), computed lazily from the model's taint index on the first
-    # ``apply_batch`` — it is fixed per program, so this never
-    # invalidates.
+    # burst — it is fixed per program, so this never invalidates.
     batch_components: Optional[dict] = None
     # Fleet shared store (a repro.fleet.store.SharedStore, or None when the
     # engine runs standalone).  ``store_hit`` records whether the cold
@@ -228,7 +227,7 @@ WARM_STATE: tuple = (
     WarmRow("gate._records.map", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("point_verdicts", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("table_verdicts", KEY_VALUE, CARRIED, ENGINE),
-    # Computed from the model on the first ``apply_batch``.
+    # Computed from the model on the first burst.
     WarmRow("batch_components", KEY_VALUE, REBUILT, ENGINE),
     WarmRow("specializer._memo", KEY_NODE, LOCAL, ENGINE),
     WarmRow("specializer._node_verdicts", KEY_NODE, LOCAL, ENGINE),

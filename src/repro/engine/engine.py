@@ -3,9 +3,9 @@
 ``Engine`` is the runtime; :class:`repro.core.Flay` subclasses it with a
 source-string constructor and printers.  It owns one
 :class:`~repro.engine.context.EngineContext`, runs the declared cold
-pass sequence at construction, and runs a declared warm sequence for
-every control-plane update, batch, or value-set update.  All state lives
-on the context; the engine's attributes are views over it.
+pass sequence at construction, and answers every control-plane update
+or burst through :meth:`Engine.decide`.  All state lives on the
+context; the engine's attributes are views over it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.engine.batch import BatchReport, schedule_batch
+from repro.engine.batch import schedule_batch
 from repro.engine.context import EngineContext, EngineOptions, EngineTimings
 from repro.engine.events import (
     CacheActivity,
@@ -26,8 +26,7 @@ from repro.engine.events import (
 )
 from repro.engine.passes import PassManager
 from repro.engine.pipeline import (
-    BatchDecision,
-    UpdateDecision,
+    Decision,
     WarmState,
     cold_passes,
     restore_passes,
@@ -78,10 +77,7 @@ class Engine:
         self._cold = PassManager(
             restore_passes() if restore_blob is not None else cold_passes()
         )
-        self._warm = {
-            mode: PassManager(warm_passes(mode))
-            for mode in ("update", "value_set", "batch")
-        }
+        self._warm = PassManager(warm_passes())
         # No term of this engine exists yet: a due collection runs here.
         DEFAULT_FACTORY.collect_if_due()
         self._cold.run(self.ctx)
@@ -147,117 +143,27 @@ class Engine:
 
     # -- update processing -----------------------------------------------------
 
-    def process_update(self, update) -> UpdateDecision:
-        """The per-update fast path; aims for the paper's ~100 ms budget."""
-        return self._process_one("update", update)
+    def decide(self, item) -> Decision:
+        """Forward or recompile: the paper's one question, for one input.
 
-    def process_value_set_update(self, update) -> UpdateDecision:
-        return self._process_one("value_set", update)
-
-    def _process_one(self, mode: str, update) -> UpdateDecision:
-        warm, elapsed_ms = self._run_warm(mode, [update])
-        # A value-set update re-encodes no table: never overapproximated.
-        assignment = next(iter(warm.assignments.values()), None)
-        # Positional: keyword arguments more than double the cost of this
-        # once-per-update constructor.
-        decision = UpdateDecision(
-            update,
-            warm.recompiled,
-            warm.affected,  # affected_points
-            warm.changed,
-            elapsed_ms,
-            bool(assignment and assignment.overapproximated),
-            warm.compile_report,
-            warm.redecided,  # redecided_points
-            warm.unchanged,  # unchanged_points
-        )
-        self._log(mode, warm, decision)
-        return decision
-
-    def process_batch(self, updates: list) -> BatchDecision:
-        """Process a burst as one unit, respecializing at most once.
-
-        This is the §4.2 burst scenario: a thousand semantics-preserving
-        route insertions should be waved through with one decision.
+        A single :class:`~repro.runtime.semantics.Update` or
+        :class:`~repro.runtime.semantics.ValueSetUpdate` runs the warm
+        passes (aiming for the paper's ~100 ms budget) and reports changed
+        points before its table.  A list or tuple is a burst: it runs the
+        burst scheduler (coalesce, partition into conflict groups, run each
+        group, merge) inline on the calling thread, and respecializes at
+        most once.  The input's type picks the path, not its length, so a
+        one-update list is a burst.  Forwarded updates reach the device in
+        the order they were submitted.
         """
-        warm, elapsed_ms = self._run_warm("batch", list(updates))
-        decision = BatchDecision(
-            update_count=len(warm.updates),
-            recompiled=warm.recompiled,
-            changed=warm.changed,
-            affected_points=warm.affected,
-            elapsed_ms=elapsed_ms,
-            compile_report=warm.compile_report,
-            redecided_points=warm.redecided,
-            unchanged_points=warm.unchanged,
-        )
-        self._log("batch", warm, decision)
-        return decision
-
-    def apply_batch(self, updates: list, workers: int = 1) -> BatchReport:
-        """Process a burst through the batch scheduler (coalesce + groups).
-
-        Unlike :meth:`process_batch` — which re-encodes every touched table
-        and re-checks every affected point in one sequential sweep — this
-        path coalesces redundant updates away, partitions the survivors
-        into independent conflict groups, and runs the groups on a worker
-        pool of the given width (``workers=0`` auto-detects the CPU
-        count).  The outcome is deterministic and byte-identical across
-        worker counts; forwarded updates are lowered in their original
-        submission order, exactly as a sequential warm path would have
-        sent them.
-        """
+        if isinstance(item, (list, tuple)):
+            return self._decide_burst(list(item))
         ctx = self.ctx
-        updates = list(updates)
-        baseline = (
-            [c.snapshot() for c in ctx.cache_counters()] if ctx.bus.active else None
-        )
-        solver_before = (
-            ctx.query_engine.solver.stats.snapshot() if ctx.bus.active else None
-        )
-        gate_before = ctx.gate.snapshot() if ctx.bus.active else None
-        try:
-            report = schedule_batch(ctx, updates, workers=workers)
-        except BaseException:
-            ctx.specializer.reset()
-            raise
-        if baseline is not None:
-            self._emit_activity(baseline, solver_before, gate_before)
-        ctx.update_log.append(report)
-        if not report.recompiled and ctx.target is not None:
-            # The device still needs every submitted write (coalescing is a
-            # verdict-side optimization), in the order it was submitted.
-            for lowered in ctx.target.lower_batch(updates):
-                ctx.lowered_updates.append(lowered)
-                if ctx.bus.active:
-                    ctx.bus.emit(
-                        UpdateLowered(target=lowered.target, table=lowered.table)
-                    )
-        if ctx.bus.active:
-            ctx.bus.emit(
-                UpdateProcessed(
-                    kind="batch",
-                    forwarded=report.forwarded,
-                    recompiled=report.recompiled,
-                    update_count=report.update_count,
-                    affected_points=report.affected_points,
-                    changed=len(report.changed),
-                    elapsed_ms=report.elapsed_ms,
-                )
-            )
-        return report
-
-    def _run_warm(self, mode: str, updates: list) -> tuple:
-        ctx = self.ctx
-        active = ctx.bus.active
-        if active:
-            baseline = [c.snapshot() for c in ctx.cache_counters()]
-            solver_before = ctx.query_engine.solver.stats.snapshot()
-            gate_before = ctx.gate.snapshot()
+        before = self._activity_snapshot() if ctx.bus.active else None
         start = time.perf_counter()
-        ctx.warm = warm = WarmState(updates, mode)
+        ctx.warm = warm = WarmState(item)
         try:
-            self._warm[mode].run(ctx)
+            self._warm.run(ctx)
         except BaseException:
             # A run that fails part-way may have moved verdicts that no
             # specialize call has seen; the next one starts from scratch.
@@ -266,9 +172,71 @@ class Engine:
         finally:
             ctx.warm = None
         elapsed_ms = (time.perf_counter() - start) * 1000
-        if active:
-            self._emit_activity(baseline, solver_before, gate_before)
-        return warm, elapsed_ms
+        if before is not None:
+            self._emit_activity(*before)
+        # A value-set update re-encodes no table: never overapproximated.
+        assignment = next(iter(warm.assignments.values()), None)
+        # Positional: keyword arguments more than double the cost of this
+        # once-per-update constructor.
+        decision = Decision(
+            warm.recompiled,
+            warm.changed,
+            warm.affected,  # affected_points
+            warm.redecided,  # redecided_points
+            warm.unchanged,  # unchanged_points
+            elapsed_ms,
+            bool(assignment and assignment.overapproximated),
+            warm.compile_report,
+        )
+        self._log("update", decision)
+        return decision
+
+    def _decide_burst(self, updates: list) -> Decision:
+        ctx = self.ctx
+        before = self._activity_snapshot() if ctx.bus.active else None
+        try:
+            # Called through this module's global, where tracing wraps it.
+            decision = schedule_batch(ctx, updates)
+        except BaseException:
+            ctx.specializer.reset()
+            raise
+        if before is not None:
+            self._emit_activity(*before)
+        if not decision.recompiled and ctx.target is not None:
+            # The device still needs every submitted write (coalescing is a
+            # verdict-side optimization), in the order it was submitted.
+            for lowered in ctx.target.lower_batch(updates):
+                ctx.lowered_updates.append(lowered)
+                if ctx.bus.active:
+                    ctx.bus.emit(
+                        UpdateLowered(target=lowered.target, table=lowered.table)
+                    )
+        self._log("batch", decision)
+        return decision
+
+    def process_update(self, update) -> Decision:
+        """``decide(update)``; kept because the end-to-end benchmark calls it."""
+        return self.decide(update)
+
+    def process_batch(self, updates) -> Decision:
+        """``decide(list(updates))``; kept because the end-to-end benchmark
+        calls it."""
+        return self.decide(list(updates))
+
+    def apply_batch(self, updates, workers=None) -> Decision:
+        """``decide(list(updates))``; kept because the end-to-end benchmark
+        calls it (with ``workers=0``, which is ignored: bursts run inline)."""
+        return self.decide(list(updates))
+
+    def _activity_snapshot(self) -> tuple:
+        """The cache, solver and gate counters :meth:`_emit_activity`
+        reports the deltas of."""
+        ctx = self.ctx
+        return (
+            [c.snapshot() for c in ctx.cache_counters()],
+            ctx.query_engine.solver.stats.snapshot(),
+            ctx.gate.snapshot(),
+        )
 
     def _emit_activity(self, baseline, solver_before, gate_before) -> None:
         """Emit per-run cache and SAT-core deltas (bus known to be active)."""
@@ -284,20 +252,19 @@ class Engine:
                         invalidations=delta.invalidations,
                     )
                 )
-        if solver_before is not None:
-            stats = ctx.query_engine.solver.stats.since(solver_before)
-            if stats.probes:
-                ctx.bus.emit(
-                    SolverActivity(
-                        probes=stats.probes,
-                        decisions=stats.search.decisions,
-                        conflicts=stats.search.conflicts,
-                        propagations=stats.search.propagations,
-                        learned=stats.search.learned,
-                        restarts=stats.search.restarts,
-                        probe_us=stats.probe_us_total,
-                    )
+        stats = ctx.query_engine.solver.stats.since(solver_before)
+        if stats.probes:
+            ctx.bus.emit(
+                SolverActivity(
+                    probes=stats.probes,
+                    decisions=stats.search.decisions,
+                    conflicts=stats.search.conflicts,
+                    propagations=stats.search.propagations,
+                    learned=stats.search.learned,
+                    restarts=stats.search.restarts,
+                    probe_us=stats.probe_us_total,
                 )
+            )
         delta = ctx.gate.snapshot().since(gate_before)
         if delta.screened or delta.fdd_rebuilds:
             ctx.bus.emit(
@@ -311,19 +278,19 @@ class Engine:
                 )
             )
 
-    def _log(self, mode: str, warm: WarmState, decision) -> None:
+    def _log(self, kind: str, decision: Decision) -> None:
         """Record the decision and publish its outcome event."""
         ctx = self.ctx
         ctx.update_log.append(decision)
         if ctx.bus.active:
             ctx.bus.emit(
                 UpdateProcessed(
-                    kind=mode,
+                    kind=kind,
                     forwarded=decision.forwarded,
                     recompiled=decision.recompiled,
-                    update_count=len(warm.updates),
-                    affected_points=warm.affected,
-                    changed=len(warm.changed),
+                    update_count=decision.update_count,
+                    affected_points=decision.affected_points,
+                    changed=len(decision.changed),
                     elapsed_ms=decision.elapsed_ms,
                 )
             )

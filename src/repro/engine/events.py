@@ -51,14 +51,14 @@ class CacheActivity(Event):
 
 @dataclass(frozen=True)
 class UpdateProcessed(Event):
-    """Outcome of one warm run (single update, value-set update, or batch).
+    """Outcome of one ``Engine.decide`` call (one update or one burst).
 
     ``affected_points`` counts the points visited — those tainted by a
     control symbol whose assignment changed; 0 is the normal forward.  How
     many of them were re-decided is on the decision record.
     """
 
-    kind: str  # "update" | "value_set" | "batch"
+    kind: str  # "update" (one Update or ValueSetUpdate) | "batch" (a burst)
     forwarded: bool
     recompiled: bool
     update_count: int
@@ -90,38 +90,37 @@ class BatchScheduled(Event):
     update_count: int  # updates as submitted
     coalesced_count: int  # net updates after coalescing
     group_count: int  # independent conflict groups
-    workers: int  # worker-pool width requested
 
 
 @dataclass(frozen=True)
 class BatchMerged(Event):
-    """Worker cache deltas were folded back into the shared context.
+    """A burst's slice deltas were folded back into the shared context.
 
     The ``worker_*``/``merged_*`` pairs are the merge's double-counting
-    tripwire: per-worker stat deltas are absorbed into the shared
-    solver/gate exactly once each, so the sums must match the shared
-    deltas — the event refuses to construct otherwise.
+    tripwire: each slice's stat deltas are absorbed into the shared
+    solver/gate exactly once, so the sums must match the shared deltas —
+    the event refuses to construct otherwise.
     """
 
     group_count: int
     merged_memo_entries: int  # substitution memo entries grafted
     merged_verdict_entries: int  # solver/executability cache entries grafted
     elapsed_ms: float
-    worker_solver_queries: int = 0  # sum of per-worker SolverStats.total
+    worker_solver_queries: int = 0  # sum of per-slice SolverStats.total
     merged_solver_queries: int = 0  # shared SolverStats.total delta over the merge
-    worker_gate_screens: int = 0  # sum of per-worker GateStats.screened
+    worker_gate_screens: int = 0  # sum of per-slice GateStats.screened
     merged_gate_screens: int = 0  # shared GateStats.screened delta over the merge
 
     def __post_init__(self) -> None:
         if self.worker_solver_queries != self.merged_solver_queries:
             raise ValueError(
-                "batch merge double-counted solver stats: workers sum to "
+                "batch merge double-counted solver stats: slices sum to "
                 f"{self.worker_solver_queries} queries, merged delta is "
                 f"{self.merged_solver_queries}"
             )
         if self.worker_gate_screens != self.merged_gate_screens:
             raise ValueError(
-                "batch merge double-counted gate stats: workers sum to "
+                "batch merge double-counted gate stats: slices sum to "
                 f"{self.worker_gate_screens} screens, merged delta is "
                 f"{self.merged_gate_screens}"
             )

@@ -46,12 +46,11 @@ prove MAYBE, so the engine's verdicts are those of a bare
 ``QueryEngine`` over a one-shot substitution of the same mapping — the
 specification ``tests/engine/test_gate_differential.py`` compares with.
 
-Batch workers fork the gate alongside the solver's result memo: witness
-records are a copy-on-write overlay (conflict groups partition program
-points, so overlays never collide) merged back in anchor order; table
-entries only change on the main thread, before workers start, and a
-worker that finds a table's lookup rows stale re-derives them and
-publishes the new list in one assignment.
+Each conflict group of a burst forks the gate alongside the solver's
+result memo: witness records are a copy-on-write overlay (conflict
+groups partition program points, so overlays never collide) merged back
+in anchor order; table entries only change before the groups run, and a
+slice that finds a table's lookup rows stale re-derives them.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ class _RecordStore:
 
 
 class _RecordOverlay:
-    """A worker slice's copy-on-write view (None entries are tombstones)."""
+    """A burst slice's copy-on-write view (None entries are tombstones)."""
 
     def __init__(self, base) -> None:
         self.base = base
@@ -402,15 +401,16 @@ class VerdictGate:
             stats.fdd_rebuilds += table_state.fdd.rebuilds
         return stats
 
-    # -- batch-worker forking -------------------------------------------------
+    # -- burst-slice forking --------------------------------------------------
 
     def fork_slice(self) -> "VerdictGate":
-        """A worker's view: shared lookup rows, overlaid witness records.
+        """A conflict group's view: shared lookup rows, overlaid witness
+        records.
 
-        Safe because the scheduler mutates all table state on the main
-        thread before workers start (a worker's lazy re-pack derives the
-        same rows any other would), and conflict groups partition program
-        points, so no two slices touch the same record.
+        Safe because the scheduler mutates all table state before the
+        groups run (a slice's lazy re-pack derives the same rows any other
+        would), and conflict groups partition program points, so no two
+        slices touch the same record.
         """
         fork = VerdictGate.__new__(VerdictGate)
         fork.model = self.model

@@ -4,22 +4,23 @@ The cold pipeline (run once per program) is the declared sequence
 
     parse → typecheck → analyze → encode → specialize → lower
 
-and the warm path (run per control-plane update or batch) is
+and the warm path (run per single control-plane update, table or value
+set) is
 
     apply-updates → reverdict-{points,tables} → respecialize
 
-where the last pass either recompiles or lowers the forwarded updates.
+where the last pass either recompiles or lowers the forwarded update.
 Both are plain :class:`~repro.engine.passes.Pass` sequences over one
-:class:`~repro.engine.context.EngineContext`; the only difference between
-processing a single update, a value-set update, and a batch is the
-declared *order* of the reverdict stages (a batch reports changed tables
-before changed points, matching the historical decision format).
+:class:`~repro.engine.context.EngineContext`.  A burst goes through the
+scheduler in :mod:`repro.engine.batch` instead; both paths end in
+:func:`respecialize` and report one :class:`Decision`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.symexec import analyze
 from repro.engine.context import SHARED, EngineContext, warm_state
@@ -40,44 +41,43 @@ from repro.smt.terms import DEFAULT_FACTORY
 
 
 # ---------------------------------------------------------------------------
-# Decisions — the warm path's public outcome records
+# The decision record — the warm path's one public outcome
 # ---------------------------------------------------------------------------
 
 
-def describe_points(tainted: int, redecided: int, unchanged: int) -> str:
-    """The point counts every decision record reports, in one wording.
-
-    Tainted points not counted in either of the other two are
-    executability points that replayed a witness fingerprint (gate tier
-    2a) without pulling their term.
-    """
-    return (
-        f"points: {tainted} tainted, {redecided} re-decided, "
-        f"{unchanged} unchanged term"
-    )
-
-
 @dataclass(slots=True)
-class UpdateDecision:
-    """Outcome of processing one control-plane update.
+class Decision:
+    """Outcome of one :meth:`~repro.engine.engine.Engine.decide` call.
 
     ``recompiled`` says the respecialized program differed from the one
-    last compiled; ``changed`` lists the verdicts that moved, which may be
-    non-empty on a forward (a move no printed statement reads).
+    last compiled; ``changed`` lists the verdicts that moved (pids and
+    table names), which may be non-empty on a forward (a move no printed
+    statement reads).  ``affected_points`` counts the points tainted by a
+    symbol whose assignment changed (the points visited; 0 is the normal
+    forward), of which ``redecided_points`` were decided afresh from a new
+    term and ``unchanged_points`` kept the identical term.  Tainted points
+    counted in neither are executability points that replayed a witness
+    fingerprint (gate tier 2a) without pulling their term.
+
+    A single update leaves the burst fields at their one-update values
+    and ``groups`` at None; a burst sets them from the scheduler, and
+    ``changed`` then lists each conflict group's tables before its points,
+    groups in submission order.
     """
 
-    update: object
     recompiled: bool
-    # Points tainted by a symbol whose assignment changed (the points
-    # visited).  0 is the normal forward (an overapproximated table, a
-    # no-op re-encode).
+    changed: list
     affected_points: int
-    changed: list  # pids / table names whose verdict changed
+    redecided_points: int
+    unchanged_points: int
     elapsed_ms: float
-    overapproximated: bool
+    # The one update went into an overapproximated table (a burst: False).
+    overapproximated: bool = False
     compile_report: object = None
-    redecided_points: int = 0  # of those, decided afresh from a new term
-    unchanged_points: int = 0  # of those, kept on the identical term
+    update_count: int = 1  # updates as submitted
+    coalesced_count: int = 1  # net updates after coalescing
+    group_count: int = 1  # independent conflict groups
+    groups: Optional[list] = None  # a burst's GroupDecisions, group order
 
     @property
     def forwarded(self) -> bool:
@@ -87,48 +87,18 @@ class UpdateDecision:
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
         mode = " (overapprox)" if self.overapproximated else ""
-        points = describe_points(
-            self.affected_points, self.redecided_points, self.unchanged_points
-        )
+        burst = ""
+        if self.groups is not None:
+            burst = (
+                f"batch of {self.update_count} updates "
+                f"({self.coalesced_count} after coalescing, "
+                f"{self.group_count} conflict groups), "
+            )
         return (
-            f"{action}{mode}: {points}; "
+            f"{action}{mode}: {burst}points: {self.affected_points} tainted, "
+            f"{self.redecided_points} re-decided, "
+            f"{self.unchanged_points} unchanged term; "
             f"{len(self.changed)} changed, {self.elapsed_ms:.2f} ms"
-        )
-
-
-@dataclass
-class BatchDecision:
-    """Outcome of processing a burst of updates as one unit.
-
-    ``recompiled`` and ``changed`` mean what they mean on
-    :class:`UpdateDecision`: the program moved, and the verdicts moved.
-    """
-
-    update_count: int
-    recompiled: bool
-    changed: list  # verdicts that changed (pids / table names)
-    affected_points: int  # points tainted (see UpdateDecision); often 0
-    elapsed_ms: float
-    compile_report: object = None
-    redecided_points: int = 0
-    unchanged_points: int = 0
-
-    @property
-    def updates(self) -> int:
-        return self.update_count
-
-    @property
-    def forwarded(self) -> bool:
-        return not self.recompiled
-
-    def describe(self) -> str:
-        action = "RECOMPILE" if self.recompiled else "forward"
-        points = describe_points(
-            self.affected_points, self.redecided_points, self.unchanged_points
-        )
-        return (
-            f"{action}: batch of {self.update_count} updates, {points}; "
-            f"{len(self.changed)} changed, {self.elapsed_ms:.1f} ms"
         )
 
 
@@ -141,13 +111,12 @@ class WarmState:
     """Per-run scratch shared by the warm passes via ``ctx.warm``."""
 
     __slots__ = (
-        "updates", "mode", "changed_vars", "assignments", "affected",
-        "redecided", "unchanged", "changed", "recompiled", "compile_report",
+        "update", "changed_vars", "assignments", "affected", "redecided",
+        "unchanged", "changed", "recompiled", "compile_report",
     )
 
-    def __init__(self, updates: list, mode: str) -> None:
-        self.updates = updates
-        self.mode = mode  # "update" | "value_set" | "batch"
+    def __init__(self, update) -> None:
+        self.update = update  # an Update or a ValueSetUpdate
         self.changed_vars: set = set()  # symbols re-assigned
         self.assignments: dict = {}  # table → TableAssignment
         self.affected = 0  # points tainted (visited)
@@ -402,15 +371,12 @@ class LowerPass:
 
 
 class ApplyUpdatesPass:
-    """Apply the pending updates to the control-plane state and re-encode.
+    """Apply the pending update to the control-plane state and re-encode.
 
-    Value-set updates are encoded inline (in update order); touched tables
-    are re-encoded once each, in sorted name order — so a 1000-entry burst
-    into one table costs one encoding, not a thousand.  Every update, one
-    or a batch, is checked before the first commits (each entry's schema
-    and match key once), so a bad update in the middle of a batch leaves
-    the state as it found it.  It opens the warm path, so it is where a
-    due term collection runs.
+    The update is checked before it commits (the entry's schema and match
+    key), so a bad one leaves the state as it found it.  A value-set
+    update re-encodes its set, a table update its table.  The pass opens
+    the warm path, so it is where a due term collection runs.
     """
 
     name = "apply-updates"
@@ -420,30 +386,28 @@ class ApplyUpdatesPass:
         # The previous decision is done and this one has built nothing yet.
         ctx.term_factory.collect_if_due()
         warm = ctx.warm
-        touched: set = set()
-        for update, key in ctx.state.validate_updates(warm.updates):
-            info = ctx.state.commit(update, key)
-            if isinstance(update, ValueSetUpdate):
-                mapping = encode_value_set(info, ctx.state.value_sets[info.name])
-                ctx.mapping.update(mapping)
-                warm.changed_vars |= ctx.substitution.set_many(mapping)
-            else:
-                touched.add(info.name)
-        for name in sorted(touched):
-            assignment = encode_table(
-                ctx.model.tables[name],
-                ctx.state.tables[name],
-                ctx.options.overapprox_threshold,
-            )
-            installed = ctx.table_assignments[name].mapping
-            ctx.table_assignments[name] = assignment
-            warm.assignments[name] = assignment
-            if assignment.mapping is installed:
-                # An overapproximated table's one `!any` mapping: every
-                # assignment is already in place, so nothing changed.
-                continue
-            ctx.mapping.update(assignment.mapping)
-            warm.changed_vars |= ctx.substitution.set_many(assignment.mapping)
+        ((update, key),) = ctx.state.validate_updates((warm.update,))
+        info = ctx.state.commit(update, key)
+        if isinstance(update, ValueSetUpdate):
+            mapping = encode_value_set(info, ctx.state.value_sets[info.name])
+            ctx.mapping.update(mapping)
+            warm.changed_vars |= ctx.substitution.set_many(mapping)
+            return
+        name = info.name
+        assignment = encode_table(
+            ctx.model.tables[name],
+            ctx.state.tables[name],
+            ctx.options.overapprox_threshold,
+        )
+        installed = ctx.table_assignments[name].mapping
+        ctx.table_assignments[name] = assignment
+        warm.assignments[name] = assignment
+        if assignment.mapping is installed:
+            # An overapproximated table's one `!any` mapping: every
+            # assignment is already in place, so nothing changed.
+            return
+        ctx.mapping.update(assignment.mapping)
+        warm.changed_vars |= ctx.substitution.set_many(assignment.mapping)
 
 
 class ReverdictPointsPass:
@@ -517,7 +481,7 @@ class RespecializePass:
     """The recompile decision, and the lowering that follows from it.
 
     Recompile exactly when the respecialized program differs from the one
-    last compiled (:func:`respecialize`); otherwise push each update to
+    last compiled (:func:`respecialize`); otherwise push the update to
     the device as a forward — a forwarded update never reaches the device
     compiler, which is the paper's entire point.  A verdict can move
     without moving one printed statement (a value point whose constant
@@ -537,12 +501,10 @@ class RespecializePass:
             return
         if target is None:
             return
-        bus = ctx.bus
-        for update in warm.updates:
-            lowered = target.lower_update(update)
-            ctx.lowered_updates.append(lowered)
-            if bus.active:
-                bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
+        lowered = target.lower_update(warm.update)
+        ctx.lowered_updates.append(lowered)
+        if ctx.bus.active:
+            ctx.bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
 
 
 # ---------------------------------------------------------------------------
@@ -581,26 +543,25 @@ def restore_passes() -> list:
     ]
 
 
-def warm_passes(mode: str) -> list:
-    """The warm path for one update mode.
+def warm_passes() -> list:
+    """The warm path of one update: points are reported before the table.
 
-    A single update reports changed points before its table; a batch
-    reports changed tables first (historical decision format, preserved
-    bit-for-bit).  Value-set updates touch no table, so the table stage is
-    a no-op for them.
+    A value-set update touches no table, so the table stage is a no-op
+    for it.  A burst does not run these passes; it goes through
+    :func:`repro.engine.batch.schedule_batch`.
     """
-    apply_stage = ApplyUpdatesPass()
-    points = ReverdictPointsPass()
-    tables = ReverdictTablesPass()
-    if mode == "batch":
-        return [apply_stage, tables, points, RespecializePass()]
-    return [apply_stage, points, tables, RespecializePass()]
+    return [
+        ApplyUpdatesPass(),
+        ReverdictPointsPass(),
+        ReverdictTablesPass(),
+        RespecializePass(),
+    ]
 
 
 __all__ = [
     "ApplyUpdatesPass",
     "AnalysisPass",
-    "BatchDecision",
+    "Decision",
     "EncodePass",
     "LowerPass",
     "ParsePass",
@@ -610,10 +571,8 @@ __all__ = [
     "ReverdictTablesPass",
     "SpecializePass",
     "TypeCheckPass",
-    "UpdateDecision",
     "WarmState",
     "cold_passes",
-    "describe_points",
     "respecialize",
     "restore_passes",
     "warm_passes",

@@ -200,7 +200,7 @@ class QueryEngine:
         """Empty this engine's ``generation`` rows of
         :data:`~repro.engine.context.WARM_STATE` (the solver forgets its
         own).  Called by :meth:`~repro.smt.terms.TermFactory.collect`;
-        on a worker slice it drops the overlays only."""
+        on a burst slice it drops the overlays only."""
         for name in _GENERATION:
             getattr(self, name).clear()
 
@@ -220,7 +220,7 @@ class QueryEngine:
         """The verdict at ``point`` under ``substitution``.
 
         ``substitution`` is the engine's
-        :class:`~repro.smt.substitute.DeltaSubstitution` (or a worker's
+        :class:`~repro.smt.substitute.DeltaSubstitution` (or a burst's
         slice of it), whose ``apply`` already simplifies, or a one-shot
         :class:`~repro.smt.substitute.Substitution`, whose result is
         simplified here through ``memo``.

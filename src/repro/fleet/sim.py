@@ -4,7 +4,7 @@
 :class:`~repro.engine.engine.Engine` each, all running the same program
 with divergent table configurations — through a cross-switch correlated
 churn trace (:func:`repro.runtime.trace.fleet_trace`).  Every burst
-arrival becomes one ``apply_batch`` call on the owning switch's engine;
+arrival becomes one ``decide`` call on the owning switch's engine;
 with a :class:`~repro.fleet.store.SharedStore` attached, switches 2..N
 adopt the first switch's cold artifacts and term-pure warm caches
 instead of recomputing them.
@@ -97,7 +97,6 @@ class FleetSimulator:
         correlation: float = 0.7,
         updates_per_burst: int = 6,
         divergent_prefix: int = 10,
-        workers: int = 1,
         bus: Optional[EventBus] = None,
     ) -> None:
         if switches <= 0:
@@ -107,7 +106,6 @@ class FleetSimulator:
         self.switches = switches
         self.seed = seed
         self.updates_per_burst = updates_per_burst
-        self.workers = workers
         self.store = SharedStore() if shared_store else None
         self.bus = bus if bus is not None else EventBus()
         self.registry = ContextRegistry()
@@ -138,7 +136,7 @@ class FleetSimulator:
             fuzzer = EntryFuzzer(model, seed=self._switch_seed(switch, 1))
             prefix = fuzzer.update_stream(count=divergent_prefix + switch)
             if prefix:
-                engine.apply_batch(prefix, workers=workers)
+                engine.decide(prefix)
             self._updates[switch] += len(prefix)
             self._burst_fuzzers.append(
                 EntryFuzzer(model, seed=self._switch_seed(switch, 2))
@@ -163,7 +161,7 @@ class FleetSimulator:
                 count=self.updates_per_burst
             )
             start = time.perf_counter()
-            report = engine.apply_batch(updates, workers=self.workers)
+            decision = engine.decide(updates)
             elapsed_ms = (time.perf_counter() - start) * 1000
             self._latencies[switch].append(elapsed_ms)
             self._updates[switch] += len(updates)
@@ -174,7 +172,7 @@ class FleetSimulator:
                         switch=switch,
                         burst_id=event.burst_id,
                         update_count=len(updates),
-                        recompiled=report.recompiled,
+                        recompiled=decision.recompiled,
                         elapsed_ms=elapsed_ms,
                     )
                 )

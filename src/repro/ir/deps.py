@@ -12,11 +12,12 @@ Classic RMT dependency classes between earlier node A and later node B:
   later stage (Tofino gateways resolve in-stage, but successor tables of a
   hit/miss branch still serialize).
 
-A node's read/write sets come from one syntactic walk over its keys and
-its actions' bodies.  Every field an expression mentions is a read, even
-one the action rebuilt before using it.  Assignments, validity changes,
-``mark_to_drop`` and the destinations of ``hash``, ``update_checksum``
-and ``register.read`` are writes.
+A node's read/write sets come from one syntactic walk over its keys,
+its actions' bodies and the bodies of the actions those call.  Every
+field an expression mentions is a read, even one the action rebuilt
+before using it.  Assignments, validity changes, ``mark_to_drop`` and
+the destinations of ``hash``, ``update_checksum`` and ``register.read``
+are writes.
 
 The Tofino allocator consumes this graph to compute the stage count.
 """
@@ -98,8 +99,8 @@ class DependencyGraph:
         """Connected components of the (undirected) dependency graph.
 
         Two tables in the same component can observe each other's effects,
-        so control-plane updates targeting them must not be re-verdicted
-        concurrently; tables in different components are independent units
+        so control-plane updates targeting them must be re-verdicted
+        together; tables in different components are independent units
         of recompilation (the RMT observation the batch scheduler builds
         its conflict groups on).  Components are returned in program order
         of their first member.
@@ -135,11 +136,11 @@ class NodeFacts:
 
     Keyed by the identity of the AST objects they are read from: a table
     node by its ``TableDecl``, the control's parameters and variable
-    declarations, and the action declarations it lists; a gateway's read
-    set by its condition.  Each build keeps only the entries it used, so
-    the memo holds the last program's nodes and no more.  The facts also
-    depend on the type environment, so a memo serves one program's type
-    declarations (see ``TofinoCompiler``).
+    declarations, and the action declarations it lists or they call; a
+    gateway's read set by its condition.  Each build keeps only the
+    entries it used, so the memo holds the last program's nodes and no
+    more.  The facts also depend on the type environment, so a memo
+    serves one program's type declarations (see ``TofinoCompiler``).
     """
 
     def __init__(self) -> None:
@@ -295,16 +296,20 @@ class _Builder:
         qualified = f"{control.name}.{table_name}"
         if qualified in self.nodes:
             return self.nodes[qualified]
-        actions = tuple(self._actions.get(ref.name) for ref in decl.actions)
+        actions = _action_closure(
+            [self._actions.get(ref.name) for ref in decl.actions], self._actions
+        )
         key = (id(decl), self._context_key, *map(id, actions))
         node = self.facts.lookup(key)
         if node is None:
-            node = self._table_node(control, qualified, decl)
+            node = self._table_node(control, qualified, decl, actions)
             self.facts.store(key, (decl, self._context, actions), node)
         self._register(node, guards, branch)
         return node
 
-    def _table_node(self, control, qualified: str, decl: ast.TableDecl) -> TableNode:
+    def _table_node(
+        self, control, qualified: str, decl: ast.TableDecl, actions: tuple
+    ) -> TableNode:
         node = TableNode(
             name=qualified,
             control=control.name,
@@ -331,6 +336,7 @@ class _Builder:
             node.action_param_bits += sum(
                 self.env.width_of(p.type) for p in action.params
             )
+        for action in actions:  # the listed ones and those they call
             reads, writes = _action_reads_writes(action)
             node.reads |= reads
             node.writes |= writes
@@ -445,6 +451,37 @@ def _action_reads_writes(action: ast.ActionDecl) -> tuple[set[str], set[str]]:
     writes: set[str] = set()
     _block_reads_writes(action.body, param_names, reads, writes)
     return reads, writes
+
+
+def _action_closure(roots: list, actions: dict) -> tuple:
+    """``roots`` and every action they call, directly or through another
+    action, each once, in the order first reached.
+
+    ``actions`` maps the control's action names to their declarations; a
+    root that is None (an action the control lacks) is kept as it is.
+    """
+    closure = list(roots)
+    seen = {id(action) for action in closure}
+    for action in closure:  # grows while it is walked
+        if action is None:
+            continue
+        for name in _called_names(action.body):
+            called = actions.get(name)
+            if called is not None and id(called) not in seen:
+                seen.add(id(called))
+                closure.append(called)
+    return tuple(closure)
+
+
+def _called_names(block: ast.Block):
+    """The names of the free functions (actions) a block calls."""
+    for stmt in block.statements:
+        if isinstance(stmt, ast.MethodCallStmt) and stmt.call.target is None:
+            yield stmt.call.method
+        elif isinstance(stmt, ast.IfStmt):
+            yield from _called_names(stmt.then)
+            if stmt.orelse is not None:
+                yield from _called_names(stmt.orelse)
 
 
 def _block_reads_writes(block: ast.Block, params: set[str], reads, writes) -> None:

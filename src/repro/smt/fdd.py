@@ -37,10 +37,9 @@ class TableFdd:
     """One table's active rows in precedence order, for point lookups."""
 
     def __init__(self) -> None:
-        # (table revision the rows were derived at, [(value, mask,
-        # decision)]).  One tuple so that a lazy re-pack on a batch
-        # worker thread publishes rows and revision in one assignment.
-        self._packed: tuple = (0, [])
+        #: The table revision :attr:`_rows` were derived at.
+        self._revision = 0
+        self._rows: list = []  # [(value, mask, decision)]
         #: Lazy re-packs performed (surfaced through GateStats).
         self.rebuilds = 0
 
@@ -59,13 +58,11 @@ class TableFdd:
         :class:`~repro.runtime.semantics.TableState`; its revision says
         whether the rows are current.
         """
-        revision, rows = self._packed
+        rows = self._rows
         current = state.revision()
-        if revision != current:
-            # Table state only changes between batches, never under a
-            # worker, so the rows derived here belong to ``current``.
-            rows = self.rebuild(state.active_rows())
-            self._packed = (current, rows)
+        if self._revision != current:
+            rows = self._rows = self.rebuild(state.active_rows())
+            self._revision = current
         for value, mask, decision in rows:
             if point & mask == value:
                 return decision
@@ -73,7 +70,7 @@ class TableFdd:
 
     def row_count(self) -> int:
         """Rows currently retained (what the index costs in memory)."""
-        return len(self._packed[1])
+        return len(self._rows)
 
 
 __all__ = ["MISS", "TableFdd"]

@@ -112,7 +112,7 @@ class SolverStats:
         )
 
     def absorb(self, other: "SolverStats") -> None:
-        """Fold another stats record into this one (batch-worker merge)."""
+        """Fold another stats record into this one (burst-slice merge)."""
         self.by_simplify += other.by_simplify
         self.by_interval += other.by_interval
         self.by_sat += other.by_sat

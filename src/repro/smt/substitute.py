@@ -170,11 +170,12 @@ class DeltaSubstitution:
         return _assign(self, mapping, self._mapping.get)
 
     def fork_slice(self, simplify_memo: Optional[dict] = None) -> "SubstitutionSlice":
-        """A copy-on-write worker view over this substitution's memo."""
+        """A copy-on-write view over this substitution's memo, for one
+        conflict group of a burst."""
         return SubstitutionSlice(self, simplify_memo)
 
     def absorb(self, piece: "SubstitutionSlice") -> int:
-        """Fold a worker slice's mapping + memo delta back in; see
+        """Fold a slice's mapping + memo delta back in; see
         :class:`SubstitutionSlice`.  Returns the grafted entry count."""
         return _absorb_slice(self, piece)
 
@@ -309,23 +310,22 @@ def _evaluate(view: DeltaSubstitution | SubstitutionSlice, term: Term) -> Term:
 
 
 class SubstitutionSlice:
-    """A copy-on-write view of a :class:`DeltaSubstitution` for one worker.
+    """A copy-on-write view of a :class:`DeltaSubstitution` for one group.
 
-    The batch scheduler runs independent conflict groups on a worker pool;
-    every worker needs the warm memo (the cross-update asset) but must not
-    mutate it while siblings read it.  A slice layers a private memo,
-    parent edges, heights and mapping over read-only views of the shared
-    ones.  A lookup tries the private layer first; every write — a new
-    assignment, a first evaluation, a result moved by propagation — goes
-    to the private layer only.  Propagation follows the private and the
-    shared edges, so a node only this slice has evaluated stays current
-    too.
+    The batch scheduler runs a burst's independent conflict groups one
+    after the other; every group needs the warm memo (the cross-update
+    asset) but must not mutate it before the burst merges.  A slice
+    layers a private memo, parent edges, heights and mapping over
+    read-only views of the shared ones.  A lookup tries the private
+    layer first; every write — a new assignment, a first evaluation, a
+    result moved by propagation — goes to the private layer only.
+    Propagation follows the private and the shared edges, so a node only
+    this slice has evaluated stays current too.
 
-    After the pool joins, :meth:`DeltaSubstitution.absorb` folds the
-    private layer back into the shared substitution on the main thread —
-    groups touch disjoint control symbols, so their propagated regions
-    never overlap and grafted entries can never disagree with another
-    group's.
+    After every group has run, :meth:`DeltaSubstitution.absorb` folds
+    the private layer back into the shared substitution — groups touch
+    disjoint control symbols, so their propagated regions never overlap
+    and grafted entries can never disagree with another group's.
     """
 
     def __init__(
@@ -375,7 +375,7 @@ class SubstitutionSlice:
 
 
 def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
-    """Fold one worker slice back into the shared substitution.
+    """Fold one slice back into the shared substitution.
 
     The slice's propagation already brought every entry its symbols can
     move up to date in its private layer, so absorbing is a graft: the

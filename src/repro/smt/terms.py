@@ -221,7 +221,7 @@ class TermFactory:
         times since the last collection (and past :data:`COLLECT_FLOOR`).
 
         Call it only where no term is being built or decided from — the
-        engine does so between decisions, on the thread that runs them.
+        engine does so between decisions.
         """
         if len(self._table) >= self._collect_at:
             self.collect()
@@ -276,13 +276,9 @@ class TermFactory:
         key = (op, args, width, payload)
         term = self._table.get(key)
         if term is None:
-            # setdefault is a single atomic dict operation under the GIL, so
-            # two threads racing to intern the same structure both get the
-            # one winning object — a plain check-then-store could let a
-            # thread switch publish two structurally-equal terms and break
-            # every id()-keyed memo.  The batch scheduler's worker pool
-            # builds terms concurrently through this shared factory.
-            term = self._table.setdefault(key, Term(op, args, width, payload))
+            # The engine builds terms on one thread (a burst runs its
+            # conflict groups inline), so check-then-store interns.
+            term = self._table[key] = Term(op, args, width, payload)
         return term
 
     # -- leaves ------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import analyze
 from repro.analysis.dataflow import AbstractInterpreter, prune_program
-from repro.ir.deps import _action_reads_writes
+from repro.ir.deps import _action_reads_writes, build_dependency_graph
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.programs import registry
@@ -302,6 +302,25 @@ class TestWidthTruncation:
         fact = interpret(prog).folds[id(apply_stmts(prog)[0])]
         assert (fact.value, fact.width) == (44, 8)
 
+    @pytest.mark.parametrize(
+        "body, index",
+        [
+            ("meta.m = 16w300;", 0),
+            ("meta.w = 16w300;\n        meta.m = meta.w;", 1),
+        ],
+        ids=["sized-literal", "wide-field"],
+    )
+    def test_wide_value_folds_and_compares_at_the_destination_width(self, body, index):
+        prog = program(
+            EXTRACT_H,
+            "",
+            f"        {body}\n        if (meta.m == 8w44) {{ hdr.h.b = 8w1; }}",
+        )
+        fact = interpret(prog).folds[id(apply_stmts(prog)[index])]
+        assert (fact.value, fact.width) == (44, 8)
+        analyze(prog)  # the 8-bit comparison sees an 8-bit value
+        assert run_packet(prog)["hdr.h.b"] == 1
+
 
 class TestActionReachability:
     def test_unreferenced_action_never_runs(self):
@@ -339,6 +358,46 @@ class TestActionReachability:
             "        outer();",
         )
         assert run_packet(prog)["meta.n"] == 2
+
+    def test_called_action_writes_belong_to_the_table(self):
+        prog = program(
+            EXTRACT_H,
+            """
+    action inner() { meta.n = 8w2; }
+    action outer() { inner(); }
+    action noop() { }
+    table t {
+        key = { hdr.h.a: exact; }
+        actions = { outer; }
+        default_action = outer();
+    }
+    table u {
+        key = { meta.n: exact; }
+        actions = { noop; }
+        default_action = noop();
+    }
+""",
+            "        t.apply();\n        u.apply();",
+        )
+        graph = build_dependency_graph(prog)
+        assert "meta.n" in graph.nodes["C.t"].writes
+        assert {(e.src, e.dst) for e in graph.edges} == {("C.t", "C.u")}
+
+    def test_actions_calling_each_other_are_read_once(self):
+        prog = program(
+            EXTRACT_H,
+            """
+    action a() { b(); }
+    action b() { a(); meta.n = 8w1; }
+    table t {
+        key = { hdr.h.a: exact; }
+        actions = { a; }
+        default_action = a();
+    }
+""",
+            "        t.apply();",
+        )
+        assert build_dependency_graph(prog).nodes["C.t"].writes == {"meta.n"}
 
 
 class TestWriteAfterWrite:

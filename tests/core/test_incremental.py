@@ -93,7 +93,7 @@ class TestBatch:
         fuzzer = EntryFuzzer(runtime.model, seed=1)
         updates = fuzzer.insert_burst("t1", 50, action="set")
         decision = runtime.process_batch(updates)
-        assert decision.updates == 50
+        assert decision.update_count == 50
         # At most one respecialization for the whole burst.
         assert runtime.recompilations <= 2
 

@@ -234,7 +234,7 @@ Pipeline(P(), C()) main;
 
     def test_configuring_value_set_restores_branch(self):
         flay = flay_for(self.PVS_SOURCE)
-        decision = flay.process_value_set_update(ValueSetUpdate("pvs", (0x800,)))
+        decision = flay.decide(ValueSetUpdate("pvs", (0x800,)))
         assert decision.recompiled
         parser_decl = flay.specialized_program.find("P")
         state_names = {s.name for s in parser_decl.states}

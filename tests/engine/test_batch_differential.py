@@ -1,22 +1,18 @@
 """Differential safety net: batched application == one-at-a-time application.
 
-Streams come from the fuzzer, batch sizes and worker counts are drawn per
-seed, and every real target backend is exercised.  Two regimes:
+Streams come from the fuzzer, batch sizes are drawn per seed, and every
+real target backend is exercised.  Two regimes:
 
 * **always** — whatever the stream does (recompiles included), the final
   specialized source, verdicts, and control-plane state of the batched
-  engine are identical to the sequential engine's, and a batched engine's
-  output is byte-identical across worker counts (1, 2, 4);
+  engine are identical to the sequential engine's, and two batched
+  engines fed the same bursts agree byte for byte;
 * **forwarded** — once the tables are saturated with entries covering
   every action, further inserts change no verdict; there the *lowered
   update stream* sent to the device must also be byte-identical to the
   sequential engine's (same writes, same order).
-
-CI runs this module twice, with ``FLAY_BATCH_WORKERS=1`` and ``=4`` (see
-the workflow); locally the env var defaults to 2.
 """
 
-import os
 import random
 
 import pytest
@@ -27,9 +23,6 @@ from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
 
 TARGETS = ("tofino", "bmv2")
-
-#: CI matrix axis: the worker count used by the mixed-stream regime.
-ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -118,9 +111,9 @@ def test_mixed_stream_same_final_output(target, seed):
         tables=ALL_TABLES, count=50, modify_fraction=0.3, delete_fraction=0.2
     )
     for update in stream:
-        sequential.process_update(update)
+        sequential.decide(update)
     for batch in chunk(stream, seed):
-        batched.apply_batch(batch, workers=ENV_WORKERS)
+        batched.decide(batch)
     assert_same_result(sequential, batched)
 
 
@@ -150,8 +143,7 @@ def test_forwarded_regime_lowered_streams_byte_identical(target, seed):
         decision = sequential.process_update(update)
         assert decision.forwarded, "stream was expected to saturate verdicts"
     for batch in chunk(burst, seed):
-        report = batched.apply_batch(batch, workers=ENV_WORKERS)
-        assert report.forwarded
+        assert batched.decide(batch).forwarded
 
     assert sequential.runtime.recompilations == batched.runtime.recompilations
     assert lowered_trace(sequential) == lowered_trace(batched)
@@ -163,60 +155,46 @@ def test_forwarded_regime_lowered_streams_byte_identical(target, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_output_invariant_across_worker_counts(seed):
-    """workers=1, 2, 4 over the same chunked stream: byte-identical source,
-    verdicts, state, and lowered writes."""
-    engines = {w: make_flay("tofino") for w in (1, 2, 4)}
-    stream = EntryFuzzer(engines[1].model, seed=seed).update_stream(
+def test_output_is_deterministic(seed):
+    """Two engines fed the same chunked stream: byte-identical source,
+    verdicts, state, lowered writes, and decision records."""
+    first, second = make_flay("tofino"), make_flay("tofino")
+    stream = EntryFuzzer(first.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=60, modify_fraction=0.25, delete_fraction=0.15
     )
-    reports = {w: [] for w in engines}
-    for workers, flay in engines.items():
-        for batch in chunk(stream, seed):
-            reports[workers].append(flay.apply_batch(batch, workers=workers))
-    baseline = engines[1]
-    for workers, flay in engines.items():
-        if workers == 1:
-            continue
-        assert_same_result(baseline, flay)
-        assert lowered_trace(baseline) == lowered_trace(flay)
-        for a, b in zip(reports[1], reports[workers]):
-            assert a.changed == b.changed
-            assert a.recompiled == b.recompiled
-            assert a.coalesced_count == b.coalesced_count
-            assert a.group_count == b.group_count
+    decisions = [
+        [flay.decide(batch) for batch in chunk(stream, seed)]
+        for flay in (first, second)
+    ]
+    assert_same_result(first, second)
+    assert lowered_trace(first) == lowered_trace(second)
+    for a, b in zip(*decisions):
+        assert a.changed == b.changed
+        assert a.recompiled == b.recompiled
+        assert a.coalesced_count == b.coalesced_count
+        assert a.group_count == b.group_count
 
 
-def test_multi_group_burst_runs_on_the_pool():
+def test_multi_group_burst_matches_sequential():
     """The forwarded-regime burst splits into independent conflict groups
-    and actually exercises the worker pool (group_count > 1, workers > 1),
-    still matching the sequential engine's lowered stream."""
+    (group_count > 1) and still hands the device the sequential engine's
+    lowered stream."""
     sequential = make_flay("tofino")
-    pooled = make_flay("tofino")
+    grouped = make_flay("tofino")
     fuzzer = EntryFuzzer(sequential.model, seed=1)
     warmup = []
     for table in ALL_TABLES:
         warmup.extend(fuzzer.representative_updates(table, per_action=3))
     sequential.process_batch(warmup)
-    pooled.process_batch(warmup)
+    grouped.process_batch(warmup)
     burst = []
     for table in ALL_TABLES:
         burst.extend(fuzzer.insert_burst(table, 10))
     for update in burst:
-        sequential.process_update(update)
-    report = pooled.apply_batch(burst, workers=4)
-    assert report.group_count > 1  # otherwise the pool was never used
-    assert lowered_trace(sequential) == lowered_trace(pooled)
-    assert_same_result(sequential, pooled)
-
-
-def test_workers_zero_auto_detects_cpu_count():
-    flay = make_flay("none")
-    stream = EntryFuzzer(flay.model, seed=2).update_stream(
-        tables=ALL_TABLES, count=8
-    )
-    report = flay.apply_batch(stream, workers=0)
-    assert report.workers == (os.cpu_count() or 1)
+        sequential.decide(update)
+    assert grouped.decide(burst).group_count > 1
+    assert lowered_trace(sequential) == lowered_trace(grouped)
+    assert_same_result(sequential, grouped)
 
 
 def test_value_set_updates_flow_through_batches():
@@ -244,11 +222,8 @@ def test_value_set_updates_flow_through_batches():
         ValueSetUpdate("ports", (9, 10, 11)),
     ]
     for update in mixed:
-        if isinstance(update, ValueSetUpdate):
-            sequential.process_value_set_update(update)
-        else:
-            sequential.process_update(update)
-    batched.apply_batch(mixed, workers=2)
+        sequential.decide(update)
+    batched.decide(mixed)
     assert_same_result(sequential, batched)
     assert (
         sequential.runtime.state.value_sets == batched.runtime.state.value_sets

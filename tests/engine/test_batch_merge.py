@@ -1,6 +1,6 @@
 """Unit tests for the batch scheduler's cache-delta merge.
 
-The merge step folds each worker slice's private caches back into the
+The merge step folds each conflict group's slice caches back into the
 shared :class:`EngineContext`.  These tests pin the invariants that make
 that sound: grafted substitution-memo entries stay keyed on interned
 terms, merged verdict caches answer later sequential queries, counters
@@ -81,16 +81,16 @@ def flay():
 
 class TestPartitionIndependence:
     def test_independent_tables_get_separate_groups(self, flay):
-        report = flay.apply_batch(two_group_batch(flay), workers=2)
+        report = flay.decide(two_group_batch(flay))
         assert report.group_count == 2
         tables = {g.tables for g in report.groups}
         assert tables == {("C.ta",), ("C.tb",)}
 
     def test_components_are_cached_on_the_context(self, flay):
-        flay.apply_batch(two_group_batch(flay), workers=2)
+        flay.decide(two_group_batch(flay))
         cached = flay.runtime.ctx.batch_components
         assert cached is not None
-        flay.apply_batch(two_group_batch(flay, seed=1), workers=2)
+        flay.decide(two_group_batch(flay, seed=1))
         assert flay.runtime.ctx.batch_components is cached
 
     def test_strict_mode_only_merges_further(self, flay):
@@ -108,7 +108,7 @@ class TestPartitionIndependence:
 
 class TestCacheMerge:
     def test_substitution_memo_entries_survive_and_stay_interned(self, flay):
-        flay.apply_batch(two_group_batch(flay), workers=2)
+        flay.decide(two_group_batch(flay))
         substitution = flay.runtime.substitution
         # Every grafted memo value must be the interned representative of
         # its structure — rebuilding it through the factory is an identity.
@@ -117,7 +117,7 @@ class TestCacheMerge:
             assert T.DEFAULT_FACTORY._table.get(key) is term
 
     def test_memo_index_covers_grafted_entries(self, flay):
-        flay.apply_batch(two_group_batch(flay), workers=2)
+        flay.decide(two_group_batch(flay))
         substitution = flay.runtime.substitution
         # Entries that depend on a variable must be reachable by walking
         # the parent edges up from that variable's term, or a later
@@ -144,7 +144,7 @@ class TestCacheMerge:
     def test_verdict_caches_land_in_shared_dicts(self, flay):
         qe = flay.ctx.query_engine
         before_exec = dict(qe._exec_cache)
-        flay.apply_batch(two_group_batch(flay), workers=2)
+        flay.decide(two_group_batch(flay))
         assert isinstance(qe._exec_cache, dict)  # still the plain shared dict
         assert isinstance(qe.solver._results, dict)
         # The batch computed fresh executability queries somewhere.
@@ -152,7 +152,7 @@ class TestCacheMerge:
 
     def test_counters_fold_monotonically(self, flay):
         before = [c.snapshot() for c in flay.runtime.ctx.cache_counters()]
-        flay.apply_batch(two_group_batch(flay), workers=2)
+        flay.decide(two_group_batch(flay))
         for counter, snap in zip(flay.runtime.ctx.cache_counters(), before):
             assert counter.hits >= snap.hits
             assert counter.misses >= snap.misses
@@ -162,7 +162,7 @@ class TestCacheMerge:
         if the batch had been applied sequentially all along."""
         reference = Flay(parse_program(SOURCE), FlayOptions(target="none"))
         batch = two_group_batch(flay)
-        flay.apply_batch(batch, workers=2)
+        flay.decide(batch)
         for update in batch:
             reference.process_update(update)
         tail = EntryFuzzer(flay.model, seed=9).update_stream(
@@ -185,20 +185,19 @@ class TestEvents:
         log = bus.attach_log()
         flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
         batch = two_group_batch(flay)
-        flay.apply_batch(batch, workers=4)
+        flay.decide(batch)
         (scheduled,) = log.of_type(BatchScheduled)
         assert scheduled.update_count == len(batch)
         assert scheduled.coalesced_count == len(batch)  # pure inserts
         assert scheduled.group_count == 2
-        assert scheduled.workers == 4
         (merged,) = log.of_type(BatchMerged)
         assert merged.group_count == 2
         assert merged.merged_memo_entries > 0
 
 
 class TestMergeAccounting:
-    """The double-counting tripwire: per-worker solver/gate stat deltas are
-    absorbed into the shared stats exactly once each, so the per-worker
+    """The double-counting tripwire: per-slice solver/gate stat deltas are
+    absorbed into the shared stats exactly once each, so the per-slice
     sums must equal the shared delta over the merge — off by even one
     means a slice was absorbed twice (or dropped)."""
 
@@ -237,17 +236,16 @@ class TestMergeAccounting:
         )
         assert merged.worker_solver_queries == merged.merged_solver_queries
 
-    @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "thread"])
-    def test_real_batches_emit_balanced_accounting(self, workers):
-        """Inline (one worker) and on the thread pool, the BatchMerged event
-        constructs (its __post_init__ would raise on any imbalance) and
-        reports the same worker totals the sequential accounting implies."""
+    def test_real_batches_emit_balanced_accounting(self):
+        """The BatchMerged event of a real burst constructs (its
+        __post_init__ would raise on any imbalance) and reports the same
+        per-slice totals the shared accounting implies."""
         bus = EventBus()
         log = bus.attach_log()
         flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
-        flay.apply_batch(two_group_batch(flay), workers=workers)
+        flay.decide(two_group_batch(flay))
         (merged,) = log.of_type(BatchMerged)
         assert merged.worker_solver_queries == merged.merged_solver_queries
         assert merged.worker_gate_screens == merged.merged_gate_screens
-        # The batch did real solver/gate work in the workers.
+        # The batch did real solver/gate work in its slices.
         assert merged.worker_solver_queries > 0 or merged.worker_gate_screens > 0

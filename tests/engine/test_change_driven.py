@@ -120,7 +120,7 @@ def rebuild(program, flay, **options):
     )
     for name, values in flay.runtime.state.value_sets.items():
         if values:
-            fresh.process_value_set_update(ValueSetUpdate(name, tuple(values)))
+            fresh.decide(ValueSetUpdate(name, tuple(values)))
     return fresh
 
 
@@ -202,13 +202,6 @@ def calls(monkeypatch):
     return counts
 
 
-def run_batch(flay, path, updates):
-    """Run ``updates`` as one batch through ``path``."""
-    if path == "process_batch":
-        return flay.process_batch(updates)
-    return flay.apply_batch(updates, workers=1)
-
-
 def table_snapshot(flay):
     """Every table's entries and revision, and the update count."""
     state = flay.runtime.state
@@ -256,8 +249,7 @@ class TestZoo:
             assert flay.runtime.table_verdicts[table].entry_count == live
         assert_same_result(flay, rebuild(programs[name], flay))
 
-    @pytest.mark.parametrize("path", ["process_batch", "apply_batch"])
-    def test_a_batch_validates_each_net_entry_once(self, name, programs, calls, path):
+    def test_a_batch_validates_each_net_entry_once(self, name, programs, calls):
         table, action_a, action_b = ZOO[name]
         flay = make_flay(programs[name])
         entries = routes(flay, table, (action_a, action_b), 30)
@@ -272,7 +264,7 @@ class TestZoo:
             + EntryFuzzer(flay.model, seed=3).representative_updates(SIDE_TABLE[name], 1)
         )
         calls.clear()
-        run_batch(flay, path, burst)
+        flay.decide(burst)
         # Nothing folds, so every update is a net update.
         assert calls["validate_entry"] == calls["match_key"] == len(burst)
         assert_same_result(flay, rebuild(programs[name], flay))
@@ -292,17 +284,17 @@ class TestZoo:
             Update(table, DELETE, entries[1]),
         ]
         calls.clear()
-        report = flay.apply_batch(burst, workers=1)
+        report = flay.decide(burst)
         assert report.coalesced_count == 3
-        # The fold keys each input update; the check and the commit reuse
-        # the keys, and validate each net entry.
-        assert calls["match_key"] == len(burst)
-        assert calls["validate_entry"] == report.coalesced_count
+        # The fold keys each input update; the check reuses the keys and
+        # validates every input entry, the folded ones included, and the
+        # commit validates nothing again.
+        assert calls["match_key"] == calls["validate_entry"] == len(burst)
         assert_same_result(flay, rebuild(programs[name], flay))
 
-    @pytest.mark.parametrize("path", ["process_batch", "apply_batch"])
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["alone", "then_deleted"])
     @pytest.mark.parametrize("bad", ["duplicate", "out_of_range"])
-    def test_a_bad_entry_mid_batch_changes_nothing(self, name, programs, path, bad):
+    def test_a_bad_entry_mid_batch_changes_nothing(self, name, programs, bad, cancelled):
         table, action_a, action_b = ZOO[name]
         flay = make_flay(programs[name])
         entries = routes(flay, table, (action_a, action_b), 30)
@@ -326,11 +318,14 @@ class TestZoo:
         ]
         good += EntryFuzzer(flay.model, seed=3).representative_updates(SIDE_TABLE[name], 1)
         before = table_snapshot(flay)
+        # Deleted later in the burst, the bad insert folds away; it must
+        # fail all the same, as it fails when applied on its own.
+        bad_ops = [wrong, Update(table, DELETE, wrong.entry)] if cancelled else [wrong]
         with pytest.raises(EntryError):
-            run_batch(flay, path, good[:5] + [wrong] + good[5:])
+            flay.decide(good[:5] + bad_ops + good[5:])
         assert table_snapshot(flay) == before
         # The batch without the bad entry goes through.
-        run_batch(flay, path, good)
+        flay.decide(good)
         assert_same_result(flay, rebuild(programs[name], flay))
 
     def test_threshold_crossing_requeries_every_tainted_point(self, name, programs):
@@ -402,32 +397,26 @@ class TestZoo:
             sequential_changed.update(sequential.process_update(update).changed)
         assert sequential_changed
 
-        whole = engine()
-        decision = whole.process_batch(burst)
-        assert set(decision.changed) == sequential_changed
-        assert_same_result(whole, sequential)
-        for workers in (1, 4):
-            flay = engine()
-            report = flay.apply_batch(burst, workers=workers)
-            assert report.group_count >= 2
-            assert sorted(report.changed) == sorted(decision.changed)
-            assert report.affected_points == decision.affected_points
-            assert report.affected_points < len(
-                tainted_by(flay, table) | tainted_by(flay, side)
-            )
-            assert_same_result(flay, sequential)
+        flay = engine()
+        report = flay.decide(burst)
+        assert report.group_count >= 2
+        assert set(report.changed) == sequential_changed
+        assert report.affected_points < len(
+            tainted_by(flay, table) | tainted_by(flay, side)
+        )
+        assert_same_result(flay, sequential)
 
 
 def test_reinstalling_a_value_set_requeries_nothing():
     flay = make_flay(parse_program(FIG3_WITH_VALUE_SET))
-    first = flay.process_value_set_update(ValueSetUpdate("types", (0x800, 0x86DD)))
+    first = flay.decide(ValueSetUpdate("types", (0x800, 0x86DD)))
     assert first.affected_points > 0
     work = WorkCounters(flay)
-    again = flay.process_value_set_update(ValueSetUpdate("types", (0x800, 0x86DD)))
+    again = flay.decide(ValueSetUpdate("types", (0x800, 0x86DD)))
     assert again.forwarded
     assert again.affected_points == 0
     work.assert_untouched()
-    moved = flay.process_value_set_update(ValueSetUpdate("types", (0x800,)))
+    moved = flay.decide(ValueSetUpdate("types", (0x800,)))
     assert moved.affected_points > 0
 
 
@@ -454,8 +443,8 @@ VALUE_SET = st.tuples(
     st.lists(st.sampled_from([0x800, 0x806, 0x86DD]), max_size=3, unique=True),
 )
 CHUNK = st.tuples(
-    # An int is ``apply_batch`` at that worker count.
-    st.sampled_from(["update", "process_batch", 1, 4]),
+    # One ``decide`` per update, or one for the whole chunk.
+    st.sampled_from(["update", "burst"]),
     st.lists(st.one_of(UPSERT, REMOVE, VALUE_SET), min_size=1, max_size=6),
 )
 
@@ -488,16 +477,9 @@ def test_fig3_stream_matches_a_from_scratch_rebuild(chunks):
     for mode, ops in chunks:
         updates = _concretize(ops, live)
         if mode == "update":
-            decisions = [
-                flay.process_value_set_update(update)
-                if isinstance(update, ValueSetUpdate)
-                else flay.process_update(update)
-                for update in updates
-            ]
-        elif mode == "process_batch":
-            decisions = [flay.process_batch(updates)]
+            decisions = [flay.decide(update) for update in updates]
         else:
-            decisions = [flay.apply_batch(updates, workers=mode)]
+            decisions = [flay.decide(updates)]
         assert all(0 <= d.affected_points <= every_point for d in decisions)
         assert_same_result(
             flay, rebuild(program, flay, overapprox_threshold=FIG3_THRESHOLD)

@@ -11,7 +11,7 @@ from repro.p4.errors import ParseError, TypeCheckError
 from repro.p4.parser import parse_program
 from repro.runtime.config import ConfigError, loads
 from repro.runtime.entries import EntryError, TableEntry, TernaryMatch
-from repro.runtime.semantics import DELETE, INSERT, Update
+from repro.runtime.semantics import DELETE, INSERT, MODIFY, Update
 from repro.smt.terms import SortError
 from repro.targets.base import UnknownTargetError, available_targets
 from repro.targets.bmv2.interpreter import InterpreterError
@@ -231,13 +231,34 @@ def _observable(flay):
 
 
 class TestBatchAllOrNothing:
-    """A batch with one bad update — bad only against pre-batch state, so
-    the coalescer cannot see it — must not apply the good ones either."""
+    """A batch with one bad update — bad only against pre-batch state or
+    its entry's schema, so the coalescer cannot see it — must not apply
+    the good ones either."""
 
     E1 = Update("eth_table", INSERT, _fig3_entry(0x2, 0x900))
     ABSENT = Update("eth_table", DELETE, _fig3_entry(0x7, 0x100))
     INSTALLED = Update("eth_table", INSERT, _fig3_entry(0x1, 0x800))
     MALFORMED = Update("eth_table", INSERT, _fig3_entry(1 << 48, 0x100))
+    BAD = {
+        "absent": (ABSENT,),
+        "installed": (INSTALLED,),
+        "malformed": (MALFORMED,),
+        # The coalescer cancels an insert and its delete; the insert must
+        # still be checked, as sequential application checks it.
+        "installed_then_deleted": (
+            INSTALLED,
+            Update("eth_table", DELETE, INSTALLED.entry),
+        ),
+        "malformed_then_deleted": (
+            MALFORMED,
+            Update("eth_table", DELETE, MALFORMED.entry),
+        ),
+        # Only the last of two modifies survives the fold.
+        "malformed_modify_overwritten": (
+            Update("eth_table", MODIFY, _fig3_entry(0x1, 1 << 16)),
+            Update("eth_table", MODIFY, _fig3_entry(0x1, 0x86DD)),
+        ),
+    }
 
     @staticmethod
     def _pair():
@@ -246,23 +267,19 @@ class TestBatchAllOrNothing:
         pair = []
         for _ in range(2):
             flay = Flay.from_source(source(), FlayOptions(target="tofino"))
-            flay.process_update(TestBatchAllOrNothing.INSTALLED)
+            flay.decide(TestBatchAllOrNothing.INSTALLED)
             pair.append(flay)
         return pair
 
-    @pytest.mark.parametrize("entry_point", ["apply_batch", "process_batch"])
-    @pytest.mark.parametrize(
-        "bad", ["ABSENT", "INSTALLED", "MALFORMED"], ids=str.lower
-    )
-    def test_failed_batch_leaves_no_trace(self, entry_point, bad):
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_failed_batch_leaves_no_trace(self, bad):
         flay, untouched = self._pair()
-        submit = getattr(flay, entry_point)
         with pytest.raises(EntryError):
-            submit([self.E1, getattr(self, bad)])
+            flay.decide([self.E1, *self.BAD[bad]])
         assert _observable(flay) == _observable(untouched)
-        # The batch minus the bad op then succeeds, as on the twin that
+        # The batch minus the bad ops then succeeds, as on the twin that
         # never saw the failed one.
-        getattr(untouched, entry_point)([self.E1])
-        submit([self.E1])
+        untouched.decide([self.E1])
+        flay.decide([self.E1])
         assert _observable(flay) == _observable(untouched)
         assert flay.runtime.state.update_count == 2

@@ -10,11 +10,9 @@ batching: fuzzer streams, every target backend, sequential and batched
 application.
 
 "Ungated" in the test names is that specification: the gate-less query
-engine.  ``FLAY_BATCH_WORKERS`` (CI's ``batch-differential`` axis) sets
-the worker count of the batched regime.
+engine.
 """
 
-import os
 import random
 
 import pytest
@@ -34,9 +32,6 @@ from repro.smt.interval import _refuted_by_pins
 from tests.engine.spec import Spec
 
 TARGETS = ("tofino", "bmv2")
-
-#: CI matrix axis.
-ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -130,7 +125,7 @@ def test_sequential_stream_gated_equals_ungated(target, seed):
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("seed", [2, 9])
 def test_batched_stream_gated_equals_ungated(target, seed):
-    """The batch scheduler path: the forked/absorbed worker gates leave
+    """The batch scheduler path: the forked/absorbed slice gates leave
     the specification's verdicts after every batch."""
     flay = make_flay(target)
     spec = Spec(flay)
@@ -138,29 +133,25 @@ def test_batched_stream_gated_equals_ungated(target, seed):
         tables=ALL_TABLES, count=50, modify_fraction=0.25, delete_fraction=0.15
     )
     for batch in chunk(stream, seed):
-        spec.check_decision(flay.apply_batch(batch, workers=ENV_WORKERS), batch)
+        spec.check_decision(flay.decide(batch), batch)
     assert flay.specialized_source() == spec.specialized_source()
     spec.check_lowered()
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_output_invariant_across_worker_counts(seed):
-    """workers=1, 2, 4: byte-identical everything, and the specification's
-    verdicts after every batch."""
-    engines = {w: make_flay("tofino") for w in (1, 2, 4)}
-    stream = EntryFuzzer(engines[1].model, seed=seed).update_stream(
+def test_output_is_deterministic(seed):
+    """Two engines fed the same bursts: byte-identical everything, and the
+    specification's verdicts after every batch."""
+    first, second = make_flay("tofino"), make_flay("tofino")
+    stream = EntryFuzzer(first.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=60, modify_fraction=0.25, delete_fraction=0.15
     )
-    for workers, flay in engines.items():
+    for flay in (first, second):
         spec = Spec(flay)
         for batch in chunk(stream, seed):
-            spec.check_decision(flay.apply_batch(batch, workers=workers))
-    baseline = engines[1]
-    for workers, flay in engines.items():
-        if workers == 1:
-            continue
-        assert_same_result(baseline, flay)
-        assert lowered_trace(baseline) == lowered_trace(flay)
+            spec.check_decision(flay.decide(batch))
+    assert_same_result(first, second)
+    assert lowered_trace(first) == lowered_trace(second)
 
 
 def test_witness_replay_regime_stays_identical():

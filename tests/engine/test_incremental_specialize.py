@@ -9,7 +9,7 @@ fresh :class:`Specializer` prints for the engine's verdicts, and its report
 is the fresh one's, order included:
 
 * a policy roll-out on all seven zoo programs, one update at a time and in
-  ``process_batch`` / ``apply_batch`` chunks;
+  bursts;
 * the ``dce`` effort (no constant propagation, inlining, narrowing or
   parser-tail pruning);
 * value-set updates, which move parser select cases, and recompiles that
@@ -89,12 +89,8 @@ def test_rollout_in_batches(name):
     flay = make_flay(name)
     spec = Spec(flay)
     recompiles = 0
-    for index, batch in enumerate(chunks(rollout(flay, seed=2), seed=len(name))):
-        if index % 2:
-            decision = flay.apply_batch(batch)
-        else:
-            decision = flay.process_batch(batch)
-        recompiles += decision.recompiled
+    for batch in chunks(rollout(flay, seed=2), seed=len(name)):
+        recompiles += flay.decide(batch).recompiled
         assert_fresh(flay, spec)
     assert recompiles > 0
 
@@ -145,10 +141,7 @@ def test_value_set_updates_move_the_parser():
     ]
     removed_select_cases = set()
     for step in steps:
-        if isinstance(step, ValueSetUpdate):
-            flay.process_value_set_update(step)
-        else:
-            flay.process_update(step)
+        flay.decide(step)
         assert_fresh(flay, spec)
         removed_select_cases.add(flay.report.removed_select_cases)
     assert len(removed_select_cases) > 1  # the select cases did move

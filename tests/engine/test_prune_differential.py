@@ -213,8 +213,8 @@ def test_property_batched_replay_identical(seed, chunk_sizes):
         size = chunk_sizes[i % len(chunk_sizes)]
         batch = stream[i : i + size]
         i += size
-        ra = pruned.apply_batch(batch, workers=2)
-        rb = unpruned.apply_batch(batch, workers=2)
+        ra = pruned.decide(batch)
+        rb = unpruned.decide(batch)
         # Point IDs carry an allocation counter that shifts when pruning
         # removes points, so compare them with the counter stripped.
         normalize = lambda pids: sorted(p.split("#")[0] for p in pids)

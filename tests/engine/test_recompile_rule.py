@@ -149,7 +149,6 @@ FLIPPED = {
 #: pairs, each decided only when the one before it has been checked.
 DECIDE = {
     "process_update": lambda flay, chunk: ((flay.process_update(u), [u]) for u in chunk),
-    "process_batch": lambda flay, chunk: [(flay.process_batch(chunk), chunk)],
     "apply_batch": lambda flay, chunk: [(flay.apply_batch(chunk), chunk)],
 }
 

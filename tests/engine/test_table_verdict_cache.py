@@ -10,11 +10,8 @@ and batched application, snapshot/restore round-trips, and a Hypothesis
 sweep — with a non-vacuity check that the memo actually got hits.
 
 "Uncached" in the test names is that specification.
-``FLAY_BATCH_WORKERS`` (CI's ``batch-differential`` axis) sets the worker
-count of the batched regime.
 """
 
-import os
 import pickle
 import random
 
@@ -29,9 +26,6 @@ from repro.p4.parser import parse_program
 from repro.runtime.fuzzer import EntryFuzzer
 
 from tests.engine.spec import Spec
-
-#: CI matrix axis.
-ENV_WORKERS = int(os.environ.get("FLAY_BATCH_WORKERS", "2"))
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; bit<8> g; }
@@ -128,7 +122,7 @@ def test_batched_stream_cached_equals_uncached(seed):
         tables=ALL_TABLES, count=40, modify_fraction=0.25, delete_fraction=0.15
     )
     for batch in chunk(stream, seed):
-        spec.check_decision(flay.apply_batch(batch, workers=ENV_WORKERS), batch)
+        spec.check_decision(flay.decide(batch), batch)
     assert flay.specialized_source() == spec.specialized_source()
     spec.check_lowered()
     # Slice counters and memo entries both fold back on merge, so the
@@ -138,19 +132,19 @@ def test_batched_stream_cached_equals_uncached(seed):
 
 
 @pytest.mark.parametrize("seed", [3])
-def test_output_invariant_across_worker_counts(seed):
-    """workers=1, 4: byte-identical, and the specification's verdicts
-    after every batch."""
-    engines = {w: make_flay("tofino") for w in (1, 4)}
-    stream = EntryFuzzer(engines[1].model, seed=seed).update_stream(
+def test_output_is_deterministic(seed):
+    """Two engines fed the same bursts: byte-identical, and the
+    specification's verdicts after every batch."""
+    first, second = make_flay("tofino"), make_flay("tofino")
+    stream = EntryFuzzer(first.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.25, delete_fraction=0.15
     )
-    for workers, flay in engines.items():
+    for flay in (first, second):
         spec = Spec(flay)
         for batch in chunk(stream, seed):
-            spec.check_decision(flay.apply_batch(batch, workers=workers))
-    assert_same_result(engines[1], engines[4])
-    assert lowered_trace(engines[1]) == lowered_trace(engines[4])
+            spec.check_decision(flay.decide(batch))
+    assert_same_result(first, second)
+    assert lowered_trace(first) == lowered_trace(second)
 
 
 def test_snapshot_roundtrip_reprimes_the_memo():

@@ -13,8 +13,8 @@ only between decisions.  These tests pin:
   ``QueryEngine`` lives outside any engine across the collections;
 * (b) a dropped engine's terms leave the table, and the engine that
   stays decides exactly what it decides alone;
-* (c) no collection inside ``apply_batch``'s pool, and a due one at the
-  next decision;
+* (c) no collection inside a burst's conflict groups, and a due one at
+  the next decision;
 * (d) no memo of a bare ``QueryEngine`` or ``Solver`` answers for a
   freed term whose address a new term took;
 * (e) over 20 000 precise ACL updates the intern table and every
@@ -98,7 +98,7 @@ def test_batched_decisions_survive_a_collection_after_each(name):
     freed = 0
     for start in range(0, len(stream), 5):
         burst = stream[start:start + 5]
-        report = engine.apply_batch(burst, workers=2)
+        report = engine.decide(burst)
         freed += FACTORY.collect()
         spec.check_decision(report, burst)
     assert freed > 0
@@ -184,8 +184,8 @@ def test_no_collection_inside_a_batch_and_a_due_one_at_the_next_decision(
     for start in range(0, 40, 10):
         force_due(monkeypatch)
         before, ran = FACTORY.generation, len(groups)
-        engine.apply_batch(stream[start:start + 9], workers=4)
-        # The due collection ran once, before the pool started ...
+        engine.decide(stream[start:start + 9])
+        # The due collection ran once, before the first group ran ...
         assert FACTORY.generation == before + 1
         assert all(
             (first, last) == (before + 1, before + 1) for first, last in groups[ran:]

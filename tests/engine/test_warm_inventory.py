@@ -158,7 +158,7 @@ def warmed(request):
     first, modules = _unregistered(engine.ctx), _module_containers()
     for update in stream[WARMUP:WARMUP + SEQUENTIAL]:
         engine.process_update(update)
-    engine.apply_batch(stream[WARMUP + SEQUENTIAL:], workers=2)
+    engine.decide(stream[WARMUP + SEQUENTIAL:])
     grown = _grown(first, _unregistered(engine.ctx))
     return engine, grown, _grown(modules, _module_containers())
 

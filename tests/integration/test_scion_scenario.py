@@ -75,7 +75,7 @@ class TestBurst:
         )
         updates = [Update("ScionIngress.ipv4_forward", INSERT, e) for e in entries]
         decision = flay.process_batch(updates)
-        assert decision.updates == 1000
+        assert decision.update_count == 1000
         assert not decision.recompiled
         assert decision.elapsed_ms < 5000  # paper: "within a second"
 

@@ -12,7 +12,6 @@ terms something still holds.
 
 import gc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.smt import terms as T
 from repro.smt.substitute import DeltaSubstitution
@@ -122,30 +121,14 @@ class TestCollection:
         assert held
 
 
-class TestConcurrentInterning:
-    """The batch scheduler shares one factory across its worker pool, so
-    concurrent construction of the same structure must yield one object —
-    ``TermFactory._mk`` interns with a single atomic ``dict.setdefault``."""
+class TestSliceInterning:
+    """The batch scheduler builds terms in per-group slices of one shared
+    substitution, through the one shared factory."""
 
-    def test_racing_builders_get_one_representative(self):
-        def build(round_id):
-            x = T.data_var("race_probe", 16)
-            return T.add(
-                T.mul(x, T.bv_const(3, 16)), T.bv_const(round_id % 2, 16)
-            )
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            terms = list(pool.map(build, range(64)))
-        evens = {id(t) for i, t in enumerate(terms) if i % 2 == 0}
-        odds = {id(t) for i, t in enumerate(terms) if i % 2 == 1}
-        assert len(evens) == 1
-        assert len(odds) == 1
-        assert evens != odds
-
-    def test_concurrent_slice_applies_then_absorb(self):
-        """Worker slices applying over shared structure, then merged: the
-        shared memo ends up keyed on interned ids that resolve to the very
-        objects the workers produced."""
+    def test_slice_applies_then_absorb(self):
+        """Slices applying over shared structure, then merged: the shared
+        memo ends up keyed on interned ids that resolve to the very
+        objects the slices produced."""
         x = T.data_var("slice_probe_x", 8)
         ctrl_a = T.control_var("slice_probe.a", 8)
         ctrl_b = T.control_var("slice_probe.b", 8)
@@ -159,14 +142,10 @@ class TestConcurrentInterning:
             "a": {ctrl_a: T.bv_const(3, 8)},
             "b": {ctrl_b: T.bv_const(5, 8)},
         }
-
-        def run(name):
-            piece = slices[name]
+        results = {}
+        for name, piece in slices.items():
             piece.set_many(mappings[name])
-            return piece.apply(exprs[name])
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = dict(zip(exprs, pool.map(run, exprs)))
+            results[name] = piece.apply(exprs[name])
         for piece in slices.values():
             shared_sub.absorb(piece)
         # Post-merge, the shared substitution answers both by identity.

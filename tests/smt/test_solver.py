@@ -302,7 +302,7 @@ class TestSolverMemos:
         fuzzer = EntryFuzzer(flay.model, seed=3)
         for _ in range(3):
             burst = fuzzer.insert_burst("ta", 6) + fuzzer.insert_burst("tb", 6)
-            flay.apply_batch(burst, workers=1)
+            flay.decide(burst)
         assert pieces
         assert any(p.query_engine.solver._interval_memo for p in pieces)
 

@@ -9,8 +9,6 @@ sequences, on key shapes taken from the program zoo.
 """
 
 import random
-import sys
-import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -299,44 +297,3 @@ def test_churn_leaves_only_the_live_entries_behind():
     assert len(state) == len(resident)
     assert len(state._rows) == len(resident)
     assert state.fdd.row_count() == len(state.active_entries()) <= len(resident)
-
-
-def test_stale_rows_repacked_from_many_threads_at_once():
-    """A batch worker that finds the rows stale re-packs them itself.
-    Workers only ever look up (table state changes between batches), so
-    racing re-packs derive the same rows; publishing rows and revision in
-    one assignment means no thread can pair new rows with an old revision
-    or the reverse."""
-    kinds, widths = TERNARY_SHAPES[1]
-    state = indexed_state(make_table(kinds, widths))
-    rng = random.Random(11)
-    probes: list = []
-    wrong: list = []
-
-    def worker():
-        for probe, expected in probes:
-            if lookup(state, probe) != expected:
-                wrong.append(probe)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for round_no in range(25):
-            matches = []
-            for width in widths:
-                mask = rng.getrandbits(width)
-                matches.append(TernaryMatch(rng.getrandbits(width) & mask, mask))
-            entry = TableEntry(tuple(matches), ACTIONS[round_no % 3], (), round_no)
-            state.apply(INSERT, entry)  # main thread; rows are now stale
-            probes.append((point_inside(entry, widths, rng), None))
-            probes[:] = [(p, first_match(state, p)) for p, _ in probes]
-            threads = [threading.Thread(target=worker) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            assert state.fdd._packed[0] == state.revision()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not wrong

@@ -90,9 +90,9 @@ def test_specialize_stats_prints_cache_counters(tmp_path, capsys):
         assert layer in err
 
 
-def test_specialize_batch_workers_flag(tmp_path, capsys):
-    """--batch at --workers 1 and 4 and with the auto-detect default
-    produces byte-identical output."""
+def test_specialize_config_is_decided_as_one_burst(tmp_path, capsys):
+    """--config goes through the burst scheduler as one decision, and a
+    second run writes the same program."""
     config = {
         "tables": {
             "Fig3Ingress.eth_table": [
@@ -108,17 +108,17 @@ def test_specialize_batch_workers_flag(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
     outputs = []
-    for workers in (["--workers", "1"], ["--workers", "4"], []):
+    for _ in range(2):
         out_path = tmp_path / "specialized.p4"
         assert main([
             "specialize", "corpus:fig3",
             "--config", str(config_path),
-            "--batch", *workers,
             "--output", str(out_path),
         ]) == 0
         outputs.append(out_path.read_text())
-        assert "batch of 1" in capsys.readouterr().err
-    assert outputs[0] == outputs[1] == outputs[2]
+        err = capsys.readouterr().err
+        assert "batch of 1 updates (1 after coalescing, 1 conflict groups)" in err
+    assert outputs[0] == outputs[1]
 
 
 def test_specialize_effort_none(capsys):

@@ -57,9 +57,9 @@ def main() -> int:
     )
     _repull(flay, tainted)
     for update in fuzzer.insert_burst(table, 5):
-        flay.process_update(update)
+        flay.decide(update)
         assert _repull(flay, tainted) == 0, "a warm update left a substitution pull pending"
-    flay.process_batch(fuzzer.insert_burst(table, 20))
+    flay.decide(fuzzer.insert_burst(table, 20))
     assert _repull(flay, tainted) == 0, "a warm batch left a substitution pull pending"
 
     outcomes = log.of_type(UpdateProcessed)
