@@ -58,8 +58,8 @@ def without_prune_pass():
         yield
 
 
-def make_flay(program, bus=None, **options) -> Flay:
-    return Flay(program, FlayOptions(target="none", **options), bus=bus)
+def make_flay(program, **options) -> Flay:
+    return Flay(program, FlayOptions(target="none", **options))
 
 
 def representative_config(flay: Flay, tables, seed: int = 7):

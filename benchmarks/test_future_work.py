@@ -48,8 +48,7 @@ class TestIncrementalRecompilation:
         baseline = flay.specialized_program
         compiler.compile(baseline)  # baseline artifact
 
-        flay.process_batch(_scion_config(flay))
-        report = flay.compile_reports[-1]
+        report = flay.process_batch(_scion_config(flay)).compile_report
         speedup = report.modeled_seconds / report.modular_seconds
 
         heading("§6 future work: incremental device recompilation (scion)")

@@ -91,9 +91,8 @@ def main() -> None:
 
     banner("Summary")
     print(flay.summary())
-    if flay.compile_reports:
-        last = flay.compile_reports[-1]
-        print(f"\nlast device compile: {last.describe()}")
+    if flay.compile_report is not None:
+        print(f"\nlast device compile: {flay.compile_report.describe()}")
 
 
 if __name__ == "__main__":

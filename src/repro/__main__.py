@@ -22,7 +22,6 @@ import sys
 
 from repro.analysis import analyze
 from repro.core import Flay, FlayOptions
-from repro.engine.events import EventBus
 from repro.errors import FlayError
 from repro.ir import measure
 from repro.p4.parser import parse_program
@@ -88,9 +87,7 @@ def cmd_specialize(args) -> int:
         skip_parser=args.skip_parser,
         effort=args.effort,
     )
-    bus = EventBus()
-    log = bus.attach_log() if args.stats else None
-    flay = Flay(program, options, bus=bus)
+    flay = Flay(program, options)
     if args.config:
         decision = flay.decide(config_mod.load(args.config).updates())
         print(f"# config: {decision.describe()}", file=sys.stderr)
@@ -98,7 +95,6 @@ def cmd_specialize(args) -> int:
         print(f"# {flay.prune_report.summary()}", file=sys.stderr)
     print(f"# specializations: {flay.report.summary()}", file=sys.stderr)
     if args.stats:
-        print(f"# pipeline events: {log.summary()}", file=sys.stderr)
         print("# cache statistics:", file=sys.stderr)
         for line in flay.cache_stats().describe().splitlines():
             print(f"#   {line}", file=sys.stderr)
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument(
         "--stats",
         action="store_true",
-        help="print pipeline events and cache hit/miss statistics to stderr",
+        help="print the config decision and the cache, solver and gate counters to stderr",
     )
     p_spec.add_argument(
         "--target",

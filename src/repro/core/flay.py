@@ -14,10 +14,9 @@ the cold pipeline (parse → typecheck → analyze → encode → specialize →
 lower) and every ``decide`` call runs the warm path, for one update or
 one burst, and returns one :class:`~repro.engine.pipeline.Decision`.
 This module adds only the
-source-string constructor and two printers.  Pass an
-:class:`~repro.engine.events.EventBus` via ``bus=`` to observe typed
-pipeline events (pass timings, cache activity, forward/recompile
-outcomes).
+source-string constructor and two printers.  The returned
+:class:`~repro.engine.pipeline.Decision` is the one account of each
+decision; the engine keeps only running totals of them.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Optional
 
 from repro.engine.context import EngineOptions, EngineTimings
 from repro.engine.engine import Engine
-from repro.engine.events import EventBus
 from repro.p4.printer import print_program
 
 #: The long-standing public names for the engine's option/timing records.
@@ -42,10 +40,8 @@ class Flay(Engine):
         cls,
         source: str,
         options: Optional[FlayOptions] = None,
-        *,
-        bus: Optional[EventBus] = None,
     ) -> "Flay":
-        return cls(None, options, source=source, bus=bus)
+        return cls(None, options, source=source)
 
     @property
     def runtime(self) -> "Flay":
@@ -61,10 +57,10 @@ class Flay(Engine):
             f"points: {self.model.point_count}",
             f"tables: {len(self.model.tables)}",
             f"analysis: {self.timings.data_plane_analysis_seconds * 1000:.1f} ms",
-            f"updates processed: {len(self.update_log)} "
+            f"updates processed: {self.ctx.decisions} "
             f"(forwarded {self.forwarded_count}, "
             f"recompiled {self.recompiled_count})",
-            f"mean update analysis: {self.timings.mean_update_ms():.2f} ms",
+            f"mean update analysis: {self.mean_update_ms():.2f} ms",
             f"specializations: {self.report.summary()}",
         ]
         return "\n".join(lines)

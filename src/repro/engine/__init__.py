@@ -9,10 +9,9 @@ over one shared :class:`~repro.engine.context.EngineContext`:
   respecialize-or-forward — run by :meth:`Engine.decide` per
   control-plane update (a burst goes through the batch scheduler).
 
-Progress, cache activity, and forward/recompile outcomes are published as
-typed events on the context's :class:`~repro.engine.events.EventBus`;
-errors root at :class:`~repro.errors.FlayError` and carry the pipeline
-stage that raised them.
+Every decision returns one :class:`~repro.engine.pipeline.Decision`, the
+whole account of it; errors root at :class:`~repro.errors.FlayError` and
+carry the pipeline stage that raised them.
 """
 
 from repro.engine.batch import (
@@ -29,18 +28,5 @@ from repro.engine.batch import (
 from repro.engine.context import EngineContext, EngineOptions, EngineTimings
 from repro.engine.engine import Engine
 from repro.engine.errors import FlayError, OptionsError, SourcePos
-from repro.engine.events import (
-    BatchMerged,
-    BatchScheduled,
-    CacheActivity,
-    Event,
-    EventBus,
-    EventLog,
-    PassFinished,
-    PassStarted,
-    TargetCompiled,
-    UpdateLowered,
-    UpdateProcessed,
-)
 from repro.engine.passes import Pass, PassManager
 from repro.engine.pipeline import Decision, cold_passes, warm_passes

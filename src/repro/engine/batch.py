@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.engine.context import EngineContext
-from repro.engine.events import BatchMerged, BatchScheduled
 from repro.engine.gate import GateStats
 from repro.engine.pipeline import Decision, _compile, respecialize
 from repro.engine.queries import PointReverdicts, QueryEngine
@@ -429,24 +428,17 @@ class WorkerSlice:
             shared_qe._table_verdict_memo
         )
 
-    def merge_into(self, ctx: EngineContext) -> tuple[int, int]:
+    def merge_into(self, ctx: EngineContext) -> None:
         """Fold this slice's cache deltas into the shared context.
 
-        Runs after every group has run.  Returns
-        ``(memo_entries, verdict_entries)`` grafted, for the
-        :class:`~repro.engine.events.BatchMerged` event.
+        Runs after every group has run.
         """
-        memo_entries = ctx.substitution.absorb(self.substitution)
+        ctx.substitution.absorb(self.substitution)
         shared_qe = ctx.query_engine
         qe = self.query_engine
         shared_qe._decided.update(qe._decided.delta)
         shared_qe.redecided += qe.redecided
         shared_qe.unchanged += qe.unchanged
-        verdict_entries = (
-            len(qe._exec_cache.delta)
-            + len(qe.solver._results.delta)
-            + len(qe._table_verdict_memo.delta)
-        )
         shared_qe._exec_cache.update(qe._exec_cache.delta)
         shared_qe._simplify_memo.update(qe._simplify_memo.delta)
         shared_qe._table_verdict_memo.update(qe._table_verdict_memo.delta)
@@ -458,12 +450,11 @@ class WorkerSlice:
         shared = shared_qe.solver
         shared.cache_counter.hit(qe.solver.cache_counter.hits)
         shared.cache_counter.miss(qe.solver.cache_counter.misses)
-        # Query stats, search stats and probe latencies fold back.
+        # Query stats and search stats fold back.
         shared.stats.absorb(qe.solver.stats)
         # Gate tier counters and witness-record deltas fold back the same
         # way; anchor-order iteration keeps the merge deterministic.
         shared_qe.gate.absorb_fork(qe.gate)
-        return memo_entries, verdict_entries
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +535,7 @@ def _verify_merge_accounting(
     merged_gate: GateStats,
     slice_gate: GateStats,
 ) -> None:
-    """The double-counting tripwire behind :class:`BatchMerged`.
+    """The merge's double-counting tripwire, run on every burst.
 
     Each slice's solver/gate stats start at zero when it forks and are
     absorbed into the shared objects exactly once during the merge, so
@@ -614,14 +605,6 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
         resolve_value_set=lambda name: model.value_set(name).name,
     )
     groups = partition(ctx, coalesced)
-    if ctx.bus.active:
-        ctx.bus.emit(
-            BatchScheduled(
-                update_count=len(updates),
-                coalesced_count=coalesced.output_count,
-                group_count=len(groups),
-            )
-        )
 
     # State mutation happens up front, in anchor order — a group then
     # only reads its own tables.  Every input update, folded or not, is
@@ -634,7 +617,6 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
     outcomes = [run_group(ctx, group, WorkerSlice(ctx)) for group in groups]
 
     # Merge, in deterministic group order.
-    merge_start = time.perf_counter()
     shared_solver = ctx.query_engine.solver
     shared_gate = ctx.query_engine.gate
     solver_before = shared_solver.stats.snapshot()
@@ -644,8 +626,6 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
     changed: list = []
     tables: list = []  # every re-encoded table
     affected_points = redecided_points = unchanged_points = 0
-    memo_entries = 0
-    verdict_entries = 0
     group_decisions: list = []
     for outcome in outcomes:
         # A slice's solver and gate stats start at zero when it forks.
@@ -655,9 +635,7 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
         ctx.mapping.update(outcome.mapping)
         ctx.table_assignments.update(outcome.assignments)
         tables.extend(outcome.assignments)
-        grafted_memo, grafted_verdicts = outcome.slice.merge_into(ctx)
-        memo_entries += grafted_memo
-        verdict_entries += grafted_verdicts
+        outcome.slice.merge_into(ctx)
         points = outcome.points
         ctx.point_verdicts.update(points.verdicts)
         ctx.table_verdicts.update(outcome.table_verdicts)
@@ -681,19 +659,6 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
     merged_solver = shared_solver.stats.since(solver_before)
     merged_gate = shared_gate.stats.since(gate_before)
     _verify_merge_accounting(merged_solver, slice_solver, merged_gate, slice_gate)
-    if ctx.bus.active:
-        ctx.bus.emit(
-            BatchMerged(
-                group_count=len(groups),
-                merged_memo_entries=memo_entries,
-                merged_verdict_entries=verdict_entries,
-                elapsed_ms=(time.perf_counter() - merge_start) * 1000,
-                worker_solver_queries=slice_solver.total,
-                merged_solver_queries=merged_solver.total,
-                worker_gate_screens=slice_gate.screened,
-                merged_gate_screens=merged_gate.screened,
-            )
-        )
 
     recompiled = respecialize(ctx, changed, tables)
     compile_report = None

@@ -2,8 +2,8 @@
 
 One :class:`EngineContext` owns it — the hash-consing table, the
 long-lived :class:`~repro.smt.substitute.DeltaSubstitution`, the
-verdict caches, the timing and cache metrics, the target backend, and
-the event bus — and passes are plain functions over the context.
+verdict caches, the timing and cache metrics, and the target backend —
+and passes are plain functions over the context.
 
 :data:`WARM_STATE` is the one inventory of what the engine keeps from
 one update to the next; the snapshot, the restore and the fleet store
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from repro.engine.events import EventBus
 from repro.ir.metrics import CacheCounter
 from repro.runtime.semantics import DEFAULT_OVERAPPROX_THRESHOLD
 
@@ -44,19 +43,6 @@ class EngineTimings:
     prune_seconds: float = 0.0
     data_plane_analysis_seconds: float = 0.0
     initial_specialization_seconds: float = 0.0
-    #: One decision record per warm run (the engine's ``update_log``);
-    #: each carries its own ``elapsed_ms``, so the times are not kept twice.
-    log: list = field(default_factory=list)
-
-    @property
-    def update_ms(self) -> list:
-        return [decision.elapsed_ms for decision in self.log]
-
-    def mean_update_ms(self) -> float:
-        return sum(self.update_ms) / len(self.update_ms) if self.update_ms else 0.0
-
-    def max_update_ms(self) -> float:
-        return max(self.update_ms, default=0.0)
 
 
 @dataclass
@@ -70,7 +56,6 @@ class EngineContext:
     """
 
     options: EngineOptions
-    bus: EventBus
     # Front end.
     source: Optional[str] = None
     program: Optional[object] = None  # ast.Program
@@ -99,8 +84,8 @@ class EngineContext:
     report: Optional[object] = None  # SpecializationReport
     # Target backend (a repro.targets.base.Target, or None).
     target: Optional[object] = None
-    compile_reports: list = field(default_factory=list)
-    lowered_updates: list = field(default_factory=list)
+    # The report of the last device compile (cold or warm), or None.
+    compile_report: Optional[object] = None
     # Conflict components for the batch scheduler (entity → component
     # root), computed lazily from the model's taint index on the first
     # burst — it is fixed per program, so this never invalidates.
@@ -115,14 +100,13 @@ class EngineContext:
     restore_blob: Optional[dict] = None
     # Bookkeeping.
     timings: EngineTimings = field(default_factory=EngineTimings)
+    # Running totals over every warm decision; the engine keeps no
+    # per-decision history (each decision is its returned record).
     recompilations: int = 0
+    decisions: int = 0
+    decision_ms: float = 0.0
     # Per-warm-run scratch (a pipeline.WarmState while a warm run executes).
     warm: Optional[object] = None
-
-    @property
-    def update_log(self) -> list:
-        """Every decision record, in order (held by :attr:`timings`)."""
-        return self.timings.log
 
     def cache_counters(self) -> list:
         """Every cross-update cache layer's counter, in report order."""
@@ -146,9 +130,8 @@ class EngineContext:
 #: process until the term is collected.  ``node``: the ``id()`` of an AST
 #: node of the engine's own program, which the program holds for the
 #: engine's life.  ``term``: an interned term itself.  ``value``: a plain
-#: value (a pid, a table name, a digest).  ``log``: an append-only history,
-#: not a memo.
-KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE, KEY_LOG = "id", "node", "term", "value", "log"
+#: value (a pid, a table name, a digest).
+KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE = "id", "node", "term", "value"
 
 #: Carry rules.  ``shared``: a pure function of the term — the fleet store
 #: shares it and a restore unions the blob's entries into it.
@@ -223,7 +206,6 @@ WARM_STATE: tuple = (
     WarmRow("query_engine.solver._results", KEY_TERM, SHARED, GENERATION),
     WarmRow("query_engine.solver._simplify_memo", KEY_ID, LOCAL, GENERATION),
     WarmRow("query_engine.solver._interval_memo", KEY_ID, LOCAL, GENERATION),
-    WarmRow("query_engine.solver.stats.probe_latencies_us", KEY_LOG, LOCAL, ENGINE),
     WarmRow("gate._records.map", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("point_verdicts", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("table_verdicts", KEY_VALUE, CARRIED, ENGINE),
@@ -231,9 +213,6 @@ WARM_STATE: tuple = (
     WarmRow("batch_components", KEY_VALUE, REBUILT, ENGINE),
     WarmRow("specializer._memo", KEY_NODE, LOCAL, ENGINE),
     WarmRow("specializer._node_verdicts", KEY_NODE, LOCAL, ENGINE),
-    WarmRow("compile_reports", KEY_LOG, LOCAL, ENGINE),
-    WarmRow("lowered_updates", KEY_LOG, LOCAL, ENGINE),
-    WarmRow("timings.log", KEY_LOG, LOCAL, ENGINE),
 )
 
 

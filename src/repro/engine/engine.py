@@ -15,15 +15,6 @@ from typing import Optional
 
 from repro.engine.batch import schedule_batch
 from repro.engine.context import EngineContext, EngineOptions, EngineTimings
-from repro.engine.events import (
-    CacheActivity,
-    EventBus,
-    GateActivity,
-    SolverActivity,
-    StoreActivity,
-    UpdateLowered,
-    UpdateProcessed,
-)
 from repro.engine.passes import PassManager
 from repro.engine.pipeline import (
     Decision,
@@ -50,7 +41,6 @@ class Engine:
         source: Optional[str] = None,
         env=None,
         device_compiler=_UNSET,
-        bus: Optional[EventBus] = None,
         store=None,
         restore_blob: Optional[dict] = None,
     ) -> None:
@@ -59,7 +49,6 @@ class Engine:
         self.options = options if options is not None else EngineOptions()
         self.ctx = EngineContext(
             options=self.options,
-            bus=bus if bus is not None else EventBus(),
             source=source,
             program=program,
             env=env,
@@ -92,16 +81,11 @@ class Engine:
         )
 
     def _settle_store(self) -> None:
-        """Donate to (or report adoption from) the attached shared store."""
+        """Donate the cold artifacts to the attached shared store, unless
+        they were adopted from it."""
         ctx = self.ctx
-        if ctx.store is None or ctx.source is None:
-            return
-        if not ctx.store_hit:
-            entry = ctx.store.donate(ctx)
-        else:
-            entry = ctx.store.get(ctx.source, ctx.options)
-        if ctx.bus.active and entry is not None:
-            ctx.bus.emit(StoreActivity(key=entry.key, hit=ctx.store_hit))
+        if ctx.store is not None and ctx.source is not None and not ctx.store_hit:
+            ctx.store.donate(ctx)
 
     # -- warm-state snapshot ---------------------------------------------------
 
@@ -121,7 +105,6 @@ class Engine:
         blob: dict,
         *,
         store=None,
-        bus: Optional[EventBus] = None,
         device_compiler=_UNSET,
     ) -> "Engine":
         """Rebuild a warm engine from a :meth:`snapshot` blob.
@@ -135,7 +118,6 @@ class Engine:
         return cls(
             options=blob["options"],
             source=blob["source"],
-            bus=bus,
             store=store,
             device_compiler=device_compiler,
             restore_blob=blob,
@@ -154,12 +136,13 @@ class Engine:
         group, merge) inline on the calling thread, and respecializes at
         most once.  The input's type picks the path, not its length, so a
         one-update list is a burst.  Forwarded updates reach the device in
-        the order they were submitted.
+        the order they were submitted.  The returned record is the whole
+        account of the decision; the engine adds it only to its running
+        totals.
         """
         if isinstance(item, (list, tuple)):
             return self._decide_burst(list(item))
         ctx = self.ctx
-        before = self._activity_snapshot() if ctx.bus.active else None
         start = time.perf_counter()
         ctx.warm = warm = WarmState(item)
         try:
@@ -172,8 +155,6 @@ class Engine:
         finally:
             ctx.warm = None
         elapsed_ms = (time.perf_counter() - start) * 1000
-        if before is not None:
-            self._emit_activity(*before)
         # A value-set update re-encodes no table: never overapproximated.
         assignment = next(iter(warm.assignments.values()), None)
         # Positional: keyword arguments more than double the cost of this
@@ -187,31 +168,30 @@ class Engine:
             elapsed_ms,
             bool(assignment and assignment.overapproximated),
             warm.compile_report,
+            warm.lowered,
         )
-        self._log("update", decision)
+        # Counted once the decision is complete, so a failed compile
+        # counts neither as a decision nor as a recompilation.
+        ctx.decisions += 1
+        ctx.recompilations += warm.recompiled
+        ctx.decision_ms += elapsed_ms
         return decision
 
     def _decide_burst(self, updates: list) -> Decision:
         ctx = self.ctx
-        before = self._activity_snapshot() if ctx.bus.active else None
         try:
             # Called through this module's global, where tracing wraps it.
             decision = schedule_batch(ctx, updates)
         except BaseException:
             ctx.specializer.reset()
             raise
-        if before is not None:
-            self._emit_activity(*before)
         if not decision.recompiled and ctx.target is not None:
             # The device still needs every submitted write (coalescing is a
             # verdict-side optimization), in the order it was submitted.
-            for lowered in ctx.target.lower_batch(updates):
-                ctx.lowered_updates.append(lowered)
-                if ctx.bus.active:
-                    ctx.bus.emit(
-                        UpdateLowered(target=lowered.target, table=lowered.table)
-                    )
-        self._log("batch", decision)
+            decision.lowered = tuple(ctx.target.lower_batch(updates))
+        ctx.decisions += 1
+        ctx.recompilations += decision.recompiled
+        ctx.decision_ms += decision.elapsed_ms
         return decision
 
     def process_update(self, update) -> Decision:
@@ -227,73 +207,6 @@ class Engine:
         """``decide(list(updates))``; kept because the end-to-end benchmark
         calls it (with ``workers=0``, which is ignored: bursts run inline)."""
         return self.decide(list(updates))
-
-    def _activity_snapshot(self) -> tuple:
-        """The cache, solver and gate counters :meth:`_emit_activity`
-        reports the deltas of."""
-        ctx = self.ctx
-        return (
-            [c.snapshot() for c in ctx.cache_counters()],
-            ctx.query_engine.solver.stats.snapshot(),
-            ctx.gate.snapshot(),
-        )
-
-    def _emit_activity(self, baseline, solver_before, gate_before) -> None:
-        """Emit per-run cache and SAT-core deltas (bus known to be active)."""
-        ctx = self.ctx
-        for counter, before in zip(ctx.cache_counters(), baseline):
-            delta = counter.since(before)
-            if delta.lookups or delta.invalidations:
-                ctx.bus.emit(
-                    CacheActivity(
-                        cache=delta.name,
-                        hits=delta.hits,
-                        misses=delta.misses,
-                        invalidations=delta.invalidations,
-                    )
-                )
-        stats = ctx.query_engine.solver.stats.since(solver_before)
-        if stats.probes:
-            ctx.bus.emit(
-                SolverActivity(
-                    probes=stats.probes,
-                    decisions=stats.search.decisions,
-                    conflicts=stats.search.conflicts,
-                    propagations=stats.search.propagations,
-                    learned=stats.search.learned,
-                    restarts=stats.search.restarts,
-                    probe_us=stats.probe_us_total,
-                )
-            )
-        delta = ctx.gate.snapshot().since(gate_before)
-        if delta.screened or delta.fdd_rebuilds:
-            ctx.bus.emit(
-                GateActivity(
-                    screened=delta.screened,
-                    witness_hits=delta.witness_hits,
-                    exec_cache_hits=delta.exec_cache_hits,
-                    solver_fallbacks=delta.solver_fallbacks,
-                    harvested=delta.harvested,
-                    fdd_rebuilds=delta.fdd_rebuilds,
-                )
-            )
-
-    def _log(self, kind: str, decision: Decision) -> None:
-        """Record the decision and publish its outcome event."""
-        ctx = self.ctx
-        ctx.update_log.append(decision)
-        if ctx.bus.active:
-            ctx.bus.emit(
-                UpdateProcessed(
-                    kind=kind,
-                    forwarded=decision.forwarded,
-                    recompiled=decision.recompiled,
-                    update_count=decision.update_count,
-                    affected_points=decision.affected_points,
-                    changed=len(decision.changed),
-                    elapsed_ms=decision.elapsed_ms,
-                )
-            )
 
     # -- re-derivation helpers (used by equivalence oracles) -------------------
 
@@ -327,22 +240,17 @@ class Engine:
     # -- introspection ---------------------------------------------------------
 
     @property
-    def events(self) -> EventBus:
-        return self.ctx.bus
-
-    @property
     def forwarded_count(self) -> int:
-        return sum(1 for d in self.ctx.update_log if d.forwarded)
+        return self.ctx.decisions - self.ctx.recompilations
 
     @property
     def recompiled_count(self) -> int:
-        return sum(1 for d in self.ctx.update_log if d.recompiled)
+        return self.ctx.recompilations
 
     def mean_update_ms(self) -> float:
-        log = self.ctx.update_log
-        if not log:
-            return 0.0
-        return sum(d.elapsed_ms for d in log) / len(log)
+        """Mean decision wall time, in ms (0.0 before the first)."""
+        ctx = self.ctx
+        return ctx.decision_ms / ctx.decisions if ctx.decisions else 0.0
 
     def cache_stats(self) -> CacheReport:
         """Hit/miss/invalidation counters for every cross-update cache layer."""
@@ -414,20 +322,13 @@ class Engine:
         return self.ctx.table_verdicts
 
     @property
-    def update_log(self) -> list:
-        return self.ctx.update_log
-
-    @property
     def recompilations(self) -> int:
         return self.ctx.recompilations
 
     @property
-    def compile_reports(self) -> list:
-        return self.ctx.compile_reports
-
-    @property
-    def lowered_updates(self) -> list:
-        return self.ctx.lowered_updates
+    def compile_report(self):
+        """The report of the last device compile, or None without a target."""
+        return self.ctx.compile_report
 
     @property
     def specialized_program(self):

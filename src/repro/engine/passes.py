@@ -2,19 +2,16 @@
 
 A pass is any object with a ``name``, a ``stage`` ("cold" or "warm"), and
 a ``run(ctx)`` method.  The :class:`PassManager` executes a declared
-sequence over one :class:`~repro.engine.context.EngineContext`, publishing
-:class:`~repro.engine.events.PassStarted` / ``PassFinished`` events and
-stamping the pipeline stage onto any :class:`~repro.errors.FlayError`
-that escapes a pass without one.
+sequence over one :class:`~repro.engine.context.EngineContext`, stamping
+the pipeline stage onto any :class:`~repro.errors.FlayError` that escapes
+a pass without one.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.engine.context import EngineContext
-from repro.engine.events import PassFinished, PassStarted
 from repro.errors import FlayError
 
 
@@ -35,28 +32,13 @@ class PassManager:
         self.passes = tuple(passes)
 
     def run(self, ctx: EngineContext) -> None:
-        bus = ctx.bus
-        # Read once per run: the warm path runs this for every update, so
-        # an unsubscribed bus costs no clock reads and no event objects.
-        active = bus.active
         for pipeline_pass in self.passes:
-            if active:
-                bus.emit(PassStarted(pipeline_pass.name, pipeline_pass.stage))
-                start = time.perf_counter()
             try:
                 pipeline_pass.run(ctx)
             except FlayError as exc:
                 if exc.stage is None:
                     exc.stage = pipeline_pass.name
                 raise
-            if active:
-                bus.emit(
-                    PassFinished(
-                        pipeline_pass.name,
-                        pipeline_pass.stage,
-                        (time.perf_counter() - start) * 1000,
-                    )
-                )
 
     def describe(self) -> str:
         return " → ".join(p.name for p in self.passes)

@@ -24,7 +24,6 @@ from typing import Optional
 
 from repro.analysis.symexec import analyze
 from repro.engine.context import SHARED, EngineContext, warm_state
-from repro.engine.events import SnapshotRestored, TargetCompiled, UpdateLowered
 from repro.engine.gate import VerdictGate
 from repro.engine.queries import QueryEngine
 from repro.engine.specialize import Specializer
@@ -63,6 +62,12 @@ class Decision:
     and ``groups`` at None; a burst sets them from the scheduler, and
     ``changed`` then lists each conflict group's tables before its points,
     groups in submission order.
+
+    ``compile_report`` is the device compile a recompile ran, and
+    ``lowered`` the writes a forward sent to the device, in submission
+    order (one per submitted update, folded or not; empty on a recompile
+    or without a target).  The record is the whole account of the
+    decision: the engine keeps no per-decision history.
     """
 
     recompiled: bool
@@ -74,6 +79,7 @@ class Decision:
     # The one update went into an overapproximated table (a burst: False).
     overapproximated: bool = False
     compile_report: object = None
+    lowered: tuple = ()  # LoweredUpdates, submission order
     update_count: int = 1  # updates as submitted
     coalesced_count: int = 1  # net updates after coalescing
     group_count: int = 1  # independent conflict groups
@@ -112,7 +118,7 @@ class WarmState:
 
     __slots__ = (
         "update", "changed_vars", "assignments", "affected", "redecided",
-        "unchanged", "changed", "recompiled", "compile_report",
+        "unchanged", "changed", "recompiled", "compile_report", "lowered",
     )
 
     def __init__(self, update) -> None:
@@ -125,6 +131,7 @@ class WarmState:
         self.changed: list = []  # pids / table names
         self.recompiled = False  # the program moved (see respecialize)
         self.compile_report = None
+        self.lowered = ()  # the forwarded write, once lowered
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +324,8 @@ class RestorePass:
         blob = ctx.restore_blob
         if blob is None:
             raise ValueError("RestorePass needs ctx.restore_blob")
-        sizes = apply_snapshot(ctx, blob)
+        apply_snapshot(ctx, blob)
         ctx.restore_blob = None
-        if ctx.bus.active:
-            ctx.bus.emit(
-                SnapshotRestored(
-                    memo_entries=sizes["substitution._memo"],
-                    witness_records=sizes["gate._records.map"],
-                )
-            )
 
 
 class SpecializePass:
@@ -341,16 +341,9 @@ class SpecializePass:
 
 
 def _compile(ctx: EngineContext):
-    """Compile the specialized program for the target; returns its report."""
-    report = ctx.target.compile(ctx.specialized_program)
-    ctx.compile_reports.append(report)
-    if ctx.bus.active:
-        ctx.bus.emit(
-            TargetCompiled(
-                target=getattr(ctx.target, "name", "target"),
-                modeled_seconds=report.modeled_seconds,
-            )
-        )
+    """Compile the specialized program for the target; returns its report,
+    which also replaces ``ctx.compile_report``."""
+    ctx.compile_report = report = ctx.target.compile(ctx.specialized_program)
     return report
 
 
@@ -473,7 +466,6 @@ def respecialize(ctx: EngineContext, changed: list, tables) -> bool:
     if program == ctx.specialized_program:
         return False
     ctx.specialized_program, ctx.report = program, report
-    ctx.recompilations += 1
     return True
 
 
@@ -499,12 +491,8 @@ class RespecializePass:
             if target is not None:
                 warm.compile_report = _compile(ctx)
             return
-        if target is None:
-            return
-        lowered = target.lower_update(warm.update)
-        ctx.lowered_updates.append(lowered)
-        if ctx.bus.active:
-            ctx.bus.emit(UpdateLowered(target=lowered.target, table=lowered.table))
+        if target is not None:
+            warm.lowered = (target.lower_update(warm.update),)
 
 
 # ---------------------------------------------------------------------------

@@ -52,23 +52,17 @@ class ContextRegistry:
     # -- aggregate telemetry ---------------------------------------------------
 
     def summary(self) -> dict:
-        """Cross-switch roll-up of the per-engine decision log."""
-        switches = len(self._engines)
-        forwarded = sum(e.forwarded_count for e in self._engines.values())
-        recompiled = sum(e.ctx.recompilations for e in self._engines.values())
-        latencies = [
-            ms for e in self._engines.values() for ms in e.ctx.timings.update_ms
-        ]
+        """Cross-switch roll-up of the per-engine decision totals."""
+        contexts = [e.ctx for e in self._engines.values()]
+        decisions = sum(ctx.decisions for ctx in contexts)
+        recompiled = sum(ctx.recompilations for ctx in contexts)
+        total_ms = sum(ctx.decision_ms for ctx in contexts)
         return {
-            "switches": switches,
-            "forwarded": forwarded,
+            "switches": len(contexts),
+            "forwarded": decisions - recompiled,
             "recompilations": recompiled,
-            "updates": sum(
-                len(e.ctx.timings.update_ms) for e in self._engines.values()
-            ),
-            "mean_update_ms": (
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
+            "updates": decisions,
+            "mean_update_ms": total_ms / decisions if decisions else 0.0,
         }
 
 

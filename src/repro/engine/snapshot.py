@@ -41,6 +41,7 @@ from repro.runtime.semantics import (
 )
 from repro.smt.arena import TermArena
 
+#: 9: the decision totals ride next to ``recompilations``.
 #: 8: the warm rows ride in one term-aware pickle keyed by row path (7
 #: carried one arena plus a per-structure export of each).
 #: 7: the pickled options have four fields (6 carried three ablation
@@ -54,7 +55,7 @@ from repro.smt.arena import TermArena
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 8
+SNAPSHOT_FORMAT = 9
 
 
 def snapshot_context(ctx) -> dict:
@@ -80,16 +81,17 @@ def snapshot_context(ctx) -> dict:
             {row.path: container for row, container in warm_state(ctx, SHARED, CARRIED)}
         ),
         "recompilations": ctx.recompilations,
+        "decisions": ctx.decisions,
+        "decision_ms": ctx.decision_ms,
     }
 
 
-def apply_snapshot(ctx, blob: dict) -> dict:
+def apply_snapshot(ctx, blob: dict) -> None:
     """Rebuild warm state into a freshly-analyzed context.
 
     Precondition: the cold front half (parse → analysis) has run, so
     ``ctx.model``/``ctx.state``/``ctx.query_engine`` exist with empty
-    per-switch state.  Returns the size of every row the blob filled, by
-    row path.
+    per-switch state.
     """
     if blob.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"unsupported snapshot format: {blob.get('format')!r}")
@@ -115,7 +117,6 @@ def apply_snapshot(ctx, blob: dict) -> dict:
     #    hold entries from sibling switches — both sides are pure functions
     #    of the term, so any merge order is correct).
     warm = TermArena.loads(blob["warm"])
-    sizes: dict = {}
     for row, container in warm_state(ctx, SHARED, CARRIED):
         if row.carry == CARRIED:
             container.clear()
@@ -123,8 +124,9 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         else:
             for key, value in warm[row.path].items():
                 container.setdefault(key, value)
-        sizes[row.path] = len(container)
     ctx.recompilations = blob["recompilations"]
+    ctx.decisions = blob["decisions"]
+    ctx.decision_ms = blob["decision_ms"]
     # 4. The substitution's parent edges and heights, from its memo keys.
     ctx.substitution.rederive_edges()
     # 5. Re-prime the table-verdict memo.  The memo itself cannot ride in
@@ -136,7 +138,6 @@ def apply_snapshot(ctx, blob: dict) -> dict:
         ctx.query_engine.table_verdict(
             info, ctx.table_assignments[name], ctx.state.tables[name]
         )
-    return sizes
 
 
 __all__ = ["SNAPSHOT_FORMAT", "apply_snapshot", "snapshot_context"]

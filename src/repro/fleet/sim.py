@@ -29,7 +29,6 @@ from typing import Optional
 
 from repro.engine.context import EngineOptions
 from repro.engine.engine import Engine
-from repro.engine.events import EventBus, FleetSwitchReplayed
 from repro.engine.registry import ContextRegistry
 from repro.fleet.store import SharedStore
 from repro.p4.printer import print_program
@@ -97,7 +96,6 @@ class FleetSimulator:
         correlation: float = 0.7,
         updates_per_burst: int = 6,
         divergent_prefix: int = 10,
-        bus: Optional[EventBus] = None,
     ) -> None:
         if switches <= 0:
             raise ValueError("fleet needs at least one switch")
@@ -107,7 +105,6 @@ class FleetSimulator:
         self.seed = seed
         self.updates_per_burst = updates_per_burst
         self.store = SharedStore() if shared_store else None
-        self.bus = bus if bus is not None else EventBus()
         self.registry = ContextRegistry()
         self.trace = fleet_trace(
             switches,
@@ -121,11 +118,11 @@ class FleetSimulator:
         self._latencies: list[list] = [[] for _ in range(switches)]
         self._updates: list[int] = [0] * switches
         self._bursts: list[int] = [0] * switches
+        # Per switch, every write its engine sent to the device, in order.
+        self._lowered: list[list] = [[] for _ in range(switches)]
         self._ran = False
         for switch in range(switches):
-            engine = Engine(
-                source=source, options=self.options, store=self.store, bus=self.bus
-            )
+            engine = Engine(source=source, options=self.options, store=self.store)
             self.engines.append(engine)
             self.registry.register(f"switch-{switch}", engine)
         # Divergent per-switch configurations: each switch pre-applies a
@@ -136,7 +133,7 @@ class FleetSimulator:
             fuzzer = EntryFuzzer(model, seed=self._switch_seed(switch, 1))
             prefix = fuzzer.update_stream(count=divergent_prefix + switch)
             if prefix:
-                engine.decide(prefix)
+                self._record_lowered(switch, engine.decide(prefix))
             self._updates[switch] += len(prefix)
             self._burst_fuzzers.append(
                 EntryFuzzer(model, seed=self._switch_seed(switch, 2))
@@ -162,21 +159,16 @@ class FleetSimulator:
             )
             start = time.perf_counter()
             decision = engine.decide(updates)
-            elapsed_ms = (time.perf_counter() - start) * 1000
-            self._latencies[switch].append(elapsed_ms)
+            self._latencies[switch].append((time.perf_counter() - start) * 1000)
+            self._record_lowered(switch, decision)
             self._updates[switch] += len(updates)
             self._bursts[switch] += 1
-            if self.bus.active:
-                self.bus.emit(
-                    FleetSwitchReplayed(
-                        switch=switch,
-                        burst_id=event.burst_id,
-                        update_count=len(updates),
-                        recompiled=decision.recompiled,
-                        elapsed_ms=elapsed_ms,
-                    )
-                )
         return self.report()
+
+    def _record_lowered(self, switch: int, decision) -> None:
+        self._lowered[switch].extend(
+            (l.target, l.table, l.update) for l in decision.lowered
+        )
 
     # -- results ---------------------------------------------------------------
 
@@ -184,10 +176,7 @@ class FleetSimulator:
         results = [
             SwitchResult(
                 switch=switch,
-                lowered=[
-                    (l.target, l.table, l.update)
-                    for l in engine.lowered_updates
-                ],
+                lowered=list(self._lowered[switch]),
                 specialized_source=print_program(engine.specialized_program),
                 burst_latencies_ms=list(self._latencies[switch]),
                 recompilations=engine.recompilations,
@@ -238,11 +227,11 @@ class FleetSimulator:
         return paths
 
     @staticmethod
-    def restore_switch(path: str, store=None, bus=None) -> Engine:
+    def restore_switch(path: str, store=None) -> Engine:
         """Rebuild one switch's engine from a snapshot file."""
         with open(path, "rb") as handle:
             blob = pickle.load(handle)
-        return Engine.restore(blob, store=store, bus=bus)
+        return Engine.restore(blob, store=store)
 
     def replace_switch(self, switch: int, engine: Engine) -> None:
         """Swap a switch's engine (restored replica takes over the shard)."""

@@ -44,6 +44,9 @@ class TypeEnv:
                 self.constants[decl.name] = _const_value(decl, self)
             elif isinstance(decl, ast.ControlDecl):
                 _check_switch_arms(decl, decl.apply)
+        for decl in program.declarations:
+            if isinstance(decl, ast.ControlDecl):
+                _check_action_calls(decl, self)
 
     # -- type resolution -------------------------------------------------------
 
@@ -256,6 +259,56 @@ def _check_switch_arms(control: ast.ControlDecl, block: ast.Block) -> None:
                         )
             for case in stmt.cases:
                 _check_switch_arms(control, case.body)
+
+
+def _check_action_calls(control: ast.ControlDecl, env: TypeEnv) -> None:
+    """Reject a direct action call whose sized argument has another width
+    than its ``bit<W>`` parameter: P4-16 converts no width implicitly, and
+    the analysis would bind the parameter at the argument's width.  An
+    unsized literal takes the parameter's width."""
+    scope = scope_for_params(env, control.params)
+    for local in control.locals:
+        if isinstance(local, ast.VarDeclStmt):
+            scope.bind(local.name, local.type)
+    actions = control.actions_by_name()
+
+    def check(block: ast.Block, scope: Scope) -> None:
+        for stmt in block.statements:
+            if isinstance(stmt, ast.VarDeclStmt):
+                scope.bind(stmt.name, stmt.type)
+            elif isinstance(stmt, ast.IfStmt):
+                check(stmt.then, scope)
+                if stmt.orelse is not None:
+                    check(stmt.orelse, scope)
+            elif isinstance(stmt, ast.SwitchStmt):
+                for case in stmt.cases:
+                    check(case.body, scope)
+            elif isinstance(stmt, ast.MethodCallStmt):
+                call = stmt.call
+                action = actions.get(call.method) if call.target is None else None
+                if action is not None:
+                    for param, arg in zip(action.params, call.args):
+                        _check_argument(control, action, param, arg, scope)
+
+    for action in actions.values():
+        inner = scope.child()
+        for param in action.params:
+            inner.bind(param.name, param.type)
+        check(action.body, inner)
+    check(control.apply, scope.child())
+
+
+def _check_argument(control, action, param, arg, scope: Scope) -> None:
+    param_type = scope.env.resolve(param.type)
+    arg_type = scope.env.resolve(type_of(arg, scope))
+    if not isinstance(param_type, ast.BitType) or not isinstance(arg_type, ast.BitType):
+        return
+    if arg_type.width and arg_type.width != param_type.width:
+        raise TypeCheckError(
+            f"control {control.name!r}: action {action.name!r} is called with a "
+            f"{arg_type.width}-bit argument for its {param_type.width}-bit "
+            f"parameter {param.name!r}"
+        )
 
 
 def _const_value(decl: ast.ConstDecl, env: TypeEnv) -> int:

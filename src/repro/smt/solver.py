@@ -62,8 +62,9 @@ class SolverStats:
 
     The ``by_*`` counters say which fast-path layer answered; the
     search counters (one :class:`~repro.smt.sat.SatStats`) plus the probe
-    latency record are the solver-health surface the ``--stats`` CLI flag
-    and the benchmark JSON report.
+    count and total time are the solver-health surface the ``--stats``
+    CLI flag and the benchmark JSON report.  Every field is a running
+    total: nothing grows with the number of probes.
     """
 
     by_simplify: int = 0
@@ -74,22 +75,13 @@ class SolverStats:
     probes: int = 0  # queries that actually reached the SAT core
     probe_us_total: float = 0.0
     search: SatStats = field(default_factory=SatStats)
-    probe_latencies_us: list = field(default_factory=list)
 
     @property
     def total(self) -> int:
         return self.by_simplify + self.by_interval + self.by_sat + self.by_cache
 
-    def probe_latency_us(self, quantile: float) -> float:
-        """Per-probe latency percentile (0.5 → p50, 0.99 → p99), in µs."""
-        latencies = sorted(self.probe_latencies_us)
-        if not latencies:
-            return 0.0
-        index = min(len(latencies) - 1, int(quantile * len(latencies)))
-        return latencies[index]
-
     def snapshot(self) -> "SolverStats":
-        """A frozen copy (latency list elided), for before/after deltas."""
+        """A frozen copy, for before/after deltas."""
         return SolverStats(
             by_simplify=self.by_simplify,
             by_interval=self.by_interval,
@@ -120,11 +112,11 @@ class SolverStats:
         self.probes += other.probes
         self.probe_us_total += other.probe_us_total
         self.search.add(other.search)
-        self.probe_latencies_us.extend(other.probe_latencies_us)
 
     def describe(self) -> str:
         """Multi-line counter report for the ``--stats`` CLI flag."""
         s = self.search
+        mean_us = self.probe_us_total / self.probes if self.probes else 0.0
         lines = [
             (
                 f"queries: {self.total} "
@@ -133,8 +125,7 @@ class SolverStats:
             ),
             (
                 f"probes: {self.probes} "
-                f"(p50 {self.probe_latency_us(0.5):.0f} us, "
-                f"p99 {self.probe_latency_us(0.99):.0f} us, "
+                f"(mean {mean_us:.0f} us, "
                 f"total {self.probe_us_total / 1000:.1f} ms)"
             ),
             (
@@ -251,7 +242,6 @@ class Solver:
             elapsed_us = (time.perf_counter() - start) * 1e6
             self.stats.probes += 1
             self.stats.probe_us_total += elapsed_us
-            self.stats.probe_latencies_us.append(elapsed_us)
 
     def _solve(self, simplified: Term) -> SatResult:
         """Encode ``simplified`` and solve it under its root literal."""

@@ -14,9 +14,12 @@ import pytest
 
 from repro.analysis import analyze
 from repro.analysis.dataflow import AbstractInterpreter, prune_program
+from repro.engine import Engine, EngineOptions
 from repro.ir.deps import _action_reads_writes, build_dependency_graph
+from repro.p4.errors import TypeCheckError
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
+from repro.p4.types import TypeEnv
 from repro.programs import registry
 from repro.runtime.entries import ExactMatch, TableEntry
 from repro.runtime.semantics import INSERT, ControlPlaneState, Update
@@ -319,6 +322,41 @@ class TestWidthTruncation:
         fact = interpret(prog).folds[id(apply_stmts(prog)[index])]
         assert (fact.value, fact.width) == (44, 8)
         analyze(prog)  # the 8-bit comparison sees an 8-bit value
+        assert run_packet(prog)["hdr.h.b"] == 1
+
+
+HELPER = "    action helper(bit<8> v) { if (v == 8w44) { hdr.h.b = 8w1; } }"
+
+
+class TestCallArgumentWidth:
+    """A direct action call's argument has its parameter's width: a sized
+    argument of another width is a type error, an unsized literal takes
+    the parameter's width."""
+
+    @pytest.mark.parametrize(
+        "locals_, apply_body",
+        [
+            (HELPER, "        helper(16w300);"),
+            (HELPER, "        helper(meta.w);"),
+            (HELPER + "\n    action outer() { helper(16w300); }", "        outer();"),
+        ],
+        ids=["sized-literal", "wide-field", "from-an-action"],
+    )
+    def test_a_sized_argument_of_another_width_is_rejected(self, locals_, apply_body):
+        prog = program(EXTRACT_H, locals_, apply_body)
+        engine = lambda p: Engine(p, EngineOptions(target="none"))  # noqa: E731
+        for check in (TypeEnv, analyze, engine):
+            with pytest.raises(TypeCheckError) as raised:
+                check(prog)
+            message = str(raised.value)
+            assert "'C'" in message and "'helper'" in message
+            assert "16-bit argument" in message and "8-bit parameter 'v'" in message
+        assert raised.value.stage == "typecheck"  # the engine's TypeCheckPass
+
+    @pytest.mark.parametrize("argument", ["300", "8w44"], ids=["unsized", "same-width"])
+    def test_an_argument_at_the_parameter_width_runs(self, argument):
+        prog = program(EXTRACT_H, HELPER, f"        helper({argument});")
+        analyze(prog)
         assert run_packet(prog)["hdr.h.b"] == 1
 
 

@@ -21,6 +21,22 @@ from repro.p4.printer import print_program
 from repro.smt import Substitution
 
 
+def record_sends(engine) -> list:
+    """Every write the engine's target hands the device from now on, as
+    sent (``lower_batch`` sends through ``lower_update``)."""
+    sent: list = []
+    target = engine.ctx.target
+    if target is not None:
+        lower_update = target.lower_update
+
+        def send(update):
+            sent.append(lower_update(update))
+            return sent[-1]
+
+        target.lower_update = send
+    return sent
+
+
 class Spec:
     """Follows one engine; :meth:`step` after every chunk it processes."""
 
@@ -34,6 +50,8 @@ class Spec:
         self.points, self.tables = self._derive()
         self._printed = None  # ((points, tables), their source)
         self.forwarded = []  # the updates of every chunk decided "forward"
+        self.lowered = []  # the ``lowered`` writes of every checked decision
+        self.sent = record_sends(engine)
         # The program the device runs: the last one decided "recompile".
         self.compiled = self.specialized_source()
 
@@ -84,16 +102,18 @@ class Spec:
         assert decision.recompiled == (source != self.compiled)
         assert decision.forwarded == (not decision.recompiled)
         assert print_program(self.engine.specialized_program) == source
+        self.lowered.extend(decision.lowered)
         if decision.recompiled:
             self.compiled = source
         else:
             self.forwarded.extend(updates)
 
     def check_lowered(self) -> None:
-        """The device was sent exactly the forwarded updates, in order."""
-        engine = self.engine
-        lowered = [(l.target, l.table, l.update) for l in engine.lowered_updates]
-        target = engine.ctx.target
+        """The device was sent exactly the forwarded updates, in order,
+        and the decisions' ``lowered`` records list exactly those writes."""
+        lowered = [(l.target, l.table, l.update) for l in self.lowered]
+        assert lowered == [(l.target, l.table, l.update) for l in self.sent]
+        target = self.engine.ctx.target
         forwarded = [] if target is None else self.forwarded
         assert lowered == [(target.name, u.table, u) for u in forwarded]
 

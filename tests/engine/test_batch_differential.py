@@ -85,10 +85,12 @@ def final_state(flay):
     }
 
 
-def lowered_trace(flay):
+def lowered_trace(decisions):
+    """Every write the decisions sent to the device, in order."""
     return [
         (lowered.target, lowered.table, lowered.update)
-        for lowered in flay.runtime.lowered_updates
+        for decision in decisions
+        for lowered in decision.lowered
     ]
 
 
@@ -130,9 +132,8 @@ def test_forwarded_regime_lowered_streams_byte_identical(target, seed):
     for table in ALL_TABLES:
         warmup.extend(fuzzer.representative_updates(table, per_action=3))
     # Same warmup through the same entry point on both engines.
-    sequential.process_batch(warmup)
-    batched.process_batch(warmup)
-    lowered_before = len(sequential.runtime.lowered_updates)
+    sequential_decisions = [sequential.process_batch(warmup)]
+    batched_decisions = [batched.process_batch(warmup)]
 
     burst = []
     for table in ALL_TABLES:
@@ -142,13 +143,16 @@ def test_forwarded_regime_lowered_streams_byte_identical(target, seed):
     for update in burst:
         decision = sequential.process_update(update)
         assert decision.forwarded, "stream was expected to saturate verdicts"
+        sequential_decisions.append(decision)
     for batch in chunk(burst, seed):
-        assert batched.decide(batch).forwarded
+        decision = batched.decide(batch)
+        assert decision.forwarded
+        batched_decisions.append(decision)
 
     assert sequential.runtime.recompilations == batched.runtime.recompilations
-    assert lowered_trace(sequential) == lowered_trace(batched)
+    assert lowered_trace(sequential_decisions) == lowered_trace(batched_decisions)
     # Every submitted write reached the device, in submission order.
-    assert lowered_trace(sequential)[lowered_before:] == [
+    assert lowered_trace(sequential_decisions[1:]) == [
         (sequential.runtime.device_compiler.name, u.table, u) for u in burst
     ]
     assert_same_result(sequential, batched)
@@ -167,7 +171,7 @@ def test_output_is_deterministic(seed):
         for flay in (first, second)
     ]
     assert_same_result(first, second)
-    assert lowered_trace(first) == lowered_trace(second)
+    assert lowered_trace(decisions[0]) == lowered_trace(decisions[1])
     for a, b in zip(*decisions):
         assert a.changed == b.changed
         assert a.recompiled == b.recompiled
@@ -185,15 +189,16 @@ def test_multi_group_burst_matches_sequential():
     warmup = []
     for table in ALL_TABLES:
         warmup.extend(fuzzer.representative_updates(table, per_action=3))
-    sequential.process_batch(warmup)
-    grouped.process_batch(warmup)
+    sequential_decisions = [sequential.process_batch(warmup)]
+    grouped_decisions = [grouped.process_batch(warmup)]
     burst = []
     for table in ALL_TABLES:
         burst.extend(fuzzer.insert_burst(table, 10))
     for update in burst:
-        sequential.decide(update)
-    assert grouped.decide(burst).group_count > 1
-    assert lowered_trace(sequential) == lowered_trace(grouped)
+        sequential_decisions.append(sequential.decide(update))
+    grouped_decisions.append(grouped.decide(burst))
+    assert grouped_decisions[-1].group_count > 1
+    assert lowered_trace(sequential_decisions) == lowered_trace(grouped_decisions)
     assert_same_result(sequential, grouped)
 
 

@@ -11,13 +11,15 @@ that never batched at all.
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.engine import BatchMerged, BatchScheduled, EventBus
-from repro.engine.batch import conflict_components
+from repro.engine import batch as batch_module
+from repro.engine.batch import _verify_merge_accounting, conflict_components
+from repro.engine.gate import GateStats
 from repro.ir.deps import build_dependency_graph
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.smt import terms as T
+from repro.smt.solver import SolverStats
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> c; bit<8> d; }
@@ -179,20 +181,19 @@ class TestCacheMerge:
         )
 
 
-class TestEvents:
-    def test_schedule_and_merge_events_emitted(self):
-        bus = EventBus()
-        log = bus.attach_log()
-        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
+class TestDecisionRecord:
+    def test_schedule_and_merge_are_on_the_record(self):
+        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
         batch = two_group_batch(flay)
-        flay.decide(batch)
-        (scheduled,) = log.of_type(BatchScheduled)
-        assert scheduled.update_count == len(batch)
-        assert scheduled.coalesced_count == len(batch)  # pure inserts
-        assert scheduled.group_count == 2
-        (merged,) = log.of_type(BatchMerged)
-        assert merged.group_count == 2
-        assert merged.merged_memo_entries > 0
+        grafted = []
+        absorb = flay.substitution.absorb
+        flay.substitution.absorb = lambda piece: grafted.append(absorb(piece)) or grafted[-1]
+        decision = flay.decide(batch)
+        assert decision.update_count == len(batch)
+        assert decision.coalesced_count == len(batch)  # pure inserts
+        assert decision.group_count == len(decision.groups) == 2
+        # The merge grafted each slice's memo entries into the shared memo.
+        assert len(grafted) == 2 and sum(grafted) > 0
 
 
 class TestMergeAccounting:
@@ -201,51 +202,43 @@ class TestMergeAccounting:
     sums must equal the shared delta over the merge — off by even one
     means a slice was absorbed twice (or dropped)."""
 
-    def test_event_rejects_solver_double_count(self):
-        with pytest.raises(ValueError, match="double-counted solver"):
-            BatchMerged(
-                group_count=2,
-                merged_memo_entries=0,
-                merged_verdict_entries=0,
-                elapsed_ms=1.0,
-                worker_solver_queries=7,
-                merged_solver_queries=14,  # a slice absorbed twice
+    def test_tripwire_rejects_solver_double_count(self):
+        with pytest.raises(AssertionError, match="miscounted SolverStats.by_sat"):
+            _verify_merge_accounting(
+                SolverStats(by_sat=14),  # a slice absorbed twice
+                SolverStats(by_sat=7),
+                GateStats(),
+                GateStats(),
             )
 
-    def test_event_rejects_gate_double_count(self):
-        with pytest.raises(ValueError, match="double-counted gate"):
-            BatchMerged(
-                group_count=2,
-                merged_memo_entries=0,
-                merged_verdict_entries=0,
-                elapsed_ms=1.0,
-                worker_gate_screens=3,
-                merged_gate_screens=6,
+    def test_tripwire_rejects_gate_double_count(self):
+        with pytest.raises(AssertionError, match="miscounted GateStats"):
+            _verify_merge_accounting(
+                SolverStats(), SolverStats(), GateStats(screened=6), GateStats(screened=3)
             )
 
-    def test_event_accepts_balanced_accounting(self):
-        merged = BatchMerged(
-            group_count=2,
-            merged_memo_entries=5,
-            merged_verdict_entries=3,
-            elapsed_ms=1.0,
-            worker_solver_queries=7,
-            merged_solver_queries=7,
-            worker_gate_screens=4,
-            merged_gate_screens=4,
+    def test_tripwire_accepts_balanced_accounting(self):
+        _verify_merge_accounting(
+            SolverStats(by_sat=7, probes=7),
+            SolverStats(by_sat=7, probes=7),
+            GateStats(screened=4),
+            GateStats(screened=4),
         )
-        assert merged.worker_solver_queries == merged.merged_solver_queries
 
-    def test_real_batches_emit_balanced_accounting(self):
-        """The BatchMerged event of a real burst constructs (its
-        __post_init__ would raise on any imbalance) and reports the same
-        per-slice totals the shared accounting implies."""
-        bus = EventBus()
-        log = bus.attach_log()
-        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"), bus=bus)
+    def test_real_batches_balance_the_accounting(self, monkeypatch):
+        """A real burst passes the tripwire, which sees the same per-slice
+        totals the shared accounting implies."""
+        seen = []
+
+        def verify(*deltas):
+            seen.append(deltas)
+            _verify_merge_accounting(*deltas)
+
+        monkeypatch.setattr(batch_module, "_verify_merge_accounting", verify)
+        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
         flay.decide(two_group_batch(flay))
-        (merged,) = log.of_type(BatchMerged)
-        assert merged.worker_solver_queries == merged.merged_solver_queries
-        assert merged.worker_gate_screens == merged.merged_gate_screens
+        ((merged_solver, slice_solver, merged_gate, slice_gate),) = seen
+        assert merged_solver.total == slice_solver.total
+        assert merged_gate.screened == slice_gate.screened
         # The batch did real solver/gate work in its slices.
-        assert merged.worker_solver_queries > 0 or merged.worker_gate_screens > 0
+        assert slice_solver.total > 0 or slice_gate.screened > 0

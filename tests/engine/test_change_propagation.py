@@ -334,7 +334,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 8
+    assert blob["format"] == 9
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -440,5 +440,20 @@ def test_a_format_7_blob_is_refused_not_misread():
     assert "terms" not in blob and "gate_records" not in blob
     assert isinstance(blob["warm"], bytes)
     blob["format"] = 7
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_8_blob_is_refused_not_misread():
+    """Format 8 carried no decision totals; format 9 carries them next to
+    ``recompilations``, so a restored engine counts on from the live one."""
+    live = Engine(source=registry.get("fig3").source(), options=FlayOptions(target="none"))
+    live.decide(EntryFuzzer(live.model, seed=1).update_stream(count=3))
+    blob = live.snapshot()
+    assert (blob["decisions"], blob["recompilations"]) == (1, live.recompilations)
+    restored = Engine.restore(blob)
+    assert restored.forwarded_count == live.forwarded_count
+    assert restored.mean_update_ms() == live.mean_update_ms()
+    blob["format"] = 8
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

@@ -16,6 +16,7 @@ from repro.smt.terms import SortError
 from repro.targets.base import UnknownTargetError, available_targets
 from repro.targets.bmv2.interpreter import InterpreterError
 from repro.targets.tofino.resources import ResourceError
+from tests.engine.spec import record_sends
 
 SOURCE = """
 header h_t { bit<8> f; }
@@ -214,8 +215,9 @@ def _fig3_entry(value, port, priority=10):
     return TableEntry((TernaryMatch(value, FULL_MASK),), "set", (port,), priority)
 
 
-def _observable(flay):
-    """Everything a failed batch must leave as it found it."""
+def _observable(flay, sent):
+    """Everything a failed batch must leave as it found it; ``sent`` holds
+    the writes the engine's target handed the device."""
     state = flay.runtime.state
     return {
         "entries": {
@@ -226,7 +228,7 @@ def _observable(flay):
         "point_verdicts": dict(flay.runtime.point_verdicts),
         "table_verdicts": dict(flay.runtime.table_verdicts),
         "source": flay.specialized_source(),
-        "lowered": list(flay.runtime.lowered_updates),
+        "lowered": list(sent),
     }
 
 
@@ -267,19 +269,20 @@ class TestBatchAllOrNothing:
         pair = []
         for _ in range(2):
             flay = Flay.from_source(source(), FlayOptions(target="tofino"))
+            sent = record_sends(flay)
             flay.decide(TestBatchAllOrNothing.INSTALLED)
-            pair.append(flay)
+            pair.append((flay, sent))
         return pair
 
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_failed_batch_leaves_no_trace(self, bad):
-        flay, untouched = self._pair()
+        (flay, sent), (untouched, untouched_sent) = self._pair()
         with pytest.raises(EntryError):
             flay.decide([self.E1, *self.BAD[bad]])
-        assert _observable(flay) == _observable(untouched)
+        assert _observable(flay, sent) == _observable(untouched, untouched_sent)
         # The batch minus the bad ops then succeeds, as on the twin that
         # never saw the failed one.
         untouched.decide([self.E1])
         flay.decide([self.E1])
-        assert _observable(flay) == _observable(untouched)
+        assert _observable(flay, sent) == _observable(untouched, untouched_sent)
         assert flay.runtime.state.update_count == 2

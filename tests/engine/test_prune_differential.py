@@ -86,18 +86,19 @@ def final_state(flay):
     }
 
 
-def lowered_trace(flay):
+def lowered_trace(decision):
+    """The writes one decision sent to the device, in order."""
     return [
         (lowered.target, lowered.table, lowered.update)
-        for lowered in flay.runtime.lowered_updates
+        for lowered in decision.lowered
     ]
 
 
 def assert_same_output(pruned, unpruned):
-    """Byte-identical observable output; verdict/point internals exempt."""
+    """Byte-identical observable output; verdict/point internals exempt.
+    The lowered writes are compared decision by decision, where decided."""
     assert pruned.specialized_source() == unpruned.specialized_source()
     assert final_state(pruned) == final_state(unpruned)
-    assert lowered_trace(pruned) == lowered_trace(unpruned)
 
 
 def run_stream(pruned, unpruned, stream):
@@ -115,6 +116,7 @@ def run_stream(pruned, unpruned, stream):
         assert repr(ea) == repr(eb), f"exception divergence on {update}"
         if ra is not None:
             assert ra.forwarded == rb.forwarded
+            assert lowered_trace(ra) == lowered_trace(rb)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -220,4 +222,5 @@ def test_property_batched_replay_identical(seed, chunk_sizes):
         normalize = lambda pids: sorted(p.split("#")[0] for p in pids)
         assert normalize(ra.changed) == normalize(rb.changed)
         assert ra.recompiled == rb.recompiled
+        assert lowered_trace(ra) == lowered_trace(rb)
     assert_same_output(pruned, unpruned)

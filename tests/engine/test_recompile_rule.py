@@ -9,11 +9,12 @@ policy roll-outs are replayed one update at a time and in
 
 - the device compiles once per change of the printed program (a
   from-scratch specialization of the re-derived verdicts), and never
-  otherwise: ``compile_reports`` grows only on a recompile;
+  otherwise: the target's ``compile`` runs only on a recompile, and the
+  decision carries that compile's report;
 - a forward leaves ``specialized_program`` the identical object the
-  device runs, and the device has been sent exactly the forwarded
-  updates, in submission order — those of forwards whose verdicts moved
-  among them.
+  device runs, and the decisions' ``lowered`` writes are exactly the
+  forwarded updates, in submission order — those of forwards whose
+  verdicts moved among them.
 
 A table crossing the overapproximation threshold moves no
 ``same_specialization`` field when its precise verdict already has every
@@ -46,6 +47,19 @@ def make_flay(name: str) -> Flay:
     )
 
 
+def count_compiles(flay: Flay) -> list:
+    """Record every report the device target compiles from now on."""
+    target = flay.device_compiler
+    compile_program, reports = target.compile, []
+
+    def compile(program):
+        reports.append(compile_program(program))
+        return reports[-1]
+
+    target.compile = compile
+    return reports
+
+
 def one_at_a_time(stream: list, seed: int) -> list:
     return [[update] for update in stream]
 
@@ -74,29 +88,33 @@ def test_compiles_track_the_printed_program(name, path):
     spec = Spec(flay)
     stream = EntryFuzzer(flay.model, seed=5).rollout_stream(1)
     printed = spec.specialized_source()
-    compiles = len(flay.compile_reports)
+    compiles = count_compiles(flay)
     program_changes = moved_forwards = 0
     sent: list = []
+    lowered: list = []
     for chunk in split(stream, len(name)):
         program = flay.specialized_program
-        before = len(flay.compile_reports)
+        before = len(compiles)
         decision = decide(flay, chunk)
         spec.step()
         source = spec.specialized_source()
         program_changes += source != printed
         assert decision.recompiled == (source != printed)
         if decision.recompiled:
-            assert len(flay.compile_reports) == before + 1
-            assert decision.compile_report is flay.compile_reports[-1]
+            assert len(compiles) == before + 1
+            assert decision.compile_report is compiles[-1] is flay.compile_report
+            assert decision.lowered == ()
             printed = source
         else:
-            assert len(flay.compile_reports) == before
+            assert len(compiles) == before
+            assert decision.compile_report is None
             assert flay.specialized_program is program
             moved_forwards += bool(decision.changed)
             sent.extend(chunk)
-        assert [lowered.update for lowered in flay.lowered_updates] == sent
+        lowered.extend(decision.lowered)
+        assert [write.update for write in lowered] == sent
     assert program_changes > 0
-    assert len(flay.compile_reports) - compiles == program_changes
+    assert len(compiles) == program_changes
     assert flay.recompilations == program_changes
     # The rule forwards updates the old one (any moved verdict) recompiled.
     assert moved_forwards > 0

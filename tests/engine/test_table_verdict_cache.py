@@ -81,11 +81,9 @@ def chunk(stream, seed):
     return batches
 
 
-def lowered_trace(flay):
-    return [
-        (lowered.target, lowered.table, lowered.update)
-        for lowered in flay.runtime.lowered_updates
-    ]
+def lowered_trace(spec):
+    """Every write the decisions ``spec`` checked sent to the device."""
+    return [(lowered.target, lowered.table, lowered.update) for lowered in spec.lowered]
 
 
 def assert_same_result(a, b):
@@ -139,12 +137,12 @@ def test_output_is_deterministic(seed):
     stream = EntryFuzzer(first.model, seed=seed).update_stream(
         tables=ALL_TABLES, count=50, modify_fraction=0.25, delete_fraction=0.15
     )
-    for flay in (first, second):
-        spec = Spec(flay)
+    specs = [Spec(first), Spec(second)]
+    for flay, spec in zip((first, second), specs):
         for batch in chunk(stream, seed):
             spec.check_decision(flay.decide(batch))
     assert_same_result(first, second)
-    assert lowered_trace(first) == lowered_trace(second)
+    assert lowered_trace(specs[0]) == lowered_trace(specs[1])
 
 
 def test_snapshot_roundtrip_reprimes_the_memo():

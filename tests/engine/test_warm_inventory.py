@@ -38,7 +38,6 @@ from repro.engine.context import (
     ENGINE,
     GENERATION,
     KEY_ID,
-    KEY_LOG,
     KEY_NODE,
     KEY_TERM,
     KEY_VALUE,
@@ -183,17 +182,16 @@ def test_every_row_is_declared_once_with_known_kinds():
     paths = [row.path for row in WARM_STATE]
     assert len(paths) == len(set(paths))
     for row in WARM_STATE:
-        assert row.key in (KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE, KEY_LOG), row
+        assert row.key in (KEY_ID, KEY_NODE, KEY_TERM, KEY_VALUE), row
         assert row.carry in (SHARED, CARRIED, REBUILT, LOCAL), row
         assert row.lifetime in (GENERATION, ENGINE), row
 
 
 def test_no_id_keyed_row_leaves_its_engine():
     """An ``id`` means nothing in another engine's process, so the store
-    and the snapshot never move an ``id``- or ``node``-keyed row; a log is
-    history, not knowledge, and starts empty too."""
+    and the snapshot never move an ``id``- or ``node``-keyed row."""
     for row in WARM_STATE:
-        if row.key in (KEY_ID, KEY_NODE, KEY_LOG):
+        if row.key in (KEY_ID, KEY_NODE):
             assert row.carry in (REBUILT, LOCAL), row
 
 

@@ -27,7 +27,6 @@ from repro.engine.context import (
     warm_state,
 )
 from repro.engine.engine import Engine
-from repro.engine.events import EventBus, PassFinished, SnapshotRestored
 from repro.p4.printer import print_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
@@ -56,15 +55,19 @@ def _warm_engine(source, prefix, seed, options=None):
     return engine
 
 
-def _lowered(engine, start=0):
+def _lowered(decisions):
+    """Every write the decisions sent to the device, in order."""
     return [
-        (l.target, l.table, l.update) for l in engine.lowered_updates[start:]
+        (l.target, l.table, l.update) for d in decisions for l in d.lowered
     ]
 
 
 def _drive(engine, seed, count):
-    for update in EntryFuzzer(engine.model, seed=seed).update_stream(count=count):
+    """Decide a seeded stream; returns the decision records."""
+    return [
         engine.process_update(update)
+        for update in EntryFuzzer(engine.model, seed=seed).update_stream(count=count)
+    ]
 
 
 def _warm_zoo_engine(name):
@@ -96,9 +99,7 @@ def _assert_round_trips(live):
     # The next updates lower identically, with the same decisions and
     # the same work (points kept on an unchanged term, witnesses hit).
     stream = EntryFuzzer(live.model, seed=6).update_stream(count=12)
-    base_live, base_restored = len(live.lowered_updates), len(
-        restored.lowered_updates
-    )
+    ours, theirs = [], []
     for update in stream:
         a, b = live.process_update(update), restored.process_update(update)
         assert (b.recompiled, b.changed) == (a.recompiled, a.changed)
@@ -107,7 +108,9 @@ def _assert_round_trips(live):
             a.redecided_points,
             a.unchanged_points,
         )
-    assert _lowered(restored, base_restored) == _lowered(live, base_live)
+        ours.append(a)
+        theirs.append(b)
+    assert _lowered(theirs) == _lowered(ours)
     assert print_program(restored.specialized_program) == print_program(
         live.specialized_program
     )
@@ -130,18 +133,17 @@ class TestRoundTrip:
         assert restored.table_verdicts == live.table_verdicts
         assert restored.recompilations == live.recompilations
         # The remaining stream yields identical behavior on both engines.
-        base_live, base_restored = len(live.lowered_updates), len(
-            restored.lowered_updates
-        )
-        _drive(live, seed + 1, 12)
-        _drive(restored, seed + 1, 12)
-        assert _lowered(live, base_live) == _lowered(restored, base_restored)
+        ours = _drive(live, seed + 1, 12)
+        theirs = _drive(restored, seed + 1, 12)
+        assert _lowered(ours) == _lowered(theirs)
         assert print_program(restored.specialized_program) == print_program(
             live.specialized_program
         )
-        assert [d.forwarded for d in live.update_log[-12:]] == [
-            d.forwarded for d in restored.update_log[-12:]
-        ]
+        assert [d.forwarded for d in ours] == [d.forwarded for d in theirs]
+        assert (restored.forwarded_count, restored.recompiled_count) == (
+            live.forwarded_count,
+            live.recompiled_count,
+        )
 
     @pytest.mark.parametrize("name", sorted(ZOO_TARGETS))
     def test_every_zoo_program_round_trips_every_warm_row(self, name):
@@ -157,19 +159,14 @@ class TestRoundTrip:
         _assert_round_trips(live)
 
     def test_restore_skips_the_cold_encode(self):
-        # A restored engine must not pay analysis/encode again: the
-        # restore pass replaces them, and the telemetry proves the warm
-        # state actually came back (witnesses restored).
+        # A restored engine must not pay the encode sweep again: the
+        # restore pass replaces it, and the witness records prove the warm
+        # state actually came back.
         live = _warm_engine(SWITCH, 20, seed=3)
-        bus = EventBus()
-        log = bus.attach_log()
-        restored = Engine.restore(live.snapshot(), bus=bus)
-        names = [event.pass_name for event in log.of_type(PassFinished)]
-        assert "restore" in names
-        assert "analysis" not in names and "encode" not in names
-        events = log.of_type(SnapshotRestored)
-        assert len(events) == 1
-        assert events[0].witness_records > 0
+        restored = Engine.restore(live.snapshot())
+        names = [p.name for p in restored._cold.passes]
+        assert "restore" in names and "encode" not in names
+        assert len(restored.gate._records.map) > 0
         assert restored.point_verdicts == live.point_verdicts
 
     def test_restored_warm_latency_is_warm_path(self):
@@ -216,10 +213,11 @@ from repro.runtime.fuzzer import EntryFuzzer
 
 with open(sys.argv[1], "rb") as handle:
     engine = Engine.restore(pickle.load(handle))
-base = len(engine.lowered_updates)
-for update in EntryFuzzer(engine.model, seed=22).update_stream(count=10):
-    engine.process_update(update)
-trace = [(l.target, l.table, repr(l.update)) for l in engine.lowered_updates[base:]]
+trace = [
+    (l.target, l.table, repr(l.update))
+    for update in EntryFuzzer(engine.model, seed=22).update_stream(count=10)
+    for l in engine.process_update(update).lowered
+]
 print(repr((print_program(engine.specialized_program), trace,
             sorted(engine.point_verdicts.items()))))
 """
@@ -229,13 +227,13 @@ print(repr((print_program(engine.specialized_program), trace,
             text=True,
             check=True,
         )
-        base = len(live.lowered_updates)
-        _drive(live, seed=22, count=10)
+        decisions = _drive(live, seed=22, count=10)
         expected = (
             print_program(live.specialized_program),
             [
                 (l.target, l.table, repr(l.update))
-                for l in live.lowered_updates[base:]
+                for d in decisions
+                for l in d.lowered
             ],
             sorted(live.point_verdicts.items()),
         )

@@ -9,7 +9,6 @@ import pytest
 
 from repro.engine.context import EngineOptions
 from repro.engine.engine import Engine
-from repro.engine.events import EventBus, StoreActivity
 from repro.fleet.store import COLD_KEY_FIELDS, SharedStore
 from repro.p4.printer import print_program
 from repro.programs import registry
@@ -18,6 +17,15 @@ from repro.smt import terms as T
 
 FIG3 = registry.get("fig3").source()
 FIG5 = registry.get("fig5").source()
+
+
+def _lowered(engine, updates):
+    """Decide ``updates`` one by one; every write sent to the device."""
+    return [
+        (l.target, l.table, l.update)
+        for update in updates
+        for l in engine.process_update(update).lowered
+    ]
 
 
 class TestKeying:
@@ -91,16 +99,14 @@ class TestAdoption:
         assert not other.ctx.store_hit
         assert len(store) == 2
 
-    def test_store_activity_events(self):
-        bus = EventBus()
-        log = bus.attach_log()
+    def test_first_engine_donates_and_second_adopts_under_the_key(self):
         store = SharedStore()
         opts = EngineOptions()
-        Engine(source=FIG3, options=opts, store=store, bus=bus)
-        Engine(source=FIG3, options=opts, store=store, bus=bus)
-        seen = log.of_type(StoreActivity)
-        assert [event.hit for event in seen] == [False, True]
-        assert seen[0].key == SharedStore.key_for(FIG3, opts)
+        donor = Engine(source=FIG3, options=opts, store=store)
+        adopter = Engine(source=FIG3, options=opts, store=store)
+        assert [donor.ctx.store_hit, adopter.ctx.store_hit] == [False, True]
+        assert (store.donations, store.hits) == (1, 1)
+        assert store.get(FIG3, opts).key == SharedStore.key_for(FIG3, opts)
 
 
 class TestSharedDifferential:
@@ -115,13 +121,7 @@ class TestSharedDifferential:
         updates = EntryFuzzer(adopter.model, seed=11).update_stream(count=25)
         twin = EntryFuzzer(isolated.model, seed=11).update_stream(count=25)
         assert updates == twin
-        for update in updates:
-            adopter.process_update(update)
-        for update in twin:
-            isolated.process_update(update)
-        assert [
-            (l.target, l.table, l.update) for l in adopter.lowered_updates
-        ] == [(l.target, l.table, l.update) for l in isolated.lowered_updates]
+        assert _lowered(adopter, updates) == _lowered(isolated, twin)
         assert print_program(adopter.specialized_program) == print_program(
             isolated.specialized_program
         )
@@ -147,12 +147,13 @@ class TestSharedDifferential:
         assert adopter.ctx.store_hit
         isolated = Engine(source=source, options=opts)
         updates = EntryFuzzer(adopter.model, seed=11).update_stream(count=25)
+        ours, theirs = [], []
         for update in updates:
-            adopter.process_update(update)
-            isolated.process_update(update)
-        assert [
-            (l.target, l.table, l.update) for l in adopter.lowered_updates
-        ] == [(l.target, l.table, l.update) for l in isolated.lowered_updates]
+            ours.extend(adopter.process_update(update).lowered)
+            theirs.extend(isolated.process_update(update).lowered)
+        assert [(l.target, l.table, l.update) for l in ours] == [
+            (l.target, l.table, l.update) for l in theirs
+        ]
         assert print_program(adopter.specialized_program) == print_program(
             isolated.specialized_program
         )

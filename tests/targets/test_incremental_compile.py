@@ -138,12 +138,13 @@ class TestIncrementalCompiler:
         """An engine built for the Tofino target reports the modular figure
         on a recompile: the first entry in t1 changes t1 only."""
         engine = Engine(parse_program(SOURCE), EngineOptions(target="tofino"))
-        assert engine.compile_reports[-1].delta is None
-        engine.process_update(
+        assert engine.compile_report.delta is None
+        decision = engine.process_update(
             Update("t1", INSERT, TableEntry((TernaryMatch(1, 0xFF),), "set_a", (2,), 1))
         )
-        assert len(engine.compile_reports) == 2
-        report = engine.compile_reports[-1]
+        assert decision.recompiled and engine.recompilations == 1
+        report = decision.compile_report
+        assert report is engine.compile_report
         assert "C.t2" not in report.delta.changed_tables
         assert report.delta.touched > 0
         assert report.modular_seconds < report.modeled_seconds
@@ -158,10 +159,11 @@ def test_rollout_delta_equals_reference(name):
     previous = flay.specialized_program
     recompiles = 0
     for update in EntryFuzzer(flay.model, seed=1).rollout_stream(1):
-        if not flay.process_update(update).recompiled:
+        decision = flay.process_update(update)
+        if not decision.recompiled:
             continue
         current = flay.specialized_program
-        report = flay.compile_reports[-1]
+        report = decision.compile_report
         assert report.delta == diff_programs(previous, current)
         assert report.modular_seconds == modular_formula(report.delta, current)
         previous = current
@@ -182,13 +184,14 @@ def test_rebuilt_but_equal_table_is_unchanged():
     previous = flay.specialized_program
     rebuilt = 0
     for update in EntryFuzzer(flay.model, seed=1).rollout_stream(1):
-        if not flay.process_update(update).recompiled:
+        decision = flay.process_update(update)
+        if not decision.recompiled:
             continue
         current = flay.specialized_program
         before = previous.find(control).tables_by_name().get("priority_schedule")
         after = current.find(control).tables_by_name().get("priority_schedule")
         if before is not None and before is not after and before == after:
-            assert name in flay.compile_reports[-1].delta.unchanged_tables
+            assert name in decision.compile_report.delta.unchanged_tables
             rebuilt += 1
         previous = current
     assert rebuilt > 0

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -85,9 +86,14 @@ def test_specialize_stats_prints_cache_counters(tmp_path, capsys):
         "specialize", "corpus:fig3", "--config", str(config_path), "--stats",
     ]) == 0
     err = capsys.readouterr().err
+    # The config decision's record, then the three counter blocks.
+    assert "# config: RECOMPILE: batch of 1 updates" in err
     assert "cache statistics" in err
     for layer in ("substitution", "solver-memo", "cnf-fragments", "active-entries"):
         assert layer in err
+    assert "# solver statistics:" in err and "# gate statistics:" in err
+    assert re.search(r"probes: \d+ \(mean \d+ us, total [\d.]+ ms\)", err)
+    assert "pipeline events" not in err and "p50" not in err
 
 
 def test_specialize_config_is_decided_as_one_burst(tmp_path, capsys):
