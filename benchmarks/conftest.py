@@ -8,12 +8,11 @@ The ``-s`` flag shows the regenerated rows next to the paper's numbers.
 """
 
 import functools
-from contextlib import contextmanager
 
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.engine import engine as engine_module, pipeline
+from repro.engine import pipeline
 from repro.engine.queries import QueryEngine
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
@@ -40,22 +39,6 @@ def solver_free(monkeypatch):
     monkeypatch.setattr(
         pipeline, "QueryEngine", functools.partial(QueryEngine, solver_node_budget=0)
     )
-
-
-@contextmanager
-def without_prune_pass():
-    """Engines built inside this block run the cold pipeline without
-    ``PrunePass`` (the unpruned reference)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            engine_module,
-            "cold_passes",
-            lambda: [
-                p for p in pipeline.cold_passes()
-                if not isinstance(p, pipeline.PrunePass)
-            ],
-        )
-        yield
 
 
 def make_flay(program, **options) -> Flay:

@@ -1,18 +1,10 @@
-"""BENCH_8: the prune ablation and the strict-partition measurement.
+"""BENCH_8: the cold sweep's CNF and the strict-partition measurement.
 
 Two questions, answered with honest numbers:
 
-* **What does the prune pass change?**  Cold pipeline wall-clock and the
-  CNF of the queries the cold sweep answered (re-encoded together into
-  one fresh bit-blaster), on scion and switch_kitchen_sink.  The
-  differential harness already pins that specialized *output* is
-  byte-identical either way; this bench records the *cost* side.  The
-  unpruned side is the cold pipeline with ``PrunePass`` filtered out
-  (``conftest.without_prune_pass``).  On this corpus the CNF sizes come out identical — the symbolic executor
-  short-circuits the same constant branches the prune pass deletes — and
-  pruning pays its own abstract-interpretation run up front, so the
-  ablation documents overhead, not savings.  The assertion layer pins
-  the identity (output and CNF), not a speedup.
+* **How large is the cold sweep's CNF?**  The queries the cold sweep
+  answered, re-encoded together into one fresh bit-blaster, on scion and
+  switch_kitchen_sink.
 
 * **How much does the dependency graph coarsen the conflict groups?**
   Strict conflict components (taint ∪ dependency edges, the oracle in
@@ -22,15 +14,14 @@ Two questions, answered with honest numbers:
   records the property ``partition`` relies on: every taint component
   lies inside one strict component.
 
-Set ``PRUNE_BENCH_JSON=/path/out.json`` to dump the measured numbers
+Set ``PARTITION_BENCH_JSON=/path/out.json`` to dump the measured numbers
 (CI uploads it as the BENCH_8 artifact).
 """
 
 import json
 import os
-import time
 
-from conftest import heading, make_flay, without_prune_pass
+from conftest import heading, make_flay
 
 from repro.engine.batch import conflict_components
 from repro.ir.deps import build_dependency_graph
@@ -46,27 +37,6 @@ def _cnf_counts(flay):
     for term in flay.runtime.ctx.query_engine.solver._results:
         blaster.encode_bool(term)
     return blaster.solver.num_vars, blaster.solver.num_clauses
-
-
-def _cold_run(program, prune):
-    from repro.core import Flay, FlayOptions
-
-    start = time.perf_counter()
-    if prune:
-        flay = Flay(program, FlayOptions(target="tofino"))
-    else:
-        with without_prune_pass():
-            flay = Flay(program, FlayOptions(target="tofino"))
-    source = flay.specialized_source()
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    variables, clauses = _cnf_counts(flay)
-    return {
-        "ms": elapsed_ms,
-        "cnf_variables": variables,
-        "cnf_clauses": clauses,
-        "source": source,
-        "report": flay.prune_report,
-    }
 
 
 def _component_count(components):
@@ -89,27 +59,16 @@ def _strict_components(model, program, env):
     return {name: find(name) for name in parent}
 
 
-def test_prune_ablation_and_strict_components(benchmark, corpus_programs):
+def test_cold_cnf_and_strict_components(benchmark, corpus_programs):
     results = {}
 
-    # -- prune ablation: cold pipeline with and without the pass --------
-    for name in COLD_PROGRAMS:
-        pruned = _cold_run(corpus_programs[name], prune=True)
-        unpruned = _cold_run(corpus_programs[name], prune=False)
-        # The ablation's contract: identical output, identical CNF.
-        assert pruned["source"] == unpruned["source"]
-        assert pruned["cnf_variables"] == unpruned["cnf_variables"]
-        assert pruned["cnf_clauses"] == unpruned["cnf_clauses"]
-        results[f"{name}_cold_pruned_ms"] = pruned["ms"]
-        results[f"{name}_cold_no_prune_ms"] = unpruned["ms"]
-        results[f"{name}_cnf_variables"] = pruned["cnf_variables"]
-        results[f"{name}_cnf_clauses"] = pruned["cnf_clauses"]
-        results[f"{name}_removed_branches"] = pruned["report"].removed_branches
-        results[f"{name}_folded_constants"] = pruned["report"].folded_constants
-
-    # -- strict components: taint ∪ dependency edges --------------------
+    # -- the cold sweep's CNF, and strict components: taint ∪ dependency
+    # edges ------------------------------------------------------------
     for name in COLD_PROGRAMS:
         flay = make_flay(corpus_programs[name])
+        variables, clauses = _cnf_counts(flay)
+        results[f"{name}_cnf_variables"] = variables
+        results[f"{name}_cnf_clauses"] = clauses
         taint = conflict_components(flay.model)
         strict = _strict_components(flay.model, flay.program, flay.env)
         results[f"{name}_taint_components"] = _component_count(taint)
@@ -133,14 +92,11 @@ def test_prune_ablation_and_strict_components(benchmark, corpus_programs):
     results["scion_burst_ms"] = report.elapsed_ms
     benchmark.pedantic(lambda: burst_cell()[1], rounds=3, iterations=1)
 
-    heading("BENCH_8: prune ablation + strict components")
+    heading("BENCH_8: cold CNF + strict components")
     for name in COLD_PROGRAMS:
         print(
-            f"{name}: cold {results[f'{name}_cold_pruned_ms']:.0f} ms pruned / "
-            f"{results[f'{name}_cold_no_prune_ms']:.0f} ms unpruned, "
-            f"CNF {results[f'{name}_cnf_variables']} vars / "
-            f"{results[f'{name}_cnf_clauses']} clauses (identical both ways), "
-            f"{results[f'{name}_removed_branches']} branches removed"
+            f"{name}: cold CNF {results[f'{name}_cnf_variables']} vars / "
+            f"{results[f'{name}_cnf_clauses']} clauses"
         )
         print(
             f"{name}: components taint={results[f'{name}_taint_components']} "
@@ -153,7 +109,7 @@ def test_prune_ablation_and_strict_components(benchmark, corpus_programs):
         f"{results['scion_burst_ms']:.0f} ms"
     )
 
-    out_path = os.environ.get("PRUNE_BENCH_JSON")
+    out_path = os.environ.get("PARTITION_BENCH_JSON")
     if out_path:
         with open(out_path, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -91,8 +91,6 @@ def cmd_specialize(args) -> int:
     if args.config:
         decision = flay.decide(config_mod.load(args.config).updates())
         print(f"# config: {decision.describe()}", file=sys.stderr)
-    if flay.prune_report is not None:
-        print(f"# {flay.prune_report.summary()}", file=sys.stderr)
     print(f"# specializations: {flay.report.summary()}", file=sys.stderr)
     if args.stats:
         print("# cache statistics:", file=sys.stderr)
@@ -243,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--output", "-o", help="write the result here")
     p_spec.add_argument("--skip-parser", action="store_true")
     p_spec.add_argument(
-        "--effort", choices=("none", "dce", "full"), default="full"
+        "--effort",
+        choices=("none", "dce", "full"),
+        default="full",
+        help="none keeps the program as written, dce drops dead code, full "
+        "also folds constants, inlines, narrows and prunes the parser tail",
     )
     p_spec.add_argument(
         "--stats",

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 from repro.engine.context import EngineContext
 from repro.engine.gate import GateStats
-from repro.engine.pipeline import Decision, _compile, respecialize
+from repro.engine.pipeline import Decision, install, respecialize
 from repro.engine.queries import PointReverdicts, QueryEngine
 from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
@@ -660,13 +660,11 @@ def schedule_batch(ctx: EngineContext, updates: list) -> Decision:
     merged_gate = shared_gate.stats.since(gate_before)
     _verify_merge_accounting(merged_solver, slice_solver, merged_gate, slice_gate)
 
-    recompiled = respecialize(ctx, changed, tables)
-    compile_report = None
-    if recompiled and ctx.target is not None:
-        compile_report = _compile(ctx)
+    moved = respecialize(ctx, changed, tables)
+    compile_report = install(ctx, *moved) if moved is not None else None
 
     return Decision(
-        recompiled,
+        moved is not None,
         changed,
         affected_points,
         redecided_points,

@@ -30,8 +30,8 @@ class EngineOptions:
     skip_parser: bool = False  # §4.2: skip parser analysis for big programs
     overapprox_threshold: Optional[int] = DEFAULT_OVERAPPROX_THRESHOLD
     target: str = "tofino"  # any registered backend name, or "none"
-    # §6 specialization quality: none | dce | full.  It also gates the
-    # cold prune pass (off at "none") and parser-tail pruning (on at "full").
+    # §6 specialization quality: none | dce | full.  It also gates
+    # parser-tail pruning (on at "full").
     effort: str = "full"
 
 
@@ -40,7 +40,6 @@ class EngineTimings:
     """The Table 2 measurement surface (exported as ``FlayTimings``)."""
 
     parse_seconds: float = 0.0
-    prune_seconds: float = 0.0
     data_plane_analysis_seconds: float = 0.0
     initial_specialization_seconds: float = 0.0
 
@@ -60,9 +59,6 @@ class EngineContext:
     source: Optional[str] = None
     program: Optional[object] = None  # ast.Program
     env: Optional[object] = None  # TypeEnv
-    # Prune-pass outcome (an analysis.dataflow.prune.PruneReport, or None
-    # when the pass did not run: effort "none").
-    prune_report: Optional[object] = None
     # Analysis products.
     model: Optional[object] = None  # DataPlaneModel
     state: Optional[object] = None  # ControlPlaneState

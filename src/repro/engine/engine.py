@@ -76,7 +76,6 @@ class Engine:
             0.0,
             total
             - self.ctx.timings.parse_seconds
-            - self.ctx.timings.prune_seconds
             - self.ctx.timings.data_plane_analysis_seconds,
         )
 
@@ -271,11 +270,6 @@ class Engine:
     def gate_stats(self):
         """Gate decision counters (a ``GateStats``)."""
         return self.ctx.gate.snapshot()
-
-    @property
-    def prune_report(self):
-        """The prune pass's report, or None at effort "none"."""
-        return self.ctx.prune_report
 
     # -- context views --------------------------------------------------------
     # Read-only views of the context, so callers write ``engine.model``

@@ -150,7 +150,7 @@ class ParsePass:
     """``ctx.source`` → ``ctx.program`` (skipped when a program was given).
 
     With a shared store attached, a content-hash hit adopts the donated
-    (already-pruned) AST and type environment instead of re-parsing.
+    AST and type environment instead of re-parsing.
     """
 
     name = "parse"
@@ -165,7 +165,6 @@ class ParsePass:
                 ctx.store_hit = True
                 ctx.program = entry.program
                 ctx.env = entry.env
-                ctx.prune_report = entry.prune_report
                 return
         start = time.perf_counter()
         ctx.program = parse_program(ctx.source)
@@ -184,38 +183,15 @@ class TypeCheckPass:
 
 
 class PrunePass:
-    """Abstract-interpretation prune: fold constants, drop dead branches.
+    """A pass that does nothing and that neither pass list holds; kept
+    because the end-to-end benchmark's tracer wraps ``PrunePass.run``.
 
-    Runs between typecheck and analysis so the symbolic executor and the
-    encoder never see statically-dead paths.  The rewrite is specialized-
-    output-preserving by construction (see
-    :mod:`repro.analysis.dataflow.prune`).  It runs at every effort but
-    "none".  The type environment is rebuilt when the program changed so
-    every downstream consumer sees one consistent AST.
+    A branch dead under every control-plane configuration is a DEAD point
+    of the analysis, and the specializer drops it.
     """
 
-    name = "prune"
-    stage = "cold"
-
     def run(self, ctx: EngineContext) -> None:
-        from repro.analysis.dataflow.prune import prune_program
-
-        if ctx.store_hit:
-            return  # the adopted AST is already pruned
-        if ctx.options.effort == "none":
-            return
-        start = time.perf_counter()
-        pruned, report = prune_program(
-            ctx.program,
-            ctx.env,
-            effort=ctx.options.effort,
-            skip_parser=ctx.options.skip_parser,
-        )
-        ctx.prune_report = report
-        if pruned is not ctx.program:
-            ctx.program = pruned
-            ctx.env = TypeEnv(pruned)
-        ctx.timings.prune_seconds = time.perf_counter() - start
+        pass
 
 
 class AnalysisPass:
@@ -340,13 +316,6 @@ class SpecializePass:
         )
 
 
-def _compile(ctx: EngineContext):
-    """Compile the specialized program for the target; returns its report,
-    which also replaces ``ctx.compile_report``."""
-    ctx.compile_report = report = ctx.target.compile(ctx.specialized_program)
-    return report
-
-
 class LowerPass:
     """Hand the initial specialized program to the target backend."""
 
@@ -355,7 +324,7 @@ class LowerPass:
 
     def run(self, ctx: EngineContext) -> None:
         if ctx.target is not None:
-            _compile(ctx)
+            ctx.compile_report = ctx.target.compile(ctx.specialized_program)
 
 
 # ---------------------------------------------------------------------------
@@ -441,32 +410,50 @@ class ReverdictTablesPass:
         ctx.table_verdicts.update(verdicts)
 
 
-def respecialize(ctx: EngineContext, changed: list, tables) -> bool:
-    """The recompile decision: whether the device program moved.
+def respecialize(ctx: EngineContext, changed: list, tables):
+    """The recompile decision: the program to compile, or None to forward.
 
     ``changed`` names the verdicts the run moved and ``tables`` the
-    tables it re-encoded.  When some verdict moved, or one of ``tables``
-    crossed between precise and overapproximated, the program is
-    respecialized and compared with the one last compiled.  Equality is
-    frozen-dataclass ``==``, which short-circuits on the identical nodes
-    the incremental specializer reuses, so it costs what the rebuild
-    cost.  A different program replaces ``ctx.specialized_program`` and
-    ``ctx.report`` and the caller recompiles it; an equal one leaves both
-    the objects last compiled, so the printed source is what the device
-    runs and the update is a forward.
+    tables it re-encoded.  When some verdict moved, one of ``tables``
+    crossed between precise and overapproximated, or a failed decision
+    reset the specializer, the program is respecialized and compared
+    with the one last compiled.  Equality is frozen-dataclass ``==``,
+    which short-circuits on the identical nodes the incremental
+    specializer reuses, so it costs what the rebuild cost.  A different
+    program is returned with its report, and :func:`install` makes it the
+    engine's once the target compiled it; an equal one leaves
+    ``ctx.specialized_program`` the object last compiled, so the printed
+    source is what the device runs and the update is a forward.
     """
     specializer = ctx.specializer
-    if not changed and not specializer.overapproximation_moved(
-        ctx.table_verdicts, tables
+    if (
+        not changed
+        and specializer.built
+        and not specializer.overapproximation_moved(ctx.table_verdicts, tables)
     ):
-        return False
+        return None
     program, report = specializer.specialize(
         ctx.point_verdicts, ctx.table_verdicts, changed
     )
     if program == ctx.specialized_program:
-        return False
+        return None
+    return program, report
+
+
+def install(ctx: EngineContext, program, report):
+    """Compile ``program`` for the target, then make it and ``report`` the
+    engine's; returns the compile report (None without a target).
+
+    A compile that raises installs nothing: ``ctx.specialized_program``
+    stays the program the device runs, and the failed decision's reset of
+    the specializer makes the next decision compare a fresh
+    specialization with it (:func:`respecialize`).
+    """
+    compile_report = None
+    if ctx.target is not None:
+        ctx.compile_report = compile_report = ctx.target.compile(program)
     ctx.specialized_program, ctx.report = program, report
-    return True
+    return compile_report
 
 
 class RespecializePass:
@@ -486,10 +473,10 @@ class RespecializePass:
     def run(self, ctx: EngineContext) -> None:
         warm = ctx.warm
         target = ctx.target
-        if respecialize(ctx, warm.changed, warm.assignments):
+        moved = respecialize(ctx, warm.changed, warm.assignments)
+        if moved is not None:
+            warm.compile_report = install(ctx, *moved)
             warm.recompiled = True
-            if target is not None:
-                warm.compile_report = _compile(ctx)
             return
         if target is not None:
             warm.lowered = (target.lower_update(warm.update),)
@@ -505,7 +492,6 @@ def cold_passes() -> list:
     return [
         ParsePass(),
         TypeCheckPass(),
-        PrunePass(),
         AnalysisPass(),
         EncodePass(),
         SpecializePass(),
@@ -516,14 +502,13 @@ def cold_passes() -> list:
 def restore_passes() -> list:
     """The snapshot-restore pipeline: cold front half, then warm reinstall.
 
-    Parse/typecheck/prune/analysis re-derive the program-pure artifacts
+    Parse/typecheck/analysis re-derive the program-pure artifacts
     (or adopt them from a shared store); :class:`RestorePass` replaces
     the encode sweep with the snapshot's warm state.
     """
     return [
         ParsePass(),
         TypeCheckPass(),
-        PrunePass(),
         AnalysisPass(),
         RestorePass(),
         SpecializePass(),
@@ -561,6 +546,7 @@ __all__ = [
     "TypeCheckPass",
     "WarmState",
     "cold_passes",
+    "install",
     "respecialize",
     "restore_passes",
     "warm_passes",

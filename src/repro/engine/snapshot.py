@@ -41,6 +41,10 @@ from repro.runtime.semantics import (
 )
 from repro.smt.arena import TermArena
 
+#: 10: no cold prune pass deletes constant ``if`` points, so switch and
+#: dash carry two more points and every later pid is renumbered (a pid
+#: carries a program-wide sequence number); a format-9 blob's pid-keyed
+#: rows would name other points.
 #: 9: the decision totals ride next to ``recompilations``.
 #: 8: the warm rows ride in one term-aware pickle keyed by row path (7
 #: carried one arena plus a per-structure export of each).
@@ -55,7 +59,7 @@ from repro.smt.arena import TermArena
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 9
+SNAPSHOT_FORMAT = 10
 
 
 def snapshot_context(ctx) -> dict:

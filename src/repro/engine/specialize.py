@@ -182,6 +182,12 @@ class Specializer:
             self.reset()
             raise
 
+    @property
+    def built(self) -> bool:
+        """Whether the memo holds the last call's output: a reset, which
+        every failed call or decision makes, empties it."""
+        return bool(self._memo) or self.effort == EFFORT_NONE
+
     def overapproximation_moved(self, table_verdicts: dict, tables) -> bool:
         """Whether one of ``tables`` crossed between precise and
         overapproximated since the previous call (a move no

@@ -2,7 +2,7 @@
 
 Switches in a fleet overwhelmingly run the *same* data-plane program
 with *different* table configurations.  Everything the cold pipeline
-computes from the program alone — the parsed/pruned AST, the type
+computes from the program alone — the parsed AST, the type
 environment, the data-plane model, and the initial (empty-config)
 verdict sweep — is therefore identical across those switches, and so is
 every warm cache that is a pure function of hash-consed terms: the
@@ -42,7 +42,6 @@ class StoreEntry:
     # Cold artifacts (immutable after analysis).
     program: object
     env: object
-    prune_report: object
     model: object
     # The donor's ``shared`` rows by row path (mutated in place by every
     # adopter).
@@ -96,7 +95,6 @@ class SharedStore:
             key=key,
             program=ctx.program,
             env=ctx.env,
-            prune_report=ctx.prune_report,
             model=ctx.model,
             shared={row.path: container for row, container in warm_state(ctx, SHARED)},
             initial={

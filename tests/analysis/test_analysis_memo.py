@@ -1,11 +1,10 @@
 """The run-long analysis memos change no answer.
 
-The symbolic executor and the abstract interpreter pass one ``simplify``
-memo to every ``simplify`` they make, and the executor reads each point's
-taint from a run-long memo of control-symbol names.  The reference here
-is the same analysis with ``simplify`` forced to a fresh memo on every
-call (patched in ``symexec``, ``state`` and ``dataflow.engine``) and
-``merge_stores`` called without one, and the taint recomputed point by
+The symbolic executor passes one ``simplify`` memo to every ``simplify``
+it makes, and reads each point's taint from a run-long memo of
+control-symbol names.  The reference here is the same analysis with
+``simplify`` forced to a fresh memo on every call (patched in
+``symexec`` and ``state``) and ``merge_stores`` called without one, and the taint recomputed point by
 point with ``ProgramPoint.control_vars()``.
 Terms are hash-consed, so "the same answer" is object identity.
 """
@@ -13,8 +12,6 @@ Terms are hash-consed, so "the same answer" is object identity.
 import pytest
 
 from repro.analysis import state, symexec
-from repro.analysis.dataflow import engine as dataflow_engine
-from repro.analysis.dataflow.engine import AbstractInterpreter
 from repro.analysis.symexec import SymbolicExecutor
 from repro.engine.gate import VerdictGate
 from repro.p4.types import TypeEnv
@@ -34,14 +31,13 @@ def _fresh_memo_simplify(monkeypatch):
     def merge_without_memo(cond, then_store, else_store, memo=None):
         return merge_stores(cond, then_store, else_store)
 
-    for module in (symexec, state, dataflow_engine):
+    for module in (symexec, state):
         monkeypatch.setattr(module, "simplify", fresh)
-    for module in (symexec, dataflow_engine):
-        monkeypatch.setattr(module, "merge_stores", merge_without_memo)
+    monkeypatch.setattr(symexec, "merge_stores", merge_without_memo)
 
 
 def _analyses(name, monkeypatch):
-    """(memoised, reference) models and interpreters over one AST."""
+    """(memoised, reference) models over one AST."""
     program = registry.load(name)
     env = TypeEnv(program)
     skip = registry.get(name).skip_parser
@@ -49,17 +45,14 @@ def _analyses(name, monkeypatch):
     for patch in (False, True):
         if patch:
             _fresh_memo_simplify(monkeypatch)
-        model = SymbolicExecutor(program, env, skip_parser=skip).analyze()
-        interp = AbstractInterpreter(program, env, skip_parser=skip)
-        interp.run()
-        runs.append((model, interp))
+        runs.append(SymbolicExecutor(program, env, skip_parser=skip).analyze())
     monkeypatch.undo()
     return runs
 
 
 @pytest.mark.parametrize("name", ZOO)
 def test_memoised_analysis_builds_the_identical_terms(name, monkeypatch):
-    (model, interp), (ref, ref_interp) = _analyses(name, monkeypatch)
+    model, ref = _analyses(name, monkeypatch)
 
     assert list(model.points) == list(ref.points)
     for pid, point in model.points.items():
@@ -83,9 +76,6 @@ def test_memoised_analysis_builds_the_identical_terms(name, monkeypatch):
             expected_taint.setdefault(var, set()).add(pid)
     assert model.taint == expected_taint
     assert ref.taint == expected_taint
-
-    assert interp.decisions == ref_interp.decisions
-    assert interp.folds == ref_interp.folds
 
 
 @pytest.mark.parametrize("name", ZOO)

@@ -5,24 +5,25 @@ header the parser never extracts, a branch whose condition is a
 constant, a select case behind a catch-all, a switch arm that repeats,
 an assignment that truncates, an action nothing references, a store
 overwritten before it is read. The tests pin what each layer does with
-it: the abstract interpreter's decisions and folds, the prune pass's
-rewrite, the reference interpreter's concrete result, and the
-read/write sets of :mod:`repro.ir.deps`.
+it: the specializer's output at the empty config (the branches the
+analysis decides and the constants it folds), the reference
+interpreter's concrete result, and the read/write sets of
+:mod:`repro.ir.deps`.
 """
 
 import pytest
 
 from repro.analysis import analyze
-from repro.analysis.dataflow import AbstractInterpreter, prune_program
+from repro.core import Flay, FlayOptions
 from repro.engine import Engine, EngineOptions
 from repro.ir.deps import _action_reads_writes, build_dependency_graph
 from repro.p4.errors import TypeCheckError
 from repro.p4.parser import parse_program
-from repro.p4.printer import print_program
 from repro.p4.types import TypeEnv
 from repro.programs import registry
 from repro.runtime.entries import ExactMatch, TableEntry
 from repro.runtime.semantics import INSERT, ControlPlaneState, Update
+from repro.smt.simplify import constant_value
 from repro.targets.bmv2 import Interpreter, PacketBuilder
 
 PREAMBLE = """
@@ -71,14 +72,10 @@ def run_packet(prog, a=0, b=0, x=0, entries=()):
     return Interpreter(prog).run(packet, state).store
 
 
-def interpret(prog, **kwargs):
-    interp = AbstractInterpreter(prog, **kwargs)
-    interp.run()
-    return interp
-
-
-def apply_stmts(prog):
-    return prog.find("C").apply.statements
+def specialized(prog, **options):
+    """Control ``C`` as the specializer prints it at the empty config."""
+    flay = Flay(prog, FlayOptions(target="none", **options))
+    return flay.specialized_source().split("control C", 1)[1]
 
 
 TABLE_T = """
@@ -96,16 +93,14 @@ class TestCleanProgram:
     def make(self):
         return program(EXTRACT_H, TABLE_T, "        t.apply();\n        hdr.h.b = meta.m;")
 
-    def test_interpreter_decides_nothing(self):
-        interp = interpret(self.make())
-        assert interp.decisions == {}
-        assert "C.t" in interp.applied_tables
+    def test_analysis_decides_nothing_constant(self):
+        model = analyze(self.make())
+        assert "C.t" in model.tables
+        assert all(constant_value(p.expr) is None for p in model.points.values())
 
-    def test_prune_leaves_it_unchanged(self):
-        prog = self.make()
-        pruned, report = prune_program(prog)
-        assert pruned is prog
-        assert not report.changed and not report.analysis_failed
+    def test_dce_leaves_it_unchanged(self):
+        text = specialized(self.make(), effort="dce")
+        assert "hdr.h.b = meta.m;" in text and "if (" not in text
 
     def test_table_result_reaches_the_store(self):
         entry = TableEntry((ExactMatch(7),), "set", (9,))
@@ -116,29 +111,26 @@ class TestCleanProgram:
 class TestHeaderValidity:
     GUARDED_READ = "        if (hdr.u.isValid()) { meta.m = hdr.u.x; }"
 
-    def test_guarded_read_of_never_extracted_header_is_pruned(self):
-        prog = program(EXTRACT_H, "", self.GUARDED_READ)
-        pruned, report = prune_program(prog)
-        assert report.removed_branches == 1
-        assert "hdr.u.x" not in print_program(pruned)
+    @pytest.mark.parametrize("effort", ["dce", "full"])
+    def test_guarded_read_of_never_extracted_header_is_dropped(self, effort):
+        text = specialized(program(EXTRACT_H, "", self.GUARDED_READ), effort=effort)
+        assert "hdr.u" not in text and "if (" not in text
 
-    def test_guard_on_extracted_header_is_dropped(self):
+    @pytest.mark.parametrize("effort", ["dce", "full"])
+    def test_guard_on_extracted_header_is_dropped(self, effort):
         prog = program(EXTRACT_H, "", "        if (hdr.h.isValid()) { meta.m = hdr.h.a; }")
-        pruned, report = prune_program(prog)
-        assert report.removed_branches == 1
-        text = print_program(pruned)
+        text = specialized(prog, effort=effort)
         assert "isValid" not in text
         assert "meta.m = hdr.h.a;" in text
 
     def test_guard_on_conditionally_extracted_header_stays(self):
-        prog = program(EXTRACT_U_ON_ZERO, "", self.GUARDED_READ)
-        pruned, report = prune_program(prog)
-        assert pruned is prog and not report.changed
+        text = specialized(program(EXTRACT_U_ON_ZERO, "", self.GUARDED_READ))
+        assert "if (hdr.u.isValid())" in text and "meta.m = hdr.u.x;" in text
 
     def test_skip_parser_keeps_the_guard(self):
         prog = program(EXTRACT_H, "", self.GUARDED_READ)
-        pruned, report = prune_program(prog, skip_parser=True)
-        assert pruned is prog and not report.changed
+        text = specialized(prog, skip_parser=True)
+        assert "if (hdr.u.isValid())" in text and "meta.m = hdr.u.x;" in text
 
     @pytest.mark.parametrize("a, valid, m", [(0, 1, 0x5A), (1, 0, 0)])
     def test_conditionally_extracted_header_is_read_on_its_path(self, a, valid, m):
@@ -155,11 +147,8 @@ class TestConstantBranch:
             """        meta.m = 8w1;
         if (meta.m == 8w1) { meta.n = 8w2; } else { meta.n = 8w3; }""",
         )
-        assert interpret(prog).decisions[id(apply_stmts(prog)[1])] is True
-        pruned, report = prune_program(prog)
-        assert report.removed_branches == 1
-        text = print_program(pruned)
-        assert "8w2" in text and "8w3" not in text and "if (" not in text
+        text = specialized(prog, effort="dce")
+        assert "meta.n = 8w2;" in text and "8w3" not in text and "if (" not in text
 
     def test_constant_false_condition_drops_the_if(self):
         prog = program(
@@ -168,25 +157,23 @@ class TestConstantBranch:
             """        meta.m = 8w1;
         if (meta.m == 8w2) { meta.n = 8w2; }""",
         )
-        pruned, report = prune_program(prog)
-        assert report.removed_branches == 1
-        assert "meta.n" not in print_program(pruned)
-        assert run_packet(pruned)["meta.n"] == run_packet(prog)["meta.n"] == 0
+        text = specialized(prog, effort="dce")
+        assert "meta.n" not in text and "if (" not in text
+        assert run_packet(prog)["meta.n"] == 0
 
     def test_true_without_else_inlines_the_body(self):
         prog = program(EXTRACT_H, "", "        if (true) { meta.m = 8w1; }")
-        pruned, report = prune_program(prog)
-        assert report.removed_branches == 1
-        assert "if (" not in print_program(pruned)
-        assert run_packet(pruned)["meta.m"] == 1
+        text = specialized(prog, effort="dce")
+        assert "if (" not in text and "meta.m = 8w1;" in text
+        assert run_packet(prog)["meta.m"] == 1
 
     DATA_BRANCH = "        if (hdr.h.a == 8w1) { meta.n = 8w2; } else { meta.n = 8w3; }"
 
     def test_data_dependent_condition_is_undecided(self):
         prog = program(EXTRACT_H, "", self.DATA_BRANCH)
-        assert interpret(prog).decisions == {}
-        pruned, report = prune_program(prog)
-        assert pruned is prog and not report.changed
+        text = specialized(prog)
+        assert "if (hdr.h.a == 8w1)" in text
+        assert "meta.n = 8w2;" in text and "meta.n = 8w3;" in text
 
     @pytest.mark.parametrize("a, n", [(1, 2), (0, 3)])
     def test_data_dependent_condition_takes_both_arms(self, a, n):
@@ -254,11 +241,11 @@ class TestSwitchArms:
         store = run_packet(prog, a=a, entries=[self.SET_ON_7])
         assert (store["meta.m"], store["meta.n"]) == (m, n)
 
-    def test_switch_on_an_empty_table_is_undecided(self):
+    def test_switch_on_an_empty_table_runs_its_default_arm(self):
         prog = self.switch(["set: { meta.n = 8w1; }", "noop: { meta.n = 8w2; }"])
-        interp = interpret(prog)
-        assert interp.decisions == {}
-        assert "C.t" in interp.applied_tables
+        assert "C.t" in analyze(prog).tables
+        text = specialized(prog)
+        assert "meta.n = 8w2;" in text and "8w1" not in text
 
 
 class TestWidthTruncation:
@@ -297,31 +284,34 @@ class TestWidthTruncation:
 
     def test_cast_folds_to_the_low_bits(self):
         prog = program(EXTRACT_H, "", "        meta.w = 16w700;\n        meta.m = (bit<8>) meta.w;")
-        fact = interpret(prog).folds[id(apply_stmts(prog)[1])]
-        assert (fact.value, fact.width) == (188, 8)
+        assert "meta.m = 8w0xbc;" in specialized(prog)  # 188
+        assert "meta.m = (bit<8>) meta.w;" in specialized(prog, effort="dce")
 
-    def test_unsized_literal_folds_to_the_destination_width(self):
+    def test_unsized_literal_stays_as_written(self):
+        """A literal is no derived constant: the specializer keeps it, and
+        the assignment truncates it at run time."""
         prog = program(EXTRACT_H, "", "        meta.m = 300;")
-        fact = interpret(prog).folds[id(apply_stmts(prog)[0])]
-        assert (fact.value, fact.width) == (44, 8)
+        assert "meta.m = 0x12c;" in specialized(prog)
+        assert run_packet(prog)["meta.m"] == 44
 
     @pytest.mark.parametrize(
-        "body, index",
+        "body, stored",
         [
-            ("meta.m = 16w300;", 0),
-            ("meta.w = 16w300;\n        meta.m = meta.w;", 1),
+            ("meta.m = 16w300;", "meta.m = 16w0x12c;"),
+            ("meta.w = 16w300;\n        meta.m = meta.w;", "meta.m = 8w0x2c;"),
         ],
         ids=["sized-literal", "wide-field"],
     )
-    def test_wide_value_folds_and_compares_at_the_destination_width(self, body, index):
+    def test_wide_value_compares_at_the_destination_width(self, body, stored):
         prog = program(
             EXTRACT_H,
             "",
             f"        {body}\n        if (meta.m == 8w44) {{ hdr.h.b = 8w1; }}",
         )
-        fact = interpret(prog).folds[id(apply_stmts(prog)[index])]
-        assert (fact.value, fact.width) == (44, 8)
         analyze(prog)  # the 8-bit comparison sees an 8-bit value
+        text = specialized(prog)
+        assert stored in text  # a derived value folds to the low bits
+        assert "if (" not in text and "hdr.h.b = 8w1;" in text
         assert run_packet(prog)["hdr.h.b"] == 1
 
 
@@ -383,8 +373,7 @@ class TestActionReachability:
     def test_directly_called_action_runs(self):
         prog = program(EXTRACT_H, "    action helper() { meta.m = 8w1; }", "        helper();")
         assert run_packet(prog)["meta.m"] == 1
-        fact = interpret(prog).folds[id(prog.find("C").locals[0].body.statements[0])]
-        assert fact.value == 1
+        assert "helper();" in specialized(prog)
 
     def test_action_called_from_live_action_runs(self):
         prog = program(
@@ -448,8 +437,7 @@ class TestWriteAfterWrite:
         hdr.h.b = meta.m;""",
         )
         assert run_packet(prog)["hdr.h.b"] == 2
-        fact = interpret(prog).folds[id(apply_stmts(prog)[2])]
-        assert fact.value == 2
+        assert "hdr.h.b = 8w2;" in specialized(prog)
 
     def test_intervening_read_sees_the_first_store(self):
         prog = program(
@@ -461,7 +449,7 @@ class TestWriteAfterWrite:
         )
         store = run_packet(prog)
         assert (store["meta.m"], store["meta.n"]) == (2, 1)
-        assert interpret(prog).folds[id(apply_stmts(prog)[1])].value == 1
+        assert "meta.n = 8w1;" in specialized(prog)
 
     def test_overwrite_inside_action(self):
         prog = program(
@@ -481,9 +469,14 @@ class TestWriteAfterWrite:
 
 class TestCorpus:
     @pytest.mark.parametrize("name", sorted(registry.CORPUS))
-    def test_interpreter_facts_are_well_formed(self, name):
-        interp = interpret(registry.load(name))
-        assert all(isinstance(v, bool) for v in interp.decisions.values())
-        for fact in interp.folds.values():
-            assert fact.width > 0
-            assert 0 <= fact.value < (1 << fact.width)
+    def test_constants_fit_their_width(self, name):
+        """Every point the analysis decides to a constant holds a value
+        its width can carry."""
+        entry = registry.get(name)
+        model = analyze(registry.load(name), skip_parser=entry.skip_parser)
+        for point in model.points.values():
+            value = constant_value(point.expr)
+            if value is not None and point.expr.width:
+                assert 0 <= value < (1 << point.expr.width)
+            elif value is not None:
+                assert value in (0, 1)

@@ -5,16 +5,9 @@ No option switches it on and the engine never runs it: a bare
 point from a one-shot ``Substitution`` of the engine's current control
 mapping, and ``_table_verdict_uncached`` on every table.  The warm path's
 replays, memos and change-driven sweeps are all claims that the engine
-still holds exactly these verdicts.  :func:`without_prune_pass` builds the
-other reference, an engine whose cold pipeline has no prune pass.
+still holds exactly these verdicts.
 """
 
-from contextlib import contextmanager
-
-import pytest
-
-from repro.engine import engine as engine_module
-from repro.engine.pipeline import PrunePass, cold_passes
 from repro.engine.queries import QueryEngine
 from repro.engine.specialize import Specializer
 from repro.p4.printer import print_program
@@ -140,16 +133,3 @@ class Spec:
         """``check_sat`` calls the specification has issued so far."""
         return self.query_engine.solver.stats.total
 
-
-@contextmanager
-def without_prune_pass():
-    """Engines built inside this block run the cold pipeline without
-    :class:`PrunePass`: the unpruned reference the prune differential
-    compares with.  (A restore still prunes: it runs its own passes.)"""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            engine_module,
-            "cold_passes",
-            lambda: [p for p in cold_passes() if not isinstance(p, PrunePass)],
-        )
-        yield

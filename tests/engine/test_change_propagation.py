@@ -36,7 +36,7 @@ from repro.runtime.semantics import (
     encode_table,
 )
 from repro.smt.sat import SolverBudgetExceeded
-from repro.smt.simplify import simplify
+from repro.smt.simplify import constant_value, simplify
 from repro.smt.solver import Solver
 from repro.smt.substitute import DeltaSubstitution, Substitution
 
@@ -334,7 +334,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 9
+    assert blob["format"] == 10
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -455,5 +455,23 @@ def test_a_format_8_blob_is_refused_not_misread():
     assert restored.forwarded_count == live.forwarded_count
     assert restored.mean_update_ms() == live.mean_update_ms()
     blob["format"] = 8
+    with pytest.raises(ValueError, match="unsupported snapshot format"):
+        Engine.restore(blob)
+
+
+def test_a_format_9_blob_is_refused_not_misread():
+    """Format 9 came from a pipeline whose prune pass deleted dash's and
+    switch's constant ``if`` points before the analysis numbered them, so
+    its pid-keyed rows name other points than format 10's."""
+    live = Engine(source=registry.get("dash").source(), options=FlayOptions(target="none"))
+    constant_ifs = [
+        pid
+        for pid, point in live.model.points.items()
+        if point.kind == "if" and constant_value(simplify(point.expr)) is not None
+    ]
+    assert len(constant_ifs) == 2
+    blob = live.snapshot()
+    assert constant_ifs[0] in Engine.restore(blob).point_verdicts
+    blob["format"] = 9
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)

@@ -14,6 +14,8 @@ import pytest
 from repro.core import Flay, FlayOptions
 from repro.engine import Engine, EngineOptions
 from repro.engine.context import warm_state
+from repro.engine.passes import PassManager
+from repro.engine.pipeline import restore_passes
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
@@ -50,11 +52,18 @@ def _engine(target="none"):
 def test_cold_pipeline_runs_the_declared_passes_in_order():
     engine = _engine()
     assert engine._cold.describe() == (
-        "parse → typecheck → prune → analyze → encode → specialize → lower"
+        "parse → typecheck → analyze → encode → specialize → lower"
     )
     assert all(p.stage == "cold" for p in engine._cold.passes)
+    assert PassManager(restore_passes()).describe() == (
+        "parse → typecheck → analyze → restore → specialize → lower"
+    )
+    ctx = engine.ctx
+    assert ctx.program is not None and ctx.env is not None  # parse, typecheck
+    assert ctx.model is not None and ctx.point_verdicts  # analyze, encode
+    assert ctx.specialized_program is not None  # specialize
     timings = engine.timings
-    assert timings.prune_seconds > 0 and timings.data_plane_analysis_seconds > 0
+    assert timings.data_plane_analysis_seconds > 0
     assert timings.initial_specialization_seconds >= 0
 
 

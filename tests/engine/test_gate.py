@@ -124,8 +124,8 @@ class TestWiring:
             assert state.fdd is not None
 
     def test_no_option_switches_a_layer_off(self):
-        """The gate, the table-verdict memo, the solver, the prune pass and
-        parser-tail pruning are not options: an ablation of one is the
+        """The gate, the table-verdict memo, the solver and parser-tail
+        pruning are not options: an ablation of one is the
         specification in ``spec.py``, a test-side fixture or the effort
         level.  What is left is one option per paper axis."""
         assert {f.name for f in dataclasses.fields(EngineOptions)} == {

@@ -196,3 +196,37 @@ def test_a_threshold_crossing_respecializes(shape, entry_point):
     up, down = sources
     assert "t.apply()" in up and up != down
     spec.check_lowered()
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [lambda flay, update: flay.decide(update), lambda flay, update: flay.decide([update])],
+    ids=["single", "burst"],
+)
+def test_a_failed_compile_installs_nothing(decide):
+    """A device compile that raises leaves the engine on the program the
+    device still runs, and the next decision compares a fresh
+    specialization with that program: on fig3, ``u1``'s compile raises,
+    and ``u2`` recompiles the program of both entries."""
+    flay = Flay(registry.load("fig3"), FlayOptions(target="tofino"))
+    cold_program, cold_report = flay.specialized_program, flay.compile_report
+    u1, u2 = EntryFuzzer(flay.model, seed=4).insert_burst("Fig3Ingress.eth_table", 2)
+    target = flay.device_compiler
+    compile_program = target.compile
+
+    def failing(program):
+        raise RuntimeError("injected compile failure")
+
+    target.compile = failing
+    with pytest.raises(RuntimeError, match="injected compile failure"):
+        decide(flay, u1)
+    assert flay.specialized_program is cold_program
+    assert flay.compile_report is cold_report
+    target.compile = compile_program
+    reports = count_compiles(flay)
+    decision = decide(flay, u2)
+    fresh = Spec(flay).specialize(flay.point_verdicts, flay.table_verdicts)[0]
+    assert fresh != cold_program  # the device must not keep the cold program
+    assert decision.recompiled and reports == [decision.compile_report]
+    assert flay.specialized_program == fresh
+    assert flay.compile_report is decision.compile_report

@@ -8,6 +8,8 @@ One syntactic walk over each table's keys and action bodies builds them
 * a destination-writing extern (``hash``/``update_checksum``) writes its
   first argument and reads the rest, so a write-after-write hazard
   through it orders the two tables;
+* so does ``register.read``, and an action's own sets count a field it
+  reads before writing it as a read;
 * tables sharing one action declaration get equal sets in separate nodes;
 * the edge counts and longest chains of the whole zoo.
 """
@@ -15,7 +17,7 @@ One syntactic walk over each table's keys and action bodies builds them
 import pytest
 
 from repro.ir import build_dependency_graph
-from repro.ir.deps import ACTION_DEP, MATCH_DEP
+from repro.ir.deps import ACTION_DEP, MATCH_DEP, _action_reads_writes
 from repro.p4.parser import parse_program
 from repro.programs import registry
 
@@ -101,6 +103,28 @@ class TestExternDestinationWrite:
 
     def test_the_walk_sees_the_hazard_through_update_checksum(self):
         self._assert_hazard_is_seen("update_checksum(meta.a, hdr.h.g)")
+
+
+class TestActionReadsWrites:
+    def _action(self, locals_: str):
+        return _program(locals_, "helper();").find("C").actions_by_name()["helper"]
+
+    def test_read_before_write_escapes(self):
+        action = self._action(
+            "    action helper() { meta.b = meta.a; meta.a = 8w1; }"
+        )
+        reads, writes = _action_reads_writes(action)
+        assert "meta.a" in reads
+        assert writes == {"meta.a", "meta.b"}
+
+    def test_register_read_writes_its_first_argument(self):
+        action = self._action(
+            "    register<bit<8>>(16) reg;\n"
+            "    action helper() { reg.read(meta.a, 8w0); }"
+        )
+        reads, writes = _action_reads_writes(action)
+        assert "meta.a" in writes
+        assert "meta.a" not in reads
 
 
 # Two tables aliasing the same action declaration.

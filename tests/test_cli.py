@@ -6,7 +6,6 @@ import re
 import pytest
 
 from repro.__main__ import main
-from tests.engine.spec import without_prune_pass
 
 
 def test_stats(capsys):
@@ -94,6 +93,7 @@ def test_specialize_stats_prints_cache_counters(tmp_path, capsys):
     assert "# solver statistics:" in err and "# gate statistics:" in err
     assert re.search(r"probes: \d+ \(mean \d+ us, total [\d.]+ ms\)", err)
     assert "pipeline events" not in err and "p50" not in err
+    assert "# prune" not in err  # no cold pass reports beside the specializer
 
 
 def test_specialize_config_is_decided_as_one_burst(tmp_path, capsys):
@@ -166,21 +166,6 @@ def test_lint_subcommand_is_gone(capsys):
         main(["lint", "corpus:scion"])
     assert exit_info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
-
-
-def test_specialize_no_prune_is_byte_identical(tmp_path, capsys):
-    """The command's output without the prune pass, which no flag turns
-    off: the unpruned pipeline comes from the test-side reference."""
-    out_a = tmp_path / "pruned.p4"
-    out_b = tmp_path / "no_prune.p4"
-    assert main(["specialize", "corpus:fig3", "-o", str(out_a)]) == 0
-    err = capsys.readouterr().err
-    assert "prune:" in err
-    with without_prune_pass():
-        assert main(["specialize", "corpus:fig3", "-o", str(out_b)]) == 0
-    err = capsys.readouterr().err
-    assert "prune:" not in err
-    assert out_a.read_text() == out_b.read_text()
 
 
 @pytest.mark.parametrize(

@@ -30,12 +30,8 @@ import sys
 SPECS = {
     "BENCH_8.json": {
         "required": [
-            "scion_cold_pruned_ms",
-            "scion_cold_no_prune_ms",
             "scion_cnf_clauses",
             "scion_strict_refines",
-            "switch_cold_pruned_ms",
-            "switch_cold_no_prune_ms",
             "switch_cnf_clauses",
             "switch_strict_refines",
         ],

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI smoke check: the staged engine runs cold + warm, read from its records.
 
-Exercises the full cold pipeline (parse → typecheck → prune → analyze →
-encode → specialize → lower) and the warm per-update path against a
+Exercises the full cold pipeline (parse → typecheck → analyze → encode →
+specialize → lower) and the warm per-update path against a
 corpus program, and asserts from the engine's own records — the pass
 sequences, the timings, the compile reports and the returned decisions —
 that the cold pipeline ran in order and compiled once without a delta,
@@ -38,11 +38,22 @@ def main() -> int:
 
     cold = flay._cold.describe()
     assert cold == (
-        "parse → typecheck → prune → analyze → encode → specialize → lower"
+        "parse → typecheck → analyze → encode → specialize → lower"
     ), f"unexpected cold pipeline: {cold}"
     assert all(p.stage == "cold" for p in flay._cold.passes)
+    ctx = flay.ctx
+    products = {
+        "parse": ctx.program,
+        "typecheck": ctx.env,
+        "analyze": ctx.model,
+        "encode": ctx.point_verdicts,
+        "specialize": ctx.specialized_program,
+        "lower": ctx.compile_report,
+    }
+    assert list(products) == [p.name for p in flay._cold.passes]
+    missing = [name for name, product in products.items() if not product]
+    assert not missing, f"declared cold passes left no product: {missing}"
     timings = flay.timings
-    assert timings.prune_seconds > 0, "the prune pass must have run"
     assert timings.data_plane_analysis_seconds > 0, "the analysis must have run"
     assert timings.initial_specialization_seconds > 0
     assert len(compiles) == 1, "cold lowering must compile once"
