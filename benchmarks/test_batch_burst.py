@@ -8,7 +8,7 @@ one ``decide`` of the whole burst.
 The speedup is algorithmic: the per-update path re-encodes the growing
 table and re-verdicts its tainted points once per insert (O(n) each as
 the table grows), while the burst path pays one encode and one verdict
-sweep per conflict group, all on the calling thread.  The acceptance
+sweep per burst, all on the calling thread.  The acceptance
 bar is ≥2× against the sequential baseline.
 
 Set ``BATCH_BENCH_JSON=/path/out.json`` to dump the measured numbers

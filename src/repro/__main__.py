@@ -6,8 +6,8 @@ Commands:
 * ``analyze <prog.p4>`` — run the data-plane analysis, print point counts
   and timings (optionally dump the annotated points).
 * ``specialize <prog.p4> [--config cfg.json]`` — specialize against a
-  JSON control-plane configuration, decided as one burst (coalesced and
-  split into conflict groups), and print (or write) the result.
+  JSON control-plane configuration, decided as one burst (coalesced,
+  then the warm passes once), and print (or write) the result.
 * ``compile <prog.p4> [--target tofino|bmv2]`` — device-compile and print
   the resource/time report.
 * ``fleet-replay <prog.p4> [--switches N]`` — replay correlated churn

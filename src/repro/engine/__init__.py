@@ -7,7 +7,8 @@ over one shared :class:`~repro.engine.context.EngineContext`:
   initial specialization → target lowering — run once per program, and
 * the **warm path** — apply updates → re-verdict points/tables →
   respecialize-or-forward — run by :meth:`Engine.decide` per
-  control-plane update (a burst goes through the batch scheduler).
+  control-plane update, and per burst over its net updates once the
+  batch scheduler has coalesced and checked them.
 
 Every decision returns one :class:`~repro.engine.pipeline.Decision`, the
 whole account of it; errors root at :class:`~repro.errors.FlayError` and
@@ -18,8 +19,6 @@ from repro.engine.batch import (
     CoalescedOp,
     CoalesceResult,
     ConflictGroup,
-    GroupDecision,
-    WorkerSlice,
     coalesce,
     conflict_components,
     partition,

@@ -21,6 +21,7 @@ from repro.engine.pipeline import (
     WarmState,
     cold_passes,
     restore_passes,
+    roll_back,
     warm_passes,
 )
 from repro.ir.metrics import CacheReport
@@ -129,15 +130,17 @@ class Engine:
 
         A single :class:`~repro.runtime.semantics.Update` or
         :class:`~repro.runtime.semantics.ValueSetUpdate` runs the warm
-        passes (aiming for the paper's ~100 ms budget) and reports changed
-        points before its table.  A list or tuple is a burst: it runs the
-        burst scheduler (coalesce, partition into conflict groups, run each
-        group, merge) inline on the calling thread, and respecializes at
-        most once.  The input's type picks the path, not its length, so a
-        one-update list is a burst.  Forwarded updates reach the device in
-        the order they were submitted.  The returned record is the whole
-        account of the decision; the engine adds it only to its running
-        totals.
+        passes (aiming for the paper's ~100 ms budget).  A list or tuple
+        is a burst: the scheduler coalesces it, counts its conflict groups
+        and checks every update, then the same warm passes run over its net
+        updates, so it respecializes at most once.  The input's type picks
+        the record's burst fields, not its length, so a one-update list is
+        a burst.  Either way changed points are reported before changed
+        tables, and forwarded updates reach the device in the order they
+        were submitted.  A decision that raises leaves the control plane
+        as it found it (:func:`~repro.engine.pipeline.roll_back`).  The
+        returned record is the whole account of the decision; the engine
+        adds it only to its running totals.
         """
         if isinstance(item, (list, tuple)):
             return self._decide_burst(list(item))
@@ -147,9 +150,7 @@ class Engine:
         try:
             self._warm.run(ctx)
         except BaseException:
-            # A run that fails part-way may have moved verdicts that no
-            # specialize call has seen; the next one starts from scratch.
-            ctx.specializer.reset()
+            self._fail(warm)
             raise
         finally:
             ctx.warm = None
@@ -178,20 +179,28 @@ class Engine:
 
     def _decide_burst(self, updates: list) -> Decision:
         ctx = self.ctx
+        ctx.warm = warm = WarmState(updates)
         try:
             # Called through this module's global, where tracing wraps it.
-            decision = schedule_batch(ctx, updates)
+            decision = schedule_batch(ctx, self._warm)
         except BaseException:
-            ctx.specializer.reset()
+            self._fail(warm)
             raise
-        if not decision.recompiled and ctx.target is not None:
-            # The device still needs every submitted write (coalescing is a
-            # verdict-side optimization), in the order it was submitted.
-            decision.lowered = tuple(ctx.target.lower_batch(updates))
+        finally:
+            ctx.warm = None
         ctx.decisions += 1
         ctx.recompilations += decision.recompiled
         ctx.decision_ms += decision.elapsed_ms
         return decision
+
+    def _fail(self, warm: WarmState) -> None:
+        """Undo a failed run's commits, then reset the specializer: the run
+        may have moved verdicts that no specialize call has seen, so the
+        next one starts from scratch."""
+        try:
+            roll_back(self.ctx, warm)
+        finally:
+            self.ctx.specializer.reset()
 
     def process_update(self, update) -> Decision:
         """``decide(update)``; kept because the end-to-end benchmark calls it."""

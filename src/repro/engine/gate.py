@@ -45,12 +45,6 @@ A replay only ever short-circuits to MAYBE when two concrete witnesses
 prove MAYBE, so the engine's verdicts are those of a bare
 ``QueryEngine`` over a one-shot substitution of the same mapping — the
 specification ``tests/engine/test_gate_differential.py`` compares with.
-
-Each conflict group of a burst forks the gate alongside the solver's
-result memo: witness records are a copy-on-write overlay (conflict
-groups partition program points, so overlays never collide) merged back
-in anchor order; table entries only change before the groups run, and a
-slice that finds a table's lookup rows stale re-derives them.
 """
 
 from __future__ import annotations
@@ -107,7 +101,7 @@ class WitnessRecord:
 
 
 class _RecordStore:
-    """The main gate's witness records (plain dict semantics)."""
+    """The gate's witness records, by pid."""
 
     def __init__(self) -> None:
         self.map: dict = {}
@@ -120,25 +114,6 @@ class _RecordStore:
 
     def drop(self, pid: str) -> None:
         self.map.pop(pid, None)
-
-
-class _RecordOverlay:
-    """A burst slice's copy-on-write view (None entries are tombstones)."""
-
-    def __init__(self, base) -> None:
-        self.base = base
-        self.delta: dict = {}
-
-    def get(self, pid: str):
-        if pid in self.delta:
-            return self.delta[pid]
-        return self.base.get(pid)
-
-    def set(self, pid: str, record: WitnessRecord) -> None:
-        self.delta[pid] = record
-
-    def drop(self, pid: str) -> None:
-        self.delta[pid] = None
 
 
 @dataclass
@@ -182,10 +157,6 @@ class GateStats:
         return GateStats(
             **{f: getattr(self, f) - getattr(baseline, f) for f in _FIELDS}
         )
-
-    def absorb(self, other: "GateStats") -> None:
-        for f in _FIELDS:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
     def describe(self) -> str:
         screened = self.screened or 1
@@ -400,38 +371,6 @@ class VerdictGate:
         for table_state in self.state.tables.values():
             stats.fdd_rebuilds += table_state.fdd.rebuilds
         return stats
-
-    # -- burst-slice forking --------------------------------------------------
-
-    def fork_slice(self) -> "VerdictGate":
-        """A conflict group's view: shared lookup rows, overlaid witness
-        records.
-
-        Safe because the scheduler mutates all table state before the
-        groups run (a slice's lazy re-pack derives the same rows any other
-        would), and conflict groups partition program points, so no two
-        slices touch the same record.
-        """
-        fork = VerdictGate.__new__(VerdictGate)
-        fork.model = self.model
-        fork.state = self.state
-        fork.threshold = self.threshold
-        fork.stats = GateStats()
-        fork._records = _RecordOverlay(self._records)
-        fork._deps = self._deps
-        return fork
-
-    def absorb_fork(self, fork: "VerdictGate") -> int:
-        """Fold a slice's record delta and counters back (anchor order)."""
-        self.stats.absorb(fork.stats)
-        grafted = 0
-        for pid, record in fork._records.delta.items():
-            if record is None:
-                self._records.drop(pid)
-            else:
-                self._records.set(pid, record)
-                grafted += 1
-        return grafted
 
 
 __all__ = [

@@ -9,18 +9,18 @@ set) is
 
     apply-updates → reverdict-{points,tables} → respecialize
 
-where the last pass either recompiles or lowers the forwarded update.
+where the last pass either recompiles or lowers the forwarded updates.
 Both are plain :class:`~repro.engine.passes.Pass` sequences over one
-:class:`~repro.engine.context.EngineContext`.  A burst goes through the
-scheduler in :mod:`repro.engine.batch` instead; both paths end in
-:func:`respecialize` and report one :class:`Decision`.
+:class:`~repro.engine.context.EngineContext`.  A burst runs the same warm
+passes over its net updates, once the scheduler in
+:mod:`repro.engine.batch` has coalesced and checked them; either way the
+decision is one :class:`Decision`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.symexec import analyze
 from repro.engine.context import SHARED, EngineContext, warm_state
@@ -58,10 +58,10 @@ class Decision:
     counted in neither are executability points that replayed a witness
     fingerprint (gate tier 2a) without pulling their term.
 
-    A single update leaves the burst fields at their one-update values
-    and ``groups`` at None; a burst sets them from the scheduler, and
-    ``changed`` then lists each conflict group's tables before its points,
-    groups in submission order.
+    ``changed`` lists the moved points, in pid order, before the moved
+    tables.  A single update leaves the burst fields at their one-update
+    values and ``burst`` False; a burst (a list or tuple input, whatever
+    its length) sets them from the scheduler.
 
     ``compile_report`` is the device compile a recompile ran, and
     ``lowered`` the writes a forward sent to the device, in submission
@@ -83,7 +83,7 @@ class Decision:
     update_count: int = 1  # updates as submitted
     coalesced_count: int = 1  # net updates after coalescing
     group_count: int = 1  # independent conflict groups
-    groups: Optional[list] = None  # a burst's GroupDecisions, group order
+    burst: bool = False  # decided from a list or tuple of updates
 
     @property
     def forwarded(self) -> bool:
@@ -94,7 +94,7 @@ class Decision:
         action = "RECOMPILE" if self.recompiled else "forward"
         mode = " (overapprox)" if self.overapproximated else ""
         burst = ""
-        if self.groups is not None:
+        if self.burst:
             burst = (
                 f"batch of {self.update_count} updates "
                 f"({self.coalesced_count} after coalescing, "
@@ -114,15 +114,22 @@ class Decision:
 
 
 class WarmState:
-    """Per-run scratch shared by the warm passes via ``ctx.warm``."""
+    """Per-run scratch shared by the warm passes via ``ctx.warm``.
+
+    ``ops`` (a burst's checked net ``(update, key)`` pairs) is set by the
+    scheduler and ``undo`` (each committed pair with what it replaced) by
+    :class:`ApplyUpdatesPass`; the constructor sets neither, so the work
+    a single update does outside the passes stays what it was.
+    """
 
     __slots__ = (
-        "update", "changed_vars", "assignments", "affected", "redecided",
-        "unchanged", "changed", "recompiled", "compile_report", "lowered",
+        "update", "ops", "undo", "changed_vars", "assignments", "affected",
+        "redecided", "unchanged", "changed", "recompiled", "compile_report",
+        "lowered",
     )
 
     def __init__(self, update) -> None:
-        self.update = update  # an Update or a ValueSetUpdate
+        self.update = update  # an Update, a ValueSetUpdate, or a burst's list
         self.changed_vars: set = set()  # symbols re-assigned
         self.assignments: dict = {}  # table → TableAssignment
         self.affected = 0  # points tainted (visited)
@@ -131,7 +138,7 @@ class WarmState:
         self.changed: list = []  # pids / table names
         self.recompiled = False  # the program moved (see respecialize)
         self.compile_report = None
-        self.lowered = ()  # the forwarded write, once lowered
+        self.lowered = ()  # the forwarded writes, once lowered
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +340,13 @@ class LowerPass:
 
 
 class ApplyUpdatesPass:
-    """Apply the pending update to the control-plane state and re-encode.
+    """Commit the pending updates to the control-plane state and re-encode.
 
-    The update is checked before it commits (the entry's schema and match
-    key), so a bad one leaves the state as it found it.  A value-set
-    update re-encodes its set, a table update its table.  The pass opens
-    the warm path, so it is where a due term collection runs.
+    A single update is checked here (the entry's schema and match key); a
+    burst's net updates arrive checked, as ``ctx.warm.ops``.  Nothing
+    commits before the check passes, so a bad update leaves the state as
+    it found it.  The pass opens the warm path, so it is where a due term
+    collection runs.
     """
 
     name = "apply-updates"
@@ -348,28 +356,48 @@ class ApplyUpdatesPass:
         # The previous decision is done and this one has built nothing yet.
         ctx.term_factory.collect_if_due()
         warm = ctx.warm
-        ((update, key),) = ctx.state.validate_updates((warm.update,))
-        info = ctx.state.commit(update, key)
+        if isinstance(warm.update, list):
+            ops = warm.ops
+        else:
+            ops = ctx.state.validate_updates((warm.update,))
+        commit_updates(ctx, warm, ops)
+
+
+def commit_updates(ctx: EngineContext, warm: WarmState, ops) -> None:
+    """Commit checked ``(update, key)`` pairs in order, each recorded on
+    ``warm.undo`` with what it replaced (for :func:`roll_back`); then
+    encode every touched table and value set once and push the new
+    assignments with one ``set_many``.
+
+    An overapproximated table's re-encoding is the one ``!any`` mapping
+    already installed, so it pushes nothing.
+    """
+    state = ctx.state
+    warm.undo = undo = []
+    tables: dict = {}
+    value_sets: dict = {}
+    for update, key in ops:
+        info, prior = state.commit(update, key)
+        undo.append((update, key, prior))
         if isinstance(update, ValueSetUpdate):
-            mapping = encode_value_set(info, ctx.state.value_sets[info.name])
-            ctx.mapping.update(mapping)
-            warm.changed_vars |= ctx.substitution.set_many(mapping)
-            return
-        name = info.name
+            value_sets[info.name] = info
+        else:
+            tables[info.name] = None
+    mapping: dict = {}
+    for name, info in value_sets.items():
+        mapping.update(encode_value_set(info, state.value_sets[name]))
+    for name in tables:
         assignment = encode_table(
-            ctx.model.tables[name],
-            ctx.state.tables[name],
-            ctx.options.overapprox_threshold,
+            ctx.model.tables[name], state.tables[name], ctx.options.overapprox_threshold
         )
         installed = ctx.table_assignments[name].mapping
         ctx.table_assignments[name] = assignment
         warm.assignments[name] = assignment
-        if assignment.mapping is installed:
-            # An overapproximated table's one `!any` mapping: every
-            # assignment is already in place, so nothing changed.
-            return
-        ctx.mapping.update(assignment.mapping)
-        warm.changed_vars |= ctx.substitution.set_many(assignment.mapping)
+        if assignment.mapping is not installed:
+            mapping.update(assignment.mapping)
+    if mapping:
+        ctx.mapping.update(mapping)
+        warm.changed_vars = ctx.substitution.set_many(mapping)
 
 
 class ReverdictPointsPass:
@@ -460,8 +488,9 @@ class RespecializePass:
     """The recompile decision, and the lowering that follows from it.
 
     Recompile exactly when the respecialized program differs from the one
-    last compiled (:func:`respecialize`); otherwise push the update to
-    the device as a forward — a forwarded update never reaches the device
+    last compiled (:func:`respecialize`); otherwise push the update (every
+    update a burst submitted, in submission order) to the device as a
+    forward — a forwarded update never reaches the device
     compiler, which is the paper's entire point.  A verdict can move
     without moving one printed statement (a value point whose constant
     feeds nothing the program keeps), and such an update forwards.
@@ -479,7 +508,34 @@ class RespecializePass:
             warm.recompiled = True
             return
         if target is not None:
-            warm.lowered = (target.lower_update(warm.update),)
+            update = warm.update
+            if isinstance(update, list):
+                warm.lowered = tuple(target.lower_batch(update))
+            else:
+                warm.lowered = (target.lower_update(update),)
+
+
+def roll_back(ctx: EngineContext, warm: WarmState) -> None:
+    """Undo the commits of a decision that failed part-way.
+
+    The inverses on ``warm.undo`` commit in reverse order — an insert's
+    delete, a delete's re-insert of the old entry, a modify's old entry,
+    a value set's old values — and the touched tables and value sets are
+    re-encoded and re-verdicted as a warm run would, with no
+    respecialize and no lowering.  The control plane then holds what the
+    device holds, and the verdicts are its own; the caller's specializer
+    reset makes the next decision respecialize.  A re-inserted entry goes
+    to the end of its table's insertion order, and the caches the failed
+    run filled stay filled.
+    """
+    undo = getattr(warm, "undo", None)
+    if not undo:
+        return
+    inverse = ctx.state.inverse
+    ctx.warm = rewind = WarmState(None)
+    commit_updates(ctx, rewind, [inverse(*record) for record in reversed(undo)])
+    ReverdictPointsPass().run(ctx)
+    ReverdictTablesPass().run(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +573,12 @@ def restore_passes() -> list:
 
 
 def warm_passes() -> list:
-    """The warm path of one update: points are reported before the table.
+    """The warm path: points are reported before tables.
 
-    A value-set update touches no table, so the table stage is a no-op
-    for it.  A burst does not run these passes; it goes through
-    :func:`repro.engine.batch.schedule_batch`.
+    A single update runs it as it is; a burst runs it over its net
+    updates once :func:`repro.engine.batch.schedule_batch` has coalesced
+    and checked them.  A value-set update touches no table, so the table
+    stage is a no-op for it.
     """
     return [
         ApplyUpdatesPass(),
@@ -549,5 +606,6 @@ __all__ = [
     "install",
     "respecialize",
     "restore_passes",
+    "roll_back",
     "warm_passes",
 ]

@@ -183,9 +183,11 @@ class TableState:
             raise EntryError(f"unknown update op {op!r}")
         return op != DELETE
 
-    def commit(self, op: str, entry: TableEntry, key) -> None:
+    def commit(self, op: str, entry: TableEntry, key) -> Optional[TableEntry]:
         """Apply ``op`` on ``entry`` (match key ``key``), which
-        :meth:`check` passed against the current rows."""
+        :meth:`check` passed against the current rows; returns the entry
+        a MODIFY or DELETE replaced (None for an INSERT)."""
+        old = None
         if op == INSERT:
             mode_before = self._mode()
             row = (entry, *self.pack_entry(entry))
@@ -222,6 +224,7 @@ class TableState:
                 self._invalidate_active()
             # Deleting an eclipsed entry cannot un-eclipse anything.
         self._revision += 1
+        return old[0] if old is not None else None
 
     def apply(self, op: str, entry: TableEntry) -> None:
         """:meth:`check` against the installed rows, then :meth:`commit`."""
@@ -416,15 +419,31 @@ class ControlPlaneState:
             checked.append((update, key))
         return checked
 
-    def commit(self, update, key) -> TableInfo | ValueSetInfo:
+    def commit(self, update, key) -> tuple:
         """Apply one pair :meth:`check` returned, in its batch's order;
-        returns the table's or value set's info."""
+        returns the table's or value set's info, and what the update
+        replaced: the old entry of a MODIFY or DELETE (None for an
+        INSERT), or the value set's old values."""
         if isinstance(update, ValueSetUpdate):
-            return self.apply_value_set_update(update)
+            prior = self.value_sets[self.model.value_set(update.value_set).name]
+            return self.apply_value_set_update(update), prior
         state = self.table_state(update.table)
-        state.commit(update.op, update.entry, key)
+        prior = state.commit(update.op, update.entry, key)
         self.update_count += 1
-        return state.info
+        return state.info, prior
+
+    @staticmethod
+    def inverse(update, key, prior) -> tuple:
+        """The ``(update, key)`` pair that undoes a committed ``update``,
+        given the ``prior`` its :meth:`commit` returned: an INSERT's
+        DELETE, a DELETE's re-INSERT of the old entry, a MODIFY back to
+        the old entry, a value set's old values."""
+        if isinstance(update, ValueSetUpdate):
+            return ValueSetUpdate(update.value_set, prior), None
+        if update.op == INSERT:
+            return Update(update.table, DELETE, update.entry), key
+        op = INSERT if update.op == DELETE else MODIFY
+        return Update(update.table, op, prior), key
 
     def _check_value_set_size(self, update: ValueSetUpdate) -> ValueSetInfo:
         info = self.model.value_set(update.value_set)

@@ -103,16 +103,6 @@ class SolverStats:
             search=self.search.since(baseline.search),
         )
 
-    def absorb(self, other: "SolverStats") -> None:
-        """Fold another stats record into this one (burst-slice merge)."""
-        self.by_simplify += other.by_simplify
-        self.by_interval += other.by_interval
-        self.by_sat += other.by_sat
-        self.by_cache += other.by_cache
-        self.probes += other.probes
-        self.probe_us_total += other.probe_us_total
-        self.search.add(other.search)
-
     def describe(self) -> str:
         """Multi-line counter report for the ``--stats`` CLI flag."""
         s = self.search

@@ -9,8 +9,8 @@ subterm once.
 
 Two walkers live here.  :class:`Substitution` is the one-shot
 specification: replace, rebuild, and leave simplification to the caller.
-:class:`DeltaSubstitution` (with its :class:`SubstitutionSlice` overlay)
-is what the engine runs: one fused substitute-and-simplify pass over the
+:class:`DeltaSubstitution` is what the engine runs, for single updates
+and bursts alike: one fused substitute-and-simplify pass over the
 *source* DAG that survives updates.  Each update pushes the symbols whose
 assignment moved up the memoised DAG once, lowest node first, and stops
 wherever a result comes back unchanged; what is left for the warm path's
@@ -147,15 +147,6 @@ class DeltaSubstitution:
     def memo_size(self) -> int:
         return len(self._memo)
 
-    def _read(self, term: Term) -> Optional[Term]:
-        return self._memo.get(term)
-
-    def _height(self, term: Term) -> int:
-        return self._heights.get(term, 0)
-
-    def _parent_maps(self) -> tuple:
-        return (self._parents,)
-
     def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
         """Install new assignments; returns the names of the symbols whose
         assignment changed.
@@ -165,19 +156,25 @@ class DeltaSubstitution:
         a table's symbols, or a batch re-touches an unchanged table — and
         are not checked again.  A changed assignment that *simplifies* to
         the object the old one did is reported (the symbol was
-        re-assigned) but pushes nothing.
+        re-assigned) but pushes nothing.  An assignment that is already
+        installed was checked when it was, so only the ones that change
+        are checked.
         """
-        return _assign(self, mapping, self._mapping.get)
-
-    def fork_slice(self, simplify_memo: Optional[dict] = None) -> "SubstitutionSlice":
-        """A copy-on-write view over this substitution's memo, for one
-        conflict group of a burst."""
-        return SubstitutionSlice(self, simplify_memo)
-
-    def absorb(self, piece: "SubstitutionSlice") -> int:
-        """Fold a slice's mapping + memo delta back in; see
-        :class:`SubstitutionSlice`.  Returns the grafted entry count."""
-        return _absorb_slice(self, piece)
+        assigned, memo, simplify_memo = self._mapping, self._memo, self._simplify_memo
+        changed: list[Term] = []
+        moved: list[Term] = []
+        for var, replacement in mapping.items():
+            if assigned.get(var) is not replacement:
+                _check(var, replacement)
+                assigned[var] = replacement
+                changed.append(var)
+                result = simplify(replacement, simplify_memo)
+                if memo.get(var) is not result:
+                    memo[var] = result
+                    moved.append(var)
+        if moved:
+            self.counter.invalidate(self._propagate(moved))
+        return {var.payload for var in changed}
 
     def apply(self, term: Term) -> Term:
         """``term`` under the current assignments, substituted and simplified."""
@@ -186,7 +183,62 @@ class DeltaSubstitution:
             self.counter.hit()
             return found
         self.counter.miss()
-        return _evaluate(self, term)
+        return self._evaluate(term)
+
+    def _propagate(self, moved: list) -> int:
+        """Re-evaluate the memoised ancestors of ``moved`` whose result can
+        have changed, lowest first; returns how many were re-evaluated.
+
+        Heights order the worklist: a parent is taller than each of its
+        children, so a popped node's children are all final and nothing
+        is queued twice.  Only a node whose result moved queues its
+        parents.
+        """
+        memo, heights, parents = self._memo, self._heights, self._parents
+        simplify_memo = self._simplify_memo
+        queued: set[Term] = set()
+        heap: list = []
+
+        def enqueue(node: Term) -> None:
+            for parent in parents.get(node, ()):
+                if parent not in queued:
+                    queued.add(parent)
+                    heappush(heap, (heights.get(parent, 0), len(queued), parent))
+
+        for var in moved:
+            enqueue(var)
+        while heap:
+            node = heappop(heap)[2]
+            results = tuple([memo.get(child) for child in node.args])
+            result = _rewrite(node, results, simplify_memo)
+            if result is not memo.get(node):
+                memo[node] = result
+                enqueue(node)
+        self.rewrites += len(queued)
+        return len(queued)
+
+    def _evaluate(self, term: Term) -> Term:
+        """``term``'s result, evaluating children first every node the memo
+        has none for and recording its parent edges and height."""
+        memo, heights, parents = self._memo, self._heights, self._parents
+        stack: list[tuple[Term, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node in memo:
+                continue
+            if not node.args:
+                memo[node] = node  # a constant or an unassigned symbol
+                continue
+            if not expanded:
+                stack.append((node, True))
+                stack.extend([(child, False) for child in node.args if child not in memo])
+                continue
+            results = tuple([memo[child] for child in node.args])
+            memo[node] = _rewrite(node, results, self._simplify_memo)
+            heights[node] = 1 + max([heights.get(child, 0) for child in node.args])
+            _link(parents, node)
+            self.rewrites += 1
+        return memo[term]
 
     def rederive_edges(self) -> None:
         """Rebuild the parent edges and heights from the memo keys' own
@@ -229,170 +281,23 @@ def _derive_heights(memo: Mapping[Term, Term]) -> dict[Term, int]:
     return heights
 
 
-def _assign(
-    view: DeltaSubstitution | SubstitutionSlice, mapping: Mapping[Term, Term], assigned
-) -> set[str]:
-    """``set_many`` for a substitution or a slice: install every assignment
-    that is not ``assigned(var)`` already and push the symbols whose
-    simplified assignment moved; returns the changed symbols' names.  An
-    assignment that is already installed was checked when it was, so
-    only the ones that change are checked."""
-    changed: list[Term] = []
-    moved: list[Term] = []
-    for var, replacement in mapping.items():
-        if assigned(var) is not replacement:
-            _check(var, replacement)
-            view._mapping[var] = replacement
-            changed.append(var)
-            result = simplify(replacement, view._simplify_memo)
-            if view._read(var) is not result:
-                view._memo[var] = result
-                moved.append(var)
-    if moved:
-        view.counter.invalidate(_propagate(view, moved))
-    return {var.payload for var in changed}
-
-
-def _propagate(view: DeltaSubstitution | SubstitutionSlice, moved: list) -> int:
-    """Re-evaluate the memoised ancestors of ``moved`` whose result can have
-    changed, lowest first; returns how many were re-evaluated.
-
-    Heights order the worklist: a parent is taller than each of its
-    children, so a popped node's children are all final and nothing is
-    queued twice.  Only a node whose result moved queues its parents.
-    """
-    read, height, edge_maps = view._read, view._height, view._parent_maps()
-    queued: set[Term] = set()
-    heap: list = []
-
-    def enqueue(node: Term) -> None:
-        for parents in edge_maps:
-            for parent in parents.get(node, ()):
-                if parent not in queued:
-                    queued.add(parent)
-                    heappush(heap, (height(parent), len(queued), parent))
-
-    for var in moved:
-        enqueue(var)
-    while heap:
-        node = heappop(heap)[2]
-        results = tuple([read(child) for child in node.args])
-        result = _rewrite(node, results, view._simplify_memo)
-        if result is not read(node):
-            view._memo[node] = result
-            enqueue(node)
-    view.rewrites += len(queued)
-    return len(queued)
-
-
-def _evaluate(view: DeltaSubstitution | SubstitutionSlice, term: Term) -> Term:
-    """``term``'s result, evaluating children first every node that ``view``
-    has none for and recording its parent edges and height."""
-    read, memo, height = view._read, view._memo, view._height
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if read(node) is not None:
-            continue
-        if not node.args:
-            memo[node] = node  # a constant or an unassigned symbol
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend([(child, False) for child in node.args if read(child) is None])
-            continue
-        results = tuple([read(child) for child in node.args])
-        memo[node] = _rewrite(node, results, view._simplify_memo)
-        view._heights[node] = 1 + max([height(child) for child in node.args])
-        _link(view._parents, node)
-        view.rewrites += 1
-    return memo[term]
-
-
 class SubstitutionSlice:
-    """A copy-on-write view of a :class:`DeltaSubstitution` for one group.
+    """No code constructs this class; bursts push their assignments
+    through the engine's one :class:`DeltaSubstitution`.
 
-    The batch scheduler runs a burst's independent conflict groups one
-    after the other; every group needs the warm memo (the cross-update
-    asset) but must not mutate it before the burst merges.  A slice
-    layers a private memo, parent edges, heights and mapping over
-    read-only views of the shared ones.  A lookup tries the private
-    layer first; every write — a new assignment, a first evaluation, a
-    result moved by propagation — goes to the private layer only.
-    Propagation follows the private and the shared edges, so a node only
-    this slice has evaluated stays current too.
-
-    After every group has run, :meth:`DeltaSubstitution.absorb` folds
-    the private layer back into the shared substitution — groups touch
-    disjoint control symbols, so their propagated regions never overlap
-    and grafted entries can never disagree with another group's.
+    It stays only because ``benchmarks/e2e/harness/tracing.py``
+    ``WRAP_POINTS`` names ``SubstitutionSlice.set_many`` and
+    ``SubstitutionSlice.apply``; ROADMAP item 20(b) deletes it with the
+    other names that list keeps alive.
     """
-
-    def __init__(
-        self, shared: "DeltaSubstitution", simplify_memo: Optional[dict] = None
-    ) -> None:
-        self._shared = shared
-        self._simplify_memo = simplify_memo if simplify_memo is not None else {}
-        self._memo: dict[Term, Term] = {}
-        self._parents: dict[Term, set[Term]] = {}
-        self._heights: dict[Term, int] = {}
-        self._mapping: dict[Term, Term] = {}
-        self.counter = CacheCounter("substitution")
-        self.rewrites = 0
-
-    @property
-    def delta_size(self) -> int:
-        return len(self._memo)
-
-    def _read(self, term: Term) -> Optional[Term]:
-        found = self._memo.get(term)
-        return found if found is not None else self._shared._memo.get(term)
-
-    def _height(self, term: Term) -> int:
-        found = self._heights.get(term)
-        return found if found is not None else self._shared._heights.get(term, 0)
-
-    def _parent_maps(self) -> tuple:
-        return (self._parents, self._shared._parents)
-
-    def _assigned(self, var: Term) -> Optional[Term]:
-        found = self._mapping.get(var)
-        return found if found is not None else self._shared._mapping.get(var)
 
     def set_many(self, mapping: Mapping[Term, Term]) -> set[str]:
-        """Install this group's assignments without touching shared state;
-        returns the names of the symbols whose assignment changed."""
-        return _assign(self, mapping, self._assigned)
+        """Inert (see the class docstring)."""
+        return set()
 
     def apply(self, term: Term) -> Term:
-        """``term`` under this view's assignments, substituted and simplified."""
-        found = self._read(term)
-        if found is not None:
-            self.counter.hit()
-            return found
-        self.counter.miss()
-        return _evaluate(self, term)
-
-
-def _absorb_slice(shared: "DeltaSubstitution", piece: SubstitutionSlice) -> int:
-    """Fold one slice back into the shared substitution.
-
-    The slice's propagation already brought every entry its symbols can
-    move up to date in its private layer, so absorbing is a graft: the
-    mapping, memo and heights take the slice's entries, and each node the
-    slice evaluated first gets its parent edges.  Returns the number of
-    grafted entries.
-    """
-    shared._mapping.update(piece._mapping)
-    shared._memo.update(piece._memo)
-    shared._heights.update(piece._heights)
-    for node in piece._heights:
-        _link(shared._parents, node)
-    shared.rewrites += piece.rewrites
-    shared.counter.hit(piece.counter.hits)
-    shared.counter.miss(piece.counter.misses)
-    shared.counter.invalidate(piece.counter.invalidations)
-    return len(piece._memo)
+        """Inert (see the class docstring)."""
+        return term
 
 
 #: Operator → default-factory constructor; ``extract`` also takes its

@@ -1,25 +1,23 @@
-"""Unit tests for the batch scheduler's cache-delta merge.
+"""Unit tests for the batch scheduler's partition and its shared caches.
 
-The merge step folds each conflict group's slice caches back into the
-shared :class:`EngineContext`.  These tests pin the invariants that make
-that sound: grafted substitution-memo entries stay keyed on interned
-terms, merged verdict caches answer later sequential queries, counters
-fold monotonically, and the merged engine is indistinguishable from one
-that never batched at all.
+A burst runs the warm passes on the shared :class:`EngineContext`, so
+what it computes lands in the engine's own caches.  These tests pin the
+partition that gives the burst its ``group_count``, and the invariants of
+those caches after a burst: substitution-memo entries stay keyed on
+interned terms and reachable along the parent edges, verdict caches stay
+the plain shared dicts, counters grow monotonically, and the engine is
+indistinguishable from one that never batched at all.
 """
 
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.engine import batch as batch_module
-from repro.engine.batch import _verify_merge_accounting, conflict_components
-from repro.engine.gate import GateStats
+from repro.engine.batch import coalesce, conflict_components, partition
 from repro.ir.deps import build_dependency_graph
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.smt import terms as T
-from repro.smt.solver import SolverStats
 
 SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> c; bit<8> d; }
@@ -83,10 +81,10 @@ def flay():
 
 class TestPartitionIndependence:
     def test_independent_tables_get_separate_groups(self, flay):
-        report = flay.decide(two_group_batch(flay))
-        assert report.group_count == 2
-        tables = {g.tables for g in report.groups}
-        assert tables == {("C.ta",), ("C.tb",)}
+        batch = two_group_batch(flay)
+        groups = partition(flay.runtime.ctx, coalesce(batch))
+        assert {tuple(g.tables) for g in groups} == {("C.ta",), ("C.tb",)}
+        assert flay.decide(batch).group_count == 2
 
     def test_components_are_cached_on_the_context(self, flay):
         flay.decide(two_group_batch(flay))
@@ -108,7 +106,7 @@ class TestPartitionIndependence:
             assert len({strict[m] for m in members}) == 1
 
 
-class TestCacheMerge:
+class TestSharedCaches:
     def test_substitution_memo_entries_survive_and_stay_interned(self, flay):
         flay.decide(two_group_batch(flay))
         substitution = flay.runtime.substitution
@@ -182,63 +180,20 @@ class TestCacheMerge:
 
 
 class TestDecisionRecord:
-    def test_schedule_and_merge_are_on_the_record(self):
+    def test_the_burst_pushes_once_into_the_shared_memo(self):
         flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
         batch = two_group_batch(flay)
-        grafted = []
-        absorb = flay.substitution.absorb
-        flay.substitution.absorb = lambda piece: grafted.append(absorb(piece)) or grafted[-1]
+        substitution = flay.substitution
+        pushed = []
+        set_many = substitution.set_many
+        substitution.set_many = lambda mapping: pushed.append(mapping) or set_many(mapping)
+        before = substitution.memo_size
         decision = flay.decide(batch)
         assert decision.update_count == len(batch)
         assert decision.coalesced_count == len(batch)  # pure inserts
-        assert decision.group_count == len(decision.groups) == 2
-        # The merge grafted each slice's memo entries into the shared memo.
-        assert len(grafted) == 2 and sum(grafted) > 0
-
-
-class TestMergeAccounting:
-    """The double-counting tripwire: per-slice solver/gate stat deltas are
-    absorbed into the shared stats exactly once each, so the per-slice
-    sums must equal the shared delta over the merge — off by even one
-    means a slice was absorbed twice (or dropped)."""
-
-    def test_tripwire_rejects_solver_double_count(self):
-        with pytest.raises(AssertionError, match="miscounted SolverStats.by_sat"):
-            _verify_merge_accounting(
-                SolverStats(by_sat=14),  # a slice absorbed twice
-                SolverStats(by_sat=7),
-                GateStats(),
-                GateStats(),
-            )
-
-    def test_tripwire_rejects_gate_double_count(self):
-        with pytest.raises(AssertionError, match="miscounted GateStats"):
-            _verify_merge_accounting(
-                SolverStats(), SolverStats(), GateStats(screened=6), GateStats(screened=3)
-            )
-
-    def test_tripwire_accepts_balanced_accounting(self):
-        _verify_merge_accounting(
-            SolverStats(by_sat=7, probes=7),
-            SolverStats(by_sat=7, probes=7),
-            GateStats(screened=4),
-            GateStats(screened=4),
-        )
-
-    def test_real_batches_balance_the_accounting(self, monkeypatch):
-        """A real burst passes the tripwire, which sees the same per-slice
-        totals the shared accounting implies."""
-        seen = []
-
-        def verify(*deltas):
-            seen.append(deltas)
-            _verify_merge_accounting(*deltas)
-
-        monkeypatch.setattr(batch_module, "_verify_merge_accounting", verify)
-        flay = Flay(parse_program(SOURCE), FlayOptions(target="none"))
-        flay.decide(two_group_batch(flay))
-        ((merged_solver, slice_solver, merged_gate, slice_gate),) = seen
-        assert merged_solver.total == slice_solver.total
-        assert merged_gate.screened == slice_gate.screened
-        # The batch did real solver/gate work in its slices.
-        assert slice_solver.total > 0 or slice_gate.screened > 0
+        assert decision.group_count == 2
+        # One push carries both tables' assignments into the shared memo.
+        (mapping,) = pushed
+        tables = flay.runtime.table_assignments
+        assert mapping.keys() == tables["C.ta"].mapping.keys() | tables["C.tb"].mapping.keys()
+        assert substitution.memo_size >= before and decision.changed

@@ -4,8 +4,8 @@
 ``simplify(Substitution(mapping).apply(term))`` returns.  The smt-level
 suite (``tests/smt/test_delta_substitution.py``) checks that on random
 terms; this one checks it on every program point of all seven zoo
-programs, after valid update streams through real table encodings —
-directly, and through a worker slice that is absorbed — and then pins,
+programs, after valid update streams through real table encodings, and
+then pins,
 by count rather than by time, what the cutoff is for: a precise ACL insert
 re-decides a handful of points and re-evaluates fewer nodes than its moved
 symbols have memoised ancestors, memo, edges and heights do not grow with
@@ -87,7 +87,6 @@ def test_fused_pass_is_the_specification_on_every_point(
     state = ControlPlaneState(model)
     mapping = encode_all(model, state, threshold)
     direct = DeltaSubstitution(mapping)
-    shared = DeltaSubstitution(mapping)  # only ever written through slices
     pids = sorted(model.points)
     position = 0
     while position < len(stream):
@@ -100,19 +99,15 @@ def test_fused_pass_is_the_specification_on_every_point(
                 encode_table(model.tables[table], state.tables[table], threshold).mapping
             )
         mapping.update(delta)
-        piece = shared.fork_slice()
-        assert piece.set_many(delta) == direct.set_many(delta)
+        direct.set_many(delta)
         # Pull a sample only, so that dirty entries outlive the chunk.
         expected = _specification(mapping, model.points)
         for pid in rng.sample(pids, min(40, len(pids))):
             expr = model.points[pid].expr
             assert direct.apply(expr) is expected[pid]
-            assert piece.apply(expr) is expected[pid]
-        shared.absorb(piece)
     expected = _specification(mapping, model.points)
     for pid, point in model.points.items():
         assert direct.apply(point.expr) is expected[pid]
-        assert shared.apply(point.expr) is expected[pid]
 
 
 # -- (c) traps, by count ------------------------------------------------------
@@ -192,8 +187,6 @@ def test_the_update_and_burst_paths_count_points_alike():
     assert tainted > 50 and unchanged > 50 and redecided <= 5
     wording = f"points: {tainted} tainted, {redecided} re-decided, {unchanged} unchanged term"
     assert all(wording in d.describe() for d in decisions)
-    (group,) = decisions[1].groups
-    assert (group.redecided_points, group.unchanged_points) == (redecided, unchanged)
 
 
 def test_alternating_insert_and_delete_leaves_every_structure_the_size_two_did(models):

@@ -5,7 +5,12 @@ kinds of input exist:
 
 * a mixed burst (inserts, modifies, deletes and a value-set update, in
   at least two conflict groups) is decided on the calling thread — a
-  patched ``threading.Thread.start`` would raise;
+  patched ``threading.Thread.start`` would raise — by the engine's own
+  warm pass objects on its own state: building a ``WorkerSlice`` or a
+  ``SubstitutionSlice`` would raise;
+* a one-update burst decides what the update decides alone on a twin
+  engine: the same sorted ``changed``, recompile verdict, point and
+  table verdicts and lowered writes, update after update;
 * a single ``ValueSetUpdate`` runs the one-update warm path and gets its
   record: the specification's ``changed`` and recompile verdict, every
   point its symbols taint visited, and the burst fields at their
@@ -22,13 +27,15 @@ import pytest
 
 from repro.core import Flay, FlayOptions
 from repro.engine import Decision
-from repro.engine.batch import conflict_components
+from repro.engine.batch import WorkerSlice, conflict_components
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import ValueSetUpdate
+from repro.smt.substitute import SubstitutionSlice
 
 from tests.engine.spec import Spec
+from tests.engine.test_warm_inventory import TARGETS
 
 ZOO = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
 
@@ -96,8 +103,51 @@ def test_a_mixed_burst_starts_no_thread(name, programs, monkeypatch):
     decision = flay.decide(burst)
     assert decision.group_count >= 2
     assert decision.update_count == len(burst)
-    assert len(decision.groups) == decision.group_count
+    assert decision.burst
     spec.check_decision(decision, burst)
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_a_mixed_burst_runs_the_engines_own_passes(name, programs, monkeypatch):
+    flay = make_flay(programs[name])
+    spec = Spec(flay)
+    burst = mixed_burst(flay)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"decide built a {type(self).__name__}")
+
+    monkeypatch.setattr(WorkerSlice, "__init__", refuse)
+    monkeypatch.setattr(SubstitutionSlice, "__init__", refuse)
+    ran = []
+    for step in flay._warm.passes:
+        def spy(ctx, step=step, run=step.run):
+            ran.append(step)
+            return run(ctx)
+
+        monkeypatch.setattr(step, "run", spy)
+    decision = flay.decide(burst)
+    assert ran == list(flay._warm.passes)
+    assert decision.group_count >= 2 and decision.coalesced_count <= len(burst)
+    spec.check_decision(decision, burst)
+
+
+def lowered_writes(decision) -> list:
+    return [(write.target, write.table, write.update) for write in decision.lowered]
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_a_one_update_burst_decides_what_the_update_decides(name, programs):
+    options = FlayOptions(target=TARGETS[name])
+    alone, twin = Flay(programs[name], options), Flay(programs[name], options)
+    for update in mixed_burst(alone, seed=3):
+        single, burst = alone.decide(update), twin.decide([update])
+        assert (not single.burst, burst.burst) == (True, True)
+        assert sorted(burst.changed) == sorted(single.changed)
+        assert burst.recompiled == single.recompiled
+        assert lowered_writes(burst) == lowered_writes(single)
+        assert twin.point_verdicts == alone.point_verdicts
+        assert twin.table_verdicts == alone.table_verdicts
+    assert twin.specialized_source() == alone.specialized_source()
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -114,7 +164,7 @@ def test_a_value_set_update_gets_the_one_update_record(name, programs):
     assert decision.redecided_points + decision.unchanged_points <= len(tainted)
     assert not decision.overapproximated
     assert decision.update_count == decision.coalesced_count == decision.group_count == 1
-    assert decision.groups is None
+    assert not decision.burst
     assert flay.ctx.decisions == 1
     # Re-installing the same values moves no symbol: nothing is visited.
     again = flay.decide(update)

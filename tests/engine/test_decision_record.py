@@ -75,7 +75,7 @@ def test_forwarded_update_returns_its_record_and_cache_activity():
         Update("t", INSERT, fuzzer.entry("t", action="noop"))
     )
     assert decision.forwarded != decision.recompiled
-    assert decision.update_count == 1 and decision.groups is None
+    assert decision.update_count == 1 and not decision.burst
     # Warm passes run under the warm stage; the last one either recompiles
     # or lowers the forwarded update.
     assert engine._warm.describe() == (
@@ -92,7 +92,7 @@ def test_batch_record_reports_update_count():
     fuzzer = EntryFuzzer(engine.model, seed=4)
     decision = engine.process_batch(fuzzer.insert_burst("t", 10, action="set"))
     assert decision.update_count == 10
-    assert decision.groups is not None
+    assert decision.burst
     assert engine.ctx.decisions == 1
 
 

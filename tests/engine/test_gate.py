@@ -2,8 +2,7 @@
 
 The end-to-end cost is ``benchmarks/e2e``'s to measure and the
 equivalence claim is test_gate_differential.py's; this module pins the
-mechanics — counter bookkeeping, witness-record lifecycle, and the
-batch-worker fork/absorb protocol.
+mechanics — counter bookkeeping and the witness-record lifecycle.
 """
 
 import dataclasses
@@ -11,7 +10,7 @@ import pickle
 
 from repro.core import Flay, FlayOptions
 from repro.engine.context import EngineOptions
-from repro.engine.gate import GateStats, WitnessRecord, _ZeroDefault
+from repro.engine.gate import GateStats, _ZeroDefault
 from repro.p4.parser import parse_program
 from repro.runtime.entries import ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, TableState, Update
@@ -90,13 +89,6 @@ class TestGateStats:
         assert delta.screened == 7
         assert delta.harvested == 3
         assert delta.witness_hits == 2
-
-    def test_absorb_adds_fieldwise(self):
-        total = GateStats(screened=5, solver_fallbacks=1)
-        total.absorb(GateStats(screened=2, solver_fallbacks=3, harvested=1))
-        assert total.screened == 7
-        assert total.solver_fallbacks == 4
-        assert total.harvested == 1
 
     def test_describe_mentions_every_tier(self):
         text = GateStats(screened=4, witness_hits=2).describe()
@@ -285,79 +277,6 @@ def test_a_guard_the_interval_domain_decides_costs_no_probe():
     assert flay.point_verdicts[bounded].executability == "maybe"
     assert flay.solver_stats().probes == 2
     assert set(flay.gate._records.map) == {bounded}
-
-
-# ---------------------------------------------------------------------------
-# fork_slice / absorb_fork (the batch-worker protocol)
-# ---------------------------------------------------------------------------
-
-
-class TestForkAbsorb:
-    def make_gate(self):
-        flay = make_flay()
-        flay.process_update(insert_ta(1, 7))
-        return flay.runtime.gate
-
-    def dummy_record(self, base):
-        return WitnessRecord(
-            verdict=base.verdict,
-            term=base.term,
-            pos_model=base.pos_model,
-            neg_model=base.neg_model,
-            pos_keys=base.pos_keys,
-            neg_keys=base.neg_keys,
-            fp_pos=base.fp_pos,
-            fp_neg=base.fp_neg,
-        )
-
-    def test_fork_shares_diagrams_and_overlays_records(self):
-        gate = self.make_gate()
-        fork = gate.fork_slice()
-        assert fork.state is gate.state
-        assert fork._deps is gate._deps
-        pid, record = next(iter(gate._records.map.items()))
-        # Reads fall through to the base...
-        assert fork._records.get(pid) is record
-        # ...writes stay in the overlay.
-        replacement = self.dummy_record(record)
-        fork._records.set(pid, replacement)
-        assert fork._records.get(pid) is replacement
-        assert gate._records.get(pid) is record
-
-    def test_fork_drop_is_a_tombstone_not_a_base_mutation(self):
-        gate = self.make_gate()
-        fork = gate.fork_slice()
-        pid = next(iter(gate._records.map))
-        fork._records.drop(pid)
-        assert fork._records.get(pid) is None
-        assert gate._records.get(pid) is not None
-
-    def test_absorb_fork_merges_records_and_counters(self):
-        gate = self.make_gate()
-        fork = gate.fork_slice()
-        fork.stats.screened = 5
-        fork.stats.witness_hits = 3
-        pid, record = next(iter(gate._records.map.items()))
-        replacement = self.dummy_record(record)
-        fork._records.set(pid, replacement)
-        fork._records.set("synthetic::pid", replacement)
-        before = gate.stats.snapshot()
-        grafted = gate.absorb_fork(fork)
-        assert grafted == 2
-        assert gate._records.get(pid) is replacement
-        assert gate._records.get("synthetic::pid") is replacement
-        delta = gate.stats.since(before)
-        assert delta.screened == 5
-        assert delta.witness_hits == 3
-        gate._records.drop("synthetic::pid")
-
-    def test_absorb_fork_applies_tombstones(self):
-        gate = self.make_gate()
-        fork = gate.fork_slice()
-        pid = next(iter(gate._records.map))
-        fork._records.drop(pid)
-        gate.absorb_fork(fork)
-        assert gate._records.get(pid) is None
 
 
 # ---------------------------------------------------------------------------

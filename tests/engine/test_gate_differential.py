@@ -123,8 +123,9 @@ def test_sequential_stream_gated_equals_ungated(target, seed):
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("seed", [2, 9])
 def test_batched_stream_gated_equals_ungated(target, seed):
-    """The batch scheduler path: the forked/absorbed slice gates leave
-    the specification's verdicts after every batch."""
+    """The batch scheduler path: the burst's warm passes, run over its net
+    updates on the shared gate, leave the specification's verdicts after
+    every batch."""
     flay = make_flay(target)
     spec = Spec(flay)
     stream = EntryFuzzer(flay.model, seed=seed).update_stream(

@@ -32,7 +32,7 @@ import pytest
 from repro.core import Flay, FlayOptions
 from repro.p4.parser import parse_program
 from repro.programs import registry
-from repro.runtime.entries import ExactMatch, TableEntry
+from repro.runtime.entries import EntryError, ExactMatch, TableEntry
 from repro.runtime.fuzzer import EntryFuzzer
 from repro.runtime.semantics import DELETE, INSERT, Update
 
@@ -198,16 +198,21 @@ def test_a_threshold_crossing_respecializes(shape, entry_point):
     spec.check_lowered()
 
 
-@pytest.mark.parametrize(
+#: Decide one update alone, or as a one-update burst.
+SINGLE_OR_BURST = pytest.mark.parametrize(
     "decide",
     [lambda flay, update: flay.decide(update), lambda flay, update: flay.decide([update])],
     ids=["single", "burst"],
 )
+
+
+@SINGLE_OR_BURST
 def test_a_failed_compile_installs_nothing(decide):
     """A device compile that raises leaves the engine on the program the
     device still runs, and the next decision compares a fresh
     specialization with that program: on fig3, ``u1``'s compile raises,
-    and ``u2`` recompiles the program of both entries."""
+    and ``u2`` recompiles the program of its own entry (``u1`` was rolled
+    back)."""
     flay = Flay(registry.load("fig3"), FlayOptions(target="tofino"))
     cold_program, cold_report = flay.specialized_program, flay.compile_report
     u1, u2 = EntryFuzzer(flay.model, seed=4).insert_burst("Fig3Ingress.eth_table", 2)
@@ -230,3 +235,38 @@ def test_a_failed_compile_installs_nothing(decide):
     assert decision.recompiled and reports == [decision.compile_report]
     assert flay.specialized_program == fresh
     assert flay.compile_report is decision.compile_report
+
+
+@SINGLE_OR_BURST
+def test_a_failed_compile_leaves_the_control_plane(decide):
+    """A decision whose device compile raises takes its update back out of
+    the control plane, which then holds what the device holds: on fig3,
+    an ``eth_table`` insert's compile raises once, after which the table
+    does not hold the entry, a DELETE of it is refused, and re-sending
+    the insert recompiles.  The verdicts stay the specification's
+    throughout."""
+    flay = Flay(registry.load("fig3"), FlayOptions(target="tofino"))
+    spec = Spec(flay)
+    table = "Fig3Ingress.eth_table"
+    (insert,) = EntryFuzzer(flay.model, seed=4).insert_burst(table, 1)
+    target = flay.device_compiler
+    compile_program = target.compile
+
+    def failing(program):
+        target.compile = compile_program
+        raise RuntimeError("injected compile failure")
+
+    target.compile = failing
+    with pytest.raises(RuntimeError, match="injected compile failure"):
+        decide(flay, insert)
+    assert target.compile == compile_program, "the insert must reach the compile"
+    assert flay.state.tables[table].entries() == []
+    assert spec.step() == []
+    with pytest.raises(EntryError, match="no such entry"):
+        decide(flay, Update(table, DELETE, insert.entry))
+    assert spec.step() == []
+    decision = decide(flay, insert)
+    spec.check_decision(decision, [insert])
+    assert decision.recompiled
+    assert flay.state.tables[table].entries() == [insert.entry]
+    spec.check_lowered()

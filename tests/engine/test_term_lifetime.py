@@ -13,8 +13,8 @@ only between decisions.  These tests pin:
   ``QueryEngine`` lives outside any engine across the collections;
 * (b) a dropped engine's terms leave the table, and the engine that
   stays decides exactly what it decides alone;
-* (c) no collection inside a burst's conflict groups, and a due one at
-  the next decision;
+* (c) no collection inside a burst's warm passes, and a due one at the
+  next decision;
 * (d) no memo of a bare ``QueryEngine`` or ``Solver`` answers for a
   freed term whose address a new term took;
 * (e) over 20 000 precise ACL updates the intern table and every
@@ -30,8 +30,8 @@ import weakref
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.engine import batch as batch_module
 from repro.engine.context import GENERATION, warm_state
+from repro.engine.pipeline import ReverdictPointsPass
 from repro.engine.queries import MAYBE, NEVER, QueryEngine
 from repro.programs import registry
 from repro.runtime.entries import TableEntry, TernaryMatch
@@ -154,66 +154,44 @@ def test_a_dropped_engine_leaves_the_table_and_the_other_decides_alone():
 # ---------------------------------------------------------------------------
 
 
-def test_no_collection_inside_a_batch_and_a_due_one_at_the_next_decision(
+def test_no_collection_inside_a_burst_and_a_due_one_at_the_next_decision(
     monkeypatch,
 ):
-    """Every group makes a collection due as it starts; none runs until
-    the next decision."""
+    """A burst's point sweep makes a collection due as it starts; none runs
+    until the next decision."""
     engine = Flay(registry.load("switch"), FlayOptions(target="none"))
     collections = []  # the thread of each collection
-    groups = []  # (generation at the start, at the end) of each group
+    sweeps = []  # (generation at the start, at the end) of each point sweep
     collect = T.TermFactory.collect
-    run_group = batch_module.run_group
+    sweep = next(p for p in engine._warm.passes if isinstance(p, ReverdictPointsPass))
+    run = sweep.run
 
     def spy_collect(factory):
         collections.append(threading.current_thread())
         return collect(factory)
 
-    def spy_run_group(ctx, group, piece):
+    def spy_run(ctx):
         start = FACTORY.generation
         FACTORY._collect_at = 0
         try:
-            return run_group(ctx, group, piece)
+            return run(ctx)
         finally:
-            groups.append((start, FACTORY.generation))
+            sweeps.append((start, FACTORY.generation))
 
     monkeypatch.setattr(T.TermFactory, "collect", spy_collect)
-    monkeypatch.setattr(batch_module, "run_group", spy_run_group)
+    monkeypatch.setattr(sweep, "run", spy_run)
     stream = EntryFuzzer(engine.model, seed=12).update_stream(count=40)
     for start in range(0, 40, 10):
         force_due(monkeypatch)
-        before, ran = FACTORY.generation, len(groups)
+        before = FACTORY.generation
         engine.decide(stream[start:start + 9])
-        # The due collection ran once, before the first group ran ...
+        # The due collection ran once, before the burst's sweep ran ...
         assert FACTORY.generation == before + 1
-        assert all(
-            (first, last) == (before + 1, before + 1) for first, last in groups[ran:]
-        )
-        # ... and the one the groups made due runs at the next decision.
+        assert sweeps[-1] == (before + 1, before + 1)
+        # ... and the one the sweep made due runs at the next decision.
         engine.process_update(stream[start + 9])
         assert FACTORY.generation == before + 2
-    assert len(groups) > 4, "the bursts should split into several groups"
     assert all(thread is threading.main_thread() for thread in collections)
-
-
-def test_a_live_worker_slice_forgets_only_its_overlays():
-    """A collection while a slice is still referenced empties the slice's
-    overlays; the shared memos it layers over and the point verdicts the
-    engine decided are the shared engine's to forget, or to keep."""
-    engine = Flay(registry.load("switch"), FlayOptions(target="none"))
-    for update in EntryFuzzer(engine.model, seed=13).update_stream(count=10):
-        engine.process_update(update)
-    ctx = engine.ctx
-    piece = batch_module.WorkerSlice(ctx)
-    qe = piece.query_engine
-    qe._simplify_memo[-1] = T.TRUE
-    qe._exec_cache[T.TRUE] = MAYBE
-    qe.solver._results[T.FALSE] = None
-    decided = dict(ctx.query_engine._decided)
-    FACTORY.collect()
-    assert not qe._simplify_memo.delta and not qe._exec_cache.delta
-    assert not qe.solver._results.delta
-    assert ctx.query_engine._decided == decided
 
 
 # ---------------------------------------------------------------------------

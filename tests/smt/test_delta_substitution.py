@@ -203,53 +203,6 @@ class TestNoGrowthWithHistory:
         assert alternate(1000) == after_two
 
 
-class TestSliceShadowAndAbsorb:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        exprs=EXPRS,
-        initial=ASSIGNMENTS,
-        stale=ASSIGNMENTS,
-        steps=STEPS,
-        warm=st.integers(0, 5),
-    )
-    def test_slice_then_absorb_equals_direct_set_many(
-        self, exprs, initial, stale, steps, warm
-    ):
-        shared = DeltaSubstitution(initial)
-        twin = DeltaSubstitution(initial)
-        # The rest is first memoized by the slice: its entries sit above
-        # shared ones and are reached through the slice's own edges only.
-        warmed = exprs[:warm]
-        for term in warmed:
-            shared.apply(term)
-        base = dict(initial)
-        base.update(stale)
-        shared.set_many(stale)
-        twin.set_many(stale)
-        at_fork = (dict(shared._memo), dict(shared._heights), _edge_count(shared))
-        piece = shared.fork_slice()
-        current = dict(base)
-        for step in steps:
-            assert piece.set_many(step) == twin.set_many(step)
-            current.update(step)
-            for term in exprs:
-                assert piece.apply(term) is _fresh(current, term)
-        # The shared layer was not touched meanwhile.
-        assert (dict(shared._memo), dict(shared._heights), _edge_count(shared)) == at_fork
-        shared.absorb(piece)
-        assert shared._mapping == twin._mapping
-        _assert_every_entry_is_right(shared, current)
-        for term in exprs:
-            assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
-        # The grafted edges and heights push like directly recorded ones.
-        flip = {var: _const(200) for var in CTRL}
-        assert shared.set_many(flip) == twin.set_many(flip)
-        current.update(flip)
-        _assert_every_entry_is_right(shared, current)
-        for term in exprs:
-            assert shared.apply(term) is twin.apply(term) is _fresh(current, term)
-
-
 class TestSnapshotWithoutIndex:
     @settings(max_examples=50, deadline=None)
     @given(

@@ -121,39 +121,28 @@ class TestCollection:
         assert held
 
 
-class TestSliceInterning:
-    """The batch scheduler builds terms in per-group slices of one shared
-    substitution, through the one shared factory."""
+class TestSubstitutionInterning:
+    """A burst pushes every touched table's assignments through the one
+    shared substitution, which builds its terms through the shared
+    factory."""
 
-    def test_slice_applies_then_absorb(self):
-        """Slices applying over shared structure, then merged: the shared
-        memo ends up keyed on interned ids that resolve to the very
-        objects the slices produced."""
-        x = T.data_var("slice_probe_x", 8)
-        ctrl_a = T.control_var("slice_probe.a", 8)
-        ctrl_b = T.control_var("slice_probe.b", 8)
+    def test_one_set_many_for_two_tables_gives_interned_results(self):
+        x = T.data_var("burst_probe_x", 8)
+        ctrl_a = T.control_var("burst_probe.a", 8)
+        ctrl_b = T.control_var("burst_probe.b", 8)
         shared_sub = DeltaSubstitution({})
-        exprs = {
-            "a": T.add(ctrl_a, x),
-            "b": T.mul(ctrl_b, x),
-        }
-        slices = {name: shared_sub.fork_slice() for name in exprs}
-        mappings = {
-            "a": {ctrl_a: T.bv_const(3, 8)},
-            "b": {ctrl_b: T.bv_const(5, 8)},
-        }
-        results = {}
-        for name, piece in slices.items():
-            piece.set_many(mappings[name])
-            results[name] = piece.apply(exprs[name])
-        for piece in slices.values():
-            shared_sub.absorb(piece)
-        # Post-merge, the shared substitution answers both by identity.
-        assert shared_sub.apply(exprs["a"]) is results["a"]
-        assert shared_sub.apply(exprs["b"]) is results["b"]
-        # And the grafted results are the interned representatives.
-        assert results["a"] is T.add(T.bv_const(3, 8), x)
-        assert results["b"] is T.mul(T.bv_const(5, 8), x)
+        exprs = {"a": T.add(ctrl_a, x), "b": T.mul(ctrl_b, x)}
+        for expr in exprs.values():
+            shared_sub.apply(expr)
+        changed = shared_sub.set_many(
+            {ctrl_a: T.bv_const(3, 8), ctrl_b: T.bv_const(5, 8)}
+        )
+        assert changed == {"burst_probe.a", "burst_probe.b"}
+        # Propagation left both memo entries current, as the interned
+        # representatives of their structure.
+        assert shared_sub._memo[exprs["a"]] is T.add(T.bv_const(3, 8), x)
+        assert shared_sub._memo[exprs["b"]] is T.mul(T.bv_const(5, 8), x)
+        assert shared_sub.apply(exprs["a"]) is T.add(T.bv_const(3, 8), x)
 
 
 class TestTreeSizeMemo:

@@ -277,37 +277,40 @@ class TestSolverMemos:
         assert solver.check_sat(other).satisfiable
         assert solver.check_sat(T.bool_and(T.eq(v, c(6)), port)).satisfiable
 
-    def test_worker_slice_solver_has_memos_of_its_own(self, monkeypatch):
+    def test_a_burst_queries_the_engines_own_solver(self, monkeypatch):
         from repro.core import Flay, FlayOptions
-        from repro.engine import batch
+        from repro.engine import engine as engine_module
         from repro.p4.parser import parse_program
         from repro.runtime.fuzzer import EntryFuzzer
+        from repro.smt import solver as solver_module
 
-        flay = Flay(parse_program(SLICE_SOURCE), FlayOptions(target="none"))
+        flay = Flay(parse_program(BURST_SOURCE), FlayOptions(target="none"))
         shared = flay.runtime.ctx.query_engine.solver
-        pieces = []
-        run_group = batch.run_group
+        deltas = []
+        schedule_batch = engine_module.schedule_batch
 
-        def checked(ctx, group, piece):
-            mine = piece.query_engine.solver
-            assert mine is not shared
-            assert mine._simplify_memo == {} and mine._interval_memo == {}
-            before = (dict(shared._simplify_memo), dict(shared._interval_memo))
-            outcome = run_group(ctx, group, piece)
-            assert (shared._simplify_memo, shared._interval_memo) == before
-            pieces.append(piece)
-            return outcome
+        def refuse(*args, **kwargs):
+            raise AssertionError("a burst built a solver of its own")
 
-        monkeypatch.setattr(batch, "run_group", checked)
+        def checked(ctx, passes):
+            assert ctx.query_engine.solver is shared
+            before = shared.stats.snapshot()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module.Solver, "__init__", refuse)
+                decision = schedule_batch(ctx, passes)
+            deltas.append(shared.stats.since(before))
+            return decision
+
+        monkeypatch.setattr(engine_module, "schedule_batch", checked)
         fuzzer = EntryFuzzer(flay.model, seed=3)
         for _ in range(3):
             burst = fuzzer.insert_burst("ta", 6) + fuzzer.insert_burst("tb", 6)
             flay.decide(burst)
-        assert pieces
-        assert any(p.query_engine.solver._interval_memo for p in pieces)
+        assert len(deltas) == 3 and any(delta.total for delta in deltas)
+        assert shared._interval_memo
 
 
-SLICE_SOURCE = """
+BURST_SOURCE = """
 header h_t { bit<8> a; bit<8> b; bit<8> f; }
 struct headers_t { h_t h; }
 struct meta_t { bit<8> m; bit<8> n; }

@@ -83,7 +83,8 @@ def main() -> int:
     decisions.append(flay.decide(burst))
     assert _repull(flay, tainted) == 0, "a warm batch left a substitution pull pending"
 
-    assert decisions[-1].groups is not None and decisions[-1].update_count == 20
+    assert decisions[-1].burst and decisions[-1].update_count == 20
+    assert 1 <= decisions[-1].group_count <= decisions[-1].coalesced_count
     assert flay.ctx.decisions == len(decisions) == 6
     assert all(d.forwarded != d.recompiled for d in decisions)
     recompiled = [d for d in decisions if d.recompiled]
