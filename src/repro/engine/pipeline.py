@@ -7,9 +7,10 @@ The cold pipeline (run once per program) is the declared sequence
 and the warm path (run per single control-plane update, table or value
 set) is
 
-    apply-updates → reverdict-{points,tables} → respecialize
+    apply-updates → decide
 
-where the last pass either recompiles or lowers the forwarded updates.
+where the second pass re-verdicts the tainted points, then the touched
+tables, and then either recompiles or lowers the forwarded updates.
 Both are plain :class:`~repro.engine.passes.Pass` sequences over one
 :class:`~repro.engine.context.EngineContext`.  A burst runs the same warm
 passes over its net updates, once the scheduler in
@@ -400,42 +401,56 @@ def commit_updates(ctx: EngineContext, warm: WarmState, ops) -> None:
         warm.changed_vars = ctx.substitution.set_many(mapping)
 
 
-class ReverdictPointsPass:
-    """Re-query exactly the program points tainted by a *changed* symbol.
+def reverdict(ctx: EngineContext) -> None:
+    """Re-verdict what the applied updates moved: the program points
+    tainted by a *changed* symbol, then every re-encoded table.
 
     The changed symbols are the ones ``set_many`` found re-assigned, so an
     update into an overapproximated table — whose ``!any`` assignment is
     the identical interned term before and after — re-queries no point.
+    A table's structural verdict is recomputed whether or not its symbols
+    changed (its ``entry_count`` moves with every insert and delete).
+    Points are reported before tables.
+    """
+    warm = ctx.warm
+    query_engine = ctx.query_engine
+    sweep = query_engine.reverdict_points(
+        warm.changed_vars, ctx.substitution, ctx.point_verdicts
+    )
+    warm.affected = len(sweep.verdicts)
+    warm.redecided = sweep.redecided
+    warm.unchanged = sweep.unchanged
+    warm.changed.extend(sweep.changed)
+    ctx.point_verdicts.update(sweep.verdicts)
+    verdicts, changed = query_engine.reverdict_tables(
+        warm.assignments, ctx.state, ctx.table_verdicts
+    )
+    warm.changed.extend(changed)
+    ctx.table_verdicts.update(verdicts)
+
+
+class ReverdictPointsPass:
+    """No pass list holds this; :func:`reverdict` is the step.
+
+    It stays only because ``benchmarks/e2e/harness/tracing.py``
+    ``WRAP_POINTS`` names ``ReverdictPointsPass.run``; ROADMAP item 20(b)
+    deletes it with the other names that list keeps alive.
     """
 
-    name = "reverdict-points"
-    stage = "warm"
-
     def run(self, ctx: EngineContext) -> None:
-        warm = ctx.warm
-        sweep = ctx.query_engine.reverdict_points(
-            warm.changed_vars, ctx.substitution, ctx.point_verdicts
-        )
-        warm.affected = len(sweep.verdicts)
-        warm.redecided = sweep.redecided
-        warm.unchanged = sweep.unchanged
-        warm.changed.extend(sweep.changed)
-        ctx.point_verdicts.update(sweep.verdicts)
+        """Inert (see the class docstring)."""
 
 
 class ReverdictTablesPass:
-    """Recompute the structural verdict of every touched table."""
+    """No pass list holds this; :func:`reverdict` is the step.
 
-    name = "reverdict-tables"
-    stage = "warm"
+    It stays only because ``benchmarks/e2e/harness/tracing.py``
+    ``WRAP_POINTS`` names ``ReverdictTablesPass.run``; ROADMAP item 20(b)
+    deletes it with the other names that list keeps alive.
+    """
 
     def run(self, ctx: EngineContext) -> None:
-        warm = ctx.warm
-        verdicts, changed = ctx.query_engine.reverdict_tables(
-            warm.assignments, ctx.state, ctx.table_verdicts
-        )
-        warm.changed.extend(changed)
-        ctx.table_verdicts.update(verdicts)
+        """Inert (see the class docstring)."""
 
 
 def respecialize(ctx: EngineContext, changed: list, tables):
@@ -485,7 +500,7 @@ def install(ctx: EngineContext, program, report):
 
 
 class RespecializePass:
-    """The recompile decision, and the lowering that follows from it.
+    """The decision: :func:`reverdict`, then recompile or lower.
 
     Recompile exactly when the respecialized program differs from the one
     last compiled (:func:`respecialize`); otherwise push the update (every
@@ -496,10 +511,11 @@ class RespecializePass:
     feeds nothing the program keeps), and such an update forwards.
     """
 
-    name = "respecialize"
+    name = "decide"
     stage = "warm"
 
     def run(self, ctx: EngineContext) -> None:
+        reverdict(ctx)
         warm = ctx.warm
         target = ctx.target
         moved = respecialize(ctx, warm.changed, warm.assignments)
@@ -534,8 +550,7 @@ def roll_back(ctx: EngineContext, warm: WarmState) -> None:
     inverse = ctx.state.inverse
     ctx.warm = rewind = WarmState(None)
     commit_updates(ctx, rewind, [inverse(*record) for record in reversed(undo)])
-    ReverdictPointsPass().run(ctx)
-    ReverdictTablesPass().run(ctx)
+    reverdict(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +588,14 @@ def restore_passes() -> list:
 
 
 def warm_passes() -> list:
-    """The warm path: points are reported before tables.
+    """The warm path: apply the updates, then decide.
 
     A single update runs it as it is; a burst runs it over its net
     updates once :func:`repro.engine.batch.schedule_batch` has coalesced
     and checked them.  A value-set update touches no table, so the table
-    stage is a no-op for it.
+    half of :func:`reverdict` is a no-op for it.
     """
-    return [
-        ApplyUpdatesPass(),
-        ReverdictPointsPass(),
-        ReverdictTablesPass(),
-        RespecializePass(),
-    ]
+    return [ApplyUpdatesPass(), RespecializePass()]
 
 
 __all__ = [
@@ -606,6 +616,7 @@ __all__ = [
     "install",
     "respecialize",
     "restore_passes",
+    "reverdict",
     "roll_back",
     "warm_passes",
 ]

@@ -76,11 +76,9 @@ def test_forwarded_update_returns_its_record_and_cache_activity():
     )
     assert decision.forwarded != decision.recompiled
     assert decision.update_count == 1 and not decision.burst
-    # Warm passes run under the warm stage; the last one either recompiles
-    # or lowers the forwarded update.
-    assert engine._warm.describe() == (
-        "apply-updates → reverdict-points → reverdict-tables → respecialize"
-    )
+    # Warm passes run under the warm stage; the last one re-verdicts, then
+    # either recompiles or lowers the forwarded update.
+    assert engine._warm.describe() == "apply-updates → decide"
     assert all(p.stage == "warm" for p in engine._warm.passes)
     # The warm run consulted at least one cross-update cache.
     after = {c.name: c.lookups for c in engine.cache_stats().counters}

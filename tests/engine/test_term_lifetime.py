@@ -31,7 +31,7 @@ import pytest
 
 from repro.core import Flay, FlayOptions
 from repro.engine.context import GENERATION, warm_state
-from repro.engine.pipeline import ReverdictPointsPass
+from repro.engine.pipeline import RespecializePass
 from repro.engine.queries import MAYBE, NEVER, QueryEngine
 from repro.programs import registry
 from repro.runtime.entries import TableEntry, TernaryMatch
@@ -157,13 +157,13 @@ def test_a_dropped_engine_leaves_the_table_and_the_other_decides_alone():
 def test_no_collection_inside_a_burst_and_a_due_one_at_the_next_decision(
     monkeypatch,
 ):
-    """A burst's point sweep makes a collection due as it starts; none runs
-    until the next decision."""
+    """A burst's decide pass (whose first step is the point sweep) makes a
+    collection due as it starts; none runs until the next decision."""
     engine = Flay(registry.load("switch"), FlayOptions(target="none"))
     collections = []  # the thread of each collection
-    sweeps = []  # (generation at the start, at the end) of each point sweep
+    sweeps = []  # (generation at the start, at the end) of each decide pass
     collect = T.TermFactory.collect
-    sweep = next(p for p in engine._warm.passes if isinstance(p, ReverdictPointsPass))
+    sweep = next(p for p in engine._warm.passes if isinstance(p, RespecializePass))
     run = sweep.run
 
     def spy_collect(factory):

@@ -70,9 +70,7 @@ def main() -> int:
     tainted = flay.model.points_for_control_vars(
         flay.model.table(table).control_var_names()
     )
-    assert flay._warm.describe() == (
-        "apply-updates → reverdict-points → reverdict-tables → respecialize"
-    )
+    assert flay._warm.describe() == "apply-updates → decide"
     assert all(p.stage == "warm" for p in flay._warm.passes)
     _repull(flay, tainted)
     decisions = []
