@@ -202,7 +202,7 @@ WARM_STATE: tuple = (
     WarmRow("query_engine.solver._results", KEY_TERM, SHARED, GENERATION),
     WarmRow("query_engine.solver._simplify_memo", KEY_ID, LOCAL, GENERATION),
     WarmRow("query_engine.solver._interval_memo", KEY_ID, LOCAL, GENERATION),
-    WarmRow("gate._records.map", KEY_VALUE, CARRIED, ENGINE),
+    WarmRow("gate._records", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("point_verdicts", KEY_VALUE, CARRIED, ENGINE),
     WarmRow("table_verdicts", KEY_VALUE, CARRIED, ENGINE),
     # Computed from the model on the first burst.

@@ -100,22 +100,6 @@ class WitnessRecord:
     fp_neg: tuple
 
 
-class _RecordStore:
-    """The gate's witness records, by pid."""
-
-    def __init__(self) -> None:
-        self.map: dict = {}
-
-    def get(self, pid: str):
-        return self.map.get(pid)
-
-    def set(self, pid: str, record: WitnessRecord) -> None:
-        self.map[pid] = record
-
-    def drop(self, pid: str) -> None:
-        self.map.pop(pid, None)
-
-
 @dataclass
 class GateStats:
     """Gate decision counters (the ``--stats`` surface).
@@ -188,7 +172,7 @@ class VerdictGate:
         self.state = state
         self.threshold = threshold
         self.stats = GateStats()
-        self._records = _RecordStore()
+        self._records: dict = {}  # pid → WitnessRecord
         # Attach a first-match lookup index to every table's state; it
         # follows the state's revision from here on.
         for table_state in state.tables.values():
@@ -297,7 +281,7 @@ class VerdictGate:
         elif found.how in ("cached", "punted"):
             self._revalidate(point, term, found.verdict)
         else:
-            self._records.drop(point.pid)
+            self._records.pop(point.pid, None)
         return found.verdict
 
     def decide_constant(self, point, term, query_engine):
@@ -321,7 +305,7 @@ class VerdictGate:
         """Refresh (or discard) the record after a non-witness decision."""
         pid = point.pid
         if verdict != MAYBE:
-            self._records.drop(pid)
+            self._records.pop(pid, None)
             return
         record = self._records.get(pid)
         if record is None:
@@ -332,7 +316,7 @@ class VerdictGate:
             T.evaluate(term, record.pos_model) == 1
             and T.evaluate(term, record.neg_model) == 0
         ):
-            self._records.drop(pid)
+            self._records.pop(pid, None)
             return
         self._store(
             point, term, record.verdict,
@@ -349,18 +333,15 @@ class VerdictGate:
             pos_keys = self._key_points(pid, pos_model)
         if neg_keys is None:
             neg_keys = self._key_points(pid, neg_model)
-        self._records.set(
-            pid,
-            WitnessRecord(
-                verdict=verdict,
-                term=term,
-                pos_model=pos_model,
-                neg_model=neg_model,
-                pos_keys=pos_keys,
-                neg_keys=neg_keys,
-                fp_pos=self._fingerprint(pid, pos_keys),
-                fp_neg=self._fingerprint(pid, neg_keys),
-            ),
+        self._records[pid] = WitnessRecord(
+            verdict=verdict,
+            term=term,
+            pos_model=pos_model,
+            neg_model=neg_model,
+            pos_keys=pos_keys,
+            neg_keys=neg_keys,
+            fp_pos=self._fingerprint(pid, pos_keys),
+            fp_neg=self._fingerprint(pid, neg_keys),
         )
 
     # -- stats ----------------------------------------------------------------

@@ -513,9 +513,11 @@ class QueryEngine:
 
 
 def _possible_values(term: Term, limit: int = 512) -> Optional[set[int]]:
-    """Overapproximate the set of values an ite-tree term can take.
+    """Overapproximate the set of values an ite-tree term can take: its
+    leaves, where a lookup's leaves are its rows' results and its default.
 
-    Returns ``None`` when the term is not a constant/ite tree (unbounded).
+    Returns ``None`` when the term is not a constant/ite/lookup tree
+    (unbounded).
     """
     values: set[int] = set()
     stack = [term]
@@ -526,6 +528,10 @@ def _possible_values(term: Term, limit: int = 512) -> Optional[set[int]]:
         elif node.op == T.OP_ITE:
             stack.append(node.args[1])
             stack.append(node.args[2])
+        elif node.op == T.OP_LOOKUP:
+            rows, default = node.payload
+            values.update(result for _, _, result in rows)
+            values.add(default)
         else:
             return None
         if len(values) > limit:

@@ -32,6 +32,7 @@ rows into the store's: both sides are pure functions of the term.
 from __future__ import annotations
 
 from repro.engine.context import CARRIED, SHARED, warm_state
+from repro.errors import FlayError
 from repro.runtime.semantics import (
     INSERT,
     Update,
@@ -41,6 +42,10 @@ from repro.runtime.semantics import (
 )
 from repro.smt.arena import TermArena
 
+#: 11: a precise table's symbols map to lookup nodes (terms of an
+#: operator format 10 did not have, in the substitution memo and the
+#: decided terms), and the gate's witness records ride under the row path
+#: ``gate._records`` (10: ``gate._records.map``).
 #: 10: no cold prune pass deletes constant ``if`` points, so switch and
 #: dash carry two more points and every later pid is renumbered (a pid
 #: carries a program-wide sequence number); a format-9 blob's pid-keyed
@@ -59,7 +64,12 @@ from repro.smt.arena import TermArena
 #: and ``decided`` carries the term each point verdict was decided from.
 #: 2: gate records carry packed key points and plain-value fingerprints
 #: (1 carried key tuples and flattened diagram leaves).
-SNAPSHOT_FORMAT = 10
+SNAPSHOT_FORMAT = 11
+
+
+class SnapshotFormatError(FlayError, ValueError):
+    """A blob of another :data:`SNAPSHOT_FORMAT` than this engine's: its
+    rows would be misread, so the restore refuses it."""
 
 
 def snapshot_context(ctx) -> dict:
@@ -98,7 +108,7 @@ def apply_snapshot(ctx, blob: dict) -> None:
     per-switch state.
     """
     if blob.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(f"unsupported snapshot format: {blob.get('format')!r}")
+        raise SnapshotFormatError(f"unsupported snapshot format: {blob.get('format')!r}")
     # 1. Replay the control plane (the gate's lookup rows follow each
     #    table's revision and re-pack on the first screen that asks).
     for name, entries in blob["tables"].items():
@@ -144,4 +154,4 @@ def apply_snapshot(ctx, blob: dict) -> None:
         )
 
 
-__all__ = ["SNAPSHOT_FORMAT", "apply_snapshot", "snapshot_context"]
+__all__ = ["SNAPSHOT_FORMAT", "SnapshotFormatError", "apply_snapshot", "snapshot_context"]

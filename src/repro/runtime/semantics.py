@@ -71,10 +71,9 @@ class TableState:
     table's keys concatenated at fixed bit offsets (the value is
     normalised, ``value & ~mask == 0``).  The row goes when the
     entry is deleted.  On rows the eclipse rule is two integer
-    operations (:meth:`_covers`) and a point lookup one
-    (:class:`~repro.smt.fdd.TableFdd`).  Beside the row sits the entry's
-    match condition as a term (:meth:`active_matches`), built the first
-    time a precise encoding asks for it and dropped with the row.
+    operations (:meth:`_covers`), a point lookup one
+    (:class:`~repro.smt.fdd.TableFdd`), and a precise encoding is the
+    active rows themselves (:func:`encode_table`).
 
     The eclipse-elided active list is cached and maintained
     *incrementally*: an INSERT splices the new row into the cached list
@@ -94,8 +93,6 @@ class TableState:
         # Bit offset of each key inside the packed key integer.
         self._shifts = tuple(accumulate(self._widths, initial=0))[:-1]
         self._rows: dict[object, tuple] = {}  # match key → (entry, value, mask)
-        # (value, mask) → the match condition; a function of the pair alone.
-        self._conds: dict[tuple, Term] = {}
         # Cached eclipse-elided active rows (None = needs full recompute)
         # and the per-mode entry counts that decide the precedence order.
         self._active: Optional[list[tuple]] = []
@@ -213,7 +210,6 @@ class TableState:
         else:
             mode_before = self._mode()
             old = self._rows.pop(key)
-            self._conds.pop(old[1:], None)
             self._count_entry(old[0], -1)
             if self._active is not None and (
                 self._mode() != mode_before
@@ -234,7 +230,6 @@ class TableState:
 
     def clear(self) -> None:
         self._rows.clear()
-        self._conds.clear()
         self._active = []
         self._n_ternary = 0
         self._n_lpm = 0
@@ -343,23 +338,6 @@ class TableState:
     def active_entries(self) -> list[TableEntry]:
         """Ordered entries with eclipsed (never-firing) entries elided."""
         return [row[0] for row in self.active_rows()]
-
-    def active_matches(self) -> list[tuple[TableEntry, Term]]:
-        """:meth:`active_entries`, each with its match condition.
-
-        A condition is built once per live entry — a MODIFY keeps the
-        match, hence the condition — so re-encoding a precise table after
-        an update builds the new entry's and no other, and an
-        overapproximated table, whose encoder never asks, builds none.
-        """
-        conds = self._conds
-        matches = []
-        for entry, value, mask in self.active_rows():
-            cond = conds.get((value, mask))
-            if cond is None:
-                cond = conds[value, mask] = entry_match_term(self.info, entry)
-            matches.append((entry, cond))
-        return matches
 
 
 class ControlPlaneState:
@@ -514,46 +492,63 @@ def encode_table(
     state: TableState,
     threshold: Optional[int] = DEFAULT_OVERAPPROX_THRESHOLD,
 ) -> TableAssignment:
-    """Build the control-plane assignment for ``info`` from its entries."""
+    """Build the control-plane assignment for ``info`` from its entries.
+
+    A precise table maps each control symbol to one lookup node over the
+    table's key terms (:meth:`~repro.smt.terms.TermFactory.lookup`),
+    whose rows are the active ``(value, mask)`` rows :class:`TableState`
+    keeps: the action selector to the first matching entry's action code,
+    else the default action's; the hit bit to ``ite(some row matches, 1,
+    0)``; each action parameter to the first matching entry's argument
+    among that action's entries, else the default binding (or 0).  So an
+    update builds one node per symbol whatever the entry count, and no
+    match condition; a table with no active entry maps to constants.
+    """
     if threshold is not None and len(state) > threshold:
         # Past the threshold we never look at individual entries again —
         # that's what makes overapproximated update processing O(1).
         return _overapproximate(info, state)
     sel_width = TableInfo.SELECTOR_WIDTH
     default_code = info.action_codes.get(info.default_action, 0)
-    matches = state.active_matches()
-
-    # Action selector: first matching entry's action, else the default.
-    selector: Term = T.bv_const(default_code, sel_width)
-    for entry, cond in reversed(matches):
-        code = info.action_codes[entry.action]
-        selector = T.ite(cond, T.bv_const(code, sel_width), selector)
-
-    # Hit bit: 1 iff any entry matches.
-    if matches:
-        any_match = T.bool_or(*[cond for _, cond in matches])
-        hit: Term = T.ite(any_match, T.bv_const(1, 1), T.bv_const(0, 1))
+    rows = state.active_rows()
+    keys = tuple(key.term for key in info.keys)
+    mapping: dict[Term, Term]
+    if rows:
+        codes = info.action_codes
+        selector = T.lookup(
+            keys,
+            tuple([(value, mask, codes[entry.action]) for entry, value, mask in rows]),
+            default_code,
+            sel_width,
+        )
+        # Some row matches: its rows as a set, as a disjunction's are.
+        matched = T.lookup(
+            keys, tuple(sorted({(value, mask, 1) for _, value, mask in rows})), 0, 0
+        )
+        hit = T.ite(matched, T.bv_const(1, 1), T.bv_const(0, 1))
     else:
+        selector = T.bv_const(default_code, sel_width)
         hit = T.bv_const(0, 1)
-
-    mapping: dict[Term, Term] = {
-        info.selector_var: selector,
-        info.hit_var: hit,
-    }
+    mapping = {info.selector_var: selector, info.hit_var: hit}
 
     # Per-action parameters: the winning matching entry's action data.
     for action_name, params in info.action_params.items():
-        relevant = [
-            (entry, cond) for entry, cond in matches if entry.action == action_name
-        ]
+        relevant = [row for row in rows if row[0].action == action_name]
         for index, param in enumerate(params):
             if action_name == info.default_action and index < len(info.default_args):
                 fallback_value = info.default_args[index] or 0
             else:
                 fallback_value = 0
-            value: Term = T.bv_const(fallback_value, param.width)
-            for entry, cond in reversed(relevant):
-                value = T.ite(cond, T.bv_const(entry.args[index], param.width), value)
+            full = (1 << param.width) - 1
+            if relevant:
+                value: Term = T.lookup(
+                    keys,
+                    tuple([(v, m, entry.args[index] & full) for entry, v, m in relevant]),
+                    fallback_value & full,
+                    param.width,
+                )
+            else:
+                value = T.bv_const(fallback_value, param.width)
             mapping[param.var] = value
 
     return TableAssignment(

@@ -51,6 +51,7 @@ _OPS = (
     T.OP_ADD, T.OP_SUB, T.OP_MUL, T.OP_AND, T.OP_OR, T.OP_XOR,
     T.OP_NOT, T.OP_NEG, T.OP_SHL, T.OP_LSHR, T.OP_CONCAT, T.OP_EXTRACT,
     T.OP_ITE, T.OP_EQ, T.OP_ULT, T.OP_ULE, T.OP_BAND, T.OP_BOR, T.OP_BNOT,
+    T.OP_LOOKUP,
 )
 OP_CODE = {op: code for code, op in enumerate(_OPS)}
 
@@ -59,6 +60,7 @@ OP_CODE = {op: code for code, op in enumerate(_OPS)}
     _ADD, _SUB, _MUL, _AND, _OR, _XOR,
     _NOT, _NEG, _SHL, _LSHR, _CONCAT, _EXTRACT,
     _ITE, _EQ, _ULT, _ULE, _BAND, _BOR, _BNOT,
+    _LOOKUP,
 ) = range(len(_OPS))
 
 #: Commutative binary ops whose args the arena stores index-sorted
@@ -73,8 +75,9 @@ class TermArena:
     """Hash-consed terms as parallel arrays, addressed by integer index.
 
     The arena is self-contained and picklable: op codes, widths, child
-    indices, and leaf payloads (ints, bools, variable-name strings, and
-    ``(hi, lo)`` extract bounds) round-trip through ``pickle`` exactly.
+    indices, and leaf payloads (ints, bools, variable-name strings,
+    ``(hi, lo)`` extract bounds and a lookup's ``(rows, default)``)
+    round-trip through ``pickle`` exactly.
     Process-local state (the id-keyed encode memo and the decoded-Term
     cache) is dropped on pickling and rebuilt lazily.
 
@@ -257,6 +260,8 @@ class TermArena:
             return f.bool_and(*args)
         if code == _BOR:
             return f.bool_or(*args)
+        if code == _LOOKUP:
+            return f.lookup(args, *payload, width)
         builder = _DECODE_BUILDERS[code]
         return builder(f, *args)
 

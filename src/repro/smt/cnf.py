@@ -14,7 +14,9 @@ that does not fold is hashed on its normalised inputs (AND on the sorted
 literals, XOR on the sign-normalised pair, MUX on ``(sel, then, else)``
 with ``sel`` positive), so two terms over the same literals share it.  An
 n-ary AND or OR is one gate of n + 1 clauses, and ``x == c`` is one AND
-over ``x``'s own literals.  The tables live as long as the blaster, which
+over ``x``'s own literals.  A table lookup is encoded as the chain it
+stands for (:func:`~repro.smt.terms.expand_lookup`), built only here,
+when a probe reaches it.  The tables live as long as the blaster, which
 the solver facade builds per query (see :mod:`repro.smt.solver`).
 """
 
@@ -242,6 +244,8 @@ class BitBlaster:
             return self._mux_gate(
                 sel, self.encode_bool(term.args[1]), self.encode_bool(term.args[2])
             )
+        if op == T.OP_LOOKUP:
+            return self.encode_bool(T.expand_lookup(term))
         raise T.SortError(f"cannot bit-blast boolean op {op!r}")
 
     def _bv_eq(self, a: list[int], b: list[int]) -> int:
@@ -319,6 +323,8 @@ class BitBlaster:
             then = self.encode_bv(term.args[1])
             orelse = self.encode_bv(term.args[2])
             return [self._mux_gate(sel, t, e) for t, e in zip(then, orelse)]
+        if op == T.OP_LOOKUP:
+            return self.encode_bv(T.expand_lookup(term))
         raise T.SortError(f"cannot bit-blast bitvector op {op!r}")
 
     def _encode_mul(self, term: Term) -> list[int]:

@@ -5,10 +5,11 @@ network programs compare fields against constants, and an interval sweep
 decides them without bit-blasting.  The paper's "100 ms per update" budget
 depends on most queries being answered by fast paths like this.
 
-An encoded table is an ``ite`` chain whose leaves are its action values,
-and the interval join forgets which values those are (leaves ``{0, 5}``
-become ``[0, 5]``).  So an equality between a point and an ``ite`` tree is
-also decided by reading the tree's reachable leaves (:func:`_leaves_equal`):
+An encoded table is a lookup node read as the ``ite`` chain it stands
+for (:func:`_lookup_node`), whose leaves are its rows' results, and the
+interval join forgets which values those are (leaves ``{0, 5}``
+become ``[0, 5]``).  So an equality between a point and an ``ite`` tree or
+a lookup is also decided by reading the reachable leaves (:func:`_leaves_equal`):
 every leaf a constant other than the point refutes it, every leaf the
 point proves it.  The rule lives here and not in ``simplify``: the
 simplifier's output is what the substitution memo stores and what a value
@@ -84,11 +85,99 @@ def _sweep(term: Term, memo: dict, pins: bool = True):
         for node in T.iter_dag(term):
             if id(node) in memo:
                 continue
-            if node.is_bv:
+            if node.op == T.OP_LOOKUP:
+                memo[id(node)] = _lookup_node(node, memo, pins)
+            elif node.is_bv:
                 memo[id(node)] = _interval_node(node, memo)
             else:
                 memo[id(node)] = _bool_node(node, memo, pins)
     return memo[id(term)]
+
+
+def _lookup_node(node: Term, memo, pins: bool):
+    """A lookup read as the chain it stands for.
+
+    Each row's condition is decided as the chain's would be
+    (:func:`_row_state`); the states, up to the first row that surely
+    matches, are kept in ``memo`` under ``(id(node), _ROWS)`` for
+    :func:`_leaves_equal`.  A first-match lookup's interval joins the
+    results of the rows that may match before one surely does, and the
+    default unless one does; a boolean lookup is their disjunction.
+    """
+    keys = node.args
+    layout = [
+        (key, shift, (1 << key.width) - 1) for key, shift in zip(keys, T.key_shifts(keys))
+    ]
+    rows, default = node.payload
+    states = []
+    for value, mask, _ in rows:
+        state = _row_state(layout, value, mask, memo, pins)
+        states.append(state)
+        if state == DEFINITELY_TRUE:
+            break
+    memo[(id(node), _ROWS)] = states
+    if not node.width:
+        if DEFINITELY_TRUE in states:
+            return DEFINITELY_TRUE
+        if all(state == DEFINITELY_FALSE for state in states):
+            return DEFINITELY_FALSE
+        return UNKNOWN
+    values = [
+        row[2] for row, state in zip(rows, states) if state != DEFINITELY_FALSE
+    ]
+    if not states or states[-1] != DEFINITELY_TRUE:
+        values.append(default)
+    return Interval(min(values), max(values))
+
+
+#: Second half of the memo key under which a lookup's row states are kept.
+_ROWS = "rows"
+
+
+def _row_state(layout: list, value: int, mask: int, memo, pins: bool) -> str:
+    """Tri-state of one row's condition, as the sweep would find the
+    conjunction :func:`~repro.smt.terms.row_condition` builds."""
+    results = []
+    conjuncts = []  # (key, its value, its mask), one per result
+    for key, shift, full in layout:
+        key_mask = (mask >> shift) & full
+        if not key_mask:
+            continue
+        key_value = (value >> shift) & full
+        inner = memo[id(key)]
+        if key_mask == full:  # key == v
+            if not inner.contains(key_value):
+                result = DEFINITELY_FALSE
+            elif inner.is_point:
+                result = DEFINITELY_TRUE
+            elif key.op == T.OP_ITE:
+                result = _leaves_equal(key, key_value, memo)
+            else:
+                result = UNKNOWN
+        else:  # (key & m) == v, where key & m lies in [0, min(hi, m)]
+            top = min(inner.hi, key_mask)
+            if key_value > top:
+                result = DEFINITELY_FALSE
+            elif top == 0:
+                result = DEFINITELY_TRUE
+            else:
+                result = UNKNOWN
+        results.append(result)
+        conjuncts.append((key, key_value, key_mask))
+    if len(results) == 1:
+        return results[0]
+    if DEFINITELY_FALSE in results:
+        return DEFINITELY_FALSE
+    if all(result == DEFINITELY_TRUE for result in results):
+        return DEFINITELY_TRUE
+    if pins and any(
+        result == UNKNOWN and key.op in _VARIABLES and key_mask == (1 << key.width) - 1
+        for result, (key, _, key_mask) in zip(results, conjuncts)
+    ):
+        terms = [T.key_condition(*conjunct) for conjunct in conjuncts]
+        if _refuted_by_pins(tuple(terms), results):
+            return DEFINITELY_FALSE
+    return UNKNOWN
 
 
 def _interval_node(node: Term, memo) -> Interval:
@@ -203,9 +292,9 @@ def _bool_node(term: Term, memo, pins: bool) -> str:
             return DEFINITELY_FALSE
         if ia.is_point and ib.is_point and ia.lo == ib.lo:
             return DEFINITELY_TRUE
-        if ib.is_point and a.op == T.OP_ITE:
+        if ib.is_point and a.op in _TREES:
             return _leaves_equal(a, ib.lo, memo)
-        if ia.is_point and b.op == T.OP_ITE:
+        if ia.is_point and b.op in _TREES:
             return _leaves_equal(b, ia.lo, memo)
         return UNKNOWN
     if op == T.OP_ULT:
@@ -239,6 +328,8 @@ def _bool_node(term: Term, memo, pins: bool) -> str:
 
 
 _VARIABLES = (T.OP_DATA_VAR, T.OP_CONTROL_VAR)
+#: Nodes whose leaves :func:`_leaves_equal` reads.
+_TREES = (T.OP_ITE, T.OP_LOOKUP)
 
 
 def _pin(term: Term) -> Optional[tuple[Term, int]]:
@@ -293,7 +384,9 @@ def _leaves_equal(tree: Term, value: int, memo) -> str:
     become ``[0, 5]``); the leaves themselves do not.  Every leaf reachable
     past the conditions the domain leaves open is read once: all constant
     and all equal to ``value`` is TRUE, all constant and all different is
-    FALSE, anything else (a non-constant leaf, or a mix) is UNKNOWN.
+    FALSE, anything else (a non-constant leaf, or a mix) is UNKNOWN.  A
+    lookup's leaves are those of its chain: the results of the rows that
+    may match before one surely does, and the default unless one does.
     """
     seen: set[int] = set()
     stack = [tree]
@@ -310,12 +403,21 @@ def _leaves_equal(tree: Term, value: int, memo) -> str:
             if cond != DEFINITELY_TRUE:
                 stack.append(node.args[2])
             continue
-        if node.op != T.OP_BVCONST:
-            return UNKNOWN
-        if node.payload == value:
-            hit = True
+        if node.op == T.OP_LOOKUP:
+            rows, default = node.payload
+            states = memo[(id(node), _ROWS)]
+            leaves = [row[2] for row, state in zip(rows, states) if state != DEFINITELY_FALSE]
+            if not states or states[-1] != DEFINITELY_TRUE:
+                leaves.append(default)
+        elif node.op == T.OP_BVCONST:
+            leaves = (node.payload,)
         else:
-            miss = True
+            return UNKNOWN
+        for leaf in leaves:
+            if leaf == value:
+                hit = True
+            else:
+                miss = True
         if hit and miss:
             return UNKNOWN
     return DEFINITELY_TRUE if hit else DEFINITELY_FALSE

@@ -117,6 +117,8 @@ def _rebuild(node: Term, args: tuple) -> Term:
         return f.bool_or(*args)
     if op == T.OP_BNOT:
         return f.bool_not(*args)
+    if op == T.OP_LOOKUP:
+        return f.lookup(args, *node.payload, node.width)
     raise T.SortError(f"cannot rebuild {op!r}")
 
 
@@ -289,12 +291,116 @@ def _rw_ite(node: Term, args: tuple, memo: dict) -> Optional[Term]:
                 return simplify(T.bool_or(T.bool_not(cond), then), memo)
             return simplify(T.bool_and(cond, then), memo)
     # Collapse ite chains with identical conditions:
-    # ite(c, ite(c, a, _), e) -> ite(c, a, e)
+    # ite(c, ite(c, a, _), e) -> ite(c, a, e).  A simplified lookup of
+    # two rows or more is the chain ite(c1, r1, rest) (_first_row).
     if then.op == T.OP_ITE and then.args[0] is cond:
         return simplify(T.ite(cond, then.args[1], orelse), memo)
+    if then.op == T.OP_LOOKUP and then.width:
+        first, result, _ = _first_row(then)
+        if first is cond:
+            return simplify(T.ite(cond, result, orelse), memo)
     if orelse.op == T.OP_ITE and orelse.args[0] is cond:
         return simplify(T.ite(cond, then, orelse.args[2]), memo)
+    if orelse.op == T.OP_LOOKUP and orelse.width:
+        first, _, rest = _first_row(orelse)
+        if first is cond:
+            return simplify(T.ite(cond, then, rest), memo)
     return None
+
+
+def _first_row(lookup: Term) -> tuple:
+    """``(c1, r1, rest)`` of a simplified first-match lookup's chain
+    ``ite(c1, r1, rest)``: its first row's condition and result, and the
+    lookup of the other rows (an ``ite`` when one is left)."""
+    keys, width = lookup.args, lookup.width
+    rows, default = lookup.payload
+    value, mask, result = rows[0]
+    return (
+        T.row_condition(keys, value, mask),
+        T.bv_const(result, width),
+        _lookup_of(keys, rows[1:], default, width),
+    )
+
+
+def _lookup_of(keys: tuple, rows: tuple, default: int, width: int) -> Term:
+    """The simplified form of a lookup whose rows are already the ones its
+    chain keeps: the default alone, one ``ite``, or the node."""
+    if not rows:
+        return T.bv_const(default, width)
+    if len(rows) == 1:
+        value, mask, result = rows[0]
+        return T.ite(
+            T.row_condition(keys, value, mask),
+            T.bv_const(result, width),
+            T.bv_const(default, width),
+        )
+    return T.lookup(keys, rows, default, width)
+
+
+def _rw_lookup(node: Term, args: tuple, memo: dict) -> Optional[Term]:
+    """A lookup over simplified keys, rewritten exactly as its chain
+    (:func:`~repro.smt.terms.expand_lookup`) would be.
+
+    A row's condition on a key ``k`` is ``k == v`` or ``(k & m) == v``,
+    and no rule rewrites either unless ``k`` is a constant or an ``ite``
+    of two constants.  Constant keys are read through: a row they
+    contradict is dropped (its ``ite`` takes the else branch) and their
+    bits leave every other row's mask.  Then the chain is rewritten from
+    its last row up as :func:`_rw_ite` would: a row that matches
+    everything ends the chain, a row whose condition is its successor's
+    hides that successor, and a last row whose result is the default is
+    dropped.  A boolean lookup is a disjunction: a row that matches
+    everything makes it TRUE, and equal rows fold.  What is left is the
+    default, one ``ite``, or the node again (with its rows sorted, if
+    boolean, as a disjunction's arguments are).  Keys of the other kind,
+    or two keys one term, rewrite the chain itself.
+    """
+    keys = args
+    if len(set(map(id, keys))) < len(keys) or any(
+        key.op == T.OP_ITE and key.args[1].is_const and key.args[2].is_const
+        for key in keys
+    ):
+        return simplify(T.expand_lookup(_rebuild(node, args)), memo)
+    rows, default = node.payload
+    fixed = fixed_value = 0
+    for key, shift in zip(keys, T.key_shifts(keys)):
+        if key.op == T.OP_BVCONST:
+            fixed |= ((1 << key.width) - 1) << shift
+            fixed_value |= key.payload << shift
+    if fixed:
+        rows = tuple(
+            (value & ~fixed, mask & ~fixed, result)
+            for value, mask, result in rows
+            if fixed_value & mask == value & fixed
+        )
+    width = node.width
+    if not width:
+        kept = set()
+        for value, mask, _ in rows:
+            if not mask:
+                return T.TRUE
+            kept.add((value, mask))
+        if len(kept) < 2:
+            return T.row_condition(keys, *kept.pop()) if kept else T.FALSE
+        rows = tuple(sorted((value, mask, 1) for value, mask in kept))
+    else:
+        kept_rows: list = []  # the rewritten chain's rows, last first
+        for value, mask, result in reversed(rows):
+            if not mask:
+                kept_rows.clear()
+                default = result
+                continue
+            if kept_rows and kept_rows[-1][:2] == (value, mask):
+                kept_rows.pop()
+            if kept_rows or result != default:
+                kept_rows.append((value, mask, result))
+        kept_rows.reverse()
+        rows = tuple(kept_rows)
+        if len(rows) < 2:
+            return _lookup_of(keys, rows, default, width)
+    if rows == node.payload[0] and default == node.payload[1]:
+        return None  # _rewrite rebuilds over the new keys
+    return T.lookup(keys, rows, default, width)
 
 
 def _rw_eq(node: Term, args: tuple, memo: dict) -> Optional[Term]:
@@ -371,7 +477,14 @@ def _rw_bor(node: Term, args: tuple, memo: dict) -> Optional[Term]:
     flat: list[Term] = []
     seen: set[int] = set()
     for arg in args:
-        parts = arg.args if arg.op == T.OP_BOR else (arg,)
+        if arg.op == T.OP_BOR:
+            parts = arg.args
+        elif arg.op == T.OP_LOOKUP:
+            # A simplified boolean lookup is a disjunction of two or more
+            # row conditions: flattened like any other.
+            parts = T.expand_lookup(arg).args
+        else:
+            parts = (arg,)
         for part in parts:
             if part.op == T.OP_BOOLCONST:
                 if part.payload:
@@ -418,4 +531,5 @@ _RULES = {
     T.OP_BAND: _rw_band,
     T.OP_BOR: _rw_bor,
     T.OP_BNOT: _rw_bnot,
+    T.OP_LOOKUP: _rw_lookup,
 }

@@ -301,7 +301,7 @@ class SubstitutionSlice:
 
 
 #: Operator → default-factory constructor; ``extract`` also takes its
-#: ``(hi, lo)`` payload.
+#: ``(hi, lo)`` payload, and ``lookup`` its rows, default and width.
 _BUILDERS = {
     T.OP_ADD: T.add, T.OP_SUB: T.sub, T.OP_MUL: T.mul,
     T.OP_AND: T.bv_and, T.OP_OR: T.bv_or, T.OP_XOR: T.bv_xor,
@@ -309,7 +309,7 @@ _BUILDERS = {
     T.OP_SHL: T.shl, T.OP_LSHR: T.lshr, T.OP_CONCAT: T.concat,
     T.OP_ITE: T.ite, T.OP_EQ: T.eq, T.OP_ULT: T.ult, T.OP_ULE: T.ule,
     T.OP_BAND: T.bool_and, T.OP_BOR: T.bool_or, T.OP_BNOT: T.bool_not,
-    T.OP_EXTRACT: T.extract,
+    T.OP_EXTRACT: T.extract, T.OP_LOOKUP: T.lookup,
 }
 
 
@@ -321,6 +321,8 @@ def _rebuild_with_args(node: Term, args: tuple) -> Term:
         raise T.SortError(f"cannot substitute under {node.op!r}")
     if node.op == T.OP_EXTRACT:
         return builder(args[0], *node.payload)
+    if node.op == T.OP_LOOKUP:
+        return builder(args, *node.payload, node.width)
     return builder(*args)
 
 

@@ -172,6 +172,8 @@ OP_LSHR = "bvlshr"
 OP_CONCAT = "concat"
 OP_EXTRACT = "extract"
 OP_ITE = "ite"
+# A table's first-match lookup over its key terms (see TermFactory.lookup):
+OP_LOOKUP = "lookup"
 # Predicates (result is boolean):
 OP_EQ = "eq"
 OP_ULT = "ult"
@@ -384,6 +386,31 @@ class TermFactory:
             width = 0
         return self._mk(OP_ITE, (cond, then, orelse), width)
 
+    def lookup(self, keys: Sequence[Term], rows: tuple, default: int, width: int) -> Term:
+        """A table's first-match lookup: one node for a whole ``ite`` chain.
+
+        ``keys`` are the table's key terms (the node's args) and each row
+        a ``(value, mask, result)`` triple over their packed concatenation
+        (key 0 in the low bits, see :func:`key_shifts`), the encoding
+        :class:`~repro.runtime.semantics.TableState` keeps: the row
+        matches where ``packed & mask == value``.  The node's value is the
+        result of the first matching row, else ``default``.  A boolean
+        lookup (``width`` 0) has every result 1 and ``default`` 0: it is
+        "some row matches".
+
+        The node is keyed by its content alone, so two tables (or two
+        engines) with the same keys and rows share it, exactly as their
+        chains would.  It stands for the chain :func:`expand_lookup`
+        builds, and every layer reads it as that chain (``simplify``,
+        :func:`tree_size`, the bit-blaster, the interval pre-check).
+        """
+        for key in keys:
+            if not key.is_bv:
+                raise SortError(f"lookup key {key!r} is not a bitvector")
+        if width == 0 and (default or any(row[2] != 1 for row in rows)):
+            raise SortError("a boolean lookup's rows give 1 and its default 0")
+        return self._mk(OP_LOOKUP, tuple(keys), width, (rows, default))
+
     # -- predicates ---------------------------------------------------------
 
     def eq(self, a: Term, b: Term) -> Term:
@@ -463,6 +490,7 @@ bool_and = DEFAULT_FACTORY.bool_and
 bool_or = DEFAULT_FACTORY.bool_or
 bool_not = DEFAULT_FACTORY.bool_not
 implies = DEFAULT_FACTORY.implies
+lookup = DEFAULT_FACTORY.lookup
 
 TRUE = bool_const(True)
 FALSE = bool_const(False)
@@ -471,6 +499,102 @@ FALSE = bool_const(False)
 def ne(a: Term, b: Term) -> Term:
     """Disequality, expressed as ``not (a == b)``."""
     return bool_not(eq(a, b))
+
+
+# ---------------------------------------------------------------------------
+# Lookups as chains
+# ---------------------------------------------------------------------------
+
+
+def key_shifts(keys: Sequence[Term]) -> list[int]:
+    """Bit offset of each key inside a lookup's packed key."""
+    shifts, offset = [], 0
+    for key in keys:
+        shifts.append(offset)
+        offset += key.width
+    return shifts
+
+
+def key_condition(key: Term, value: int, mask: int) -> Optional[Term]:
+    """The condition one key's ``(value, mask)`` puts on ``key``: ``key ==
+    value`` under a full mask, ``key & mask == value`` under a partial
+    one, and None (no condition) under an empty one."""
+    if not mask:
+        return None
+    width = key.width
+    if mask == (1 << width) - 1:
+        return eq(key, bv_const(value, width))
+    return eq(bv_and(key, bv_const(mask, width)), bv_const(value, width))
+
+
+def row_condition(keys: Sequence[Term], value: int, mask: int) -> Term:
+    """The condition under which a lookup row matches: the conjunction of
+    its keys' conditions (one is itself, none is TRUE)."""
+    conds = []
+    for key, shift in zip(keys, key_shifts(keys)):
+        full = (1 << key.width) - 1
+        cond = key_condition(key, (value >> shift) & full, (mask >> shift) & full)
+        if cond is not None:
+            conds.append(cond)
+    return bool_and(*conds)
+
+
+def expand_lookup(term: Term) -> Term:
+    """The chain a lookup node stands for.
+
+    A first-match lookup is ``ite(c1, r1, ite(c2, r2, ... default))`` over
+    its rows' conditions (:func:`row_condition`); a boolean one is the
+    disjunction of its rows' conditions.  For a lookup ``simplify``
+    returned this is the simplified chain, the term the node replaces.
+    """
+    keys = term.args
+    rows, default = term.payload
+    conds = [row_condition(keys, value, mask) for value, mask, _ in rows]
+    if term.width == 0:
+        return bool_or(*conds)
+    width = term.width
+    chain = bv_const(default, width)
+    for cond, (_, _, result) in zip(reversed(conds), reversed(rows)):
+        chain = ite(cond, bv_const(result, width), chain)
+    return chain
+
+
+def lookup_match(term: Term, key_values: Sequence[int]) -> int:
+    """A lookup's value once its keys take ``key_values``: the first
+    matching row's result, else the default."""
+    point = 0
+    for value, shift in zip(key_values, key_shifts(term.args)):
+        point |= value << shift
+    rows, default = term.payload
+    for value, mask, result in rows:
+        if point & mask == value:
+            return result
+    return default
+
+
+def _lookup_tree_size(term: Term, memo: dict) -> int:
+    """:func:`tree_size` of :func:`expand_lookup`'s chain, computed from the
+    rows and the keys' own sizes (in ``memo``) without building it."""
+    keys = term.args
+    # Per key: its shift, full mask, and the size of its full- and
+    # partial-mask condition (``k == v`` and ``(k & m) == v``).
+    layout = [
+        (shift, (1 << key.width) - 1, memo[key] + 2, memo[key] + 4)
+        for key, shift in zip(keys, key_shifts(keys))
+    ]
+    rows, _ = term.payload
+    conds = 0
+    for _, mask, _ in rows:
+        count = size = 0
+        for shift, full, whole, part in layout:
+            key_mask = (mask >> shift) & full
+            if key_mask:
+                count += 1
+                size += whole if key_mask == full else part
+        conds += 1 if count == 0 else size + (count > 1)
+    if term.width:
+        return conds + 2 * len(rows) + 1  # an ite and a constant per row
+    return conds + (len(rows) != 1)  # one disjunction over two rows or more
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +662,10 @@ def tree_size(term: Term, memo: Optional[dict[Term, int]] = None) -> int:
         if node in memo:
             continue
         if expanded:
-            memo[node] = 1 + sum(memo[arg] for arg in node.args)
+            if node.op == OP_LOOKUP:
+                memo[node] = _lookup_tree_size(node, memo)
+            else:
+                memo[node] = 1 + sum(memo[arg] for arg in node.args)
         else:
             stack.append((node, True))
             for child in node.args:
@@ -556,11 +683,11 @@ def evaluate(term: Term, assignment: dict[str, int]) -> int:
     """Evaluate ``term`` under a concrete assignment.
 
     Boolean results are reported as 0/1.  An ``ite`` evaluates its
-    condition and then only the branch taken, so an entry chain costs the
-    conditions up to the first match, not every entry's subterm; all other
-    operators evaluate every argument.  Raises ``KeyError`` for an
-    unassigned variable the evaluation actually reads.  Iterative and
-    memoised per node, so deep ite chains and shared subterms are fine.
+    condition and then only the branch taken; all other operators evaluate
+    every argument, so a lookup reads all of its keys and then scans its
+    rows for the first match.  Raises ``KeyError`` for an unassigned
+    variable the evaluation actually reads.  Iterative and memoised per
+    node, so deep ite chains and shared subterms are fine.
     """
     values: dict[int, int] = {}
     stack = [term]
@@ -639,6 +766,8 @@ def _eval_node(node: Term, values: dict[int, int], assignment: dict[str, int]) -
         return int(any(args))
     if op == OP_BNOT:
         return int(not args[0])
+    if op == OP_LOOKUP:
+        return lookup_match(node, args)
     raise SortError(f"unknown operator {op!r}")
 
 
@@ -699,6 +828,10 @@ def to_string(term: Term, max_depth: int = 40) -> str:
         if op == OP_EXTRACT:
             hi, lo = node.payload
             return f"{walk(node.args[0], depth + 1)}[{hi}:{lo}]"
+        if op == OP_LOOKUP:
+            rows, default = node.payload
+            keys = ", ".join(walk(a, depth + 1) for a in node.args)
+            return f"lookup({keys})[{len(rows)} rows, else {default:#x}]"
         raise SortError(f"unknown operator {op!r}")
 
     return walk(term, 0)

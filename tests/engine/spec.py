@@ -2,16 +2,102 @@
 
 No option switches it on and the engine never runs it: a bare
 ``QueryEngine(model)`` — no gate, no witness records — deciding every
-point from a one-shot ``Substitution`` of the engine's current control
-mapping, and ``_table_verdict_uncached`` on every table.  The warm path's
-replays, memos and change-driven sweeps are all claims that the engine
-still holds exactly these verdicts.
+point from a one-shot ``Substitution`` of a control mapping derived
+afresh from the engine's control plane, and ``_table_verdict_uncached``
+on every table.  The mapping encodes each precise table as the
+first-match ``ite`` chains the engine's lookup nodes stand for
+(:func:`chain_encode_table`, a frozen copy of the chain encoder), so every
+comparison is also one of the lookup encoding against the chain one.  The
+warm path's replays, memos and change-driven sweeps are all claims that
+the engine still holds exactly these verdicts.
 """
 
+from repro.analysis.model import TableInfo
 from repro.engine.queries import QueryEngine
 from repro.engine.specialize import Specializer
 from repro.p4.printer import print_program
-from repro.smt import Substitution
+from repro.runtime.semantics import (
+    TableAssignment,
+    _overapproximate,
+    encode_value_set,
+    entry_match_term,
+)
+from repro.smt import Substitution, terms as T
+from repro.smt.substitute import _rebuild_with_args
+
+
+def chain_encode_table(info, state, threshold) -> TableAssignment:
+    """The table's assignment as first-match ``ite`` chains over its
+    active entries' match conditions: the encoder the lookup node
+    replaced, kept as it was."""
+    if threshold is not None and len(state) > threshold:
+        return _overapproximate(info, state)
+    sel_width = TableInfo.SELECTOR_WIDTH
+    default_code = info.action_codes.get(info.default_action, 0)
+    matches = [(entry, entry_match_term(info, entry)) for entry in state.active_entries()]
+
+    # Action selector: first matching entry's action, else the default.
+    selector = T.bv_const(default_code, sel_width)
+    for entry, cond in reversed(matches):
+        code = info.action_codes[entry.action]
+        selector = T.ite(cond, T.bv_const(code, sel_width), selector)
+
+    # Hit bit: 1 iff any entry matches.
+    if matches:
+        any_match = T.bool_or(*[cond for _, cond in matches])
+        hit = T.ite(any_match, T.bv_const(1, 1), T.bv_const(0, 1))
+    else:
+        hit = T.bv_const(0, 1)
+
+    mapping = {info.selector_var: selector, info.hit_var: hit}
+
+    # Per-action parameters: the winning matching entry's action data.
+    for action_name, params in info.action_params.items():
+        relevant = [
+            (entry, cond) for entry, cond in matches if entry.action == action_name
+        ]
+        for index, param in enumerate(params):
+            if action_name == info.default_action and index < len(info.default_args):
+                fallback_value = info.default_args[index] or 0
+            else:
+                fallback_value = 0
+            value = T.bv_const(fallback_value, param.width)
+            for entry, cond in reversed(relevant):
+                value = T.ite(cond, T.bv_const(entry.args[index], param.width), value)
+            mapping[param.var] = value
+
+    return TableAssignment(
+        table=info.name,
+        mapping=mapping,
+        entry_count=len(state),
+        overapproximated=False,
+    )
+
+
+def expand_lookups(term):
+    """``term`` with every lookup node replaced by the chain it stands for."""
+    memo: dict = {}
+    for node in T.iter_dag(term):
+        args = tuple(memo[id(arg)] for arg in node.args)
+        rebuilt = _rebuild_with_args(node, args) if node.args else node
+        memo[id(node)] = T.expand_lookup(rebuilt) if node.op == T.OP_LOOKUP else rebuilt
+    return memo[id(term)]
+
+
+def chain_encode_all(engine) -> tuple:
+    """The engine's control plane encoded through :func:`chain_encode_table`:
+    ``(mapping, table assignments)``."""
+    state, threshold = engine.state, engine.ctx.options.overapprox_threshold
+    mapping: dict = {}
+    assignments: dict = {}
+    for name, info in engine.model.tables.items():
+        assignment = assignments[name] = chain_encode_table(
+            info, state.tables[name], threshold
+        )
+        mapping.update(assignment.mapping)
+    for name, info in engine.model.value_sets.items():
+        mapping.update(encode_value_set(info, state.value_sets[name]))
+    return mapping, assignments
 
 
 def record_sends(engine) -> list:
@@ -50,14 +136,15 @@ class Spec:
 
     def _derive(self):
         engine, qe = self.engine, self.query_engine
-        one_shot = Substitution(engine.mapping)
+        mapping, assignments = chain_encode_all(engine)
+        one_shot = Substitution(mapping)
         points = {
             pid: qe.point_verdict(point, one_shot)
             for pid, point in engine.model.points.items()
         }
         tables = {
             name: qe._table_verdict_uncached(
-                info, engine.table_assignments[name], engine.state.tables[name]
+                info, assignments[name], engine.state.tables[name]
             )
             for name, info in engine.model.tables.items()
         }

@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import Flay, FlayOptions
 from repro.engine.engine import Engine
 from repro.engine.queries import MAYBE, QueryEngine
+from repro.engine.snapshot import SnapshotFormatError
+from repro.errors import FlayError
 from repro.p4.parser import parse_program
 from repro.programs import registry
 from repro.runtime.entries import TableEntry, TernaryMatch
@@ -35,6 +37,8 @@ from repro.runtime.semantics import (
     encode_all,
     encode_table,
 )
+from repro.smt import terms as T
+from repro.smt.arena import TermArena
 from repro.smt.sat import SolverBudgetExceeded
 from repro.smt.simplify import constant_value, simplify
 from repro.smt.solver import Solver
@@ -217,7 +221,6 @@ def test_alternating_insert_and_delete_leaves_every_structure_the_size_two_did(m
             len(substitution._heights),
             sum(len(nodes) for nodes in substitution._parents.values()),
             len(simplify_memo),
-            len(state.tables[info.name]._conds),
         )
 
     after_two = alternate(2)
@@ -327,7 +330,7 @@ def test_first_update_after_restore_keeps_the_points_the_live_engine_keeps():
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     blob = pickle.loads(pickle.dumps(live.snapshot()))
-    assert blob["format"] == 10
+    assert blob["format"] == 11
     restored = Engine.restore(blob)
     assert restored.ctx.query_engine._decided == live.ctx.query_engine._decided
     for entry in entries[17:]:
@@ -351,8 +354,8 @@ def test_first_update_after_restore_replays_witnesses_without_the_solver(monkeyp
     live.process_batch([Update(SCION_ACL, INSERT, entry) for entry in entries[:16]])
     live.process_update(Update(SCION_ACL, INSERT, entries[16]))
     restored = Engine.restore(pickle.loads(pickle.dumps(live.snapshot())))
-    records = restored.ctx.gate._records.map
-    assert records.keys() == live.ctx.gate._records.map.keys()
+    records = restored.ctx.gate._records
+    assert records.keys() == live.ctx.gate._records.keys()
     assert all(record.verdict.executability == MAYBE for record in records.values())
     tainted = restored.model.points_for_control_vars(
         restored.model.tables[SCION_ACL].control_var_names()
@@ -450,6 +453,23 @@ def test_a_format_8_blob_is_refused_not_misread():
     blob["format"] = 8
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         Engine.restore(blob)
+
+
+def test_a_format_10_blob_is_refused_with_a_typed_error():
+    """Format 10 had no lookup operator and carried the gate's witness
+    records under ``gate._records.map``; a restore refuses such a blob with
+    a :class:`FlayError` stamped with the restore stage."""
+    live = Engine(source=registry.get("scion").source(), options=FlayOptions(target="none"))
+    live.decide(EntryFuzzer(live.model, seed=2).update_stream(count=12))
+    blob = live.snapshot()
+    warm = TermArena.loads(blob["warm"])
+    assert "gate._records" in warm and "gate._records.map" not in warm
+    assert any(term.op == T.OP_LOOKUP for term in warm["substitution._mapping"].values())
+    blob["format"] = 10
+    with pytest.raises(SnapshotFormatError) as refused:
+        Engine.restore(blob)
+    assert isinstance(refused.value, FlayError)
+    assert refused.value.stage == "restore"
 
 
 def test_a_format_9_blob_is_refused_not_misread():

@@ -150,7 +150,7 @@ class TestWitnessLifecycle:
             ungated.check_decision(gated.process_update(update))
         gate = gated.runtime.gate
         assert gated.gate_stats().harvested >= 1
-        records = gate._records.map
+        records = gate._records
         assert records, "a MAYBE verdict should leave a witness record"
         points = gated.runtime.ctx.model.points
         for pid, record in records.items():
@@ -271,12 +271,12 @@ def test_a_guard_the_interval_domain_decides_costs_no_probe():
     assert flay.solver_stats().probes == 0
     assert stats.solver_fallbacks == 3 and stats.harvested == 0
     assert stats.interval_decided == 0  # kept for benchmarks/e2e, reads 0
-    assert not flay.gate._records.map
+    assert not flay.gate._records
     # 60 + 15 can reach 64: now the probe pair has to search.
     spec.check_decision(flay.process_update(insert(3, 60, 7)))
     assert flay.point_verdicts[bounded].executability == "maybe"
     assert flay.solver_stats().probes == 2
-    assert set(flay.gate._records.map) == {bounded}
+    assert set(flay.gate._records) == {bounded}
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +334,8 @@ class TestLookupRows:
         live.process_update(insert_ta(1, 7))
         live.process_update(insert_ta(2, 9))
         restored = Flay.restore(pickle.loads(pickle.dumps(live.snapshot())))
-        records = live.gate._records.map
-        twins = restored.gate._records.map
+        records = live.gate._records
+        twins = restored.gate._records
         assert records and twins.keys() == records.keys()
         for pid, record in records.items():
             twin = twins[pid]

@@ -153,6 +153,6 @@ def test_no_solver_call_serves_a_value_point(run):
 
 def test_records_are_for_maybe_executability_points_only(run):
     points = run.gated.model.points
-    for pid, record in run.gated.gate._records.map.items():
+    for pid, record in run.gated.gate._records.items():
         assert points[pid].kind in (KIND_IF, KIND_SELECT)
         assert record.verdict.executability == "maybe"

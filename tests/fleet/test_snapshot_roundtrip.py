@@ -166,7 +166,7 @@ class TestRoundTrip:
         restored = Engine.restore(live.snapshot())
         names = [p.name for p in restored._cold.passes]
         assert "restore" in names and "encode" not in names
-        assert len(restored.gate._records.map) > 0
+        assert len(restored.gate._records) > 0
         assert restored.point_verdicts == live.point_verdicts
 
     def test_restored_warm_latency_is_warm_path(self):

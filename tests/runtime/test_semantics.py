@@ -344,9 +344,10 @@ class TestEncoding:
             assert info.hit_var in mapping
 
 
-class TestMatchConditionsAreKept:
-    """A live entry's match condition is built once; re-encoding after an
-    update builds the new entry's only, to the identical interned terms."""
+class TestEncodingBuildsNoConditions:
+    """A precise encoding is one lookup node per symbol over the active
+    rows: it builds no entry's match condition, and re-encoding after an
+    update gives the identical interned terms a fresh state's does."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -374,30 +375,22 @@ class TestMatchConditionsAreKept:
         for var, term in mapping.items():
             assert term is rebuilt[var]
 
-    def test_one_condition_per_entry_lifetime(self, model, state, built):
+    def test_an_encoding_builds_no_condition(self, model, state, built):
         info, table = model.table("tern"), state.table_state("tern")
         entries = [tern_entry(i, 0xFF, args=(i,), priority=10 + i) for i in range(1, 6)]
         for entry in entries[:4]:
             state.apply_update(Update("tern", INSERT, entry))
-        assert not built  # nothing is built until an encoding asks
-        encode_table(info, table)
-        assert built == table.active_entries()
-        del built[:]
-        encode_table(info, table)
-        assert not built
+        first = encode_table(info, table).mapping
+        assert encode_table(info, table).mapping == first
+        assert first[info.selector_var].op == T.OP_LOOKUP
         state.apply_update(Update("tern", INSERT, entries[4]))
         encode_table(info, table)
-        assert built == [entries[4]]
-        del built[:]
-        # MODIFY keeps the match, hence the condition; DELETE drops it.
+        # MODIFY keeps the match and moves an argument; DELETE drops a row.
         state.apply_update(Update("tern", MODIFY, tern_entry(2, 0xFF, args=(9,), priority=12)))
         encode_table(info, table)
-        assert not built
-        assert len(table._conds) == 5
         state.apply_update(Update("tern", DELETE, entries[0]))
         mapping = encode_table(info, table).mapping
         assert not built
-        assert len(table._conds) == 4
         self.assert_is_a_fresh_encoding(model, state, mapping)
 
     def test_overapproximated_table_builds_none(self, model, state, built):
@@ -405,7 +398,7 @@ class TestMatchConditionsAreKept:
         for i in range(5):
             state.apply_update(Update("tern", INSERT, tern_entry(i, 0xFF, priority=i)))
         assert encode_table(info, table, threshold=3).overapproximated
-        assert not built and not table._conds
+        assert not built
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -433,7 +426,12 @@ class TestMatchConditionsAreKept:
             state.apply_update(Update("tern", op, entry))
             mapping = encode_table(info, table).mapping
             self.assert_is_a_fresh_encoding(model, state, mapping)
-        assert len(table._conds) <= len(live)
+            rows = len(table.active_rows())
+            assert all(
+                len(term.payload[0]) <= rows
+                for term in mapping.values()
+                if term.op == T.OP_LOOKUP
+            )
 
 
 class TestValueSets:
