@@ -512,7 +512,6 @@ def encode_table(
     default_code = info.action_codes.get(info.default_action, 0)
     rows = state.active_rows()
     keys = tuple(key.term for key in info.keys)
-    mapping: dict[Term, Term]
     if rows:
         codes = info.action_codes
         selector = T.lookup(
@@ -521,15 +520,15 @@ def encode_table(
             default_code,
             sel_width,
         )
-        # Some row matches: its rows as a set, as a disjunction's are.
-        matched = T.lookup(
-            keys, tuple(sorted({(value, mask, 1) for _, value, mask in rows})), 0, 0
-        )
+        # Some row matches: its rows sorted, as a disjunction's arguments
+        # are (no two active rows are equal: the first would eclipse the
+        # second).
+        matched = T.lookup(keys, tuple(sorted((v, m, 1) for _, v, m in rows)), 0, 0)
         hit = T.ite(matched, T.bv_const(1, 1), T.bv_const(0, 1))
     else:
         selector = T.bv_const(default_code, sel_width)
         hit = T.bv_const(0, 1)
-    mapping = {info.selector_var: selector, info.hit_var: hit}
+    mapping: dict[Term, Term] = {info.selector_var: selector, info.hit_var: hit}
 
     # Per-action parameters: the winning matching entry's action data.
     for action_name, params in info.action_params.items():

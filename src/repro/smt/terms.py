@@ -65,7 +65,8 @@ class Term:
         width: bit width for bitvector terms, ``0`` for boolean terms.
         payload: leaf data — the integer value of a constant or the name of
             a variable; ``None`` for interior nodes (except ``extract``,
-            which stores its ``(hi, lo)`` bounds here).
+            which stores its ``(hi, lo)`` bounds here, and ``lookup``, its
+            ``(rows, default)``).
     """
 
     __slots__ = ("op", "args", "width", "payload", "_hash", "__weakref__")

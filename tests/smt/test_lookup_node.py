@@ -34,7 +34,16 @@ KEY_SHAPES = {
     "ite-var": T.ite(SEL, A, T.bv_const(3, 8)),
     "ite-const": T.ite(SEL, T.bv_const(7, 8), T.bv_const(3, 8)),
 }
-SYMBOLIC = (("a", "b"), ("a", "c", "b"), ("a&f0", "b"), ("ite-var", "b"), ("c",))
+SYMBOLIC = (
+    ("a", "b"),
+    ("a", "c", "b"),
+    ("a&f0", "b"),
+    ("ite-var", "b"),
+    ("c",),
+    # A row pins ``a``, and the other key is an ite over ``a``: the
+    # interval pre-check refutes some rows only under the pin.
+    ("a", "ite-var"),
+)
 PARTLY_CONSTANT = (("const", "b"), ("a", "const"), ("const", "ite-var", "c"))
 FALLBACK = (("ite-const", "b"), ("a", "a"))
 
