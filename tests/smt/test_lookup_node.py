@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.runtime.entries import TernaryMatch
+from repro.runtime.semantics import match_term
 from repro.smt import interval, terms as T
 from repro.smt.arena import TermArena
 from repro.smt.simplify import simplify
@@ -48,22 +50,14 @@ PARTLY_CONSTANT = (("const", "b"), ("a", "const"), ("const", "ite-var", "c"))
 FALLBACK = (("ite-const", "b"), ("a", "a"))
 
 
-def key_cond(key, value, mask):
-    """The encoder's per-key match condition (``match_term``)."""
-    full = (1 << key.width) - 1
-    if mask == full:
-        return T.eq(key, T.bv_const(value, key.width))
-    if mask == 0:
-        return T.TRUE
-    return T.eq(T.bv_and(key, T.bv_const(mask, key.width)), T.bv_const(value, key.width))
-
-
 def raw_cond(keys, value, mask):
-    """``entry_match_term``: every key's condition, wildcards included."""
+    """``entry_match_term`` of a ternary entry over ``keys``: every key's
+    ``match_term``, wildcards included."""
     conds = []
     for key, shift in zip(keys, T.key_shifts(keys)):
         full = (1 << key.width) - 1
-        conds.append(key_cond(key, (value >> shift) & full, (mask >> shift) & full))
+        match = TernaryMatch((value >> shift) & full, (mask >> shift) & full)
+        conds.append(match_term(match, key, key.width))
     return T.bool_and(*conds)
 
 
