@@ -15,15 +15,7 @@ whole account of it; errors root at :class:`~repro.errors.FlayError` and
 carry the pipeline stage that raised them.
 """
 
-from repro.engine.batch import (
-    CoalescedOp,
-    CoalesceResult,
-    ConflictGroup,
-    coalesce,
-    conflict_components,
-    partition,
-    schedule_batch,
-)
+from repro.engine.batch import coalesce, conflict_components, schedule_batch
 from repro.engine.context import EngineContext, EngineOptions, EngineTimings
 from repro.engine.engine import Engine
 from repro.engine.errors import FlayError, OptionsError, SourcePos

@@ -5,26 +5,32 @@ rollouts.  :meth:`~repro.engine.engine.Engine.decide` hands a list or
 tuple of updates to :func:`schedule_batch`, which decides the burst as
 one unit, on the calling thread:
 
-1. **Coalesce** — redundant updates are folded per ``(table, match key)``:
-   insert-then-delete cancels, modify-after-insert collapses into the
-   insert, repeated modifies keep the last write.  Value-set updates are
-   last-write-wins per set.  Coalescing never reorders the surviving
-   updates relative to each other (each keeps the input index of the
-   operation that anchors it), so replaying the coalesced stream produces
-   the exact same control-plane state — including the insertion order an
-   exact-match table's precedence depends on.
-2. **Partition** — the survivors are split into *conflict groups*: two
-   updates share a group iff their tables (or value sets) can influence a
-   common program point (the model's control-variable taint index).  The
-   count is the burst's ``group_count``; the groups run no code of their
-   own.
-3. **Check** — every input update, folded or not, is checked against the
-   pre-burst control plane, so a bad one leaves no trace.
-4. **Decide** — the engine's own warm passes run over the net updates on
+1. **Coalesce and check** — one pass over the submitted updates
+   (:func:`coalesce`).  Each update's table is resolved and its entry
+   keyed once, and :meth:`~repro.runtime.semantics.TableState.check`
+   runs on it against the liveness the fold tracks (the installed rows
+   on a key's first touch, the fold's own state after that), so every
+   submitted update, folded or not, is checked in submission order and
+   a bad one raises before anything commits.  The fold is per
+   ``(table, match key)``: insert-then-delete cancels, modify-after-insert
+   collapses into the insert, repeated modifies keep the last write.
+   Value-set updates are last-write-wins per set.  Coalescing never
+   reorders the surviving updates relative to each other (each keeps the
+   input index of the operation that anchors it), so replaying the
+   coalesced stream produces the exact same control-plane state —
+   including the insertion order an exact-match table's precedence
+   depends on.  The same pass collects the conflict-component roots of
+   the net updates (two tables or value sets share a component iff they
+   can influence a common program point, the model's control-variable
+   taint index); their number is the burst's ``group_count``.
+2. **Decide** — the engine's own warm passes run over the net updates on
    the shared :class:`~repro.engine.context.EngineContext`, exactly as for
    one update: every touched table and value set is encoded once, one
    ``set_many`` pushes the moved symbols, one sweep re-verdicts the
-   tainted points and the touched tables.
+   tainted points and the touched tables.  The commits leave a table's
+   eclipse-elided active list to be rebuilt once, on its first read, when
+   that costs less than splicing each insert into it
+   (:meth:`~repro.runtime.semantics.TableState.defer_active`).
 
 The burst respecializes at most once.  Verdicts and the specialized
 program are pure functions of the final control-plane state, and
@@ -36,16 +42,13 @@ would have sent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.engine.context import EngineContext
 from repro.engine.pipeline import Decision
-from repro.runtime.entries import EntryError
 from repro.runtime.semantics import (
-    DELETE,
     INSERT,
     MODIFY,
+    ControlPlaneState,
     Update,
     ValueSetUpdate,
     encode_table,  # noqa: F401  (a wrap point of the end-to-end tracer)
@@ -57,145 +60,90 @@ from repro.runtime.semantics import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoalescedOp:
-    """One net update surviving coalescing.
+def coalesce(state: ControlPlaneState, updates: list, components: dict) -> tuple:
+    """Check a burst against ``state`` and fold it into its net updates
+    (see the module docstring); touches nothing.
 
-    ``anchor`` is the input index that fixes this op's position in the
-    coalesced order (for inserts, the index of the insert that determines
-    the entry's precedence position); ``sources`` are the input indices of
-    every original update folded into it.  ``key`` is the entry's match
-    key (``None`` for a value-set update), computed once, by the fold.
+    Returns ``(ops, group_count, inserts)``: the net ``(update, match
+    key)`` pairs in anchor order (the key is ``None`` for a value-set
+    update), ready for
+    :meth:`~repro.runtime.semantics.ControlPlaneState.commit`; the number
+    of distinct ``components`` roots (:func:`conflict_components`) among
+    them; and each table's net INSERT count, by
+    :class:`~repro.runtime.semantics.TableState`.  A net op whose kind the
+    fold did not change is the submitted update itself; a modify folded
+    into an insert becomes an insert of the modify's entry.
+
+    Raises what applying ``updates`` one at a time would raise first: an
+    :class:`~repro.runtime.entries.EntryError` for a malformed entry, a
+    key's double insert or a modify or delete of a dead key, or an
+    oversized value set, and the model's error for an unknown table or
+    value set.
     """
-
-    update: object  # Update | ValueSetUpdate
-    anchor: int
-    sources: tuple
-    key: object = None
-
-
-@dataclass
-class CoalesceResult:
-    ops: list  # CoalescedOps, sorted by anchor
-    input_count: int
-    # Every input update with its match key (None for a value set), in
-    # input order — the folded-away ones included.
-    keyed: list = field(default_factory=list)
-
-    @property
-    def output_count(self) -> int:
-        return len(self.ops)
-
-    @property
-    def folded_count(self) -> int:
-        """Input updates that no longer appear as their own net op."""
-        return self.input_count - len(self.ops)
-
-
-class _Slot:
-    """Per-(table, key) fold state: at most one net delete + one upsert."""
-
-    __slots__ = ("live", "ever_touched", "delete", "upsert")
-
-    def __init__(self) -> None:
-        self.live: Optional[bool] = None  # None until the first op
-        self.ever_touched = False
-        self.delete = None  # (anchor, entry, sources)
-        self.upsert = None  # (op, anchor, entry, sources)
-
-
-def coalesce(
-    updates: list,
-    resolve_table: Optional[Callable[[str], str]] = None,
-    resolve_value_set: Optional[Callable[[str], str]] = None,
-) -> CoalesceResult:
-    """Fold a burst into its net updates (see the module docstring).
-
-    Within-batch-inconsistent sequences (insert of a live key, modify or
-    delete of a key the batch already deleted) raise :class:`EntryError`
-    up front — exactly the sequences sequential application would reject —
-    before any state is touched.  Validity that depends on pre-batch state
-    (e.g. the first delete of a key) or on an entry's schema is the
-    caller's half of all-or-nothing: :func:`schedule_batch` runs every
-    input update, with the match keys computed here, through
-    ``ControlPlaneState.check`` before it commits the first net op.  The
-    updates the fold drops — an insert and its delete, an overwritten
-    modify — are checked too, so a burst fails exactly when sequential
-    application would.
-    """
-    table_of = resolve_table if resolve_table is not None else lambda name: name
-    vs_of = resolve_value_set if resolve_value_set is not None else lambda name: name
-    slots: dict[tuple, _Slot] = {}
-    value_sets: dict[str, list] = {}  # name -> [anchor, values, sources]
-    keyed: list = []
+    # Per touched table, one cell [TableState, component root, net ops,
+    # net inserts], reached by every name the burst gives the table.
+    cells: dict = {}  # qualified table name → cell
+    by_name: dict = {}  # submitted table name → cell
+    # (TableState, key) → [live, anchor of the pending insert or modify, or -1]
+    slots: dict = {}
+    value_sets: dict = {}  # value-set name → anchor
+    net: list = [None] * len(updates)  # anchor → net (update, key)
     for index, update in enumerate(updates):
         if isinstance(update, ValueSetUpdate):
-            keyed.append((update, None))
-            name = vs_of(update.value_set)
-            slot = value_sets.get(name)
-            if slot is None:
-                value_sets[name] = [index, update.values, [index]]
-            else:
-                slot[1] = update.values  # last write wins
-                slot[2].append(index)
+            name = state.check_value_set_size(update).name
+            anchor = value_sets.setdefault(name, index)
+            net[anchor] = (update, None)  # last write wins, first anchor
             continue
-        table = table_of(update.table)
-        key = (table, update.entry.match_key())
-        keyed.append((update, key[1]))
-        slot = slots.setdefault(key, _Slot())
-        if update.op == INSERT:
-            if slot.live:
-                raise EntryError(
-                    f"batch inserts {table} key {key[1]} twice without a delete"
-                )
-            slot.live = True
-            slot.upsert = (INSERT, index, update.entry, [index])
-        elif update.op == MODIFY:
-            if slot.live is False or (slot.live is None and slot.ever_touched):
-                raise EntryError(
-                    f"batch modifies {table} key {key[1]} after deleting it"
-                )
-            if slot.upsert is not None:
-                op, anchor, _, sources = slot.upsert
-                slot.upsert = (op, anchor, update.entry, sources + [index])
+        cell = by_name.get(update.table)
+        if cell is None:
+            table = state.table_state(update.table)
+            name = table.info.name
+            cell = cells.get(name)
+            if cell is None:
+                cell = cells[name] = [table, components[name], 0, 0]
+            by_name[update.table] = cell
+        table = cell[0]
+        entry = update.entry
+        key = entry.match_key()
+        slot = slots.get((table, key))
+        if slot is None:
+            slot = slots[(table, key)] = [key in table, -1]
+        op = update.op
+        slot[0] = table.check(op, entry, key, slot[0])
+        pending = slot[1]
+        if op == INSERT:
+            # The key was dead, so nothing is pending.
+            net[index] = (update, key)
+            slot[1] = index
+            cell[2] += 1
+            cell[3] += 1
+        elif op == MODIFY:
+            if pending < 0:
+                net[index] = (update, key)
+                slot[1] = index
+                cell[2] += 1
+            elif net[pending][0].op == INSERT:
+                net[pending] = (Update(update.table, INSERT, entry), key)
             else:
-                slot.upsert = (MODIFY, index, update.entry, [index])
-            slot.live = True
-        elif update.op == DELETE:
-            if slot.live is False:
-                raise EntryError(
-                    f"batch deletes {table} key {key[1]} twice"
-                )
-            if slot.upsert is not None and slot.upsert[0] == INSERT:
-                # insert-then-delete: the pair vanishes entirely.
-                slot.upsert = None
+                net[pending] = (update, key)
+        else:  # DELETE: the check let no other op through
+            if pending >= 0:
+                cancelled = net[pending][0].op == INSERT
+                net[pending] = None
+                slot[1] = -1
+                if cancelled:
+                    # The key was dead before its insert: the pair vanishes.
+                    cell[2] -= 1
+                    cell[3] -= 1
+                    continue
             else:
-                if slot.upsert is not None:  # a net modify, now deleted
-                    slot.upsert = None
-                slot.delete = (index, update.entry, [index])
-            slot.live = False
-        else:
-            raise EntryError(f"unknown update op {update.op!r}")
-        slot.ever_touched = True
-
-    ops: list[CoalescedOp] = []
-    for (table, key), slot in slots.items():
-        if slot.delete is not None:
-            anchor, entry, sources = slot.delete
-            ops.append(
-                CoalescedOp(Update(table, DELETE, entry), anchor, tuple(sources), key)
-            )
-        if slot.upsert is not None:
-            op, anchor, entry, sources = slot.upsert
-            ops.append(
-                CoalescedOp(Update(table, op, entry), anchor, tuple(sources), key)
-            )
-    for name, (anchor, values, sources) in value_sets.items():
-        ops.append(
-            CoalescedOp(ValueSetUpdate(name, tuple(values)), anchor, tuple(sources))
-        )
-    ops.sort(key=lambda op: op.anchor)
-    return CoalesceResult(ops=ops, input_count=len(updates), keyed=keyed)
+                cell[2] += 1
+            net[index] = (update, key)
+    ops = [op for op in net if op is not None]
+    roots = {components[name] for name in value_sets}
+    roots.update(cell[1] for cell in cells.values() if cell[2])
+    inserts = {cell[0]: cell[3] for cell in cells.values() if cell[3]}
+    return ops, len(roots), inserts
 
 
 # ---------------------------------------------------------------------------
@@ -244,40 +192,6 @@ def conflict_components(model) -> dict[str, str]:
     return {name: find(name) for name, _info in infos}
 
 
-@dataclass
-class ConflictGroup:
-    """Net updates that taint no program point another group's do."""
-
-    ops: list  # CoalescedOps, anchor order
-    tables: list  # sorted touched table names
-    value_sets: list  # sorted touched value-set names
-
-
-def partition(ctx: EngineContext, coalesced: CoalesceResult) -> list:
-    """Split net updates into conflict groups, ordered by first input index."""
-    components = ctx.batch_components
-    if components is None:
-        components = ctx.batch_components = conflict_components(ctx.model)
-    model = ctx.model
-    buckets: dict[str, tuple] = {}  # component root → (ops, tables, value sets)
-    for op in coalesced.ops:
-        update = op.update
-        is_value_set = isinstance(update, ValueSetUpdate)
-        if is_value_set:
-            name = model.value_set(update.value_set).name
-        else:
-            name = model.table(update.table).name
-        bucket = buckets.get(components[name])
-        if bucket is None:
-            bucket = buckets[components[name]] = ([], set(), set())
-        bucket[0].append(op)
-        bucket[2 if is_value_set else 1].add(name)
-    return [
-        ConflictGroup(ops, sorted(tables), sorted(value_sets))
-        for ops, tables, value_sets in buckets.values()
-    ]
-
-
 # ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
@@ -287,22 +201,22 @@ def schedule_batch(ctx: EngineContext, passes) -> Decision:
     """Decide the burst ``ctx.warm.update`` (a list) through ``passes``,
     the engine's warm :class:`~repro.engine.passes.PassManager`.
 
-    Coalesces and partitions the burst, checks every input update, and
-    hands the net updates to the passes as ``ctx.warm.ops``.
+    Coalesces and checks the burst in one pass, lets each table the burst
+    inserts into drop its cached active list where one rebuild on its
+    first read costs less than splicing every insert
+    (:meth:`~repro.runtime.semantics.TableState.defer_active`), and hands
+    the net updates to the passes as ``ctx.warm.ops``.
     """
     start = time.perf_counter()
     warm = ctx.warm
     updates = warm.update
-    model = ctx.model
-    coalesced = coalesce(
-        updates,
-        resolve_table=lambda name: model.table(name).name,
-        resolve_value_set=lambda name: model.value_set(name).name,
-    )
-    groups = partition(ctx, coalesced)
-    # A valid input stream makes its net ops valid.
-    ctx.state.check(coalesced.keyed)
-    warm.ops = [(op.update, op.key) for op in coalesced.ops]
+    components = ctx.batch_components
+    if components is None:
+        components = ctx.batch_components = conflict_components(ctx.model)
+    warm.ops, group_count, inserts = coalesce(ctx.state, updates, components)
+    threshold = ctx.options.overapprox_threshold
+    for table, count in inserts.items():
+        table.defer_active(count, threshold)
     passes.run(ctx)
     return Decision(
         warm.recompiled,
@@ -314,8 +228,8 @@ def schedule_batch(ctx: EngineContext, passes) -> Decision:
         compile_report=warm.compile_report,
         lowered=warm.lowered,
         update_count=len(updates),
-        coalesced_count=coalesced.output_count,
-        group_count=len(groups),
+        coalesced_count=len(warm.ops),
+        group_count=group_count,
         burst=True,
     )
 
@@ -341,18 +255,20 @@ class WorkerSlice:
         """Inert (see the class docstring)."""
 
 
-def run_group(ctx: EngineContext, group: ConflictGroup, piece: WorkerSlice) -> None:
+def partition(*args) -> None:
+    """No code calls this: :func:`coalesce` counts the conflict groups.
+    It stays only because ``benchmarks/e2e/harness/tracing.py``
+    ``WRAP_POINTS`` names it, and ROADMAP item 20(b) deletes it."""
+
+
+def run_group(*args) -> None:
     """No code calls this; it stays only because
     ``benchmarks/e2e/harness/tracing.py`` ``WRAP_POINTS`` names it, and
     ROADMAP item 20(b) deletes it."""
 
 
 __all__ = [
-    "CoalesceResult",
-    "CoalescedOp",
-    "ConflictGroup",
     "coalesce",
     "conflict_components",
-    "partition",
     "schedule_batch",
 ]

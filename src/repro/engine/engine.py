@@ -132,9 +132,9 @@ class Engine:
         A single :class:`~repro.runtime.semantics.Update` or
         :class:`~repro.runtime.semantics.ValueSetUpdate` runs the warm
         passes (aiming for the paper's ~100 ms budget).  A list or tuple
-        is a burst: the scheduler coalesces it, counts its conflict groups
-        and checks every update, then the same warm passes run over its net
-        updates, so it respecializes at most once.  The input's type picks
+        is a burst: the scheduler checks every update, coalesces the burst
+        and counts its conflict groups in one pass, then the same warm
+        passes run over its net updates, so it respecializes at most once.  The input's type picks
         the record's burst fields, not its length, so a one-update list is
         a burst.  Either way changed points are reported before changed
         tables, and forwarded updates reach the device in the order they

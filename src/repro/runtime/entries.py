@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from repro.analysis.model import TableInfo
 from repro.errors import FlayError, STAGE_RUNTIME
@@ -103,51 +103,90 @@ class TableEntry:
         P4Runtime keys entries by their match fields (and priority for
         ternary); the action is payload.
         """
-        return (tuple(m.key() for m in self.matches), self.priority)
+        return (tuple([match.key() for match in self.matches]), self.priority)
 
 
-def validate_entry(info: TableInfo, entry: TableEntry) -> None:
-    """Check an entry against the table's schema; raises :class:`EntryError`."""
-    if len(entry.matches) != len(info.keys):
-        raise EntryError(
-            f"table {info.name} has {len(info.keys)} keys, "
-            f"entry has {len(entry.matches)}"
+#: Match kinds an exact match may target (a full-width ternary or lpm).
+_EXACT_KINDS = frozenset(("exact", "ternary", "lpm"))
+
+
+class EntrySchema:
+    """One table's entry schema, compiled from its :class:`TableInfo` once.
+
+    ``keys`` holds, per table key, its value limit (``1 << width``), its
+    width, its match kind and whether an exact match may target it;
+    ``actions`` maps each action to its ``(name, width, limit)`` per
+    parameter.  :func:`validate_entry` reads nothing else, so a check is
+    one pass over the entry's matches and arguments.
+    """
+
+    __slots__ = ("table", "keys", "actions")
+
+    def __init__(self, info: TableInfo) -> None:
+        self.table = info.name
+        self.keys = tuple(
+            (1 << key.width, key.width, key.match_kind, key.match_kind in _EXACT_KINDS)
+            for key in info.keys
         )
-    for match, key in zip(entry.matches, info.keys):
-        limit = 1 << key.width
-        if isinstance(match, ExactMatch):
-            if key.match_kind not in ("exact", "ternary", "lpm"):
-                raise EntryError(f"exact match on {key.match_kind} key")
+        self.actions = {
+            action: tuple(
+                (param.name, param.width, 1 << param.width)
+                for param in info.action_params.get(action, [])
+            )
+            for action in info.action_codes
+        }
+
+
+def validate_entry(
+    info: TableInfo, entry: TableEntry, schema: Optional[EntrySchema] = None
+) -> None:
+    """Check an entry against the table's schema; raises :class:`EntryError`.
+
+    ``schema`` is the table's compiled :class:`EntrySchema` (compiled from
+    ``info`` here when omitted).  Matches are dispatched on their exact
+    class.
+    """
+    if schema is None:
+        schema = EntrySchema(info)
+    keys = schema.keys
+    matches = entry.matches
+    if len(matches) != len(keys):
+        raise EntryError(
+            f"table {schema.table} has {len(keys)} keys, entry has {len(matches)}"
+        )
+    ternary = False
+    for match, (limit, width, kind, exact_ok) in zip(matches, keys):
+        cls = match.__class__
+        if cls is ExactMatch:
+            if not exact_ok:
+                raise EntryError(f"exact match on {kind} key")
             if not 0 <= match.value < limit:
-                raise EntryError(f"value {match.value:#x} out of range for {key.width} bits")
-        elif isinstance(match, TernaryMatch):
-            if key.match_kind != "ternary":
-                raise EntryError(f"ternary match on {key.match_kind} key")
+                raise EntryError(f"value {match.value:#x} out of range for {width} bits")
+        elif cls is TernaryMatch:
+            if kind != "ternary":
+                raise EntryError(f"ternary match on {kind} key")
             if not 0 <= match.value < limit or not 0 <= match.mask < limit:
                 raise EntryError("ternary value/mask out of range")
-        elif isinstance(match, LpmMatch):
-            if key.match_kind != "lpm":
-                raise EntryError(f"lpm match on {key.match_kind} key")
-            if not 0 <= match.prefix_len <= key.width:
+            ternary = True
+        elif cls is LpmMatch:
+            if kind != "lpm":
+                raise EntryError(f"lpm match on {kind} key")
+            if not 0 <= match.prefix_len <= width:
                 raise EntryError(f"prefix length {match.prefix_len} out of range")
             if not 0 <= match.value < limit:
                 raise EntryError("lpm value out of range")
         else:
             raise EntryError(f"unknown match type {match!r}")
-    if entry.action not in info.action_codes:
-        raise EntryError(f"table {info.name} has no action {entry.action!r}")
-    params = info.action_params.get(entry.action, [])
-    if len(entry.args) != len(params):
+    params = schema.actions.get(entry.action)
+    if params is None:
+        raise EntryError(f"table {schema.table} has no action {entry.action!r}")
+    args = entry.args
+    if len(args) != len(params):
         raise EntryError(
-            f"action {entry.action!r} takes {len(params)} args, got {len(entry.args)}"
+            f"action {entry.action!r} takes {len(params)} args, got {len(args)}"
         )
-    for value, param in zip(entry.args, params):
-        if not 0 <= value < (1 << param.width):
-            raise EntryError(
-                f"arg {param.name}={value:#x} out of range for {param.width} bits"
-            )
-    needs_priority = any(
-        isinstance(m, TernaryMatch) for m in entry.matches
-    )
-    if needs_priority and entry.priority < 0:
+    for value, (name, width, limit) in zip(args, params):
+        if not 0 <= value < limit:
+            raise EntryError(f"arg {name}={value:#x} out of range for {width} bits")
+    if ternary and entry.priority < 0:
         raise EntryError("ternary entries need a non-negative priority")

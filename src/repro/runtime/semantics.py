@@ -24,6 +24,7 @@ from repro.analysis.model import DataPlaneModel, TableInfo, ValueSetInfo
 from repro.ir.metrics import CacheCounter
 from repro.runtime.entries import (
     EntryError,
+    EntrySchema,
     ExactMatch,
     LpmMatch,
     Match,
@@ -83,11 +84,19 @@ class TableState:
     recompute; everything else keeps the cache.  The splice is exact
     because covering is transitive: when the new entry evicts a
     previously-active entry, every entry that old eclipser was hiding is
-    hidden by the new entry too.
+    hidden by the new entry too.  A burst that inserts at least as many
+    rows as the list holds, or may take the table past the
+    overapproximation threshold, drops the list first
+    (:meth:`defer_active`): it is rebuilt once, on its next read, and an
+    overapproximated table's never is.
+
+    The table's :class:`~repro.runtime.entries.EntrySchema` is compiled
+    once, here, for :meth:`check`.
     """
 
     def __init__(self, info: TableInfo, counter: Optional[CacheCounter] = None) -> None:
         self.info = info
+        self.schema = EntrySchema(info)
         self.counter = counter if counter is not None else CacheCounter("active-entries")
         self._widths = info.key_widths()
         # Bit offset of each key inside the packed key integer.
@@ -117,6 +126,10 @@ class TableState:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def __contains__(self, key) -> bool:
+        """Is an entry with match key ``key`` installed?"""
+        return key in self._rows
+
     def revision(self) -> int:
         return self._revision
 
@@ -137,11 +150,22 @@ class TableState:
         return [row[0] for row in self._rows.values()]
 
     def pack_entry(self, entry: TableEntry) -> tuple[int, int]:
-        """The entry's whole match as one normalised ``(value, mask)``."""
+        """The entry's whole match as one normalised ``(value, mask)``
+        (:func:`~repro.runtime.entries.as_value_mask` per key, inlined)."""
         value = mask = 0
         for match, width, shift in zip(entry.matches, self._widths, self._shifts):
-            key_value, key_mask = as_value_mask(match, width)
-            value |= (key_value & key_mask) << shift
+            cls = match.__class__
+            if cls is ExactMatch:
+                key_mask = (1 << width) - 1
+                key_value = match.value & key_mask
+            elif cls is LpmMatch:
+                plen = match.prefix_len
+                key_mask = ((1 << plen) - 1) << (width - plen) if plen else 0
+                key_value = match.value & key_mask
+            else:
+                key_value, key_mask = as_value_mask(match, width)
+                key_value &= key_mask
+            value |= key_value << shift
             mask |= key_mask << shift
         return value, mask
 
@@ -169,7 +193,7 @@ class TableState:
         raise :class:`EntryError`.  Returns whether the key is live after
         the op.
         """
-        validate_entry(self.info, entry)
+        validate_entry(self.info, entry, self.schema)
         if op == INSERT:
             if live:
                 raise EntryError(f"duplicate entry in {self.info.name}: {key}")
@@ -238,9 +262,16 @@ class TableState:
     # -- ordering & eclipse ----------------------------------------------------
 
     def _count_entry(self, entry: TableEntry, delta: int) -> None:
-        if any(isinstance(m, TernaryMatch) for m in entry.matches):
+        ternary = lpm = False
+        for match in entry.matches:
+            cls = match.__class__
+            if cls is TernaryMatch:
+                ternary = True
+            elif cls is LpmMatch:
+                lpm = True
+        if ternary:
             self._n_ternary += delta
-        if any(isinstance(m, LpmMatch) for m in entry.matches):
+        if lpm:
             self._n_lpm += delta
 
     def _mode(self) -> str:
@@ -249,6 +280,20 @@ class TableState:
         if self._n_lpm:
             return "lpm"
         return "exact"
+
+    def defer_active(self, inserts: int, threshold: Optional[int]) -> None:
+        """Before a burst commits ``inserts`` INSERTs into this table, drop
+        the cached active list if splicing each of them would cost more
+        than rebuilding it once on its next read: the table may end past
+        the overapproximation ``threshold`` (the encoder never reads its
+        list then), or the burst inserts at least as many rows as the list
+        holds.  Otherwise each insert keeps its O(n) splice."""
+        active = self._active
+        if active is not None and (
+            inserts >= len(active)
+            or (threshold is not None and len(self._rows) + inserts > threshold)
+        ):
+            self._invalidate_active()
 
     def _invalidate_active(self) -> None:
         if self._active is not None:
@@ -327,10 +372,16 @@ class TableState:
             self.counter.hit()
             return active
         self.counter.miss()
-        covers = self._covers
-        active = []
+        active: list = []
         for row in self._ordered_rows():
-            if not any(covers(prev, row) for prev in active):
+            # :meth:`_covers` against every active row before it, inlined:
+            # a rebuild makes up to n²/2 of these comparisons.
+            _, value, mask = row
+            free = ~mask
+            for _, active_value, active_mask in active:
+                if not active_mask & free and value & active_mask == active_value:
+                    break
+            else:
                 active.append(row)
         self._active = active
         return active
@@ -386,7 +437,7 @@ class ControlPlaneState:
         checked = []
         for update, key in keyed:
             if isinstance(update, ValueSetUpdate):
-                self._check_value_set_size(update)
+                self.check_value_set_size(update)
             else:
                 state = self.table_state(update.table)
                 slot = (state.info.name, key)
@@ -423,7 +474,7 @@ class ControlPlaneState:
         op = INSERT if update.op == DELETE else MODIFY
         return Update(update.table, op, prior), key
 
-    def _check_value_set_size(self, update: ValueSetUpdate) -> ValueSetInfo:
+    def check_value_set_size(self, update: ValueSetUpdate) -> ValueSetInfo:
         info = self.model.value_set(update.value_set)
         if len(update.values) > info.size:
             raise EntryError(
@@ -439,7 +490,7 @@ class ControlPlaneState:
         return state.info
 
     def apply_value_set_update(self, update: ValueSetUpdate) -> ValueSetInfo:
-        info = self._check_value_set_size(update)
+        info = self.check_value_set_size(update)
         self.value_sets[info.name] = tuple(update.values)
         self.update_count += 1
         return info

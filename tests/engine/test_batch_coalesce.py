@@ -1,18 +1,20 @@
-"""Property + handwritten tests for the batch coalescer.
+"""Property + handwritten tests for the burst's one fold-and-check pass.
 
-The coalescer's contract: replaying the *coalesced* stream against any
-pre-batch control-plane state yields exactly the same final state — same
+The coalescer's contract: replaying the *coalesced* stream against the
+pre-burst control-plane state yields exactly the same final state — same
 entries, same dict insertion order (which exact-match precedence depends
 on), same eclipse-elided active lists — as replaying the original stream,
-while within-batch-inconsistent streams raise :class:`EntryError` up
-front.
+and a stream that applying it one update at a time would reject raises
+:class:`EntryError` before anything commits.  Its net ops, their order
+and its counts equal the former two-pass fold's
+(:mod:`tests.engine.batch_reference`).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze
-from repro.engine.batch import coalesce
+from repro.engine.batch import coalesce, conflict_components
 from repro.p4.parser import parse_program
 from repro.runtime.entries import EntryError, ExactMatch, TableEntry, TernaryMatch
 from repro.runtime.fuzzer import EntryFuzzer
@@ -24,13 +26,18 @@ from repro.runtime.semantics import (
     Update,
     ValueSetUpdate,
 )
+from tests.engine.batch_reference import reference_group_count, resolved_coalesce
 
 SOURCE = """
-header h_t { bit<8> f; bit<8> g; }
+header h_t { bit<8> f; bit<8> g; bit<16> tag; }
 struct headers_t { h_t h; }
 struct meta_t { bit<8> m; }
 parser P(inout headers_t hdr, inout meta_t meta) {
-    state start { pkt_extract(hdr.h); transition accept; }
+    value_set<bit<16>>(2) vs;
+    state start {
+        pkt_extract(hdr.h);
+        transition select(hdr.h.tag) { vs: accept; default: accept; }
+    }
 }
 control C(inout headers_t hdr, inout meta_t meta) {
     action set(bit<8> v) { meta.m = v; }
@@ -64,12 +71,26 @@ def flat(value, action="set", args=(1,)):
     return TableEntry((ExactMatch(value),), action, args, 0)
 
 
+def state_with(model, installed=()):
+    state = ControlPlaneState(model)
+    for update in installed:
+        state.apply_update(update)
+    return state
+
+
+def fold(model, batch, installed=()):
+    """``coalesce`` of ``batch`` against a state holding ``installed``."""
+    return coalesce(state_with(model, installed), batch, conflict_components(model))
+
+
+def net_updates(model, batch, installed=()):
+    return [update for update, _ in fold(model, batch, installed)[0]]
+
+
 def replay(model, state_updates, batch):
     """Final state after ``state_updates`` then ``batch``, table by table."""
     state = ControlPlaneState(model)
-    for update in state_updates:
-        state.apply_update(update)
-    for update in batch:
+    for update in list(state_updates) + list(batch):
         if isinstance(update, ValueSetUpdate):
             state.apply_value_set_update(update)
         else:
@@ -77,75 +98,76 @@ def replay(model, state_updates, batch):
     return {
         name: (table.entries(), table.active_entries())
         for name, table in state.tables.items()
-    }
+    }, state.value_sets
+
+
+def comparable(model, update):
+    """An update as (kind, qualified name, payload), whatever it was named."""
+    if isinstance(update, ValueSetUpdate):
+        return ("value-set", model.value_set(update.value_set).name, tuple(update.values))
+    return (update.op, model.table(update.table).name, update.entry)
 
 
 class TestFolds:
-    def test_insert_then_delete_vanishes(self):
+    def test_insert_then_delete_vanishes(self, model):
         entry = tern(1)
-        result = coalesce(
-            [Update("t", INSERT, entry), Update("t", DELETE, entry)]
-        )
-        assert result.ops == []
-        assert result.folded_count == 2
+        batch = [Update("tern", INSERT, entry), Update("tern", DELETE, entry)]
+        ops, groups, inserts = fold(model, batch)
+        assert ops == []
+        assert len(batch) - len(ops) == 2  # both folded
+        assert groups == 0 and inserts == {}
 
-    def test_modify_after_insert_collapses_into_insert(self):
+    def test_modify_after_insert_collapses_into_insert(self, model):
         first, second = tern(1, args=(1,)), tern(1, args=(9,))
-        result = coalesce(
-            [Update("t", INSERT, first), Update("t", MODIFY, second)]
-        )
-        (op,) = result.ops
-        assert op.update.op == INSERT
-        assert op.update.entry is second
-        assert op.anchor == 0  # precedence position of the original insert
-        assert op.sources == (0, 1)
+        other = tern(2)
+        batch = [
+            Update("tern", INSERT, first),
+            Update("tern", INSERT, other),
+            Update("tern", MODIFY, second),
+        ]
+        collapsed, kept = net_updates(model, batch)
+        assert collapsed.op == INSERT
+        assert collapsed.entry is second
+        # At the precedence position of the original insert.
+        assert kept is batch[1]
 
-    def test_repeated_modify_keeps_last_write(self):
+    def test_repeated_modify_keeps_last_write(self, model):
         versions = [tern(1, args=(v,)) for v in (1, 2, 3)]
-        result = coalesce([Update("t", MODIFY, v) for v in versions])
-        (op,) = result.ops
-        assert op.update.op == MODIFY
-        assert op.update.entry is versions[-1]
+        batch = [Update("tern", MODIFY, v) for v in versions]
+        (update,) = net_updates(model, batch, [Update("tern", INSERT, tern(1))])
+        assert update.op == MODIFY
+        assert update is batch[-1]  # the submitted update itself
 
-    def test_modify_then_delete_folds_to_delete(self):
-        result = coalesce(
-            [Update("t", MODIFY, tern(1, args=(5,))), Update("t", DELETE, tern(1))]
-        )
-        (op,) = result.ops
-        assert op.update.op == DELETE
+    def test_modify_then_delete_folds_to_delete(self, model):
+        batch = [Update("tern", MODIFY, tern(1, args=(5,))), Update("tern", DELETE, tern(1))]
+        (update,) = net_updates(model, batch, [Update("tern", INSERT, tern(1))])
+        assert update.op == DELETE
 
-    def test_delete_then_reinsert_emits_both_in_order(self):
-        result = coalesce(
-            [Update("t", DELETE, tern(1)), Update("t", INSERT, tern(1, args=(7,)))]
-        )
-        assert [op.update.op for op in result.ops] == [DELETE, INSERT]
+    def test_delete_then_reinsert_emits_both_in_order(self, model):
+        batch = [Update("tern", DELETE, tern(1)), Update("tern", INSERT, tern(1, args=(7,)))]
+        updates = net_updates(model, batch, [Update("tern", INSERT, tern(1))])
+        assert [update.op for update in updates] == [DELETE, INSERT]
 
-    def test_survivors_keep_relative_input_order(self):
+    def test_survivors_keep_relative_input_order(self, model):
         a, b, c = tern(1), tern(2), tern(3)
-        result = coalesce(
-            [
-                Update("t", INSERT, a),
-                Update("t", INSERT, b),
-                Update("t", DELETE, a),  # cancels the first insert
-                Update("t", INSERT, c),
-            ]
-        )
-        assert [op.update.entry for op in result.ops] == [b, c]
-        assert [op.anchor for op in result.ops] == [1, 3]
+        batch = [
+            Update("tern", INSERT, a),
+            Update("tern", INSERT, b),
+            Update("tern", DELETE, a),  # cancels the first insert
+            Update("tern", INSERT, c),
+        ]
+        assert net_updates(model, batch) == [batch[1], batch[3]]
 
-    def test_value_set_last_write_wins(self):
-        result = coalesce(
-            [
-                ValueSetUpdate("vs", (1, 2)),
-                Update("t", INSERT, tern(1)),
-                ValueSetUpdate("vs", (9,)),
-            ]
-        )
-        vs_ops = [op for op in result.ops if isinstance(op.update, ValueSetUpdate)]
-        (op,) = vs_ops
-        assert op.update.values == (9,)
-        assert op.anchor == 0  # anchored where the set was first reconfigured
-        assert op.sources == (0, 2)
+    def test_value_set_last_write_wins(self, model):
+        batch = [
+            ValueSetUpdate("vs", (1, 2)),
+            Update("tern", INSERT, tern(1)),
+            ValueSetUpdate("vs", (9,)),
+        ]
+        first, second = net_updates(model, batch)
+        # Anchored where the set was first reconfigured, with the last write.
+        assert first is batch[2]
+        assert second is batch[1]
 
     def test_priority_tie_preserves_insertion_order(self, model):
         # Two ternary entries with equal priority: precedence falls back to
@@ -159,63 +181,97 @@ class TestFolds:
             Update("tern", INSERT, b),
             Update("tern", DELETE, scratch),
         ]
-        result = coalesce(batch)
-        assert replay(model, [], [op.update for op in result.ops]) == replay(
-            model, [], batch
-        )
+        assert replay(model, [], net_updates(model, batch)) == replay(model, [], batch)
 
     def test_alias_resolution_folds_across_names(self, model):
         entry = flat(4)
-        result = coalesce(
-            [Update("flat", INSERT, entry), Update("C.flat", DELETE, entry)],
-            resolve_table=lambda name: model.table(name).name,
+        ops, groups, _ = fold(
+            model, [Update("flat", INSERT, entry), Update("C.flat", DELETE, entry)]
         )
-        assert result.ops == []
+        assert ops == [] and groups == 0
 
 
 class TestInvalidStreams:
-    def test_double_insert_raises(self):
+    def test_double_insert_raises(self, model):
         entry = tern(1)
         with pytest.raises(EntryError):
-            coalesce([Update("t", INSERT, entry), Update("t", INSERT, entry)])
+            fold(model, [Update("tern", INSERT, entry), Update("tern", INSERT, entry)])
 
-    def test_modify_after_delete_raises(self):
+    def test_modify_after_delete_raises(self, model):
         with pytest.raises(EntryError):
-            coalesce(
-                [Update("t", DELETE, tern(1)), Update("t", MODIFY, tern(1))]
+            fold(
+                model,
+                [Update("tern", DELETE, tern(1)), Update("tern", MODIFY, tern(1))],
+                [Update("tern", INSERT, tern(1))],
             )
 
-    def test_delete_after_delete_raises(self):
+    def test_delete_after_delete_raises(self, model):
         with pytest.raises(EntryError):
-            coalesce(
-                [Update("t", DELETE, tern(1)), Update("t", DELETE, tern(1))]
+            fold(
+                model,
+                [Update("tern", DELETE, tern(1)), Update("tern", DELETE, tern(1))],
+                [Update("tern", INSERT, tern(1))],
             )
 
-    def test_modify_after_cancelled_insert_raises(self):
-        # insert+delete proves the key was dead before the batch, so a
-        # later modify can never be valid — caught at coalesce time, just
-        # like sequential application would catch it at apply time.
+    def test_modify_after_cancelled_insert_raises(self, model):
+        # insert+delete proves the key dead, so a later modify can never be
+        # valid — caught by the fold, as sequential application would
+        # catch it at apply time.
         entry = tern(1)
         with pytest.raises(EntryError):
-            coalesce(
+            fold(
+                model,
                 [
-                    Update("t", INSERT, entry),
-                    Update("t", DELETE, entry),
-                    Update("t", MODIFY, tern(1, args=(2,))),
-                ]
+                    Update("tern", INSERT, entry),
+                    Update("tern", DELETE, entry),
+                    Update("tern", MODIFY, tern(1, args=(2,))),
+                ],
             )
 
-    def test_validation_is_all_or_nothing(self):
-        # The invalid op sits at the end; coalesce must raise without
-        # having leaked any of the earlier (valid) folds to the caller.
+    def test_validation_is_all_or_nothing(self, model):
+        # The invalid op sits at the end; the fold raises without having
+        # touched the state it checked against.
+        state = state_with(model, [Update("flat", INSERT, flat(9))])
+        before = {
+            name: (table.entries(), table.revision())
+            for name, table in state.tables.items()
+        }
         with pytest.raises(EntryError):
             coalesce(
+                state,
                 [
-                    Update("t", INSERT, tern(1)),
-                    Update("t", INSERT, tern(2)),
-                    Update("t", INSERT, tern(2)),  # duplicate
-                ]
+                    Update("tern", INSERT, tern(1)),
+                    Update("tern", INSERT, tern(2)),
+                    Update("tern", INSERT, tern(2)),  # duplicate
+                ],
+                conflict_components(model),
             )
+        assert {
+            name: (table.entries(), table.revision())
+            for name, table in state.tables.items()
+        } == before
+
+
+def fuzzed_batch(model, seed, prefix, modify_fraction, delete_fraction, count=60):
+    """A fuzzed stream split into pre-burst state and burst, its table
+    names spelled both ways and two value-set writes mixed in."""
+    fuzzer = EntryFuzzer(model, seed=seed)
+    stream = fuzzer.update_stream(
+        tables=["tern", "flat"],
+        count=count,
+        modify_fraction=modify_fraction,
+        delete_fraction=delete_fraction,
+    )
+    pre, batch = stream[:prefix], stream[prefix:]
+    batch = [
+        Update(model.table(update.table).local_name, update.op, update.entry)
+        if index % 3 == 0
+        else update
+        for index, update in enumerate(batch)
+    ]
+    batch.insert(len(batch) // 3, ValueSetUpdate("vs", (seed % 7,)))
+    batch.insert(2 * len(batch) // 3, ValueSetUpdate(model.value_set("vs").name, ()))
+    return pre, batch
 
 
 class TestReplayEquivalence:
@@ -230,26 +286,47 @@ class TestReplayEquivalence:
         self, model, seed, prefix, modify_fraction, delete_fraction
     ):
         """Replaying net ops == replaying the full stream, for any split of
-        a fuzzed stream into pre-batch state and batch."""
-        fuzzer = EntryFuzzer(model, seed=seed)
-        stream = fuzzer.update_stream(
-            tables=["tern", "flat"],
-            count=60,
-            modify_fraction=modify_fraction,
-            delete_fraction=delete_fraction,
-        )
-        pre, batch = stream[:prefix], stream[prefix:]
-        result = coalesce(batch)
-        assert result.output_count <= result.input_count
-        net = [op.update for op in result.ops]
+        a fuzzed stream into pre-burst state and burst."""
+        pre, batch = fuzzed_batch(model, seed, prefix, modify_fraction, delete_fraction)
+        net = net_updates(model, batch, pre)
+        assert len(net) <= len(batch)
         assert replay(model, pre, net) == replay(model, pre, batch)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_anchor_order_is_strictly_increasing(self, model, seed):
-        fuzzer = EntryFuzzer(model, seed=seed)
-        stream = fuzzer.update_stream(tables=["tern", "flat"], count=40)
-        result = coalesce(stream)
-        anchors = [op.anchor for op in result.ops]
+        """The net ops are the reference fold's, in its anchor order (the
+        input index of each op's first touch, strictly increasing)."""
+        pre, batch = fuzzed_batch(model, seed, 10, 0.2, 0.2, count=50)
+        reference = resolved_coalesce(model, batch)
+        anchors = [op.anchor for op in reference]
         assert anchors == sorted(anchors)
         assert len(set(anchors)) == len(anchors)
+        assert [comparable(model, u) for u in net_updates(model, batch, pre)] == [
+            comparable(model, op.update) for op in reference
+        ]
+
+
+class TestCountsMatchTheTwoPassFold:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        prefix=st.integers(min_value=0, max_value=30),
+        modify_fraction=st.floats(min_value=0.0, max_value=0.9),
+        delete_fraction=st.floats(min_value=0.0, max_value=0.9),
+    )
+    def test_net_op_and_group_counts(
+        self, model, seed, prefix, modify_fraction, delete_fraction
+    ):
+        pre, batch = fuzzed_batch(model, seed, prefix, modify_fraction, delete_fraction)
+        components = conflict_components(model)
+        ops, groups, inserts = fold(model, batch, pre)
+        reference = resolved_coalesce(model, batch)
+        assert len(ops) == len(reference)
+        assert groups == reference_group_count(model, components, reference)
+        # Net inserts per table, by the reference's count too.
+        expected: dict = {}
+        for op in reference:
+            if not isinstance(op.update, ValueSetUpdate) and op.update.op == INSERT:
+                expected[op.update.table] = expected.get(op.update.table, 0) + 1
+        assert {table.info.name: count for table, count in inserts.items()} == expected

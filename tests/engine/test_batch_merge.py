@@ -1,8 +1,8 @@
-"""Unit tests for the batch scheduler's partition and its shared caches.
+"""Unit tests for the batch scheduler's conflict groups and its shared caches.
 
 A burst runs the warm passes on the shared :class:`EngineContext`, so
 what it computes lands in the engine's own caches.  These tests pin the
-partition that gives the burst its ``group_count``, and the invariants of
+conflict components that give the burst its ``group_count``, and the invariants of
 those caches after a burst: substitution-memo entries stay keyed on
 interned terms and reachable along the parent edges, verdict caches stay
 the plain shared dicts, counters grow monotonically, and the engine is
@@ -12,7 +12,7 @@ indistinguishable from one that never batched at all.
 import pytest
 
 from repro.core import Flay, FlayOptions
-from repro.engine.batch import coalesce, conflict_components, partition
+from repro.engine.batch import coalesce, conflict_components
 from repro.ir.deps import build_dependency_graph
 from repro.p4.parser import parse_program
 from repro.p4.printer import print_program
@@ -82,8 +82,10 @@ def flay():
 class TestPartitionIndependence:
     def test_independent_tables_get_separate_groups(self, flay):
         batch = two_group_batch(flay)
-        groups = partition(flay.runtime.ctx, coalesce(batch))
-        assert {tuple(g.tables) for g in groups} == {("C.ta",), ("C.tb",)}
+        components = conflict_components(flay.model)
+        assert components["C.ta"] != components["C.tb"]
+        _, group_count, _ = coalesce(flay.runtime.state, batch, components)
+        assert group_count == 2
         assert flay.decide(batch).group_count == 2
 
     def test_components_are_cached_on_the_context(self, flay):
