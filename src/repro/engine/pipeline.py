@@ -357,10 +357,11 @@ class ApplyUpdatesPass:
         # The previous decision is done and this one has built nothing yet.
         ctx.term_factory.collect_if_due()
         warm = ctx.warm
-        if isinstance(warm.update, list):
+        update = warm.update
+        if isinstance(update, list):
             ops = warm.ops
         else:
-            ops = ctx.state.validate_updates((warm.update,))
+            ops = [(update, ctx.state.check(update))]
         commit_updates(ctx, warm, ops)
 
 

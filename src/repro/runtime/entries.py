@@ -58,11 +58,12 @@ Match = Union[ExactMatch, TernaryMatch, LpmMatch]
 def as_value_mask(match: Match, width: int) -> tuple[int, int]:
     """View any match as a (value, mask) pair at the given key width."""
     full = (1 << width) - 1
-    if isinstance(match, ExactMatch):
+    cls = match.__class__
+    if cls is ExactMatch:
         return match.value & full, full
-    if isinstance(match, TernaryMatch):
+    if cls is TernaryMatch:
         return match.value & full, match.mask & full
-    if isinstance(match, LpmMatch):
+    if cls is LpmMatch:
         mask = match.mask(width)
         return match.value & mask, mask
     raise EntryError(f"unknown match type {match!r}")

@@ -150,22 +150,11 @@ class TableState:
         return [row[0] for row in self._rows.values()]
 
     def pack_entry(self, entry: TableEntry) -> tuple[int, int]:
-        """The entry's whole match as one normalised ``(value, mask)``
-        (:func:`~repro.runtime.entries.as_value_mask` per key, inlined)."""
+        """The entry's whole match as one normalised ``(value, mask)``."""
         value = mask = 0
         for match, width, shift in zip(entry.matches, self._widths, self._shifts):
-            cls = match.__class__
-            if cls is ExactMatch:
-                key_mask = (1 << width) - 1
-                key_value = match.value & key_mask
-            elif cls is LpmMatch:
-                plen = match.prefix_len
-                key_mask = ((1 << plen) - 1) << (width - plen) if plen else 0
-                key_value = match.value & key_mask
-            else:
-                key_value, key_mask = as_value_mask(match, width)
-                key_value &= key_mask
-            value |= key_value << shift
+            key_value, key_mask = as_value_mask(match, width)
+            value |= (key_value & key_mask) << shift
             mask |= key_mask << shift
         return value, mask
 
@@ -411,46 +400,25 @@ class ControlPlaneState:
         state = self.tables.get(name)
         return state if state is not None else self.tables[self.model.table(name).name]
 
-    def validate_updates(self, updates: Iterable) -> list[tuple]:
-        """Raise what applying ``updates`` in order would raise, touching nothing.
-
-        Keys each entry once and runs :meth:`check`, which makes a batch
-        all-or-nothing; returns its ``(update, key)`` pairs for
-        :meth:`commit`, in order.
-        """
-        return self.check(
-            (update, None if isinstance(update, ValueSetUpdate) else update.entry.match_key())
-            for update in updates
-        )
-
-    def check(self, keyed: Iterable[tuple]) -> list[tuple]:
-        """:meth:`validate_updates` over ``(update, match key)`` pairs (the
-        key is ``None`` for a value-set update); returns the pairs.
-
-        The schema of every entry, the size of every value set, and the
-        liveness of every key — looked up in the installed entries the
-        first time the batch names it, tracked in an overlay from then on
-        — are checked before anything commits.  Cost is one key lookup
-        per update, no table copy.
-        """
-        live: dict[tuple, bool] = {}
-        checked = []
-        for update, key in keyed:
-            if isinstance(update, ValueSetUpdate):
-                self.check_value_set_size(update)
-            else:
-                state = self.table_state(update.table)
-                slot = (state.info.name, key)
-                is_live = live.get(slot)
-                if is_live is None:
-                    is_live = key in state._rows
-                live[slot] = state.check(update.op, update.entry, key, is_live)
-            checked.append((update, key))
-        return checked
+    def check(self, update) -> object:
+        """Raise what applying ``update`` now would raise, touching
+        nothing: a malformed entry, a key that is live for an INSERT or
+        dead for a MODIFY or DELETE, an oversized value set, an unknown
+        table or value set.  Returns the entry's match key (``None`` for
+        a value-set update), keyed once, for :meth:`commit`.  A burst is
+        checked update by update inside its fold
+        (:func:`repro.engine.batch.coalesce`)."""
+        if isinstance(update, ValueSetUpdate):
+            self.check_value_set_size(update)
+            return None
+        state = self.table_state(update.table)
+        key = update.entry.match_key()
+        state.check(update.op, update.entry, key, key in state._rows)
+        return key
 
     def commit(self, update, key) -> tuple:
-        """Apply one pair :meth:`check` returned, in its batch's order;
-        returns the table's or value set's info, and what the update
+        """Apply ``update``, checked with match key ``key``, in its
+        batch's order; returns the table's or value set's info, and what the update
         replaced: the old entry of a MODIFY or DELETE (None for an
         INSERT), or the value set's old values."""
         if isinstance(update, ValueSetUpdate):

@@ -330,3 +330,34 @@ class TestCountsMatchTheTwoPassFold:
             if not isinstance(op.update, ValueSetUpdate) and op.update.op == INSERT:
                 expected[op.update.table] = expected.get(op.update.table, 0) + 1
         assert {table.info.name: count for table, count in inserts.items()} == expected
+
+
+ZOO = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
+
+
+@pytest.fixture(scope="module")
+def zoo_models():
+    from repro.programs import registry
+
+    return {name: analyze(registry.load(name)) for name in ZOO}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    program=st.sampled_from(ZOO),
+    seed=st.integers(min_value=0, max_value=10_000),
+    prefix=st.integers(min_value=0, max_value=40),
+)
+def test_counts_match_the_two_pass_fold_on_the_zoo(zoo_models, program, seed, prefix):
+    """On random bursts over several of a zoo program's tables, the net op
+    and group counts equal the former coalesce + partition's."""
+    model = zoo_models[program]
+    fuzzer = EntryFuzzer(model, seed=seed)
+    tables = fuzzer.rng.sample(sorted(model.tables), min(4, len(model.tables)))
+    stream = fuzzer.update_stream(tables=tables, count=80, modify_fraction=0.3, delete_fraction=0.3)
+    pre, batch = stream[:prefix], stream[prefix:]
+    components = conflict_components(model)
+    ops, groups, _ = fold(model, batch, pre)
+    reference = resolved_coalesce(model, batch)
+    assert len(ops) == len(reference)
+    assert groups == reference_group_count(model, components, reference)

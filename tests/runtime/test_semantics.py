@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze
+from repro.engine.batch import coalesce, conflict_components
 from repro.p4.parser import parse_program
 from repro.runtime.entries import (
     EntryError,
@@ -113,6 +114,9 @@ _OPS = st.tuples(
 
 
 class TestValidateUpdates:
+    """A burst's one fold-and-check pass, and a single update's check,
+    reject exactly what applying the updates in order rejects."""
+
     @given(installed=st.sets(st.integers(0, 3)), ops=st.lists(_OPS, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_raises_iff_applying_in_order_would(self, installed, ops):
@@ -125,24 +129,34 @@ class TestValidateUpdates:
         ]
         before = (state.table_state("tern").entries(), state.update_count)
         try:
-            state.validate_updates(updates)
+            coalesce(state, updates, conflict_components(_SHARED_MODEL))
             valid = True
         except EntryError:
             valid = False
         assert (state.table_state("tern").entries(), state.update_count) == before
         try:
             for update in updates:
-                state.apply_update(update)
+                key = state.check(update)
+                assert (state.table_state("tern").entries(), state.update_count) == before
+                state.commit(update, key)
+                before = (state.table_state("tern").entries(), state.update_count)
             applied = True
         except EntryError:
             applied = False
         assert valid == applied
 
     def test_checks_value_set_size(self):
-        state = ControlPlaneState(analyze(parse_program(TestValueSets.SOURCE)))
-        state.validate_updates([ValueSetUpdate("pvs", (1, 2))])
+        model = analyze(parse_program(TestValueSets.SOURCE))
+        state = ControlPlaneState(model)
+        assert state.check(ValueSetUpdate("pvs", (1, 2))) is None
         with pytest.raises(EntryError):
-            state.validate_updates([ValueSetUpdate("pvs", (1, 2, 3))])
+            state.check(ValueSetUpdate("pvs", (1, 2, 3)))
+        with pytest.raises(EntryError):
+            coalesce(
+                state,
+                [ValueSetUpdate("pvs", (1, 2)), ValueSetUpdate("pvs", (1, 2, 3))],
+                conflict_components(model),
+            )
         assert set(state.value_sets.values()) == {()} and state.update_count == 0
 
 
