@@ -134,14 +134,15 @@ class Engine:
         passes (aiming for the paper's ~100 ms budget).  A list or tuple
         is a burst: the scheduler checks every update, coalesces the burst
         and counts its conflict groups in one pass, then the same warm
-        passes run over its net updates, so it respecializes at most once.  The input's type picks
-        the record's burst fields, not its length, so a one-update list is
-        a burst.  Either way changed points are reported before changed
-        tables, and forwarded updates reach the device in the order they
-        were submitted.  A decision that raises leaves the control plane
-        as it found it (:func:`~repro.engine.pipeline.roll_back`).  The
-        returned record is the whole account of the decision; the engine
-        adds it only to its running totals.
+        passes run over its net updates, so it respecializes at most once.
+        The input's type picks the record's burst fields, not its length,
+        so a one-update list is a burst.  Either way changed points are
+        reported before changed tables, and forwarded updates reach the
+        device in the order they were submitted.  A decision that raises
+        leaves the control plane as it found it
+        (:func:`~repro.engine.pipeline.roll_back`).  The returned record is
+        the whole account of the decision; the engine adds it only to its
+        running totals.
         """
         if isinstance(item, (list, tuple)):
             return self._decide_burst(list(item))

@@ -418,9 +418,9 @@ class ControlPlaneState:
 
     def commit(self, update, key) -> tuple:
         """Apply ``update``, checked with match key ``key``, in its
-        batch's order; returns the table's or value set's info, and what the update
-        replaced: the old entry of a MODIFY or DELETE (None for an
-        INSERT), or the value set's old values."""
+        batch's order; returns the table's or value set's info, and what
+        the update replaced: the old entry of a MODIFY or DELETE (None
+        for an INSERT), or the value set's old values."""
         if isinstance(update, ValueSetUpdate):
             prior = self.value_sets[self.model.value_set(update.value_set).name]
             return self.apply_value_set_update(update), prior
