@@ -27,9 +27,10 @@ one unit, on the calling thread:
    the shared :class:`~repro.engine.context.EngineContext`, exactly as for
    one update: every touched table and value set is encoded once, one
    ``set_many`` pushes the moved symbols, one sweep re-verdicts the
-   tainted points and the touched tables.  The commits leave a table's
-   eclipse-elided active list to be rebuilt once, on its first read, when
-   that costs less than splicing each insert into it
+   tainted points and the touched tables.  A table the net updates insert
+   into drops its eclipse-elided active list before the commits, so the
+   list is rebuilt once, on its first read, instead of taking one splice
+   per insert
    (:meth:`~repro.runtime.semantics.TableState.defer_active`).
 
 The burst respecializes at most once.  Verdicts and the specialized
@@ -64,13 +65,13 @@ def coalesce(state: ControlPlaneState, updates: list, components: dict) -> tuple
     """Check a burst against ``state`` and fold it into its net updates
     (see the module docstring); touches nothing.
 
-    Returns ``(ops, group_count, inserts)``: the net ``(update, match
+    Returns ``(ops, group_count, inserted)``: the net ``(update, match
     key)`` pairs in anchor order (the key is ``None`` for a value-set
     update), ready for
     :meth:`~repro.runtime.semantics.ControlPlaneState.commit`; the number
     of distinct ``components`` roots (:func:`conflict_components`) among
-    them; and each table's net INSERT count, by
-    :class:`~repro.runtime.semantics.TableState`.  A net op whose kind the
+    them; and the :class:`~repro.runtime.semantics.TableState` of each
+    table a net INSERT targets, as a set.  A net op whose kind the
     fold did not change is the submitted update itself; a modify folded
     into an insert becomes an insert of the modify's entry.
 
@@ -142,8 +143,8 @@ def coalesce(state: ControlPlaneState, updates: list, components: dict) -> tuple
     ops = [op for op in net if op is not None]
     roots = {components[name] for name in value_sets}
     roots.update(cell[1] for cell in cells.values() if cell[2])
-    inserts = {cell[0]: cell[3] for cell in cells.values() if cell[3]}
-    return ops, len(roots), inserts
+    inserted = {cell[0] for cell in cells.values() if cell[3]}
+    return ops, len(roots), inserted
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +202,8 @@ def schedule_batch(ctx: EngineContext, passes) -> Decision:
     """Decide the burst ``ctx.warm.update`` (a list) through ``passes``,
     the engine's warm :class:`~repro.engine.passes.PassManager`.
 
-    Coalesces and checks the burst in one pass, lets each table the burst
-    inserts into drop its cached active list where one rebuild on its
-    first read costs less than splicing every insert
+    Coalesces and checks the burst in one pass, has each table the net
+    updates insert into drop its cached active list
     (:meth:`~repro.runtime.semantics.TableState.defer_active`), and hands
     the net updates to the passes as ``ctx.warm.ops``.
     """
@@ -213,10 +213,9 @@ def schedule_batch(ctx: EngineContext, passes) -> Decision:
     components = ctx.batch_components
     if components is None:
         components = ctx.batch_components = conflict_components(ctx.model)
-    warm.ops, group_count, inserts = coalesce(ctx.state, updates, components)
-    threshold = ctx.options.overapprox_threshold
-    for table, count in inserts.items():
-        table.defer_active(count, threshold)
+    warm.ops, group_count, inserted = coalesce(ctx.state, updates, components)
+    for table in inserted:
+        table.defer_active()
     passes.run(ctx)
     return Decision(
         warm.recompiled,

@@ -58,12 +58,11 @@ Match = Union[ExactMatch, TernaryMatch, LpmMatch]
 def as_value_mask(match: Match, width: int) -> tuple[int, int]:
     """View any match as a (value, mask) pair at the given key width."""
     full = (1 << width) - 1
-    cls = match.__class__
-    if cls is ExactMatch:
+    if isinstance(match, ExactMatch):
         return match.value & full, full
-    if cls is TernaryMatch:
+    if isinstance(match, TernaryMatch):
         return match.value & full, match.mask & full
-    if cls is LpmMatch:
+    if isinstance(match, LpmMatch):
         mask = match.mask(width)
         return match.value & mask, mask
     raise EntryError(f"unknown match type {match!r}")
@@ -104,7 +103,7 @@ class TableEntry:
         P4Runtime keys entries by their match fields (and priority for
         ternary); the action is payload.
         """
-        return (tuple([match.key() for match in self.matches]), self.priority)
+        return (tuple(m.key() for m in self.matches), self.priority)
 
 
 #: Match kinds an exact match may target (a full-width ternary or lpm).
@@ -144,8 +143,7 @@ def validate_entry(
     """Check an entry against the table's schema; raises :class:`EntryError`.
 
     ``schema`` is the table's compiled :class:`EntrySchema` (compiled from
-    ``info`` here when omitted).  Matches are dispatched on their exact
-    class.
+    ``info`` here when omitted).
     """
     if schema is None:
         schema = EntrySchema(info)
@@ -157,19 +155,18 @@ def validate_entry(
         )
     ternary = False
     for match, (limit, width, kind, exact_ok) in zip(matches, keys):
-        cls = match.__class__
-        if cls is ExactMatch:
+        if isinstance(match, ExactMatch):
             if not exact_ok:
                 raise EntryError(f"exact match on {kind} key")
             if not 0 <= match.value < limit:
                 raise EntryError(f"value {match.value:#x} out of range for {width} bits")
-        elif cls is TernaryMatch:
+        elif isinstance(match, TernaryMatch):
             if kind != "ternary":
                 raise EntryError(f"ternary match on {kind} key")
             if not 0 <= match.value < limit or not 0 <= match.mask < limit:
                 raise EntryError("ternary value/mask out of range")
             ternary = True
-        elif cls is LpmMatch:
+        elif isinstance(match, LpmMatch):
             if kind != "lpm":
                 raise EntryError(f"lpm match on {kind} key")
             if not 0 <= match.prefix_len <= width:

@@ -84,11 +84,9 @@ class TableState:
     recompute; everything else keeps the cache.  The splice is exact
     because covering is transitive: when the new entry evicts a
     previously-active entry, every entry that old eclipser was hiding is
-    hidden by the new entry too.  A burst that inserts at least as many
-    rows as the list holds, or may take the table past the
-    overapproximation threshold, drops the list first
-    (:meth:`defer_active`): it is rebuilt once, on its next read, and an
-    overapproximated table's never is.
+    hidden by the new entry too.  A burst that inserts into the table
+    drops the list first (:meth:`defer_active`): it is rebuilt once, on
+    its next read, and an overapproximated table's never is.
 
     The table's :class:`~repro.runtime.entries.EntrySchema` is compiled
     once, here, for :meth:`check`.
@@ -206,7 +204,7 @@ class TableState:
             if self._active is not None:
                 if self._mode() != mode_before:
                     # Precedence order of *existing* entries changed.
-                    self._invalidate_active()
+                    self.defer_active()
                 else:
                     self._splice_insert(row)
         elif op == MODIFY:
@@ -230,7 +228,7 @@ class TableState:
             ):
                 # An active entry may have been hiding others; recompute
                 # (lazily: an overapproximated table never asks).
-                self._invalidate_active()
+                self.defer_active()
             # Deleting an eclipsed entry cannot un-eclipse anything.
         self._revision += 1
         return old[0] if old is not None else None
@@ -251,16 +249,9 @@ class TableState:
     # -- ordering & eclipse ----------------------------------------------------
 
     def _count_entry(self, entry: TableEntry, delta: int) -> None:
-        ternary = lpm = False
-        for match in entry.matches:
-            cls = match.__class__
-            if cls is TernaryMatch:
-                ternary = True
-            elif cls is LpmMatch:
-                lpm = True
-        if ternary:
+        if any(isinstance(m, TernaryMatch) for m in entry.matches):
             self._n_ternary += delta
-        if lpm:
+        if any(isinstance(m, LpmMatch) for m in entry.matches):
             self._n_lpm += delta
 
     def _mode(self) -> str:
@@ -270,21 +261,11 @@ class TableState:
             return "lpm"
         return "exact"
 
-    def defer_active(self, inserts: int, threshold: Optional[int]) -> None:
-        """Before a burst commits ``inserts`` INSERTs into this table, drop
-        the cached active list if splicing each of them would cost more
-        than rebuilding it once on its next read: the table may end past
-        the overapproximation ``threshold`` (the encoder never reads its
-        list then), or the burst inserts at least as many rows as the list
-        holds.  Otherwise each insert keeps its O(n) splice."""
-        active = self._active
-        if active is not None and (
-            inserts >= len(active)
-            or (threshold is not None and len(self._rows) + inserts > threshold)
-        ):
-            self._invalidate_active()
-
-    def _invalidate_active(self) -> None:
+    def defer_active(self) -> None:
+        """Drop the cached active list: it is rebuilt once, on its next
+        read, and an overapproximated table's, which the encoder never
+        reads, never is.  A burst calls this before it commits INSERTs
+        into the table, instead of one O(n) splice per insert."""
         if self._active is not None:
             self._active = None
             self.counter.invalidate()
