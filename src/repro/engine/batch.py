@@ -198,9 +198,10 @@ def conflict_components(model) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def schedule_batch(ctx: EngineContext, passes) -> Decision:
+def schedule_batch(ctx: EngineContext, passes) -> None:
     """Decide the burst ``ctx.warm.update`` (a list) through ``passes``,
-    the engine's warm :class:`~repro.engine.passes.PassManager`.
+    the engine's warm :class:`~repro.engine.passes.PassManager`, into the
+    record ``ctx.warm``.
 
     Coalesces and checks the burst in one pass, has each table the net
     updates insert into drop its cached active list
@@ -208,29 +209,17 @@ def schedule_batch(ctx: EngineContext, passes) -> Decision:
     the net updates to the passes as ``ctx.warm.ops``.
     """
     start = time.perf_counter()
-    warm = ctx.warm
-    updates = warm.update
+    record: Decision = ctx.warm
+    updates = record.update
     components = ctx.batch_components
     if components is None:
         components = ctx.batch_components = conflict_components(ctx.model)
-    warm.ops, group_count, inserted = coalesce(ctx.state, updates, components)
+    record.ops, record.group_count, inserted = coalesce(ctx.state, updates, components)
     for table in inserted:
         table.defer_active()
+    record.update_count, record.coalesced_count = len(updates), len(record.ops)
     passes.run(ctx)
-    return Decision(
-        warm.recompiled,
-        warm.changed,
-        warm.affected,
-        warm.redecided,
-        warm.unchanged,
-        (time.perf_counter() - start) * 1000,
-        compile_report=warm.compile_report,
-        lowered=warm.lowered,
-        update_count=len(updates),
-        coalesced_count=len(warm.ops),
-        group_count=group_count,
-        burst=True,
-    )
+    record.settle((time.perf_counter() - start) * 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class EngineContext:
 
     Cold passes populate the fields top to bottom; the warm path mutates
     the control-plane state, verdicts, and specialization result.  The
-    ``warm`` field holds per-run scratch (a ``WarmState``) while a warm
-    pipeline executes.
+    ``warm`` field holds the decision record the warm passes fill (a
+    ``Decision``) while a warm pipeline executes.
     """
 
     options: EngineOptions
@@ -101,7 +101,7 @@ class EngineContext:
     recompilations: int = 0
     decisions: int = 0
     decision_ms: float = 0.0
-    # Per-warm-run scratch (a pipeline.WarmState while a warm run executes).
+    # The record a warm run fills (a pipeline.Decision while one executes).
     warm: Optional[object] = None
 
     def cache_counters(self) -> list:
@@ -193,8 +193,8 @@ WARM_STATE: tuple = (
     WarmRow("query_engine._simplify_memo", KEY_ID, LOCAL, GENERATION),
     WarmRow("query_engine._exec_cache", KEY_TERM, SHARED, GENERATION),
     WarmRow("query_engine._decided", KEY_VALUE, CARRIED, ENGINE),
-    # Its keys embed term ids; a restore re-primes it with one pass.
-    WarmRow("query_engine._table_verdict_memo", KEY_ID, REBUILT, GENERATION),
+    # Re-derived from the carried memo and decided terms.
+    WarmRow("query_engine._pending", KEY_VALUE, REBUILT, ENGINE),
     # One verdict per overapproximated table, built on its first use.
     WarmRow("query_engine._overapproximated", KEY_VALUE, LOCAL, ENGINE),
     WarmRow("query_engine._values_memo", KEY_ID, LOCAL, GENERATION),

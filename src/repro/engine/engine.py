@@ -18,7 +18,6 @@ from repro.engine.context import EngineContext, EngineOptions, EngineTimings
 from repro.engine.passes import PassManager
 from repro.engine.pipeline import (
     Decision,
-    WarmState,
     cold_passes,
     restore_passes,
     roll_back,
@@ -148,7 +147,8 @@ class Engine:
             return self._decide_burst(list(item))
         ctx = self.ctx
         start = time.perf_counter()
-        ctx.warm = warm = WarmState(item)
+        ctx.warm = record = Decision()  # keywords would cost a third more
+        record.update = item
         try:
             # ``PassManager.run``, inline: one frame less per update.
             for step in self._warm.passes:
@@ -159,55 +159,40 @@ class Engine:
                         exc.stage = step.name
                     raise
         except BaseException:
-            self._fail(warm)
+            self._fail(record)
             raise
         finally:
             ctx.warm = None
-        elapsed_ms = (time.perf_counter() - start) * 1000
-        # A value-set update re-encodes no table: never overapproximated.
-        assignment = next(iter(warm.assignments.values()), None)
-        # Positional: keyword arguments more than double the cost of this
-        # once-per-update constructor.
-        decision = Decision(
-            warm.recompiled,
-            warm.changed,
-            warm.affected,  # affected_points
-            warm.redecided,  # redecided_points
-            warm.unchanged,  # unchanged_points
-            elapsed_ms,
-            bool(assignment and assignment.overapproximated),
-            warm.compile_report,
-            warm.lowered,
-        )
+        record.settle((time.perf_counter() - start) * 1000)
         # Counted once the decision is complete, so a failed compile
         # counts neither as a decision nor as a recompilation.
         ctx.decisions += 1
-        ctx.recompilations += warm.recompiled
-        ctx.decision_ms += elapsed_ms
-        return decision
+        ctx.recompilations += record.recompiled
+        ctx.decision_ms += record.elapsed_ms
+        return record
 
     def _decide_burst(self, updates: list) -> Decision:
         ctx = self.ctx
-        ctx.warm = warm = WarmState(updates)
+        ctx.warm = record = Decision(update=updates, burst=True)
         try:
             # Called through this module's global, where tracing wraps it.
-            decision = schedule_batch(ctx, self._warm)
+            schedule_batch(ctx, self._warm)
         except BaseException:
-            self._fail(warm)
+            self._fail(record)
             raise
         finally:
             ctx.warm = None
         ctx.decisions += 1
-        ctx.recompilations += decision.recompiled
-        ctx.decision_ms += decision.elapsed_ms
-        return decision
+        ctx.recompilations += record.recompiled
+        ctx.decision_ms += record.elapsed_ms
+        return record
 
-    def _fail(self, warm: WarmState) -> None:
+    def _fail(self, record: Decision) -> None:
         """Undo a failed run's commits, then reset the specializer: the run
         may have moved verdicts that no specialize call has seen, so the
         next one starts from scratch."""
         try:
-            roll_back(self.ctx, warm)
+            roll_back(self.ctx, record)
         finally:
             self.ctx.specializer.reset()
 
@@ -253,6 +238,7 @@ class Engine:
             ctx.point_verdicts[pid] = ctx.query_engine.point_verdict(
                 point, ctx.substitution
             )
+        ctx.substitution.moved.clear()
 
     # -- introspection ---------------------------------------------------------
 

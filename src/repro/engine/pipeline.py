@@ -9,13 +9,13 @@ set) is
 
     apply-updates → decide
 
-where the second pass re-verdicts the tainted points, then the touched
-tables, and then either recompiles or lowers the forwarded updates.
-Both are plain :class:`~repro.engine.passes.Pass` sequences over one
-:class:`~repro.engine.context.EngineContext`.  A burst runs the same warm
-passes over its net updates, once the scheduler in
+where the second pass re-verdicts the points whose pulled term moved,
+then the touched tables, and then either recompiles or lowers the
+forwarded updates.  Both are plain :class:`~repro.engine.passes.Pass`
+sequences over one :class:`~repro.engine.context.EngineContext`.  A burst
+runs the same warm passes over its net updates, once the scheduler in
 :mod:`repro.engine.batch` has coalesced and checked them; either way the
-decision is one :class:`Decision`.
+passes fill one :class:`Decision`, which is also their scratch.
 """
 
 from __future__ import annotations
@@ -53,11 +53,13 @@ class Decision:
     last compiled; ``changed`` lists the verdicts that moved (pids and
     table names), which may be non-empty on a forward (a move no printed
     statement reads).  ``affected_points`` counts the points tainted by a
-    symbol whose assignment changed (the points visited; 0 is the normal
-    forward), of which ``redecided_points`` were decided afresh from a new
-    term and ``unchanged_points`` kept the identical term.  Tainted points
-    counted in neither are executability points that replayed a witness
-    fingerprint (gate tier 2a) without pulling their term.
+    symbol whose assignment changed (0 is the normal forward).  Only the
+    tainted points whose pulled term moved are visited; of the tainted
+    points, ``redecided_points`` were decided afresh from a new term and
+    ``unchanged_points`` kept the identical term, most of them without a
+    visit.  Tainted points counted in neither are executability points
+    that replayed a witness fingerprint (gate tier 2a) without pulling
+    their term.
 
     ``changed`` lists the moved points, in pid order, before the moved
     tables.  A single update leaves the burst fields at their one-update
@@ -69,14 +71,18 @@ class Decision:
     order (one per submitted update, folded or not; empty on a recompile
     or without a target).  The record is the whole account of the
     decision: the engine keeps no per-decision history.
+
+    The warm passes fill the record as they run (it is ``ctx.warm``
+    meanwhile); the fields after ``burst`` are their scratch, which
+    :meth:`settle` clears before the engine returns the record.
     """
 
-    recompiled: bool
-    changed: list
-    affected_points: int
-    redecided_points: int
-    unchanged_points: int
-    elapsed_ms: float
+    recompiled: bool = False
+    changed: list = None  # set by the point and table sweep
+    affected_points: int = 0
+    redecided_points: int = 0
+    unchanged_points: int = 0
+    elapsed_ms: float = 0.0
     # The one update went into an overapproximated table (a burst: False).
     overapproximated: bool = False
     compile_report: object = None
@@ -85,11 +91,21 @@ class Decision:
     coalesced_count: int = 1  # net updates after coalescing
     group_count: int = 1  # independent conflict groups
     burst: bool = False  # decided from a list or tuple of updates
+    update: object = None  # an Update, a ValueSetUpdate or a burst's list
+    ops: list = None  # a burst's checked net (update, key) pairs
+    undo: list = None  # each committed pair with what it replaced
+    changed_vars: object = ()  # the symbols set_many re-assigned
+    assignments: dict = None  # table → its re-encoded TableAssignment
 
     @property
     def forwarded(self) -> bool:
         """Sent to the device without recompilation."""
         return not self.recompiled
+
+    def settle(self, elapsed_ms: float) -> None:
+        """Stamp the wall time and drop the passes' scratch."""
+        self.elapsed_ms = elapsed_ms
+        self.update = self.ops = self.undo = self.changed_vars = self.assignments = None
 
     def describe(self) -> str:
         action = "RECOMPILE" if self.recompiled else "forward"
@@ -107,39 +123,6 @@ class Decision:
             f"{self.unchanged_points} unchanged term; "
             f"{len(self.changed)} changed, {self.elapsed_ms:.2f} ms"
         )
-
-
-# ---------------------------------------------------------------------------
-# Warm-run scratch state
-# ---------------------------------------------------------------------------
-
-
-class WarmState:
-    """Per-run scratch shared by the warm passes via ``ctx.warm``.
-
-    ``ops`` (a burst's checked net ``(update, key)`` pairs) is set by the
-    scheduler and ``undo`` (each committed pair with what it replaced) by
-    :class:`ApplyUpdatesPass`; the constructor sets neither, so the work
-    a single update does outside the passes stays what it was.
-    """
-
-    __slots__ = (
-        "update", "ops", "undo", "changed_vars", "assignments", "affected",
-        "redecided", "unchanged", "changed", "recompiled", "compile_report",
-        "lowered",
-    )
-
-    def __init__(self, update) -> None:
-        self.update = update  # an Update, a ValueSetUpdate, or a burst's list
-        self.changed_vars: set = set()  # symbols re-assigned
-        self.assignments: dict = {}  # table → TableAssignment
-        self.affected = 0  # points tainted (visited)
-        self.redecided = 0  # of those, decided afresh from a new term
-        self.unchanged = 0  # of those, kept on the identical term
-        self.changed: list = []  # pids / table names
-        self.recompiled = False  # the program moved (see respecialize)
-        self.compile_report = None
-        self.lowered = ()  # the forwarded writes, once lowered
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +246,18 @@ class EncodePass:
 
     def run(self, ctx: EngineContext) -> None:
         entry = _store_entry(ctx) if ctx.store_hit else None
+        substitution = ctx.substitution
         if entry is not None:
             initial = entry.initial
             ctx.mapping.update(initial["mapping"])
             ctx.table_assignments.update(initial["table_assignments"])
             ctx.point_verdicts.update(initial["point_verdicts"])
             ctx.table_verdicts.update(initial["table_verdicts"])
-            ctx.substitution.set_many(ctx.mapping)
+            substitution.set_many(ctx.mapping)
+            substitution.moved.clear()
+            # No root was pulled: a push cannot reach one, so every point
+            # waits for the first sweep its symbols taint.
+            ctx.query_engine.pend_unpulled(substitution)
             return
         for name, info in ctx.model.tables.items():
             assignment = encode_table(
@@ -282,11 +270,10 @@ class EncodePass:
             )
         for name, info in ctx.model.value_sets.items():
             ctx.mapping.update(encode_value_set(info, ctx.state.value_sets[name]))
-        ctx.substitution.set_many(ctx.mapping)
+        substitution.set_many(ctx.mapping)
         for pid, point in ctx.model.points.items():
-            ctx.point_verdicts[pid] = ctx.query_engine.point_verdict(
-                point, ctx.substitution
-            )
+            ctx.point_verdicts[pid] = ctx.query_engine.point_verdict(point, substitution)
+        substitution.moved.clear()  # every root was pulled after the push
 
 
 class RestorePass:
@@ -356,27 +343,29 @@ class ApplyUpdatesPass:
     def run(self, ctx: EngineContext) -> None:
         # The previous decision is done and this one has built nothing yet.
         ctx.term_factory.collect_if_due()
-        warm = ctx.warm
-        update = warm.update
+        record = ctx.warm
+        update = record.update
         if isinstance(update, list):
-            ops = warm.ops
+            commit_updates(ctx, record, record.ops)
         else:
-            ops = [(update, ctx.state.check(update))]
-        commit_updates(ctx, warm, ops)
+            commit_updates(ctx, record, [(update, ctx.state.check(update))])
 
 
-def commit_updates(ctx: EngineContext, warm: WarmState, ops) -> None:
+def commit_updates(ctx: EngineContext, record: Decision, ops) -> None:
     """Commit checked ``(update, key)`` pairs in order, each recorded on
-    ``warm.undo`` with what it replaced (for :func:`roll_back`); then
+    ``record.undo`` with what it replaced (for :func:`roll_back`); then
     encode every touched table and value set once and push the new
     assignments with one ``set_many``.
 
     An overapproximated table's re-encoding is the one ``!any`` mapping
-    already installed, so it pushes nothing.
+    already installed, so it pushes nothing, and the table drops its
+    cached active list, which the encoder never reads
+    (:meth:`~repro.runtime.semantics.TableState.defer_active`): its later
+    inserts splice nothing.
     """
     state = ctx.state
-    warm.undo = undo = []
-    tables: dict = {}
+    record.undo = undo = []
+    record.assignments = assignments = {}
     value_sets: dict = {}
     for update, key in ops:
         info, prior = state.commit(update, key)
@@ -384,50 +373,51 @@ def commit_updates(ctx: EngineContext, warm: WarmState, ops) -> None:
         if isinstance(update, ValueSetUpdate):
             value_sets[info.name] = info
         else:
-            tables[info.name] = None
+            assignments[info.name] = None
     mapping: dict = {}
     for name, info in value_sets.items():
         mapping.update(encode_value_set(info, state.value_sets[name]))
-    for name in tables:
-        assignment = encode_table(
-            ctx.model.tables[name], state.tables[name], ctx.options.overapprox_threshold
-        )
+    threshold = ctx.options.overapprox_threshold
+    for name in assignments:
+        table = state.tables[name]
+        assignment = encode_table(ctx.model.tables[name], table, threshold)
         installed = ctx.table_assignments[name].mapping
-        ctx.table_assignments[name] = assignment
-        warm.assignments[name] = assignment
+        ctx.table_assignments[name] = assignments[name] = assignment
         if assignment.mapping is not installed:
             mapping.update(assignment.mapping)
+        if assignment.overapproximated:
+            table.defer_active()
+            record.overapproximated = not record.burst
     if mapping:
         ctx.mapping.update(mapping)
-        warm.changed_vars = ctx.substitution.set_many(mapping)
+        record.changed_vars = ctx.substitution.set_many(mapping)
 
 
 def reverdict(ctx: EngineContext) -> None:
-    """Re-verdict what the applied updates moved: the program points
-    tainted by a *changed* symbol, then every re-encoded table.
+    """Re-verdict what the applied updates moved, into ``ctx.warm``: the
+    program points whose pulled term moved (and the pending points a
+    changed symbol taints), then every re-encoded table.
 
-    The changed symbols are the ones ``set_many`` found re-assigned, so an
-    update into an overapproximated table — whose ``!any`` assignment is
-    the identical interned term before and after — re-queries no point.
-    A table's structural verdict is recomputed whether or not its symbols
-    changed (its ``entry_count`` moves with every insert and delete).
-    Points are reported before tables.
+    The substitution's moved nodes are emptied only once the points'
+    verdicts are installed, so a sweep that raises leaves them for the
+    next one (:func:`roll_back`'s).  An update into an overapproximated
+    table, whose ``!any`` assignment is the identical interned term
+    before and after, moves no term and visits no point.  A table's
+    structural verdict is recomputed whether or not its symbols changed
+    (its ``entry_count`` moves with every insert and delete).  Points are
+    reported before tables.
     """
-    warm = ctx.warm
+    record = ctx.warm
     query_engine = ctx.query_engine
     sweep = query_engine.reverdict_points(
-        warm.changed_vars, ctx.substitution, ctx.point_verdicts
+        record.changed_vars, ctx.substitution, ctx.point_verdicts
     )
-    warm.affected = len(sweep.verdicts)
-    warm.redecided = sweep.redecided
-    warm.unchanged = sweep.unchanged
-    warm.changed.extend(sweep.changed)
-    ctx.point_verdicts.update(sweep.verdicts)
-    verdicts, changed = query_engine.reverdict_tables(
-        warm.assignments, ctx.state, ctx.table_verdicts
-    )
-    warm.changed.extend(changed)
-    ctx.table_verdicts.update(verdicts)
+    ctx.substitution.moved.clear()
+    record.changed, record.affected_points, record.redecided_points, record.unchanged_points = sweep
+    if record.assignments:
+        record.changed += query_engine.reverdict_tables(
+            record.assignments, ctx.state, ctx.table_verdicts
+        )
 
 
 class ReverdictPointsPass:
@@ -517,22 +507,22 @@ class RespecializePass:
 
     def run(self, ctx: EngineContext) -> None:
         reverdict(ctx)
-        warm = ctx.warm
+        record = ctx.warm
         target = ctx.target
-        moved = respecialize(ctx, warm.changed, warm.assignments)
+        moved = respecialize(ctx, record.changed, record.assignments)
         if moved is not None:
-            warm.compile_report = install(ctx, *moved)
-            warm.recompiled = True
+            record.compile_report = install(ctx, *moved)
+            record.recompiled = True
             return
         if target is not None:
-            update = warm.update
+            update = record.update
             if isinstance(update, list):
-                warm.lowered = tuple(target.lower_batch(update))
+                record.lowered = tuple(target.lower_batch(update))
             else:
-                warm.lowered = (target.lower_update(update),)
+                record.lowered = (target.lower_update(update),)
 
 
-def roll_back(ctx: EngineContext, warm: WarmState) -> None:
+def roll_back(ctx: EngineContext, record: Decision) -> None:
     """Undo the commits of a decision that failed part-way.
 
     The inverses on ``warm.undo`` commit in reverse order — an insert's
@@ -545,12 +535,12 @@ def roll_back(ctx: EngineContext, warm: WarmState) -> None:
     to the end of its table's insertion order, and the caches the failed
     run filled stay filled.
     """
-    undo = getattr(warm, "undo", None)
+    undo = record.undo
     if not undo:
         return
     inverse = ctx.state.inverse
-    ctx.warm = rewind = WarmState(None)
-    commit_updates(ctx, rewind, [inverse(*record) for record in reversed(undo)])
+    ctx.warm = rewind = Decision()
+    commit_updates(ctx, rewind, [inverse(*done) for done in reversed(undo)])
     reverdict(ctx)
 
 
@@ -612,7 +602,6 @@ __all__ = [
     "ReverdictTablesPass",
     "SpecializePass",
     "TypeCheckPass",
-    "WarmState",
     "cold_passes",
     "install",
     "respecialize",

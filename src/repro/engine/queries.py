@@ -11,7 +11,10 @@ data, effective match kinds).
 Verdicts — not raw terms — are the unit of comparison in the incremental
 pipeline: a control-plane update requires recompilation iff some verdict
 changes, because the specialized implementation is a pure function of the
-verdicts.
+verdicts.  A point verdict is a function of the point's pulled term, so
+the warm path re-verdicts only the points whose term moved
+(:meth:`QueryEngine.reverdict_points`); a precise table verdict is one
+pass over the table's active rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.analysis.model import (
 )
 from repro.engine.context import generation_attributes
 from repro.ir.metrics import CacheCounter
-from repro.runtime.entries import LpmMatch, TernaryMatch
 from repro.runtime.semantics import TableAssignment, TableState
 from repro.smt import Solver, Substitution, terms as T
 from repro.smt.sat import SolverBudgetExceeded
@@ -116,10 +118,10 @@ class Executability(NamedTuple):
 class PointReverdicts(NamedTuple):
     """What one :meth:`QueryEngine.reverdict_points` sweep did."""
 
-    verdicts: dict  # pid → verdict, for every tainted point, in pid order
-    changed: list  # pids whose specialization changed
-    redecided: int  # tainted points whose term moved, decided afresh
-    unchanged: int  # tainted points kept on the identical term
+    changed: list  # pids whose specialization changed, in pid order
+    affected: int  # points tainted by a changed symbol
+    redecided: int  # visited points decided afresh from a new term
+    unchanged: int  # tainted points on the identical term (most never visited)
 
 
 class QueryEngine:
@@ -129,10 +131,6 @@ class QueryEngine:
     #: update path must stay inside Flay's ~100 ms envelope, so queries
     #: that would need real search fall back to MAYBE instead.
     DEFAULT_MAX_CONFLICTS = 20_000
-    #: Table-verdict memo size guard: overflow clears the memo outright
-    #: (the memo re-warms in one pass; an eviction policy is not worth
-    #: the bookkeeping at this size).
-    MAX_TABLE_VERDICT_MEMO = 4096
 
     def __init__(
         self,
@@ -173,20 +171,23 @@ class QueryEngine:
         # None after the one verdict that is not a function of the term, an
         # un-memoized budget-MAYBE, which is therefore always re-decided.
         self._decided: dict[str, tuple] = {}
+        # The pids a sweep visits when a changed symbol taints them, whether
+        # or not their term moved: each un-memoized budget-MAYBE, and each
+        # point whose verdict was installed without its root ever being
+        # pulled (:meth:`pend_unpulled`).  Every other point's installed
+        # verdict is its current memo term's.
+        self._pending: set[str] = set()
+        # Point expression → the pids rooted at it (program-pure): how a
+        # sweep finds the points above the substitution's moved nodes.  (A
+        # solver-only engine is built without a model.)
+        self._roots: dict[Term, list] = {}
+        for pid, point in getattr(model, "points", {}).items():
+            self._roots.setdefault(point.expr, []).append(pid)
         self.redecided = 0  # point verdicts decided from a (new) term
         self.unchanged = 0  # point verdicts kept on the identical term
-        # Structural table-verdict memo.  A precise verdict is a pure
-        # function of (active-entry digest, selector term, hit term):
-        # feasible actions and hit constancy derive from the simplified
-        # selector/hit encodings, const-params and the match plan from the
-        # eclipse-elided active list.  Keying on the digest — NOT on the
-        # table's match function — is deliberate: an entry eclipsed
-        # jointly by two higher-precedence entries wins at no key point
-        # but is still in the active list, and contributes const-param
-        # values.  ``entry_count`` is the one field outside the key's
-        # span; hits patch it from the current assignment.
+        # Hits are overapproximated verdicts handed out again; every
+        # precise verdict is computed (a miss).
         self.table_verdict_counter = CacheCounter("table-verdict")
-        self._table_verdict_memo: dict = {}
         # Table name → its overapproximated verdict, a function of the
         # table's shape alone (``entry_count`` aside): built the first time
         # the table is overapproximated, then patched.
@@ -258,6 +259,10 @@ class QueryEngine:
                 point.pid, point.kind, constant=value, is_constant=value is not None
             )
         self._decided[point.pid] = (term, verdict)
+        if term is None:
+            self._pending.add(point.pid)
+        else:
+            self._pending.discard(point.pid)
         return verdict
 
     def _executability(self, term: Term) -> Executability:
@@ -304,53 +309,80 @@ class QueryEngine:
     def reverdict_points(
         self, changed_vars, substitution, current: dict
     ) -> PointReverdicts:
-        """Re-query the points tainted by a symbol whose assignment changed.
+        """Re-verdict the points whose pulled term moved, into ``current``.
 
-        ``changed_vars`` is what ``set_many`` reported, not every symbol of
-        every touched table: a point none of whose symbols changed has the
-        identical post-substitution term, hence (see the cache invariant in
-        ``__init__``) the identical verdict, and is not visited — so an
-        update into an overapproximated table re-queries nothing.  A
-        visited point whose pulled term is the object its verdict was
-        decided from keeps that verdict the same way
-        (:meth:`point_verdict`).  The one verdict that is not a function of
-        the term, an un-memoized budget-``MAYBE``, is retried whenever one
-        of the point's symbols changes.
+        A point is visited when its expression is among the memoised nodes
+        whose result moved (``substitution.moved``, which the caller
+        empties once this returns), or when a symbol in ``changed_vars``
+        (what ``set_many`` reported) taints it and it is pending: an
+        un-memoized budget-``MAYBE``, the one verdict that is not a
+        function of the term, or a verdict installed without a pull.
+        Every other tainted point keeps its verdict without a screen, a
+        pull or a lookup: hash-consing makes its identical term the one
+        the verdict was decided from (see the invariant in ``__init__``).
+        A visited point whose pulled term is still that object keeps its
+        verdict too (:meth:`point_verdict`).  Points visited in a sweep
+        that raises are put back on the pending set.
 
-        Verdicts and changed pids are against ``current``, in pid order.
+        Visits run in pid order; ``changed`` lists the pids whose
+        specialization moved against ``current``.
         """
+        tainted = self.model.points_for_control_vars(changed_vars)
+        roots = self._roots
+        visit: set = set()
+        for node in roots.keys() & substitution.moved:
+            visit.update(roots[node])
+        pending = self._pending
+        if pending:
+            visit |= pending & tainted
         points = self.model.points
         redecided, unchanged = self.redecided, self.unchanged
-        verdicts: dict = {}
         changed: list = []
-        for pid in sorted(self.model.points_for_control_vars(changed_vars)):
-            verdict = self.point_verdict(points[pid], substitution)
-            if not verdict.same_specialization(current[pid]):
-                changed.append(pid)
-            verdicts[pid] = verdict
+        try:
+            for pid in sorted(visit):
+                verdict = self.point_verdict(points[pid], substitution)
+                if not verdict.same_specialization(current[pid]):
+                    changed.append(pid)
+                current[pid] = verdict
+        except BaseException:
+            pending |= visit
+            raise
+        unvisited = len(tainted) - len(tainted & visit)
         return PointReverdicts(
-            verdicts, changed, self.redecided - redecided, self.unchanged - unchanged
+            changed,
+            len(tainted),
+            self.redecided - redecided,
+            self.unchanged - unchanged + unvisited,
         )
 
-    def reverdict_tables(
-        self, assignments: dict, state, current: dict
-    ) -> tuple[dict, list]:
-        """Recompute the structural verdict of every re-encoded table.
+    def pend_unpulled(self, substitution) -> None:
+        """Put on the pending set every point whose root ``substitution``
+        has never evaluated: its verdict came from elsewhere (a store's
+        donor) and no push can reach it.  A restore calls this too, so it
+        also re-derives the budget-``MAYBE`` pids from ``_decided``."""
+        decided = self._decided
+        self._pending = {
+            pid
+            for pid, point in self.model.points.items()
+            if point.expr not in substitution
+            or (pid in decided and decided[pid][0] is None)
+        }
+
+    def reverdict_tables(self, assignments: dict, state, current: dict) -> list:
+        """Recompute the structural verdict of every re-encoded table, into
+        ``current``; returns the tables whose specialization changed.
 
         Always runs, changed symbols or not: ``entry_count`` moves with
-        every insert and delete (a memo hit patches it).  Returns
-        ``(verdicts by table, tables whose specialization changed)``.
+        every insert and delete.
         """
-        verdicts: dict = {}
         changed: list = []
+        tables = self.model.tables
         for name, assignment in assignments.items():
-            verdict = self.table_verdict(
-                self.model.tables[name], assignment, state.tables[name]
-            )
+            verdict = self.table_verdict(tables[name], assignment, state.tables[name])
             if not verdict.same_specialization(current[name]):
                 changed.append(name)
-            verdicts[name] = verdict
-        return verdicts, changed
+            current[name] = verdict
+        return changed
 
     # -- per-table queries ---------------------------------------------------------
 
@@ -360,92 +392,79 @@ class QueryEngine:
         assignment: TableAssignment,
         state: TableState,
     ) -> TableVerdict:
-        if assignment.overapproximated:
-            # Every field of an overapproximated verdict except
-            # ``entry_count`` is a constant of the table's shape.
-            memo: dict = self._overapproximated
-            key: object = info.name
-        else:
-            memo = self._table_verdict_memo
-            key = (
-                info.name,
-                state.structural_digest(),
-                id(assignment.mapping[info.selector_var]),
-                id(assignment.mapping[info.hit_var]),
-            )
-        cached = memo.get(key)
-        if cached is not None:
-            self.table_verdict_counter.hit()
-            if cached.entry_count != assignment.entry_count:
-                cached = cached.with_entry_count(assignment.entry_count)
-            return cached
-        self.table_verdict_counter.miss()
-        verdict = self._table_verdict_uncached(info, assignment, state)
-        if len(memo) >= self.MAX_TABLE_VERDICT_MEMO:
-            memo.clear()
-        memo[key] = verdict
-        return verdict
+        """The table's structural verdict under ``assignment``.
 
-    def _table_verdict_uncached(
-        self,
-        info: TableInfo,
-        assignment: TableAssignment,
-        state: TableState,
-    ) -> TableVerdict:
+        An overapproximated verdict is a constant of the table's shape
+        (``entry_count`` aside), built once and patched.  A precise one is
+        computed: the simplified selector and hit terms give the feasible
+        actions and the hit behaviour, and one pass over the active rows
+        gives the rest.
+        """
         if assignment.overapproximated:
+            cached = self._overapproximated.get(info.name)
+            if cached is not None:
+                self.table_verdict_counter.hit()
+                if cached.entry_count != assignment.entry_count:
+                    cached = cached.with_entry_count(assignment.entry_count)
+                return cached
+            self.table_verdict_counter.miss()
             # "*any*": every action and parameter value is presumed covered,
             # so every parameter is non-constant — phrased the same way the
             # precise path phrases it, so that crossing the threshold does
             # not spuriously change the verdict (the paper's observation
             # that big tables already cover their paths).
-            const_params = tuple(
-                ((action, param.name), None)
-                for action, params in sorted(info.action_params.items())
-                for param in params
-            )
-            return TableVerdict(
+            verdict = self._overapproximated[info.name] = TableVerdict(
                 table=info.name,
                 feasible_actions=frozenset(info.action_codes),
                 hit=MAYBE,
-                const_params=const_params,
+                const_params=tuple(
+                    ((action, param.name), None)
+                    for action, params in sorted(info.action_params.items())
+                    for param in params
+                ),
                 match_plan=tuple(k.match_kind for k in info.keys),
                 entry_count=assignment.entry_count,
                 overapproximated=True,
             )
+            return verdict
+        self.table_verdict_counter.miss()
         selector = simplify(assignment.mapping[info.selector_var], memo=self._simplify_memo)
         codes = self._selector_values(selector)
-        code_to_action = {code: name for name, code in info.action_codes.items()}
         if codes is None:
             feasible = frozenset(info.action_codes)
         else:
             feasible = frozenset(
-                code_to_action[c] for c in codes if c in code_to_action
+                name for name, code in info.action_codes.items() if code in codes
             )
-        hit_term = simplify(assignment.mapping[info.hit_var], memo=self._simplify_memo)
-        hit_value = constant_value(hit_term)
-        if hit_value == 1:
-            hit = ALWAYS
-        elif hit_value == 0:
-            hit = NEVER
-        else:
-            hit = MAYBE
+        hit_value = constant_value(
+            simplify(assignment.mapping[info.hit_var], memo=self._simplify_memo)
+        )
+        hit = ALWAYS if hit_value == 1 else NEVER if hit_value == 0 else MAYBE
+        # One pass over the active rows: each action's distinct argument
+        # tuples, and the AND and the OR of the packed match masks.
+        args: dict = {}
+        all_masks, any_mask = -1, 0
+        for entry, _, mask in state.active_rows():
+            all_masks &= mask
+            any_mask |= mask
+            found = args.get(entry.action)
+            if found is None:
+                args[entry.action] = {entry.args}
+            else:
+                found.add(entry.args)
         # Parameter constancy is *conditional on the action running*: the
         # values an action's parameter can take are the action data of the
         # entries that select it (plus the default binding when a miss can
         # reach the default action).  Fig. 3 step 2: the single wildcard
         # entry makes set's parameter the constant 0x800.
-        entries = state.active_entries()
         default_reachable = hit != ALWAYS
         const_params: list = []
         for action_name, params in sorted(info.action_params.items()):
             if action_name not in feasible:
                 continue
+            selected = args.get(action_name, ())
             for index, param in enumerate(params):
-                values = {
-                    entry.args[index]
-                    for entry in entries
-                    if entry.action == action_name
-                }
+                values = {row[index] for row in selected}
                 if action_name == info.default_action and default_reachable:
                     if index < len(info.default_args):
                         values.add(info.default_args[index] or 0)
@@ -453,12 +472,28 @@ class QueryEngine:
                         values.add(0)
                 value = values.pop() if len(values) == 1 else None
                 const_params.append(((action_name, param.name), value))
+        # The match plan: a ternary key whose active entries all carry the
+        # full mask behaves as an exact key and can shed its TCAM (Fig. 3
+        # impl. B); one every entry wildcards needs no match data structure
+        # at all ("none"), and neither does one of a table with no entry.
+        plan: list = []
+        for key, shift in zip(info.keys, state._shifts):
+            if key.match_kind != "ternary":
+                plan.append(key.match_kind)
+                continue
+            full = (1 << key.width) - 1
+            if not args or not (any_mask >> shift) & full:
+                plan.append("none")
+            elif (all_masks >> shift) & full == full:
+                plan.append("exact")
+            else:
+                plan.append("ternary")
         return TableVerdict(
             table=info.name,
             feasible_actions=feasible,
             hit=hit,
             const_params=tuple(const_params),
-            match_plan=self._match_plan(info, state),
+            match_plan=tuple(plan),
             entry_count=assignment.entry_count,
             overapproximated=False,
         )
@@ -476,40 +511,6 @@ class QueryEngine:
         codes = _possible_values(selector)
         memo[key] = codes
         return codes
-
-    @staticmethod
-    def _match_plan(info: TableInfo, state: TableState) -> tuple:
-        """Effective match kind per key, narrowed by the installed entries.
-
-        A ternary key whose active entries all carry the full mask behaves
-        as an exact key and can shed its TCAM (Fig. 3 impl. B); similarly a
-        ternary key that is fully wildcarded by every entry needs no match
-        data structure at all ("none").
-        """
-        entries = state.active_entries()
-        plan: list[str] = []
-        for index, key in enumerate(info.keys):
-            if key.match_kind != "ternary":
-                plan.append(key.match_kind)
-                continue
-            if not entries:
-                plan.append("none")
-                continue
-            masks = set()
-            for entry in entries:
-                match = entry.matches[index]
-                if isinstance(match, TernaryMatch):
-                    masks.add(match.mask)
-                else:
-                    masks.add((1 << key.width) - 1)
-            full = (1 << key.width) - 1
-            if masks == {full}:
-                plan.append("exact")
-            elif masks == {0}:
-                plan.append("none")
-            else:
-                plan.append("ternary")
-        return tuple(plan)
 
 
 def _possible_values(term: Term, limit: int = 512) -> Optional[set[int]]:

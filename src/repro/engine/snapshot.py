@@ -110,8 +110,11 @@ def apply_snapshot(ctx, blob: dict) -> None:
     if blob.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotFormatError(f"unsupported snapshot format: {blob.get('format')!r}")
     # 1. Replay the control plane (the gate's lookup rows follow each
-    #    table's revision and re-pack on the first screen that asks).
+    #    table's revision and re-pack on the first screen that asks).  Each
+    #    table drops its active list first, so the replay splices nothing
+    #    and the list is derived once, on its first read.
     for name, entries in blob["tables"].items():
+        ctx.state.table_state(name).defer_active()
         for entry in entries:
             ctx.state.apply_update(Update(name, INSERT, entry))
     for name, values in blob["value_sets"].items():
@@ -141,17 +144,11 @@ def apply_snapshot(ctx, blob: dict) -> None:
     ctx.recompilations = blob["recompilations"]
     ctx.decisions = blob["decisions"]
     ctx.decision_ms = blob["decision_ms"]
-    # 4. The substitution's parent edges and heights, from its memo keys.
+    # 4. The substitution's parent edges and heights, from its memo keys,
+    #    and the points the next sweep must visit when a changed symbol
+    #    taints them, from the carried memo and decided terms.
     ctx.substitution.rederive_edges()
-    # 5. Re-prime the table-verdict memo.  The memo itself cannot ride in
-    #    the blob (its keys embed term identities), but the re-derived
-    #    assignments are identical hash-consed terms to what the warm path
-    #    will look up, so one uncached pass here rebuilds every entry the
-    #    snapshotted engine had.
-    for name, info in ctx.model.tables.items():
-        ctx.query_engine.table_verdict(
-            info, ctx.table_assignments[name], ctx.state.tables[name]
-        )
+    ctx.query_engine.pend_unpulled(ctx.substitution)
 
 
 __all__ = ["SNAPSHOT_FORMAT", "SnapshotFormatError", "apply_snapshot", "snapshot_context"]

@@ -86,7 +86,9 @@ class TableState:
     previously-active entry, every entry that old eclipser was hiding is
     hidden by the new entry too.  A burst that inserts into the table
     drops the list first (:meth:`defer_active`): it is rebuilt once, on
-    its next read, and an overapproximated table's never is.
+    its next read, and an overapproximated table's never is.  So does a
+    single update that leaves the table overapproximated, and a snapshot
+    restore before it replays the table.
 
     The table's :class:`~repro.runtime.entries.EntrySchema` is compiled
     once, here, for :meth:`check`.
@@ -110,12 +112,9 @@ class TableState:
         # :meth:`active_rows` on the next lookup, so nothing here feeds it.
         self.fdd = None
         # Monotone content revision: bumped by every successful apply()
-        # and clear().  Structural caches (the table-verdict memo, the
-        # gate's lazy-harvest retry signature, the lookup index) key on
-        # it to observe content changes without hashing entries per query.
+        # and clear().  The lookup index keys on it to observe content
+        # changes without hashing entries per query.
         self._revision = 0
-        self._digest_revision = -1
-        self._digest: tuple = ()
         # The encoder's `!any` mapping (:func:`_overapproximate`): a
         # function of the table's shape alone, built the first time the
         # table passes the threshold and handed out from then on.
@@ -130,19 +129,6 @@ class TableState:
 
     def revision(self) -> int:
         return self._revision
-
-    def structural_digest(self) -> tuple:
-        """The active-entry tuple, memoized per revision.
-
-        This is the structural identity the table-verdict memo keys on:
-        two states with equal digests produce identical selector/hit
-        encodings and identical const-param analyses (both are functions
-        of the eclipse-elided active list alone).
-        """
-        if self._digest_revision != self._revision:
-            self._digest = tuple(self.active_entries())
-            self._digest_revision = self._revision
-        return self._digest
 
     def entries(self) -> list[TableEntry]:
         return [row[0] for row in self._rows.values()]
@@ -265,7 +251,10 @@ class TableState:
         """Drop the cached active list: it is rebuilt once, on its next
         read, and an overapproximated table's, which the encoder never
         reads, never is.  A burst calls this before it commits INSERTs
-        into the table, instead of one O(n) splice per insert."""
+        into the table, instead of one O(n) splice per insert, and so
+        does a restore before it replays the table; the warm path calls
+        it on every table it finds overapproximated, whose later inserts
+        then splice nothing."""
         if self._active is not None:
             self._active = None
             self.counter.invalidate()

@@ -13,8 +13,10 @@ specification: replace, rebuild, and leave simplification to the caller.
 and bursts alike: one fused substitute-and-simplify pass over the
 *source* DAG that survives updates.  Each update pushes the symbols whose
 assignment moved up the memoised DAG once, lowest node first, and stops
-wherever a result comes back unchanged; what is left for the warm path's
-pulls is dict hits.  The tests check it against the specification.
+wherever a result comes back unchanged, and it records every node whose
+result moved: the warm path visits only the program points rooted at one
+of those, and their pulls are dict hits.  The tests check it against the
+specification.
 A snapshot carries its mapping and memo through the
 :class:`~repro.smt.arena.TermArena` pickler, which does no rewriting of
 its own; :meth:`DeltaSubstitution.rederive_edges` rebuilds the rest.
@@ -108,6 +110,13 @@ class DeltaSubstitution:
     is a dict hit for any memoised term and evaluates only nodes it has
     never seen.
 
+    ``moved`` collects the memoised nodes whose result changed — each
+    symbol whose simplified assignment moved and each node a push
+    rewrote to a new object — until the caller, having re-verdicted
+    what they root, empties it.  Hash-consing makes "moved" an identity
+    test: a node not in ``moved`` has the result it had at the last
+    drain.
+
     An edge is a structural fact about two source terms, so edges are
     never removed and neither they, the memo nor the heights can outgrow
     the program's own DAG.
@@ -138,10 +147,15 @@ class DeltaSubstitution:
         self._memo: dict[Term, Term] = {}
         self._parents: dict[Term, set[Term]] = {}
         self._heights: dict[Term, int] = {}
+        self.moved: set[Term] = set()
         self.set_many(mapping)
 
     def __len__(self) -> int:
         return len(self._mapping)
+
+    def __contains__(self, term: Term) -> bool:
+        """Has ``term`` been evaluated (is it memoised)?"""
+        return term in self._memo
 
     @property
     def memo_size(self) -> int:
@@ -173,6 +187,7 @@ class DeltaSubstitution:
                     memo[var] = result
                     moved.append(var)
         if moved:
+            self.moved.update(moved)
             self.counter.invalidate(self._propagate(moved))
         return {var.payload for var in changed}
 
@@ -192,10 +207,10 @@ class DeltaSubstitution:
         Heights order the worklist: a parent is taller than each of its
         children, so a popped node's children are all final and nothing
         is queued twice.  Only a node whose result moved queues its
-        parents.
+        parents, and joins :attr:`moved`.
         """
         memo, heights, parents = self._memo, self._heights, self._parents
-        simplify_memo = self._simplify_memo
+        simplify_memo, rewritten = self._simplify_memo, self.moved
         queued: set[Term] = set()
         heap: list = []
 
@@ -213,6 +228,7 @@ class DeltaSubstitution:
             result = _rewrite(node, results, simplify_memo)
             if result is not memo.get(node):
                 memo[node] = result
+                rewritten.add(node)
                 enqueue(node)
         self.rewrites += len(queued)
         return len(queued)

@@ -3,19 +3,22 @@
 No option switches it on and the engine never runs it: a bare
 ``QueryEngine(model)`` — no gate, no witness records — deciding every
 point from a one-shot ``Substitution`` of a control mapping derived
-afresh from the engine's control plane, and ``_table_verdict_uncached``
+afresh from the engine's control plane, and :func:`reference_table_verdict`
 on every table.  The mapping encodes each precise table as the
 first-match ``ite`` chains the engine's lookup nodes stand for
 (:func:`chain_encode_table`, a frozen copy of the chain encoder), so every
-comparison is also one of the lookup encoding against the chain one.  The
-warm path's replays, memos and change-driven sweeps are all claims that
-the engine still holds exactly these verdicts.
+comparison is also one of the lookup encoding against the chain one; and
+a precise table verdict is derived entry by entry from the active entries
+(a frozen copy of the per-entry derivation the engine's one pass over the
+packed rows replaced).  The warm path's replays, memos and change-driven
+sweeps are all claims that the engine still holds exactly these verdicts.
 """
 
 from repro.analysis.model import TableInfo
-from repro.engine.queries import QueryEngine
+from repro.engine.queries import ALWAYS, MAYBE, NEVER, QueryEngine, TableVerdict
 from repro.engine.specialize import Specializer
 from repro.p4.printer import print_program
+from repro.runtime.entries import TernaryMatch
 from repro.runtime.semantics import (
     TableAssignment,
     _overapproximate,
@@ -23,6 +26,7 @@ from repro.runtime.semantics import (
     entry_match_term,
 )
 from repro.smt import Substitution, terms as T
+from repro.smt.simplify import constant_value, simplify
 from repro.smt.substitute import _rebuild_with_args
 
 
@@ -70,6 +74,78 @@ def chain_encode_table(info, state, threshold) -> TableAssignment:
         table=info.name,
         mapping=mapping,
         entry_count=len(state),
+        overapproximated=False,
+    )
+
+
+def reference_table_verdict(qe, info, assignment, state) -> TableVerdict:
+    """The table's structural verdict, derived entry by entry from
+    ``state.active_entries()``: the derivation the engine's one pass over
+    the packed active rows replaced, kept as it was (``qe`` lends its
+    simplify memo and its selector-values reader)."""
+    if assignment.overapproximated:
+        return TableVerdict(
+            table=info.name,
+            feasible_actions=frozenset(info.action_codes),
+            hit=MAYBE,
+            const_params=tuple(
+                ((action, param.name), None)
+                for action, params in sorted(info.action_params.items())
+                for param in params
+            ),
+            match_plan=tuple(k.match_kind for k in info.keys),
+            entry_count=assignment.entry_count,
+            overapproximated=True,
+        )
+    selector = simplify(assignment.mapping[info.selector_var], memo=qe.simplify_memo)
+    codes = qe._selector_values(selector)
+    code_to_action = {code: name for name, code in info.action_codes.items()}
+    if codes is None:
+        feasible = frozenset(info.action_codes)
+    else:
+        feasible = frozenset(code_to_action[c] for c in codes if c in code_to_action)
+    hit_value = constant_value(
+        simplify(assignment.mapping[info.hit_var], memo=qe.simplify_memo)
+    )
+    hit = ALWAYS if hit_value == 1 else NEVER if hit_value == 0 else MAYBE
+    entries = state.active_entries()
+    default_reachable = hit != ALWAYS
+    const_params: list = []
+    for action_name, params in sorted(info.action_params.items()):
+        if action_name not in feasible:
+            continue
+        for index, param in enumerate(params):
+            values = {entry.args[index] for entry in entries if entry.action == action_name}
+            if action_name == info.default_action and default_reachable:
+                if index < len(info.default_args):
+                    values.add(info.default_args[index] or 0)
+                else:
+                    values.add(0)
+            value = values.pop() if len(values) == 1 else None
+            const_params.append(((action_name, param.name), value))
+    plan: list = []
+    for index, key in enumerate(info.keys):
+        if key.match_kind != "ternary":
+            plan.append(key.match_kind)
+            continue
+        if not entries:
+            plan.append("none")
+            continue
+        full = (1 << key.width) - 1
+        masks = {
+            entry.matches[index].mask
+            if isinstance(entry.matches[index], TernaryMatch)
+            else full
+            for entry in entries
+        }
+        plan.append("exact" if masks == {full} else "none" if masks == {0} else "ternary")
+    return TableVerdict(
+        table=info.name,
+        feasible_actions=feasible,
+        hit=hit,
+        const_params=tuple(const_params),
+        match_plan=tuple(plan),
+        entry_count=assignment.entry_count,
         overapproximated=False,
     )
 
@@ -143,8 +219,8 @@ class Spec:
             for pid, point in engine.model.points.items()
         }
         tables = {
-            name: qe._table_verdict_uncached(
-                info, assignments[name], engine.state.tables[name]
+            name: reference_table_verdict(
+                qe, info, assignments[name], engine.state.tables[name]
             )
             for name, info in engine.model.tables.items()
         }

@@ -8,17 +8,23 @@ applying the same updates one at a time, each through the splice, builds
 — on tables of all seven zoo programs, exact, ternary and LPM keys, equal
 priorities, eclipsing rows, and sizes that cross the overapproximation
 threshold.  The pins: a burst never derives an overapproximated table's
-list, and derives a precise table's once.
+list, and derives a precise table's once; a table single updates keep
+overapproximated splices nothing into a list the encoder never reads; and
+a snapshot restore derives each table's list at most once, equal to the
+live engine's.
 """
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Flay, FlayOptions
+from repro.engine.engine import Engine
 from repro.programs import registry
 from repro.runtime.entries import ExactMatch, LpmMatch, TableEntry, TernaryMatch
+from repro.runtime.fuzzer import EntryFuzzer, ipv4_route_entries
 from repro.runtime.semantics import DELETE, INSERT, MODIFY, TableState, Update
 
 PROGRAMS = ("scion", "switch", "middleblock", "dash", "beaucoup", "accturbo", "dta")
@@ -222,3 +228,69 @@ def test_a_burst_derives_a_precise_list_once(rebuilds):
     assert rebuilds.count(info.name) == 1
     assert len(table.active_rows()) == 43
     assert rebuilds.count(info.name) == 1
+
+
+@pytest.fixture()
+def splices(monkeypatch):
+    """The names of the tables an INSERT spliced into a cached list."""
+    names: list = []
+    original = TableState._splice_insert
+
+    def spy(self, row):
+        names.append(self.info.name)
+        return original(self, row)
+
+    monkeypatch.setattr(TableState, "_splice_insert", spy)
+    return names
+
+
+def test_single_inserts_past_the_threshold_derive_and_splice_no_list(rebuilds, splices):
+    """Scion's LPM route table filled one insert at a time: once it is
+    overapproximated its list is dropped, so later inserts neither splice
+    nor derive one; deletes that take it back under the threshold derive
+    the list once, equal to the one-update-at-a-time spliced reference."""
+    flay = Flay(registry.load("scion"), FlayOptions(target="none"))
+    name = "ScionIngress.ipv4_forward"
+    info = flay.model.tables[name]
+    table = flay.runtime.state.tables[name]
+    routes = [
+        Update(name, INSERT, entry)
+        for entry in ipv4_route_entries(flay.model, name, 130, "deliver_local_v4", seed=4)
+    ]
+    for update in routes[:110]:
+        flay.decide(update)
+    assert flay.runtime.table_assignments[name].overapproximated
+    assert table._active is None
+    del rebuilds[:], splices[:]
+    for update in routes[110:]:
+        assert flay.decide(update).overapproximated
+    assert name not in rebuilds and name not in splices
+    assert table._active is None
+    deletes = [Update(name, DELETE, update.entry) for update in routes[:30]]
+    for update in deletes:
+        flay.decide(update)
+    assert not flay.runtime.table_assignments[name].overapproximated
+    rows = table.active_rows()
+    assert rebuilds.count(name) == 1
+    assert rows == spliced(info, [], routes + deletes)
+
+
+def test_a_restore_derives_each_list_at_most_once(rebuilds):
+    """An exact-match table past the threshold and precise tables of every
+    match kind, restored: the replay splices nothing, each list is derived
+    at most once, and each equals the live engine's."""
+    live = Engine(source=registry.get("scion").source(), options=FlayOptions(target="none"))
+    svc_map = live.model.tables["ScionIngress.svc_map"]
+    live.decide(exact_inserts(svc_map, 0, 150))
+    fuzzer = EntryFuzzer(live.model, seed=2)
+    for name in tables_by_kind(live.model):
+        live.decide([Update(name, INSERT, entry) for entry in fuzzer.unique_entries(name, 6)])
+    blob = pickle.loads(pickle.dumps(live.snapshot()))
+    expected = {name: table.active_rows() for name, table in live.state.tables.items()}
+    del rebuilds[:]
+    restored = Engine.restore(blob)
+    for name, table in restored.state.tables.items():
+        assert table.active_rows() == expected[name]
+        assert rebuilds.count(name) <= 1
+    assert rebuilds.count(svc_map.name) == 1  # only for the read above
+
